@@ -20,7 +20,7 @@ N-channel IPTV ecosystem:
     whole lineup.
 :mod:`repro.channels.runner`
     :class:`UniverseRunner` -- store-backed execution, bit-identical
-    between the serial shared-engine path and per-channel worker processes.
+    between the serial shared-engine path and the per-channel worker pool.
 """
 
 from repro.channels.directory import Directory
@@ -37,7 +37,6 @@ from repro.channels.universe import (
     UniverseSession,
     UniverseSpec,
     plan_universe,
-    run_universe_channel,
     run_universe_rep,
 )
 from repro.channels.zapping import ZapEvent, ZapPlan, ZappingProcess
@@ -56,7 +55,6 @@ __all__ = [
     "ChannelOutcome",
     "plan_universe",
     "run_universe_rep",
-    "run_universe_channel",
     "UniverseResult",
     "UniverseRunner",
     "run_universe",

@@ -12,8 +12,8 @@ without ever touching the raw per-peer outcome data.
 
 Bit-identity contract
 ---------------------
-All three execution paths (serial shared-engine, per-channel worker
-fan-out, sharded runtime) build the block the same way:
+Both execution paths (the in-process shared-engine session and the
+sharded runtime over the worker pool) build the block the same way:
 
 1. per channel and algorithm, a *unit* aggregate
    (:func:`unit_aggregate`) over that mesh's zap-time samples
@@ -57,7 +57,7 @@ def unit_aggregate(
 
     Built in one shot from the mesh's zap-time samples, so the result is a
     pure function of the sample multiset -- the property that keeps the
-    serial, parallel and sharded paths byte-identical.
+    serial and pooled paths byte-identical.
     """
     stats = StreamAccumulator()
     values = [float(v) for v in samples]

@@ -5,15 +5,19 @@ Execution model
 One *repetition* of a universe is fully determined by ``(spec, seed)`` --
 the plan (lineup, per-channel seeds, zap script) is a pure function of the
 two, and every channel mesh is causally independent given the plan.  The
-runner exploits that at two granularities:
+runner exploits that through exactly two execution paths:
 
-* ``workers == 1`` runs each repetition through
-  :class:`~repro.channels.universe.UniverseSession`: every mesh of the
-  lineup interleaved on **one shared engine** (the canonical semantics).
-* ``workers > 1`` fans the *channels* of all pending repetitions out over
-  a process pool (:func:`~repro.channels.universe.run_universe_channel`),
-  then reassembles repetitions in deterministic channel order.  Results
-  are **bit-identical** to the serial path -- the property the acceptance
+* ``workers == 1`` without ``shards`` runs each repetition in-process
+  through :class:`~repro.channels.universe.UniverseSession`: every mesh of
+  the lineup interleaved on **one shared engine** (the canonical
+  semantics, and the reference the identity tests compare against).
+* ``workers > 1`` or an explicit ``shards`` count runs every channel mesh
+  on its own engine as a work unit of the sharded runtime
+  (:class:`~repro.dist.runner.ShardedExecutor` over the shared
+  :class:`~repro.dist.pool.WorkerPool`): crash-tolerant, journaled,
+  reassembled in deterministic channel order.  Without ``shards`` each
+  ``(repetition, channel)`` unit is its own shard.  Results are
+  **bit-identical** to the serial path -- the property the acceptance
   tests pin down.
 
 Each repetition persists as one ``universe-*`` document in the
@@ -24,19 +28,13 @@ re-running a named universe replays from disk without simulating.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.channels.aggregates import RepAggregator, unit_aggregate
 from repro.channels.universe import (
-    PAIRED_ALGORITHMS,
     ChannelOutcome,
-    UniversePlan,
     UniverseRepResult,
     UniverseSpec,
-    plan_universe,
-    run_planned_channel_detailed,
     run_universe_rep,
 )
 from repro.experiments.store import (
@@ -227,37 +225,16 @@ class UniverseResult:
 # --------------------------------------------------------------------------- #
 # execution
 # --------------------------------------------------------------------------- #
-def _execute_channel(
-    payload: Tuple[UniversePlan, int, Optional[str]]
-) -> Tuple[Tuple[ChannelOutcome, ChannelOutcome], Dict[str, Dict[str, Any]]]:
-    """Worker entry point (module-level so it pickles).
-
-    Receives the repetition's already-expanded plan -- planned once in the
-    parent -- so workers never re-derive the zap script per channel.
-    Returns the paired outcomes plus the channel's per-algorithm unit
-    aggregates (built worker-side from the raw zap samples, which never
-    leave the worker).
-    """
-    plan, channel_index, compute_engine = payload
-    (normal, fast), (normal_values, fast_values) = run_planned_channel_detailed(
-        plan, channel_index, compute_engine=compute_engine
-    )
-    units = {
-        "normal": unit_aggregate(normal_values, normal.unfinished),
-        "fast": unit_aggregate(fast_values, fast.unfinished),
-    }
-    return (normal, fast), units
-
-
 class UniverseRunner:
     """Executes universe repetitions, optionally in parallel and via a store.
 
     Parameters
     ----------
     workers:
-        Maximum worker processes.  ``1`` runs each repetition on one shared
-        engine in-process; ``> 1`` fans out per channel.  Results are
-        bit-identical for any value.
+        Worker processes of the pool.  ``1`` (with ``shards`` unset) runs
+        each repetition on one shared engine in-process; ``> 1`` runs the
+        channels on the sharded runtime.  Results are bit-identical for
+        any value.
     store:
         Optional persistent result store; repetitions found there are
         replayed, missing ones are simulated and persisted.  A replay-only
@@ -268,24 +245,23 @@ class UniverseRunner:
         ``None`` keeps the session default).  Bit-identical by contract,
         so store keys and replays are engine-agnostic.
     shards:
-        ``None`` keeps the classic paths above.  An integer routes fresh
-        repetitions through the sharded runtime (:mod:`repro.dist`): the
-        run's ``repetitions x channels`` units are partitioned into that
-        many shards, executed on a long-lived crash-tolerant worker pool,
-        checkpoint-journaled against the store, and reduced into streaming
-        aggregates (exposed as :attr:`last_aggregates`).  Still
-        bit-identical to the serial path at store-document level.
+        How many shards the sharded runtime (:mod:`repro.dist`) partitions
+        the run's ``repetitions x channels`` units into.  ``None`` means
+        one unit per shard when ``workers > 1`` and the in-process path
+        when ``workers == 1``; an integer always selects the sharded
+        runtime: a long-lived crash-tolerant worker pool, checkpoint-
+        journaled against the store.  Still bit-identical to the serial
+        path at store-document level.
     max_retries / fault_hook / after_shard:
-        Sharded-path knobs, forwarded to
+        Sharded-runtime knobs, forwarded to
         :class:`~repro.dist.runner.ShardedExecutor` (bounded retry,
-        fault injection, post-shard callback).  Ignored when ``shards``
-        is ``None``.
+        fault injection, post-shard callback).  Ignored in-process.
     progress:
         ``True`` prints a live status line (shards done/total, ETA,
-        per-worker heartbeat age) to stderr while the sharded path runs;
-        a :class:`~repro.dist.progress.ProgressReporter` instance is
-        used as-is (the test seam).  Ignored when ``shards`` is ``None``
-        or when every repetition replays from the store.
+        per-worker heartbeat age) to stderr while the sharded runtime
+        runs; a :class:`~repro.dist.progress.ProgressReporter` instance is
+        used as-is (the test seam).  Ignored in-process or when every
+        repetition replays from the store.
     """
 
     def __init__(
@@ -311,9 +287,6 @@ class UniverseRunner:
         self.fault_hook = fault_hook
         self.after_shard = after_shard
         self.progress = progress
-        #: Merged per-algorithm streaming aggregates of the last sharded
-        #: run (``None`` on the classic paths or before any run).
-        self.last_aggregates: Optional[Dict[str, Any]] = None
         #: Journal shards replayed by the last sharded run.
         self.journal_replayed: int = 0
 
@@ -368,14 +341,26 @@ class UniverseRunner:
                 document["net_key"] = net_key_memo[0]
             self.store.save_universe(key, document)
 
-        if self.shards is not None:
+        if self.shards is None and self.workers == 1:
+            # The canonical path: all channel meshes of a repetition on one
+            # shared engine and clock, in-process.
+            executor = None
+            execute = lambda pending: (  # noqa: E731
+                run_universe_rep(
+                    spec, rep_seeds[i], compute_engine=self.compute_engine
+                )
+                for i in pending
+            )
+        else:
             # Sharded runtime: the plan spans ALL repetition seeds (never
             # just the pending subset) so shard ids -- and the checkpoint
             # journal keyed off the plan fingerprint -- stay stable no
-            # matter how many repetitions already persisted.
+            # matter how many repetitions already persisted.  Without an
+            # explicit count every (repetition, channel) unit is a shard.
             from repro.dist import ProgressReporter, ShardedExecutor, ShardPlan
 
-            shard_plan = ShardPlan.build(spec, rep_seeds, self.shards)
+            n_shards = self.shards or repetitions * spec.n_channels
+            shard_plan = ShardPlan.build(spec, rep_seeds, n_shards)
             journal_root = None
             if self.store is not None and not self.store.replay_only:
                 journal_root = self.store.root / "journal"
@@ -399,11 +384,6 @@ class UniverseRunner:
             execute = lambda pending: executor.execute(  # noqa: E731
                 [rep_seeds[i] for i in pending]
             )
-        else:
-            executor = None
-            execute = lambda pending: self._execute(  # noqa: E731
-                spec, [rep_seeds[i] for i in pending]
-            )
 
         reps, replayed = replay_or_execute(
             self.store,
@@ -413,10 +393,6 @@ class UniverseRunner:
             save=_save,
         )
         if executor is not None:
-            # Populated just before the executor yields its last result,
-            # so it is final by the time replay_or_execute returns (and
-            # stays None when every repetition replayed from the store).
-            self.last_aggregates = executor.aggregates
             self.journal_replayed = executor.journal_replayed
         return UniverseResult(
             spec=spec,
@@ -425,57 +401,6 @@ class UniverseRunner:
             reps=tuple(reps),
             replayed=replayed,
         )
-
-    # ------------------------------------------------------------------ #
-    def _execute(
-        self, spec: UniverseSpec, seeds: Sequence[int]
-    ) -> Iterator[UniverseRepResult]:
-        if not seeds:
-            return
-        if self.workers == 1:
-            # The canonical path: all channel meshes of a repetition on one
-            # shared engine and clock.
-            for rep_seed in seeds:
-                yield run_universe_rep(
-                    spec, rep_seed, compute_engine=self.compute_engine
-                )
-            return
-        # Parallel path: plan each repetition once, then fan its channels
-        # out as per-channel tasks, reassembled in deterministic
-        # (seed, channel) order.
-        plans = [plan_universe(spec, rep_seed) for rep_seed in seeds]
-        payloads = [
-            (plan, channel, self.compute_engine)
-            for plan in plans
-            for channel in range(spec.n_channels)
-        ]
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(payloads))
-        ) as pool:
-            results = list(pool.map(_execute_channel, payloads))
-        for rep_index, plan in enumerate(plans):
-            offset = rep_index * spec.n_channels
-            channel_results = results[offset : offset + spec.n_channels]
-            # Ascending channel order: the canonical aggregate fold order
-            # shared with the serial and sharded paths.
-            aggregator = RepAggregator()
-            for pair, units in channel_results:
-                for algorithm in PAIRED_ALGORITHMS:
-                    aggregator.fold_unit(
-                        algorithm, pair[0].decile, units[algorithm]
-                    )
-            yield UniverseRepResult(
-                universe=spec.name,
-                seed=plan.seed,
-                n_channels=spec.n_channels,
-                n_viewers=spec.n_viewers,
-                n_zaps=plan.zap_plan.n_zaps,
-                surfers=plan.zap_plan.surfers,
-                normal=tuple(pair[0] for pair, _ in channel_results),
-                fast=tuple(pair[1] for pair, _ in channel_results),
-                aggregates=aggregator.to_dict(),
-            )
-
 
 def run_universe(
     spec: UniverseSpec,

@@ -24,9 +24,9 @@ state; cross-channel coupling lives entirely in the precomputed plan) and
 stochastically independent (per-channel seeds come from
 :func:`repro.sim.rng.sequence_seeds`).  Interleaving them on the shared
 engine is therefore observationally identical to running each mesh on its
-own engine -- which is exactly what :func:`run_universe_channel` does, and
-what the parallel runner (:mod:`repro.channels.runner`) fans out over
-worker processes.  Same seed, any worker count: bit-identical results.
+own engine -- which is exactly what :func:`run_planned_channel_detailed`
+does, and what the runner (:mod:`repro.channels.runner`) fans out over the
+worker pool.  Same seed, any worker count: bit-identical results.
 """
 
 from __future__ import annotations
@@ -64,9 +64,7 @@ __all__ = [
     "plan_universe",
     "channel_mesh_config",
     "run_universe_rep",
-    "run_planned_channel",
     "run_planned_channel_detailed",
-    "run_universe_channel",
 ]
 
 #: Algorithms of one paired universe run, in execution order.
@@ -584,26 +582,6 @@ def run_universe_rep(
     return UniverseSession(spec, seed, compute_engine=compute_engine).run()
 
 
-def run_planned_channel(
-    plan: UniversePlan,
-    channel_index: int,
-    *,
-    compute_engine: Optional[str] = None,
-) -> Tuple[ChannelOutcome, ChannelOutcome]:
-    """Run one channel of an already-expanded plan in isolation.
-
-    Builds only this channel's meshes (each on its own engine) and returns
-    the paired ``(normal, fast)`` outcomes -- bit-identical to the
-    corresponding entries of :func:`run_universe_rep`.  The parallel runner
-    plans once per repetition and ships the (small, picklable) plan to
-    each worker instead of re-deriving it per channel.
-    """
-    outcomes, _ = run_planned_channel_detailed(
-        plan, channel_index, compute_engine=compute_engine
-    )
-    return outcomes
-
-
 def run_planned_channel_detailed(
     plan: UniversePlan,
     channel_index: int,
@@ -612,13 +590,16 @@ def run_planned_channel_detailed(
 ) -> Tuple[
     Tuple[ChannelOutcome, ChannelOutcome], Tuple[List[float], List[float]]
 ]:
-    """One planned channel's paired outcomes *plus* the raw zap samples.
+    """Run one channel of an already-expanded plan in isolation.
 
-    Returns ``((normal, fast), (normal_values, fast_values))`` where the
-    value lists are the per-peer zap-time samples the outcomes' statistics
-    were computed from (:func:`~repro.metrics.universe.zap_time_values`).
-    The sharded runtime (:mod:`repro.dist`) folds those samples into
-    mergeable per-shard sketches instead of shipping them upstream, so the
+    Builds only this channel's meshes (each on its own engine) and returns
+    ``((normal, fast), (normal_values, fast_values))``: the paired
+    outcomes -- bit-identical to the corresponding entries of
+    :func:`run_universe_rep` -- plus the per-peer zap-time samples their
+    statistics were computed from
+    (:func:`~repro.metrics.universe.zap_time_values`).  The sharded
+    runtime (:mod:`repro.dist`) reduces those samples worker-side into
+    mergeable unit aggregates instead of shipping them upstream, so the
     parent's memory stays O(shard).
     """
     from repro.metrics.universe import zap_time_values
@@ -637,15 +618,3 @@ def run_planned_channel_detailed(
         values.append(samples)
     return (outcomes[0], outcomes[1]), (values[0], values[1])
 
-
-def run_universe_channel(
-    spec: UniverseSpec,
-    seed: int,
-    channel_index: int,
-    *,
-    compute_engine: Optional[str] = None,
-) -> Tuple[ChannelOutcome, ChannelOutcome]:
-    """Run one channel of one repetition in isolation (plan + execute)."""
-    return run_planned_channel(
-        plan_universe(spec, seed), channel_index, compute_engine=compute_engine
-    )

@@ -41,14 +41,15 @@ Installed as ``repro-gossip`` (and the shorter alias ``repro``; see
 ``universe ls`` / ``universe run NAME`` / ``universe compare NAME``
     The multi-channel universe: list the named universes, run one (a Zipf
     channel lineup with surfing/loyal zapping; every channel's paired
-    fast-vs-normal switch, store-backed, ``--workers`` fans channels out
-    bit-identically), or print only the per-popularity-decile zap-time
-    comparison.  ``--channels`` / ``--viewers`` rescale the lineup.
-    ``--shards N`` routes the run through the sharded runtime
-    (:mod:`repro.dist`): a long-lived crash-tolerant worker pool with
-    streaming aggregation and a checkpoint journal, so an interrupted run
-    resumes without recomputing finished shards -- still bit-identical to
-    the serial path.
+    fast-vs-normal switch, store-backed), or print only the
+    per-popularity-decile zap-time comparison.  ``--channels`` /
+    ``--viewers`` rescale the lineup.  ``--workers N`` runs the channels
+    on the sharded runtime (:mod:`repro.dist`): a long-lived
+    crash-tolerant worker pool with a checkpoint journal, so an
+    interrupted run resumes without recomputing finished shards -- still
+    bit-identical to the serial path.  ``--shards N`` sets how many shards
+    the ``repetitions x channels`` units are dealt into (default: one unit
+    per shard).
 
 ``bench trend``
     Print the repository's performance trajectory: one row per
@@ -396,19 +397,20 @@ def build_parser() -> argparse.ArgumentParser:
         universe_run.add_argument("--repetitions", type=_positive_int, default=1,
                                   help="independent repetitions (seed, seed+1, ...)")
         universe_run.add_argument("--workers", type=_positive_int, default=1,
-                                  help="worker processes (per-channel fan-out); "
-                                       "bit-identical to --workers 1")
+                                  help="worker processes of the sharded runtime "
+                                       "(crash-tolerant pool with checkpoint/"
+                                       "resume); bit-identical to --workers 1")
         universe_run.add_argument("--shards", type=_positive_int, default=None,
-                                  help="run through the sharded runtime: partition "
-                                       "the repetitions x channels units into this "
-                                       "many shards on a long-lived worker pool "
-                                       "with checkpoint/resume; bit-identical to "
-                                       "the serial path")
+                                  help="partition the repetitions x channels "
+                                       "units into this many shards on the worker "
+                                       "pool (default: one unit per shard when "
+                                       "--workers > 1); bit-identical to the "
+                                       "serial path")
         universe_run.add_argument("--progress", action="store_true",
-                                  help="with --shards: print a periodic live "
-                                       "status line to stderr (shards done/total, "
-                                       "ETA from shard history, per-worker "
-                                       "heartbeat age)")
+                                  help="with --workers > 1 or --shards: print a "
+                                       "periodic live status line to stderr "
+                                       "(shards done/total, ETA from shard "
+                                       "history, per-worker heartbeat age)")
         universe_run.add_argument("--from-store", action="store_true",
                                   help="replay from the result store only; never simulate")
         universe_run.add_argument("--compare", action="store_true",

@@ -1,15 +1,19 @@
-"""The sharded execution runtime for universes and sweeps.
+"""The execution substrate: one worker pool for sweeps, workloads and universes.
 
-``repro.dist`` scales the multi-channel universe past what a single
-process -- or a single uninterrupted run -- can hold:
+Every parallel run in ``repro`` is the same shape -- independent,
+deterministically seeded units reassembled in a fixed order -- and all of
+them fan out here (``--workers N`` on any command; ``workers == 1`` runs
+the same units in the calling process and starts nothing):
 
+* :mod:`repro.dist.pool` -- :class:`~repro.dist.pool.WorkerPool`, the only
+  place that starts processes: a long-lived pool that reuses workers
+  across tasks, tracks per-task heartbeats, retries crashed tasks a
+  bounded number of times and names the offending shard/channel when it
+  gives up.  Its ordered lazy :meth:`~repro.dist.pool.WorkerPool.map` is
+  what the sweep and workload runners call;
 * :mod:`repro.dist.plan` -- :class:`~repro.dist.plan.ShardPlan`, the
-  deterministic partition of a run's ``repetitions x channels`` work units
-  into shards;
-* :mod:`repro.dist.pool` -- :class:`~repro.dist.pool.WorkerPool`, a
-  long-lived process pool that reuses workers across shards, tracks
-  per-shard heartbeats, retries crashed shards a bounded number of times
-  and names the offending shard/channel when it gives up;
+  deterministic partition of a universe run's ``repetitions x channels``
+  work units into shards;
 * :mod:`repro.dist.journal` -- the write-ahead checkpoint journal that
   lets an interrupted ``repro universe run`` resume without recomputing
   finished shards, bit-identically to an uninterrupted run;
@@ -17,20 +21,21 @@ process -- or a single uninterrupted run -- can hold:
   ProgressReporter`, the throttled live status line (shards done/total,
   ETA, per-worker heartbeat age) behind ``repro universe run
   --progress``;
-* :mod:`repro.dist.runner` -- the shard executor gluing the pieces
-  together underneath :class:`~repro.channels.runner.UniverseRunner`
-  (``repro universe run --shards N --workers W``).
+* :mod:`repro.dist.runner` -- the shard executor gluing plan, pool and
+  journal together underneath :class:`~repro.channels.runner.
+  UniverseRunner` (``repro universe run --workers W [--shards N]``).
 
 Results are **bit-identical** (at store-document level) to the serial
 path for any shard/worker combination, under both compute engines -- the
-property the dist test suite and the CI ``dist`` smoke job pin down.
+property ``tests/test_execution_backends.py``, the dist test suite and
+the CI ``dist`` smoke job pin down.
 """
 
 from repro.dist.journal import ShardJournal
 from repro.dist.plan import Shard, ShardPlan, ShardUnit
 from repro.dist.pool import ShardExecutionError, ShardFailure, WorkerPool
 from repro.dist.progress import ProgressReporter
-from repro.dist.runner import ShardAggregates, ShardedExecutor, ShardResult
+from repro.dist.runner import ShardedExecutor, ShardResult
 
 __all__ = [
     "Shard",
@@ -41,7 +46,6 @@ __all__ = [
     "ShardFailure",
     "WorkerPool",
     "ProgressReporter",
-    "ShardAggregates",
     "ShardedExecutor",
     "ShardResult",
 ]

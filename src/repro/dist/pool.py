@@ -1,15 +1,23 @@
-"""A long-lived, crash-tolerant process pool for shard execution.
+"""The one process pool: long-lived, crash-tolerant workers.
 
-Unlike the one-task-per-channel ``ProcessPoolExecutor`` fan-out of
-:class:`~repro.channels.runner.UniverseRunner`, a :class:`WorkerPool`
-keeps ``W`` worker processes alive for the whole run and feeds them shards
-from a parent-side queue: workers amortise interpreter/numpy start-up over
-many shards, and the parent always knows exactly which shard each worker
-is executing (tasks are assigned to a specific worker, never pulled from a
+:class:`WorkerPool` is the only place in ``repro`` that starts processes.
+Sweeps, workloads and universes all fan out through it: :meth:`WorkerPool.
+map` is the ordered lazy map the sweep and workload runners use, and
+:meth:`WorkerPool.run` is the shard-level primitive underneath it that
+:class:`~repro.dist.runner.ShardedExecutor` drives directly.  A pool keeps
+``W`` worker processes alive for the whole run and feeds them tasks from a
+parent-side queue: workers amortise interpreter/numpy start-up over many
+tasks, and the parent always knows exactly which task each worker is
+executing (tasks are assigned to a specific worker, never pulled from a
 shared queue), which is what makes crash accounting exact.
 
 Reliability model
 -----------------
+* **One result pipe per worker** -- a worker is the only writer of its
+  pipe, so a process that dies mid-message can never wedge its siblings
+  (a shared queue's write lock would), and its death *is* an event: the
+  pipe reaches end-of-file and the parent fails or retries the shard at
+  once, however busy the other workers keep it.
 * **Per-shard heartbeat** -- workers post a heartbeat message before every
   work unit; :meth:`WorkerPool.last_heartbeat` exposes the latest label
   (e.g. ``rep12/ch3``) and timestamp per shard, and the failure summary
@@ -35,11 +43,11 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import queue as queue_module
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from multiprocessing.connection import Connection, wait
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.telemetry import get_telemetry
 
@@ -47,12 +55,15 @@ __all__ = ["ShardFailure", "ShardExecutionError", "WorkerPool"]
 
 _LOG = logging.getLogger("repro.dist.pool")
 
-#: Seconds the parent blocks on the result queue before checking liveness.
-_POLL_INTERVAL: float = 0.2
-
 #: A task function: ``task_fn(payload, heartbeat)`` where ``heartbeat`` is
 #: a ``Callable[[str], None]`` the task should invoke per work unit.
 TaskFn = Callable[[Any, Callable[[str], None]], Any]
+
+
+def _apply_task(payload: Tuple[Callable[[Any], Any], Any], heartbeat: Any) -> Any:
+    """:meth:`WorkerPool.map`'s task: call the mapped function on one item."""
+    function, item = payload
+    return function(item)
 
 
 @dataclass(frozen=True)
@@ -94,7 +105,7 @@ def _worker_main(
     task_fn: TaskFn,
     fault_hook: Optional[Callable[[int, int], None]],
     task_queue: "multiprocessing.Queue",
-    result_queue: "multiprocessing.Queue",
+    results: Connection,
 ) -> None:
     """Worker loop: execute assigned shards until the ``None`` sentinel."""
     while True:
@@ -104,7 +115,7 @@ def _worker_main(
         shard_id, payload = task
 
         def heartbeat(label: str, _shard_id: int = shard_id) -> None:
-            result_queue.put(("heartbeat", worker_id, _shard_id, str(label), time.time()))
+            results.send(("heartbeat", _shard_id, str(label), time.time()))
 
         heartbeat("start")
         try:
@@ -112,13 +123,13 @@ def _worker_main(
                 fault_hook(worker_id, shard_id)
             result = task_fn(payload, heartbeat)
         except BaseException:  # noqa: BLE001 - forwarded to the parent verbatim
-            result_queue.put(("error", worker_id, shard_id, traceback.format_exc()))
+            results.send(("error", shard_id, traceback.format_exc()))
             continue
-        result_queue.put(("done", worker_id, shard_id, result))
+        results.send(("done", shard_id, result))
 
 
 class _Worker:
-    """Parent-side handle of one worker process (its own task queue)."""
+    """Parent-side handle of one worker process (its own queue and pipe)."""
 
     def __init__(
         self,
@@ -126,16 +137,18 @@ class _Worker:
         worker_id: int,
         task_fn: TaskFn,
         fault_hook: Optional[Callable[[int, int], None]],
-        result_queue: "multiprocessing.Queue",
     ) -> None:
         self.worker_id = worker_id
         self.task_queue: "multiprocessing.Queue" = context.Queue()
+        self.results, sender = context.Pipe(duplex=False)
         self.process = context.Process(
             target=_worker_main,
-            args=(worker_id, task_fn, fault_hook, self.task_queue, result_queue),
+            args=(worker_id, task_fn, fault_hook, self.task_queue, sender),
             daemon=True,
         )
         self.process.start()
+        # The worker now holds the only write end: EOF means it is gone.
+        sender.close()
         self.assigned: Optional[int] = None  # shard id in flight, if any
 
     def alive(self) -> bool:
@@ -152,6 +165,7 @@ class _Worker:
         if self.process.is_alive():
             self.process.terminate()
         self.process.join(timeout=5.0)
+        self.results.close()
 
 
 class WorkerPool:
@@ -206,6 +220,36 @@ class WorkerPool:
         return dict(self._worker_heartbeats)
 
     # ------------------------------------------------------------------ #
+    def map(
+        self, function: Callable[[Any], Any], items: Sequence[Any]
+    ) -> Iterator[Any]:
+        """Ordered lazy map: yield ``function(item)`` per item, in item order.
+
+        Each result is yielded as soon as it and all its predecessors have
+        completed, so a consumer can persist early results while later
+        items still run.  ``workers == 1`` or a single item runs in the
+        calling process (no worker is spawned); otherwise the items are
+        tasks of :meth:`run` -- crash-tolerant, retried, heartbeat-tracked
+        -- and ``function`` and the items must pickle.
+        """
+        if self.workers == 1 or len(items) <= 1:
+            for item in items:
+                yield function(item)
+            return
+        run = self.run(
+            _apply_task, {index: (function, item) for index, item in enumerate(items)}
+        )
+        ready: Dict[int, Any] = {}
+        emitted = 0
+        try:
+            for index, result in run:
+                ready[index] = result
+                while emitted in ready:
+                    yield ready.pop(emitted)
+                    emitted += 1
+        finally:
+            run.close()  # tear the workers down even if the consumer stops early
+
     def run(
         self, task_fn: TaskFn, tasks: Mapping[int, Any]
     ) -> Iterator[Tuple[int, Any]]:
@@ -219,7 +263,6 @@ class WorkerPool:
             return
         obs = get_telemetry()
         context = multiprocessing.get_context()
-        result_queue: "multiprocessing.Queue" = context.Queue()
         pending: List[Tuple[int, Any]] = [(int(k), v) for k, v in tasks.items()]
         attempts: Dict[int, int] = {shard_id: 0 for shard_id, _ in pending}
         shard_failures: Dict[int, List[ShardFailure]] = {}
@@ -231,9 +274,7 @@ class WorkerPool:
 
         def spawn(*, respawn: bool = False) -> _Worker:
             nonlocal next_worker_id
-            worker = _Worker(
-                context, next_worker_id, task_fn, self.fault_hook, result_queue
-            )
+            worker = _Worker(context, next_worker_id, task_fn, self.fault_hook)
             next_worker_id += 1
             fleet.append(worker)
             if obs.enabled:
@@ -292,6 +333,19 @@ class WorkerPool:
                 obs.counter("pool.shard_retry").inc()
             pending.append((shard_id, payloads[shard_id]))
 
+        def bury(worker: _Worker) -> None:
+            fleet.remove(worker)
+            worker.kill()
+            _LOG.warning(
+                "worker %d died (assigned shard: %s)", worker.worker_id, worker.assigned
+            )
+            shard_id = worker.assigned
+            if shard_id is not None and shard_id not in done:
+                record_failure(worker, shard_id, "worker process died")
+                retry_or_raise(shard_id)
+            if pending or any(w.assigned is not None for w in fleet):
+                spawn(respawn=True)
+
         try:
             for _ in range(min(self.workers, len(pending))):
                 spawn()
@@ -305,67 +359,44 @@ class WorkerPool:
                         worker.assigned = shard_id
                         assigned_at[shard_id] = time.perf_counter()
                         worker.task_queue.put((shard_id, payload))
-                try:
-                    message = result_queue.get(timeout=_POLL_INTERVAL)
-                except queue_module.Empty:
-                    # No progress: check for crashed workers.
-                    for index, worker in enumerate(list(fleet)):
-                        if worker.alive():
-                            continue
-                        fleet.remove(worker)
-                        _LOG.warning(
-                            "worker %d died (assigned shard: %s)",
-                            worker.worker_id,
-                            worker.assigned,
-                        )
-                        shard_id = worker.assigned
-                        if shard_id is not None and shard_id not in done:
-                            record_failure(
-                                worker, shard_id, "worker process died"
-                            )
-                            retry_or_raise(shard_id)
-                        if pending or any(w.assigned is not None for w in fleet):
-                            spawn(respawn=True)
-                    continue
-                kind, worker_id, shard_id = message[0], message[1], message[2]
-                worker = next(
-                    (w for w in fleet if w.worker_id == worker_id), None
-                )
-                if kind == "heartbeat":
-                    self._heartbeats[shard_id] = (message[3], message[4])
-                    self._worker_heartbeats[worker_id] = (message[3], message[4])
-                    if obs.enabled:
-                        obs.counter("pool.heartbeats").inc()
-                    continue
-                if worker is not None and worker.assigned == shard_id:
+                # Block until some worker has a message -- or has died: a
+                # dead worker's pipe is at EOF, which counts as readable.
+                by_pipe = {worker.results: worker for worker in fleet}
+                for pipe in wait(list(by_pipe)):
+                    worker = by_pipe[pipe]
+                    try:
+                        message = pipe.recv()
+                    except (EOFError, OSError):
+                        bury(worker)
+                        continue
+                    kind, shard_id = message[0], message[1]
+                    worker_id = worker.worker_id
+                    if kind == "heartbeat":
+                        self._heartbeats[shard_id] = (message[2], message[3])
+                        self._worker_heartbeats[worker_id] = (message[2], message[3])
+                        if obs.enabled:
+                            obs.counter("pool.heartbeats").inc()
+                        continue
                     worker.assigned = None
-                if kind == "done":
                     if shard_id in done:
                         continue  # duplicate from a retried shard
+                    if kind == "error":
+                        record_failure(worker, shard_id, message[2])
+                        retry_or_raise(shard_id)
+                        continue
                     done.add(shard_id)
                     if obs.enabled:
-                        begin = assigned_at.get(shard_id)
-                        if begin is not None:
-                            label, _ = self._heartbeats.get(shard_id, ("", 0.0))
-                            obs.complete_span(
-                                "shard.execute",
-                                begin,
-                                time.perf_counter(),
-                                tid=worker_id,
-                                shard=shard_id,
-                                label=label,
-                            )
+                        label, _ = self._heartbeats.get(shard_id, ("", 0.0))
+                        obs.complete_span(
+                            "shard.execute",
+                            assigned_at[shard_id],
+                            time.perf_counter(),
+                            tid=worker_id,
+                            shard=shard_id,
+                            label=label,
+                        )
                         obs.counter("pool.shards_done").inc()
-                    yield shard_id, message[3]
-                elif kind == "error":
-                    if shard_id in done:
-                        continue
-                    record_failure(
-                        worker if worker is not None else _DeadWorkerStub(worker_id),
-                        shard_id,
-                        message[3],
-                    )
-                    retry_or_raise(shard_id)
+                    yield shard_id, message[2]
         finally:
             for worker in fleet:
                 worker.stop()
@@ -374,11 +405,3 @@ class WorkerPool:
                 worker.process.join(timeout=max(0.0, deadline - time.time()))
             for worker in fleet:
                 worker.kill()
-            result_queue.close()
-
-
-class _DeadWorkerStub:
-    """Minimal stand-in when a failure's worker handle is already gone."""
-
-    def __init__(self, worker_id: int) -> None:
-        self.worker_id = worker_id

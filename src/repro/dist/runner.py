@@ -1,16 +1,15 @@
-"""The sharded executor: plan + worker pool + journal + streaming sketches.
+"""The sharded executor: plan + worker pool + journal.
 
-:class:`ShardedExecutor` slots underneath
-:class:`~repro.channels.runner.UniverseRunner` as an alternative to the
-per-channel ``ProcessPoolExecutor`` fan-out.  The differences that matter
-at scale:
+:class:`ShardedExecutor` is how :class:`~repro.channels.runner.
+UniverseRunner` uses the pool: every universe run with ``workers > 1`` or
+an explicit shard count goes through it.  What it adds on top of
+:class:`~repro.dist.pool.WorkerPool`:
 
 * **O(shard) memory.**  Workers never ship per-peer samples to the
-  parent; each shard reduces its channels' zap-time distributions into a
-  :class:`~repro.metrics.sketch.QuantileSketch` and a
-  :class:`~repro.metrics.sketch.StreamAccumulator` in-process, and the
-  parent merges the per-shard aggregates in shard-id order (deterministic
-  regardless of completion order).
+  parent; each channel's zap-time distribution is reduced worker-side
+  into a :func:`~repro.channels.aggregates.unit_aggregate`, and the
+  parent folds the units of a repetition in ascending channel order
+  (deterministic regardless of completion order).
 * **Checkpointed progress.**  Every finished shard is journaled
   (:class:`~repro.dist.journal.ShardJournal`) before it is folded into
   the run, so an interrupted run resumes by replaying journaled shards
@@ -48,39 +47,22 @@ from repro.dist.plan import ShardPlan, ShardUnit
 from repro.dist.pool import WorkerPool
 from repro.dist.progress import ProgressReporter
 from repro.obs.telemetry import get_telemetry
-from repro.metrics.sketch import (
-    DEFAULT_SKETCH_CAPACITY,
-    QuantileSketch,
-    StreamAccumulator,
-)
 
-__all__ = ["ShardResult", "ShardAggregates", "ShardedExecutor"]
-
-
-@dataclass(frozen=True)
-class ShardAggregates:
-    """The streaming aggregates of one algorithm (``normal`` or ``fast``)."""
-
-    sketch: QuantileSketch
-    stats: StreamAccumulator
+__all__ = ["ShardResult", "ShardedExecutor"]
 
 
 @dataclass(frozen=True)
 class ShardResult:
-    """One executed shard: per-unit channel outcomes plus its aggregates.
+    """One executed shard: per-unit channel outcomes plus unit aggregates.
 
-    The payload form (:meth:`to_payload`/:meth:`from_payload`) is plain
-    JSON -- it is both what workers return over the result queue and what
-    the journal checkpoints, so a replayed shard is byte-for-byte the
-    shard that ran.
+    Built by :meth:`from_payload` from the plain-JSON payload that is
+    both what workers return over their result pipe and what the journal
+    checkpoints, so a replayed shard is byte-for-byte the shard that ran.
     """
 
     shard_id: int
     #: ``(rep_seed, channel) -> (normal outcome dict, fast outcome dict)``
     outcomes: Mapping[Tuple[int, int], Tuple[Dict[str, Any], Dict[str, Any]]]
-    #: Per-algorithm zap-time aggregates over this shard's units.
-    sketches: Mapping[str, QuantileSketch]
-    stats: Mapping[str, StreamAccumulator]
     #: ``(rep_seed, channel) -> {algorithm: unit aggregate dict}`` -- the
     #: per-channel building blocks of the persisted repetition aggregates
     #: (:mod:`repro.channels.aggregates`), built worker-side at the
@@ -91,30 +73,9 @@ class ShardResult:
         default_factory=dict
     )
 
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-friendly form (journal record / queue message)."""
-        unit_aggregates = self.unit_aggregates or {}
-        units = []
-        for (rep_seed, channel), (normal, fast) in sorted(self.outcomes.items()):
-            unit: Dict[str, Any] = {
-                "rep_seed": rep_seed,
-                "channel": channel,
-                "normal": normal,
-                "fast": fast,
-            }
-            aggregates = unit_aggregates.get((rep_seed, channel))
-            if aggregates is not None:
-                unit["aggregates"] = aggregates
-            units.append(unit)
-        return {
-            "units": units,
-            "sketches": {name: sk.to_dict() for name, sk in self.sketches.items()},
-            "stats": {name: acc.to_dict() for name, acc in self.stats.items()},
-        }
-
     @staticmethod
     def from_payload(shard_id: int, payload: Mapping[str, Any]) -> "ShardResult":
-        """Rebuild from :meth:`to_payload` output (exact round trip)."""
+        """Parse a worker's shard payload (``{"units": [...]}``)."""
         outcomes = {}
         unit_aggregates = {}
         for unit in payload["units"]:
@@ -125,14 +86,6 @@ class ShardResult:
         return ShardResult(
             shard_id=int(shard_id),
             outcomes=outcomes,
-            sketches={
-                name: QuantileSketch.from_dict(sk)
-                for name, sk in payload["sketches"].items()
-            },
-            stats={
-                name: StreamAccumulator.from_dict(acc)
-                for name, acc in payload["stats"].items()
-            },
             unit_aggregates=unit_aggregates,
         )
 
@@ -160,16 +113,13 @@ def _planned(spec: UniverseSpec, rep_seed: int) -> Any:
 def _run_shard_task(
     payload: Mapping[str, Any], heartbeat: Callable[[str], None]
 ) -> Dict[str, Any]:
-    """Worker entry point: run one shard's units, reduce, return JSON.
+    """Worker entry point: run one shard's units, return them as JSON.
 
     Module-level so it pickles; heartbeats once per unit with a
     ``rep<seed>/ch<channel>`` label (what the failure summary surfaces).
     """
     spec = UniverseSpec.from_dict(payload["spec"])
     compute_engine = payload["compute_engine"]
-    capacity = int(payload["sketch_capacity"])
-    sketches = {name: QuantileSketch(capacity=capacity) for name in PAIRED_ALGORITHMS}
-    stats = {name: StreamAccumulator() for name in PAIRED_ALGORITHMS}
     units: List[Dict[str, Any]] = []
     for unit in payload["units"]:
         rep_seed = int(unit["rep_seed"])
@@ -179,31 +129,19 @@ def _run_shard_task(
         (normal, fast), (normal_values, fast_values) = run_planned_channel_detailed(
             plan, channel, compute_engine=compute_engine
         )
-        for name, values in zip(PAIRED_ALGORITHMS, (normal_values, fast_values)):
-            sketches[name].extend(values)
-            for value in values:
-                stats[name].add(value)
         units.append(
             {
                 "rep_seed": rep_seed,
                 "channel": channel,
                 "normal": asdict(normal),
                 "fast": asdict(fast),
-                # Per-unit aggregates always use the DEFAULT capacity (not
-                # the executor's shard-level ``sketch_capacity``) so the
-                # persisted repetition aggregates are byte-identical to
-                # the serial and parallel paths regardless of knobs.
                 "aggregates": {
                     "normal": unit_aggregate(normal_values, normal.unfinished),
                     "fast": unit_aggregate(fast_values, fast.unfinished),
                 },
             }
         )
-    return {
-        "units": units,
-        "sketches": {name: sk.to_dict() for name, sk in sketches.items()},
-        "stats": {name: acc.to_dict() for name, acc in stats.items()},
-    }
+    return {"units": units}
 
 
 # --------------------------------------------------------------------------- #
@@ -246,7 +184,6 @@ class ShardedExecutor:
         max_retries: int = 1,
         fault_hook: Optional[Callable[[int, int], None]] = None,
         after_shard: Optional[Callable[[int], None]] = None,
-        sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
         progress: Optional["ProgressReporter"] = None,
     ) -> None:
         self.plan = plan
@@ -255,11 +192,6 @@ class ShardedExecutor:
         self.journal_root = Path(journal_root) if journal_root is not None else None
         self.after_shard = after_shard
         self.progress = progress
-        self.sketch_capacity = int(sketch_capacity)
-        #: Merged per-algorithm aggregates, populated once :meth:`execute`
-        #: has been fully consumed.  Cover only freshly simulated units --
-        #: replayed repetitions never re-enter the executor.
-        self.aggregates: Optional[Dict[str, ShardAggregates]] = None
         #: How many shards were replayed from the journal last run.
         self.journal_replayed: int = 0
 
@@ -272,26 +204,8 @@ class ShardedExecutor:
             "spec": self.plan.spec.to_dict(),
             "rep_seeds": list(self.plan.rep_seeds),
             "n_shards": self.plan.n_shards,
-            "sketch_capacity": self.sketch_capacity,
         }
         return ShardJournal.open(self.journal_root, run_key, manifest)
-
-    def _merge_aggregates(self, results: Mapping[int, ShardResult]) -> None:
-        merged: Dict[str, ShardAggregates] = {
-            name: ShardAggregates(
-                sketch=QuantileSketch(capacity=self.sketch_capacity),
-                stats=StreamAccumulator(),
-            )
-            for name in PAIRED_ALGORITHMS
-        }
-        # Shard-id order, never completion order: merging is deterministic
-        # across runs, interrupted or not.
-        for shard_id in sorted(results):
-            result = results[shard_id]
-            for name in PAIRED_ALGORITHMS:
-                merged[name].sketch.merge(result.sketches[name])
-                merged[name].stats.merge(result.stats[name])
-        self.aggregates = merged
 
     # ------------------------------------------------------------------ #
     def execute(self, pending_seeds: Sequence[int]) -> Iterator[UniverseRepResult]:
@@ -302,11 +216,10 @@ class ShardedExecutor:
         exactly the contract :func:`repro.experiments.store.
         replay_or_execute` expects, so the caller persists each one before
         the next shard even finishes.  On full consumption the journal is
-        discarded and :attr:`aggregates` is populated.
+        discarded.
         """
         pending = [int(seed) for seed in pending_seeds]
         if not pending:
-            self._merge_aggregates({})
             return
         unknown = set(pending) - set(self.plan.rep_seeds)
         if unknown:
@@ -322,7 +235,7 @@ class ShardedExecutor:
                 needed[shard.shard_id] = units
 
         journal = self._open_journal()
-        results: Dict[int, ShardResult] = {}
+        journaled: Dict[int, ShardResult] = {}
         self.journal_replayed = 0
         if journal is not None:
             for shard_id, payload in journal.completed().items():
@@ -339,7 +252,7 @@ class ShardedExecutor:
                     and (u.rep_seed, u.channel) in replayed.unit_aggregates
                     for u in needed[shard_id]
                 ):
-                    results[shard_id] = replayed
+                    journaled[shard_id] = replayed
                     self.journal_replayed += 1
 
         obs = get_telemetry()
@@ -356,11 +269,10 @@ class ShardedExecutor:
             shard_id: {
                 "spec": self.plan.spec.to_dict(),
                 "compute_engine": self.compute_engine,
-                "sketch_capacity": self.sketch_capacity,
                 "units": [u.to_dict() for u in units],
             }
             for shard_id, units in needed.items()
-            if shard_id not in results
+            if shard_id not in journaled
         }
         if obs.enabled:
             obs.counter("dist.shards.computed").add(len(tasks))
@@ -398,12 +310,12 @@ class ShardedExecutor:
 
         # The consumer (``replay_or_execute``'s zip) never advances this
         # generator past its last yield, so everything that must happen on
-        # success -- merging aggregates, discarding the journal, tearing
-        # the pool down -- has to precede the final repetition.  Hold the
-        # last one back until the epilogue has run.
+        # success -- discarding the journal, tearing the pool down -- has
+        # to precede the final repetition.  Hold the last one back until
+        # the epilogue has run.
         hold_back = len(pending) - 1
 
-        for result in results.values():
+        for result in journaled.values():
             absorb(result)
         yield from drain(hold_back)
 
@@ -416,7 +328,6 @@ class ShardedExecutor:
                 result = ShardResult.from_payload(shard_id, payload)
                 if journal is not None:
                     journal.record(shard_id, payload)
-                results[shard_id] = result
                 if self.progress is not None:
                     self.progress.shard_done(shard_id)
                 if self.after_shard is not None:
@@ -428,7 +339,6 @@ class ShardedExecutor:
             if self.progress is not None:
                 self.progress.finish()
 
-        self._merge_aggregates(results)
         if journal is not None:
             journal.discard()
         yield from drain(len(pending))

@@ -3,12 +3,12 @@
 A paired size sweep is embarrassingly parallel: every ``(size,
 repetition)`` pair is one independent paired simulation whose entire
 randomness is fixed by its own :class:`SessionConfig` (repetition ``k``
-uses ``seed + k``).  :class:`ParallelSweepRunner` exploits this by fanning
-the pairs out over a :class:`concurrent.futures.ProcessPoolExecutor` and
-aggregating in deterministic task order, which makes the parallel result
-**bit-identical** to the serial one -- the scheduling of workers can change
-only *when* a pair is computed, never *what* it computes or how the
-aggregation orders it.
+uses ``seed + k``).  :class:`ParallelSweepRunner` exploits this by mapping
+the pairs over the shared :class:`~repro.dist.pool.WorkerPool` (in-process
+when ``workers == 1``) and aggregating in deterministic task order, which
+makes the parallel result **bit-identical** to the serial one -- the
+scheduling of workers can change only *when* a pair is computed, never
+*what* it computes or how the aggregation orders it.
 
 With a :class:`~repro.experiments.store.ResultStore` attached the runner is
 also *incremental*: stored pairs are replayed from disk, only missing pairs
@@ -19,13 +19,17 @@ next invocation, which then completes without running any simulation.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Iterator, List, Mapping, Optional, Sequence
 
 from repro.experiments.config import make_session_config
 from repro.experiments.runner import PairedRunResult, run_pair
-from repro.experiments.store import BaseResultStore, pair_fingerprint, sweep_fingerprint
+from repro.experiments.store import (
+    BaseResultStore,
+    pair_fingerprint,
+    replay_or_execute,
+    sweep_fingerprint,
+)
 from repro.experiments.sweeps import SizeSweepResult, SweepPoint, _aggregate
 from repro.streaming.session import SessionConfig
 
@@ -86,11 +90,6 @@ def build_sweep_tasks(
     return tasks
 
 
-def _execute_pair(config: SessionConfig) -> PairedRunResult:
-    """Worker entry point: one paired run (module-level so it pickles)."""
-    return run_pair(config)
-
-
 class ParallelSweepRunner:
     """Executes size sweeps, optionally in parallel and through a store.
 
@@ -98,7 +97,7 @@ class ParallelSweepRunner:
     ----------
     workers:
         Maximum number of worker processes; ``1`` runs everything serially
-        in the calling process (no pool is created).
+        in the calling process (no process is started).
     store:
         Optional persistent result store read before and written after
         execution.  Store I/O always happens in the parent process, so a
@@ -147,29 +146,22 @@ class ParallelSweepRunner:
             if stored is not None:
                 return stored
 
-        results: Dict[int, PairedRunResult] = {}
-        pending: List[SweepTask] = []
-        if self.store is not None:
-            for task in tasks:
-                cached = self.store.load_pair(pair_keys[task.index])
-                if cached is not None:
-                    results[task.index] = PairedRunResult(normal=cached[0], fast=cached[1])
-                else:
-                    pending.append(task)
-            if pending and self.store.replay_only:
-                raise self.store.missing(pair_keys[pending[0].index])
-        else:
-            pending = list(tasks)
+        def _load(key: str) -> Optional[PairedRunResult]:
+            cached = self.store.load_pair(key)
+            return None if cached is None else PairedRunResult(*cached)
 
-        # _execute yields lazily in task order, so each pair is persisted as
-        # soon as it completes: an interrupted long sweep keeps its finished
-        # pairs and the rerun only simulates the remainder.
-        for task, pair in zip(pending, self._execute(pending)):
-            results[task.index] = pair
-            if self.store is not None:
-                self.store.save_pair(
-                    pair_keys[task.index], task.config, pair.normal, pair.fast
-                )
+        # Each pair is persisted as soon as it completes: an interrupted
+        # long sweep keeps its finished pairs and the rerun only simulates
+        # the remainder.
+        results, _ = replay_or_execute(
+            self.store,
+            pair_keys,
+            load=_load,
+            execute=lambda pending: self._execute([tasks[i] for i in pending]),
+            save=lambda key, index, pair: self.store.save_pair(
+                key, tasks[index].config, pair.normal, pair.fast
+            ),
+        )
 
         points: List[SweepPoint] = []
         for position, n_nodes in enumerate(sizes):
@@ -194,12 +186,6 @@ class ParallelSweepRunner:
     # ------------------------------------------------------------------ #
     def _execute(self, pending: Sequence[SweepTask]) -> Iterator[PairedRunResult]:
         """Yield the pending tasks' results in task order as they complete."""
-        if not pending:
-            return
-        if self.workers == 1 or len(pending) == 1:
-            for task in pending:
-                yield _execute_pair(task.config)
-            return
-        configs = [task.config for task in pending]
-        with ProcessPoolExecutor(max_workers=min(self.workers, len(pending))) as pool:
-            yield from pool.map(_execute_pair, configs)
+        from repro.dist.pool import WorkerPool
+
+        return WorkerPool(self.workers).map(run_pair, [task.config for task in pending])

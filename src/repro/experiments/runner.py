@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.experiments.store import ResultStore, pair_fingerprint, persist_net_document
+from repro.experiments.store import BaseResultStore, pair_fingerprint, persist_net_document
 from repro.metrics.report import ComparisonRow, compare_metrics
 from repro.streaming.session import SessionConfig, SessionResult, SwitchSession
 
@@ -54,7 +54,7 @@ class PairedRunResult:
         return self.comparison().switch_time_reduction
 
 
-def run_pair(config: SessionConfig, *, store: Optional[ResultStore] = None) -> PairedRunResult:
+def run_pair(config: SessionConfig, *, store: Optional[BaseResultStore] = None) -> PairedRunResult:
     """Run the normal and the fast switch algorithm on identical random draws.
 
     The ``algorithm`` field of ``config`` is ignored; both variants are run.

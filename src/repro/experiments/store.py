@@ -943,11 +943,11 @@ def replay_or_execute(
 ) -> Tuple[List[_T], int]:
     """The shared replay-or-simulate loop over repetition documents.
 
-    Both repetition-based engines (workloads, channel universes) follow the
-    same store discipline: look every repetition key up first, refuse to
-    simulate on a replay-only store, execute only the missing repetitions
-    and persist each one as soon as it completes (interrupted runs keep
-    their finished repetitions).  This helper owns that discipline once.
+    Every runner (sweep pairs, workload repetitions, universe repetitions)
+    follows the same store discipline: look every key up first, refuse to
+    simulate on a replay-only store, execute only the missing units and
+    persist each one as soon as it completes (interrupted runs keep their
+    finished units).  This helper owns that discipline once.
 
     Parameters
     ----------

@@ -15,8 +15,8 @@ at two levels:
   invocations, figure regeneration and the benchmarks then replay from
   disk instead of simulating.
 
-Pass ``workers > 1`` to fan the ``(size, repetition)`` pairs out over a
-process pool (see :mod:`repro.experiments.parallel`); the results are
+Pass ``workers > 1`` to fan the ``(size, repetition)`` pairs out over the
+shared worker pool (see :mod:`repro.experiments.parallel`); the results are
 bit-identical to the serial path because every pair is independently and
 deterministically seeded with ``seed + repetition``.
 """
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import PairedRunResult
-from repro.experiments.store import ResultStore
+from repro.experiments.store import BaseResultStore
 from repro.metrics.report import reduction_ratio
 
 __all__ = ["SweepPoint", "SizeSweepResult", "run_size_sweep", "clear_sweep_cache"]
@@ -152,7 +152,7 @@ def run_size_sweep(
     repetitions: int = 1,
     overrides: Optional[Dict[str, object]] = None,
     workers: int = 1,
-    store: Optional[ResultStore] = None,
+    store: Optional[BaseResultStore] = None,
 ) -> SizeSweepResult:
     """Run (or fetch from cache/store) a paired size sweep.
 
@@ -170,7 +170,7 @@ def run_size_sweep(
     overrides:
         Extra :class:`SessionConfig` overrides applied to every run.
     workers:
-        Process-pool width for the ``(size, repetition)`` fan-out; ``1``
+        Worker-pool width for the ``(size, repetition)`` fan-out; ``1``
         (the default) runs serially in-process.  Results are bit-identical
         either way.
     store:

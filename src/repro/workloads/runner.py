@@ -11,8 +11,9 @@ Repetition ``k`` of base seed ``s`` uses seed ``s + k``, exactly like the
 size-sweep machinery, so:
 
 * repetitions are independent and deterministically seeded, which lets
-  :class:`WorkloadRunner` fan them out over a process pool with results
-  **bit-identical** to a serial run (same guarantee, same mechanism, as
+  :class:`WorkloadRunner` map them over the shared
+  :class:`~repro.dist.pool.WorkerPool` with results **bit-identical** to
+  a serial run (same guarantee, same mechanism, as
   :class:`~repro.experiments.parallel.ParallelSweepRunner`);
 * each repetition is one document in the persistent
   :class:`~repro.experiments.store.ResultStore`, keyed by a content hash
@@ -27,14 +28,13 @@ per-phase continuity/stalls and per-class switch-time percentiles.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.config import make_session_config
 from repro.experiments.store import (
     SCHEMA_VERSION,
-    ResultStore,
+    BaseResultStore,
     code_version,
     persist_net_document,
     replay_or_execute,
@@ -453,7 +453,7 @@ class WorkloadRunner:
     def __init__(
         self,
         workers: int = 1,
-        store: Optional[ResultStore] = None,
+        store: Optional[BaseResultStore] = None,
         engine: Optional[str] = None,
     ) -> None:
         if workers < 1:
@@ -520,15 +520,10 @@ class WorkloadRunner:
     def _execute(
         self, spec: WorkloadSpec, seeds: Sequence[int]
     ) -> Iterator[WorkloadRepResult]:
-        if not seeds:
-            return
-        if self.workers == 1 or len(seeds) == 1:
-            for rep_seed in seeds:
-                yield run_workload_rep(spec, rep_seed, engine=self.engine)
-            return
+        from repro.dist.pool import WorkerPool
+
         payloads = [(spec.to_dict(), rep_seed, self.engine) for rep_seed in seeds]
-        with ProcessPoolExecutor(max_workers=min(self.workers, len(seeds))) as pool:
-            yield from pool.map(_execute_rep, payloads)
+        return WorkerPool(self.workers).map(_execute_rep, payloads)
 
 
 def run_workload(
@@ -537,7 +532,7 @@ def run_workload(
     seed: int = 0,
     repetitions: int = 1,
     workers: int = 1,
-    store: Optional[ResultStore] = None,
+    store: Optional[BaseResultStore] = None,
     engine: Optional[str] = None,
 ) -> WorkloadResult:
     """Convenience wrapper: build a :class:`WorkloadRunner` and run ``spec``."""

@@ -1,16 +1,17 @@
-"""Tests for the sharded universe runtime (:mod:`repro.dist`).
+"""Tests for the execution substrate (:mod:`repro.dist`).
 
-Covers the shard plan, the crash-tolerant worker pool, the checkpoint
-journal, and the acceptance properties of the sharded executor: serial
-vs. sharded bit-identity at store-document level (both engines, both
-store backends), streaming-sketch exactness against
-:func:`~repro.metrics.universe.zap_time_stats`, and interrupt/resume
-byte-identity re-simulating only unfinished shards.
+Covers the shard plan, the crash-tolerant worker pool and its ordered
+lazy map, the checkpoint journal, and the acceptance properties of the
+sharded executor: serial vs. sharded bit-identity at store-document level
+(both engines, both store backends), exactness of the persisted
+per-repetition aggregates against the pooled raw samples, and
+interrupt/resume byte-identity re-simulating only unfinished shards.
 """
 
 import io
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +136,37 @@ def _always_raise_hook(worker_id, shard_id):
     raise RuntimeError("injected fault")
 
 
+def _crash_shard_one_once_hook(worker_id, shard_id):
+    if shard_id == 1:
+        _crash_once_hook(worker_id, shard_id)
+
+
+def _chatty_or_quick_task(payload, heartbeat):
+    """Shard 0 heartbeats every ~20 ms for >1 s; the others return at once."""
+    if payload == 0:
+        for beat in range(60):
+            heartbeat(f"beat{beat}")
+            time.sleep(0.02)
+    return payload
+
+
+def _sleep_then_stamp(delay):
+    time.sleep(delay)
+    return delay, time.time()
+
+
+def _sleep_then_touch(item):
+    delay, path = item
+    time.sleep(delay)
+    with open(path, "w", encoding="utf-8"):
+        pass
+    return delay
+
+
+def _pid_of(_item):
+    return os.getpid()
+
+
 class TestWorkerPool:
     def test_runs_every_task_once(self):
         pool = WorkerPool(2)
@@ -239,6 +271,20 @@ class TestWorkerPool:
         assert "died" in messages and "retrying shard 0" in messages
         assert "respawned" in messages
 
+    def test_dead_worker_is_noticed_while_another_keeps_heartbeating(
+        self, tmp_path, monkeypatch
+    ):
+        # A worker's death is an event on its own result pipe (EOF): another
+        # worker heartbeating non-stop must not postpone the crashed
+        # shard's retry until the traffic falls silent.
+        monkeypatch.setenv("DIST_TEST_FLAGS", str(tmp_path))
+        pool = WorkerPool(2, max_retries=1, fault_hook=_crash_shard_one_once_hook)
+        completed = [
+            shard_id for shard_id, _ in pool.run(_chatty_or_quick_task, {0: 0, 1: 1})
+        ]
+        assert [f.shard_id for f in pool.failures] == [1]
+        assert completed == [1, 0]  # the retried shard beat the chatty one
+
     def test_empty_task_map_is_a_no_op(self):
         assert list(WorkerPool(2).run(_double_task, {})) == []
 
@@ -249,6 +295,41 @@ class TestWorkerPool:
             WorkerPool(1, max_retries=-1)
 
 
+class TestWorkerPoolMap:
+    def test_task_order_survives_reversed_completion_order(self):
+        delays = [0.6, 0.3, 0.0]
+        results = list(WorkerPool(3).map(_sleep_then_stamp, delays))
+        assert [delay for delay, _ in results] == delays
+        finished = [stamp for _, stamp in results]
+        assert finished == sorted(finished, reverse=True)  # really reversed
+
+    def test_first_result_is_yielded_before_the_last_task_finishes(self, tmp_path):
+        first_flag, last_flag = tmp_path / "first", tmp_path / "last"
+        results = WorkerPool(2).map(
+            _sleep_then_touch, [(0.0, str(first_flag)), (1.0, str(last_flag))]
+        )
+        assert next(results) == 0.0
+        assert first_flag.exists() and not last_flag.exists()
+        assert list(results) == [1.0]
+        assert last_flag.exists()
+
+    def test_one_worker_or_one_item_stays_in_process(self):
+        here = os.getpid()
+        assert list(WorkerPool(1).map(_pid_of, [0, 1])) == [here, here]
+        assert list(WorkerPool(4).map(_pid_of, [0])) == [here]
+        assert here not in list(WorkerPool(2).map(_pid_of, [0, 1]))
+
+    def test_worker_crash_is_retried(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DIST_TEST_FLAGS", str(tmp_path))
+        pool = WorkerPool(2, fault_hook=_crash_once_hook)
+        delays = [0.0, 0.01, 0.02]
+        assert [d for d, _ in pool.map(_sleep_then_stamp, delays)] == delays
+        assert sorted(f.shard_id for f in pool.failures) == [0, 1, 2]
+
+    def test_empty_input_is_a_no_op(self):
+        assert list(WorkerPool(2).map(_pid_of, [])) == []
+
+
 # --------------------------------------------------------------------------- #
 # checkpoint journal
 # --------------------------------------------------------------------------- #
@@ -257,7 +338,7 @@ class TestShardJournal:
 
     def test_record_round_trips_exactly(self, tmp_path):
         journal = ShardJournal.open(tmp_path, "run-a", self.MANIFEST)
-        payload = {"units": [{"value": 0.1 + 0.2}], "sketches": {}}
+        payload = {"units": [{"value": 0.1 + 0.2}]}
         journal.record(0, payload)
         completed = journal.completed()
         assert set(completed) == {0}
@@ -324,18 +405,21 @@ def test_sharded_run_is_bit_identical_to_serial(tmp_path, engine, backend):
 
 
 def test_streaming_aggregates_match_exact_statistics(tmp_path):
-    from repro.channels.runner import UniverseRunner
+    """``merge_rep_aggregates`` over the documents a sharded run persisted
+    yields the exact pooled statistics -- the one aggregation mechanism."""
+    from repro.channels.aggregates import merge_rep_aggregates
+    from repro.channels.universe import plan_universe, run_planned_channel_detailed
 
     store = open_store(tmp_path, backend="json")
-    runner = UniverseRunner(workers=2, store=store, shards=3)
-    result = runner.run(TINY, seed=0, repetitions=2)
-    aggregates = runner.last_aggregates
-    assert aggregates is not None and set(aggregates) == {"normal", "fast"}
+    result = run_universe(TINY, seed=0, repetitions=2, store=store, shards=3, workers=2)
+    documents = [
+        store.load_universe(universe_fingerprint(TINY, rep.seed)) for rep in result.reps
+    ]
+    aggregates = merge_rep_aggregates([doc["aggregates"] for doc in documents])
+    assert set(aggregates) == {"normal", "fast"}
 
     # Pool the exact per-peer samples the serial statistics are built from
     # (re-derived through the same detailed channel runner the workers use).
-    from repro.channels.universe import plan_universe, run_planned_channel_detailed
-
     pooled = {"normal": [], "fast": []}
     for rep in result.reps:
         plan = plan_universe(TINY, rep.seed)
@@ -353,17 +437,6 @@ def test_streaming_aggregates_match_exact_statistics(tmp_path):
         assert agg.sketch.exact
         for q in (50.0, 90.0, 99.0):
             assert agg.sketch.percentile(q) == float(np.percentile(samples, q))
-
-
-def test_aggregates_cover_only_fresh_repetitions(tmp_path):
-    from repro.channels.runner import UniverseRunner
-
-    store = open_store(tmp_path, backend="json")
-    run_universe(TINY, seed=0, repetitions=2, store=store, shards=2)
-    runner = UniverseRunner(store=store, shards=2)
-    replayed = runner.run(TINY, seed=0, repetitions=2)
-    assert replayed.replayed == 2
-    assert runner.last_aggregates is None  # nothing freshly simulated
 
 
 class _StopAfter:
@@ -424,6 +497,57 @@ def test_resume_replays_finished_shards_from_journal(tmp_path):
     serial = rep_to_dict(run_universe_rep(TINY, 0))
     stored = store.load_universe(universe_fingerprint(TINY, 0))["rep"]
     assert json.dumps(stored, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+
+def test_interrupted_pooled_run_without_shards_resumes_byte_identically(tmp_path):
+    """``workers > 1`` alone also runs on the journaled sharded runtime
+    (one ``(repetition, channel)`` unit per shard)."""
+    from repro.channels.runner import UniverseRunner
+
+    reference_store = open_store(tmp_path / "ref", backend="json")
+    run_universe(TINY, seed=0, repetitions=2, store=reference_store)
+
+    store = open_store(tmp_path / "resumed", backend="json")
+    interrupted = UniverseRunner(workers=2, store=store, after_shard=_StopAfter(3))
+    with pytest.raises(KeyboardInterrupt):
+        interrupted.run(TINY, seed=0, repetitions=2)
+    plan = ShardPlan.build(TINY, [0, 1], 2 * TINY.n_channels)
+    assert ShardJournal.exists(store.root / "journal", plan.fingerprint())
+
+    resumed = UniverseRunner(workers=2, store=store)
+    resumed.run(TINY, seed=0, repetitions=2)
+    assert resumed.journal_replayed == 3
+    assert _universe_documents(store) == _universe_documents(reference_store)
+    assert not (store.root / "journal").exists()
+
+
+def test_journal_left_by_the_parent_commit_is_discarded_not_parsed(tmp_path):
+    """Before the shard-level aggregate twin was removed, manifests carried
+    ``sketch_capacity`` and records carried ``sketches``/``stats``.  Such a
+    journal fails the manifest check and is wiped: its shards re-simulate
+    and its records are never read (the poisoned ``units`` would raise)."""
+    from repro.channels.runner import UniverseRunner
+
+    reference_store = open_store(tmp_path / "ref", backend="json")
+    run_universe(TINY, seed=0, repetitions=2, store=reference_store)
+
+    store = open_store(tmp_path / "stale", backend="json")
+    plan = ShardPlan.build(TINY, [0, 1], 2)
+    old_manifest = {
+        "spec": TINY.to_dict(),
+        "rep_seeds": [0, 1],
+        "n_shards": 2,
+        "sketch_capacity": 8192,
+    }
+    stale = ShardJournal.open(store.root / "journal", plan.fingerprint(), old_manifest)
+    for shard_id in range(plan.n_shards):
+        stale.record(shard_id, {"units": "poison", "sketches": {}, "stats": {}})
+
+    runner = UniverseRunner(store=store, shards=2)
+    runner.run(TINY, seed=0, repetitions=2)
+    assert runner.journal_replayed == 0
+    assert _universe_documents(store) == _universe_documents(reference_store)
+    assert not (store.root / "journal").exists()
 
 
 def test_crashed_worker_produces_identical_documents(tmp_path, monkeypatch):
@@ -601,3 +725,13 @@ class TestProgressReporter:
         assert lines[0].startswith("[shards] 0/2 done")
         assert lines[1].startswith("[shards] 1/2 done")
         assert lines[-1].startswith("[shards] 2/2 done | all shards finished")
+
+    def test_pooled_run_without_shards_reports_one_shard_per_unit(self):
+        stream = io.StringIO()
+        reporter = ProgressReporter(stream=stream, interval_s=0)
+        run_universe(TINY, seed=0, workers=2, progress=reporter)
+        lines = stream.getvalue().splitlines()
+        assert lines[0].startswith(f"[shards] 0/{TINY.n_channels} done")
+        assert lines[-1].startswith(
+            f"[shards] {TINY.n_channels}/{TINY.n_channels} done | all shards finished"
+        )

@@ -1,10 +1,10 @@
-"""Tests for the parallel sweep runner: determinism and store integration.
+"""Tests for the parallel sweep runner: task building and store integration.
 
-The headline guarantee: a sweep run with ``workers=4`` produces
-``SweepPoint`` rows *bit-identical* to the serial run at the same seed,
-because every ``(size, repetition)`` pair is an independent simulation
-deterministically seeded with ``seed + repetition`` and aggregation
-consumes results in fixed task order.
+The headline guarantee -- a pooled sweep is *bit-identical* to the serial
+run at the same seed, because every ``(size, repetition)`` pair is an
+independent simulation deterministically seeded with ``seed + repetition``
+and aggregation consumes results in fixed task order -- is pinned for every
+run kind at once by ``tests/test_execution_backends.py``.
 """
 
 import pytest
@@ -50,7 +50,7 @@ def test_pairs_persist_incrementally_even_when_a_later_task_fails(tmp_path, monk
     store = ResultStore(tmp_path)
     import repro.experiments.parallel as parallel_module
 
-    real = parallel_module._execute_pair
+    real = parallel_module.run_pair
     calls = []
 
     def _fail_on_second(config):
@@ -59,7 +59,7 @@ def test_pairs_persist_incrementally_even_when_a_later_task_fails(tmp_path, monk
             raise RuntimeError("simulated crash mid-sweep")
         return real(config)
 
-    monkeypatch.setattr(parallel_module, "_execute_pair", _fail_on_second)
+    monkeypatch.setattr(parallel_module, "run_pair", _fail_on_second)
     with pytest.raises(RuntimeError):
         run_size_sweep([30, 36], seed=1, repetitions=1, overrides=OVERRIDES, store=store)
     # the completed first pair survived the crash: the rerun resumes from it
@@ -74,14 +74,6 @@ def test_storeless_sweeps_share_one_memo_regardless_of_workers():
     assert run_size_sweep([30], workers=2, **kwargs) is first
     assert run_size_sweep([30], workers=1, **kwargs) is first
     assert run_size_sweep([30], workers=4, **kwargs) is first
-
-
-def test_parallel_sweep_is_bit_identical_to_serial():
-    kwargs = dict(seed=1, repetitions=3, overrides=OVERRIDES)
-    serial = run_size_sweep([30, 36], **kwargs)
-    parallel = run_size_sweep([30, 36], workers=4, **kwargs)
-    assert parallel == serial  # exact dataclass equality: bit-identical floats
-    assert [p.repetitions for p in parallel.points] == [3, 3]
 
 
 def test_parallel_sweep_with_store_matches_and_replays(tmp_path, monkeypatch):
@@ -99,7 +91,7 @@ def test_parallel_sweep_with_store_matches_and_replays(tmp_path, monkeypatch):
     import repro.experiments.parallel as parallel_module
 
     monkeypatch.setattr(
-        parallel_module, "_execute_pair",
+        parallel_module, "run_pair",
         lambda config: (_ for _ in ()).throw(AssertionError("re-simulated")),
     )
     replay = run_size_sweep([30, 36], workers=2, store=store, **kwargs)

@@ -1,4 +1,7 @@
-"""Tests for the workload runner: pairing, store replay, parallel determinism."""
+"""Tests for the workload runner: pairing and store replay.
+
+Serial-vs-pooled determinism lives in ``tests/test_execution_backends.py``.
+"""
 
 import pytest
 
@@ -101,12 +104,6 @@ def test_replay_only_store_raises_on_miss(zap_spec, tmp_path):
     store = ResultStore(tmp_path / "empty", replay_only=True)
     with pytest.raises(KeyError):
         WorkloadRunner(store=store).run(zap_spec, seed=99)
-
-
-def test_workers_are_bit_identical_to_serial(zap_spec):
-    serial = run_workload(zap_spec, seed=5, repetitions=2, workers=1)
-    parallel = run_workload(zap_spec, seed=5, repetitions=2, workers=4)
-    assert serial.reps == parallel.reps
 
 
 def test_repetitions_use_consecutive_seeds(zap_spec):
