@@ -6,8 +6,9 @@ The types in this module form the contract between the streaming simulator
 * :class:`Stream` distinguishes the *old* source ``S1`` from the *new*
   source ``S2``;
 * :class:`NeighbourView` is what a peer knows about one neighbour after the
-  periodic buffer-map exchange: which needed segments the neighbour holds,
-  at which FIFO position, and at what rate it can send;
+  periodic buffer-map exchange: which needed segments the neighbour holds
+  (an availability bitmap, as on the wire), at which FIFO position, and at
+  what rate it can send;
 * :class:`LocalView` bundles the peer's own playback state and all
   neighbour views for one scheduling period;
 * :class:`ScheduleDecision` is the algorithm's output: an ordered list of
@@ -24,8 +25,9 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Mapping, Optional, Tuple
 
 __all__ = [
     "Stream",
@@ -47,9 +49,12 @@ class Stream(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
 class NeighbourView:
     """A peer's snapshot of one neighbour for the current scheduling period.
+
+    The neighbour's availability is held as a bitmap (:attr:`bits`), the form
+    a buffer map has on the wire; ``available`` is accepted at construction
+    and exposed as a frozenset for code that prefers ids.
 
     Attributes
     ----------
@@ -58,27 +63,71 @@ class NeighbourView:
     send_rate:
         ``R(j)``: the rate (segments/second) at which this neighbour is
         expected to be able to send to the local peer during this period.
+    bits:
+        Availability bitmap: bit ``i`` is set iff segment ``i`` (within the
+        local peer's window of interest) is present in the neighbour's
+        buffer according to the latest buffer map.
     available:
-        Segment ids (within the local peer's window of interest) present in
-        the neighbour's buffer according to the latest buffer map.
+        The same information as a frozenset of segment ids (derived from
+        :attr:`bits` on first use when the view was built from a bitmap).
     positions:
         For each available segment id, its FIFO position ``p_ij`` counted
         from the buffer tail (the insertion end): 1 means newest; values
         close to the buffer capacity mean the segment is about to be
-        evicted.  Used by the rarity term (Eq. 8).
+        evicted.  Used by the rarity term (Eq. 8).  Any read-only mapping;
+        the simulator passes one that is evaluated on lookup.
     buffer_capacity:
         The neighbour's buffer capacity ``B`` in segments.
     """
 
-    node_id: int
-    send_rate: float
-    available: frozenset[int]
-    positions: Mapping[int, int] = field(default_factory=dict)
-    buffer_capacity: int = 600
+    __slots__ = ("node_id", "send_rate", "bits", "positions", "buffer_capacity", "_available")
+
+    def __init__(
+        self,
+        node_id: int,
+        send_rate: float,
+        available: Iterable[int] = (),
+        positions: Optional[Mapping[int, int]] = None,
+        buffer_capacity: int = 600,
+        *,
+        bits: Optional[int] = None,
+    ) -> None:
+        self.node_id = node_id
+        self.send_rate = send_rate
+        if bits is None:
+            self._available: Optional[frozenset[int]] = frozenset(available)
+            bits = 0
+            for seg_id in self._available:
+                bits |= 1 << seg_id
+        else:
+            self._available = None
+        self.bits = bits
+        self.positions: Mapping[int, int] = {} if positions is None else positions
+        self.buffer_capacity = buffer_capacity
+
+    @property
+    def available(self) -> frozenset[int]:
+        """Segment ids the neighbour advertises."""
+        if self._available is None:
+            # Imported here: ``repro.streaming`` imports this module.
+            from repro.streaming.buffer import set_bits
+
+            self._available = frozenset(set_bits(self.bits))
+        return self._available
+
+    def has(self, seg_id: int) -> bool:
+        """Whether the neighbour advertises ``seg_id``."""
+        return seg_id >= 0 and bool(self.bits >> seg_id & 1)
 
     def position_of(self, seg_id: int) -> int:
         """FIFO position of ``seg_id`` (defaults to newest when unknown)."""
         return int(self.positions.get(seg_id, 1))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"{type(self).__name__}(node_id={self.node_id}, send_rate={self.send_rate}, "
+            f"bits={self.bits:#x}, buffer_capacity={self.buffer_capacity})"
+        )
 
 
 @dataclass(frozen=True)
@@ -152,9 +201,19 @@ class LocalView:
             return Stream.NEW
         return Stream.OLD
 
+    @cached_property
+    def supply_bits(self) -> int:
+        """Union of the neighbours' maps: bit ``i`` is set iff at least one
+        neighbour advertises segment ``i``."""
+        union = 0
+        for neighbour in self.neighbours:
+            union |= neighbour.bits
+        return union
+
     def suppliers_of(self, seg_id: int) -> Tuple[NeighbourView, ...]:
         """All neighbours whose snapshot advertises ``seg_id``."""
-        return tuple(n for n in self.neighbours if seg_id in n.available)
+        bit = 1 << seg_id
+        return tuple([n for n in self.neighbours if n.bits & bit])
 
     def needed(self) -> frozenset[int]:
         """Union of old and new needed segment ids."""

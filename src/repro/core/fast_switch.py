@@ -147,10 +147,11 @@ class FastSwitchAlgorithm(SwitchAlgorithm):
     def _build_candidates(self, view: LocalView) -> List[CandidateSegment]:
         """Priority-sorted candidates (needed segments with >= 1 supplier)."""
         candidates: List[CandidateSegment] = []
+        supply = view.supply_bits
         for seg_id in view.needed():
-            suppliers = view.suppliers_of(seg_id)
-            if not suppliers:
+            if not supply >> seg_id & 1:
                 continue
+            suppliers = view.suppliers_of(seg_id)
             priority = priority_for_view(
                 seg_id,
                 suppliers,

@@ -137,15 +137,15 @@ class NormalSwitchAlgorithm(SwitchAlgorithm):
         larger priorities); the baseline does not use urgency or rarity.
         """
         candidates: List[CandidateSegment] = []
+        supply = view.supply_bits
         for rank, seg_id in enumerate(sorted(needed)):
-            suppliers = view.suppliers_of(seg_id)
-            if not suppliers:
+            if not supply >> seg_id & 1:
                 continue
             candidates.append(
                 CandidateSegment(
                     seg_id=seg_id,
                     priority=1.0 / (1.0 + rank),
-                    suppliers=suppliers,
+                    suppliers=view.suppliers_of(seg_id),
                 )
             )
         return candidates

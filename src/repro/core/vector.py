@@ -1,10 +1,12 @@
 """Array-native execution engine for the per-period inner loop.
 
 The oracle engine (:class:`~repro.streaming.session.SwitchSession`) spends
-almost its whole budget in the *decide phase*: per peer, per period, it
-materialises buffer-map snapshots as dicts/frozensets and walks every
-candidate segment in Python to compute priorities.  This module replaces
-exactly that phase with NumPy struct-of-arrays passes:
+most of its budget in the *decide phase*.  Its buffer maps are bitmaps (one
+Python ``int`` per pull, see :mod:`repro.streaming.buffermap`), so pulling
+and digesting them is cheap; what remains is per-candidate Python: one
+``priority_for_view`` call, one supplier tuple and one greedy step for every
+needed segment somebody advertises.  This module replaces exactly that
+phase with NumPy struct-of-arrays passes:
 
 * every node's FIFO buffer is mirrored into one shared ``peers x segments``
   boolean *presence* matrix plus an insertion-index matrix (for the FIFO
@@ -164,6 +166,7 @@ class MirroredBuffer(SegmentBuffer):
         mirrored = cls(buffer.capacity, arrays, row)
         mirrored._order = buffer._order
         mirrored._insert_index = buffer._insert_index
+        mirrored._bits = buffer._bits
         mirrored._counter = buffer._counter
         mirrored._discards = buffer._discards
         mirrored.evicted_total = buffer.evicted_total
@@ -324,6 +327,7 @@ class VectorSwitchSession(SwitchSession):
         # the scalar engine emits from, so both streams match exactly.
         probe_rows: List[Tuple[float, int, int, int, int, int, float]] = []
         period = self.rounds_run
+        fallback_rates: Dict[int, float] = {}
         old_err = np.seterr(divide="ignore")
         try:
             for node_id in order:
@@ -336,7 +340,7 @@ class VectorSwitchSession(SwitchSession):
                 else:
                     # Unsupported algorithm: scalar path, identical draws.
                     fallbacks += 1
-                    snapshots = self._pull_buffer_maps(peer)
+                    snapshots = self._pull_buffer_maps(peer, fallback_rates, obs)
                     kind = ""
                     decision = peer.decide(snapshots, now)
                 if kind:

@@ -7,14 +7,122 @@ buffer exposes the *position from the tail* of each segment -- the quantity
 ``p_ij`` that the rarity term (Eq. 8) consumes: position 1 is the most
 recently inserted segment, position ``len(buffer)`` is the next to be
 evicted.
+
+Next to the FIFO order the buffer keeps a *presence bitmap*: one Python
+``int`` whose bit ``i`` is set exactly while segment ``i`` is held.  It is
+the paper's buffer map (Section 5.3) and the one representation a map
+travels in: a pull is ``buffer.bits & window``, the range queries and
+:meth:`SegmentBuffer.contains_range` are mask operations, and
+:class:`FifoPositions` answers the ``p_ij`` lookups lazily, only for the
+(segment, supplier) pairs the priority term asks about.  Segment ids are
+therefore non-negative.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from typing import Dict, Iterable, Iterator, List, Optional
 
-__all__ = ["SegmentBuffer"]
+__all__ = [
+    "SegmentBuffer",
+    "FifoPositions",
+    "StaleBufferMapError",
+    "popcount",
+    "set_bits",
+    "range_mask",
+]
+
+
+def popcount(bits: int) -> int:
+    """Number of 1-bits of a non-negative int (``int.bit_count`` needs 3.10)."""
+    return bin(bits).count("1")
+
+
+def set_bits(bits: int) -> List[int]:
+    """Ascending indices of the 1-bits of a non-negative int."""
+    out: List[int] = []
+    index = 0
+    while bits:
+        skip = (bits & -bits).bit_length() - 1
+        index += skip
+        out.append(index)
+        index += 1
+        bits >>= skip + 1
+    return out
+
+
+def range_mask(lo: int, hi: int) -> int:
+    """Bitmap with exactly the bits of the inclusive id range ``[lo, hi]`` set.
+
+    Empty (``0``) when ``hi < lo``; ids below zero do not exist.
+    """
+    lo = max(lo, 0)
+    if hi < lo:
+        return 0
+    return ((1 << (hi - lo + 1)) - 1) << lo
+
+
+class StaleBufferMapError(LookupError):
+    """A position was asked of a map whose owner no longer holds that segment
+    the way it did when the map was taken."""
+
+
+class FifoPositions(Mapping):
+    """FIFO positions (1 = newest) of the segments in ``bits`` -- a subset of
+    ``buffer.bits`` -- frozen at the instant of construction.
+
+    A read-only mapping ``seg_id -> p_ij`` evaluated on lookup.  What the
+    answer depends on is captured as values -- the bitmap, the insertion
+    counter, the removal count -- so a lookup made after the owner moved on
+    either returns what it would have returned at construction or raises
+    :class:`StaleBufferMapError`; it never reports a different position.
+    This is the one implementation of the position rule
+    (:meth:`SegmentBuffer.position_from_tail` goes through it).
+    """
+
+    __slots__ = ("_buffer", "_bits", "_counter", "_removed", "_fifo")
+
+    def __init__(self, buffer: "SegmentBuffer", bits: int) -> None:
+        self._buffer = buffer
+        self._bits = bits
+        self._counter = buffer._counter
+        self._removed = buffer.evicted_total + buffer._discards
+        self._fifo = buffer._discards == 0
+
+    def __getitem__(self, seg_id: int) -> int:
+        if seg_id < 0 or not self._bits >> seg_id & 1:
+            raise KeyError(seg_id)
+        buffer = self._buffer
+        index = buffer._insert_index.get(seg_id)
+        if index is None or index >= self._counter:
+            raise StaleBufferMapError(
+                f"segment {seg_id} was evicted after this buffer map was taken"
+            )
+        if self._fifo:
+            # Pure FIFO: if ``seg_id`` is present, every later insertion is
+            # present too (evictions happen strictly in insertion order), so
+            # the insertion-counter difference equals the in-buffer position.
+            return self._counter - index
+        # After an out-of-order ``discard`` the counter shortcut over-counts;
+        # count the segments that were newer than ``seg_id``.  Segments
+        # removed since are gone from the index, so that count cannot be
+        # rebuilt once anything was removed.
+        if buffer.evicted_total + buffer._discards != self._removed:
+            raise StaleBufferMapError(
+                "the owner removed segments after this buffer map was taken; "
+                f"the position of segment {seg_id} can no longer be derived"
+            )
+        newer = sum(
+            1 for other in buffer._insert_index.values() if index < other < self._counter
+        )
+        return newer + 1
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(set_bits(self._bits))
+
+    def __len__(self) -> int:
+        return popcount(self._bits)
 
 
 class SegmentBuffer:
@@ -33,6 +141,7 @@ class SegmentBuffer:
         self._capacity = capacity
         self._order: deque[int] = deque()
         self._insert_index: Dict[int, int] = {}
+        self._bits = 0
         self._counter = 0
         self._discards = 0
         self.evicted_total = 0
@@ -48,6 +157,7 @@ class SegmentBuffer:
         """
         if seg_id in self._insert_index:
             return None
+        self._bits |= 1 << seg_id
         self._order.append(seg_id)
         self._insert_index[seg_id] = self._counter
         self._counter += 1
@@ -55,6 +165,7 @@ class SegmentBuffer:
         if self._capacity is not None and len(self._order) > self._capacity:
             evicted = self._order.popleft()
             del self._insert_index[evicted]
+            self._bits ^= 1 << evicted
             self.evicted_total += 1
         return evicted
 
@@ -77,6 +188,7 @@ class SegmentBuffer:
         if seg_id not in self._insert_index:
             return False
         del self._insert_index[seg_id]
+        self._bits ^= 1 << seg_id
         self._order.remove(seg_id)
         self._discards += 1
         return True
@@ -88,6 +200,11 @@ class SegmentBuffer:
     def capacity(self) -> Optional[int]:
         """Configured capacity ``B`` (``None`` = unbounded)."""
         return self._capacity
+
+    @property
+    def bits(self) -> int:
+        """The presence bitmap: bit ``i`` is set iff segment ``i`` is held."""
+        return self._bits
 
     def __len__(self) -> int:
         return len(self._order)
@@ -107,6 +224,11 @@ class SegmentBuffer:
         """Whether every id in ``seg_ids`` is present."""
         return all(seg_id in self._insert_index for seg_id in seg_ids)
 
+    def contains_range(self, lo: int, hi: int) -> bool:
+        """Whether every id of the inclusive range ``[lo, hi]`` is present."""
+        mask = range_mask(lo, hi)
+        return self._bits & mask == mask
+
     def newest(self) -> Optional[int]:
         """The most recently inserted id, or ``None`` when empty."""
         return self._order[-1] if self._order else None
@@ -121,38 +243,15 @@ class SegmentBuffer:
         1 = newest insertion; ``len(self)`` = oldest (next to be evicted).
         Raises ``KeyError`` for absent ids.
         """
-        if seg_id not in self._insert_index:
-            raise KeyError(seg_id)
-        if self._discards == 0:
-            # Pure FIFO: if ``seg_id`` is present, every later insertion is
-            # present too (evictions happen strictly in insertion order), so
-            # the insertion-counter difference equals the in-buffer position.
-            newest_index = self._counter - 1
-            return int(newest_index - self._insert_index[seg_id]) + 1
-        # After an out-of-order ``discard`` the counter shortcut over-counts;
-        # fall back to counting the segments currently newer than ``seg_id``.
-        own_index = self._insert_index[seg_id]
-        newer = sum(1 for idx in self._insert_index.values() if idx > own_index)
-        return newer + 1
+        return FifoPositions(self, self._bits)[seg_id]
 
     def ids_in_range(self, lo: int, hi: int) -> List[int]:
-        """Sorted list of held ids in the inclusive range ``[lo, hi]``.
-
-        Iterates over the range or the buffer, whichever is smaller, so both
-        narrow windows over a large buffer and wide windows over a small
-        buffer stay cheap.
-        """
-        if hi < lo:
-            return []
-        if (hi - lo + 1) <= len(self._order):
-            return [i for i in range(lo, hi + 1) if i in self._insert_index]
-        return sorted(i for i in self._insert_index if lo <= i <= hi)
+        """Sorted list of held ids in the inclusive range ``[lo, hi]``."""
+        return set_bits(self._bits & range_mask(lo, hi))
 
     def missing_in_range(self, lo: int, hi: int) -> List[int]:
         """Sorted list of ids in ``[lo, hi]`` **not** held."""
-        if hi < lo:
-            return []
-        return [i for i in range(lo, hi + 1) if i not in self._insert_index]
+        return set_bits(range_mask(lo, hi) & ~self._bits)
 
     def as_set(self) -> frozenset[int]:
         """Frozen snapshot of all held ids."""

@@ -12,20 +12,24 @@ i.e. **620 bits per neighbour per period**, which against 30 kbit segments
 works out to roughly 1 % overhead when the delivery rate matches the
 playback rate.
 
-:class:`BufferMapSnapshot` is the in-simulator representation: rather than
-shipping real bitmaps around, the snapshot keeps a reference set of the
-neighbour's held ids restricted to the requesting peer's window of interest
-(plus FIFO positions for the rarity computation), while
+:class:`BufferMapSnapshot` is the in-simulator representation, and it is a
+bitmap too: the owner's presence bitmap (one Python ``int``, maintained by
+:class:`~repro.streaming.buffer.SegmentBuffer`) AND-ed with the requesting
+peer's window of interest, so a pull costs a few word operations however
+many segments the window spans.  The FIFO positions the rarity term needs
+come from a :class:`~repro.streaming.buffer.FifoPositions` view that is
+evaluated only for the (segment, supplier) pairs the priority term asks
+about and is pinned to the instant of the pull.
 :func:`buffer_map_bits` provides the wire size that the overhead metric
 charges for the exchange.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
-from repro.streaming.buffer import SegmentBuffer
+from repro.core.base import NeighbourView
+from repro.streaming.buffer import FifoPositions, SegmentBuffer, range_mask
 
 __all__ = [
     "AVAILABILITY_BITS_PER_SLOT",
@@ -56,17 +60,20 @@ def buffer_map_bits(buffer_capacity: int, *, offset_bits: int = OFFSET_BITS) -> 
     return buffer_capacity * AVAILABILITY_BITS_PER_SLOT + offset_bits
 
 
-@dataclass(frozen=True)
-class BufferMapSnapshot:
+class BufferMapSnapshot(NeighbourView):
     """What a peer learns about one neighbour from a buffer-map pull.
+
+    A :class:`~repro.core.base.NeighbourView` (the part the switch algorithm
+    reads: availability bitmap, positions, capacity, send rate) plus what
+    only the protocol layer needs.
 
     Attributes
     ----------
     owner_id:
-        The neighbour the map describes.
-    available:
-        Segment ids (restricted to the requesting peer's window of
-        interest) present in the neighbour's buffer.
+        The neighbour the map describes (alias of ``node_id``).
+    bits / available:
+        The availability bitmap restricted to the requesting peer's window
+        of interest, and the same as a frozenset of segment ids.
     positions:
         FIFO position (from the insertion end) of each available id.
     buffer_capacity:
@@ -85,21 +92,28 @@ class BufferMapSnapshot:
         Size of the exchanged message in bits (for the overhead metric).
     """
 
-    owner_id: int
-    available: frozenset[int]
-    positions: Mapping[int, int] = field(default_factory=dict)
-    buffer_capacity: int = 600
-    send_rate: float = 0.0
-    switch_info: Optional[Tuple[int, int]] = None
-    wire_bits: int = 620
+    __slots__ = ("switch_info", "wire_bits")
 
-    def has(self, seg_id: int) -> bool:
-        """Whether the neighbour holds ``seg_id`` (within the snapshot window)."""
-        return seg_id in self.available
+    def __init__(
+        self,
+        owner_id: int,
+        available: Iterable[int] = (),
+        positions: Optional[Mapping[int, int]] = None,
+        buffer_capacity: int = 600,
+        send_rate: float = 0.0,
+        switch_info: Optional[Tuple[int, int]] = None,
+        wire_bits: int = 620,
+        *,
+        bits: Optional[int] = None,
+    ) -> None:
+        super().__init__(owner_id, send_rate, available, positions, buffer_capacity, bits=bits)
+        self.switch_info = switch_info
+        self.wire_bits = wire_bits
 
-    def position_of(self, seg_id: int) -> int:
-        """FIFO position of ``seg_id`` (1 = newest); defaults to 1 if unknown."""
-        return int(self.positions.get(seg_id, 1))
+    @property
+    def owner_id(self) -> int:
+        """The neighbour the map describes."""
+        return self.node_id
 
 
 def snapshot_buffer(
@@ -122,7 +136,7 @@ def snapshot_buffer(
         The owner's segment buffer.
     windows:
         Inclusive ``(lo, hi)`` id ranges the requesting peer cares about;
-        only ids inside some window are materialised in the snapshot (the
+        only ids inside some window are advertised by the snapshot (the
         wire message is a full bitmap regardless -- its size does not depend
         on the windows).
     send_rate:
@@ -139,11 +153,10 @@ def snapshot_buffer(
         advertised capacity (sources advertise the standard peer bitmap so
         overhead accounting matches the paper's 620-bit figure).
     """
-    available: Dict[int, int] = {}
+    window = 0
     for lo, hi in windows:
-        for seg_id in buffer.ids_in_range(lo, hi):
-            if seg_id not in available:
-                available[seg_id] = buffer.position_from_tail(seg_id)
+        window |= range_mask(lo, hi)
+    bits = buffer.bits & window
     if advertised_capacity is None:
         advertised_capacity = (
             buffer.capacity if buffer.capacity is not None else UNBOUNDED_CAPACITY
@@ -153,8 +166,8 @@ def snapshot_buffer(
         wire_bits = buffer_map_bits(reference)
     return BufferMapSnapshot(
         owner_id=owner_id,
-        available=frozenset(available),
-        positions=available,
+        bits=bits,
+        positions=FifoPositions(buffer, bits),
         buffer_capacity=advertised_capacity,
         send_rate=send_rate,
         switch_info=switch_info,

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.base import LocalView, NeighbourView, ScheduleDecision, SwitchAlgorithm
+from repro.core.base import LocalView, ScheduleDecision, SwitchAlgorithm
 from repro.streaming.bandwidth import BandwidthProfile
-from repro.streaming.buffer import SegmentBuffer
+from repro.streaming.buffer import SegmentBuffer, range_mask
 from repro.streaming.buffermap import BufferMapSnapshot, snapshot_buffer
 from repro.streaming.playback import PlaybackState
 from repro.streaming.segment import SwitchPlan
@@ -182,21 +182,27 @@ class PeerNode:
             raise RuntimeError(
                 f"peer {self.node_id} was never seeded with a playback state"
             )
+        advertised = 0
         for snap in snapshots:
             if snap.switch_info is not None and self.switch_plan is None:
                 self._adopt_switch(snap.switch_info, now)
+            advertised |= snap.bits
 
-        id_end = self.switch_plan.id_end if self.switch_plan is not None else None
-        id_begin = self.switch_plan.id_begin if self.switch_plan is not None else None
-
-        for snap in snapshots:
-            for seg_id in snap.available:
-                if id_begin is not None and seg_id >= id_begin:
-                    if self.highest_known_new is None or seg_id > self.highest_known_new:
-                        self.highest_known_new = seg_id
-                elif id_end is None or seg_id <= id_end:
-                    if self.highest_known_old is None or seg_id > self.highest_known_old:
-                        self.highest_known_old = seg_id
+        # The highest advertised id of a stream is the top bit of its part
+        # of the OR-ed maps: ids from ``id_begin`` on are the new stream's,
+        # ids up to ``id_end`` (all of them before the switch is known) the
+        # old one's.
+        old_part = advertised
+        if self.switch_plan is not None:
+            if advertised >> self.switch_plan.id_begin:
+                self.highest_known_new = max(
+                    self.highest_known_new or 0, advertised.bit_length() - 1
+                )
+            old_part &= range_mask(0, self.switch_plan.id_end)
+        if old_part:
+            self.highest_known_old = max(
+                self.highest_known_old or 0, old_part.bit_length() - 1
+            )
 
         self._refresh_wanted_old()
         self._refresh_wanted_new()
@@ -238,10 +244,7 @@ class PeerNode:
         if hi is None:
             self.wanted_old = set()
             return
-        lo = self.playback_old.position
-        self.wanted_old = {
-            seg_id for seg_id in range(lo, hi + 1) if not self.buffer.contains(seg_id)
-        }
+        self.wanted_old = set(self.buffer.missing_in_range(self.playback_old.position, hi))
 
     def _refresh_wanted_new(self) -> None:
         """Recompute the undelivered new-stream set from current knowledge."""
@@ -257,15 +260,10 @@ class PeerNode:
                 return
             lo = self.playback_new.position
             hi = min(hi, lo + self.lookahead)
-            self.wanted_new = {
-                seg_id for seg_id in range(lo, hi + 1) if not self.buffer.contains(seg_id)
-            }
+            self.wanted_new = set(self.buffer.missing_in_range(lo, hi))
             return
-        self.wanted_new = {
-            seg_id
-            for seg_id in self.switch_plan.startup_ids()
-            if not self.buffer.contains(seg_id)
-        }
+        startup = self.switch_plan.startup_ids()
+        self.wanted_new = set(self.buffer.missing_in_range(startup.start, startup.stop - 1))
 
     # ------------------------------------------------------------------ #
     # scheduling
@@ -291,16 +289,6 @@ class PeerNode:
     def build_view(self, snapshots: Sequence[BufferMapSnapshot], now: float) -> LocalView:
         """Assemble the :class:`LocalView` for this period."""
         assert self.playback_old is not None
-        neighbours = tuple(
-            NeighbourView(
-                node_id=snap.owner_id,
-                send_rate=snap.send_rate,
-                available=snap.available,
-                positions=snap.positions,
-                buffer_capacity=snap.buffer_capacity,
-            )
-            for snap in snapshots
-        )
         playback_id = self._current_playback_id()
         return LocalView(
             now=now,
@@ -314,7 +302,7 @@ class PeerNode:
             new_needed=frozenset(self.wanted_new),
             id_end=self.switch_plan.id_end if self.switch_plan else None,
             id_begin=self.switch_plan.id_begin if self.switch_plan else None,
-            neighbours=neighbours,
+            neighbours=tuple(snapshots),
         )
 
     def decide(self, snapshots: Sequence[BufferMapSnapshot], now: float) -> ScheduleDecision:
@@ -367,7 +355,8 @@ class PeerNode:
         """Record the prepare time once all ``Qs`` startup segments are held."""
         if self.prepared_new_time is not None or self.switch_plan is None:
             return
-        if self.buffer.contains_all(self.switch_plan.startup_ids()):
+        startup = self.switch_plan.startup_ids()
+        if self.buffer.contains_range(startup.start, startup.stop - 1):
             self.prepared_new_time = now
 
     def advance_playback(self, now: float, duration: float) -> None:

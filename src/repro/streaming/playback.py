@@ -87,7 +87,7 @@ class PlaybackState:
         end = self.position + self.startup_quota - 1
         if self.last_id is not None:
             end = min(end, self.last_id)
-        return buffer.contains_all(range(self.position, end + 1))
+        return buffer.contains_range(self.position, end)
 
     def maybe_start(self, buffer: SegmentBuffer, now: float) -> bool:
         """Start playback if the startup condition holds; return whether playing."""

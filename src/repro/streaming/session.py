@@ -50,7 +50,7 @@ from repro.obs.probes import (
     STAGE_REQUESTED,
     STAGE_SCHEDULED,
 )
-from repro.obs.telemetry import get_telemetry
+from repro.obs.telemetry import NullTelemetry, Telemetry, get_telemetry
 from repro.net.library import get_topology, topology_names
 from repro.overlay.augment import augment_to_min_degree
 from repro.overlay.generator import generate_trace
@@ -922,9 +922,12 @@ class SwitchSession:
         lifecycle = obs.probes.lifecycle
         probing = obs.probes.enabled
         period = self.rounds_run
+        # Churn only runs before the phase, so a supplier's advertised rate
+        # is one value for all of its neighbours' pulls this period.
+        send_rates: Dict[int, float] = {}
         for node_id in order:
             peer = self.peers[node_id]
-            snapshots = self._pull_buffer_maps(peer)
+            snapshots = self._pull_buffer_maps(peer, send_rates, obs)
             decision = peer.decide(snapshots, now)
             decisions[node_id] = decision
             if probing:
@@ -964,12 +967,20 @@ class SwitchSession:
 
         self.engine.schedule_in(delay, deliver, label="net-delivery")
 
-    def _pull_buffer_maps(self, peer: PeerNode) -> List[BufferMapSnapshot]:
+    def _pull_buffer_maps(
+        self,
+        peer: PeerNode,
+        send_rates: Dict[int, float],
+        obs: "Telemetry | NullTelemetry",
+    ) -> List[BufferMapSnapshot]:
         """Pull one buffer map per current neighbour (charging control traffic).
 
         On a lossy fabric a pull (or its reply) can be dropped: the peer
         simply schedules this period without that neighbour's map and
         retries at the next period -- pull-based gossip is self-healing.
+
+        ``send_rates`` memoises each supplier's advertised rate and ``obs``
+        is the telemetry handle; both live for one decide phase.
         """
         windows = peer.interest_windows()
         snapshots: List[BufferMapSnapshot] = []
@@ -981,11 +992,12 @@ class SwitchSession:
             if self.fabric.control_transfer(neighbour_id, peer.node_id) is None:
                 dropped += 1
                 continue
-            send_rate = self._estimate_send_rate(neighbour_id)
+            send_rate = send_rates.get(neighbour_id)
+            if send_rate is None:
+                send_rate = send_rates[neighbour_id] = self._estimate_send_rate(neighbour_id)
             snapshot = node.snapshot_for(windows, send_rate=send_rate)
             self.overhead.add_control(snapshot.wire_bits)
             snapshots.append(snapshot)
-        obs = get_telemetry()
         if obs.enabled:
             obs.counter("fabric.control_pulls").add(len(snapshots))
             obs.counter("fabric.control_dropped").add(dropped)

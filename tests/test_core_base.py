@@ -60,6 +60,25 @@ def test_suppliers_of_and_needed_union():
     assert view.needed() == frozenset({101, 102, 200, 201})
 
 
+def test_neighbour_view_bitmap_and_id_forms_agree():
+    from_ids = NeighbourView(node_id=1, send_rate=1.0, available={3, 70, 640})
+    from_bits = NeighbourView(node_id=1, send_rate=1.0, bits=1 << 3 | 1 << 70 | 1 << 640)
+    assert from_ids.bits == from_bits.bits
+    assert from_bits.available == from_ids.available == frozenset({3, 70, 640})
+    for view in (from_ids, from_bits):
+        assert view.has(70) and not view.has(71) and not view.has(-1)
+
+
+def test_supply_bits_is_the_union_of_the_neighbour_maps():
+    view = _view(neighbours=(
+        NeighbourView(node_id=1, send_rate=1.0, available={101, 200}),
+        NeighbourView(node_id=2, send_rate=1.0, bits=1 << 102 | 1 << 200),
+    ))
+    assert view.supply_bits == 1 << 101 | 1 << 102 | 1 << 200
+    assert [n.node_id for n in view.suppliers_of(200)] == [1, 2]
+    assert _view(neighbours=()).supply_bits == 0
+
+
 def test_capacity_segments_rounds_rate_times_period():
     assert _view(inbound_rate=15.4).capacity_segments() == 15
     assert _view(inbound_rate=15.6).capacity_segments() == 16

@@ -3,10 +3,24 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.streaming.buffer import SegmentBuffer
+from repro.core.vector import MirroredBuffer, SegmentArrays
+from repro.streaming.buffer import SegmentBuffer, popcount, set_bits
 
 ids = st.lists(st.integers(min_value=0, max_value=200), min_size=0, max_size=120)
 capacities = st.integers(min_value=1, max_value=40)
+#: a mutation script: (is_discard, seg_id) steps on a bounded or unbounded buffer
+mutations = st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=0, max_value=200)), max_size=150
+)
+any_capacity = st.one_of(st.none(), capacities)
+
+
+def _apply(buffer, script):
+    for is_discard, seg in script:
+        if is_discard:
+            buffer.discard(seg)
+        else:
+            buffer.insert(seg)
 
 
 @settings(max_examples=200, deadline=None)
@@ -83,3 +97,32 @@ def test_range_queries_partition_the_window(inserts, capacity, lo, hi):
     assert sorted(held + missing) == window
     assert all(seg in buffer for seg in held)
     assert all(seg not in buffer for seg in missing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(script=mutations, capacity=any_capacity)
+def test_bitmap_equals_the_key_set_of_the_insertion_index(script, capacity):
+    buffer = SegmentBuffer(capacity=capacity)
+    for step in script:
+        _apply(buffer, [step])
+        assert set_bits(buffer.bits) == sorted(buffer._insert_index)
+    assert popcount(buffer.bits) == len(buffer)
+    assert set_bits(buffer.bits) == sorted(buffer.as_set())
+
+
+@settings(max_examples=100, deadline=None)
+@given(before=mutations, after=mutations, capacity=any_capacity)
+def test_mirrored_adopt_preserves_the_bitmap(before, after, capacity):
+    plain = SegmentBuffer(capacity=capacity)
+    _apply(plain, before)
+    reference = SegmentBuffer(capacity=capacity)
+    _apply(reference, before)
+
+    mirrored = MirroredBuffer.adopt(plain, SegmentArrays(1, 256), 0)
+    assert mirrored.bits == reference.bits
+    # ... and keeps maintaining it through the mirror's own mutation paths
+    _apply(mirrored, after)
+    _apply(reference, after)
+    assert mirrored.bits == reference.bits
+    assert set_bits(mirrored.bits) == sorted(mirrored._insert_index)
+    assert list(mirrored) == list(reference)

@@ -1,6 +1,8 @@
 """Tests for peer behaviour (knowledge updates, scheduling, playback)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fast_switch import FastSwitchAlgorithm
 from repro.core.normal_switch import NormalSwitchAlgorithm
@@ -88,6 +90,34 @@ def test_wanted_old_clamped_to_id_end_after_discovery():
     )
     assert max(peer.wanted_old) == 899
     assert peer.highest_known_new == 959
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    maps=st.lists(st.frozensets(st.integers(min_value=840, max_value=1000), max_size=30),
+                  max_size=4),
+    announced=st.booleans(),
+)
+def test_highest_known_ids_match_a_per_id_walk(maps, announced):
+    """The ``bit_length`` rule against the per-id classification it replaced."""
+    id_end, id_begin = 899, 900
+    info = (id_end, id_begin) if announced else None
+    peer = _seeded_peer()
+    peer.observe_snapshots(
+        [_snapshot(i, ids, switch_info=info) for i, ids in enumerate(maps)], now=1.0
+    )
+
+    known = announced and bool(maps)
+    expect_old = min(879, id_end) if known else 879
+    expect_new = None
+    for seg_id in sorted(set().union(*maps)):
+        if known and seg_id >= id_begin:
+            expect_new = seg_id
+        elif not known or seg_id <= id_end:
+            expect_old = max(expect_old, seg_id)
+    assert peer.highest_known_old == expect_old
+    assert peer.highest_known_new == expect_new
+    assert peer.wanted_old == set(range(880, expect_old + 1))
 
 
 def test_decide_produces_requests_within_capacity():
