@@ -32,7 +32,7 @@ deterministic from the one experiment seed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 import numpy as np
 
@@ -129,17 +129,31 @@ class LatencyFabric(NetworkFabric):
         The region model.
     rng:
         Deterministic generator for region assignment, loss and jitter
-        (the session passes its named ``"net"`` stream).
+        (the session passes its named ``"net"`` stream).  The fabric's
+        :class:`~repro.net.link.LinkModel` becomes its only consumer; see
+        the RNG ownership rule in :mod:`repro.net.link`.
     """
 
     def __init__(self, topology: NetTopology, rng: np.random.Generator) -> None:
         self.name = topology.name
         self.topology = topology
-        self._rng = rng
+        # The link model owns ``rng``: region draws go through its variate
+        # stream too, so the doubles are consumed in simulation order.
         self.link = LinkModel(topology, rng)
         self._region_index: Dict[int, int] = {}
+        # Inverse-CDF table of the region weights, built the way
+        # ``Generator.choice(n, p=weights)`` builds its own.
+        cdf = np.asarray(topology.weights, dtype=float).cumsum()
+        cdf /= cdf[-1]
+        self._region_cdf = cdf
 
     # -- region assignment --------------------------------------------- #
+    def _draw_regions(self, count: int) -> List[int]:
+        """``count`` weighted region indices off the link model's stream."""
+        return self._region_cdf.searchsorted(
+            self.link.uniforms(count), side="right"
+        ).tolist()
+
     def assign_regions(
         self, node_ids: Iterable[int], pinned: Optional[Mapping[int, str]] = None
     ) -> None:
@@ -153,21 +167,18 @@ class LatencyFabric(NetworkFabric):
         topology = self.topology
         assert topology is not None
         ordered = sorted(int(n) for n in node_ids)
-        weights = np.asarray(topology.weights, dtype=float)
-        draws = self._rng.choice(topology.n_regions, size=len(ordered), p=weights)
         pinned = pinned or {}
-        for node_id, draw in zip(ordered, draws):
+        for node_id, draw in zip(ordered, self._draw_regions(len(ordered))):
             region_name = pinned.get(node_id, "")
             if region_name:
                 self._region_index[node_id] = topology.region_index(region_name)
             else:
-                self._region_index[node_id] = int(draw)
+                self._region_index[node_id] = draw
 
     def assign_joiner(self, node_id: int, region: str = "") -> None:
         topology = self.topology
         assert topology is not None
-        weights = np.asarray(topology.weights, dtype=float)
-        draw = int(self._rng.choice(topology.n_regions, p=weights))
+        (draw,) = self._draw_regions(1)
         if region:
             draw = topology.region_index(region)
         self._region_index[int(node_id)] = draw
@@ -190,8 +201,8 @@ class LatencyFabric(NetworkFabric):
 
     # -- message transmission ------------------------------------------ #
     def _transfer(self, src: int, dst: int) -> Optional[float]:
-        src_region = self._region_index.get(int(src))
-        dst_region = self._region_index.get(int(dst))
+        src_region = self._region_index.get(src)
+        dst_region = self._region_index.get(dst)
         if src_region is None or dst_region is None:
             # A node the fabric never saw (defensive): treat as local.
             return 0.0

@@ -9,18 +9,31 @@ substrate and the churn model need:
 * node addition/removal (churn),
 * random-edge augmentation bookkeeping,
 * BFS hop distances (used by the analytic warm-up to seed per-peer lag),
-* conversion to/from :mod:`networkx` for analysis and tests.
+* conversion to/from :mod:`networkx` for analysis and tests (imported
+  where a graph is built, not at module level: the package does not
+  depend on it).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.overlay.trace import TraceNode
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is a test-only dependency
+    import networkx as nx
 
 __all__ = ["NodeInfo", "Overlay", "build_overlay_from_trace"]
 
@@ -182,6 +195,8 @@ class Overlay:
 
     def to_networkx(self) -> nx.Graph:
         """Export to a :class:`networkx.Graph` (with node/edge attributes)."""
+        import networkx as nx
+
         graph = nx.Graph()
         for info in self.nodes():
             graph.add_node(info.node_id, ping_ms=info.ping_ms, speed_kbps=info.speed_kbps)

@@ -1,24 +1,35 @@
 """Events and the time-ordered event queue.
 
-Events are lightweight records ``(time, priority, sequence, callback)``
-kept in a binary heap.  Ties on time are broken first by an explicit
-integer priority (lower runs first) and then by insertion order, which
-makes event execution fully deterministic for a given seed -- a property
-the reproduction relies on so that every figure can be regenerated
-bit-for-bit.
+The queue is a binary heap of plain tuples ``(time, priority, sequence,
+event)``.  ``heapq`` orders them with the interpreter's built-in tuple
+comparison: earliest ``time`` first, ties broken by the integer
+``priority`` (lower runs first) and then by ``sequence``, the queue's
+monotone insertion counter.  ``sequence`` is unique, so the comparison is
+always decided before it reaches the fourth slot and the :class:`Event`
+record itself is never compared.  That ``(time, priority, insertion)``
+order makes event execution fully deterministic for a given seed -- a
+property the reproduction relies on so that every figure can be
+regenerated bit-for-bit.  In particular an event pushed *while* another
+event with the same ``(time, priority)`` executes runs after every such
+event pushed earlier: a segment delivery whose arrival time equals a
+scheduling round's timestamp runs after that round when it was scheduled
+after the round's (self re-scheduling) event, and before it otherwise.
+
+Cancellation is a flag on the record (:attr:`Event.cancelled`): a
+cancelled entry stays in the heap until it surfaces and is discarded, and
+the queue keeps a count of such entries so ``len(queue)`` is the number
+of events that will still run.  Cancelling an event that has already run
+(or been cancelled) is a no-op.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, List, Optional, Tuple
 
 EventCallback = Callable[[], None]
 
 
-@dataclass(order=True, frozen=True)
 class Event:
     """A scheduled callback.
 
@@ -34,14 +45,39 @@ class Event:
         Zero-argument callable executed when the event fires.
     label:
         Optional human-readable label (used in error messages and traces).
+    cancelled:
+        Set by :meth:`EventQueue.cancel`; a cancelled event never runs.
     """
 
-    time: float
-    priority: int
-    sequence: int
-    callback: EventCallback = field(compare=False)
-    label: str = field(default="", compare=False)
-    cancelled: bool = field(default=False, compare=False, hash=False)
+    __slots__ = ("time", "priority", "sequence", "callback", "label", "cancelled", "_queued")
+
+    def __init__(
+        self,
+        time: float,
+        priority: int,
+        sequence: int,
+        callback: EventCallback,
+        label: str = "",
+    ) -> None:
+        self.time = time
+        self.priority = priority
+        self.sequence = sequence
+        self.callback = callback
+        self.label = label
+        self.cancelled = False
+        # Whether the record still sits in its queue's heap (cleared on pop
+        # and clear), so a late cancel cannot touch the pending count.
+        self._queued = True
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"Event(time={self.time!r}, priority={self.priority!r}, "
+            f"sequence={self.sequence!r}, label={self.label!r}, "
+            f"cancelled={self.cancelled!r})"
+        )
+
+
+_HeapEntry = Tuple[float, int, int, Event]
 
 
 class EventQueue:
@@ -52,15 +88,16 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._counter = itertools.count()
-        self._cancelled: set[int] = set()
+        self._heap: List[_HeapEntry] = []
+        self._sequence = 0
+        #: cancelled entries still in the heap
+        self._dead = 0
 
     def __len__(self) -> int:
-        return len(self._heap) - len(self._cancelled)
+        return len(self._heap) - self._dead
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return len(self._heap) > self._dead
 
     def push(
         self,
@@ -71,42 +108,51 @@ class EventQueue:
         label: str = "",
     ) -> Event:
         """Schedule ``callback`` at simulation time ``time`` and return the event."""
-        event = Event(
-            time=float(time),
-            priority=int(priority),
-            sequence=next(self._counter),
-            callback=callback,
-            label=label,
-        )
-        heapq.heappush(self._heap, event)
+        time = float(time)
+        priority = int(priority)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(time, priority, sequence, callback, label)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously pushed event (no-op if already executed)."""
-        self._cancelled.add(event.sequence)
+        if event._queued and not event.cancelled:
+            event.cancelled = True
+            self._dead += 1
 
     def is_cancelled(self, event: Event) -> bool:
-        return event.sequence in self._cancelled
+        return event.cancelled
 
     def peek(self) -> Optional[Event]:
         """Return the next runnable event without removing it, or ``None``."""
-        while self._heap and self._heap[0].sequence in self._cancelled:
-            dropped = heapq.heappop(self._heap)
-            self._cancelled.discard(dropped.sequence)
-        return self._heap[0] if self._heap else None
+        heap = self._heap
+        while heap:
+            event = heap[0][3]
+            if not event.cancelled:
+                return event
+            heapq.heappop(heap)
+            event._queued = False
+            self._dead -= 1
+        return None
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next runnable event, or ``None`` when empty."""
-        nxt = self.peek()
-        if nxt is None:
+        event = self.peek()
+        if event is None:
             return None
-        return heapq.heappop(self._heap)
+        heapq.heappop(self._heap)
+        event._queued = False
+        return event
 
     def clear(self) -> None:
         """Drop every pending event."""
+        for entry in self._heap:
+            entry[3]._queued = False
         self._heap.clear()
-        self._cancelled.clear()
+        self._dead = 0
 
     def __iter__(self) -> Iterator[Event]:
         """Iterate over pending (non-cancelled) events in heap order (unsorted)."""
-        return (e for e in self._heap if e.sequence not in self._cancelled)
+        return (entry[3] for entry in self._heap if not entry[3].cancelled)

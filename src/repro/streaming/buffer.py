@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
+from itertools import count
 from typing import Dict, Iterable, Iterator, List, Optional
 
 __all__ = [
@@ -170,7 +171,25 @@ class SegmentBuffer:
         return evicted
 
     def insert_many(self, seg_ids: Iterable[int]) -> List[int]:
-        """Insert several ids (in iteration order); return all evicted ids."""
+        """Insert several ids (in iteration order); return all evicted ids.
+
+        A contiguous ascending ``range`` going into an empty buffer that has
+        room for all of it (warm-up seeding) is stored in one step; the
+        result is what the per-id loop would leave behind.
+        """
+        if (
+            type(seg_ids) is range
+            and seg_ids.step == 1
+            and seg_ids.start >= 0
+            and not self._order
+            and (self._capacity is None or len(seg_ids) <= self._capacity)
+            and type(self).insert is SegmentBuffer.insert
+        ):
+            self._order.extend(seg_ids)
+            self._insert_index.update(zip(seg_ids, count(self._counter)))
+            self._bits |= range_mask(seg_ids.start, seg_ids.stop - 1)
+            self._counter += len(seg_ids)
+            return []
         evicted: List[int] = []
         for seg_id in seg_ids:
             out = self.insert(seg_id)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import time as _wallclock
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -946,26 +947,30 @@ class SwitchSession:
     def _schedule_delivery(
         self, node_id: int, seg_id: int, delay: float, *, supplier_id: int = -1
     ) -> None:
-        """Deliver ``seg_id`` to ``node_id`` after the network delay.
+        """Deliver ``seg_id`` to ``node_id`` after the network delay."""
+        self.engine.schedule_in(
+            delay,
+            partial(self._deliver, node_id, seg_id, supplier_id, delay),
+            label="net-delivery",
+        )
+
+    def _deliver(self, node_id: int, seg_id: int, supplier_id: int, delay: float) -> None:
+        """A delayed segment arrives (the engine event behind a delivery).
 
         The receiving peer may have left through churn by the arrival time,
         in which case the segment evaporates with it.
         """
-
-        def deliver() -> None:
-            peer = self.peers.get(node_id)
-            if peer is None:
-                return
-            arrival = self.engine.now
-            peer.apply_delivery(seg_id, arrival)
-            probes = get_telemetry().probes
-            if probes.enabled:
-                probes.lifecycle.append(arrival, self.rounds_run, node_id, seg_id,
-                                        STAGE_DELIVERED, supplier_id, delay)
-                if seg_id >= self.switch_plan.id_begin:
-                    probes.funnel.mark(self.label, node_id, "first_segment", arrival)
-
-        self.engine.schedule_in(delay, deliver, label="net-delivery")
+        peer = self.peers.get(node_id)
+        if peer is None:
+            return
+        arrival = self.engine.now
+        peer.apply_delivery(seg_id, arrival)
+        probes = get_telemetry().probes
+        if probes.enabled:
+            probes.lifecycle.append(arrival, self.rounds_run, node_id, seg_id,
+                                    STAGE_DELIVERED, supplier_id, delay)
+            if seg_id >= self.switch_plan.id_begin:
+                probes.funnel.mark(self.label, node_id, "first_segment", arrival)
 
     def _pull_buffer_maps(
         self,

@@ -103,7 +103,10 @@ class SourceNode:
         """Instantly generate ``count`` segments (analytic warm-up of the old source)."""
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        new_ids = [self.spec.id_at(i) for i in range(self._generated, count)]
+        # Stream ids are consecutive; a ``range`` lets the buffer store the
+        # whole warm-up window in one step.
+        first = self.spec.id_at(self._generated)
+        new_ids = range(first, first + count - self._generated)
         self.buffer.insert_many(new_ids)
         self._generated = max(self._generated, count)
         return tuple(new_ids)

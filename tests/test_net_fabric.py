@@ -5,6 +5,7 @@ import pytest
 
 from repro.net.fabric import IdealFabric, LatencyFabric, build_fabric
 from repro.net.library import get_topology
+from repro.net import link as link_module
 from repro.net.link import LinkModel
 from repro.net.topology import NetTopology, Region
 from repro.overlay.membership import MembershipService
@@ -20,6 +21,103 @@ def make_topology(loss_a=0.0, loss_b=0.0, jitter=2.0):
         ),
         latency_ms=((1.0, 50.0), (50.0, 2.0)),
     )
+
+
+class ScalarDrawReference:
+    """The scalar-draw link model and region draws the block stream replaced.
+
+    One ``Generator.random()`` per loss decision, one
+    ``Generator.uniform(-1.0, 1.0)`` per jitter offset and one
+    ``Generator.choice(n, p=weights)`` per region draw, all from one
+    generator, in call order.
+    """
+
+    def __init__(self, topology, rng):
+        self.topology = topology
+        self.rng = rng
+        self.messages = self.dropped = 0
+        self.total_delay = 0.0
+
+    def assign_regions(self, count):
+        weights = np.asarray(self.topology.weights, dtype=float)
+        draws = self.rng.choice(self.topology.n_regions, size=count, p=weights)
+        return [int(draw) for draw in draws]
+
+    def assign_joiner(self):
+        weights = np.asarray(self.topology.weights, dtype=float)
+        return int(self.rng.choice(self.topology.n_regions, p=weights))
+
+    def transfer(self, src, dst):
+        regions = self.topology.regions
+        self.messages += 1
+        loss = 1.0 - (1.0 - regions[src].loss) * (1.0 - regions[dst].loss)
+        if loss > 0.0 and float(self.rng.random()) < loss:
+            self.dropped += 1
+            return None
+        delay = (
+            self.topology.latency_ms[src][dst]
+            + regions[src].last_mile_ms
+            + regions[dst].last_mile_ms
+        ) / 1000.0
+        jitter = (regions[src].jitter_ms + regions[dst].jitter_ms) / 1000.0
+        if jitter > 0.0:
+            delay += jitter * float(self.rng.uniform(-1.0, 1.0))
+        delay = max(0.0, delay)
+        self.total_delay += delay
+        return delay
+
+
+@pytest.mark.parametrize("topology_name", ["transcontinental", "lossy-edge", "metro"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_block_stream_matches_scalar_draw_reference(topology_name, seed):
+    """Same seed, same doubles in the same order: the block-served fabric
+    reproduces the scalar-draw reference bit for bit, across block refills
+    and with joiner region draws interleaved between messages."""
+    topology = get_topology(topology_name)
+    fabric = LatencyFabric(topology, np.random.default_rng(seed))
+    reference = ScalarDrawReference(topology, np.random.default_rng(seed))
+
+    n_nodes = 60
+    fabric.assign_regions(range(n_nodes))
+    expected_regions = reference.assign_regions(n_nodes)
+    assert [fabric.region_index_of(node) for node in range(n_nodes)] == expected_regions
+
+    script = np.random.default_rng(1000 + seed)
+    n_messages = 3 * link_module._BLOCK  # up to two variates each: several refills
+    for step in range(n_messages):
+        if step % 97 == 0:
+            n_nodes += 1
+            fabric.assign_joiner(n_nodes - 1)
+            expected_regions.append(reference.assign_joiner())
+            assert fabric.region_index_of(n_nodes - 1) == expected_regions[-1]
+        src, dst = (int(node) for node in script.integers(0, n_nodes, size=2))
+        transfer = fabric.control_transfer if step % 2 else fabric.data_transfer
+        assert transfer(src, dst) == reference.transfer(
+            expected_regions[src], expected_regions[dst]
+        ), step
+
+    link = fabric.link
+    assert link.messages == reference.messages == n_messages
+    assert link.dropped == reference.dropped
+    assert link.total_delay == reference.total_delay
+    if topology_name != "metro":
+        assert link.dropped > 0
+
+
+def test_pinned_joiner_still_consumes_its_region_draw():
+    """Pinning one joiner leaves every later variate of the stream in place."""
+    topology = get_topology("transcontinental")
+    free = LatencyFabric(topology, np.random.default_rng(3))
+    pinned = LatencyFabric(topology, np.random.default_rng(3))
+    free.assign_joiner(0)
+    pinned.assign_joiner(0, region=topology.region_names[-1])
+    assert pinned.region_of(0) == topology.region_names[-1]
+    free.assign_joiner(1)
+    pinned.assign_joiner(1)
+    assert free.region_of(1) == pinned.region_of(1)
+    assert [free.data_transfer(1, 1) for _ in range(20)] == [
+        pinned.data_transfer(1, 1) for _ in range(20)
+    ]
 
 
 class TestLinkModel:

@@ -32,6 +32,8 @@ from repro.metrics.net import (
 )
 from repro.net.fabric import IdealFabric, LatencyFabric
 from repro.net.library import get_topology
+from repro.net.topology import NetTopology, Region
+from repro.obs.telemetry import telemetry_session
 from repro.streaming.session import SessionConfig, SwitchSession
 
 
@@ -95,6 +97,53 @@ class TestTopologySession:
             fabric.region_of(node_id) in topology.region_names
             for node_id in session.peers
         )
+
+
+def one_second_topology():
+    """One lossless, jitter-free region whose one-way delay is exactly tau."""
+    return NetTopology(
+        name="one-second",
+        regions=(Region("only", weight=1.0, last_mile_ms=0.0, jitter_ms=0.0, loss=0.0),),
+        latency_ms=((1000.0,),),
+    )
+
+
+class TestDelayedDeliveries:
+    def test_segment_in_flight_to_a_departed_peer_evaporates(self):
+        session = SwitchSession(small_config(n_nodes=40, max_time=10.0,
+                                             topology="transcontinental"))
+        leaver, stayer = sorted(session.peers)[:2]
+        seg_id = session.switch_plan.id_begin + 5
+        leaver_node, stayer_node = session.peers[leaver], session.peers[stayer]
+        assert seg_id not in leaver_node.buffer and seg_id not in stayer_node.buffer
+        pending = len(session.engine.queue)
+        session._schedule_delivery(leaver, seg_id, 0.25, supplier_id=stayer)
+        session._schedule_delivery(stayer, seg_id, 0.25, supplier_id=leaver)
+        assert len(session.engine.queue) == pending + 2  # deliveries are engine events
+        session._remove_peer(leaver)
+        session.engine.run_until(session.engine.now + 0.5)
+        assert seg_id in stayer_node.buffer
+        assert seg_id not in leaver_node.buffer
+        assert leaver not in session.peers
+
+    def test_delivery_arriving_on_a_round_timestamp_runs_after_that_round(self):
+        """The tie rule: a segment requested in round ``k`` over a path of
+        exactly ``tau`` arrives at round ``k + 1``'s timestamp with the same
+        priority but a later insertion, so round ``k + 1`` runs first and
+        the delivery is stamped with period ``k + 1``."""
+        config = small_config(n_nodes=40, max_time=40.0)
+        fabric = LatencyFabric(one_second_topology(), np.random.default_rng(0))
+        with telemetry_session(probes=True) as telemetry:
+            session = SwitchSession(config, fabric=fabric)
+            start = session.engine.now
+            session.run()
+        delivered = [
+            row for row in telemetry.probes.lifecycle.rows() if row["stage"] == "delivered"
+        ]
+        assert len(delivered) > 100
+        for row in delivered:
+            assert row["value"] == config.tau  # the sampled delay
+            assert row["time"] == start + row["period"] * config.tau, row
 
 
 class TestPairedTranscontinental:

@@ -1,5 +1,10 @@
 """Tests for the package's public API surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import repro
 
 
@@ -36,3 +41,16 @@ def test_subpackages_import_cleanly():
     import repro.sim  # noqa: F401
     import repro.streaming  # noqa: F401
     import repro.workloads  # noqa: F401
+
+
+def test_importing_the_cli_does_not_import_networkx():
+    """networkx is a test-only dependency: only ``Overlay.to_networkx`` loads it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; sys.exit(1 if 'networkx' in sys.modules else 0)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

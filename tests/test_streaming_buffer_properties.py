@@ -1,5 +1,6 @@
 """Property-based tests for the FIFO buffer (hypothesis)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,3 +127,65 @@ def test_mirrored_adopt_preserves_the_bitmap(before, after, capacity):
     assert mirrored.bits == reference.bits
     assert set_bits(mirrored.bits) == sorted(mirrored._insert_index)
     assert list(mirrored) == list(reference)
+
+
+def _state(buffer):
+    return (
+        list(buffer._order),
+        dict(buffer._insert_index),
+        buffer.bits,
+        buffer._counter,
+        buffer.evicted_total,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.integers(min_value=0, max_value=300),
+    length=st.integers(min_value=0, max_value=80),
+    step=st.sampled_from([1, 1, 1, 2, -1]),
+    capacity=st.one_of(st.none(), st.integers(min_value=1, max_value=100)),
+    before=st.lists(st.integers(min_value=0, max_value=300), max_size=4),
+    after=mutations,
+)
+def test_bulk_seeding_equals_per_id_seeding(start, length, step, capacity, before, after):
+    """``insert_many(range)`` -- bulk branch or not -- leaves the state the
+    per-id loop leaves, returns the same evictions, and the buffers stay
+    equal under further mutation.  ``before`` makes the buffer non-empty in
+    some examples, ``capacity < length`` overflows it, ``step != 1`` is a
+    non-contiguous range: all of those must take the per-id path."""
+    if step > 0:
+        ids = range(start, start + length * step, step)
+    else:
+        ids = range(start + length, start, step)
+    bulk = SegmentBuffer(capacity=capacity)
+    loop = SegmentBuffer(capacity=capacity)
+    for seg in before:
+        bulk.insert(seg)
+        loop.insert(seg)
+    evicted_loop = [out for out in map(loop.insert, ids) if out is not None]
+    assert bulk.insert_many(ids) == evicted_loop
+    assert _state(bulk) == _state(loop)
+    _apply(bulk, after)
+    _apply(loop, after)
+    assert _state(bulk) == _state(loop)
+    assert [bulk.position_from_tail(seg) for seg in bulk] == [
+        loop.position_from_tail(seg) for seg in loop
+    ]
+
+
+def test_bulk_seeding_rejects_negative_ids_like_insert():
+    buffer = SegmentBuffer(capacity=None)
+    with pytest.raises(ValueError):
+        buffer.insert_many(range(-2, 3))
+    assert len(buffer) == 0 and buffer.bits == 0
+
+
+def test_mirrored_buffer_seeding_goes_through_its_own_insert():
+    arrays = SegmentArrays(1, 64)
+    mirrored = MirroredBuffer(None, arrays, 0)
+    assert mirrored.insert_many(range(3, 9)) == []
+    assert sorted(arrays.pending) == [(0, seg) for seg in range(3, 9)]
+    plain = SegmentBuffer(capacity=None)
+    plain.insert_many(range(3, 9))
+    assert _state(mirrored) == _state(plain)
