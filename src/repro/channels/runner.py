@@ -242,8 +242,9 @@ class UniverseRunner:
         instead of simulating.
     compute_engine:
         Simulation core for fresh repetitions (``"oracle"``/``"vector"``;
-        ``None`` keeps the session default).  Bit-identical by contract,
-        so store keys and replays are engine-agnostic.
+        ``None`` keeps :data:`~repro.streaming.session.DEFAULT_ENGINE`).
+        Bit-identical by contract, so store keys and replays are
+        engine-agnostic.
     shards:
         How many shards the sharded runtime (:mod:`repro.dist`) partitions
         the run's ``repetitions x channels`` units into.  ``None`` means

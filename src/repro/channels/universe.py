@@ -334,8 +334,9 @@ def channel_mesh_config(
     The mesh holds the channel's audience plus its two sources; base churn
     is disabled because the zap plan scripts membership changes as exact
     per-period counts.  ``compute_engine`` picks the simulation core
-    (``"oracle"``/``"vector"``; ``None`` keeps the session default) -- not
-    to be confused with the shared :class:`SimulationEngine` clock.
+    (``"oracle"``/``"vector"``; ``None`` keeps
+    :data:`~repro.streaming.session.DEFAULT_ENGINE`) -- not to be confused
+    with the shared :class:`SimulationEngine` clock.
     """
     overrides = spec.overrides_dict()
     overrides.update(

@@ -87,8 +87,12 @@ Installed as ``repro-gossip`` (and the shorter alias ``repro``; see
 
 ``run``, ``compare``, ``workload run|compare``, ``universe run|compare``
 and ``scenario`` accept ``--engine {oracle,vector}`` to pick the
-simulation core: the per-peer object engine (the reference) or the
-NumPy array engine (faster, bit-identical -- see docs/architecture.md).
+simulation core.  Without the flag they run on
+:data:`~repro.streaming.session.DEFAULT_ENGINE`: the NumPy array engine
+(``vector``) is the production path, and the per-peer object engine
+(``oracle``) is the readable reference and the debugging path -- the two
+are bit-identical (see docs/architecture.md), so store keys and
+documents do not depend on the choice.
 The same commands accept ``--telemetry`` (collect metrics and spans;
 persisted beside the results as a ``telemetry-*`` store document when a
 results directory is configured) and ``--trace-out PATH`` (also write
@@ -131,7 +135,7 @@ from repro.metrics.net import fabric_stats_rows, region_comparison_rows
 from repro.metrics.report import format_table
 from repro.net.library import TOPOLOGIES, get_topology, topology_names
 from repro.overlay.generator import generate_trace
-from repro.streaming.session import ENGINE_NAMES
+from repro.streaming.session import DEFAULT_ENGINE, ENGINE_NAMES
 from repro.overlay.trace import write_trace
 from repro.channels.runner import UniverseResult, run_universe
 from repro.workloads.library import (
@@ -194,9 +198,10 @@ def _add_topology_argument(parser: argparse.ArgumentParser) -> None:
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--engine`` option to a sub-command."""
     parser.add_argument("--engine", choices=sorted(ENGINE_NAMES), default=None,
-                        help="simulation core: the per-peer object engine "
-                             "('oracle') or the bit-identical NumPy array "
-                             "engine ('vector'); default: oracle")
+                        help="simulation core: the NumPy array engine "
+                             "('vector') or the bit-identical per-peer "
+                             "object engine ('oracle', the reference and "
+                             f"debugging path); default: {DEFAULT_ENGINE}")
 
 
 def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:

@@ -1,26 +1,35 @@
 """Array-native execution engine for the per-period inner loop.
 
-The oracle engine (:class:`~repro.streaming.session.SwitchSession`) spends
+This is the engine sessions run on by default
+(:data:`~repro.streaming.session.DEFAULT_ENGINE`); the oracle engine
+(:class:`~repro.streaming.session.SwitchSession`) is the readable
+per-peer reference it is differentially tested against.  The oracle spends
 most of its budget in the *decide phase*.  Its buffer maps are bitmaps (one
 Python ``int`` per pull, see :mod:`repro.streaming.buffermap`), so pulling
 and digesting them is cheap; what remains is per-candidate Python: one
 ``priority_for_view`` call, one supplier tuple and one greedy step for every
 needed segment somebody advertises.  This module replaces exactly that
-phase with NumPy struct-of-arrays passes:
+phase with **one batched NumPy pass per period**:
 
 * every node's FIFO buffer is mirrored into one shared ``peers x segments``
   boolean *presence* matrix plus an insertion-index matrix (for the FIFO
   positions the rarity term consumes), kept in sync by
   :class:`MirroredBuffer` (mutations are queued and flushed in one fancy
   assignment per period);
-* highest-known-id updates, undelivered-segment sets and candidate/supplier
-  matrices come from boolean slices of the presence matrix instead of
-  per-neighbour dict churn;
-* urgency, rarity and the priority sort are evaluated as whole-array
-  expressions whose floating-point operation order matches the scalar
-  implementation exactly (sequential per-supplier rarity products, the
-  same ``(-priority, seg_id)`` total order); peers with only a handful of
-  candidates take an allocation-free scalar shortcut instead.
+* a pre-pass visits the peers in the period's canonical order and does what
+  depends on that order or is cheapest per peer: the control-plane pulls
+  (their loss draws), switch adoption and the highest-known-id update from
+  the OR of the neighbours' bitmaps;
+* the undelivered-segment sets of *all* peers come from one ``(peer, id)``
+  grid over the presence matrix, and :func:`batched_kernel` then computes
+  supply, urgency, rarity, the priority order and the supplier bitmasks for
+  every (peer, candidate, supplier slot) triple in one flattened pass whose
+  floating-point operation order matches the scalar implementation exactly
+  (sequential per-supplier rarity products, the same ``(-priority,
+  seg_id)`` total order);
+* what stays per peer is the bitmask greedy and request assembly, fed with
+  pre-sliced Python lists, and the rate split with its four-case allocation
+  (``core.allocation``, one call per peer: its arguments hardly ever repeat).
 
 Everything else -- RNG streams, churn, the outbound ledger, request
 execution, playback, metrics -- runs the untouched oracle code, so a
@@ -30,29 +39,30 @@ algorithm configuration the vector engine produces byte-for-byte the same
 store documents as the oracle (enforced by ``tests/test_vector_equivalence.py``).
 Peers whose algorithm instance is not a plain
 :class:`~repro.core.fast_switch.FastSwitchAlgorithm` or
-:class:`~repro.core.normal_switch.NormalSwitchAlgorithm` transparently fall
-back to the scalar decide path, preserving correctness for custom
-algorithm factories.
+:class:`~repro.core.normal_switch.NormalSwitchAlgorithm` fall back to the
+scalar decide path (with one logged warning per session: it is the slow
+path), preserving correctness for custom algorithm factories.
 """
 
 from __future__ import annotations
 
+import logging
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.allocation import allocate_rates
+from repro.core.allocation import allocate_for_model
 from repro.core.base import ScheduleDecision, SegmentRequest, Stream
 from repro.core.fast_switch import FastSwitchAlgorithm
-from repro.core.model import optimal_split
 from repro.core.normal_switch import NormalSwitchAlgorithm
 from repro.core.priority import URGENCY_CAP, PriorityPolicy
 from repro.net.fabric import IdealFabric
 from repro.obs.probes import STAGE_ASSIGNED, STAGE_REQUESTED, STAGE_SCHEDULED
 from repro.obs.telemetry import get_telemetry
-from repro.streaming.buffer import SegmentBuffer
+from repro.streaming.buffer import SegmentBuffer, range_mask
 from repro.streaming.buffermap import UNBOUNDED_CAPACITY, buffer_map_bits
-from repro.streaming.peer import PeerNode
+from repro.streaming.peer import _EMPTY_RANGE, PeerNode
 from repro.streaming.session import SwitchSession
 
 __all__ = [
@@ -62,8 +72,11 @@ __all__ = [
     "vectorized_priorities",
 ]
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
+_LOG = logging.getLogger("repro.core.vector")
+
 _INF = float("inf")
+#: ``1 << slot`` for the 64 supplier slots one machine word of bitmask holds.
+_BIT_WEIGHTS = np.left_shift(np.ones(64, dtype=np.uint64), np.arange(64, dtype=np.uint64))
 
 
 class SegmentArrays:
@@ -74,7 +87,8 @@ class SegmentArrays:
     present:
         ``bool`` matrix; ``present[row, seg]`` is buffer membership.
     insert_index:
-        ``int64`` matrix of FIFO insertion counters (valid where present);
+        ``int32`` matrix of FIFO insertion counters (valid where present;
+        zero-allocated, so columns no row ever held cost no memory);
         a segment's position from the buffer tail is
         ``counter - insert_index[row, seg]`` (no out-of-order discards, the
         only removal path a session exercises).
@@ -87,7 +101,7 @@ class SegmentArrays:
 
     def __init__(self, n_rows: int, n_segments: int) -> None:
         self.present = np.zeros((max(1, n_rows), max(1, n_segments)), dtype=bool)
-        self.insert_index = np.zeros_like(self.present, dtype=np.int64)
+        self.insert_index = np.zeros(self.present.shape, dtype=np.int32)
         self.pending: Dict[Tuple[int, int], int] = {}
 
     @property
@@ -202,15 +216,17 @@ class MirroredBuffer(SegmentBuffer):
 class _Survivors:
     """Per-peer neighbourhood structure for one decide pass.
 
-    Under the ideal fabric (no per-message draws, nothing ever dropped)
-    these are cached between periods and invalidated whenever session
-    membership changes; under lossy fabrics they are rebuilt every period
-    so the control-plane RNG draws happen in exactly the oracle's order.
+    Plain per-slot lists (slots follow overlay-neighbour order): the greedy
+    reads them as they are and the batched kernel concatenates them once per
+    period.  Under the ideal fabric (no per-message draws, nothing ever
+    dropped) these are cached between periods and invalidated whenever
+    session membership changes; under lossy fabrics they are rebuilt every
+    period so the control-plane RNG draws happen in exactly the oracle's
+    order.
     """
 
     __slots__ = (
-        "ids", "id_set", "rows", "rows_col", "rates", "rates_col", "transfers",
-        "caps", "caps_col", "buffers", "wire_bits",
+        "ids", "id_set", "rows", "rates", "transfers", "caps", "buffers", "wire_bits",
     )
 
     def __init__(
@@ -222,17 +238,19 @@ class _Survivors:
     ) -> None:
         self.ids = ids
         self.id_set = frozenset(ids)
-        self.rows = np.array([b.row for b in buffers], dtype=np.intp)
-        self.rows_col = self.rows[:, None]
+        self.rows = [b.row for b in buffers]
         self.rates = rates
-        self.rates_col = np.array(rates, dtype=np.float64)[:, None]
         self.transfers = [1.0 / rate if rate > 0 else _INF for rate in rates]
         self.caps = [
             b.capacity if b.capacity is not None else UNBOUNDED_CAPACITY for b in buffers
         ]
-        self.caps_col = np.array(self.caps, dtype=np.int64)[:, None]
         self.buffers = buffers
         self.wire_bits = wire_bits
+
+
+#: One vectorised peer of a period: the peer, its surviving neighbourhood and
+#: the (pre-adoption) interest windows its neighbours' maps were clipped to.
+_Job = Tuple[PeerNode, _Survivors, List[Tuple[int, int]]]
 
 
 class VectorSwitchSession(SwitchSession):
@@ -253,6 +271,7 @@ class VectorSwitchSession(SwitchSession):
         self._next_row = 0
         self._survivor_cache: Dict[int, _Survivors] = {}
         self._cached_alive: Optional[set] = None
+        self._fallback_warned = False
         super().__init__(config, **kwargs)
         self._vectorize()
 
@@ -272,10 +291,8 @@ class VectorSwitchSession(SwitchSession):
         self._source_wire_bits = buffer_map_bits(600)
         self._capacity_cache: Dict[int, int] = {}
         self._ideal_fabric = type(self.fabric) is IdealFabric
-        self._rank_recip = 1.0 / (1.0 + np.arange(1024, dtype=np.float64))
-        self._bit_weights = np.left_shift(
-            np.ones(64, dtype=np.uint64), np.arange(64, dtype=np.uint64)
-        )
+        #: the normal algorithm's rank priorities ``1 / (1 + rank)``
+        self._rank_priorities: List[float] = []
         for node_id in sorted(self.sources):
             self._mirror_node(self.sources[node_id])
         for node_id in sorted(self.peers):
@@ -297,6 +314,16 @@ class VectorSwitchSession(SwitchSession):
     # the vector decide phase
     # ------------------------------------------------------------------ #
     def _decide_phase(self, order: Sequence[int], now: float) -> Dict[int, ScheduleDecision]:
+        """Pre-pass in canonical order, then one array pass per period.
+
+        Peers never read each other's decide-phase state, so only what
+        draws randomness -- the control-plane pulls -- has to happen peer by
+        peer in ``order``.  The pre-pass does that together with the cheap
+        scalar knowledge updates (switch adoption, highest known ids from
+        the OR-ed neighbour bitmaps); wanted sets, supply, priorities, the
+        priority order and the supplier bitmasks of *all* peers then come
+        from one batched kernel (one per algorithm configuration present).
+        """
         self._arrays.flush()
         if self._ideal_fabric:
             alive = set(self.peers)
@@ -316,58 +343,75 @@ class VectorSwitchSession(SwitchSession):
             for node_id, peer in self.peers.items()
             if peer.switch_plan is not None and peer.has_new_data
         )
+        switch_info = (self.switch_plan.id_end, self.switch_plan.id_begin)
         decisions: Dict[int, ScheduleDecision] = {}
-        vectorised = fallbacks = 0
         obs = get_telemetry()
-        probes = obs.probes
-        probing = probes.enabled
-        # Decide-phase lifecycle rows are accumulated in plain lists and
-        # batch-appended once per period, keeping the array path array-native;
-        # the rows are built from the same bit-identical SegmentRequest data
-        # the scalar engine emits from, so both streams match exactly.
-        probe_rows: List[Tuple[float, int, int, int, int, int, float]] = []
-        period = self.rounds_run
+        #: jobs by priority policy (``None``: the normal algorithm)
+        groups: Dict[Optional[PriorityPolicy], List[_Job]] = {}
         fallback_rates: Dict[int, float] = {}
-        old_err = np.seterr(divide="ignore")
-        try:
+        fallback_types: Dict[str, int] = {}
+        control_bits = 0
+        for node_id in order:
+            peer = self.peers[node_id]
+            algorithm_type = type(peer.algorithm)
+            if algorithm_type is FastSwitchAlgorithm:
+                policy = peer.algorithm.priority_policy
+            elif algorithm_type is NormalSwitchAlgorithm:
+                policy = None
+            else:
+                # Unsupported algorithm: scalar path, identical draws.
+                name = algorithm_type.__name__
+                fallback_types[name] = fallback_types.get(name, 0) + 1
+                snapshots = self._pull_buffer_maps(peer, fallback_rates, obs)
+                decisions[node_id] = peer.decide(snapshots, now)
+                continue
+            windows = peer.interest_windows()
+            survivors = self._survivors_of(peer)
+            control_bits += survivors.wire_bits
+            # Switch adoption comes before the horizon update, as in the oracle.
+            if peer.switch_plan is None and not announcers.isdisjoint(survivors.id_set):
+                peer._adopt_switch(switch_info, now)
+            # Maps advertise buffer ∩ interest windows, and the windows were
+            # computed *before* any mid-round switch adoption -- a just-adopted
+            # peer cannot see suppliers for ids outside its pre-adoption windows.
+            window = advertised = 0
+            for lo, hi in windows:
+                window |= range_mask(lo, hi)
+            for buffer in survivors.buffers:
+                advertised |= buffer._bits
+            peer._extend_horizons(advertised & window)
+            groups.setdefault(policy, []).append((peer, survivors, windows))
+        self.overhead.add_control(control_bits)
+        with np.errstate(divide="ignore"):
+            for policy, jobs in groups.items():
+                self._decide_batch(jobs, policy, decisions)
+
+        fallbacks = sum(fallback_types.values())
+        if fallbacks and not self._fallback_warned:
+            self._fallback_warned = True
+            _LOG.warning(
+                "vector engine: %d of %d peers run %s, which has no array form; "
+                "they are decided on the scalar path every period",
+                fallbacks, len(order), "/".join(sorted(fallback_types)),
+            )
+        probes = obs.probes
+        if probes.enabled:
+            # Lifecycle rows are batch-appended once per period, built from
+            # the same bit-identical SegmentRequest data (and in the same
+            # peer order) the scalar engine emits from.
+            period = self.rounds_run
+            rows: List[Tuple[float, int, int, int, int, int, float]] = []
             for node_id in order:
-                peer = self.peers[node_id]
-                algorithm_type = type(peer.algorithm)
-                if algorithm_type is FastSwitchAlgorithm:
-                    kind = "fast"
-                elif algorithm_type is NormalSwitchAlgorithm:
-                    kind = "normal"
-                else:
-                    # Unsupported algorithm: scalar path, identical draws.
-                    fallbacks += 1
-                    snapshots = self._pull_buffer_maps(peer, fallback_rates, obs)
-                    kind = ""
-                    decision = peer.decide(snapshots, now)
-                if kind:
-                    vectorised += 1
-                    decision = self._vector_decide(peer, kind, now, announcers)
-                decisions[node_id] = decision
-                if probing:
-                    for request in decision.requests:
-                        seg_id = request.seg_id
-                        supplier_id = request.supplier_id
-                        probe_rows.append(
-                            (now, period, node_id, seg_id, STAGE_REQUESTED, -1, 0.0)
-                        )
-                        probe_rows.append(
-                            (now, period, node_id, seg_id, STAGE_ASSIGNED,
-                             supplier_id, 0.0)
-                        )
-                        probe_rows.append(
-                            (now, period, node_id, seg_id, STAGE_SCHEDULED,
-                             supplier_id, request.expected_receive_time)
-                        )
-        finally:
-            np.seterr(**old_err)
-        if probe_rows:
-            probes.lifecycle.extend(probe_rows)
+                for request in decisions[node_id].requests:
+                    seg_id = request.seg_id
+                    supplier_id = request.supplier_id
+                    rows.append((now, period, node_id, seg_id, STAGE_REQUESTED, -1, 0.0))
+                    rows.append((now, period, node_id, seg_id, STAGE_ASSIGNED, supplier_id, 0.0))
+                    rows.append((now, period, node_id, seg_id, STAGE_SCHEDULED, supplier_id,
+                                 request.expected_receive_time))
+            probes.lifecycle.extend(rows)
         if obs.enabled:
-            obs.counter("engine.dispatch.vector").add(vectorised)
+            obs.counter("engine.dispatch.vector").add(len(order) - fallbacks)
             obs.counter("engine.dispatch.scalar_fallback").add(fallbacks)
         return decisions
 
@@ -401,101 +445,84 @@ class VectorSwitchSession(SwitchSession):
             )
         return _Survivors(ids, rates, buffers, wire_bits)
 
-    def _vector_decide(
-        self, peer: PeerNode, kind: str, now: float, announcers: set
-    ) -> ScheduleDecision:
+    def _decide_batch(
+        self,
+        jobs: List[_Job],
+        policy: Optional[PriorityPolicy],
+        decisions: Dict[int, ScheduleDecision],
+    ) -> None:
+        """Decide peers that share one algorithm configuration in one pass.
+
+        ``policy`` is their priority policy (fast algorithm) or ``None``
+        (normal algorithm, rank priorities).  Sets every peer's wanted sets
+        (authoritative: collectors read them) and files its decision.
+        """
         arrays = self._arrays
-        windows = peer.interest_windows()
+        table = np.array(
+            [
+                (
+                    peer.buffer.row, peer._current_playback_id(),
+                    *peer._wanted_old_range(), *peer._wanted_new_range(),
+                    *windows[0], *(windows[1] if len(windows) > 1 else _EMPTY_RANGE),
+                )
+                for peer, _, windows in jobs
+            ],
+            dtype=np.int64,
+        )
+        # -- undelivered segments: one (peer, id) grid over the ids anybody
+        #    wants; old ids precede new ones, so each peer's candidates come
+        #    out ascending with its old-stream ones first ------------------- #
+        lo = table[:, 2::2, None]  # per peer: old range, new range, two windows
+        hi = table[:, 3::2, None]
+        top = int(hi[:, :2].max())
+        bottom = int(np.where(hi[:, :2] >= lo[:, :2], lo[:, :2], top + 1).min())
+        arrays.ensure_segments(top + 1)
+        ids = np.arange(bottom, top + 1)
+        inside = (ids >= lo) & (ids <= hi)
+        missing = (inside[:, 0] | inside[:, 1]) & ~arrays.present[table[:, 0], bottom : top + 1]
+        job_of, offset = np.nonzero(missing)
+        candidates = offset + bottom
+        stops = np.cumsum(np.bincount(job_of, minlength=len(jobs))).tolist()
+        n_old = np.count_nonzero(missing & inside[:, 0], axis=1).tolist()
 
-        survivors = self._survivors_of(peer)
-        if survivors.wire_bits:
-            self.overhead.add_control(survivors.wire_bits)
-
-        # -- switch adoption (before horizon classification, as the oracle) -- #
-        if peer.switch_plan is None and not announcers.isdisjoint(survivors.id_set):
-            peer._adopt_switch((self.switch_plan.id_end, self.switch_plan.id_begin), now)
-
-        plan = peer.switch_plan
-        id_end = plan.id_end if plan is not None else None
-        id_begin = plan.id_begin if plan is not None else None
-
-        # -- highest-known-id updates from the windowed availability ------- #
-        # The highest-known markers only ever grow, so each scan can start
-        # past the current marker; once the old marker reaches ``id_end``
-        # (its cap) the old-range scan is skipped outright.
-        present = arrays.present
-        rows = survivors.rows
-        hk_old_capped = id_end is not None and peer.highest_known_old == id_end
-        for lo, hi in windows:
-            if hi < lo:
-                continue
-            if id_begin is None:
-                top = _scan_top(present, rows, lo, hi, peer.highest_known_old)
-                if top is not None:
-                    peer.highest_known_old = top
+        priorities, order, masks = batched_kernel(
+            arrays,
+            [survivors for _, survivors, _ in jobs],
+            candidates,
+            job_of,
+            (inside[:, 2] | inside[:, 3])[missing],
+            table[:, 1],
+            np.array([peer.play_rate for peer, _, _ in jobs]),
+            policy,
+        )
+        candidates = candidates.tolist()
+        start = 0
+        for (peer, survivors, _), stop, old in zip(jobs, stops, n_old):
+            split = start + old
+            peer.wanted_old = set(candidates[start:split])
+            peer.wanted_new = set(candidates[split:stop])
+            capacity = self._capacity_of(peer)
+            if capacity <= 0 or not survivors.ids or not any(masks[start:stop]):
+                # No capacity, no live neighbours or nothing wanted that
+                # anybody advertises: every algorithm branch collapses to an
+                # all-defaults empty decision.
+                decisions[peer.node_id] = ScheduleDecision(requests=())
+            elif policy is None:
+                decisions[peer.node_id] = self._normal_finish(
+                    peer, capacity, survivors, candidates[start:stop], masks[start:stop], old
+                )
             else:
-                if not hk_old_capped:
-                    old_hi = min(hi, id_end)
-                    if old_hi >= lo:
-                        top = _scan_top(
-                            present, rows, lo, old_hi, peer.highest_known_old
-                        )
-                        if top is not None:
-                            peer.highest_known_old = top
-                            hk_old_capped = top == id_end
-                new_lo = max(lo, id_begin)
-                if hi >= new_lo:
-                    top = _scan_top(
-                        present, rows, new_lo, hi, peer.highest_known_new
-                    )
-                    if top is not None:
-                        peer.highest_known_new = top
-
-        # -- undelivered-segment sets (authoritative: collectors read them) - #
-        own = present[peer.buffer.row]
-        playback_old = peer.playback_old
-        if playback_old.finished or peer.highest_known_old is None:
-            old_ids = _EMPTY_IDS
-        else:
-            old_ids = _missing_ids(own, playback_old.position, peer.highest_known_old)
-        old_list = old_ids.tolist()
-        peer.wanted_old = set(old_list)
-
-        playback_new = peer.playback_new
-        if plan is None:
-            new_ids = _EMPTY_IDS
-        elif playback_new is not None and playback_new.started:
-            if peer.highest_known_new is None:
-                new_ids = _EMPTY_IDS
-            else:
-                lo = playback_new.position
-                hi = min(peer.highest_known_new, lo + peer.lookahead)
-                new_ids = _missing_ids(own, lo, hi)
-        else:
-            startup = plan.startup_ids()
-            arrays.ensure_segments(startup.stop)
-            own = arrays.present[peer.buffer.row]
-            new_ids = _missing_ids(own, startup.start, startup.stop - 1)
-        new_list = new_ids.tolist()
-        peer.wanted_new = set(new_list)
-
-        # -- the scheduling decision --------------------------------------- #
-        capacity = self._capacity_of(peer)
-        n_candidates = len(old_list) + len(new_list)
-        if capacity <= 0 or n_candidates == 0 or not survivors.ids:
-            # No capacity, nothing wanted, or no live neighbours: every
-            # algorithm branch collapses to an all-defaults empty decision.
-            decision = ScheduleDecision(requests=())
-        elif kind == "fast":
-            decision = self._fast_decide(
-                peer, capacity, survivors, windows, old_ids, new_ids
-            )
-        else:
-            decision = self._normal_decide(
-                peer, capacity, survivors, windows, old_ids, new_ids
-            )
-        peer.requests_issued += len(decision.requests)
-        return decision
+                # Candidates ascend, so the kernel's stable sort on descending
+                # priority breaks ties towards earlier segments -- the same
+                # total order as sort(key=(-priority, seg_id)).
+                assigned_old, assigned_new, _ = _greedy_masks(
+                    order[start:stop], candidates[start:stop], priorities[start:stop],
+                    masks[start:stop], old, survivors, peer.tau,
+                )
+                decisions[peer.node_id] = self._fast_finish(
+                    peer, capacity, assigned_old, assigned_new
+                )
+            start = stop
 
     def _capacity_of(self, peer: PeerNode) -> int:
         capacity = self._capacity_cache.get(peer.node_id)
@@ -505,80 +532,8 @@ class VectorSwitchSession(SwitchSession):
         return capacity
 
     # ------------------------------------------------------------------ #
-    # fast switch algorithm (Algorithm 1), array form
+    # fast switch algorithm (Algorithm 1): after the greedy
     # ------------------------------------------------------------------ #
-    def _fast_decide(
-        self,
-        peer: PeerNode,
-        capacity: int,
-        survivors: _Survivors,
-        windows: Sequence[Tuple[int, int]],
-        old_ids: np.ndarray,
-        new_ids: np.ndarray,
-    ) -> ScheduleDecision:
-        n_old = old_ids.size
-        if n_old == 0:
-            candidates = new_ids
-        elif new_ids.size == 0:
-            candidates = old_ids
-        else:
-            candidates = np.concatenate((old_ids, new_ids))
-        # Snapshots advertise buffer ∩ interest windows, and the windows were
-        # computed *before* any mid-round switch adoption -- a just-adopted
-        # peer cannot see suppliers for ids outside its pre-adoption windows.
-        supply = self._arrays.present[survivors.rows_col, candidates]
-        supply &= _window_mask(candidates, windows)
-        if not supply.any():
-            return ScheduleDecision(requests=())
-
-        # Supplier-less candidates are NOT filtered out: their column mask
-        # is zero so the greedy pass skips them in O(1), and the priorities
-        # computed for them (urgency caps out on an empty supplier set)
-        # never surface because only assigned items are emitted.
-        playback_id = peer._current_playback_id()
-        policy = peer.algorithm.priority_policy
-        if policy is PriorityPolicy.PAPER:
-            counters = np.fromiter(
-                (b._counter for b in survivors.buffers),
-                np.int64,
-                count=len(survivors.buffers),
-            )[:, None]
-            positions = counters - self._arrays.insert_index[
-                survivors.rows_col, candidates
-            ]
-        else:
-            positions = None
-        priorities = vectorized_priorities(
-            candidates, supply, survivors.rates_col, positions, survivors.caps_col,
-            playback_id, peer.play_rate, policy,
-        )
-        # Candidates ascend globally (old ids all precede new ids), so a
-        # stable sort on descending priority breaks ties towards earlier
-        # segments -- the same total order as sort(key=(-priority, seg_id)).
-        order = np.argsort(-priorities, kind="stable").tolist()
-        masks = self._supplier_masks(supply)
-        # One tolist per array instead of two numpy-scalar conversions per
-        # assignment; downstream consumers (requests, store documents) then
-        # only ever see native Python ints/floats.
-        assigned_old, assigned_new, _ = _greedy_masks(
-            order, candidates.tolist(), priorities.tolist(), masks, n_old,
-            survivors, peer.tau,
-        )
-        return self._fast_finish(peer, capacity, assigned_old, assigned_new)
-
-    def _supplier_masks(self, supply: np.ndarray) -> List[int]:
-        """Each candidate's supplier set packed into one int bitmask."""
-        k = supply.shape[0]
-        if k <= 64:
-            return (
-                supply * self._bit_weights[:k, None]
-            ).sum(axis=0, dtype=np.uint64).tolist()
-        masks = [0] * supply.shape[1]
-        cols, slots = np.nonzero(supply.T)
-        for col, slot in zip(cols.tolist(), slots.tolist()):
-            masks[col] |= 1 << slot
-        return masks
-
     def _fast_finish(
         self,
         peer: PeerNode,
@@ -589,15 +544,10 @@ class VectorSwitchSession(SwitchSession):
         tau = peer.tau
         o1_rate = len(assigned_old) / tau
         o2_rate = len(assigned_new) / tau
-        split = optimal_split(
-            peer.bandwidth.inbound,
-            q1=len(peer.wanted_old),
-            q2=len(peer.wanted_new),
-            q=peer.startup_quota_old,
-            p=peer.play_rate,
+        allocation = allocate_for_model(
+            peer.bandwidth.inbound, len(peer.wanted_old), len(peer.wanted_new),
+            peer.startup_quota_old, peer.play_rate, o1_rate, o2_rate,
         )
-        allocation = allocate_rates(split, peer.bandwidth.inbound, o1_rate, o2_rate)
-
         take_old = min(len(assigned_old), int(round(allocation.i1 * tau)))
         take_new = min(len(assigned_new), int(round(allocation.i2 * tau)))
         while take_old + take_new > capacity:
@@ -617,50 +567,53 @@ class VectorSwitchSession(SwitchSession):
                     extras.sort(key=_priority_order)
                     chosen = chosen + extras[:leftover]
         chosen.sort(key=_priority_order)
-
+        peer.requests_issued += len(chosen)
         return ScheduleDecision(
             requests=tuple(_new_request(item) for item in chosen),
-            i1=allocation.i1,
-            i2=allocation.i2,
-            r1=split.r1,
-            r2=split.r2,
-            o1=o1_rate,
-            o2=o2_rate,
-            case=allocation.case,
+            i1=allocation.i1, i2=allocation.i2, r1=allocation.split.r1,
+            r2=allocation.split.r2, o1=o1_rate, o2=o2_rate, case=allocation.case,
         )
 
     # ------------------------------------------------------------------ #
-    # normal switch algorithm (baseline), array form
+    # normal switch algorithm (baseline): two greedy passes in playback order
     # ------------------------------------------------------------------ #
-    def _normal_decide(
+    def _normal_finish(
         self,
         peer: PeerNode,
         capacity: int,
         survivors: _Survivors,
-        windows: Sequence[Tuple[int, int]],
-        old_ids: np.ndarray,
-        new_ids: np.ndarray,
+        candidates: List[int],
+        masks: List[int],
+        n_old: int,
     ) -> ScheduleDecision:
+        """Rank priorities cover *all* needed ids of a pass (supplier-less
+        ones included), exactly as the scalar ``_sequential_candidates``
+        enumerates them; zero-mask candidates are skipped by the greedy."""
         tau = peer.tau
-        old_assigned, queue = self._sequential_pass(
-            survivors, windows, old_ids, tau, None, new_pass=False
+        ranks = self._rank_priorities
+        while len(ranks) < len(candidates):
+            ranks.append(1.0 / (1.0 + len(ranks)))
+        old_assigned, _, queue = _greedy_masks(
+            range(n_old), candidates, ranks, masks, n_old, survivors, tau
         )
         old_chosen = old_assigned[:capacity]
 
         if peer.algorithm.opportunistic_leftover:
             reserved_for_old = len(old_chosen)
         else:
-            reserved_for_old = min(capacity, len(peer.wanted_old))
+            reserved_for_old = min(capacity, n_old)
         remaining = capacity - reserved_for_old
         new_chosen: List[Tuple[int, float, int, float, Stream]] = []
-        if remaining > 0 and peer.wanted_new:
-            new_assigned, _ = self._sequential_pass(
-                survivors, windows, new_ids, tau, queue, new_pass=True
+        if remaining > 0 and len(candidates) > n_old:
+            _, new_assigned, _ = _greedy_masks(
+                range(len(candidates) - n_old), candidates[n_old:], ranks,
+                masks[n_old:], 0, survivors, tau, queue,
             )
             new_chosen = new_assigned[:remaining]
 
         requests = [_new_request(item) for item in old_chosen]
         requests.extend(_new_request(item) for item in new_chosen)
+        peer.requests_issued += len(requests)
         return ScheduleDecision(
             requests=tuple(requests),
             i1=len(old_chosen) / tau,
@@ -672,65 +625,151 @@ class VectorSwitchSession(SwitchSession):
             case=None,
         )
 
-    def _sequential_pass(
-        self,
-        survivors: _Survivors,
-        windows: Sequence[Tuple[int, int]],
-        needed_sorted: np.ndarray,
-        period: float,
-        initial_queue: Optional[Dict[int, float]],
-        *,
-        new_pass: bool,
-    ) -> Tuple[List[Tuple[int, float, int, float, Stream]], Dict[int, float]]:
-        """One pass of the normal algorithm: playback order, rank priorities.
 
-        Ranks are assigned over *all* needed ids (supplier-less ones
-        included), exactly as the scalar ``_sequential_candidates``
-        enumerates them; zero-mask candidates are skipped by the greedy.
-        """
-        m = needed_sorted.size
-        if m == 0:
-            return [], dict(initial_queue) if initial_queue else {}
-        supply = self._arrays.present[survivors.rows_col, needed_sorted]
-        supply &= _window_mask(needed_sorted, windows)
-        if self._rank_recip.size < m:
-            self._rank_recip = 1.0 / (
-                1.0 + np.arange(max(m, 2 * self._rank_recip.size), dtype=np.float64)
-            )
-        masks = self._supplier_masks(supply)
-        assigned_old, assigned_new, queue = _greedy_masks(
-            range(m), needed_sorted.tolist(), self._rank_recip[:m].tolist(),
-            masks, 0 if new_pass else m, survivors, period, initial_queue,
+# --------------------------------------------------------------------------- #
+# the batched per-period kernels
+# --------------------------------------------------------------------------- #
+def batched_kernel(
+    arrays: SegmentArrays,
+    survivors: Sequence[_Survivors],
+    candidates: np.ndarray,
+    job_of: np.ndarray,
+    visible: np.ndarray,
+    playback_ids: np.ndarray,
+    play_rates: np.ndarray,
+    policy: Optional[PriorityPolicy],
+) -> Tuple[Optional[List[float]], Optional[List[int]], List[int]]:
+    """Supply, priorities, priority order and supplier bitmasks of a period.
+
+    ``survivors`` / ``playback_ids`` / ``play_rates`` describe the peers
+    (*jobs*); ``candidates`` holds every peer's wanted ids back to back
+    (ascending within a peer), ``job_of`` the peer each belongs to
+    (ascending) and ``visible`` whether it lies inside that peer's interest
+    windows.  The (candidate, supplier slot) pairs are laid out *flattened*:
+    candidate ``i`` owns ``k`` consecutive elements, one per slot of its
+    peer in ascending slot order, so ragged supplier counts cost nothing
+    and the segmented reductions of :func:`vectorized_priorities` multiply
+    slots in the scalar order.
+
+    Returns ``(priorities, order, masks)`` as Python lists aligned with
+    ``candidates``: ``order`` is, per peer, the stable descending-priority
+    permutation in peer-local indices; ``masks`` packs each candidate's
+    supplier slots into one int.  Supplier-less candidates are NOT filtered
+    out: their mask is zero, so the greedy skips them in O(1) and whatever
+    priority they got never surfaces.  ``policy=None`` (rank priorities)
+    yields ``(None, None, masks)``.
+    """
+    k_of = np.array([len(s.ids) for s in survivors], dtype=np.intp)
+    k_col = k_of[job_of]
+    if not k_col.all():
+        # Peers without suppliers would own empty slot runs, which reduceat
+        # cannot express: compute the others and hand these zeros.
+        live = np.flatnonzero(k_col)
+        partial = batched_kernel(
+            arrays, survivors, candidates[live], job_of[live], visible[live],
+            playback_ids, play_rates, policy,
         )
-        return (assigned_new if new_pass else assigned_old), queue
+        return tuple(
+            None if values is None else _spread(values, live, candidates.size)
+            for values in partial
+        )
+    if candidates.size == 0:
+        return None, None, []
+    ends = np.cumsum(k_col)
+    starts = ends - k_col
+    elem_col = np.repeat(np.arange(candidates.size), k_col)
+    elem_slot = np.arange(ends[-1]) - starts[elem_col]
+    elem_flat = (np.cumsum(k_of) - k_of)[job_of][elem_col] + elem_slot
+    elem_row = _per_slot(survivors, "rows", np.intp)[elem_flat]
+    elem_cand = candidates[elem_col]
+    supply = arrays.present[elem_row, elem_cand] & visible[elem_col]
+
+    low = elem_slot < 64
+    masks = np.add.reduceat(_BIT_WEIGHTS[elem_slot & 63] * (supply & low), starts).tolist()
+    if not low.all():
+        high = np.flatnonzero(supply & ~low)
+        for col, slot in zip(elem_col[high].tolist(), elem_slot[high].tolist()):
+            masks[col] |= 1 << slot
+    if policy is None:
+        return None, None, masks
+
+    positions = None
+    if policy is PriorityPolicy.PAPER:
+        counters = np.fromiter(
+            (b._counter for s in survivors for b in s.buffers), np.int64, count=int(k_of.sum())
+        )
+        positions = counters[elem_flat] - arrays.insert_index[elem_row, elem_cand]
+    priorities = vectorized_priorities(
+        candidates,
+        supply,
+        _per_slot(survivors, "rates", np.float64)[elem_flat],
+        positions,
+        _per_slot(survivors, "caps", np.int64)[elem_flat],
+        playback_ids[job_of],
+        play_rates[job_of],
+        policy,
+        starts=starts,
+    )
+    order = np.lexsort((-priorities, job_of)) - np.searchsorted(job_of, job_of)
+    # One tolist per array instead of numpy-scalar conversions per
+    # assignment; downstream consumers (requests, store documents) then
+    # only ever see native Python ints/floats.
+    return priorities.tolist(), order.tolist(), masks
 
 
-# --------------------------------------------------------------------------- #
-# priority kernels
-# --------------------------------------------------------------------------- #
+def _spread(values: list, positions: np.ndarray, size: int) -> list:
+    """``values`` placed at ``positions`` of a zero-filled list of ``size``."""
+    out = [0] * size
+    for position, value in zip(positions.tolist(), values):
+        out[position] = value
+    return out
+
+
+def _per_slot(survivors: Sequence[_Survivors], name: str, dtype) -> np.ndarray:
+    """One per-slot attribute of every peer's survivors, concatenated."""
+    return np.fromiter(
+        chain.from_iterable(getattr(s, name) for s in survivors), dtype
+    )
+
+
 def vectorized_priorities(
     candidates: np.ndarray,
     supply: np.ndarray,
     rates_col: np.ndarray,
     positions: Optional[np.ndarray],
     caps_col: np.ndarray,
-    playback_id: int,
-    play_rate: float,
+    playback_id,
+    play_rate,
     policy: PriorityPolicy,
+    *,
+    starts: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Priorities for every candidate, replicating ``priority_for_view``.
 
     ``candidates`` is ``(m,)`` int64, ``supply`` is ``(k, m)`` bool
     (supplier slot x candidate), ``rates_col``/``caps_col`` are ``(k, 1)``
     columns, ``positions`` is the ``(k, m)`` int64 FIFO-position matrix
-    (only consulted for the PAPER policy).  Every floating-point operation
-    happens in the same order as the scalar implementation, so results are
-    bit-identical: the rarity product multiplies supplier slots in
-    ascending order, with non-suppliers contributing an exact ``* 1.0``.
+    (only consulted for the PAPER policy).  Nothing in the engine calls this
+    one-peer ``(k, m)`` form any more: it is kept as the reference the
+    property tests hold the flattened form (and ``priority_for_view``)
+    against.  With ``starts`` the slot axis is *flattened* instead (what
+    :func:`batched_kernel` passes): the four slot arrays
+    are 1-D, candidate ``i`` owns the elements from ``starts[i]`` up to
+    ``starts[i + 1]`` in ascending slot order, and ``playback_id`` /
+    ``play_rate`` may be per-candidate arrays.  Every floating-point
+    operation happens in the same order as the scalar implementation, so
+    results are bit-identical: the rarity product multiplies supplier slots
+    in ascending order, with non-suppliers contributing an exact ``* 1.0``.
     """
     if policy is PriorityPolicy.SEQUENTIAL:
         return 1.0 / (1.0 + np.maximum(candidates - playback_id, 0))
-    receive = np.where(supply, rates_col, -np.inf).max(axis=0)
+    if starts is None:
+        def over_slots(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+            return ufunc.reduce(values, axis=0)
+    else:
+        def over_slots(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+            return ufunc.reduceat(values, starts)
+    receive = over_slots(np.maximum, np.where(supply, rates_col, -np.inf))
     distance = (candidates - playback_id) / play_rate
     transfer = np.where(receive > 0, 1.0 / receive, np.inf)
     slack = distance - transfer
@@ -738,64 +777,18 @@ def vectorized_priorities(
     if policy is PriorityPolicy.URGENCY_ONLY:
         return urgency
     if policy is PriorityPolicy.TRADITIONAL_RARITY:
-        return np.maximum(urgency, 1.0 / supply.sum(axis=0))
+        return np.maximum(urgency, 1.0 / over_slots(np.add, supply.astype(np.intp)))
     clamped = np.minimum(np.maximum(positions, 1), caps_col)
     ratios = np.where(supply, clamped / caps_col, 1.0)
-    # multiply.reduce multiplies in ascending slot order, matching the
-    # scalar product loop bit for bit (float multiplication is performed
-    # pairwise left-to-right either way).
-    rarity = np.multiply.reduce(ratios, axis=0)
+    # Both reductions multiply pairwise left-to-right in ascending slot
+    # order, matching the scalar product loop bit for bit.
+    rarity = over_slots(np.multiply, ratios)
     return np.maximum(urgency, rarity)
 
 
 # --------------------------------------------------------------------------- #
-# array helpers
+# request helpers
 # --------------------------------------------------------------------------- #
-def _scan_top(
-    present: np.ndarray,
-    rows: np.ndarray,
-    lo: int,
-    hi: int,
-    current: Optional[int],
-) -> Optional[int]:
-    """Largest id in ``[lo, hi]`` any row holds, if it beats ``current``.
-
-    Returns ``None`` when nothing above ``current`` is present (so the
-    caller's marker is already up to date).  The slices clamp at the matrix
-    edge; ids beyond it cannot be present.
-    """
-    if current is not None:
-        if current >= hi:
-            return None
-        if current + 1 > lo:
-            lo = current + 1
-    if rows.size == 0:
-        return None
-    block = present[rows, lo : hi + 1]
-    if block.size == 0:
-        return None
-    hits = np.flatnonzero(block.any(axis=0))
-    if hits.size == 0:
-        return None
-    return lo + int(hits[-1])
-
-
-def _missing_ids(own: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Ids in ``[lo, hi]`` absent from the ``own`` presence row, ascending."""
-    if hi < lo:
-        return _EMPTY_IDS
-    return np.flatnonzero(~own[lo : hi + 1]) + lo
-
-
-def _window_mask(candidates: np.ndarray, windows: Sequence[Tuple[int, int]]) -> np.ndarray:
-    """Membership of each candidate in the union of interest windows."""
-    visible = np.zeros(candidates.size, dtype=bool)
-    for lo, hi in windows:
-        if hi >= lo:
-            visible |= (candidates >= lo) & (candidates <= hi)
-    return visible
-
-
 def _priority_order(item: Tuple[int, float, int, float, Stream]) -> Tuple[float, int]:
     return (-item[1], item[0])
 

@@ -35,6 +35,9 @@ from repro.streaming.segment import SwitchPlan
 
 __all__ = ["PeerNode"]
 
+#: An inclusive id range holding nothing (``hi < lo``).
+_EMPTY_RANGE: Tuple[int, int] = (0, -1)
+
 
 class PeerNode:
     """One mesh peer.
@@ -107,6 +110,9 @@ class PeerNode:
         self.playback_new: Optional[PlaybackState] = None
 
         self.switch_plan: Optional[SwitchPlan] = None
+        #: inclusive id bounds of the new stream's start-up window, fixed
+        #: when the plan is adopted (empty until then)
+        self._startup: Tuple[int, int] = _EMPTY_RANGE
         self.has_new_data = False
         self.highest_known_old: Optional[int] = None
         self.highest_known_new: Optional[int] = None
@@ -187,11 +193,17 @@ class PeerNode:
             if snap.switch_info is not None and self.switch_plan is None:
                 self._adopt_switch(snap.switch_info, now)
             advertised |= snap.bits
+        self._extend_horizons(advertised)
+        self._refresh_wanted_old()
+        self._refresh_wanted_new()
 
-        # The highest advertised id of a stream is the top bit of its part
-        # of the OR-ed maps: ids from ``id_begin`` on are the new stream's,
-        # ids up to ``id_end`` (all of them before the switch is known) the
-        # old one's.
+    def _extend_horizons(self, advertised: int) -> None:
+        """Raise the highest known ids to what the OR-ed maps advertise.
+
+        The highest advertised id of a stream is the top bit of its part of
+        the maps: ids from ``id_begin`` on are the new stream's, ids up to
+        ``id_end`` (all of them before the switch is known) the old one's.
+        """
         old_part = advertised
         if self.switch_plan is not None:
             if advertised >> self.switch_plan.id_begin:
@@ -204,9 +216,6 @@ class PeerNode:
                 self.highest_known_old or 0, old_part.bit_length() - 1
             )
 
-        self._refresh_wanted_old()
-        self._refresh_wanted_new()
-
     def _adopt_switch(self, info: Tuple[int, int], now: float) -> None:
         """Learn ``(id_end, id_begin)`` and set up the new stream's state."""
         id_end, id_begin = info
@@ -215,6 +224,8 @@ class PeerNode:
             id_begin=id_begin,
             startup_quota=self.startup_quota_new,
         )
+        startup = self.switch_plan.startup_ids()
+        self._startup = (startup.start, startup.stop - 1)
         self.discovered_switch_time = now
         assert self.playback_old is not None
         self.playback_old.last_id = id_end
@@ -234,36 +245,33 @@ class PeerNode:
         self._refresh_wanted_new()
         self._check_prepared(now)
 
-    def _refresh_wanted_old(self) -> None:
-        """Recompute the undelivered old-stream set from current knowledge."""
+    def _wanted_old_range(self) -> Tuple[int, int]:
+        """Inclusive id range the undelivered old-stream set is drawn from."""
         assert self.playback_old is not None
-        if self.playback_old.finished:
-            self.wanted_old = set()
-            return
-        hi = self.highest_known_old
-        if hi is None:
-            self.wanted_old = set()
-            return
-        self.wanted_old = set(self.buffer.missing_in_range(self.playback_old.position, hi))
+        if self.playback_old.finished or self.highest_known_old is None:
+            return _EMPTY_RANGE
+        return (self.playback_old.position, self.highest_known_old)
 
-    def _refresh_wanted_new(self) -> None:
-        """Recompute the undelivered new-stream set from current knowledge."""
+    def _wanted_new_range(self) -> Tuple[int, int]:
+        """Inclusive id range the undelivered new-stream set is drawn from."""
         if self.switch_plan is None:
-            self.wanted_new = set()
-            return
+            return _EMPTY_RANGE
         if self.playback_new is not None and self.playback_new.started:
             # Post-switch streaming of the new source: a sliding window ahead
             # of the playback position, bounded by what is known to exist.
-            hi = self.highest_known_new
-            if hi is None:
-                self.wanted_new = set()
-                return
+            if self.highest_known_new is None:
+                return _EMPTY_RANGE
             lo = self.playback_new.position
-            hi = min(hi, lo + self.lookahead)
-            self.wanted_new = set(self.buffer.missing_in_range(lo, hi))
-            return
-        startup = self.switch_plan.startup_ids()
-        self.wanted_new = set(self.buffer.missing_in_range(startup.start, startup.stop - 1))
+            return (lo, min(self.highest_known_new, lo + self.lookahead))
+        return self._startup
+
+    def _refresh_wanted_old(self) -> None:
+        """Recompute the undelivered old-stream set from current knowledge."""
+        self.wanted_old = set(self.buffer.missing_in_range(*self._wanted_old_range()))
+
+    def _refresh_wanted_new(self) -> None:
+        """Recompute the undelivered new-stream set from current knowledge."""
+        self.wanted_new = set(self.buffer.missing_in_range(*self._wanted_new_range()))
 
     # ------------------------------------------------------------------ #
     # scheduling
@@ -282,8 +290,8 @@ class PeerNode:
             lo = self.playback_new.position
             windows.append((lo, lo + self.lookahead))
         else:
-            startup = self.switch_plan.startup_ids()
-            windows.append((startup.start, startup.stop - 1 + self.lookahead // 4))
+            lo, hi = self._startup
+            windows.append((lo, hi + self.lookahead // 4))
         return windows
 
     def build_view(self, snapshots: Sequence[BufferMapSnapshot], now: float) -> LocalView:
@@ -340,7 +348,7 @@ class PeerNode:
         self.wanted_new.discard(seg_id)
         if self.switch_plan is not None and seg_id >= self.switch_plan.id_begin:
             self.has_new_data = True
-            if seg_id in self.switch_plan.startup_ids():
+            if seg_id <= self._startup[1]:
                 self.new_startup_received += 1
             self._check_prepared(now)
         else:
@@ -355,8 +363,7 @@ class PeerNode:
         """Record the prepare time once all ``Qs`` startup segments are held."""
         if self.prepared_new_time is not None or self.switch_plan is None:
             return
-        startup = self.switch_plan.startup_ids()
-        if self.buffer.contains_range(startup.start, startup.stop - 1):
+        if self.buffer.contains_range(*self._startup):
             self.prepared_new_time = now
 
     def advance_playback(self, now: float, duration: float) -> None:

@@ -81,6 +81,7 @@ __all__ = [
     "build_session_overlay",
     "ALGORITHM_FACTORIES",
     "ENGINE_NAMES",
+    "DEFAULT_ENGINE",
 ]
 
 
@@ -92,6 +93,13 @@ ALGORITHM_FACTORIES: Dict[str, Callable[[], SwitchAlgorithm]] = {
 
 #: Valid values of ``SessionConfig.engine`` (see :mod:`repro.core.vector`).
 ENGINE_NAMES: Tuple[str, ...] = ("oracle", "vector")
+
+#: The engine a session runs on unless its config (or ``--engine``) says
+#: otherwise.  The array engine executes; the per-peer object engine stays
+#: selectable as the readable reference the differential suite compares it
+#: against.  Runner, workloads, universe shards, report sweeps and the CLI
+#: all inherit this one name.
+DEFAULT_ENGINE: str = "vector"
 
 
 @dataclass(frozen=True)
@@ -278,14 +286,15 @@ class SessionConfig:
         phases (churn bursts, congestion windows) still execute and their
         QoE is measured.
     engine:
-        Which execution engine drives the per-period inner loop:
-        ``"oracle"`` (the reference per-peer object engine, default) or
-        ``"vector"`` (the NumPy struct-of-arrays engine in
-        :mod:`repro.core.vector`).  Both produce bit-identical results --
-        the vector engine is a pure performance substitution verified by
-        the differential suite in ``tests/test_vector_equivalence.py`` --
-        so the choice is an execution detail: it never enters result
-        fingerprints or stored documents.
+        Which execution engine drives the per-period inner loop; one of
+        :data:`ENGINE_NAMES`, defaulting to :data:`DEFAULT_ENGINE`.
+        ``"vector"`` is the NumPy struct-of-arrays engine in
+        :mod:`repro.core.vector` (the production path); ``"oracle"`` is the
+        per-peer object engine, the readable reference and the debugging
+        path.  Both produce bit-identical results, verified by the
+        differential suite in ``tests/test_vector_equivalence.py``, so the
+        choice is an execution detail: it never enters result fingerprints
+        or stored documents.
     topology:
         Name of a library network topology (:mod:`repro.net.library`).
         Empty (the default) runs on the zero-latency, lossless
@@ -329,7 +338,7 @@ class SessionConfig:
     peer_classes: Tuple[PeerClass, ...] = ()
     run_full_horizon: bool = False
     topology: str = ""
-    engine: str = "oracle"
+    engine: str = DEFAULT_ENGINE
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINE_NAMES:
@@ -443,7 +452,7 @@ class SwitchSession:
         if (
             cls is SwitchSession
             and config is not None
-            and getattr(config, "engine", "oracle") == "vector"
+            and getattr(config, "engine", DEFAULT_ENGINE) == "vector"
         ):
             from repro.core.vector import VectorSwitchSession
 

@@ -311,8 +311,9 @@ def segment_config(
     """The session configuration of one switch segment of ``spec``.
 
     ``engine`` selects the simulation core (``"oracle"`` or ``"vector"``);
-    ``None`` defers to a spec override or the session default.  The choice
-    never enters fingerprints -- both engines are bit-identical.
+    ``None`` defers to a spec override or the session's
+    :data:`~repro.streaming.session.DEFAULT_ENGINE`.  The choice never
+    enters fingerprints -- both engines are bit-identical.
     """
     base_churn = ChurnConfig(
         leave_fraction=spec.base_leave_fraction,
@@ -445,8 +446,9 @@ class WorkloadRunner:
         instead of simulating.
     engine:
         Simulation core used for fresh repetitions (``"oracle"`` or
-        ``"vector"``; ``None`` defers to spec/session defaults).  Engines
-        are bit-identical, so the choice does not rotate store keys and
+        ``"vector"``; ``None`` defers to a spec override or
+        :data:`~repro.streaming.session.DEFAULT_ENGINE`).  Engines are
+        bit-identical, so the choice does not rotate store keys and
         replays stay valid either way.
     """
 

@@ -13,7 +13,10 @@ hypothesis-generated inputs far outside what any shipped scenario reaches:
 * :func:`_greedy_masks` -- the bitmask supplier-allocation pass must
   reproduce ``greedy_supplier_assignment`` (``core/scheduler.py``),
   including queue carry-over between passes, which is how the engine
-  replicates the two-pass budget allocation built on ``core/allocation.py``.
+  replicates the two-pass budget allocation built on ``core/allocation.py``;
+* :func:`batched_kernel` -- the flattened per-period pass must equal one
+  :func:`vectorized_priorities` call per peer (priorities, stable priority
+  order, supplier bitmasks) on ragged supplier / candidate counts.
 
 All equality assertions are exact (``==`` on floats): any re-association
 of floating-point work in the kernels is a bug, not noise.
@@ -35,6 +38,7 @@ from repro.core.vector import (
     SegmentArrays,
     _greedy_masks,
     _Survivors,
+    batched_kernel,
     vectorized_priorities,
 )
 from repro.streaming.buffer import SegmentBuffer
@@ -398,3 +402,78 @@ def test_greedy_masks_stream_split_tags(case, data):
     assert [seg for seg, *_ in assigned_new] == [
         seg for seg in scalar_order if seg not in old_ids
     ]
+
+
+# --------------------------------------------------------------------------- #
+# the batched per-period kernel vs one vectorized_priorities call per peer
+# --------------------------------------------------------------------------- #
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    supplier_counts=st.lists(st.integers(0, 12), min_size=0, max_size=4),
+    policy=st.sampled_from([None, *PriorityPolicy]),
+)
+def test_batched_kernel_matches_per_peer_kernels(seed, supplier_counts, policy):
+    """Ragged peers in one flattened pass: every example also carries a
+    peer without suppliers and one with more than 64 (multi-word bitmasks)."""
+    rng = np.random.default_rng(seed)
+    supplier_counts = [0, int(rng.integers(65, 80)), *supplier_counts]
+    rng.shuffle(supplier_counts)
+    n_segments = 48
+    arrays = SegmentArrays(80, n_segments)
+    pool = [MirroredBuffer(int(rng.integers(1, 30)), arrays, row) for row in range(80)]
+    for buffer in pool:
+        for seg_id in rng.integers(0, n_segments, size=rng.integers(0, 40)).tolist():
+            buffer.insert(seg_id)
+    arrays.flush()
+
+    survivors, candidates, job_of, visible = [], [], [], []
+    for job, k in enumerate(supplier_counts):
+        slots = rng.choice(len(pool), size=k, replace=False).tolist()
+        rates = np.round(rng.random(k) * rng.choice([0.0, 8.0, 25.0], size=k), 3).tolist()
+        survivors.append(_Survivors(slots, rates, [pool[slot] for slot in slots], 0))
+        # the supplier-less peers always want something: their (empty) slot
+        # runs must not disturb the peers before and after them
+        density = rng.choice([0.0, 0.1, 0.5]) if k else 0.5
+        wanted = np.flatnonzero(rng.random(n_segments) < density)
+        candidates.extend(wanted.tolist())
+        job_of.extend([job] * wanted.size)
+        visible.extend((rng.random(wanted.size) < 0.8).tolist())
+    playback_ids = rng.integers(0, n_segments, size=len(supplier_counts))
+    play_rates = rng.choice([0.5, 10.0, 12.5], size=len(supplier_counts))
+    candidates = np.array(candidates, dtype=np.int64)
+    job_of = np.array(job_of, dtype=np.intp)
+    visible = np.array(visible, dtype=bool)
+
+    with np.errstate(divide="ignore"):
+        priorities, order, masks = batched_kernel(
+            arrays, survivors, candidates, job_of, visible, playback_ids, play_rates, policy
+        )
+        assert len(masks) == candidates.size
+        for job, entry in enumerate(survivors):
+            mine = np.flatnonzero(job_of == job)
+            if not entry.ids or mine.size == 0:
+                continue  # a supplier-less peer's outputs are never read
+            lo, hi = int(mine[0]), int(mine[-1]) + 1
+            rows = np.array(entry.rows)[:, None]
+            supply = arrays.present[rows, candidates[lo:hi]] & visible[lo:hi]
+            assert masks[lo:hi] == [
+                sum(1 << slot for slot in np.flatnonzero(column).tolist())
+                for column in supply.T
+            ]
+            if policy is None:
+                assert priorities is None and order is None
+                continue
+            counters = np.array([b._counter for b in entry.buffers])[:, None]
+            expected = vectorized_priorities(
+                candidates[lo:hi],
+                supply,
+                np.array(entry.rates)[:, None],
+                counters - arrays.insert_index[rows, candidates[lo:hi]],
+                np.array(entry.caps)[:, None],
+                int(playback_ids[job]),
+                float(play_rates[job]),
+                policy,
+            )
+            assert priorities[lo:hi] == expected.tolist()
+            assert order[lo:hi] == np.argsort(-expected, kind="stable").tolist()

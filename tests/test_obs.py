@@ -268,7 +268,7 @@ def test_store_access_is_counted_when_enabled(tmp_path):
 # --------------------------------------------------------------------------- #
 def test_session_run_emits_phase_spans_and_counters(tiny_config):
     with telemetry_session() as telemetry:
-        SwitchSession(tiny_config).run()
+        SwitchSession(replace(tiny_config, engine="oracle")).run()
     snapshot = telemetry.snapshot()
     for name in ("session.run", "engine.run", "period.decide",
                  "period.exchange", "period.flush"):

@@ -17,17 +17,29 @@ and full-horizon recording variants.
 from __future__ import annotations
 
 import json
+import logging
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import normalized_run_document, run_engine_pair, store_documents
 
 from repro.churn.model import ChurnConfig
+from repro.core.fast_switch import FastSwitchAlgorithm
+from repro.core.priority import PriorityPolicy
 from repro.experiments.config import make_session_config
 from repro.experiments.runner import run_pair
 from repro.experiments.store import ResultStore
-from repro.streaming.session import ENGINE_NAMES, SwitchSession
+from repro.streaming.session import (
+    DEFAULT_ENGINE,
+    ENGINE_NAMES,
+    PeriodDirective,
+    SwitchSession,
+)
 from repro.workloads.library import (
+    IPTV_CLASSES,
     get_universe,
     get_workload,
     universe_names,
@@ -107,9 +119,15 @@ def test_topology_documents_identical(topology, algorithm):
 # --------------------------------------------------------------------------- #
 # every shipped workload script
 # --------------------------------------------------------------------------- #
+#: ``flash-crowd`` grows 30 % per period for ten periods (x13.8), so it is
+#: replayed from a smaller seed population: the rush still takes the mesh
+#: past 150 peers, at a third of the peer-periods.
+_WORKLOAD_SIZES = {"flash-crowd": 12}
+
+
 @pytest.mark.parametrize("name", workload_names())
 def test_workload_rep_identical(name):
-    spec = get_workload(name).scaled_to(30)
+    spec = get_workload(name).scaled_to(_WORKLOAD_SIZES.get(name, 30))
     oracle = rep_to_dict(run_workload_rep(spec, 3, engine="oracle"))
     vector = rep_to_dict(run_workload_rep(spec, 3, engine="vector"))
     assert json.dumps(oracle, sort_keys=True) == json.dumps(
@@ -134,7 +152,9 @@ def test_workload_store_documents_identical(tmp_path):
 # --------------------------------------------------------------------------- #
 def test_lineup_universe_rep_identical():
     spec = get_universe("lineup-mini").scaled_to(n_channels=3, n_viewers=60)
-    oracle = universe_rep_to_dict(run_universe_rep(spec, 5))
+    oracle = universe_rep_to_dict(
+        run_universe_rep(spec, 5, compute_engine="oracle")
+    )
     vector = universe_rep_to_dict(
         run_universe_rep(spec, 5, compute_engine="vector")
     )
@@ -160,6 +180,96 @@ def test_universe_names_include_lineups():
 
 
 # --------------------------------------------------------------------------- #
+# generated configurations (beyond the fixed cases above)
+# --------------------------------------------------------------------------- #
+@st.composite
+def generated_sessions(draw):
+    """A small session configuration plus a scripted three-period burst."""
+    config = make_session_config(
+        draw(st.integers(8, 48)),
+        seed=draw(st.integers(0, 10_000)),
+        dynamic=draw(st.booleans()),
+        topology=draw(st.sampled_from(["", "metro", "lossy-edge"])),
+        warmup=draw(st.sampled_from(["analytic", "simulated"])),
+        warmup_duration=8.0,
+        peer_classes=draw(st.sampled_from([(), IPTV_CLASSES])),
+        max_time=40.0,
+        old_stream_segments=300,
+        lookahead=draw(st.sampled_from([60, 120])),
+        run_full_horizon=draw(st.booleans()),
+    )
+    burst_start = draw(st.integers(2, 12))
+    burst = PeriodDirective(
+        leave_fraction=draw(st.sampled_from([None, 0.0, 0.2])),
+        join_count=draw(st.sampled_from([None, 0, 5])),
+        bandwidth_scale=draw(st.sampled_from([1.0, 0.5])),
+        fail_fraction=draw(st.sampled_from([0.0, 0.15])),
+        phase="burst",
+    )
+    return config, {burst_start + offset: burst for offset in range(3)}
+
+
+@pytest.mark.parametrize(
+    "policy", [None, *PriorityPolicy], ids=lambda p: "normal" if p is None else p.name
+)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(case=generated_sessions())
+def test_generated_sessions_documents_identical(policy, case):
+    """``policy=None`` is the normal algorithm; the rest are the fast
+    algorithm under each priority policy."""
+    config, directives = case
+    if policy is None:
+        config, factory = replace(config, algorithm="normal"), None
+    else:
+        def factory():
+            return FastSwitchAlgorithm(priority_policy=policy)
+    oracle, vector = (
+        normalized_run_document(
+            SwitchSession(
+                replace(config, engine=engine),
+                algorithm_factory=factory,
+                directives=directives,
+            ).run()
+        )
+        for engine in ("oracle", "vector")
+    )
+    assert oracle == vector
+
+
+# --------------------------------------------------------------------------- #
+# the slow path is loud: scalar fallback under a custom algorithm factory
+# --------------------------------------------------------------------------- #
+class _CustomAlgorithm(FastSwitchAlgorithm):
+    """Not *exactly* a library algorithm, so the array engine cannot assume
+    its ``schedule`` and decides these peers on the scalar path."""
+
+
+def test_scalar_fallback_warns_once_per_session(caplog):
+    config = _tiny(engine="vector", max_time=30.0)
+    session = SwitchSession(config, algorithm_factory=_CustomAlgorithm)
+    with caplog.at_level(logging.WARNING, logger="repro.core.vector"):
+        result = session.run()
+    assert session.rounds_run > 1
+    warnings = [r for r in caplog.records if r.name == "repro.core.vector"]
+    assert len(warnings) == 1
+    message = warnings[0].getMessage()
+    assert "_CustomAlgorithm" in message
+    assert f"{config.n_nodes - 2} of {config.n_nodes - 2} peers" in message
+    # the fallback is a slow path, not a different result
+    oracle = SwitchSession(
+        replace(config, engine="oracle"), algorithm_factory=_CustomAlgorithm
+    ).run()
+    assert normalized_run_document(result) == normalized_run_document(oracle)
+
+
+@pytest.mark.parametrize("algorithm", ["fast", "normal"])
+def test_library_algorithms_log_nothing(caplog, algorithm):
+    with caplog.at_level(logging.DEBUG, logger="repro"):
+        SwitchSession(_tiny(engine="vector", algorithm=algorithm, max_time=30.0)).run()
+    assert [r for r in caplog.records if r.name.startswith("repro.core")] == []
+
+
+# --------------------------------------------------------------------------- #
 # engine selection surface
 # --------------------------------------------------------------------------- #
 def test_unknown_engine_rejected():
@@ -170,10 +280,11 @@ def test_unknown_engine_rejected():
 def test_vector_session_class_dispatch():
     from repro.core.vector import VectorSwitchSession
 
-    session = SwitchSession(_tiny(engine="vector"))
-    assert type(session) is VectorSwitchSession
-    oracle_session = SwitchSession(_tiny())
-    assert type(oracle_session) is SwitchSession
+    assert type(SwitchSession(_tiny(engine="vector"))) is VectorSwitchSession
+    assert type(SwitchSession(_tiny(engine="oracle"))) is SwitchSession
+    # a config that names no engine runs on the declared default
+    assert _tiny().engine == DEFAULT_ENGINE
+    assert DEFAULT_ENGINE in ENGINE_NAMES
 
 
 def test_documents_exercise_round_payloads():
