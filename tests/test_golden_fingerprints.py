@@ -33,7 +33,10 @@ from repro.experiments.store import (
     stable_hash,
 )
 from repro.net.library import get_topology
-from repro.streaming.session import SwitchSession
+from repro.obs.telemetry import telemetry_session
+from repro.sim.engine import SimulationEngine
+from repro.streaming.bandwidth import PeerClass
+from repro.streaming.session import PeriodDirective, SwitchSession
 from repro.workloads.library import get_universe, get_workload
 from repro.workloads.runner import (
     rep_to_dict,
@@ -104,20 +107,82 @@ def test_universe_fingerprint_golden():
 # --------------------------------------------------------------------------- #
 # document-content goldens (simulation behaviour pinned bit for bit)
 # --------------------------------------------------------------------------- #
+#: Paths the reference session does not reach: churn over a lossy, delayed
+#: fabric; the simulated warm-up; bandwidth classes with a region pin (set-up
+#: and joiners); a scripted environment on a *shared* engine, collected
+#: through ``finalize()``.
+_CHURN_WAN = dict(dynamic=True, topology="transcontinental")
+_SIMULATED_WARMUP = dict(warmup="simulated", warmup_duration=20.0)
+_CLASSES_PINNED = dict(
+    dynamic=True,
+    topology="metro",
+    peer_classes=(
+        PeerClass("adsl", 0.5, 10.0, 14.0, 11.0, 10.0, 14.0, 11.0, region="exurbs"),
+        PeerClass("fiber", 0.5, 18.0, 33.0, 24.0, 18.0, 33.0, 24.0),
+    ),
+)
+_SCRIPTED_SHARED = dict(max_time=20.0, run_full_horizon=True, topology="metro")
+_SCRIPT = {
+    3: PeriodDirective(fail_fraction=0.15),
+    5: PeriodDirective(leave_count=4, join_count=3),
+    6: PeriodDirective(bandwidth_scale=0.5),
+    8: PeriodDirective(bandwidth_scale=0.5, join_count=2),
+}
+
+
+def _golden_result(config, *, scripted=False):
+    if not scripted:
+        return SwitchSession(config).run()
+    engine = SimulationEngine()
+    session = SwitchSession(config, directives=_SCRIPT, engine=engine)
+    engine.run_until(config.max_time + config.tau)
+    return session.finalize()
+
+
 @pytest.mark.parametrize(
-    "algorithm,expected",
+    "algorithm,expected,overrides",
     [
-        ("fast", "d8029d02f407d60bb31207cb"),
-        ("normal", "cf480a4281437f11d87c1a09"),
+        pytest.param("fast", "d8029d02f407d60bb31207cb", {},
+                     id="fast-d8029d02f407d60bb31207cb"),
+        pytest.param("normal", "cf480a4281437f11d87c1a09", {},
+                     id="normal-cf480a4281437f11d87c1a09"),
+        pytest.param("fast", "8ad189f0a3c4e07192acd149", _CHURN_WAN, id="fast-churn-wan"),
+        pytest.param("normal", "7cd128982b53876d83ca4989", _CHURN_WAN, id="normal-churn-wan"),
+        pytest.param("fast", "0527ebaf4e2b0f696774bb56", _SIMULATED_WARMUP,
+                     id="fast-simulated-warmup"),
+        pytest.param("normal", "3d13ee66cf2d0ead19cc0681", _SIMULATED_WARMUP,
+                     id="normal-simulated-warmup"),
+        pytest.param("fast", "9e3dd61d09d741abd0185b82", _CLASSES_PINNED,
+                     id="fast-classes-region-pin"),
+        pytest.param("normal", "9625c16be5641f7bf501acdd", _CLASSES_PINNED,
+                     id="normal-classes-region-pin"),
+        pytest.param("fast", "80451e0e8019a79fb3727087", _SCRIPTED_SHARED,
+                     id="fast-scripted-shared-engine"),
+        pytest.param("normal", "eaced4b8c0aacf6bcf2b280b", _SCRIPTED_SHARED,
+                     id="normal-scripted-shared-engine"),
     ],
 )
 @pytest.mark.parametrize("engine", ["oracle", "vector"])
-def test_run_document_content_golden(algorithm, expected, engine):
-    """The normalised run document of the reference session is pinned --
-    under both engines, which by contract hash identically."""
-    config = _golden_config(algorithm=algorithm, engine=engine)
-    document = normalized_run_document(SwitchSession(config).run())
-    assert stable_hash(document) == expected
+def test_run_document_content_golden(algorithm, expected, overrides, engine):
+    """The normalised run document of the reference session -- and of the
+    variants above -- is pinned under both engines, which by contract hash
+    identically."""
+    config = _golden_config(algorithm=algorithm, engine=engine, **overrides)
+    result = _golden_result(config, scripted=overrides is _SCRIPTED_SHARED)
+    assert stable_hash(normalized_run_document(result)) == expected
+
+
+@pytest.mark.parametrize("engine", ["oracle", "vector"])
+def test_probe_stream_content_golden(engine):
+    """Probe output is pinned too, row order included: every lifecycle row
+    (requested / assigned / scheduled / dropped / delivered, immediate and
+    delayed / played / missed), the start-up funnel and the per-period
+    health series of the churn-over-WAN session."""
+    with telemetry_session(probes=True) as telemetry:
+        SwitchSession(_golden_config(engine=engine, **_CHURN_WAN)).run()
+    probes = telemetry.probes
+    document = {"lifecycle": probes.lifecycle.rows(), "snapshot": probes.snapshot()}
+    assert stable_hash(document) == "ceb53ce05f070f3953a11b76"
 
 
 def test_workload_document_content_golden():
