@@ -573,6 +573,12 @@ class UniverseSession:
                 aggregator.fold_unit(
                     algorithm, outcome.decile, unit_aggregate(samples, outcome.unfinished)
                 )
+        # Detach every mesh from the shared engine and drop what is still
+        # queued (deliveries in flight past the horizon): nothing then keeps
+        # the sessions alive beyond this object.
+        for session in self.sessions.values():
+            session.close()
+        self.engine.queue.clear()
         return _rep_result(self.plan, outcomes, aggregates=aggregator.to_dict())
 
 

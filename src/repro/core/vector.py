@@ -1,15 +1,18 @@
-"""Array-native execution engine for the per-period inner loop.
+"""Array-native execution engine for the decide phase of a period.
 
 This is the engine sessions run on by default
-(:data:`~repro.streaming.session.DEFAULT_ENGINE`); the oracle engine
-(:class:`~repro.streaming.session.SwitchSession`) is the readable
-per-peer reference it is differentially tested against.  The oracle spends
-most of its budget in the *decide phase*.  Its buffer maps are bitmaps (one
-Python ``int`` per pull, see :mod:`repro.streaming.buffermap`), so pulling
-and digesting them is cheap; what remains is per-candidate Python: one
-``priority_for_view`` call, one supplier tuple and one greedy step for every
-needed segment somebody advertises.  This module replaces exactly that
-phase with **one batched NumPy pass per period**:
+(:data:`~repro.streaming.session.DEFAULT_ENGINE`).  A session is one
+:class:`~repro.streaming.session.SwitchSession` whatever the engine; what
+``SessionConfig.engine`` selects is its *decider*, and this module provides
+:class:`VectorDecider`, the array form of the readable per-peer reference
+(:class:`~repro.streaming.session.OracleDecider`) it is differentially
+tested against.  The reference spends most of its budget deciding.  Its
+buffer maps are bitmaps (one Python ``int`` per pull, see
+:mod:`repro.streaming.buffermap`), so pulling and digesting them is cheap;
+what remains is per-candidate Python: one ``priority_for_view`` call, one
+supplier tuple and one greedy step for every needed segment somebody
+advertises.  This module replaces exactly that with **one batched NumPy
+pass per period**:
 
 * every node's FIFO buffer is mirrored into one shared ``peers x segments``
   boolean *presence* matrix plus an insertion-index matrix (for the FIFO
@@ -18,8 +21,8 @@ phase with **one batched NumPy pass per period**:
   assignment per period);
 * a pre-pass visits the peers in the period's canonical order and does what
   depends on that order or is cheapest per peer: the control-plane pulls
-  (their loss draws), switch adoption and the highest-known-id update from
-  the OR of the neighbours' bitmaps;
+  (the session's one neighbour walk, with its loss draws), switch adoption
+  and the highest-known-id update from the OR of the neighbours' bitmaps;
 * the undelivered-segment sets of *all* peers come from one ``(peer, id)``
   grid over the presence matrix, and :func:`batched_kernel` then computes
   supply, urgency, rarity, the priority order and the supplier bitmasks for
@@ -32,16 +35,15 @@ phase with **one batched NumPy pass per period**:
   (``core.allocation``, one call per peer: its arguments hardly ever repeat).
 
 Everything else -- RNG streams, churn, the outbound ledger, request
-execution, playback, metrics -- runs the untouched oracle code, so a
-:class:`VectorSwitchSession` is a drop-in subclass that overrides only
-``_decide_phase``.  The contract is **bit-identity**: for every supported
-algorithm configuration the vector engine produces byte-for-byte the same
-store documents as the oracle (enforced by ``tests/test_vector_equivalence.py``).
-Peers whose algorithm instance is not a plain
-:class:`~repro.core.fast_switch.FastSwitchAlgorithm` or
-:class:`~repro.core.normal_switch.NormalSwitchAlgorithm` fall back to the
-scalar decide path (with one logged warning per session: it is the slow
-path), preserving correctness for custom algorithm factories.
+execution, playback, metrics, probes -- is the session's period pipeline,
+shared by both deciders.  The contract is **bit-identity**: for every
+supported algorithm configuration the vector engine produces byte-for-byte
+the same store documents as the oracle (enforced by
+``tests/test_vector_equivalence.py``).  Peers whose algorithm instance is
+not a plain :class:`~repro.core.fast_switch.FastSwitchAlgorithm` or
+:class:`~repro.core.normal_switch.NormalSwitchAlgorithm` are decided by the
+reference's per-peer step (with one logged warning per session: it is the
+slow path), preserving correctness for custom algorithm factories.
 """
 
 from __future__ import annotations
@@ -58,17 +60,16 @@ from repro.core.fast_switch import FastSwitchAlgorithm
 from repro.core.normal_switch import NormalSwitchAlgorithm
 from repro.core.priority import URGENCY_CAP, PriorityPolicy
 from repro.net.fabric import IdealFabric
-from repro.obs.probes import STAGE_ASSIGNED, STAGE_REQUESTED, STAGE_SCHEDULED
 from repro.obs.telemetry import get_telemetry
 from repro.streaming.buffer import SegmentBuffer, range_mask
-from repro.streaming.buffermap import UNBOUNDED_CAPACITY, buffer_map_bits
+from repro.streaming.buffermap import UNBOUNDED_CAPACITY
 from repro.streaming.peer import _EMPTY_RANGE, PeerNode
-from repro.streaming.session import SwitchSession
+from repro.streaming.session import OracleDecider, PeriodState, SwitchSession
+from repro.streaming.source import SourceNode
 
 __all__ = [
     "SegmentArrays",
     "MirroredBuffer",
-    "VectorSwitchSession",
     "vectorized_priorities",
 ]
 
@@ -218,11 +219,8 @@ class _Survivors:
 
     Plain per-slot lists (slots follow overlay-neighbour order): the greedy
     reads them as they are and the batched kernel concatenates them once per
-    period.  Under the ideal fabric (no per-message draws, nothing ever
-    dropped) these are cached between periods and invalidated whenever
-    session membership changes; under lossy fabrics they are rebuilt every
-    period so the control-plane RNG draws happen in exactly the oracle's
-    order.
+    period.  Built from the session's neighbour walk
+    (:meth:`VectorDecider._survivors_of`).
     """
 
     __slots__ = (
@@ -253,81 +251,76 @@ class _Survivors:
 _Job = Tuple[PeerNode, _Survivors, List[Tuple[int, int]]]
 
 
-class VectorSwitchSession(SwitchSession):
-    """:class:`SwitchSession` with the array-native decide phase.
+class VectorDecider:
+    """The array-native decider (``SessionConfig.engine == "vector"``).
 
-    Constructed automatically by ``SwitchSession(config)`` whenever
-    ``config.engine == "vector"``; accepts exactly the same arguments.
-    After the (scalar) setup completes, every node's buffer is swapped for
-    a :class:`MirroredBuffer` bound to a row of the shared
-    :class:`SegmentArrays`, and ``_decide_phase`` is overridden with the
-    vector implementation.  All other phases -- churn, generation, request
-    execution, deliveries, playback, metrics -- run the oracle's code
-    unchanged, and RNG consumption is draw-for-draw identical.
+    The array form of :class:`~repro.streaming.session.OracleDecider`'s two
+    calls.  :meth:`adopt` notes a node the session created; before the next
+    decide pass its buffer is swapped for a :class:`MirroredBuffer` bound to
+    a row of the shared :class:`SegmentArrays` (in one bulk copy, so the
+    warm-up's seeding stays the scalar fast path).  :meth:`decide` is the
+    batched pass described in the module docstring.  Every other phase of a
+    period is the session's own code, and RNG consumption is draw-for-draw
+    that of the reference: the pulls go through the session's one neighbour
+    walk.  The decider keeps no reference to the session.
     """
 
-    def __init__(self, config, **kwargs) -> None:
+    def __init__(self) -> None:
         self._arrays: Optional[SegmentArrays] = None
+        #: adopted nodes whose buffer is not mirrored yet
+        self._unmirrored: List["PeerNode | SourceNode"] = []
         self._next_row = 0
         self._survivor_cache: Dict[int, _Survivors] = {}
         self._cached_alive: Optional[set] = None
         self._fallback_warned = False
-        super().__init__(config, **kwargs)
-        self._vectorize()
+        self._capacity_cache: Dict[int, int] = {}
+        #: the normal algorithm's rank priorities ``1 / (1 + rank)``
+        self._rank_priorities: List[float] = []
 
     # ------------------------------------------------------------------ #
     # array construction
     # ------------------------------------------------------------------ #
-    def _vectorize(self) -> None:
-        cfg = self.config
-        plan = self.switch_plan
-        # Size the segment axis for everything the run can generate or
-        # advertise interest in; MirroredBuffer still grows on demand.
-        horizon_ids = plan.id_begin + int(cfg.play_rate * (cfg.max_time + 2.0 * cfg.tau))
-        startup_ids = plan.id_begin + cfg.startup_quota_new + cfg.lookahead // 4
-        n_segments = max(horizon_ids, startup_ids, cfg.old_stream_segments) + 64
-        self._arrays = SegmentArrays(len(self.peers) + len(self.sources) + 8, n_segments)
-        self._peer_wire_bits = buffer_map_bits(cfg.buffer_capacity)
-        self._source_wire_bits = buffer_map_bits(600)
-        self._capacity_cache: Dict[int, int] = {}
-        self._ideal_fabric = type(self.fabric) is IdealFabric
-        #: the normal algorithm's rank priorities ``1 / (1 + rank)``
-        self._rank_priorities: List[float] = []
-        for node_id in sorted(self.sources):
-            self._mirror_node(self.sources[node_id])
-        for node_id in sorted(self.peers):
-            self._mirror_node(self.peers[node_id])
+    def adopt(self, node: "PeerNode | SourceNode") -> None:
+        """Queue ``node`` for mirroring at the start of the next decide pass."""
+        self._unmirrored.append(node)
 
-    def _mirror_node(self, node) -> None:
-        row = self._next_row
-        self._next_row += 1
-        self._arrays.ensure_rows(self._next_row)
-        node.buffer = MirroredBuffer.adopt(node.buffer, self._arrays, row)
-
-    def _create_joiner(self, now: float, rng: np.random.Generator) -> None:
-        before = set(self.peers)
-        super()._create_joiner(now, rng)
-        for node_id in self.peers.keys() - before:
-            self._mirror_node(self.peers[node_id])
+    def _mirror_adopted(self, session: SwitchSession) -> None:
+        if self._arrays is None:
+            cfg = session.config
+            plan = session.switch_plan
+            # Size the segment axis for everything the run can generate or
+            # advertise interest in; MirroredBuffer still grows on demand.
+            horizon_ids = plan.id_begin + int(cfg.play_rate * (cfg.max_time + 2.0 * cfg.tau))
+            startup_ids = plan.id_begin + cfg.startup_quota_new + cfg.lookahead // 4
+            n_segments = max(horizon_ids, startup_ids, cfg.old_stream_segments) + 64
+            self._arrays = SegmentArrays(len(self._unmirrored) + 8, n_segments)
+        for node in self._unmirrored:
+            self._arrays.ensure_rows(self._next_row + 1)
+            node.buffer = MirroredBuffer.adopt(node.buffer, self._arrays, self._next_row)
+            self._next_row += 1
+        self._unmirrored.clear()
 
     # ------------------------------------------------------------------ #
     # the vector decide phase
     # ------------------------------------------------------------------ #
-    def _decide_phase(self, order: Sequence[int], now: float) -> Dict[int, ScheduleDecision]:
+    def decide(self, session: SwitchSession, state: PeriodState) -> None:
         """Pre-pass in canonical order, then one array pass per period.
 
         Peers never read each other's decide-phase state, so only what
         draws randomness -- the control-plane pulls -- has to happen peer by
-        peer in ``order``.  The pre-pass does that together with the cheap
-        scalar knowledge updates (switch adoption, highest known ids from
-        the OR-ed neighbour bitmaps); wanted sets, supply, priorities, the
-        priority order and the supplier bitmasks of *all* peers then come
+        peer in ``state.order``.  The pre-pass does that together with the
+        cheap scalar knowledge updates (switch adoption, highest known ids
+        from the OR-ed neighbour bitmaps); wanted sets, supply, priorities,
+        the priority order and the supplier bitmasks of *all* peers then come
         from one batched kernel (one per algorithm configuration present).
         """
+        self._mirror_adopted(session)
         self._arrays.flush()
-        if self._ideal_fabric:
-            alive = set(self.peers)
-            alive.update(self.sources)
+        peers, sources = session.peers, session.sources
+        ideal = type(session.fabric) is IdealFabric
+        if ideal:
+            alive = set(peers)
+            alive.update(sources)
             if alive != self._cached_alive:
                 self._survivor_cache.clear()
                 self._cached_alive = alive
@@ -335,39 +328,35 @@ class VectorSwitchSession(SwitchSession):
         # data, so ``has_new_data`` cannot flip mid-loop.
         announcers = {
             node_id
-            for node_id, source in self.sources.items()
+            for node_id, source in sources.items()
             if source.switch_plan is not None
         }
         announcers.update(
             node_id
-            for node_id, peer in self.peers.items()
+            for node_id, peer in peers.items()
             if peer.switch_plan is not None and peer.has_new_data
         )
-        switch_info = (self.switch_plan.id_end, self.switch_plan.id_begin)
-        decisions: Dict[int, ScheduleDecision] = {}
-        obs = get_telemetry()
+        switch_info = (session.switch_plan.id_end, session.switch_plan.id_begin)
+        now = state.now
+        decisions = state.decisions
         #: jobs by priority policy (``None``: the normal algorithm)
         groups: Dict[Optional[PriorityPolicy], List[_Job]] = {}
-        fallback_rates: Dict[int, float] = {}
         fallback_types: Dict[str, int] = {}
-        control_bits = 0
-        for node_id in order:
-            peer = self.peers[node_id]
+        for node_id in state.order:
+            peer = peers[node_id]
             algorithm_type = type(peer.algorithm)
             if algorithm_type is FastSwitchAlgorithm:
                 policy = peer.algorithm.priority_policy
             elif algorithm_type is NormalSwitchAlgorithm:
                 policy = None
             else:
-                # Unsupported algorithm: scalar path, identical draws.
+                # Unsupported algorithm: the reference path, identical draws.
                 name = algorithm_type.__name__
                 fallback_types[name] = fallback_types.get(name, 0) + 1
-                snapshots = self._pull_buffer_maps(peer, fallback_rates, obs)
-                decisions[node_id] = peer.decide(snapshots, now)
+                decisions[node_id] = OracleDecider.decide_peer(session, peer, state)
                 continue
             windows = peer.interest_windows()
-            survivors = self._survivors_of(peer)
-            control_bits += survivors.wire_bits
+            survivors = self._survivors_of(session, node_id, state, ideal)
             # Switch adoption comes before the horizon update, as in the oracle.
             if peer.switch_plan is None and not announcers.isdisjoint(survivors.id_set):
                 peer._adopt_switch(switch_info, now)
@@ -381,7 +370,6 @@ class VectorSwitchSession(SwitchSession):
                 advertised |= buffer._bits
             peer._extend_horizons(advertised & window)
             groups.setdefault(policy, []).append((peer, survivors, windows))
-        self.overhead.add_control(control_bits)
         with np.errstate(divide="ignore"):
             for policy, jobs in groups.items():
                 self._decide_batch(jobs, policy, decisions)
@@ -392,58 +380,35 @@ class VectorSwitchSession(SwitchSession):
             _LOG.warning(
                 "vector engine: %d of %d peers run %s, which has no array form; "
                 "they are decided on the scalar path every period",
-                fallbacks, len(order), "/".join(sorted(fallback_types)),
+                fallbacks, len(state.order), "/".join(sorted(fallback_types)),
             )
-        probes = obs.probes
-        if probes.enabled:
-            # Lifecycle rows are batch-appended once per period, built from
-            # the same bit-identical SegmentRequest data (and in the same
-            # peer order) the scalar engine emits from.
-            period = self.rounds_run
-            rows: List[Tuple[float, int, int, int, int, int, float]] = []
-            for node_id in order:
-                for request in decisions[node_id].requests:
-                    seg_id = request.seg_id
-                    supplier_id = request.supplier_id
-                    rows.append((now, period, node_id, seg_id, STAGE_REQUESTED, -1, 0.0))
-                    rows.append((now, period, node_id, seg_id, STAGE_ASSIGNED, supplier_id, 0.0))
-                    rows.append((now, period, node_id, seg_id, STAGE_SCHEDULED, supplier_id,
-                                 request.expected_receive_time))
-            probes.lifecycle.extend(rows)
+        obs = get_telemetry()
         if obs.enabled:
-            obs.counter("engine.dispatch.vector").add(len(order) - fallbacks)
+            obs.counter("engine.dispatch.vector").add(len(state.order) - fallbacks)
             obs.counter("engine.dispatch.scalar_fallback").add(fallbacks)
-        return decisions
 
-    def _survivors_of(self, peer: PeerNode) -> _Survivors:
-        if self._ideal_fabric:
-            entry = self._survivor_cache.get(peer.node_id)
-            if entry is None:
-                entry = self._build_survivors(peer.node_id, draw=False)
-                self._survivor_cache[peer.node_id] = entry
-            return entry
-        return self._build_survivors(peer.node_id, draw=True)
+    def _survivors_of(
+        self, session: SwitchSession, node_id: int, state: PeriodState, ideal: bool
+    ) -> _Survivors:
+        """``node_id``'s answering neighbourhood, from the session's walk.
 
-    def _build_survivors(self, node_id: int, *, draw: bool) -> _Survivors:
-        ids: List[int] = []
-        rates: List[float] = []
-        buffers: List[MirroredBuffer] = []
-        wire_bits = 0
-        sources = self.sources
-        fabric = self.fabric
-        for neighbour_id in self.overlay.neighbours(node_id):
-            node = self._node(neighbour_id)
-            if node is None:
-                continue
-            if draw and fabric.control_transfer(neighbour_id, node_id) is None:
-                continue
-            ids.append(neighbour_id)
-            rates.append(self._estimate_send_rate(neighbour_id))
-            buffers.append(node.buffer)
-            wire_bits += (
-                self._source_wire_bits if neighbour_id in sources else self._peer_wire_bits
-            )
-        return _Survivors(ids, rates, buffers, wire_bits)
+        The ideal fabric draws nothing and drops nothing, so there the
+        walk's result is reused (and its control traffic re-counted) until
+        membership changes.
+        """
+        if ideal:
+            entry = self._survivor_cache.get(node_id)
+            if entry is not None:
+                state.control_pulls += len(entry.ids)
+                state.control_bits += entry.wire_bits
+                return entry
+        nodes, rates, wire_bits = session.pull_neighbours(node_id, state)
+        entry = _Survivors(
+            [node.node_id for node in nodes], rates, [node.buffer for node in nodes], wire_bits
+        )
+        if ideal:
+            self._survivor_cache[node_id] = entry
+        return entry
 
     def _decide_batch(
         self,

@@ -25,18 +25,16 @@ The probes ride the telemetry switch: :class:`ProbeSet` hangs off
 Instrumented code guards bulk work behind ``probes.enabled`` exactly
 like the metrics pattern, so the off cost is one attribute lookup.
 
-Both engines emit through the same API and -- because every emission
-site is either shared code or driven by bit-identical decision data --
-a scalar and a vector run of the same config produce *identical* event
-streams (pinned by the differential test).  The vector engine
-accumulates its decide-phase rows in plain lists and batch-appends them
-once per period via :meth:`SegmentLifecycleProbe.extend`, keeping the
-array path array-native.
+Every emission site is the session's period pipeline, shared by both
+engines, and the decide-stage rows are read off bit-identical decision
+data, so an oracle and a vector run of the same config produce
+*identical* event streams (pinned by the differential test and a content
+golden).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.sketch import DEFAULT_SKETCH_CAPACITY, QuantileSketch
 
@@ -133,12 +131,6 @@ class SegmentLifecycleProbe:
         self.stages.append(int(stage))
         self.suppliers.append(int(supplier))
         self.values.append(float(value))
-
-    def extend(self, rows: Iterable[Tuple[float, int, int, int, int, int, float]]) -> None:
-        """Batch-append ``(time, period, peer, seg, stage, supplier, value)``
-        rows -- the vector engine's once-per-period bulk path."""
-        for row in rows:
-            self.append(*row)
 
     def rows(self, *, peer: Optional[int] = None,
              seg: Optional[int] = None) -> List[Dict[str, Any]]:
@@ -383,9 +375,6 @@ class _NullLifecycle:
         return 0
 
     def append(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def extend(self, rows: Any) -> None:
         return None
 
     def rows(self, **kwargs: Any) -> List[Dict[str, Any]]:

@@ -42,7 +42,7 @@ class PeriodicProcess:
             raise ValueError(f"period must be positive, got {period}")
         self._engine = engine
         self.period = float(period)
-        self._callback = callback
+        self._callback: Optional[Callable[[float], None]] = callback
         self._priority = priority
         self.label = label
         self._pending: Optional["Event"] = None
@@ -63,8 +63,14 @@ class PeriodicProcess:
         )
 
     def stop(self) -> None:
-        """Cancel the next (and all future) invocations."""
+        """Cancel the next (and all future) invocations and let go of the callback.
+
+        A cancelled event stays in the queue until it surfaces, and through
+        it this process; dropping the callback keeps that from pinning the
+        callback's owner (a finished session) for as long.
+        """
         self._stopped = True
+        self._callback = None
         if self._pending is not None:
             self._engine.cancel(self._pending)
             self._pending = None

@@ -1,20 +1,25 @@
 """The two-source switch session: one full simulation run.
 
 :class:`SwitchSession` assembles the whole system -- overlay, sources,
-peers, bandwidth, churn, metrics -- and drives it round by round through the
-discrete-event engine:
+peers, bandwidth, churn, metrics -- and drives it period by period through
+the discrete-event engine:
 
 1. **Setup** (time 0): build the overlay from a (synthetic) trace, augment
    it to the minimum degree ``M``, pick the two source nodes, assign
    bandwidth, create the peers and seed them into the steady state of the
    old stream (analytic warm-up) or run a simulated warm-up.
-2. **Rounds** (every ``tau`` seconds): the new source generates segments;
-   churn is applied (dynamic scenarios); every peer pulls buffer maps from
-   its neighbours (control traffic is charged), runs its switch algorithm
-   and issues requests; transfers are executed against the suppliers'
-   outbound budgets; playback advances; metrics are sampled.
+2. **Periods** (every ``tau`` seconds): ``SwitchSession._round`` is the list
+   of phases, each a method taking the period's :class:`PeriodState`:
+   *churn* (membership change) -> *generate* (new segments, fresh upload
+   budgets, the period's peer order) -> *decide* (buffer-map pulls, charged
+   as control traffic, and the switch algorithm) -> *exchange* (transfers
+   against the suppliers' outbound budgets) -> *flush* (playback) ->
+   *sample* (metrics, stop test).  Only the decide phase differs between
+   the two engines: ``config.engine`` picks the session's *decider*
+   (:class:`OracleDecider` here, ``VectorDecider`` in
+   :mod:`repro.core.vector`).
 3. **Stop**: when every tracked peer has completed its source switch or the
-   time horizon is reached.
+   time horizon is reached; ``run()`` then closes the session.
 
 The session is deterministic for a given :class:`SessionConfig` (seed
 included), and the *same* seed produces the *same* overlay, bandwidth and
@@ -28,7 +33,7 @@ import time as _wallclock
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,8 +55,10 @@ from repro.obs.probes import (
     STAGE_PLAYED,
     STAGE_REQUESTED,
     STAGE_SCHEDULED,
+    NullProbeSet,
+    ProbeSet,
 )
-from repro.obs.telemetry import NullTelemetry, Telemetry, get_telemetry
+from repro.obs.telemetry import get_telemetry
 from repro.net.library import get_topology, topology_names
 from repro.overlay.augment import augment_to_min_degree
 from repro.overlay.generator import generate_trace
@@ -67,11 +74,14 @@ from repro.streaming.bandwidth import (
     draw_class_indices,
     sample_rates,
 )
-from repro.streaming.buffermap import BufferMapSnapshot
+from repro.streaming.buffermap import buffer_map_bits
 from repro.streaming.peer import PeerNode
 from repro.streaming.protocol import SEGMENT_REQUEST_BITS
 from repro.streaming.segment import DEFAULT_SEGMENT_BITS, StreamSpec, SwitchPlan
 from repro.streaming.source import SourceNode
+
+if TYPE_CHECKING:  # pragma: no cover - the array engine imports this module
+    from repro.core.vector import VectorDecider
 
 __all__ = [
     "SessionConfig",
@@ -286,8 +296,9 @@ class SessionConfig:
         phases (churn bursts, congestion windows) still execute and their
         QoE is measured.
     engine:
-        Which execution engine drives the per-period inner loop; one of
-        :data:`ENGINE_NAMES`, defaulting to :data:`DEFAULT_ENGINE`.
+        Which execution engine decides each period (the session's
+        decider); one of :data:`ENGINE_NAMES`, defaulting to
+        :data:`DEFAULT_ENGINE`.
         ``"vector"`` is the NumPy struct-of-arrays engine in
         :mod:`repro.core.vector` (the production path); ``"oracle"`` is the
         per-peer object engine, the readable reference and the debugging
@@ -405,6 +416,76 @@ class SessionResult:
         return self.metrics.algorithm
 
 
+#: The directive of a period nobody scripted.
+_NEUTRAL = PeriodDirective()
+
+
+@dataclass
+class PeriodState:
+    """What the phases of one scheduling period hand to each other.
+
+    ``SwitchSession._round`` creates one per period and passes it to every
+    phase in turn.  A phase reads what earlier phases stored and stores its
+    own totals once, at its end; hot per-request counters stay locals inside
+    the phase until then.
+    """
+
+    now: float
+    index: int  #: 1-based count of the session's periods, warm-up rounds included
+    directive: PeriodDirective
+    order: List[int] = field(default_factory=list)  #: shuffled peer ids (generate)
+    decisions: Dict[int, ScheduleDecision] = field(default_factory=dict)
+    #: advertised rate ``R(j)`` per supplier: churn only runs before the
+    #: decide phase, so a supplier advertises one value to all its neighbours
+    send_rates: Dict[int, float] = field(default_factory=dict)
+    control_pulls: int = 0  #: buffer maps pulled / lost on the fabric / their bits
+    control_dropped: int = 0
+    control_bits: int = 0
+    requests: int = 0  #: request totals (exchange)
+    failed: int = 0
+    delayed: int = 0
+    #: ``(peer, seg_id, supplier_id)`` delivered within the period
+    deliveries: List[Tuple[PeerNode, int, int]] = field(default_factory=list)
+
+
+class OracleDecider:
+    """The reference decider: peer by peer, through each peer's own objects.
+
+    A *decider* is what ``SessionConfig.engine`` selects, and the only part
+    of a period the two engines do differently.  The session calls
+    :meth:`adopt` for every node that enters it and :meth:`decide` once per
+    period; :class:`repro.core.vector.VectorDecider` is the array form of
+    the same two calls.
+    """
+
+    def adopt(self, node: "PeerNode | SourceNode") -> None:
+        """Nothing to prepare: the reference reads the node objects as they are."""
+
+    def decide(self, session: "SwitchSession", state: PeriodState) -> None:
+        """File every peer's :class:`ScheduleDecision` in ``state.decisions``."""
+        for node_id in state.order:
+            state.decisions[node_id] = self.decide_peer(session, session.peers[node_id], state)
+        obs = get_telemetry()
+        if obs.enabled:
+            obs.counter("engine.dispatch.scalar").add(len(state.order))
+
+    @staticmethod
+    def decide_peer(
+        session: "SwitchSession", peer: PeerNode, state: PeriodState
+    ) -> ScheduleDecision:
+        """One peer's period: pull its neighbours' maps, run its algorithm.
+
+        Also how the array engine decides a peer whose algorithm has no
+        array form.
+        """
+        windows = peer.interest_windows()
+        nodes, rates, _ = session.pull_neighbours(peer.node_id, state)
+        snapshots = [
+            node.snapshot_for(windows, send_rate=rate) for node, rate in zip(nodes, rates)
+        ]
+        return peer.decide(snapshots, state.now)
+
+
 class SwitchSession:
     """One end-to-end source-switch simulation (see module docstring).
 
@@ -426,9 +507,9 @@ class SwitchSession:
         not drive it: a finished session quietly retires its periodic
         process instead of stopping the engine, so many independent channel
         meshes can run interleaved on one clock (the multi-channel
-        universe).  The owner runs the engine and calls :meth:`finalize` on
-        each session.  Shared sessions require the analytic warm-up (a
-        shared clock starts at 0).
+        universe).  The owner runs the engine, calls :meth:`finalize` and
+        :meth:`close` on each session and clears the engine's queue.  Shared
+        sessions require the analytic warm-up (a shared clock starts at 0).
     label:
         Free-form tag (e.g. the channel name) carried for bookkeeping.
     membership_factory:
@@ -443,21 +524,6 @@ class SwitchSession:
         topology configured, the zero-latency
         :class:`~repro.net.fabric.IdealFabric`.
     """
-
-    def __new__(cls, config: Optional[SessionConfig] = None, *args, **kwargs):
-        # Dispatch on the configured execution engine so every construction
-        # site -- runner, workloads, universe -- picks up the vector engine
-        # through the config alone.  Subclasses (the vector engine itself)
-        # bypass the dispatch.
-        if (
-            cls is SwitchSession
-            and config is not None
-            and getattr(config, "engine", DEFAULT_ENGINE) == "vector"
-        ):
-            from repro.core.vector import VectorSwitchSession
-
-            return super().__new__(VectorSwitchSession)
-        return super().__new__(cls)
 
     def __init__(
         self,
@@ -478,6 +544,12 @@ class SwitchSession:
         self._algorithm_factory = algorithm_factory or config.make_algorithm
         self._membership_factory = membership_factory
         self._directives: Dict[int, PeriodDirective] = dict(directives or {})
+        if config.engine == "vector":
+            from repro.core.vector import VectorDecider
+
+            self._decider: "OracleDecider | VectorDecider" = VectorDecider()
+        else:
+            self._decider = OracleDecider()
         self.streams = RandomStreams(config.seed)
         if fabric is not None:
             self.fabric = fabric
@@ -494,49 +566,67 @@ class SwitchSession:
         self.engine = engine if engine is not None else SimulationEngine(
             start_time=-config.warmup_duration if config.warmup == "simulated" else 0.0
         )
-        #: region pin per bandwidth-class name (classes without a pin omitted)
+        #: region pin per bandwidth-class name (classes without a pin
+        #: omitted; the ideal fabric has no regions to pin to)
         self._class_region_pin: Dict[str, str] = {
-            cls.name: cls.region for cls in config.peer_classes if cls.region
+            cls.name: cls.region
+            for cls in config.peer_classes
+            if cls.region and self.fabric.topology is not None
         }
+        #: wire size of one buffer map pulled from a peer / from a source
+        #: (sources advertise the standard 600-slot bitmap)
+        self._map_bits = (buffer_map_bits(config.buffer_capacity), buffer_map_bits(600))
         self._stop_reason: Optional[str] = None
         self._wallclock = 0.0
-        self.overlay = overlay.copy() if overlay is not None else self._build_overlay()
+        self.overlay = overlay.copy() if overlay is not None else build_session_overlay(
+            config.n_nodes,
+            config.seed,
+            min_degree=config.min_degree,
+            trace_mean_degree=config.trace_mean_degree,
+        )
         self.peers: Dict[int, PeerNode] = {}
         self.sources: Dict[int, SourceNode] = {}
         self._departed: List[PeerNode] = []
         self._departed_stalls = 0
         self._outbound: Dict[int, float] = {}
-        self._inbound: Dict[int, float] = {}
-        self._peer_class: Dict[int, str] = {}
         self.overhead = OverheadAccountant()
         self.collector = MetricsCollector(config.startup_quota_new)
         self.rounds_run = 0
-        self._switch_announced = False
         self._setup()
 
     # ================================================================== #
     # construction
     # ================================================================== #
-    def _build_overlay(self) -> Overlay:
-        cfg = self.config
-        return build_session_overlay(
-            cfg.n_nodes,
-            cfg.seed,
-            min_degree=cfg.min_degree,
-            trace_mean_degree=cfg.trace_mean_degree,
-        )
-
     def _setup(self) -> None:
         cfg = self.config
         rng = self.streams.get("setup")
 
         self.old_source_id, self.new_source_id = self._choose_sources(rng)
-        self._assign_bandwidth()
-        self._assign_regions()
+        source_ids = (self.old_source_id, self.new_source_id)
+        peer_ids = [n for n in self.overlay.node_ids if n not in source_ids]
+        profiles = self._draw_profiles(
+            len(peer_ids),
+            self.streams.get("peer-class"),
+            self.streams.get("inbound"),
+            self.streams.get("outbound"),
+        )
+        # Peer classes that pin a region override the topology's
+        # weighted-random draw for their members; the draw is still consumed
+        # for every node, so pinning one class never perturbs the other
+        # nodes' placement.  The ideal fabric ignores all of this.
+        self.fabric.assign_regions(
+            self.overlay.node_ids,
+            {
+                node_id: self._class_region_pin[class_name]
+                for node_id, (class_name, _, _) in zip(peer_ids, profiles)
+                if class_name in self._class_region_pin
+            },
+        )
+        for node_id, profile in zip(peer_ids, profiles):
+            self._add_peer(node_id, profile, tracked=True, now=0.0)
         self._create_sources()
-        self._create_peers()
 
-        protected = frozenset({self.old_source_id, self.new_source_id})
+        protected = frozenset(source_ids)
         if self._membership_factory is not None:
             self.membership = self._membership_factory(self.overlay, protected)
         else:
@@ -556,9 +646,14 @@ class SwitchSession:
         if cfg.warmup == "analytic":
             self._analytic_warmup()
             self._announce_switch()
-            self._record_initial_backlog()
         else:
-            self._prepare_simulated_warmup()
+            for peer in self.peers.values():
+                peer.init_fresh_playback(position=0)
+            # The switch is announced (and Q0 recorded) by an event at time 0,
+            # after the last warm-up round has executed.
+            self.engine.schedule(
+                0.0, self._announce_switch, priority=10, label="finish-warmup"
+            )
 
         self.collector.sample_round(
             max(self.engine.now, 0.0), list(self.peers.values()), self._departed_stalls
@@ -584,60 +679,69 @@ class SwitchSession:
         second = int(candidates[int(order[1])])
         return first, second
 
-    def _assign_bandwidth(self) -> None:
-        cfg = self.config
-        node_ids = self.overlay.node_ids
-        peer_ids = [n for n in node_ids if n not in (self.old_source_id, self.new_source_id)]
-        if cfg.peer_classes:
-            class_indices = draw_class_indices(
-                len(peer_ids), cfg.peer_classes, self.streams.get("peer-class")
-            )
-            inbound_rng = self.streams.get("inbound")
-            outbound_rng = self.streams.get("outbound")
-            for idx, node_id in enumerate(peer_ids):
-                peer_class = cfg.peer_classes[int(class_indices[idx])]
-                self._peer_class[node_id] = peer_class.name
-                self._inbound[node_id] = peer_class.sample_inbound(inbound_rng)
-                self._outbound[node_id] = peer_class.sample_outbound(outbound_rng)
-        else:
-            inbound = sample_rates(
-                len(peer_ids),
-                self.streams.get("inbound"),
-                low=cfg.inbound_low,
-                high=cfg.inbound_high,
-                mean=cfg.inbound_mean,
-            )
-            outbound = sample_rates(
-                len(peer_ids),
-                self.streams.get("outbound"),
-                low=cfg.outbound_low,
-                high=cfg.outbound_high,
-                mean=cfg.outbound_mean,
-            )
-            for idx, node_id in enumerate(peer_ids):
-                self._inbound[node_id] = float(inbound[idx])
-                self._outbound[node_id] = float(outbound[idx])
-        for source_id in (self.old_source_id, self.new_source_id):
-            self._inbound[source_id] = 0.0
-            self._outbound[source_id] = cfg.source_outbound
+    def _draw_profiles(
+        self,
+        count: int,
+        class_rng: np.random.Generator,
+        inbound_rng: np.random.Generator,
+        outbound_rng: np.random.Generator,
+    ) -> List[Tuple[str, float, float]]:
+        """``(class name, inbound, outbound)`` for ``count`` new peers.
 
-    def _assign_regions(self) -> None:
-        """Place every node (sources included) on the fabric's regions.
-
-        Peer classes that pin a region (``PeerClass.region``) override the
-        topology's weighted-random draw for their members; the draw is
-        still consumed for every node, so pinning one class never perturbs
-        the other nodes' placement.  The ideal fabric ignores all of this.
+        Set-up draws the whole population from three dedicated streams; a
+        churn joiner is one draw with its ``"join-bandwidth"`` stream in all
+        three roles.
         """
-        pinned: Dict[int, str] = {}
-        if self._class_region_pin and self.fabric.topology is not None:
-            for node_id, class_name in self._peer_class.items():
-                region = self._class_region_pin.get(class_name, "")
-                if region:
-                    pinned[node_id] = region
-        self.fabric.assign_regions(self.overlay.node_ids, pinned)
+        cfg = self.config
+        if cfg.peer_classes:
+            indices = draw_class_indices(count, cfg.peer_classes, class_rng)
+            classes = [cfg.peer_classes[int(index)] for index in indices]
+            return [
+                (cls.name, cls.sample_inbound(inbound_rng), cls.sample_outbound(outbound_rng))
+                for cls in classes
+            ]
+        inbound = sample_rates(
+            count, inbound_rng,
+            low=cfg.inbound_low, high=cfg.inbound_high, mean=cfg.inbound_mean,
+        )
+        outbound = sample_rates(
+            count, outbound_rng,
+            low=cfg.outbound_low, high=cfg.outbound_high, mean=cfg.outbound_mean,
+        )
+        return [("", float(i), float(o)) for i, o in zip(inbound, outbound)]
+
+    def _add_peer(
+        self, node_id: int, profile: Tuple[str, float, float], *, tracked: bool, now: float
+    ) -> PeerNode:
+        """Create the peer for ``node_id`` (set-up population and churn joiners)."""
+        cfg = self.config
+        class_name, inbound, outbound = profile
+        peer = PeerNode(
+            node_id,
+            BandwidthProfile(inbound=inbound, outbound=outbound),
+            self._algorithm_factory(),
+            buffer_capacity=cfg.buffer_capacity,
+            play_rate=cfg.play_rate,
+            startup_quota_old=cfg.startup_quota_old,
+            startup_quota_new=cfg.startup_quota_new,
+            tau=cfg.tau,
+            lookahead=cfg.lookahead,
+            tracked=tracked,
+            peer_class=class_name,
+            region=self.fabric.region_of(node_id),
+        )
+        self.peers[node_id] = peer
+        self._admit(peer, outbound)
+        get_telemetry().probes.funnel.mark(self.label, node_id, "joined", now)
+        return peer
+
+    def _admit(self, node: "PeerNode | SourceNode", outbound: float) -> None:
+        """The one door every node enters by: upload rate, decider adoption."""
+        self._outbound[node.node_id] = outbound
+        self._decider.adopt(node)
 
     def _create_sources(self) -> None:
+        """The old source (stops at the switch, time 0) and the new one (starts there)."""
         cfg = self.config
         warmup_simulated = cfg.warmup == "simulated"
         old_segments = (
@@ -648,60 +752,23 @@ class SwitchSession:
         self.switch_plan = SwitchPlan.from_old_stream(
             old_segments - 1, startup_quota=cfg.startup_quota_new
         )
-        old_spec = StreamSpec(
-            stream=Stream.OLD,
-            source_id=self.old_source_id,
-            first_id=0,
-            rate=cfg.play_rate,
-        )
-        new_spec = StreamSpec(
-            stream=Stream.NEW,
-            source_id=self.new_source_id,
-            first_id=self.switch_plan.id_begin,
-            rate=cfg.play_rate,
-        )
-        old_source = SourceNode(
-            old_spec,
-            outbound_rate=cfg.source_outbound,
-            start_time=-cfg.warmup_duration if warmup_simulated else -1.0,
-            stop_time=0.0,
-        )
+        old_start = -cfg.warmup_duration if warmup_simulated else -1.0
+        for source_id, stream, first_id, start_time, stop_time in (
+            (self.old_source_id, Stream.OLD, 0, old_start, 0.0),
+            (self.new_source_id, Stream.NEW, self.switch_plan.id_begin, 0.0, None),
+        ):
+            spec = StreamSpec(
+                stream=stream, source_id=source_id, first_id=first_id, rate=cfg.play_rate
+            )
+            self.sources[source_id] = source = SourceNode(
+                spec,
+                outbound_rate=cfg.source_outbound,
+                start_time=start_time,
+                stop_time=stop_time,
+            )
+            self._admit(source, cfg.source_outbound)
         if not warmup_simulated:
-            old_source.preload(old_segments)
-        new_source = SourceNode(
-            new_spec,
-            outbound_rate=cfg.source_outbound,
-            start_time=0.0,
-            stop_time=None,
-        )
-        self.sources = {self.old_source_id: old_source, self.new_source_id: new_source}
-
-    def _create_peers(self) -> None:
-        cfg = self.config
-        for node_id in self.overlay.node_ids:
-            if node_id in self.sources:
-                continue
-            profile = BandwidthProfile(
-                inbound=self._inbound[node_id], outbound=self._outbound[node_id]
-            )
-            self.peers[node_id] = PeerNode(
-                node_id,
-                profile,
-                self._algorithm_factory(),
-                buffer_capacity=cfg.buffer_capacity,
-                play_rate=cfg.play_rate,
-                startup_quota_old=cfg.startup_quota_old,
-                startup_quota_new=cfg.startup_quota_new,
-                tau=cfg.tau,
-                lookahead=cfg.lookahead,
-                tracked=True,
-                peer_class=self._peer_class.get(node_id, ""),
-                region=self.fabric.region_of(node_id),
-            )
-        probes = get_telemetry().probes
-        if probes.enabled:
-            for node_id in self.peers:
-                probes.funnel.mark(self.label, node_id, "joined", 0.0)
+            self.sources[self.old_source_id].preload(old_segments)
 
     # ------------------------------------------------------------------ #
     # warm-up
@@ -729,8 +796,10 @@ class SwitchSession:
                 now=0.0,
             )
 
-    def _record_initial_backlog(self) -> None:
-        """Record each tracked peer's ``Q0`` at the switch instant."""
+    def _announce_switch(self) -> None:
+        """The switch instant: the new source learns the plan (it embeds
+        ``id_end`` in its data) and every tracked peer's ``Q0`` is recorded."""
+        self.sources[self.new_source_id].announce_switch(self.switch_plan)
         id_end = self.switch_plan.id_end
         for peer in self.peers.values():
             head = peer.highest_known_old if peer.highest_known_old is not None else -1
@@ -739,219 +808,245 @@ class SwitchSession:
                 if peer.playback_old is not None and head >= 0 else 0
             peer.q0 = missing_ahead + holes
 
-    def _prepare_simulated_warmup(self) -> None:
-        """Initialise peers for a simulated warm-up starting before time 0."""
-        for peer in self.peers.values():
-            peer.init_fresh_playback(position=0)
-        # The switch is announced (and Q0 recorded) by an event at time 0,
-        # after the last warm-up round has executed.
-        self.engine.schedule(0.0, self._finish_simulated_warmup, priority=10,
-                             label="finish-warmup")
-
-    def _finish_simulated_warmup(self) -> None:
-        self._announce_switch()
-        self._record_initial_backlog()
-
-    def _announce_switch(self) -> None:
-        """Give the new source its announcement (it embeds ``id_end`` in its data)."""
-        self.sources[self.new_source_id].announce_switch(self.switch_plan)
-        self._switch_announced = True
-
     # ================================================================== #
-    # the scheduling round
+    # the scheduling period
     # ================================================================== #
     def _round(self, now: float) -> None:
-        cfg = self.config
+        """One scheduling period: the protocol's fixed sequence, in executed order."""
         self.rounds_run += 1
-        directive = self._directive_for(now)
-
-        if now > 0:
-            if directive is not None and directive.fail_fraction > 0.0:
-                self._apply_correlated_failure(directive.fail_fraction)
-            leave = directive.leave_fraction if directive is not None else None
-            join = directive.join_fraction if directive is not None else None
-            leave_n = directive.leave_count if directive is not None else None
-            join_n = directive.join_count if directive is not None else None
-            if (
-                cfg.churn.enabled
-                or leave is not None or join is not None
-                or leave_n is not None or join_n is not None
-            ):
-                self._apply_churn(
-                    now,
-                    leave_fraction=leave,
-                    join_fraction=join,
-                    leave_count=leave_n,
-                    join_count=join_n,
-                )
-
-        for source in self.sources.values():
-            source.generate_until(now)
-
-        self.ledger.reset_period(
-            directive.bandwidth_scale if directive is not None else 1.0
-        )
-        order = list(self.peers.keys())
-        self.streams.get("round-order").shuffle(order)
-
+        state = PeriodState(now, self.rounds_run, self._directive_for(now))
         obs = get_telemetry()
-        with obs.span("period.decide", t=now, peers=len(order)):
-            decisions = self._decide_phase(order, now)
-
-        probes = obs.probes
-        probing = probes.enabled
-        lifecycle = probes.lifecycle
-        period = self.rounds_run
-        requests = failed = delayed = 0
-        deliveries: List[Tuple[PeerNode, int, int]] = []
+        self._churn_phase(state)
+        self._generate_phase(state)
+        with obs.span("period.decide", t=now, peers=len(state.order)):
+            self._decide_phase(state)
         with obs.span("period.exchange", t=now):
-            for node_id in order:
-                peer = self.peers[node_id]
-                for request in decisions[node_id].requests:
-                    requests += 1
-                    self.overhead.add_request(SEGMENT_REQUEST_BITS)
-                    supplier = self._node(request.supplier_id)
-                    if supplier is None or not supplier.buffer.contains(request.seg_id):
-                        peer.record_failed_request()
-                        failed += 1
-                        if probing:
-                            lifecycle.append(now, period, node_id, request.seg_id,
-                                             STAGE_DROPPED, request.supplier_id,
-                                             DROP_SUPPLIER_GONE)
-                        continue
-                    if not self.ledger.consume(request.supplier_id):
-                        peer.record_failed_request()
-                        failed += 1
-                        if probing:
-                            lifecycle.append(now, period, node_id, request.seg_id,
-                                             STAGE_DROPPED, request.supplier_id,
-                                             DROP_NO_BUDGET)
-                        continue
+            self._exchange_phase(state)
+        with obs.span("period.flush", t=now):
+            self._flush_phase(state)
+            self._sample_phase(state)
+
+    def _directive_for(self, now: float) -> PeriodDirective:
+        """The workload directive for the period ending at ``now``."""
+        if now <= 0:
+            return _NEUTRAL
+        return self._directives.get(round_half_up(now / self.config.tau), _NEUTRAL)
+
+    def _churn_phase(self, state: PeriodState) -> None:
+        """Membership change: a scripted correlated failure, then leaves and joins."""
+        if state.now <= 0:
+            return
+        directive = state.directive
+        if directive.fail_fraction > 0.0:
+            victims = self._failure_cluster(directive.fail_fraction)
+            if victims:
+                self._remove_and_repair(victims)
+        # The churn model plans nothing unless it is enabled or the directive
+        # overrides one of its intensities.
+        plan = self.churn.plan_round(
+            sorted(self.peers),
+            leave_fraction=directive.leave_fraction,
+            join_fraction=directive.join_fraction,
+            leave_count=directive.leave_count,
+            join_count=directive.join_count,
+        )
+        if plan.empty:
+            return
+        self._remove_and_repair(plan.leavers)
+        rng = self.streams.get("join-bandwidth")
+        for _ in range(plan.joins):
+            self._join(state.now, rng)
+
+    def _generate_phase(self, state: PeriodState) -> None:
+        """New segments at the sources, fresh upload budgets, this period's peer order."""
+        for source in self.sources.values():
+            source.generate_until(state.now)
+        self.ledger.reset_period(state.directive.bandwidth_scale)
+        state.order = list(self.peers)
+        self.streams.get("round-order").shuffle(state.order)
+
+    def _decide_phase(self, state: PeriodState) -> None:
+        """Buffer-map pulls and the switch algorithm, by the configured decider.
+
+        Deciding consumes no randomness beyond the fabric's draws for the
+        pulls and never mutates neighbour state, which is what lets a
+        decider batch it across peers.
+        """
+        self._decider.decide(self, state)
+        self.overhead.add_control(state.control_bits)
+        probes = get_telemetry().probes
+        if probes.enabled:
+            lifecycle = probes.lifecycle
+            now, period = state.now, state.index
+            for node_id in state.order:
+                for request in state.decisions[node_id].requests:
+                    lifecycle.append(now, period, node_id, request.seg_id, STAGE_REQUESTED)
+                    lifecycle.append(now, period, node_id, request.seg_id,
+                                     STAGE_ASSIGNED, request.supplier_id)
+                    lifecycle.append(now, period, node_id, request.seg_id,
+                                     STAGE_SCHEDULED, request.supplier_id,
+                                     request.expected_receive_time)
+
+    def _exchange_phase(self, state: PeriodState) -> None:
+        """Execute the requests against the suppliers' budgets and the fabric."""
+        now, period = state.now, state.index
+        probes = get_telemetry().probes
+        requests = failed = delayed = 0
+        deliveries = state.deliveries
+        for node_id in state.order:
+            peer = self.peers[node_id]
+            for request in state.decisions[node_id].requests:
+                requests += 1
+                seg_id, supplier_id = request.seg_id, request.supplier_id
+                supplier = self._node(supplier_id)
+                if supplier is None or not supplier.buffer.contains(seg_id):
+                    dropped = DROP_SUPPLIER_GONE
+                elif not self.ledger.consume(supplier_id):
+                    dropped = DROP_NO_BUDGET
+                else:
                     self.overhead.add_data(DEFAULT_SEGMENT_BITS)
-                    delay = self.fabric.data_transfer(request.supplier_id, peer.node_id)
+                    delay = self.fabric.data_transfer(supplier_id, node_id)
                     if delay is None:
                         # The segment was lost in flight.  The loss sits on the
                         # large response, not the tiny request, so the
                         # supplier's upload budget and the wire bytes are spent
                         # regardless; the scheduler re-requests the segment
                         # next period (drop + retry).
-                        peer.record_failed_request()
-                        failed += 1
-                        if probing:
-                            lifecycle.append(now, period, node_id, request.seg_id,
-                                             STAGE_DROPPED, request.supplier_id,
-                                             DROP_NET_LOSS)
+                        dropped = DROP_NET_LOSS
+                    elif delay <= 0.0:
+                        deliveries.append((peer, seg_id, supplier_id))
                         continue
-                    if delay <= 0.0:
-                        deliveries.append((peer, request.seg_id, request.supplier_id))
                     else:
                         delayed += 1
                         self._schedule_delivery(
-                            peer.node_id, request.seg_id, delay,
-                            supplier_id=request.supplier_id,
+                            node_id, seg_id, delay, supplier_id=supplier_id
                         )
-
-            for peer, seg_id, supplier_id in deliveries:
-                peer.apply_delivery(seg_id, now)
-                if probing:
-                    lifecycle.append(now, period, peer.node_id, seg_id,
-                                     STAGE_DELIVERED, supplier_id)
-                    if seg_id >= self.switch_plan.id_begin:
-                        probes.funnel.mark(self.label, peer.node_id,
-                                           "first_segment", now)
-
-        with obs.span("period.flush", t=now):
-            for node_id in order:
-                peer = self.peers[node_id]
-                if probing:
-                    pos_before = peer._current_playback_id()
-                    stalls_before = peer.total_stalls
-                peer.advance_playback(now - cfg.tau, cfg.tau)
-                if probing:
-                    pos_after = peer._current_playback_id()
-                    played = pos_after - pos_before
-                    if played > 0:
-                        lifecycle.append(now, period, node_id, pos_after,
-                                         STAGE_PLAYED, -1, float(played))
-                    missed = peer.total_stalls - stalls_before
-                    if missed > 0:
-                        lifecycle.append(now, period, node_id, pos_after,
-                                         STAGE_MISSED, -1, float(missed))
-
-            if probing:
-                funnel = probes.funnel
-                fills: List[int] = []
-                pending = 0
-                for node_id in order:
-                    peer = self.peers.get(node_id)
-                    if peer is None:
                         continue
-                    fills.append(len(peer.buffer))
-                    pending += len(peer.wanted_old) + len(peer.wanted_new)
-                    if peer.discovered_switch_time is not None:
-                        funnel.mark(self.label, node_id, "first_map",
-                                    peer.discovered_switch_time)
-                    if peer.switch_complete_time is not None:
-                        funnel.mark(self.label, node_id, "playback",
-                                    peer.switch_complete_time)
-                probes.health.sample(
-                    now, self.label, fills,
-                    pending=pending,
-                    utilisation=self.ledger.utilisation(),
-                    requests=requests,
-                    failed=failed,
-                    delivered=len(deliveries),
-                )
+                peer.record_failed_request()
+                failed += 1
+                if probes.enabled:
+                    probes.lifecycle.append(now, period, node_id, seg_id,
+                                            STAGE_DROPPED, supplier_id, dropped)
+        self.overhead.add_request(requests * SEGMENT_REQUEST_BITS)
+        for peer, seg_id, supplier_id in deliveries:
+            self._arrive(peer, seg_id, supplier_id, now, 0.0, probes)
+        state.requests, state.failed, state.delayed = requests, failed, delayed
 
-            self.ledger.end_period()
-            if obs.enabled:
-                obs.counter("session.periods").inc()
-                obs.counter("fabric.requests").add(requests)
-                obs.counter("fabric.requests_failed").add(failed)
-                obs.counter("fabric.deliveries_immediate").add(len(deliveries))
-                obs.counter("fabric.deliveries_delayed").add(delayed)
-                obs.gauge("session.peers").set(len(self.peers))
-            if now >= 0:
-                self.overhead.close_period(now)
-                if cfg.record_rounds:
-                    self.collector.sample_round(
-                        now, list(self.peers.values()), self._departed_stalls
-                    )
-                self._maybe_stop(now)
+    def _flush_phase(self, state: PeriodState) -> None:
+        """Advance every peer's playback by one period (and probe what that did)."""
+        tau = self.config.tau
+        probes = get_telemetry().probes
+        peers = [self.peers[node_id] for node_id in state.order]
+        before = (
+            [(peer._current_playback_id(), peer.total_stalls) for peer in peers]
+            if probes.enabled else []
+        )
+        for peer in peers:
+            peer.advance_playback(state.now - tau, tau)
+        if not probes.enabled:
+            return
+        now, period = state.now, state.index
+        pending = 0
+        for peer, (position, stalls) in zip(peers, before):
+            reached = peer._current_playback_id()
+            if reached > position:
+                probes.lifecycle.append(now, period, peer.node_id, reached,
+                                        STAGE_PLAYED, -1, float(reached - position))
+            missed = peer.total_stalls - stalls
+            if missed > 0:
+                probes.lifecycle.append(now, period, peer.node_id, reached,
+                                        STAGE_MISSED, -1, float(missed))
+            pending += len(peer.wanted_old) + len(peer.wanted_new)
+            if peer.discovered_switch_time is not None:
+                probes.funnel.mark(self.label, peer.node_id, "first_map",
+                                   peer.discovered_switch_time)
+            if peer.switch_complete_time is not None:
+                probes.funnel.mark(self.label, peer.node_id, "playback",
+                                   peer.switch_complete_time)
+        probes.health.sample(
+            now, self.label, [len(peer.buffer) for peer in peers],
+            pending=pending,
+            utilisation=self.ledger.utilisation(),
+            requests=state.requests,
+            failed=state.failed,
+            delivered=len(state.deliveries),
+        )
 
-    def _decide_phase(self, order: Sequence[int], now: float) -> Dict[int, ScheduleDecision]:
-        """Run every peer's buffer-map pull + scheduling decision for one round.
-
-        The decide phase consumes no randomness beyond the fabric's
-        control-transfer draws and never mutates neighbour state, so the
-        vector engine (:mod:`repro.core.vector`) overrides exactly this
-        method with an array-native equivalent.
-        """
-        decisions: Dict[int, ScheduleDecision] = {}
+    def _sample_phase(self, state: PeriodState) -> None:
+        """Close the period's books, sample the metrics, stop when done."""
+        now = state.now
+        self.ledger.end_period()
         obs = get_telemetry()
-        lifecycle = obs.probes.lifecycle
-        probing = obs.probes.enabled
-        period = self.rounds_run
-        # Churn only runs before the phase, so a supplier's advertised rate
-        # is one value for all of its neighbours' pulls this period.
-        send_rates: Dict[int, float] = {}
-        for node_id in order:
-            peer = self.peers[node_id]
-            snapshots = self._pull_buffer_maps(peer, send_rates, obs)
-            decision = peer.decide(snapshots, now)
-            decisions[node_id] = decision
-            if probing:
-                for request in decision.requests:
-                    lifecycle.append(now, period, node_id, request.seg_id,
-                                     STAGE_REQUESTED)
-                    lifecycle.append(now, period, node_id, request.seg_id,
-                                     STAGE_ASSIGNED, request.supplier_id)
-                    lifecycle.append(now, period, node_id, request.seg_id,
-                                     STAGE_SCHEDULED, request.supplier_id,
-                                     request.expected_receive_time)
         if obs.enabled:
-            obs.counter("engine.dispatch.scalar").add(len(order))
-        return decisions
+            obs.counter("session.periods").inc()
+            obs.counter("fabric.control_pulls").add(state.control_pulls)
+            obs.counter("fabric.control_dropped").add(state.control_dropped)
+            obs.counter("fabric.requests").add(state.requests)
+            obs.counter("fabric.requests_failed").add(state.failed)
+            obs.counter("fabric.deliveries_immediate").add(len(state.deliveries))
+            obs.counter("fabric.deliveries_delayed").add(state.delayed)
+            obs.gauge("session.peers").set(len(self.peers))
+        if now >= 0:
+            self.overhead.close_period(now)
+            if self.config.record_rounds:
+                self.collector.sample_round(
+                    now, list(self.peers.values()), self._departed_stalls
+                )
+            self._maybe_stop(now)
+
+    # ------------------------------------------------------------------ #
+    # messages
+    # ------------------------------------------------------------------ #
+    def pull_neighbours(
+        self, node_id: int, state: PeriodState
+    ) -> Tuple[List["PeerNode | SourceNode"], List[float], int]:
+        """Pull one buffer map per current neighbour of ``node_id``.
+
+        The one neighbour walk, whatever the decider: it owns liveness, the
+        fabric's control-plane draw (so the draws come in one order) and the
+        advertised sending rate, and counts the control traffic on
+        ``state``.  On a lossy fabric a pull (or its reply) can be dropped:
+        the peer simply schedules this period without that neighbour's map
+        and retries at the next period -- pull-based gossip is self-healing.
+
+        Returns the neighbours that answered, their advertised rates and
+        the wire size of their maps.
+        """
+        nodes: List["PeerNode | SourceNode"] = []
+        rates: List[float] = []
+        dropped = bits = 0
+        peer_bits, source_bits = self._map_bits
+        send_rates = state.send_rates
+        for neighbour_id in self.overlay.neighbours(node_id):
+            node = self._node(neighbour_id)
+            if node is None:
+                continue
+            if self.fabric.control_transfer(neighbour_id, node_id) is None:
+                dropped += 1
+                continue
+            rate = send_rates.get(neighbour_id)
+            if rate is None:
+                rate = send_rates[neighbour_id] = self._estimate_send_rate(neighbour_id)
+            nodes.append(node)
+            rates.append(rate)
+            bits += source_bits if neighbour_id in self.sources else peer_bits
+        state.control_pulls += len(nodes)
+        state.control_dropped += dropped
+        state.control_bits += bits
+        return nodes, rates, bits
+
+    def _estimate_send_rate(self, supplier_id: int) -> float:
+        outbound = self._outbound.get(supplier_id, 0.0)
+        if self.config.supplier_rate_estimate == "full":
+            return outbound
+        degree = max(1, self.overlay.degree(supplier_id))
+        return outbound / degree
+
+    def _node(self, node_id: int):
+        """Look up a peer or source by id (``None`` if it has left)."""
+        if node_id in self.peers:
+            return self.peers[node_id]
+        return self.sources.get(node_id)
 
     def _schedule_delivery(
         self, node_id: int, seg_id: int, delay: float, *, supplier_id: int = -1
@@ -970,105 +1065,33 @@ class SwitchSession:
         in which case the segment evaporates with it.
         """
         peer = self.peers.get(node_id)
-        if peer is None:
-            return
-        arrival = self.engine.now
-        peer.apply_delivery(seg_id, arrival)
-        probes = get_telemetry().probes
+        if peer is not None:
+            self._arrive(
+                peer, seg_id, supplier_id, self.engine.now, delay, get_telemetry().probes
+            )
+
+    def _arrive(
+        self, peer: PeerNode, seg_id: int, supplier_id: int, now: float, delay: float,
+        probes: "ProbeSet | NullProbeSet",
+    ) -> None:
+        """``peer`` receives ``seg_id`` at ``now``, ``delay`` seconds after it was sent."""
+        peer.apply_delivery(seg_id, now)
         if probes.enabled:
-            probes.lifecycle.append(arrival, self.rounds_run, node_id, seg_id,
+            probes.lifecycle.append(now, self.rounds_run, peer.node_id, seg_id,
                                     STAGE_DELIVERED, supplier_id, delay)
             if seg_id >= self.switch_plan.id_begin:
-                probes.funnel.mark(self.label, node_id, "first_segment", arrival)
-
-    def _pull_buffer_maps(
-        self,
-        peer: PeerNode,
-        send_rates: Dict[int, float],
-        obs: "Telemetry | NullTelemetry",
-    ) -> List[BufferMapSnapshot]:
-        """Pull one buffer map per current neighbour (charging control traffic).
-
-        On a lossy fabric a pull (or its reply) can be dropped: the peer
-        simply schedules this period without that neighbour's map and
-        retries at the next period -- pull-based gossip is self-healing.
-
-        ``send_rates`` memoises each supplier's advertised rate and ``obs``
-        is the telemetry handle; both live for one decide phase.
-        """
-        windows = peer.interest_windows()
-        snapshots: List[BufferMapSnapshot] = []
-        dropped = 0
-        for neighbour_id in self.overlay.neighbours(peer.node_id):
-            node = self._node(neighbour_id)
-            if node is None:
-                continue
-            if self.fabric.control_transfer(neighbour_id, peer.node_id) is None:
-                dropped += 1
-                continue
-            send_rate = send_rates.get(neighbour_id)
-            if send_rate is None:
-                send_rate = send_rates[neighbour_id] = self._estimate_send_rate(neighbour_id)
-            snapshot = node.snapshot_for(windows, send_rate=send_rate)
-            self.overhead.add_control(snapshot.wire_bits)
-            snapshots.append(snapshot)
-        if obs.enabled:
-            obs.counter("fabric.control_pulls").add(len(snapshots))
-            obs.counter("fabric.control_dropped").add(dropped)
-        return snapshots
-
-    def _estimate_send_rate(self, supplier_id: int) -> float:
-        outbound = self._outbound.get(supplier_id, 0.0)
-        if self.config.supplier_rate_estimate == "full":
-            return outbound
-        degree = max(1, self.overlay.degree(supplier_id))
-        return outbound / degree
-
-    def _node(self, node_id: int):
-        """Look up a peer or source by id (``None`` if it has left)."""
-        if node_id in self.peers:
-            return self.peers[node_id]
-        return self.sources.get(node_id)
+                probes.funnel.mark(self.label, peer.node_id, "first_segment", now)
 
     # ------------------------------------------------------------------ #
     # churn and scripted environment changes
     # ------------------------------------------------------------------ #
-    def _directive_for(self, now: float) -> Optional[PeriodDirective]:
-        """The workload directive for the period ending at ``now`` (if any)."""
-        if not self._directives or now <= 0:
-            return None
-        period = round_half_up(now / self.config.tau)
-        return self._directives.get(period)
-
-    def _apply_churn(
-        self,
-        now: float,
-        *,
-        leave_fraction: Optional[float] = None,
-        join_fraction: Optional[float] = None,
-        leave_count: Optional[int] = None,
-        join_count: Optional[int] = None,
-    ) -> None:
-        eligible = sorted(self.peers.keys())
-        plan = self.churn.plan_round(
-            eligible,
-            leave_fraction=leave_fraction,
-            join_fraction=join_fraction,
-            leave_count=leave_count,
-            join_count=join_count,
-        )
-        if plan.empty:
-            return
+    def _remove_and_repair(self, victims: Sequence[int]) -> None:
+        """Remove ``victims`` and restore their ex-neighbours' minimum degree."""
         affected: List[int] = []
-        for leaver in plan.leavers:
-            if leaver not in self.peers:
-                continue
-            affected.extend(self._remove_peer(leaver))
-        self.membership.repair([n for n in affected if n in self.overlay])
-
-        rng = self.streams.get("join-bandwidth")
-        for _ in range(plan.joins):
-            self._create_joiner(now, rng)
+        for victim in victims:
+            affected.extend(self._remove_peer(victim))
+        # repair() skips the ex-neighbours that were victims themselves
+        self.membership.repair(affected)
 
     def _remove_peer(self, leaver: int) -> List[int]:
         """Remove one peer from every session structure; return its ex-neighbours."""
@@ -1079,22 +1102,20 @@ class SwitchSession:
             self._departed_stalls += departed.total_stalls
         self.ledger.remove_node(leaver)
         self._outbound.pop(leaver, None)
-        self._inbound.pop(leaver, None)
-        self._peer_class.pop(leaver, None)
         return affected
 
-    def _apply_correlated_failure(self, fraction: float) -> None:
-        """Fail a connected cluster of peers together (one correlated event).
+    def _failure_cluster(self, fraction: float) -> List[int]:
+        """The peers of one correlated failure: a connected cluster.
 
         A random seed peer is drawn and the failure spreads breadth-first
         over current overlay neighbours until ``fraction`` of the peer
-        population is gone -- the topological correlation is what separates
-        this from the independent-leaver churn model.
+        population is covered -- the topological correlation is what
+        separates this from the independent-leaver churn model.
         """
         eligible = sorted(self.peers.keys())
         target = min(round_half_up(fraction * len(eligible)), len(eligible))
         if target <= 0:
-            return
+            return []
         rng = self.streams.get("failure")
         victims: List[int] = []
         queue: deque[int] = deque()
@@ -1115,66 +1136,26 @@ class SwitchSession:
                 if neighbour not in seen and neighbour in self.peers:
                     seen.add(neighbour)
                     queue.append(neighbour)
-        affected: List[int] = []
-        for victim in victims:
-            if victim in self.peers:
-                affected.extend(self._remove_peer(victim))
-        self.membership.repair([n for n in affected if n in self.overlay])
+        return victims
 
-    def _create_joiner(self, now: float, rng: np.random.Generator) -> None:
-        cfg = self.config
+    def _join(self, now: float, rng: np.random.Generator) -> None:
+        """One churn joiner: overlay membership, bandwidth, region, fresh playback."""
         info = NodeInfo(
             node_id=self.membership.allocate_node_id(),
             ping_ms=float(rng.uniform(20.0, 300.0)),
             speed_kbps=float(rng.choice([128.0, 768.0, 1500.0])),
         )
         node_id = self.membership.join(info)
-        class_name = ""
-        if cfg.peer_classes:
-            index = int(draw_class_indices(1, cfg.peer_classes, rng)[0])
-            peer_class = cfg.peer_classes[index]
-            class_name = peer_class.name
-            inbound = peer_class.sample_inbound(rng)
-            outbound = peer_class.sample_outbound(rng)
-        else:
-            inbound = float(
-                sample_rates(1, rng, low=cfg.inbound_low, high=cfg.inbound_high, mean=cfg.inbound_mean)[0]
-            )
-            outbound = float(
-                sample_rates(1, rng, low=cfg.outbound_low, high=cfg.outbound_high, mean=cfg.outbound_mean)[0]
-            )
-        self._inbound[node_id] = inbound
-        self._outbound[node_id] = outbound
-        self._peer_class[node_id] = class_name
-        self.ledger.add_node(node_id, outbound)
-        pinned_region = ""
-        if self.fabric.topology is not None:
-            pinned_region = self._class_region_pin.get(class_name, "")
-        self.fabric.assign_joiner(node_id, region=pinned_region)
-
-        peer = PeerNode(
-            node_id,
-            BandwidthProfile(inbound=inbound, outbound=outbound),
-            self._algorithm_factory(),
-            buffer_capacity=cfg.buffer_capacity,
-            play_rate=cfg.play_rate,
-            startup_quota_old=cfg.startup_quota_old,
-            startup_quota_new=cfg.startup_quota_new,
-            tau=cfg.tau,
-            lookahead=cfg.lookahead,
-            tracked=False,
-            peer_class=class_name,
-            region=self.fabric.region_of(node_id),
+        profile = self._draw_profiles(1, rng, rng, rng)[0]
+        self.fabric.assign_joiner(
+            node_id, region=self._class_region_pin.get(profile[0], "")
         )
+        peer = self._add_peer(node_id, profile, tracked=False, now=now)
+        self.ledger.add_node(node_id, peer.bandwidth.outbound)
         # A joiner follows its neighbours' current playback point rather than
         # back-filling history (paper, Section 5.4).
-        position = self._neighbour_playback_position(node_id)
-        peer.init_fresh_playback(position=position)
+        peer.init_fresh_playback(position=self._neighbour_playback_position(node_id))
         peer.q0 = 0
-        self.peers[node_id] = peer
-        probes = get_telemetry().probes
-        if probes.enabled:
-            probes.funnel.mark(self.label, node_id, "joined", now)
 
     def _neighbour_playback_position(self, node_id: int) -> int:
         positions: List[int] = []
@@ -1193,22 +1174,20 @@ class SwitchSession:
     # termination and results
     # ------------------------------------------------------------------ #
     def _maybe_stop(self, now: float) -> None:
-        reason: Optional[str] = None
         tracked_alive = [p for p in self.peers.values() if p.tracked]
         if not tracked_alive:
-            reason = "no tracked peers remain"
+            self._stop_reason = "no tracked peers remain"
         elif not self.config.run_full_horizon and all(p.switch_done for p in tracked_alive):
-            reason = "all tracked peers switched"
+            self._stop_reason = "all tracked peers switched"
         elif now >= self.config.max_time:
-            reason = "time horizon reached"
-        if reason is None:
+            self._stop_reason = "time horizon reached"
+        else:
             return
-        self._stop_reason = reason
         if self._owns_engine:
-            raise StopSimulation(reason)
+            raise StopSimulation(self._stop_reason)
         # On a shared engine the session only retires itself: other channel
         # meshes keep running on the same clock.
-        self._periodic.stop()
+        self.close()
 
     @property
     def finished(self) -> bool:
@@ -1216,27 +1195,50 @@ class SwitchSession:
         return self._stop_reason is not None
 
     def run(self) -> SessionResult:
-        """Run the simulation to completion and return the results.
+        """Run the simulation to completion, close the session, return the results.
 
-        Only valid for a session that owns its engine; sessions attached to
-        a shared engine are driven by their owner, which then collects each
-        session's result through :meth:`finalize`.
+        Only valid once, and only for a session that owns its engine;
+        sessions attached to a shared engine are driven by their owner,
+        which then collects each session's result through :meth:`finalize`.
         """
         if not self._owns_engine:
             raise RuntimeError(
                 "session runs on a shared engine; run that engine and call finalize()"
             )
+        if self.finished or not self._periodic.active:
+            raise RuntimeError(
+                f"session {self.label!r} is finished or closed and cannot run again; "
+                "finalize() still returns its result"
+            )
         started = _wallclock.perf_counter()
-        with get_telemetry().span(
-            "session.run",
-            label=self.label,
-            algorithm=self.config.algorithm,
-            engine=self.config.engine,
-            n_nodes=self.config.n_nodes,
-        ):
-            self.engine.run_until(self.config.max_time + self.config.tau)
-        self._wallclock = _wallclock.perf_counter() - started
-        return self.finalize()
+        try:
+            with get_telemetry().span(
+                "session.run",
+                label=self.label,
+                algorithm=self.config.algorithm,
+                engine=self.config.engine,
+                n_nodes=self.config.n_nodes,
+            ):
+                self.engine.run_until(self.config.max_time + self.config.tau)
+            self._wallclock = _wallclock.perf_counter() - started
+            return self.finalize()
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """Detach the session from its engine (idempotent).
+
+        Scheduled rounds keep a session in a reference cycle (periodic
+        process -> bound ``_round`` -> session, and the queue in between),
+        so peers, buffers and the array engine's matrices would wait for a
+        full garbage collection.  Closing stops and unhooks the process and,
+        on an engine the session owns, drops what is still queued
+        (deliveries in flight past the stop).  Nothing :meth:`finalize` or a
+        caller reads is touched.
+        """
+        self._periodic.stop()
+        if self._owns_engine:
+            self.engine.queue.clear()
 
     def finalize(self) -> SessionResult:
         """Build the :class:`SessionResult` from the session's current state."""
@@ -1266,8 +1268,3 @@ class SwitchSession:
             stop_reason=self._stop_reason or "queue exhausted",
             fabric_stats=dict(self.fabric.stats()),
         )
-
-
-def run_session(config: SessionConfig) -> SessionResult:
-    """Convenience one-liner: build and run a session for ``config``."""
-    return SwitchSession(config).run()

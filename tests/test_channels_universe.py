@@ -1,5 +1,7 @@
 """Tests for the multi-channel universe: spec, planning, execution, runner."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -130,6 +132,22 @@ class TestExecution:
         assert all(o.algorithm == "normal" for o in rep.normal)
         assert all(o.algorithm == "fast" for o in rep.fast)
         assert sum(o.audience for o in rep.fast) == TINY.n_viewers
+
+    @pytest.mark.parametrize("topology", ["", "transcontinental"])
+    def test_finished_universe_frees_its_meshes_without_a_collection(self, topology):
+        """run() closes every mesh and clears the shared engine, so with the
+        cyclic collector off the meshes die with the universe."""
+        gc.collect()
+        gc.disable()
+        try:
+            universe = UniverseSession(replace(TINY, topology=topology), 0)
+            meshes = [weakref.ref(mesh) for mesh in universe.sessions.values()]
+            universe.run()
+            assert all(mesh.finished for mesh in universe.sessions.values())
+            del universe
+            assert [mesh() for mesh in meshes] == [None] * len(meshes)
+        finally:
+            gc.enable()
 
     def test_outcomes_are_paired_and_measured(self):
         rep = run_universe_rep(TINY, 0)

@@ -286,6 +286,30 @@ def test_vector_session_counts_vector_dispatch(tiny_config):
     assert counters["engine.dispatch.vector"] > 0
 
 
+@pytest.mark.parametrize("topology", ["", "transcontinental"])
+def test_engines_count_the_same_traffic(topology):
+    """Both engines pull buffer maps through the session's one neighbour walk,
+    so everything but the dispatch counters agrees -- lost pulls included
+    (and on the ideal fabric, where the array engine reuses walk results,
+    the re-counted pulls)."""
+
+    def counters(engine):
+        config = make_session_config(
+            40, seed=7, dynamic=True, max_time=80.0, old_stream_segments=400,
+            lookahead=120, engine=engine, topology=topology,
+        )
+        with telemetry_session() as telemetry:
+            SwitchSession(config).run()
+        snapshot = telemetry.registry.snapshot()["counters"]
+        return {name: value for name, value in snapshot.items()
+                if name.startswith(("fabric.", "session.", "engine.events"))}
+
+    oracle, vector = counters("oracle"), counters("vector")
+    assert oracle == vector
+    assert oracle["fabric.control_pulls"] > 0
+    assert (oracle["fabric.control_dropped"] > 0) == bool(topology)
+
+
 def test_telemetry_does_not_change_session_results(tiny_config):
     baseline = normalized_run_document(SwitchSession(tiny_config).run())
     with telemetry_session():

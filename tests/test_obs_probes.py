@@ -34,11 +34,9 @@ from repro.obs.probes import (
     SegmentLifecycleProbe,
     StartupFunnelProbe,
     SwarmHealthProbe,
-    STAGE_DELIVERED,
     STAGE_DROPPED,
     STAGE_NAMES,
     STAGE_REQUESTED,
-    STAGE_SCHEDULED,
 )
 from repro.streaming.session import SwitchSession
 
@@ -53,17 +51,6 @@ def test_lifecycle_keeps_first_n_and_counts_drops():
     assert len(probe) == 3
     assert probe.dropped == 2
     assert probe.times == [0.0, 1.0, 2.0]  # first N, never a sliding window
-
-
-def test_lifecycle_extend_matches_append():
-    by_append = SegmentLifecycleProbe()
-    by_extend = SegmentLifecycleProbe()
-    rows = [(1.0, 0, 7, 100, STAGE_SCHEDULED, 3, 0.25),
-            (2.0, 1, 7, 101, STAGE_DELIVERED, 3, 0.5)]
-    for row in rows:
-        by_append.append(*row)
-    by_extend.extend(rows)
-    assert by_append.rows() == by_extend.rows()
 
 
 def test_lifecycle_rows_filter_and_counts():
@@ -153,7 +140,6 @@ def test_funnel_rows_aggregate_per_label():
 def test_null_probes_are_inert():
     assert NULL_PROBES.enabled is False
     NULL_PROBES.lifecycle.append(1.0, 0, 1, 2, STAGE_REQUESTED)
-    NULL_PROBES.lifecycle.extend([(1.0, 0, 1, 2, STAGE_REQUESTED, -1, 0.0)])
     NULL_PROBES.health.sample(1.0, "x", [1], pending=0, utilisation=0.0,
                               requests=0, failed=0, delivered=0)
     NULL_PROBES.funnel.mark("x", 1, "joined", 0.0)

@@ -1,16 +1,19 @@
 """Integration tests for the switch session (small overlays)."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
 from repro.churn.model import ChurnConfig
 from repro.experiments.config import make_session_config
+from repro.sim.engine import SimulationEngine
 from repro.streaming.session import (
     ALGORITHM_FACTORIES,
+    ENGINE_NAMES,
     SessionConfig,
     SwitchSession,
-    run_session,
 )
 
 
@@ -62,7 +65,7 @@ def test_analytic_warmup_seeds_backlogs(tiny_config):
 
 
 def test_full_run_completes_every_peer(tiny_config):
-    result = run_session(tiny_config)
+    result = SwitchSession(tiny_config).run()
     assert result.metrics.unfinished == 0
     assert result.metrics.avg_prepare_new > 0
     assert result.metrics.avg_finish_old > 0
@@ -74,8 +77,8 @@ def test_full_run_completes_every_peer(tiny_config):
 
 
 def test_runs_are_deterministic_for_a_seed(tiny_config):
-    first = run_session(tiny_config)
-    second = run_session(tiny_config)
+    first = SwitchSession(tiny_config).run()
+    second = SwitchSession(tiny_config).run()
     assert first.metrics.avg_prepare_new == second.metrics.avg_prepare_new
     assert first.metrics.avg_finish_old == second.metrics.avg_finish_old
     assert first.overhead_ratio == second.overhead_ratio
@@ -83,8 +86,8 @@ def test_runs_are_deterministic_for_a_seed(tiny_config):
 
 def test_different_seeds_differ(tiny_config):
     other = dataclasses.replace(tiny_config, seed=tiny_config.seed + 1)
-    a = run_session(tiny_config)
-    b = run_session(other)
+    a = SwitchSession(tiny_config).run()
+    b = SwitchSession(other).run()
     assert (
         a.metrics.avg_prepare_new != b.metrics.avg_prepare_new
         or a.metrics.avg_finish_old != b.metrics.avg_finish_old
@@ -92,7 +95,7 @@ def test_different_seeds_differ(tiny_config):
 
 
 def test_round_series_recorded_and_monotone(tiny_config):
-    result = run_session(tiny_config)
+    result = SwitchSession(tiny_config).run()
     rounds = result.metrics.rounds
     assert len(rounds) >= 3
     times = [r.time for r in rounds]
@@ -143,12 +146,68 @@ def test_simulated_warmup_reaches_steady_state():
 
 def test_fair_share_estimator_still_completes(tiny_config):
     config = dataclasses.replace(tiny_config, supplier_rate_estimate="fair_share")
-    result = run_session(config)
+    result = SwitchSession(config).run()
     assert result.metrics.unfinished == 0
 
 
 def test_overhead_series_is_nondecreasing_in_time(tiny_config):
-    result = run_session(tiny_config)
+    result = SwitchSession(tiny_config).run()
     times = [t for t, _ in result.overhead_series]
     assert times == sorted(times)
     assert all(ratio > 0 for _, ratio in result.overhead_series[1:])
+
+
+# --------------------------------------------------------------------------- #
+# lifecycle: run once, finalize any number of times, close
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+def test_second_run_is_refused_and_finalize_repeats(tiny_config, engine):
+    session = SwitchSession(dataclasses.replace(tiny_config, engine=engine), label="once")
+    result = session.run()
+    assert result.n_rounds == 15
+    with pytest.raises(RuntimeError, match="'once'"):
+        session.run()  # used to simulate a 16th period
+    assert session.finalize() == result == session.finalize()
+    assert session.rounds_run == 15
+    session.close()  # idempotent, and wipes nothing
+    assert len(session.peers) == tiny_config.n_nodes - 2
+    assert session.finalize() == result
+
+
+def test_closed_session_refuses_to_run(tiny_config):
+    session = SwitchSession(tiny_config)
+    session.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        session.run()
+
+
+@pytest.mark.parametrize("topology", ["", "transcontinental"])
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+@pytest.mark.parametrize("lifecycle", ["owned", "shared"])
+def test_finished_session_is_freed_without_a_collection(
+    tiny_config, lifecycle, engine, topology
+):
+    """A finished, closed session is in no reference cycle: with the cyclic
+    collector off it is gone the moment the last reference goes."""
+    config = dataclasses.replace(tiny_config, engine=engine, topology=topology)
+    gc.collect()
+    gc.disable()
+    try:
+        if lifecycle == "owned":
+            session = SwitchSession(config)
+            session.run()
+        else:
+            shared = SimulationEngine()
+            session = SwitchSession(config, engine=shared)
+            while not session.finished:
+                shared.step()
+            # the last period's delayed deliveries are still in flight
+            assert bool(len(shared.queue)) == bool(topology)
+            session.finalize()
+            session.close()
+            shared.queue.clear()
+        alive = weakref.ref(session)
+        del session
+        assert alive() is None
+    finally:
+        gc.enable()

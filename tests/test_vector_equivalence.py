@@ -278,10 +278,18 @@ def test_unknown_engine_rejected():
 
 
 def test_vector_session_class_dispatch():
-    from repro.core.vector import VectorSwitchSession
+    """There is one session class: the engine name picks its decider."""
+    from repro.core.vector import VectorDecider
+    from repro.streaming.session import OracleDecider
 
-    assert type(SwitchSession(_tiny(engine="vector"))) is VectorSwitchSession
-    assert type(SwitchSession(_tiny(engine="oracle"))) is SwitchSession
+    deciders = {"oracle": OracleDecider, "vector": VectorDecider}
+    assert set(deciders) == set(ENGINE_NAMES)
+    for engine, decider in deciders.items():
+        session = SwitchSession(_tiny(engine=engine))
+        assert type(session) is SwitchSession
+        assert type(session._decider) is decider
+    with pytest.raises(ValueError, match="unknown engine"):
+        _tiny(engine="gpu")
     # a config that names no engine runs on the declared default
     assert _tiny().engine == DEFAULT_ENGINE
     assert DEFAULT_ENGINE in ENGINE_NAMES
