@@ -34,7 +34,7 @@ from repro.net.fabric import IdealFabric, LatencyFabric
 from repro.net.library import get_topology
 from repro.net.topology import NetTopology, Region
 from repro.obs.telemetry import telemetry_session
-from repro.streaming.session import SessionConfig, SwitchSession
+from repro.streaming.session import ENGINE_NAMES, SessionConfig, SwitchSession
 
 
 def small_config(n_nodes=80, **overrides):
@@ -99,13 +99,23 @@ class TestTopologySession:
         )
 
 
+def exact_delay_topology(name, delay_ms):
+    """One lossless, jitter-free region: every segment takes exactly ``delay_ms``."""
+    return NetTopology(
+        name=name,
+        regions=(Region("only", weight=1.0, last_mile_ms=0.0, jitter_ms=0.0, loss=0.0),),
+        latency_ms=((delay_ms,),),
+    )
+
+
 def one_second_topology():
     """One lossless, jitter-free region whose one-way delay is exactly tau."""
-    return NetTopology(
-        name="one-second",
-        regions=(Region("only", weight=1.0, last_mile_ms=0.0, jitter_ms=0.0, loss=0.0),),
-        latency_ms=((1000.0,),),
-    )
+    return exact_delay_topology("one-second", 1000.0)
+
+
+def two_second_topology():
+    """The same region with a one-way delay of exactly two periods."""
+    return exact_delay_topology("two-second", 2000.0)
 
 
 class TestDelayedDeliveries:
@@ -144,6 +154,32 @@ class TestDelayedDeliveries:
         for row in delivered:
             assert row["value"] == config.tau  # the sampled delay
             assert row["time"] == start + row["period"] * config.tau, row
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_delivery_arriving_two_rounds_later_runs_before_that_round(self, engine):
+        """The other side of the tie: a segment requested in round ``k`` over
+        a path of exactly ``2 * tau`` lands on round ``k + 2``'s timestamp,
+        but it was sent before round ``k + 1`` scheduled round ``k + 2``, so
+        it is applied *before* that round and stamped with period ``k + 1``.
+        The literals were computed on the event queue, one engine event
+        per delayed segment."""
+        config = small_config(n_nodes=40, max_time=40.0, engine=engine)
+        fabric = LatencyFabric(two_second_topology(), np.random.default_rng(0))
+        with telemetry_session(probes=True) as telemetry:
+            session = SwitchSession(config, fabric=fabric)
+            start = session.engine.now
+            result = session.run()
+        delivered = [
+            row for row in telemetry.probes.lifecycle.rows() if row["stage"] == "delivered"
+        ]
+        assert (result.n_rounds, len(delivered)) == (31, 9128)
+        assert delivered[0] == {"time": 3.0, "period": 2, "peer": 13, "seg": 875,
+                                "stage": "delivered", "supplier": 27, "value": 2.0}
+        assert delivered[-1] == {"time": 31.0, "period": 30, "peer": 11, "seg": 979,
+                                 "stage": "delivered", "supplier": 37, "value": 2.0}
+        for row in delivered:
+            assert row["value"] == 2 * config.tau  # the sampled delay
+            assert row["time"] == start + (row["period"] + 1) * config.tau, row
 
 
 class TestPairedTranscontinental:
