@@ -30,6 +30,7 @@ are paired exactly as in the paper.
 from __future__ import annotations
 
 import time as _wallclock
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -446,6 +447,32 @@ class PeriodState:
     delayed: int = 0
     #: ``(peer, seg_id, supplier_id)`` delivered within the period
     deliveries: List[Tuple[PeerNode, int, int]] = field(default_factory=list)
+
+
+#: One delayed segment in flight: ``(arrival time, index of the sending
+#: period, send order within it, receiver, segment, supplier, delay)``.
+Arrival = Tuple[float, int, int, int, int, int, float]
+
+
+def due_arrivals(calendar: List[Arrival], now: float, index: float) -> List[Arrival]:
+    """Take from ``calendar``, in order, what lands before round ``index`` at ``now``.
+
+    The order is the one an event queue keeps, ``(time, priority,
+    sequence)``, when every delivery is an event of its own (the differential
+    test runs :class:`repro.sim.events.EventQueue` as that reference):
+    sorting the records gives it, because a period sends after every earlier
+    one.  The cut follows from the round being an event too, pushed by round
+    ``index - 1`` *before* that round exchanges: a record is due when it
+    arrives before ``now``, or exactly at ``now`` having been sent by a round
+    before ``index - 1``; one sent by round ``index - 1`` that lands exactly
+    on ``now`` was pushed after this round, so it waits for the next drain.
+    An infinite ``index`` takes everything that has arrived by ``now``.
+    """
+    calendar.sort()
+    cut = bisect_left(calendar, (now, index - 1))
+    due = calendar[:cut]
+    del calendar[:cut]
+    return due
 
 
 class OracleDecider:

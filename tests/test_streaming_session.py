@@ -2,9 +2,13 @@
 
 import dataclasses
 import gc
+import math
 import weakref
+from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.churn.model import ChurnConfig
 from repro.experiments.config import make_session_config
@@ -14,6 +18,7 @@ from repro.streaming.session import (
     ENGINE_NAMES,
     SessionConfig,
     SwitchSession,
+    due_arrivals,
 )
 
 
@@ -211,3 +216,70 @@ def test_finished_session_is_freed_without_a_collection(
         assert alive() is None
     finally:
         gc.enable()
+
+
+# --------------------------------------------------------------------------- #
+# the arrival calendar against the event queue it stands in for
+# --------------------------------------------------------------------------- #
+@st.composite
+def _delayed_traffic(draw):
+    """``(tau, start, sends)``: per round, the delays of the segments it sends."""
+    tau = draw(st.sampled_from([1.0, 0.5, 0.3, 0.1]))
+    start = draw(st.sampled_from([0.0, -3 * tau]))  # a simulated warm-up starts below 0
+    delay = st.one_of(
+        st.sampled_from([tau, 2 * tau, 3 * tau]),  # lands on a later round's timestamp
+        st.floats(min_value=tau / 1024, max_value=tau, exclude_max=True),
+        st.floats(min_value=2 * tau, max_value=5 * tau, exclude_min=True),
+        st.floats(min_value=1e-9, max_value=4 * tau),
+    )
+    sends = draw(st.lists(st.lists(delay, max_size=5), min_size=1, max_size=7))
+    return tau, start, sends
+
+
+def _queue_reference(tau, start, sends):
+    """One engine event per segment, scheduled from inside a periodic round
+    the way the exchange phase used to: ``(segment, arrival, period stamp)``
+    in execution order, the clock the engine stopped at, what is still queued."""
+    engine = SimulationEngine(start_time=start)
+    landed, rounds_run = [], 0
+
+    def deliver(segment):
+        landed.append((segment, engine.now, rounds_run))
+
+    def round_(now):
+        nonlocal rounds_run
+        rounds_run += 1
+        for order, delay in enumerate(sends[rounds_run - 1]):
+            engine.schedule_in(delay, partial(deliver, (rounds_run, order)))
+        if rounds_run == len(sends):
+            process.stop()  # a finished session retires; the engine runs on
+
+    process = engine.schedule_periodic(tau, round_)
+    while rounds_run < len(sends):
+        engine.step()
+    engine.run_until(engine.now + tau)  # inclusive, like the owner of a shared engine
+    return landed, engine.now, len(engine.queue)
+
+
+@settings(max_examples=300, deadline=None)
+@given(traffic=_delayed_traffic())
+@example(traffic=(1.0, 0.0, [[1.0, 2.0, 0.5], [1.0, 2.0], [1.0], []]))
+def test_calendar_drains_in_the_event_queues_order(traffic):
+    """Draining the calendar at every round (and once more at the end, as
+    ``finalize()`` does on a shared engine) applies the same segments, in the
+    same order, with the same arrival times and period stamps -- i.e. before
+    the same round -- as the event queue does, ties on a round's timestamp
+    included."""
+    tau, start, sends = traffic
+    expected, stopped_at, still_queued = _queue_reference(tau, start, sends)
+    calendar, landed, now = [], [], start
+    for index, delays in enumerate(sends, start=1):
+        now = now + tau  # PeriodicProcess: the next round is at ``now + period``
+        for arrival, sent, order, *_ in due_arrivals(calendar, now, index):
+            landed.append(((sent, order), arrival, index - 1))
+        for order, delay in enumerate(delays):
+            calendar.append((now + delay, index, order, 0, 0, 0, delay))
+    for arrival, sent, order, *_ in due_arrivals(calendar, stopped_at, math.inf):
+        landed.append(((sent, order), arrival, len(sends)))
+    assert landed == expected
+    assert len(calendar) == still_queued
