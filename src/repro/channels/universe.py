@@ -574,8 +574,8 @@ class UniverseSession:
                     algorithm, outcome.decile, unit_aggregate(samples, outcome.unfinished)
                 )
         # Detach every mesh from the shared engine and drop what is still
-        # queued (deliveries in flight past the horizon): nothing then keeps
-        # the sessions alive beyond this object.
+        # queued (the retired rounds): nothing then keeps the sessions alive
+        # beyond this object.
         for session in self.sessions.values():
             session.close()
         self.engine.queue.clear()

@@ -11,9 +11,11 @@ order makes event execution fully deterministic for a given seed -- a
 property the reproduction relies on so that every figure can be
 regenerated bit-for-bit.  In particular an event pushed *while* another
 event with the same ``(time, priority)`` executes runs after every such
-event pushed earlier: a segment delivery whose arrival time equals a
-scheduling round's timestamp runs after that round when it was scheduled
-after the round's (self re-scheduling) event, and before it otherwise.
+event pushed earlier.  Sessions keep delayed segment deliveries out of the
+queue, on a per-session calendar that reproduces this order at each period
+boundary; what that means for a delivery landing exactly on a round's
+timestamp is spelled out at :func:`repro.streaming.session.due_arrivals`,
+and this queue is the reference the calendar is tested against.
 
 Cancellation is a flag on the record (:attr:`Event.cancelled`): a
 cancelled entry stays in the heap until it surfaces and is discarded, and

@@ -10,6 +10,7 @@ the discrete-event engine:
    old stream (analytic warm-up) or run a simulated warm-up.
 2. **Periods** (every ``tau`` seconds): ``SwitchSession._round`` is the list
    of phases, each a method taking the period's :class:`PeriodState`:
+   *arrive* (delayed segments due by now land, :func:`due_arrivals`) ->
    *churn* (membership change) -> *generate* (new segments, fresh upload
    budgets, the period's peer order) -> *decide* (buffer-map pulls, charged
    as control traffic, and the switch algorithm) -> *exchange* (transfers
@@ -33,7 +34,6 @@ import time as _wallclock
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -449,24 +449,16 @@ class PeriodState:
     deliveries: List[Tuple[PeerNode, int, int]] = field(default_factory=list)
 
 
-#: One delayed segment in flight: ``(arrival time, index of the sending
-#: period, send order within it, receiver, segment, supplier, delay)``.
-Arrival = Tuple[float, int, int, int, int, int, float]
-
-
-def due_arrivals(calendar: List[Arrival], now: float, index: float) -> List[Arrival]:
+def due_arrivals(calendar: List[tuple], now: float, index: float) -> List[tuple]:
     """Take from ``calendar``, in order, what lands before round ``index`` at ``now``.
 
-    The order is the one an event queue keeps, ``(time, priority,
-    sequence)``, when every delivery is an event of its own (the differential
-    test runs :class:`repro.sim.events.EventQueue` as that reference):
-    sorting the records gives it, because a period sends after every earlier
-    one.  The cut follows from the round being an event too, pushed by round
-    ``index - 1`` *before* that round exchanges: a record is due when it
-    arrives before ``now``, or exactly at ``now`` having been sent by a round
-    before ``index - 1``; one sent by round ``index - 1`` that lands exactly
-    on ``now`` was pushed after this round, so it waits for the next drain.
-    An infinite ``index`` takes everything that has arrived by ``now``.
+    Records are ``(arrival time, sending round, send order in it, receiver,
+    segment, supplier, delay)``: sorted, they are in the ``(time, sequence)``
+    order of an event queue holding one event per delivery.  Round ``index``
+    is such an event too, pushed by round ``index - 1`` *before* it exchanges,
+    so a record landing exactly on ``now`` is due only if an earlier round
+    sent it; one round ``index - 1`` sent waits for the next drain.  An
+    infinite ``index`` takes everything that has arrived by ``now``.
     """
     calendar.sort()
     cut = bisect_left(calendar, (now, index - 1))
@@ -619,6 +611,7 @@ class SwitchSession:
         self.overhead = OverheadAccountant()
         self.collector = MetricsCollector(config.startup_quota_new)
         self.rounds_run = 0
+        self._calendar: List[tuple] = []  #: delayed segments in flight (due_arrivals)
         self._setup()
 
     # ================================================================== #
@@ -826,6 +819,7 @@ class SwitchSession:
     def _announce_switch(self) -> None:
         """The switch instant: the new source learns the plan (it embeds
         ``id_end`` in its data) and every tracked peer's ``Q0`` is recorded."""
+        self._land_arrivals(self.engine.now)  # a simulated warm-up's last deliveries
         self.sources[self.new_source_id].announce_switch(self.switch_plan)
         id_end = self.switch_plan.id_end
         for peer in self.peers.values():
@@ -840,6 +834,7 @@ class SwitchSession:
     # ================================================================== #
     def _round(self, now: float) -> None:
         """One scheduling period: the protocol's fixed sequence, in executed order."""
+        self._land_arrivals(now, self.rounds_run + 1)
         self.rounds_run += 1
         state = PeriodState(now, self.rounds_run, self._directive_for(now))
         obs = get_telemetry()
@@ -919,7 +914,7 @@ class SwitchSession:
         now, period = state.now, state.index
         probes = get_telemetry().probes
         requests = failed = delayed = 0
-        deliveries = state.deliveries
+        deliveries, calendar = state.deliveries, self._calendar
         for node_id in state.order:
             peer = self.peers[node_id]
             for request in state.decisions[node_id].requests:
@@ -945,8 +940,8 @@ class SwitchSession:
                         continue
                     else:
                         delayed += 1
-                        self._schedule_delivery(
-                            node_id, seg_id, delay, supplier_id=supplier_id
+                        calendar.append(
+                            (now + delay, period, delayed, node_id, seg_id, supplier_id, delay)
                         )
                         continue
                 peer.record_failed_request()
@@ -1075,27 +1070,23 @@ class SwitchSession:
             return self.peers[node_id]
         return self.sources.get(node_id)
 
-    def _schedule_delivery(
-        self, node_id: int, seg_id: int, delay: float, *, supplier_id: int = -1
-    ) -> None:
-        """Deliver ``seg_id`` to ``node_id`` after the network delay."""
-        self.engine.schedule_in(
-            delay,
-            partial(self._deliver, node_id, seg_id, supplier_id, delay),
-            label="net-delivery",
-        )
-
-    def _deliver(self, node_id: int, seg_id: int, supplier_id: int, delay: float) -> None:
-        """A delayed segment arrives (the engine event behind a delivery).
-
-        The receiving peer may have left through churn by the arrival time,
-        in which case the segment evaporates with it.
-        """
-        peer = self.peers.get(node_id)
-        if peer is not None:
-            self._arrive(
-                peer, seg_id, supplier_id, self.engine.now, delay, get_telemetry().probes
-            )
+    def _land_arrivals(self, now: float, index: float = float("inf")) -> None:
+        """Apply what :func:`due_arrivals` takes off the calendar, each record at
+        its own arrival time; a segment whose receiver has left evaporates."""
+        if not self._calendar:
+            return
+        obs = get_telemetry()
+        probes = obs.probes
+        due = due_arrivals(self._calendar, now, index)
+        arrived = 0
+        for arrival, _, _, node_id, seg_id, supplier_id, delay in due:
+            peer = self.peers.get(node_id)
+            if peer is not None:
+                arrived += 1
+                self._arrive(peer, seg_id, supplier_id, arrival, delay, probes)
+        if obs.enabled:
+            obs.counter("fabric.deliveries_arrived").add(arrived)
+            obs.counter("fabric.deliveries_evaporated").add(len(due) - arrived)
 
     def _arrive(
         self, peer: PeerNode, seg_id: int, supplier_id: int, now: float, delay: float,
@@ -1259,16 +1250,19 @@ class SwitchSession:
         process -> bound ``_round`` -> session, and the queue in between),
         so peers, buffers and the array engine's matrices would wait for a
         full garbage collection.  Closing stops and unhooks the process and,
-        on an engine the session owns, drops what is still queued
-        (deliveries in flight past the stop).  Nothing :meth:`finalize` or a
-        caller reads is touched.
+        on an engine the session owns, drops what is still queued and the
+        deliveries in flight past the stop (a shared clock runs on, so there
+        :meth:`finalize` lands them).  Nothing a caller reads is touched.
         """
         self._periodic.stop()
         if self._owns_engine:
             self.engine.queue.clear()
+            self._calendar.clear()
 
     def finalize(self) -> SessionResult:
         """Build the :class:`SessionResult` from the session's current state."""
+        if not self._owns_engine:
+            self._land_arrivals(self.engine.now)
         # Peers that left through churn only contribute if they completed
         # their switch before leaving; peers that departed mid-switch carry
         # no meaningful completion time (the paper's dynamic scenario lets

@@ -34,6 +34,7 @@ from repro.net.fabric import IdealFabric, LatencyFabric
 from repro.net.library import get_topology
 from repro.net.topology import NetTopology, Region
 from repro.obs.telemetry import telemetry_session
+from repro.sim.engine import SimulationEngine
 from repro.streaming.session import ENGINE_NAMES, SessionConfig, SwitchSession
 
 
@@ -99,42 +100,88 @@ class TestTopologySession:
         )
 
 
-def exact_delay_topology(name, delay_ms):
-    """One lossless, jitter-free region: every segment takes exactly ``delay_ms``."""
+def one_region_topology(name, path_ms, **last_mile):
+    """One region whose one-way delay is ``path_ms``: exactly, unless
+    ``last_mile`` adds a last-mile delay, jitter or loss to it."""
+    region = dict(last_mile_ms=0.0, jitter_ms=0.0, loss=0.0)
+    region.update(last_mile)
     return NetTopology(
         name=name,
-        regions=(Region("only", weight=1.0, last_mile_ms=0.0, jitter_ms=0.0, loss=0.0),),
-        latency_ms=((delay_ms,),),
+        regions=(Region("only", weight=1.0, **region),),
+        latency_ms=((path_ms,),),
     )
 
 
 def one_second_topology():
     """One lossless, jitter-free region whose one-way delay is exactly tau."""
-    return exact_delay_topology("one-second", 1000.0)
-
-
-def two_second_topology():
-    """The same region with a one-way delay of exactly two periods."""
-    return exact_delay_topology("two-second", 2000.0)
+    return one_region_topology("one-second", 1000.0)
 
 
 class TestDelayedDeliveries:
     def test_segment_in_flight_to_a_departed_peer_evaporates(self):
-        session = SwitchSession(small_config(n_nodes=40, max_time=10.0,
-                                             topology="transcontinental"))
-        leaver, stayer = sorted(session.peers)[:2]
-        seg_id = session.switch_plan.id_begin + 5
-        leaver_node, stayer_node = session.peers[leaver], session.peers[stayer]
-        assert seg_id not in leaver_node.buffer and seg_id not in stayer_node.buffer
-        pending = len(session.engine.queue)
-        session._schedule_delivery(leaver, seg_id, 0.25, supplier_id=stayer)
-        session._schedule_delivery(stayer, seg_id, 0.25, supplier_id=leaver)
-        assert len(session.engine.queue) == pending + 2  # deliveries are engine events
-        session._remove_peer(leaver)
-        session.engine.run_until(session.engine.now + 0.5)
+        config = small_config(n_nodes=40, max_time=10.0, topology="transcontinental")
+        with telemetry_session(probes=True) as telemetry:
+            session = SwitchSession(config)
+            leaver, stayer = sorted(session.peers)[:2]
+            seg_id = session.switch_plan.id_begin + 5
+            leaver_node, stayer_node = session.peers[leaver], session.peers[stayer]
+            assert seg_id not in leaver_node.buffer and seg_id not in stayer_node.buffer
+            # deliveries in flight are records on the session's calendar:
+            # (arrival, sending period, send order, receiver, segment, supplier, delay)
+            arrival = session.engine.now + 0.25
+            session._calendar.append((arrival, 0, 1, leaver, seg_id, stayer, 0.25))
+            session._calendar.append((arrival, 0, 2, stayer, seg_id, leaver, 0.25))
+            pending = len(session.engine.queue)
+            session._remove_peer(leaver)
+            session.engine.run_until(arrival)  # no event in between: nothing lands yet
+            assert len(session.engine.queue) == pending and len(session._calendar) == 2
+            assert seg_id not in stayer_node.buffer
+            session.engine.step()  # the next period boundary drains what is due
         assert seg_id in stayer_node.buffer
         assert seg_id not in leaver_node.buffer
         assert leaver not in session.peers
+        landed = [row for row in telemetry.probes.lifecycle.rows()
+                  if row["stage"] == "delivered" and row["seg"] == seg_id]
+        assert landed == [{"time": arrival, "period": 0, "peer": stayer, "seg": seg_id,
+                           "stage": "delivered", "supplier": leaver, "value": 0.25}]
+        counters = telemetry.registry.snapshot()["counters"]
+        assert counters["fabric.deliveries_evaporated"] == 1
+        assert counters["fabric.deliveries_arrived"] == 1
+
+    @pytest.mark.parametrize("path_ms", [None, 1400.0], ids=["transcontinental", "slow-wan"])
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_every_delayed_segment_arrives_evaporates_or_is_in_flight(self, engine, path_ms):
+        """Conservation, from the telemetry counters alone.  Under churn a
+        segment can only evaporate on a path longer than a period: a shorter
+        one lands at the next boundary, before that period's leavers go."""
+        config = small_config(n_nodes=60, max_time=60.0, dynamic=True, engine=engine,
+                              topology="transcontinental")
+        fabric = None
+        if path_ms is not None:
+            slow = one_region_topology("slow-wan", path_ms, last_mile_ms=50.0,
+                                       jitter_ms=100.0, loss=0.01)
+            fabric = LatencyFabric(slow, np.random.default_rng(0))
+
+        def unaccounted():
+            counters = telemetry.registry.snapshot()["counters"]
+            return (counters["fabric.deliveries_delayed"]
+                    - counters["fabric.deliveries_arrived"]
+                    - counters["fabric.deliveries_evaporated"])
+
+        shared = SimulationEngine()
+        with telemetry_session() as telemetry:
+            session = SwitchSession(config, engine=shared, fabric=fabric)
+            shared.run_until(5.5 * config.tau)  # between two periods
+            assert unaccounted() == len(session._calendar) > 0
+            while not session.finished:
+                shared.step()
+            assert unaccounted() == len(session._calendar) > 0  # in flight at stop
+            shared.run_until(shared.now + 2 * config.tau)  # the owner's clock runs on
+            session.finalize()
+            assert unaccounted() == len(session._calendar) == 0
+            counters = telemetry.registry.snapshot()["counters"]
+        assert counters["fabric.deliveries_arrived"] > 1000
+        assert (counters["fabric.deliveries_evaporated"] > 0) == (path_ms is not None)
 
     def test_delivery_arriving_on_a_round_timestamp_runs_after_that_round(self):
         """The tie rule: a segment requested in round ``k`` over a path of
@@ -164,7 +211,8 @@ class TestDelayedDeliveries:
         The literals were computed on the event queue, one engine event
         per delayed segment."""
         config = small_config(n_nodes=40, max_time=40.0, engine=engine)
-        fabric = LatencyFabric(two_second_topology(), np.random.default_rng(0))
+        two_seconds = one_region_topology("two-second", 2000.0)
+        fabric = LatencyFabric(two_seconds, np.random.default_rng(0))
         with telemetry_session(probes=True) as telemetry:
             session = SwitchSession(config, fabric=fabric)
             start = session.engine.now
