@@ -41,6 +41,10 @@ Layout
     that turn instantaneous exchanges into delayed (and droppable)
     deliveries -- plus locality-aware overlay partner selection.
 
+The names exported here, and by every sub-package but :mod:`repro.figures`,
+are imported on first use (:mod:`repro._hub`): ``import repro`` alone loads
+no other module of the package.
+
 Quickstart
 ----------
 >>> from repro import make_session_config, run_pair
@@ -50,54 +54,35 @@ Quickstart
 True
 """
 
-from repro.channels import UniverseSession, UniverseSpec, run_universe
-from repro.core import (
-    FastSwitchAlgorithm,
-    NormalSwitchAlgorithm,
-    allocate_rates,
-    optimal_split,
-)
-from repro.experiments.config import make_session_config
-from repro.experiments.figures import generate_figure
-from repro.experiments.runner import run_pair, run_single
-from repro.net import (
-    IdealFabric,
-    LatencyFabric,
-    NetTopology,
-    Region,
-    get_topology,
-    topology_names,
-)
-from repro.streaming.session import SessionConfig, SessionResult, SwitchSession
-from repro.workloads import Phase, WorkloadSpec, get_universe, get_workload, run_workload
+from repro._hub import lazy_hub
 
 __version__ = "1.8.0"
 
-__all__ = [
-    "__version__",
-    "FastSwitchAlgorithm",
-    "NormalSwitchAlgorithm",
-    "optimal_split",
-    "allocate_rates",
-    "SessionConfig",
-    "SessionResult",
-    "SwitchSession",
-    "make_session_config",
-    "run_single",
-    "run_pair",
-    "generate_figure",
-    "WorkloadSpec",
-    "Phase",
-    "get_workload",
-    "run_workload",
-    "UniverseSpec",
-    "UniverseSession",
-    "get_universe",
-    "run_universe",
-    "Region",
-    "NetTopology",
-    "IdealFabric",
-    "LatencyFabric",
-    "get_topology",
-    "topology_names",
-]
+__getattr__, __dir__, __all__ = lazy_hub(__name__, {
+    "__version__": __name__,
+    "FastSwitchAlgorithm": "repro.core.fast_switch",
+    "NormalSwitchAlgorithm": "repro.core.normal_switch",
+    "optimal_split": "repro.core.model",
+    "allocate_rates": "repro.core.allocation",
+    "SessionConfig": "repro.streaming.config",
+    "SessionResult": "repro.streaming.config",
+    "SwitchSession": "repro.streaming.session",
+    "make_session_config": "repro.experiments.config",
+    "run_single": "repro.experiments.runner",
+    "run_pair": "repro.experiments.runner",
+    "generate_figure": "repro.experiments.figures",
+    "WorkloadSpec": "repro.workloads.spec",
+    "Phase": "repro.workloads.spec",
+    "get_workload": "repro.workloads.library",
+    "run_workload": "repro.workloads.runner",
+    "UniverseSpec": "repro.channels.universe",
+    "UniverseSession": "repro.channels.universe",
+    "get_universe": "repro.workloads.library",
+    "run_universe": "repro.channels.runner",
+    "Region": "repro.net.topology",
+    "NetTopology": "repro.net.topology",
+    "IdealFabric": "repro.net.fabric",
+    "LatencyFabric": "repro.net.fabric",
+    "get_topology": "repro.net.library",
+    "topology_names": "repro.net.library",
+})

@@ -11,20 +11,14 @@ the examples:
   used to render the paper's figures in a terminal without matplotlib.
 """
 
-from repro.analysis.charts import ascii_bar_chart, ascii_line_chart, sparkline
-from repro.analysis.stats import (
-    PairedComparison,
-    SummaryStats,
-    paired_comparison,
-    summarize,
-)
+from repro._hub import lazy_hub
 
-__all__ = [
-    "SummaryStats",
-    "summarize",
-    "PairedComparison",
-    "paired_comparison",
-    "ascii_line_chart",
-    "ascii_bar_chart",
-    "sparkline",
-]
+__getattr__, __dir__, __all__ = lazy_hub(__name__, {
+    "SummaryStats": "repro.analysis.stats",
+    "summarize": "repro.analysis.stats",
+    "PairedComparison": "repro.analysis.stats",
+    "paired_comparison": "repro.analysis.stats",
+    "ascii_line_chart": "repro.analysis.charts",
+    "ascii_bar_chart": "repro.analysis.charts",
+    "sparkline": "repro.analysis.charts",
+})

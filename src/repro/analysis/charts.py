@@ -11,8 +11,8 @@ iteration order), no external library.
 
 from __future__ import annotations
 
+import html
 from typing import Mapping, Optional, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 __all__ = [
     "sparkline",
@@ -23,6 +23,11 @@ __all__ = [
 ]
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG element text (quotes stay as they are)."""
+    return html.escape(text, quote=False)
 
 
 def sparkline(values: Sequence[float]) -> str:
@@ -179,7 +184,7 @@ def svg_line_chart(
     if title:
         parts.append(
             f'<text x="{_svg_coord(width / 2)}" y="20" text-anchor="middle" '
-            f'font-size="14">{escape(title)}</text>'
+            f'font-size="14">{_escape(title)}</text>'
         )
     # Extremal axis labels only -- enough to read scale without tick logic.
     parts.append(
@@ -204,13 +209,13 @@ def svg_line_chart(
     if x_label:
         parts.append(
             f'<text x="{_svg_coord(width / 2)}" y="{_svg_coord(height - 8.0)}" '
-            f'text-anchor="middle" font-size="12">{escape(x_label)}</text>'
+            f'text-anchor="middle" font-size="12">{_escape(x_label)}</text>'
         )
     if y_label:
         parts.append(
             f'<text x="14" y="{_svg_coord(height / 2)}" text-anchor="middle" '
             f'font-size="12" transform="rotate(-90 14 {_svg_coord(height / 2)})">'
-            f"{escape(y_label)}</text>"
+            f"{_escape(y_label)}</text>"
         )
     legend_y = _SVG_MARGIN + 14.0
     for index, (name, values) in enumerate(series.items()):
@@ -227,7 +232,7 @@ def svg_line_chart(
         parts.append(
             f'<text x="{_svg_coord(_SVG_MARGIN + 8.0)}" '
             f'y="{_svg_coord(legend_y)}" font-size="11" '
-            f'fill="{colour}">{escape(str(name))}</text>'
+            f'fill="{colour}">{_escape(str(name))}</text>'
         )
         legend_y += 14.0
     parts.append("</svg>")
@@ -260,7 +265,7 @@ def svg_bar_chart(
     if title:
         parts.append(
             f'<text x="{_svg_coord(width / 2)}" y="20" text-anchor="middle" '
-            f'font-size="14">{escape(title)}</text>'
+            f'font-size="14">{_escape(title)}</text>'
         )
     for index, (label, value) in enumerate(rows):
         y = top + index * (bar_height + 6)
@@ -269,7 +274,7 @@ def svg_bar_chart(
         parts.append(
             f'<text x="{_svg_coord(label_w - 6.0)}" '
             f'y="{_svg_coord(y + bar_height * 0.72)}" text-anchor="end" '
-            f'font-size="11">{escape(str(label))}</text>'
+            f'font-size="11">{_escape(str(label))}</text>'
         )
         parts.append(
             f'<rect x="{_svg_coord(label_w)}" y="{_svg_coord(y)}" '

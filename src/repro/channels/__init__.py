@@ -23,40 +23,24 @@ N-channel IPTV ecosystem:
     between the serial shared-engine path and the per-channel worker pool.
 """
 
-from repro.channels.directory import Directory
-from repro.channels.lineup import Channel, ChannelLineup, zipf_weights
-from repro.channels.runner import (
-    UniverseResult,
-    UniverseRunner,
-    run_universe,
-    universe_fingerprint,
-)
-from repro.channels.universe import (
-    ChannelOutcome,
-    UniverseRepResult,
-    UniverseSession,
-    UniverseSpec,
-    plan_universe,
-    run_universe_rep,
-)
-from repro.channels.zapping import ZapEvent, ZapPlan, ZappingProcess
+from repro._hub import lazy_hub
 
-__all__ = [
-    "Channel",
-    "ChannelLineup",
-    "zipf_weights",
-    "Directory",
-    "ZapEvent",
-    "ZapPlan",
-    "ZappingProcess",
-    "UniverseSpec",
-    "UniverseSession",
-    "UniverseRepResult",
-    "ChannelOutcome",
-    "plan_universe",
-    "run_universe_rep",
-    "UniverseResult",
-    "UniverseRunner",
-    "run_universe",
-    "universe_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_hub(__name__, {
+    "Channel": "repro.channels.lineup",
+    "ChannelLineup": "repro.channels.lineup",
+    "zipf_weights": "repro.channels.lineup",
+    "Directory": "repro.channels.directory",
+    "ZapEvent": "repro.channels.zapping",
+    "ZapPlan": "repro.channels.zapping",
+    "ZappingProcess": "repro.channels.zapping",
+    "UniverseSpec": "repro.channels.universe",
+    "UniverseSession": "repro.channels.universe",
+    "UniverseRepResult": "repro.channels.universe",
+    "ChannelOutcome": "repro.channels.universe",
+    "plan_universe": "repro.channels.universe",
+    "run_universe_rep": "repro.channels.universe",
+    "UniverseResult": "repro.channels.runner",
+    "UniverseRunner": "repro.channels.runner",
+    "run_universe": "repro.channels.runner",
+    "universe_fingerprint": "repro.channels.runner",
+})

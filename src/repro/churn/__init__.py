@@ -9,6 +9,10 @@ and *how many join* each period; the session executes the plan (removing
 peers, repairing neighbour sets, creating joiners).
 """
 
-from repro.churn.model import ChurnConfig, ChurnModel, ChurnPlan
+from repro._hub import lazy_hub
 
-__all__ = ["ChurnConfig", "ChurnModel", "ChurnPlan"]
+__getattr__, __dir__, __all__ = lazy_hub(__name__, {
+    "ChurnConfig": "repro.churn.model",
+    "ChurnModel": "repro.churn.model",
+    "ChurnPlan": "repro.churn.model",
+})

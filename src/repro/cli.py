@@ -88,7 +88,7 @@ Installed as ``repro-gossip`` (and the shorter alias ``repro``; see
 ``run``, ``compare``, ``workload run|compare``, ``universe run|compare``
 and ``scenario`` accept ``--engine {oracle,vector}`` to pick the
 simulation core.  Without the flag they run on
-:data:`~repro.streaming.session.DEFAULT_ENGINE`: the NumPy array engine
+:data:`~repro.streaming.config.DEFAULT_ENGINE`: the NumPy array engine
 (``vector``) is the production path, and the per-peer object engine
 (``oracle``) is the readable reference and the debugging path -- the two
 are bit-identical (see docs/architecture.md), so store keys and
@@ -107,6 +107,13 @@ JSON output on stdout.
 
 The results directory may also be set via the ``REPRO_RESULTS_DIR``
 environment variable (the ``--results-dir`` flag wins).
+
+Start-up follows use: this module imports the standard library only.  One
+table (``_COMMANDS``) gives every sub-command its help line, its
+``configure(subparser)`` and its handler; :func:`main` registers all of
+them by name, configures the one ``argv`` names, and that command imports
+what it runs -- so ``--version`` and ``--help`` load no NumPy, and a warm
+``report --from-store`` loads no simulator (``tests/test_import_fences.py``).
 """
 
 from __future__ import annotations
@@ -114,40 +121,16 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Dict, List, NamedTuple, Optional, Sequence
 
-from repro.experiments.config import make_session_config, sweep_sizes
-from repro.experiments.figures import FIGURE_GENERATORS, generate_figure
-from repro.experiments.runner import run_pair, run_single
-from repro.experiments.scenarios import SCENARIOS
-from repro.experiments.store import (
-    STORE_BACKENDS,
-    BaseResultStore,
-    MissingResultError,
-    default_results_dir,
-    migrate_store,
-    open_store,
-)
-from repro.experiments.sweeps import run_size_sweep
-from repro.metrics.net import fabric_stats_rows, region_comparison_rows
-from repro.metrics.report import format_table
-from repro.net.library import TOPOLOGIES, get_topology, topology_names
-from repro.overlay.generator import generate_trace
-from repro.streaming.session import DEFAULT_ENGINE, ENGINE_NAMES
-from repro.overlay.trace import write_trace
-from repro.channels.runner import UniverseResult, run_universe
-from repro.workloads.library import (
-    UNIVERSES,
-    WORKLOADS,
-    get_universe,
-    get_workload,
-    universe_names,
-    workload_names,
-)
-from repro.workloads.runner import WorkloadResult, run_workload
-from repro.workloads.spec import WorkloadSpec
+if TYPE_CHECKING:  # pragma: no cover - annotations only; every command imports what it runs
+    from repro.channels.runner import UniverseResult
+    from repro.experiments.store import BaseResultStore
+    from repro.workloads.runner import WorkloadResult
+    from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -179,6 +162,8 @@ _STORE_KINDS = ("run", "pair", "workload", "universe", "net", "sweep", "telemetr
 
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the shared persistent-store options to a sub-command."""
+    from repro.experiments.store import STORE_BACKENDS
+
     parser.add_argument("--results-dir", default=None,
                         help="persistent result store directory "
                              "(default: $REPRO_RESULTS_DIR if set)")
@@ -190,6 +175,8 @@ def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_topology_argument(parser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--topology`` option to a sub-command."""
+    from repro.net.library import topology_names
+
     parser.add_argument("--topology", choices=topology_names(), default=None,
                         help="run over this network topology's latency fabric "
                              "(default: the ideal zero-latency network)")
@@ -197,6 +184,8 @@ def _add_topology_argument(parser: argparse.ArgumentParser) -> None:
 
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--engine`` option to a sub-command."""
+    from repro.streaming.config import DEFAULT_ENGINE, ENGINE_NAMES
+
     parser.add_argument("--engine", choices=sorted(ENGINE_NAMES), default=None,
                         help="simulation core: the NumPy array engine "
                              "('vector') or the bit-identical per-peer "
@@ -237,6 +226,8 @@ def _package_version() -> str:
 def _resolve_store(args: argparse.Namespace, *, replay_only: bool = False,
                    required: bool = False) -> Optional[BaseResultStore]:
     """Build the store selected by ``--results-dir``/env and ``--store-backend``."""
+    from repro.experiments.store import default_results_dir, open_store
+
     path = args.results_dir if args.results_dir else default_results_dir()
     if path is None:
         if required:
@@ -248,23 +239,21 @@ def _resolve_store(args: argparse.Namespace, *, replay_only: bool = False,
     return open_store(path, backend=backend, replay_only=replay_only)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser (exposed for tests and docs)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-gossip",
-        description=(
-            "Reproduction of 'Fast Source Switching for Gossip-based "
-            "Peer-to-Peer Streaming' (ICPP 2008)"
-        ),
-    )
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {_package_version()}")
-    parser.add_argument("--log-level", choices=_LOG_LEVELS, default="warning",
-                        help="stdlib logging level for the repro.* loggers "
-                             "on stderr (default: warning)")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _VersionAction(argparse.Action):
+    """``--version``: the version is looked up when the flag is given, not per command."""
 
-    fig = sub.add_parser("figure", help="regenerate a paper figure's data")
+    def __init__(self, option_strings: Sequence[str], dest: str) -> None:
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS,
+                         help="show program's version number and exit")
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        print(f"{parser.prog} {_package_version()}")
+        parser.exit()
+
+
+def _configure_figure(fig: argparse.ArgumentParser) -> None:
+    from repro.experiments.figures import FIGURE_GENERATORS
+
     fig.add_argument("number", choices=sorted(FIGURE_GENERATORS, key=int),
                      help="paper figure number")
     fig.add_argument("--seed", type=int, default=0)
@@ -285,10 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="replay from the result store only; never simulate")
     _add_store_arguments(fig)
 
-    sweep = sub.add_parser(
-        "sweep",
-        help="run a paired fast-vs-normal size sweep (Figures 6-8/10-12 workload)",
-    )
+
+def _configure_sweep(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--sizes", type=int, nargs="+", default=None,
                        help="overlay sizes to sweep (default: benchmark sizes)")
     sweep.add_argument("--paper-scale", action="store_true",
@@ -305,7 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--json", action="store_true")
     _add_store_arguments(sweep)
 
-    store = sub.add_parser("store", help="inspect, empty or migrate the persistent result store")
+
+def _configure_store(store: argparse.ArgumentParser) -> None:
+    from repro.experiments.store import STORE_BACKENDS
+
     store_sub = store.add_subparsers(dest="store_command", required=True)
     store_ls = store_sub.add_parser("ls", help="list stored results")
     store_ls.add_argument("--json", action="store_true")
@@ -330,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     "(default: the source directory itself)")
     _add_store_arguments(store_migrate)
 
-    run = sub.add_parser("run", help="run a single simulation")
+
+def _configure_run(run: argparse.ArgumentParser) -> None:
     run.add_argument("--algorithm", choices=["fast", "normal"], default="fast")
     run.add_argument("--n-nodes", type=int, default=200)
     run.add_argument("--seed", type=int, default=0)
@@ -342,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_arguments(run)
     _add_store_arguments(run)
 
-    cmp_parser = sub.add_parser("compare", help="paired fast-vs-normal comparison")
+
+def _configure_compare(cmp_parser: argparse.ArgumentParser) -> None:
     cmp_parser.add_argument("--n-nodes", type=int, default=200)
     cmp_parser.add_argument("--seed", type=int, default=0)
     cmp_parser.add_argument("--dynamic", action="store_true")
@@ -353,9 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_arguments(cmp_parser)
     _add_store_arguments(cmp_parser)
 
-    workload = sub.add_parser(
-        "workload", help="list or run the time-scripted workloads"
-    )
+
+def _configure_workload(workload: argparse.ArgumentParser) -> None:
+    from repro.workloads.library import workload_names
+
     workload_sub = workload.add_subparsers(dest="workload_command", required=True)
     workload_ls = workload_sub.add_parser("ls", help="list the named workloads")
     workload_ls.add_argument("--json", action="store_true")
@@ -382,9 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
         _add_telemetry_arguments(workload_run)
         _add_store_arguments(workload_run)
 
-    universe = sub.add_parser(
-        "universe", help="list or run the multi-channel zapping universes"
-    )
+
+def _configure_universe(universe: argparse.ArgumentParser) -> None:
+    from repro.workloads.library import universe_names
+
     universe_sub = universe.add_subparsers(dest="universe_command", required=True)
     universe_ls = universe_sub.add_parser("ls", help="list the named universes")
     universe_ls.add_argument("--json", action="store_true")
@@ -426,7 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
         _add_telemetry_arguments(universe_run)
         _add_store_arguments(universe_run)
 
-    scen = sub.add_parser("scenario", help="run a named example scenario")
+
+def _configure_scenario(scen: argparse.ArgumentParser) -> None:
+    from repro.experiments.scenarios import SCENARIOS
+
     scen.add_argument("name", choices=sorted(SCENARIOS))
     scen.add_argument("--seed", type=int, default=0)
     scen.add_argument("--repetitions", type=_positive_int, default=1)
@@ -442,7 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_arguments(scen)
     _add_store_arguments(scen)
 
-    net = sub.add_parser("net", help="inspect the network-topology library")
+
+def _configure_net(net: argparse.ArgumentParser) -> None:
+    from repro.net.library import topology_names
+
     net_sub = net.add_subparsers(dest="net_command", required=True)
     net_ls = net_sub.add_parser("ls", help="list the named network topologies")
     net_ls.add_argument("--json", action="store_true")
@@ -450,9 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     net_show.add_argument("name", choices=topology_names())
     net_show.add_argument("--json", action="store_true")
 
-    trace = sub.add_parser(
-        "trace", help="overlay trace files and run-telemetry traces"
-    )
+
+def _configure_trace(trace: argparse.ArgumentParser) -> None:
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     trace_overlay = trace_sub.add_parser(
         "overlay", help="generate a synthetic overlay trace file"
@@ -479,11 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_topology_argument(trace_run)
     _add_engine_argument(trace_run)
 
-    probe = sub.add_parser(
-        "probe",
-        help="run one probed simulation and inspect the sim-time protocol "
-             "probes (segment lifecycle, swarm health, startup funnel)",
-    )
+
+def _configure_probe(probe: argparse.ArgumentParser) -> None:
     probe.add_argument("--algorithm", choices=["fast", "normal"], default="fast")
     probe.add_argument("--n-nodes", type=int, default=200)
     probe.add_argument("--seed", type=int, default=0)
@@ -501,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_topology_argument(probe)
     _add_engine_argument(probe)
 
-    bench = sub.add_parser("bench", help="inspect the benchmark trajectory")
+
+def _configure_bench(bench: argparse.ArgumentParser) -> None:
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
     bench_trend = bench_sub.add_parser(
         "trend",
@@ -512,11 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default: the current directory)")
     bench_trend.add_argument("--json", action="store_true")
 
-    report = sub.add_parser(
-        "report",
-        help="render every registered figure from a results store into one "
-             "self-contained HTML report",
-    )
+
+def _configure_report(report: argparse.ArgumentParser) -> None:
     report.add_argument("--out", default="report",
                         help="output directory for report.html and data/ "
                              "(default: ./report)")
@@ -541,7 +535,28 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--json", action="store_true",
                         help="print the report summary as JSON")
     _add_store_arguments(report)
-    return parser
+
+
+def _table(rows: Sequence[dict], columns: Optional[Sequence[str]] = None) -> str:
+    """Rows as a fixed-width text table (:func:`repro.metrics.report.format_table`)."""
+    from repro.metrics.report import format_table
+
+    return format_table(rows, columns)
+
+
+def _session_config(args: argparse.Namespace, **kwargs):
+    """The one-session configuration ``run``, ``compare``, ``probe`` and ``trace run`` build."""
+    from repro.experiments.config import make_session_config
+
+    return make_session_config(
+        args.n_nodes,
+        seed=args.seed,
+        dynamic=args.dynamic,
+        max_time=args.max_time,
+        topology=args.topology or "",
+        **({"engine": args.engine} if args.engine else {}),
+        **kwargs,
+    )
 
 
 def _metrics_rows(result) -> List[dict]:
@@ -562,6 +577,9 @@ def _metrics_rows(result) -> List[dict]:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import generate_figure
+    from repro.experiments.store import MissingResultError
+
     store = _resolve_store(args, replay_only=args.from_store, required=args.from_store)
     kwargs: dict = {"seed": args.seed}
     if args.paper_scale:
@@ -603,6 +621,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.config import sweep_sizes
+    from repro.experiments.sweeps import run_size_sweep
+
     store = _resolve_store(args)
     sizes = args.sizes if args.sizes else list(sweep_sizes(paper_scale=args.paper_scale or None))
     overrides: dict = {}
@@ -628,7 +649,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "rows": sweep.rows(),
         }, indent=2))
     else:
-        print(format_table(sweep.rows()))
+        print(_table(sweep.rows()))
         if store is not None:
             print(f"\nresults persisted under {store.root}")
     return 0
@@ -646,8 +667,10 @@ def _cmd_store(args: argparse.Namespace) -> int:
         elif not entries:
             print(f"(store at {store.root} is empty)")
         else:
-            print(format_table([entry.as_row() for entry in entries]))
+            print(_table([entry.as_row() for entry in entries]))
     elif args.store_command == "migrate":
+        from repro.experiments.store import migrate_store, open_store
+
         dest_dir = args.dest_dir if args.dest_dir else store.root
         dest = open_store(dest_dir, backend=args.to_backend)
         if dest.backend == store.backend and Path(dest.root) == Path(store.root):
@@ -665,39 +688,30 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = make_session_config(
-        args.n_nodes,
-        algorithm=args.algorithm,
-        seed=args.seed,
-        dynamic=args.dynamic,
-        max_time=args.max_time,
-        topology=args.topology or "",
-        **({"engine": args.engine} if args.engine else {}),
-    )
-    result = run_single(config)
+    from repro.experiments.runner import run_single
+
+    result = run_single(_session_config(args, algorithm=args.algorithm))
     rows = _metrics_rows(result)
     if args.topology:
+        from repro.metrics.net import fabric_stats_rows
+
         rows.extend(fabric_stats_rows(result.fabric_stats))
     if args.json:
         print(json.dumps({row["metric"]: row["value"] for row in rows}, indent=2))
     else:
-        print(format_table(rows, ["metric", "value"]))
+        print(_table(rows, ["metric", "value"]))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = make_session_config(
-        args.n_nodes,
-        seed=args.seed,
-        dynamic=args.dynamic,
-        max_time=args.max_time,
-        topology=args.topology or "",
-        **({"engine": args.engine} if args.engine else {}),
-    )
-    pair = run_pair(config)
+    from repro.experiments.runner import run_pair
+
+    pair = run_pair(_session_config(args))
     row = pair.comparison().as_dict()
     region_rows = []
     if args.topology:
+        from repro.metrics.net import region_comparison_rows
+
         region_rows = region_comparison_rows(
             pair.normal.metrics.outcomes,
             pair.fast.metrics.outcomes,
@@ -710,15 +724,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             payload["regions"] = region_rows
         print(json.dumps(payload, indent=2))
     else:
-        print(format_table([row]))
+        print(_table([row]))
         if region_rows:
             print(f"\nper-region switch time over {args.topology!r}:")
-            print(format_table(region_rows))
+            print(_table(region_rows))
         print(f"\nswitch-time reduction: {pair.switch_time_reduction:.1%}")
     return 0
 
 
 def _cmd_net(args: argparse.Namespace) -> int:
+    from repro.net.library import TOPOLOGIES, get_topology
+
     if args.net_command == "ls":
         rows = [
             {
@@ -734,7 +750,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
         if args.json:
             print(json.dumps(rows, indent=2))
         else:
-            print(format_table(rows))
+            print(_table(rows))
         return 0
     topology = get_topology(args.name)
     if args.json:
@@ -753,7 +769,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
         }
         for region in topology.regions
     ]
-    print(format_table(region_rows))
+    print(_table(region_rows))
     print()
     print("one-way backbone latency matrix (ms):")
     matrix_rows = [
@@ -761,7 +777,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
                                  for j, dst in enumerate(topology.regions)}}
         for i, src in enumerate(topology.regions)
     ]
-    print(format_table(matrix_rows))
+    print(_table(matrix_rows))
     return 0
 
 
@@ -807,21 +823,24 @@ def _print_workload_result(result: WorkloadResult, *, compare_only: bool) -> Non
         f"(simulated {result.simulated}, replayed {result.replayed})"
     )
     print()
-    print(format_table(result.switch_rows()))
+    print(_table(result.switch_rows()))
     if not compare_only:
         class_rows = result.class_rows()
         if class_rows:
             print()
             print("per-class switch-time percentiles (s):")
-            print(format_table(class_rows))
+            print(_table(class_rows))
         print()
         print("per-phase playback quality (fast algorithm):")
-        print(format_table(result.phase_rows()))
+        print(_table(result.phase_rows()))
     print(f"\nmean switch-time reduction: {result.mean_reduction:.1%}")
 
 
 def _run_workload_spec(spec: WorkloadSpec, args: argparse.Namespace) -> int:
     """Shared execution path of ``workload run|compare`` and ``scenario``."""
+    from repro.experiments.store import MissingResultError
+    from repro.workloads.runner import run_workload
+
     store = _resolve_store(args, replay_only=args.from_store, required=args.from_store)
     if getattr(args, "n_nodes", None) is not None:
         spec = spec.scaled_to(args.n_nodes)
@@ -856,6 +875,8 @@ def _run_workload_spec(spec: WorkloadSpec, args: argparse.Namespace) -> int:
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
+    from repro.workloads.library import WORKLOADS, get_workload
+
     if args.workload_command == "ls":
         rows = [
             {
@@ -871,7 +892,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         if args.json:
             print(json.dumps(rows, indent=2))
         else:
-            print(format_table(rows))
+            print(_table(rows))
         return 0
     if args.workload_command == "compare":
         args.compare = True
@@ -912,14 +933,18 @@ def _print_universe_result(result: UniverseResult, *, compare_only: bool) -> Non
     )
     print()
     if not compare_only:
-        print(format_table(result.channel_rows()))
+        print(_table(result.channel_rows()))
         print()
         print("per-popularity-decile zap time (s):")
-    print(format_table(result.decile_rows()))
+    print(_table(result.decile_rows()))
     print(f"\nmean zap-time reduction: {result.mean_reduction:.1%}")
 
 
 def _cmd_universe(args: argparse.Namespace) -> int:
+    from repro.channels.runner import run_universe
+    from repro.experiments.store import MissingResultError
+    from repro.workloads.library import UNIVERSES, get_universe
+
     if args.universe_command == "ls":
         rows = [
             {
@@ -936,7 +961,7 @@ def _cmd_universe(args: argparse.Namespace) -> int:
         if args.json:
             print(json.dumps(rows, indent=2))
         else:
-            print(format_table(rows))
+            print(_table(rows))
         return 0
     if args.universe_command == "compare":
         args.compare = True
@@ -972,26 +997,20 @@ def _cmd_universe(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    from repro.experiments.scenarios import SCENARIOS
+
     scenario = SCENARIOS[args.name]
     _LOG.info("scenario: %s -- %s", scenario.name, scenario.description)
     return _run_workload_spec(scenario.spec(), args)
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    from repro.obs import telemetry_session
+    from repro.experiments.runner import run_single
+    from repro.obs.telemetry import telemetry_session
     from repro.streaming.protocol import STAGE_WIRE_BITS
 
-    config = make_session_config(
-        args.n_nodes,
-        algorithm=args.algorithm,
-        seed=args.seed,
-        dynamic=args.dynamic,
-        max_time=args.max_time,
-        topology=args.topology or "",
-        **({"engine": args.engine} if args.engine else {}),
-    )
     with telemetry_session(probes=True) as telemetry:
-        run_single(config)
+        run_single(_session_config(args, algorithm=args.algorithm))
     probes = telemetry.probes
     lifecycle = probes.lifecycle
     if args.json:
@@ -1008,7 +1027,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         shown = events[-args.last:]
         print(f"segment lifecycle of peer {args.peer} "
               f"({len(shown)} of {len(events)} events, newest last):")
-        print(format_table([
+        print(_table([
             {
                 "t_sim": f"{event['time']:.2f}",
                 "period": event["period"],
@@ -1022,24 +1041,24 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         ]))
         return 0
     print("segment lifecycle:")
-    print(format_table([
+    print(_table([
         {"stage": stage, "events": count}
         for stage, count in lifecycle.stage_counts().items()
     ]))
     drops = lifecycle.drop_reason_counts()
     if drops:
         print("\ndrop reasons:")
-        print(format_table([
+        print(_table([
             {"reason": reason, "drops": count} for reason, count in drops.items()
         ]))
     print("\nstartup funnel:")
-    print(format_table(probes.funnel.funnel_rows()))
+    print(_table(probes.funnel.funnel_rows()))
     health = probes.health.rows()
     if health:
         step = max(1, len(health) // 12)
         print("\nswarm health (every "
               f"{step}{'st' if step == 1 else 'th'} period):")
-        print(format_table([
+        print(_table([
             {
                 "t_sim": f"{row['time']:.1f}",
                 "peers": row["peers"],
@@ -1090,7 +1109,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         }
         for row in rows
     ]
-    print(format_table(table))
+    print(_table(table))
     return 0
 
 
@@ -1124,6 +1143,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     if args.trace_command == "run":
         return _cmd_trace_run(args)
+    from repro.overlay.generator import generate_trace
+    from repro.overlay.trace import write_trace
+
     records = generate_trace(args.n_nodes, seed=args.seed, mean_degree=args.mean_degree)
     write_trace(records, args.path,
                 header=f"synthetic trace: n={args.n_nodes} seed={args.seed}")
@@ -1132,19 +1154,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_run(args: argparse.Namespace) -> int:
-    from repro.obs import telemetry_session, write_chrome_trace
+    from repro.experiments.runner import run_single
+    from repro.obs.export import write_chrome_trace
+    from repro.obs.telemetry import telemetry_session
 
-    config = make_session_config(
-        args.n_nodes,
-        algorithm=args.algorithm,
-        seed=args.seed,
-        dynamic=args.dynamic,
-        max_time=args.max_time,
-        topology=args.topology or "",
-        **({"engine": args.engine} if args.engine else {}),
-    )
     with telemetry_session() as telemetry:
-        run_single(config)
+        run_single(_session_config(args, algorithm=args.algorithm))
     identity = {
         "kind": "run",
         "name": f"trace-{args.algorithm}",
@@ -1173,7 +1188,7 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
         }
         for name, stat in stats.items()
     ]
-    print(format_table(rows))
+    print(_table(rows))
     print(f"\nwrote {n_events} trace events to {args.out}")
     return 0
 
@@ -1193,21 +1208,79 @@ def _warn_trace_overflow(telemetry) -> None:
               f"telemetry_session(max_trace_events=...))", file=sys.stderr)
 
 
-_COMMANDS = {
-    "figure": _cmd_figure,
-    "sweep": _cmd_sweep,
-    "store": _cmd_store,
-    "run": _cmd_run,
-    "compare": _cmd_compare,
-    "workload": _cmd_workload,
-    "universe": _cmd_universe,
-    "scenario": _cmd_scenario,
-    "net": _cmd_net,
-    "trace": _cmd_trace,
-    "probe": _cmd_probe,
-    "bench": _cmd_bench,
-    "report": _cmd_report,
+class _Command(NamedTuple):
+    """One sub-command: its ``--help`` line, its arguments and what runs it."""
+
+    help: str
+    configure: Callable[[argparse.ArgumentParser], None]
+    handler: Callable[[argparse.Namespace], int]
+
+
+#: The one table of sub-commands, in ``--help`` order.  ``configure`` and
+#: ``handler`` import what they need when they are called, so a command
+#: line pays for the command it names and for no other.
+_COMMANDS: Dict[str, _Command] = {
+    "figure": _Command("regenerate a paper figure's data", _configure_figure, _cmd_figure),
+    "sweep": _Command("run a paired fast-vs-normal size sweep (Figures 6-8/10-12 workload)",
+                      _configure_sweep, _cmd_sweep),
+    "store": _Command("inspect, empty or migrate the persistent result store",
+                      _configure_store, _cmd_store),
+    "run": _Command("run a single simulation", _configure_run, _cmd_run),
+    "compare": _Command("paired fast-vs-normal comparison", _configure_compare, _cmd_compare),
+    "workload": _Command("list or run the time-scripted workloads",
+                         _configure_workload, _cmd_workload),
+    "universe": _Command("list or run the multi-channel zapping universes",
+                         _configure_universe, _cmd_universe),
+    "scenario": _Command("run a named example scenario", _configure_scenario, _cmd_scenario),
+    "net": _Command("inspect the network-topology library", _configure_net, _cmd_net),
+    "trace": _Command("overlay trace files and run-telemetry traces",
+                      _configure_trace, _cmd_trace),
+    "probe": _Command("run one probed simulation and inspect the sim-time protocol "
+                      "probes (segment lifecycle, swarm health, startup funnel)",
+                      _configure_probe, _cmd_probe),
+    "bench": _Command("inspect the benchmark trajectory", _configure_bench, _cmd_bench),
+    "report": _Command("render every registered figure from a results store into one "
+                       "self-contained HTML report", _configure_report, _cmd_report),
 }
+
+
+def _make_parser(configured: Collection[str]) -> argparse.ArgumentParser:
+    """The top-level parser; only the ``configured`` commands get their arguments.
+
+    Every command is registered by name and help line, so ``--help`` and the
+    "invalid choice" message do not depend on ``configured``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro-gossip",
+        description=(
+            "Reproduction of 'Fast Source Switching for Gossip-based "
+            "Peer-to-Peer Streaming' (ICPP 2008)"
+        ),
+    )
+    parser.add_argument("--version", action=_VersionAction)
+    parser.add_argument("--log-level", choices=_LOG_LEVELS, default="warning",
+                        help="stdlib logging level for the repro.* loggers "
+                             "on stderr (default: warning)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=command.help)
+        if name in configured:
+            command.configure(subparser)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Construct the full argument parser (exposed for tests and docs)."""
+    return _make_parser(_COMMANDS)
+
+
+def _parser_for(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser :func:`main` reads ``argv`` with: only the command it names is configured.
+
+    The command is the first word of ``argv`` that is a command name: what
+    may precede it are the global options, and no value of theirs is one.
+    """
+    return _make_parser([arg for arg in argv if arg in _COMMANDS][:1])
 
 
 def _run_identity(args: argparse.Namespace) -> dict:
@@ -1232,8 +1305,8 @@ def _run_identity(args: argparse.Namespace) -> dict:
 
 def _export_telemetry(args: argparse.Namespace, telemetry) -> None:
     """Persist/export one enabled run's telemetry (after a clean exit)."""
-    from repro.obs import write_chrome_trace
     from repro.experiments.store import persist_telemetry_document
+    from repro.obs.export import write_chrome_trace
 
     identity = _run_identity(args)
     _warn_trace_overflow(telemetry)
@@ -1248,16 +1321,16 @@ def _export_telemetry(args: argparse.Namespace, telemetry) -> None:
         _LOG.info("telemetry persisted as %s", key)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(argv: Sequence[str]) -> int:
+    """Parse ``argv`` and run the command it names (under telemetry if asked)."""
+    args = _parser_for(argv).parse_args(argv)
     logging.basicConfig(
         level=getattr(logging, args.log_level.upper()),
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )
+    handler = _COMMANDS[args.command].handler
     probes_on = bool(getattr(args, "probes", False))
     telemetry_on = bool(
         getattr(args, "telemetry", False)
@@ -1265,14 +1338,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         or probes_on
     )
     if not telemetry_on:
-        return _COMMANDS[args.command](args)
-    from repro.obs import telemetry_session
+        return handler(args)
+    from repro.obs.telemetry import telemetry_session
 
     with telemetry_session(probes=probes_on) as telemetry:
-        code = _COMMANDS[args.command](args)
+        code = handler(args)
     if code == 0:
         _export_telemetry(args, telemetry)
     return code
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """CLI entry point; returns the process exit code."""
+    try:
+        try:
+            return _run(sys.argv[1:] if argv is None else list(argv))
+        finally:
+            sys.stdout.flush()  # a closed pipe must surface here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader went away (``repro ... | head``).  Python flushes stdout
+        # again at exit: point it at devnull so that flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

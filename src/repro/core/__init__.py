@@ -30,46 +30,27 @@ algorithms themselves are pure functions of their inputs and are unit- and
 property-tested in isolation.
 """
 
-from repro.core.allocation import AllocationCase, allocate_rates
-from repro.core.base import (
-    LocalView,
-    NeighbourView,
-    ScheduleDecision,
-    SegmentRequest,
-    Stream,
-    SwitchAlgorithm,
-)
-from repro.core.fast_switch import FastSwitchAlgorithm
-from repro.core.model import OptimalSplit, optimal_split, switch_time_lower_bound
-from repro.core.normal_switch import NormalSwitchAlgorithm
-from repro.core.priority import (
-    PriorityPolicy,
-    rarity,
-    request_priority,
-    traditional_rarity,
-    urgency,
-)
-from repro.core.scheduler import GreedyAssignment, greedy_supplier_assignment
+from repro._hub import lazy_hub
 
-__all__ = [
-    "Stream",
-    "NeighbourView",
-    "LocalView",
-    "SegmentRequest",
-    "ScheduleDecision",
-    "SwitchAlgorithm",
-    "OptimalSplit",
-    "optimal_split",
-    "switch_time_lower_bound",
-    "AllocationCase",
-    "allocate_rates",
-    "PriorityPolicy",
-    "urgency",
-    "rarity",
-    "traditional_rarity",
-    "request_priority",
-    "GreedyAssignment",
-    "greedy_supplier_assignment",
-    "FastSwitchAlgorithm",
-    "NormalSwitchAlgorithm",
-]
+__getattr__, __dir__, __all__ = lazy_hub(__name__, {
+    "Stream": "repro.core.base",
+    "NeighbourView": "repro.core.base",
+    "LocalView": "repro.core.base",
+    "SegmentRequest": "repro.core.base",
+    "ScheduleDecision": "repro.core.base",
+    "SwitchAlgorithm": "repro.core.base",
+    "OptimalSplit": "repro.core.model",
+    "optimal_split": "repro.core.model",
+    "switch_time_lower_bound": "repro.core.model",
+    "AllocationCase": "repro.core.allocation",
+    "allocate_rates": "repro.core.allocation",
+    "PriorityPolicy": "repro.core.priority",
+    "urgency": "repro.core.priority",
+    "rarity": "repro.core.priority",
+    "traditional_rarity": "repro.core.priority",
+    "request_priority": "repro.core.priority",
+    "GreedyAssignment": "repro.core.scheduler",
+    "greedy_supplier_assignment": "repro.core.scheduler",
+    "FastSwitchAlgorithm": "repro.core.fast_switch",
+    "NormalSwitchAlgorithm": "repro.core.normal_switch",
+})

@@ -31,21 +31,17 @@ property ``tests/test_execution_backends.py``, the dist test suite and
 the CI ``dist`` smoke job pin down.
 """
 
-from repro.dist.journal import ShardJournal
-from repro.dist.plan import Shard, ShardPlan, ShardUnit
-from repro.dist.pool import ShardExecutionError, ShardFailure, WorkerPool
-from repro.dist.progress import ProgressReporter
-from repro.dist.runner import ShardedExecutor, ShardResult
+from repro._hub import lazy_hub
 
-__all__ = [
-    "Shard",
-    "ShardPlan",
-    "ShardUnit",
-    "ShardJournal",
-    "ShardExecutionError",
-    "ShardFailure",
-    "WorkerPool",
-    "ProgressReporter",
-    "ShardedExecutor",
-    "ShardResult",
-]
+__getattr__, __dir__, __all__ = lazy_hub(__name__, {
+    "Shard": "repro.dist.plan",
+    "ShardPlan": "repro.dist.plan",
+    "ShardUnit": "repro.dist.plan",
+    "ShardJournal": "repro.dist.journal",
+    "ShardExecutionError": "repro.dist.pool",
+    "ShardFailure": "repro.dist.pool",
+    "WorkerPool": "repro.dist.pool",
+    "ProgressReporter": "repro.dist.progress",
+    "ShardedExecutor": "repro.dist.runner",
+    "ShardResult": "repro.dist.runner",
+})

@@ -22,62 +22,35 @@ This subpackage turns the simulator into the paper's evaluation:
   by the examples and the CLI.
 """
 
-from repro.experiments.config import (
-    BENCH_SWEEP_SIZES,
-    PAPER_SWEEP_SIZES,
-    ExperimentDefaults,
-    make_session_config,
-)
-from repro.experiments.figures import (
-    FigureResult,
-    figure2,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    figure11,
-    figure12,
-    generate_figure,
-)
-from repro.experiments.parallel import ParallelSweepRunner, SweepTask, build_sweep_tasks
-from repro.experiments.runner import PairedRunResult, run_pair, run_single
-from repro.experiments.store import (
-    MissingResultError,
-    ResultStore,
-    pair_fingerprint,
-    sweep_fingerprint,
-)
-from repro.experiments.sweeps import SizeSweepResult, SweepPoint, run_size_sweep
+from repro._hub import lazy_hub
 
-__all__ = [
-    "ResultStore",
-    "MissingResultError",
-    "pair_fingerprint",
-    "sweep_fingerprint",
-    "ParallelSweepRunner",
-    "SweepTask",
-    "build_sweep_tasks",
-    "ExperimentDefaults",
-    "make_session_config",
-    "PAPER_SWEEP_SIZES",
-    "BENCH_SWEEP_SIZES",
-    "run_single",
-    "run_pair",
-    "PairedRunResult",
-    "run_size_sweep",
-    "SizeSweepResult",
-    "SweepPoint",
-    "FigureResult",
-    "figure2",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
-    "figure12",
-    "generate_figure",
-]
+__getattr__, __dir__, __all__ = lazy_hub(__name__, {
+    "ResultStore": "repro.experiments.store",
+    "MissingResultError": "repro.experiments.store",
+    "pair_fingerprint": "repro.experiments.store",
+    "sweep_fingerprint": "repro.experiments.store",
+    "ParallelSweepRunner": "repro.experiments.parallel",
+    "SweepTask": "repro.experiments.parallel",
+    "build_sweep_tasks": "repro.experiments.parallel",
+    "ExperimentDefaults": "repro.experiments.config",
+    "make_session_config": "repro.experiments.config",
+    "PAPER_SWEEP_SIZES": "repro.experiments.config",
+    "BENCH_SWEEP_SIZES": "repro.experiments.config",
+    "run_single": "repro.experiments.runner",
+    "run_pair": "repro.experiments.runner",
+    "PairedRunResult": "repro.experiments.runner",
+    "run_size_sweep": "repro.experiments.sweeps",
+    "SizeSweepResult": "repro.experiments.sweeps",
+    "SweepPoint": "repro.experiments.sweeps",
+    "FigureResult": "repro.experiments.figures",
+    "figure2": "repro.experiments.figures",
+    "figure5": "repro.experiments.figures",
+    "figure6": "repro.experiments.figures",
+    "figure7": "repro.experiments.figures",
+    "figure8": "repro.experiments.figures",
+    "figure9": "repro.experiments.figures",
+    "figure10": "repro.experiments.figures",
+    "figure11": "repro.experiments.figures",
+    "figure12": "repro.experiments.figures",
+    "generate_figure": "repro.experiments.figures",
+})

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.churn.model import ChurnConfig
-from repro.streaming.session import SessionConfig
+from repro.streaming.config import SessionConfig
 
 __all__ = [
     "PAPER_SWEEP_SIZES",
@@ -53,7 +53,7 @@ def paper_scale_enabled() -> bool:
 class ExperimentDefaults:
     """The paper's simulation parameters (Section 5.1).
 
-    Attributes mirror :class:`repro.streaming.session.SessionConfig`; this
+    Attributes mirror :class:`repro.streaming.config.SessionConfig`; this
     object exists so experiments, docs and tests quote a single source of
     truth for "the paper's settings".
     """

@@ -31,7 +31,7 @@ from repro.experiments.store import (
     sweep_fingerprint,
 )
 from repro.experiments.sweeps import SizeSweepResult, SweepPoint, _aggregate
-from repro.streaming.session import SessionConfig
+from repro.streaming.config import SessionConfig
 
 __all__ = ["SweepTask", "build_sweep_tasks", "ParallelSweepRunner"]
 
@@ -186,6 +186,7 @@ class ParallelSweepRunner:
     # ------------------------------------------------------------------ #
     def _execute(self, pending: Sequence[SweepTask]) -> Iterator[PairedRunResult]:
         """Yield the pending tasks' results in task order as they complete."""
+        import repro.streaming.session  # noqa: F401 - forked workers inherit the simulator
         from repro.dist.pool import WorkerPool
 
         return WorkerPool(self.workers).map(run_pair, [task.config for task in pending])

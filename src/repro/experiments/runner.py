@@ -3,7 +3,7 @@
 The paper's comparisons are *paired*: both algorithms are evaluated on the
 same overlay topologies, bandwidth assignments and churn schedules.
 :func:`run_pair` guarantees this by building both sessions from the same
-:class:`~repro.streaming.session.SessionConfig` (differing only in the
+:class:`~repro.streaming.config.SessionConfig` (differing only in the
 ``algorithm`` field), which -- thanks to the named random streams of
 :class:`repro.sim.rng.RandomStreams` -- reproduces identical random draws
 for everything outside the algorithm itself.
@@ -21,13 +21,15 @@ from typing import Optional
 
 from repro.experiments.store import BaseResultStore, pair_fingerprint, persist_net_document
 from repro.metrics.report import ComparisonRow, compare_metrics
-from repro.streaming.session import SessionConfig, SessionResult, SwitchSession
+from repro.streaming.config import SessionConfig, SessionResult
 
 __all__ = ["run_single", "PairedRunResult", "run_pair"]
 
 
 def run_single(config: SessionConfig) -> SessionResult:
-    """Build and run one session."""
+    """Build and run one session (the simulator is imported when one runs)."""
+    from repro.streaming.session import SwitchSession
+
     return SwitchSession(config).run()
 
 

@@ -14,7 +14,7 @@ Two granularities are stored:
 
 ``pair`` entries
     One paired fast-vs-normal comparison (both full
-    :class:`~repro.streaming.session.SessionResult` payloads) for one
+    :class:`~repro.streaming.config.SessionResult` payloads) for one
     ``(SessionConfig, seed)``.  The ``algorithm`` field is excluded from
     the key: a pair always contains both algorithms.
 
@@ -73,7 +73,7 @@ from repro.net.topology import NetTopology
 from repro.obs.telemetry import get_telemetry
 from repro.streaming.bandwidth import PeerClass
 from repro.streaming.segment import SwitchPlan
-from repro.streaming.session import SessionConfig, SessionResult
+from repro.streaming.config import SessionConfig, SessionResult
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -18,40 +18,25 @@ Supplementary
     * *Average finishing time of the old source* ``T1'``.
 """
 
-from repro.metrics.collectors import MetricsCollector, PeerOutcome, RoundSample, SwitchMetrics
-from repro.metrics.overhead import OverheadAccountant
-from repro.metrics.qoe import (
-    ClassSwitchStats,
-    PhaseQoE,
-    continuity_index,
-    per_class_switch_stats,
-    phase_qoe,
-)
-from repro.metrics.report import (
-    ComparisonRow,
-    compare_metrics,
-    format_table,
-    reduction_ratio,
-)
-from repro.metrics.universe import ZapTimeStats, decile_of, weighted_mean, zap_time_stats
+from repro._hub import lazy_hub
 
-__all__ = [
-    "MetricsCollector",
-    "PeerOutcome",
-    "RoundSample",
-    "SwitchMetrics",
-    "OverheadAccountant",
-    "PhaseQoE",
-    "ClassSwitchStats",
-    "phase_qoe",
-    "per_class_switch_stats",
-    "continuity_index",
-    "ComparisonRow",
-    "compare_metrics",
-    "format_table",
-    "reduction_ratio",
-    "ZapTimeStats",
-    "zap_time_stats",
-    "decile_of",
-    "weighted_mean",
-]
+__getattr__, __dir__, __all__ = lazy_hub(__name__, {
+    "MetricsCollector": "repro.metrics.collectors",
+    "PeerOutcome": "repro.metrics.collectors",
+    "RoundSample": "repro.metrics.collectors",
+    "SwitchMetrics": "repro.metrics.collectors",
+    "OverheadAccountant": "repro.metrics.overhead",
+    "PhaseQoE": "repro.metrics.qoe",
+    "ClassSwitchStats": "repro.metrics.qoe",
+    "phase_qoe": "repro.metrics.qoe",
+    "per_class_switch_stats": "repro.metrics.qoe",
+    "continuity_index": "repro.metrics.qoe",
+    "ComparisonRow": "repro.metrics.report",
+    "compare_metrics": "repro.metrics.report",
+    "format_table": "repro.metrics.report",
+    "reduction_ratio": "repro.metrics.report",
+    "ZapTimeStats": "repro.metrics.universe",
+    "zap_time_stats": "repro.metrics.universe",
+    "decile_of": "repro.metrics.universe",
+    "weighted_mean": "repro.metrics.universe",
+})

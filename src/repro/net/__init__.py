@@ -6,20 +6,17 @@ See :mod:`repro.net.topology` for the region model,
 :mod:`repro.net.library` for the named, ready-to-use topologies.
 """
 
-from repro.net.fabric import IdealFabric, LatencyFabric, NetworkFabric, build_fabric
-from repro.net.library import TOPOLOGIES, get_topology, topology_names
-from repro.net.link import LinkModel
-from repro.net.topology import NetTopology, Region
+from repro._hub import lazy_hub
 
-__all__ = [
-    "Region",
-    "NetTopology",
-    "LinkModel",
-    "NetworkFabric",
-    "IdealFabric",
-    "LatencyFabric",
-    "build_fabric",
-    "TOPOLOGIES",
-    "get_topology",
-    "topology_names",
-]
+__getattr__, __dir__, __all__ = lazy_hub(__name__, {
+    "Region": "repro.net.topology",
+    "NetTopology": "repro.net.topology",
+    "LinkModel": "repro.net.link",
+    "NetworkFabric": "repro.net.fabric",
+    "IdealFabric": "repro.net.fabric",
+    "LatencyFabric": "repro.net.fabric",
+    "build_fabric": "repro.net.fabric",
+    "TOPOLOGIES": "repro.net.library",
+    "get_topology": "repro.net.library",
+    "topology_names": "repro.net.library",
+})

@@ -26,73 +26,34 @@ Quick start::
     write_chrome_trace(tel, "trace.json")    # open in ui.perfetto.dev
 """
 
-from repro.obs.export import (
-    build_telemetry_document,
-    chrome_trace_payload,
-    shard_span_rows,
-    write_chrome_trace,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.probes import (
-    DROP_REASONS,
-    FUNNEL_MILESTONES,
-    NULL_PROBES,
-    NullProbeSet,
-    ProbeSet,
-    SegmentLifecycleProbe,
-    STAGE_NAMES,
-    StartupFunnelProbe,
-    SwarmHealthProbe,
-)
-from repro.obs.telemetry import (
-    NULL_TELEMETRY,
-    NullTelemetry,
-    Telemetry,
-    disable_telemetry,
-    enable_telemetry,
-    get_telemetry,
-    telemetry_session,
-)
-from repro.obs.trace import Span, Tracer
+from repro._hub import lazy_hub
 
-
-def trace_span(name: str, *, tid: int = 0, **args):
-    """Time a block against the active telemetry (no-op when disabled).
-
-    The module-level convenience for call sites without a handle::
-
-        with trace_span("store.migrate", documents=n):
-            ...
-    """
-    return get_telemetry().span(name, tid=tid, **args)
-
-
-__all__ = [
-    "Counter",
-    "DROP_REASONS",
-    "FUNNEL_MILESTONES",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_PROBES",
-    "NULL_TELEMETRY",
-    "NullProbeSet",
-    "NullTelemetry",
-    "ProbeSet",
-    "STAGE_NAMES",
-    "SegmentLifecycleProbe",
-    "Span",
-    "StartupFunnelProbe",
-    "SwarmHealthProbe",
-    "Telemetry",
-    "Tracer",
-    "build_telemetry_document",
-    "chrome_trace_payload",
-    "disable_telemetry",
-    "enable_telemetry",
-    "get_telemetry",
-    "shard_span_rows",
-    "telemetry_session",
-    "trace_span",
-    "write_chrome_trace",
-]
+__getattr__, __dir__, __all__ = lazy_hub(__name__, {
+    "Counter": "repro.obs.metrics",
+    "DROP_REASONS": "repro.obs.probes",
+    "FUNNEL_MILESTONES": "repro.obs.probes",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "MetricsRegistry": "repro.obs.metrics",
+    "NULL_PROBES": "repro.obs.probes",
+    "NULL_TELEMETRY": "repro.obs.telemetry",
+    "NullProbeSet": "repro.obs.probes",
+    "NullTelemetry": "repro.obs.telemetry",
+    "ProbeSet": "repro.obs.probes",
+    "STAGE_NAMES": "repro.obs.probes",
+    "SegmentLifecycleProbe": "repro.obs.probes",
+    "Span": "repro.obs.trace",
+    "StartupFunnelProbe": "repro.obs.probes",
+    "SwarmHealthProbe": "repro.obs.probes",
+    "Telemetry": "repro.obs.telemetry",
+    "Tracer": "repro.obs.trace",
+    "build_telemetry_document": "repro.obs.export",
+    "chrome_trace_payload": "repro.obs.export",
+    "disable_telemetry": "repro.obs.telemetry",
+    "enable_telemetry": "repro.obs.telemetry",
+    "get_telemetry": "repro.obs.telemetry",
+    "shard_span_rows": "repro.obs.export",
+    "telemetry_session": "repro.obs.telemetry",
+    "trace_span": "repro.obs.telemetry",
+    "write_chrome_trace": "repro.obs.export",
+})

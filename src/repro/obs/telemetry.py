@@ -48,6 +48,7 @@ __all__ = [
     "enable_telemetry",
     "get_telemetry",
     "telemetry_session",
+    "trace_span",
 ]
 
 
@@ -186,3 +187,14 @@ def telemetry_session(
         yield telemetry
     finally:
         _ACTIVE = previous
+
+
+def trace_span(name: str, *, tid: int = 0, **args: Any):
+    """Time a block against the active telemetry (no-op when disabled).
+
+    The module-level convenience for call sites without a handle::
+
+        with trace_span("store.migrate", documents=n):
+            ...
+    """
+    return get_telemetry().span(name, tid=tid, **args)

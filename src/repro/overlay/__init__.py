@@ -24,22 +24,18 @@ The crawler site has been gone for two decades, so this subpackage provides
   maintains neighbour lists under churn (join, leave, neighbour repair).
 """
 
-from repro.overlay.augment import augment_to_min_degree
-from repro.overlay.generator import SyntheticTraceGenerator, TraceSpec, generate_trace
-from repro.overlay.membership import MembershipService
-from repro.overlay.topology import Overlay, build_overlay_from_trace
-from repro.overlay.trace import TraceNode, TraceRecordError, parse_trace, write_trace
+from repro._hub import lazy_hub
 
-__all__ = [
-    "TraceNode",
-    "TraceRecordError",
-    "parse_trace",
-    "write_trace",
-    "SyntheticTraceGenerator",
-    "TraceSpec",
-    "generate_trace",
-    "Overlay",
-    "build_overlay_from_trace",
-    "augment_to_min_degree",
-    "MembershipService",
-]
+__getattr__, __dir__, __all__ = lazy_hub(__name__, {
+    "TraceNode": "repro.overlay.trace",
+    "TraceRecordError": "repro.overlay.trace",
+    "parse_trace": "repro.overlay.trace",
+    "write_trace": "repro.overlay.trace",
+    "SyntheticTraceGenerator": "repro.overlay.generator",
+    "TraceSpec": "repro.overlay.generator",
+    "generate_trace": "repro.overlay.generator",
+    "Overlay": "repro.overlay.topology",
+    "build_overlay_from_trace": "repro.overlay.topology",
+    "augment_to_min_degree": "repro.overlay.augment",
+    "MembershipService": "repro.overlay.membership",
+})

@@ -22,20 +22,16 @@ laptop-scale runs of thousands of peers tractable (see the scaling notes in
 ``DESIGN.md``).
 """
 
-from repro.sim.clock import SimulationClock, round_half_up
-from repro.sim.engine import SimulationEngine, StopSimulation
-from repro.sim.events import Event, EventQueue
-from repro.sim.process import PeriodicProcess
-from repro.sim.rng import RandomStreams, derive_seed
+from repro._hub import lazy_hub
 
-__all__ = [
-    "SimulationClock",
-    "round_half_up",
-    "SimulationEngine",
-    "StopSimulation",
-    "Event",
-    "EventQueue",
-    "PeriodicProcess",
-    "RandomStreams",
-    "derive_seed",
-]
+__getattr__, __dir__, __all__ = lazy_hub(__name__, {
+    "SimulationClock": "repro.sim.clock",
+    "round_half_up": "repro.sim.clock",
+    "SimulationEngine": "repro.sim.engine",
+    "StopSimulation": "repro.sim.engine",
+    "Event": "repro.sim.events",
+    "EventQueue": "repro.sim.events",
+    "PeriodicProcess": "repro.sim.process",
+    "RandomStreams": "repro.sim.rng",
+    "derive_seed": "repro.sim.rng",
+})

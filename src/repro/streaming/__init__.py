@@ -39,50 +39,27 @@ Modules
     The two-source switch session driving a whole simulation run.
 """
 
-from repro.streaming.bandwidth import (
-    BandwidthProfile,
-    OutboundLedger,
-    PeerClass,
-    draw_class_indices,
-    sample_rates,
-)
-from repro.streaming.buffer import SegmentBuffer
-from repro.streaming.buffermap import BufferMapSnapshot, buffer_map_bits
-from repro.streaming.peer import PeerNode
-from repro.streaming.playback import PlaybackState
-from repro.streaming.protocol import (
-    BufferMapExchange,
-    SegmentDelivery,
-    SegmentRequestMessage,
-)
-from repro.streaming.segment import StreamSpec, SwitchPlan
-from repro.streaming.session import (
-    PeriodDirective,
-    SessionResult,
-    SwitchSession,
-    build_session_overlay,
-)
-from repro.streaming.source import SourceNode
+from repro._hub import lazy_hub
 
-__all__ = [
-    "StreamSpec",
-    "SwitchPlan",
-    "SegmentBuffer",
-    "BufferMapSnapshot",
-    "buffer_map_bits",
-    "BandwidthProfile",
-    "OutboundLedger",
-    "PeerClass",
-    "draw_class_indices",
-    "sample_rates",
-    "BufferMapExchange",
-    "SegmentRequestMessage",
-    "SegmentDelivery",
-    "PlaybackState",
-    "SourceNode",
-    "PeerNode",
-    "SwitchSession",
-    "SessionResult",
-    "PeriodDirective",
-    "build_session_overlay",
-]
+__getattr__, __dir__, __all__ = lazy_hub(__name__, {
+    "StreamSpec": "repro.streaming.segment",
+    "SwitchPlan": "repro.streaming.segment",
+    "SegmentBuffer": "repro.streaming.buffer",
+    "BufferMapSnapshot": "repro.streaming.buffermap",
+    "buffer_map_bits": "repro.streaming.buffermap",
+    "BandwidthProfile": "repro.streaming.bandwidth",
+    "OutboundLedger": "repro.streaming.bandwidth",
+    "PeerClass": "repro.streaming.bandwidth",
+    "draw_class_indices": "repro.streaming.bandwidth",
+    "sample_rates": "repro.streaming.bandwidth",
+    "BufferMapExchange": "repro.streaming.protocol",
+    "SegmentRequestMessage": "repro.streaming.protocol",
+    "SegmentDelivery": "repro.streaming.protocol",
+    "PlaybackState": "repro.streaming.playback",
+    "SourceNode": "repro.streaming.source",
+    "PeerNode": "repro.streaming.peer",
+    "SwitchSession": "repro.streaming.session",
+    "SessionResult": "repro.streaming.config",
+    "PeriodDirective": "repro.streaming.config",
+    "build_session_overlay": "repro.streaming.session",
+})

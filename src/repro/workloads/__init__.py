@@ -34,52 +34,28 @@ Quickstart
 True
 """
 
-from repro.workloads.library import (
-    IPTV_CLASSES,
-    UNIVERSES,
-    WORKLOADS,
-    get_universe,
-    get_workload,
-    universe_names,
-    workload_names,
-)
-from repro.workloads.runner import (
-    SwitchOutcome,
-    WorkloadRepResult,
-    WorkloadResult,
-    WorkloadRunner,
-    run_workload,
-    run_workload_rep,
-    workload_fingerprint,
-)
-from repro.workloads.schedule import (
-    PhaseWindow,
-    SegmentPlan,
-    WorkloadSchedule,
-    compile_workload,
-)
-from repro.workloads.spec import PeerClass, Phase, WorkloadSpec
+from repro._hub import lazy_hub
 
-__all__ = [
-    "WorkloadSpec",
-    "Phase",
-    "PeerClass",
-    "compile_workload",
-    "WorkloadSchedule",
-    "SegmentPlan",
-    "PhaseWindow",
-    "WorkloadRunner",
-    "WorkloadResult",
-    "WorkloadRepResult",
-    "SwitchOutcome",
-    "run_workload",
-    "run_workload_rep",
-    "workload_fingerprint",
-    "WORKLOADS",
-    "IPTV_CLASSES",
-    "get_workload",
-    "workload_names",
-    "UNIVERSES",
-    "get_universe",
-    "universe_names",
-]
+__getattr__, __dir__, __all__ = lazy_hub(__name__, {
+    "WorkloadSpec": "repro.workloads.spec",
+    "Phase": "repro.workloads.spec",
+    "PeerClass": "repro.streaming.bandwidth",
+    "compile_workload": "repro.workloads.schedule",
+    "WorkloadSchedule": "repro.workloads.schedule",
+    "SegmentPlan": "repro.workloads.schedule",
+    "PhaseWindow": "repro.workloads.schedule",
+    "WorkloadRunner": "repro.workloads.runner",
+    "WorkloadResult": "repro.workloads.runner",
+    "WorkloadRepResult": "repro.workloads.runner",
+    "SwitchOutcome": "repro.workloads.runner",
+    "run_workload": "repro.workloads.runner",
+    "run_workload_rep": "repro.workloads.runner",
+    "workload_fingerprint": "repro.workloads.runner",
+    "WORKLOADS": "repro.workloads.library",
+    "IPTV_CLASSES": "repro.workloads.library",
+    "get_workload": "repro.workloads.library",
+    "workload_names": "repro.workloads.library",
+    "UNIVERSES": "repro.workloads.library",
+    "get_universe": "repro.workloads.library",
+    "universe_names": "repro.workloads.library",
+})

@@ -13,9 +13,12 @@ normalise results/stores into comparable JSON documents.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Set, Tuple
 
 import numpy as np
 import pytest
@@ -71,6 +74,54 @@ def store_documents(root: Path) -> Dict[str, Any]:
         with open(path, "r", encoding="utf-8") as handle:
             documents[path.name] = strip_volatile(json.load(handle))
     return documents
+
+
+#: What ``modules_loaded_by`` runs: ``code`` (its first argument), then the
+#: names in ``sys.modules`` below a marker line.
+_MODULES_MARKER = "@@ sys.modules @@"
+_MODULES_PROGRAM = f"""
+import sys
+try:
+    exec(sys.argv[1])
+except SystemExit as exit:
+    assert not exit.code, exit.code
+print({_MODULES_MARKER!r})
+print("\\n".join(sorted(sys.modules)))
+"""
+
+#: All of ``repro`` a tier-0 entry point (``import repro.cli``, ``--version``,
+#: ``--help``) may load; see ``tests/test_import_fences.py``.
+TIER0_REPRO_MODULES = frozenset({"repro", "repro.cli", "repro._hub"})
+
+
+def fresh_python_env() -> Dict[str, str]:
+    """The environment of a fresh interpreter that can import this checkout's ``repro``."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH", "")]))
+    env.pop("REPRO_RESULTS_DIR", None)
+    return env
+
+
+def modules_loaded_by(code: str) -> Set[str]:
+    """``sys.modules`` of a fresh interpreter after it ran ``code``.
+
+    The import fences compare module *sets*, which repeat exactly, instead
+    of start-up times, which do not on a shared host.  ``code`` may end in
+    ``SystemExit(0)`` (``--help``, ``--version``); any other failure fails
+    the calling test with the child's stderr.
+    """
+    done = subprocess.run([sys.executable, "-c", _MODULES_PROGRAM, code],
+                          env=fresh_python_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split(_MODULES_MARKER + "\n", 1)[1].split())
+
+
+def repro_modules(modules: Set[str]) -> Set[str]:
+    """The ``repro`` package and its sub-modules among ``modules``."""
+    return {name for name in modules if name.split(".")[0] == "repro"}
 
 
 @pytest.fixture
