@@ -4,7 +4,8 @@ Two families of pins, both computed with a frozen ``version=`` override so
 they are independent of the package version string:
 
 * **Key goldens** -- the store fingerprints (``pair-*``, ``net-*``,
-  ``workload-*``, ``universe-*``) of one representative document each.
+  ``workload-*``, ``universe-*``, ``sweep-*``, ``telemetry-*``) of one
+  representative document each.
   These rotate only when the spec/config serialisation, the schema
   version or :func:`stable_hash` itself changes.  Silent key rotation is
   a real bug class: it orphans every previously persisted result.
@@ -13,6 +14,10 @@ they are independent of the package version string:
   documents (volatile timing fields stripped).  These pin the simulator's
   *behaviour* bit for bit: any change to scheduling, priorities, RNG
   consumption order or document layout shows up here first.
+
+* **Store-content golden** -- every document the four store-backed runners
+  leave behind (result payloads *and* the headers the runners assemble
+  around them), on both backends.
 
 If a change rotates one of these on purpose (schema bump, intentional
 behaviour change), update the literal and say why in the commit message.
@@ -24,14 +29,21 @@ import pytest
 
 from conftest import normalized_run_document, strip_volatile
 
-from repro.channels.runner import universe_fingerprint
+import repro
+from repro.channels.runner import run_universe, universe_fingerprint
 from repro.experiments.config import make_session_config
+from repro.experiments.runner import run_pair
 from repro.experiments.store import (
     SCHEMA_VERSION,
+    STORE_BACKENDS,
     net_fingerprint,
+    open_store,
     pair_fingerprint,
     stable_hash,
+    sweep_fingerprint,
+    telemetry_fingerprint,
 )
+from repro.experiments.sweeps import run_size_sweep
 from repro.net.library import get_topology
 from repro.obs.telemetry import telemetry_session
 from repro.sim.engine import SimulationEngine
@@ -40,6 +52,7 @@ from repro.streaming.session import PeriodDirective, SwitchSession
 from repro.workloads.library import get_universe, get_workload
 from repro.workloads.runner import (
     rep_to_dict,
+    run_workload,
     run_workload_rep,
     workload_fingerprint,
 )
@@ -101,6 +114,23 @@ def test_universe_fingerprint_golden():
     assert (
         universe_fingerprint(spec, 5, version=GOLDEN_VERSION)
         == "universe-6f60949bdced2271ad303c16"
+    )
+
+
+def test_sweep_fingerprint_golden():
+    key = sweep_fingerprint(
+        [30, 40], dynamic=True, seed=3, repetitions=2,
+        overrides={"max_time": 70.0, "topology": "metro"},
+        pair_keys=["pair-abc", "pair-def"], version=GOLDEN_VERSION,
+    )
+    assert key == "sweep-c63502d9e5bf669010906c0f"
+
+
+def test_telemetry_fingerprint_golden():
+    run = {"kind": "run", "name": "run", "algorithm": "fast", "n_nodes": 40, "seed": 7}
+    assert (
+        telemetry_fingerprint(run, version=GOLDEN_VERSION)
+        == "telemetry-2d0bce6ec498034d4a8a1840"
     )
 
 
@@ -189,3 +219,27 @@ def test_workload_document_content_golden():
     spec = get_workload("paper-baseline").scaled_to(30)
     document = strip_volatile(rep_to_dict(run_workload_rep(spec, 3)))
     assert stable_hash(document) == "552569faa595b110607eb560"
+
+
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+def test_store_content_golden(backend, tmp_path, monkeypatch):
+    """What the four store-backed runners write, headers included: the
+    ``kind`` stamp, ``workload`` / ``universe`` / ``seed`` / ``n_nodes`` /
+    ``spec`` / ``net_key`` / ``aggregates`` / ``params`` and the envelope
+    (``key``, ``schema``, ``code_version``) -- the same on both backends."""
+    monkeypatch.setattr(repro, "__version__", GOLDEN_VERSION)
+    store = open_store(tmp_path, backend=backend)
+    run_pair(make_session_config(30, seed=2, max_time=60.0, topology="metro"), store=store)
+    run_size_sweep([30], seed=2, overrides={"max_time": 60.0}, store=store)
+    run_workload(
+        get_workload("zapping").scaled_to(40).with_overrides(topology="metro"),
+        seed=2, store=store,
+    )
+    run_universe(
+        get_universe("lineup-mini").scaled_to(n_channels=3, n_viewers=36), seed=4, store=store
+    )
+    documents = [[key, strip_volatile(store.load(key))] for key in store.keys()]
+    assert [key.split("-")[0] for key, _ in documents] == [
+        "net", "pair", "pair", "sweep", "universe", "workload",
+    ]
+    assert stable_hash(documents) == "9b5dc440a888f0ba5cccbcf8"
