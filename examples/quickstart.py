@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro import make_session_config
-from repro.experiments.figures import figure2
+from repro import generate_figure, make_session_config
 from repro.experiments.runner import run_pair
 from repro.metrics.report import format_table
 
@@ -30,7 +29,7 @@ def main() -> None:
     args = parser.parse_args()
 
     print("Step 1 -- the paper's Figure 2 example (one scheduling period):")
-    print(figure2().to_text())
+    print(generate_figure(2).to_text())
     print()
 
     print(f"Step 2 -- full switch simulation on {args.n_nodes} nodes "

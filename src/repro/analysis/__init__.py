@@ -8,7 +8,8 @@ the examples:
   two algorithms across seeds (mean reduction with a sign test), so sweep
   results can be reported with error bars instead of single draws;
 * :mod:`repro.analysis.charts` -- plain-text (ASCII) line and bar charts
-  used to render the paper's figures in a terminal without matplotlib.
+  used to render the paper's figures in a terminal without matplotlib, and
+  their SVG twins for the HTML report.
 """
 
 from repro._hub import lazy_hub

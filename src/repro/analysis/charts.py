@@ -1,9 +1,9 @@
 """Plain-text and SVG charts without a plotting dependency.
 
-The benchmark harness and the CLI print the figures' data as tables; these
-helpers additionally render them as ASCII charts so the *shape* of a figure
-(the Figure 5 crossover, the Figure 7 trend) is visible at a glance without
-matplotlib, which is not a dependency of this package.  The SVG variants
+The CLI prints the figures' data as tables; these helpers additionally
+render them as ASCII charts so the *shape* of a figure (the Figure 5
+crossover, the Figure 7 trend) is visible at a glance without matplotlib,
+which is not a dependency of this package.  The SVG variants
 serve the same purpose for the HTML report (``repro report``): pure-string
 generation, deterministic output (fixed-precision coordinates, stable
 iteration order), no external library.

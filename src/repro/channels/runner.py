@@ -37,14 +37,7 @@ from repro.channels.universe import (
     UniverseSpec,
     run_universe_rep,
 )
-from repro.experiments.store import (
-    SCHEMA_VERSION,
-    BaseResultStore,
-    code_version,
-    persist_net_document,
-    replay_or_execute,
-    stable_hash,
-)
+from repro.experiments.store import BaseResultStore, _fingerprint, replay_or_execute
 from repro.metrics.report import mean_of, reduction_ratio
 from repro.metrics.universe import weighted_mean
 
@@ -70,15 +63,7 @@ def universe_fingerprint(
     schema and the code version -- any change to the lineup, the viewer
     mix, the simulator or the store layout rotates the key.
     """
-    return "universe-" + stable_hash(
-        {
-            "kind": "universe",
-            "schema": SCHEMA_VERSION,
-            "code_version": version if version is not None else code_version(),
-            "spec": spec.to_dict(),
-            "seed": int(seed),
-        }
-    )
+    return _fingerprint("universe", version, spec=spec.to_dict(), seed=int(seed))
 
 
 def rep_to_dict(rep: UniverseRepResult) -> Dict[str, Any]:
@@ -304,26 +289,7 @@ class UniverseRunner:
         rep_seeds = [seed + rep for rep in range(repetitions)]
         keys = [universe_fingerprint(spec, rep_seed) for rep_seed in rep_seeds]
 
-        def _load(key: str) -> Optional[UniverseRepResult]:
-            document = self.store.load_universe(key)
-            if document is None:
-                return None
-            rep = rep_from_dict(document["rep"])
-            # Replays are faithful: re-attach the streaming-aggregate block
-            # persisted next to the raw outcome table.  Documents written
-            # before the block existed replay with ``aggregates=None``.
-            aggregates = document.get("aggregates")
-            if aggregates is not None:
-                rep = replace(rep, aggregates=aggregates)
-            return rep
-
-        # The topology is fixed per spec: persist its net-* document (and
-        # hash it) at most once per run, on the first fresh repetition.
-        net_key_memo: List[Optional[str]] = []
-
-        def _save(key: str, index: int, rep: UniverseRepResult) -> None:
-            if not net_key_memo:
-                net_key_memo.append(persist_net_document(self.store, spec.topology))
+        def _encode(index: int, rep: UniverseRepResult, net_key: Optional[str]) -> Dict[str, Any]:
             document = {
                 "universe": spec.name,
                 "seed": rep_seeds[index],
@@ -338,9 +304,9 @@ class UniverseRunner:
                 # read only this key (plus the identification fields), so
                 # they stay O(channels), not O(viewers).
                 document["aggregates"] = rep.aggregates
-            if net_key_memo[0] is not None:
-                document["net_key"] = net_key_memo[0]
-            self.store.save_universe(key, document)
+            if net_key is not None:
+                document["net_key"] = net_key
+            return document
 
         if self.shards is None and self.workers == 1:
             # The canonical path: all channel meshes of a repetition on one
@@ -388,10 +354,17 @@ class UniverseRunner:
 
         reps, replayed = replay_or_execute(
             self.store,
+            "universe",
             keys,
-            load=_load,
+            # Replays are faithful: the streaming-aggregate block persisted
+            # next to the raw outcome table is re-attached (``None`` for a
+            # document written before the block existed).
+            decode=lambda document: replace(
+                rep_from_dict(document["rep"]), aggregates=document.get("aggregates")
+            ),
             execute=execute,
-            save=_save,
+            encode=_encode,
+            topology=spec.topology,
         )
         if executor is not None:
             self.journal_replayed = executor.journal_replayed

@@ -22,7 +22,10 @@ Installed as ``repro-gossip`` (and the shorter alias ``repro``; see
     losslessly migrate a results directory between backends.  Every
     store-backed command accepts ``--store-backend {json,sqlite}``: one
     JSON file per document (the default) or a single ``store.sqlite``
-    database in the same directory.
+    database in the same directory.  A command that cannot write -- these
+    three on their source, and any command under ``--from-store`` -- never
+    creates a store: a path that is not there is an error (``store``,
+    ``report``) or a miss (the rest), and stays not there.
 
 ``run``
     Run a single simulation (choose algorithm, size, seed, churn) and print
@@ -51,19 +54,14 @@ Installed as ``repro-gossip`` (and the shorter alias ``repro``; see
     the ``repetitions x channels`` units are dealt into (default: one unit
     per shard).
 
-``bench trend``
-    Print the repository's performance trajectory: one row per
-    (commit, benchmark) across all ``BENCH_<sha>.json`` summaries,
-    with the mean-time change against each benchmark's previous run.
-
 ``report``
     Render every figure in the declarative registry
     (:mod:`repro.figures`) from a results store into one self-contained
     HTML report (``report.html`` plus per-figure ``data/<name>.json``):
     the nine paper figures and the universe-scale sketch-backed figures,
-    a benchmark-trajectory table (``--bench-dir``) and a store
-    inventory.  ``--from-store`` forbids simulation -- figures without
-    stored results are listed as skipped instead of simulated.
+    the telemetry of instrumented runs and a store inventory.
+    ``--from-store`` forbids simulation -- figures without stored results
+    are listed as skipped instead of simulated.
 
 ``scenario NAME``
     Run one of the named example scenarios -- thin wrappers over workload
@@ -114,6 +112,11 @@ table (``_COMMANDS``) gives every sub-command its help line, its
 them by name, configures the one ``argv`` names, and that command imports
 what it runs -- so ``--version`` and ``--help`` load no NumPy, and a warm
 ``report --from-store`` loads no simulator (``tests/test_import_fences.py``).
+
+Every group of flags that several commands share is declared once (the
+``_add_*_arguments`` helpers), the three named-run commands share one
+handler skeleton (``_named_run``) and the four ``ls`` commands one emitter
+(``_emit_rows``).
 """
 
 from __future__ import annotations
@@ -140,24 +143,12 @@ _LOG = logging.getLogger("repro.cli")
 _LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
-#: Figures backed by a size sweep (accept ``sizes``/``repetitions``/``workers``).
-_SWEEP_FIGURES = {"6", "7", "8", "10", "11", "12"}
-
-#: Figures backed by a single paired run with per-round series.
-_TRACK_FIGURES = {"5", "9"}
-
-
 def _positive_int(value: str) -> int:
     """Argparse type for options that must be >= 1 (e.g. ``--workers``)."""
     number = int(value)
     if number < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
     return number
-
-
-#: Document kinds ``store ls --kind`` accepts; ``run`` is the
-#: user-facing alias of the on-disk ``pair`` kind.
-_STORE_KINDS = ("run", "pair", "workload", "universe", "net", "sweep", "telemetry")
 
 
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
@@ -211,6 +202,42 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
                              "telemetry document's 'probes' block)")
 
 
+def _add_session_arguments(parser: argparse.ArgumentParser, *, algorithm: bool = True) -> None:
+    """Attach the single-session flags of ``run``, ``compare``, ``probe`` and ``trace run``."""
+    if algorithm:
+        parser.add_argument("--algorithm", choices=["fast", "normal"], default="fast")
+    parser.add_argument("--n-nodes", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--dynamic", action="store_true", help="enable 5%% churn per period")
+    parser.add_argument("--max-time", type=float, default=120.0)
+    parser.add_argument("--json", action="store_true")
+    _add_topology_argument(parser)
+    _add_engine_argument(parser)
+
+
+def _add_named_run_arguments(
+    parser: argparse.ArgumentParser,
+    names: Sequence[str],
+    *,
+    compare_help: str = "print only the paired switch-time comparison",
+    workers_help: str = "worker processes; bit-identical to --workers 1",
+) -> None:
+    """Attach the named-run flags of ``workload``/``universe`` ``run|compare`` and ``scenario``."""
+    parser.add_argument("name", choices=names)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--repetitions", type=_positive_int, default=1,
+                        help="independent repetitions (seed, seed+1, ...)")
+    parser.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
+    parser.add_argument("--from-store", action="store_true",
+                        help="replay from the result store only; never simulate")
+    parser.add_argument("--compare", action="store_true", help=compare_help)
+    parser.add_argument("--json", action="store_true")
+    _add_topology_argument(parser)
+    _add_engine_argument(parser)
+    _add_telemetry_arguments(parser)
+    _add_store_arguments(parser)
+
+
 def _package_version() -> str:
     """The installed package version (falls back to the module version)."""
     try:
@@ -224,8 +251,13 @@ def _package_version() -> str:
 
 
 def _resolve_store(args: argparse.Namespace, *, replay_only: bool = False,
-                   required: bool = False) -> Optional[BaseResultStore]:
-    """Build the store selected by ``--results-dir``/env and ``--store-backend``."""
+                   required: bool = False, existing: bool = False) -> Optional[BaseResultStore]:
+    """Build the store selected by ``--results-dir``/env and ``--store-backend``.
+
+    ``existing``: the command reads what is there (``store ls|clear|migrate``,
+    ``report --from-store``), so a directory that is not is the user's typo,
+    not an empty store -- and is not created.
+    """
     from repro.experiments.store import default_results_dir, open_store
 
     path = args.results_dir if args.results_dir else default_results_dir()
@@ -235,6 +267,8 @@ def _resolve_store(args: argparse.Namespace, *, replay_only: bool = False,
                 "error: no results directory; pass --results-dir or set REPRO_RESULTS_DIR"
             )
         return None
+    if existing and not Path(path).is_dir():
+        raise SystemExit(f"error: no results store at {path}")
     backend = getattr(args, "store_backend", None) or "json"
     return open_store(path, backend=backend, replay_only=replay_only)
 
@@ -252,10 +286,11 @@ class _VersionAction(argparse.Action):
 
 
 def _configure_figure(fig: argparse.ArgumentParser) -> None:
-    from repro.experiments.figures import FIGURE_GENERATORS
+    from repro.figures import FIGURES
 
-    fig.add_argument("number", choices=sorted(FIGURE_GENERATORS, key=int),
-                     help="paper figure number")
+    fig.add_argument("number", help="paper figure number",
+                     choices=[spec.figure_id for spec in FIGURES.values()
+                              if spec.figure_id.isdigit()])
     fig.add_argument("--seed", type=int, default=0)
     fig.add_argument("--paper-scale", action="store_true",
                      help="use the paper's full overlay sizes (slow)")
@@ -294,14 +329,14 @@ def _configure_sweep(sweep: argparse.ArgumentParser) -> None:
 
 
 def _configure_store(store: argparse.ArgumentParser) -> None:
-    from repro.experiments.store import STORE_BACKENDS
+    from repro.experiments.store import KINDS, STORE_BACKENDS
 
     store_sub = store.add_subparsers(dest="store_command", required=True)
     store_ls = store_sub.add_parser("ls", help="list stored results")
     store_ls.add_argument("--json", action="store_true")
     store_ls.add_argument("--limit", type=_positive_int, default=None, metavar="N",
                           help="show only the newest N entries (by creation time)")
-    store_ls.add_argument("--kind", choices=sorted(_STORE_KINDS), default=None,
+    store_ls.add_argument("--kind", choices=sorted(["run", *KINDS]), default=None,
                           help="show only entries of this document kind "
                                "('run' is an alias for 'pair')")
     _add_store_arguments(store_ls)
@@ -322,26 +357,13 @@ def _configure_store(store: argparse.ArgumentParser) -> None:
 
 
 def _configure_run(run: argparse.ArgumentParser) -> None:
-    run.add_argument("--algorithm", choices=["fast", "normal"], default="fast")
-    run.add_argument("--n-nodes", type=int, default=200)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--dynamic", action="store_true", help="enable 5%% churn per period")
-    run.add_argument("--max-time", type=float, default=120.0)
-    run.add_argument("--json", action="store_true")
-    _add_topology_argument(run)
-    _add_engine_argument(run)
+    _add_session_arguments(run)
     _add_telemetry_arguments(run)
     _add_store_arguments(run)
 
 
 def _configure_compare(cmp_parser: argparse.ArgumentParser) -> None:
-    cmp_parser.add_argument("--n-nodes", type=int, default=200)
-    cmp_parser.add_argument("--seed", type=int, default=0)
-    cmp_parser.add_argument("--dynamic", action="store_true")
-    cmp_parser.add_argument("--max-time", type=float, default=120.0)
-    cmp_parser.add_argument("--json", action="store_true")
-    _add_topology_argument(cmp_parser)
-    _add_engine_argument(cmp_parser)
+    _add_session_arguments(cmp_parser, algorithm=False)
     _add_telemetry_arguments(cmp_parser)
     _add_store_arguments(cmp_parser)
 
@@ -357,23 +379,9 @@ def _configure_workload(workload: argparse.ArgumentParser) -> None:
         ("compare", "run a named workload and print the paired comparison"),
     ):
         workload_run = workload_sub.add_parser(verb, help=verb_help)
-        workload_run.add_argument("name", choices=workload_names())
-        workload_run.add_argument("--seed", type=int, default=0)
+        _add_named_run_arguments(workload_run, workload_names())
         workload_run.add_argument("--n-nodes", type=_positive_int, default=None,
                                   help="override the workload's overlay size")
-        workload_run.add_argument("--repetitions", type=_positive_int, default=1,
-                                  help="independent repetitions (seed, seed+1, ...)")
-        workload_run.add_argument("--workers", type=_positive_int, default=1,
-                                  help="worker processes; bit-identical to --workers 1")
-        workload_run.add_argument("--from-store", action="store_true",
-                                  help="replay from the result store only; never simulate")
-        workload_run.add_argument("--compare", action="store_true",
-                                  help="print only the paired switch-time comparison")
-        workload_run.add_argument("--json", action="store_true")
-        _add_topology_argument(workload_run)
-        _add_engine_argument(workload_run)
-        _add_telemetry_arguments(workload_run)
-        _add_store_arguments(workload_run)
 
 
 def _configure_universe(universe: argparse.ArgumentParser) -> None:
@@ -387,18 +395,16 @@ def _configure_universe(universe: argparse.ArgumentParser) -> None:
         ("compare", "run a named universe and print the per-decile comparison"),
     ):
         universe_run = universe_sub.add_parser(verb, help=verb_help)
-        universe_run.add_argument("name", choices=universe_names())
-        universe_run.add_argument("--seed", type=int, default=0)
+        _add_named_run_arguments(
+            universe_run, universe_names(),
+            compare_help="print only the per-decile zap-time comparison",
+            workers_help="worker processes of the sharded runtime (crash-tolerant pool "
+                         "with checkpoint/resume); bit-identical to --workers 1",
+        )
         universe_run.add_argument("--channels", type=_positive_int, default=None,
                                   help="override the universe's lineup size")
         universe_run.add_argument("--viewers", type=_positive_int, default=None,
                                   help="override the universe's viewer population")
-        universe_run.add_argument("--repetitions", type=_positive_int, default=1,
-                                  help="independent repetitions (seed, seed+1, ...)")
-        universe_run.add_argument("--workers", type=_positive_int, default=1,
-                                  help="worker processes of the sharded runtime "
-                                       "(crash-tolerant pool with checkpoint/"
-                                       "resume); bit-identical to --workers 1")
         universe_run.add_argument("--shards", type=_positive_int, default=None,
                                   help="partition the repetitions x channels "
                                        "units into this many shards on the worker "
@@ -410,34 +416,12 @@ def _configure_universe(universe: argparse.ArgumentParser) -> None:
                                        "periodic live status line to stderr "
                                        "(shards done/total, ETA from shard "
                                        "history, per-worker heartbeat age)")
-        universe_run.add_argument("--from-store", action="store_true",
-                                  help="replay from the result store only; never simulate")
-        universe_run.add_argument("--compare", action="store_true",
-                                  help="print only the per-decile zap-time comparison")
-        universe_run.add_argument("--json", action="store_true")
-        _add_topology_argument(universe_run)
-        _add_engine_argument(universe_run)
-        _add_telemetry_arguments(universe_run)
-        _add_store_arguments(universe_run)
 
 
 def _configure_scenario(scen: argparse.ArgumentParser) -> None:
     from repro.experiments.scenarios import SCENARIOS
 
-    scen.add_argument("name", choices=sorted(SCENARIOS))
-    scen.add_argument("--seed", type=int, default=0)
-    scen.add_argument("--repetitions", type=_positive_int, default=1)
-    scen.add_argument("--workers", type=_positive_int, default=1,
-                      help="worker processes; bit-identical to --workers 1")
-    scen.add_argument("--from-store", action="store_true",
-                      help="replay from the result store only; never simulate")
-    scen.add_argument("--compare", action="store_true",
-                      help="print only the paired switch-time comparison")
-    scen.add_argument("--json", action="store_true")
-    _add_topology_argument(scen)
-    _add_engine_argument(scen)
-    _add_telemetry_arguments(scen)
-    _add_store_arguments(scen)
+    _add_named_run_arguments(scen, sorted(SCENARIOS))
 
 
 def _configure_net(net: argparse.ArgumentParser) -> None:
@@ -468,24 +452,11 @@ def _configure_trace(trace: argparse.ArgumentParser) -> None:
     trace_run.add_argument("--out", default="trace.json",
                            help="Chrome trace-event output path "
                                 "(default: ./trace.json)")
-    trace_run.add_argument("--algorithm", choices=["fast", "normal"], default="fast")
-    trace_run.add_argument("--n-nodes", type=int, default=200)
-    trace_run.add_argument("--seed", type=int, default=0)
-    trace_run.add_argument("--dynamic", action="store_true",
-                           help="enable 5%% churn per period")
-    trace_run.add_argument("--max-time", type=float, default=120.0)
-    trace_run.add_argument("--json", action="store_true")
-    _add_topology_argument(trace_run)
-    _add_engine_argument(trace_run)
+    _add_session_arguments(trace_run)
 
 
 def _configure_probe(probe: argparse.ArgumentParser) -> None:
-    probe.add_argument("--algorithm", choices=["fast", "normal"], default="fast")
-    probe.add_argument("--n-nodes", type=int, default=200)
-    probe.add_argument("--seed", type=int, default=0)
-    probe.add_argument("--dynamic", action="store_true",
-                       help="enable 5%% churn per period")
-    probe.add_argument("--max-time", type=float, default=120.0)
+    _add_session_arguments(probe)
     probe.add_argument("--peer", type=int, default=None, metavar="ID",
                        help="print this peer's segment-lifecycle timeline "
                             "instead of the swarm overview")
@@ -493,21 +464,6 @@ def _configure_probe(probe: argparse.ArgumentParser) -> None:
                        help="restrict the --peer timeline to one segment id")
     probe.add_argument("--last", type=_positive_int, default=40, metavar="N",
                        help="timeline events to print (newest last, default 40)")
-    probe.add_argument("--json", action="store_true")
-    _add_topology_argument(probe)
-    _add_engine_argument(probe)
-
-
-def _configure_bench(bench: argparse.ArgumentParser) -> None:
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-    bench_trend = bench_sub.add_parser(
-        "trend",
-        help="print the perf trajectory across all BENCH_<sha>.json summaries",
-    )
-    bench_trend.add_argument("--bench-dir", default=".",
-                             help="directory holding the BENCH_*.json summaries "
-                                  "(default: the current directory)")
-    bench_trend.add_argument("--json", action="store_true")
 
 
 def _configure_report(report: argparse.ArgumentParser) -> None:
@@ -526,9 +482,6 @@ def _configure_report(report: argparse.ArgumentParser) -> None:
     report.add_argument("--universe", default=None,
                         help="restrict the universe figures to one named "
                              "universe (default: all stored universes)")
-    report.add_argument("--bench-dir", default=None,
-                        help="also render the benchmark trajectory from this "
-                             "directory's BENCH_*.json summaries")
     report.add_argument("--from-store", action="store_true",
                         help="replay-only: forbid simulation, skip figures "
                              "whose results are not stored")
@@ -542,6 +495,15 @@ def _table(rows: Sequence[dict], columns: Optional[Sequence[str]] = None) -> str
     from repro.metrics.report import format_table
 
     return format_table(rows, columns)
+
+
+def _emit_rows(args: argparse.Namespace, rows: Sequence[dict], empty: Optional[str] = None) -> int:
+    """What an ``ls`` command prints: the rows as JSON (``--json``) or as a table."""
+    if args.json:
+        print(json.dumps(rows, indent=2))
+    else:
+        print(empty if empty is not None and not rows else _table(rows))
+    return 0
 
 
 def _session_config(args: argparse.Namespace, **kwargs):
@@ -581,23 +543,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments.store import MissingResultError
 
     store = _resolve_store(args, replay_only=args.from_store, required=args.from_store)
-    kwargs: dict = {"seed": args.seed}
-    if args.paper_scale:
-        kwargs["paper_scale"] = True
-    if args.number in _SWEEP_FIGURES:
-        if args.sizes:
-            kwargs["sizes"] = args.sizes
-        kwargs["repetitions"] = args.repetitions
-        if args.workers > 1:
-            kwargs["workers"] = args.workers
-    if args.number in _TRACK_FIGURES and args.n_nodes:
-        kwargs["n_nodes"] = args.n_nodes
-    if args.number == "2":
-        kwargs = {}
-    elif store is not None:
-        kwargs["store"] = store
     try:
-        result = generate_figure(args.number, **kwargs)
+        # One uniform set: the figure takes the parameters its spec declares.
+        result = generate_figure(
+            args.number, store=store, seed=args.seed, paper_scale=args.paper_scale,
+            sizes=args.sizes, n_nodes=args.n_nodes, repetitions=args.repetitions,
+            workers=args.workers,
+        )
     except MissingResultError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -625,7 +577,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.sweeps import run_size_sweep
 
     store = _resolve_store(args)
-    sizes = args.sizes if args.sizes else list(sweep_sizes(paper_scale=args.paper_scale or None))
+    sizes = args.sizes if args.sizes else list(sweep_sizes(paper_scale=args.paper_scale))
     overrides: dict = {}
     if args.max_time is not None:
         overrides["max_time"] = args.max_time
@@ -656,19 +608,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    store = _resolve_store(args, required=True)
+    store = _resolve_store(args, required=True, existing=True)
     if args.store_command == "ls":
-        kind = args.kind
-        if kind == "run":
-            kind = "pair"
+        kind = "pair" if args.kind == "run" else args.kind
         entries = store.entries(kind=kind, limit=args.limit)
-        if getattr(args, "json", False):
-            print(json.dumps([entry.as_row() for entry in entries], indent=2))
-        elif not entries:
-            print(f"(store at {store.root} is empty)")
-        else:
-            print(_table([entry.as_row() for entry in entries]))
-    elif args.store_command == "migrate":
+        return _emit_rows(args, [entry.as_row() for entry in entries],
+                          empty=f"(store at {store.root} is empty)")
+    if args.store_command == "migrate":
         from repro.experiments.store import migrate_store, open_store
 
         dest_dir = args.dest_dir if args.dest_dir else store.root
@@ -747,11 +693,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
             }
             for _, topology in sorted(TOPOLOGIES.items())
         ]
-        if args.json:
-            print(json.dumps(rows, indent=2))
-        else:
-            print(_table(rows))
-        return 0
+        return _emit_rows(args, rows)
     topology = get_topology(args.name)
     if args.json:
         print(json.dumps(topology.to_dict(), indent=2))
@@ -781,9 +723,13 @@ def _cmd_net(args: argparse.Namespace) -> int:
     return 0
 
 
-def _workload_payload(result: WorkloadResult) -> dict:
-    """Machine-readable form of a workload run (the ``--json`` output)."""
-    return {
+def _workload_payload(result: WorkloadResult, *, compare_only: bool) -> dict:
+    """Machine-readable form of a workload run (the ``--json`` output).
+
+    ``compare_only`` (``workload compare --json``) strips it down to what a
+    harness consumes: the paired per-switch rows and the mean reduction.
+    """
+    payload = {
         "workload": result.spec.name,
         "n_nodes": result.spec.n_nodes,
         "n_switches": result.spec.n_switches,
@@ -793,25 +739,11 @@ def _workload_payload(result: WorkloadResult) -> dict:
         "replayed": result.replayed,
         "mean_reduction": result.mean_reduction,
         "switch_rows": result.switch_rows(),
-        "class_rows": result.class_rows(),
-        "phase_rows": result.phase_rows(),
     }
-
-
-def _workload_compare_payload(result: WorkloadResult) -> dict:
-    """Focused machine-readable comparison (``workload compare --json``).
-
-    Strips the per-class and per-phase detail down to what a benchmark
-    harness consumes: the paired per-switch rows and the mean reduction.
-    """
-    return {
-        "workload": result.spec.name,
-        "n_nodes": result.spec.n_nodes,
-        "seed": result.seed,
-        "repetitions": result.repetitions,
-        "mean_reduction": result.mean_reduction,
-        "switch_rows": result.switch_rows(),
-    }
+    if compare_only:
+        return {key: value for key, value in payload.items()
+                if key not in ("n_switches", "simulated", "replayed")}
+    return {**payload, "class_rows": result.class_rows(), "phase_rows": result.phase_rows()}
 
 
 def _print_workload_result(result: WorkloadResult, *, compare_only: bool) -> None:
@@ -836,42 +768,50 @@ def _print_workload_result(result: WorkloadResult, *, compare_only: bool) -> Non
     print(f"\nmean switch-time reduction: {result.mean_reduction:.1%}")
 
 
-def _run_workload_spec(spec: WorkloadSpec, args: argparse.Namespace) -> int:
-    """Shared execution path of ``workload run|compare`` and ``scenario``."""
+def _named_run(
+    args: argparse.Namespace,
+    run: Callable[[Optional[BaseResultStore]], object],
+    payload: Callable[..., dict],
+    show: Callable[..., None],
+) -> int:
+    """The handler skeleton of ``workload run|compare``, ``universe run|compare``
+    and ``scenario``: resolve the store, ``run(store)`` (which scales the
+    named spec and runs it), report what the user got wrong, then print the
+    result's ``payload`` as JSON or ``show`` it and say where it persisted."""
     from repro.experiments.store import MissingResultError
-    from repro.workloads.runner import run_workload
 
     store = _resolve_store(args, replay_only=args.from_store, required=args.from_store)
-    if getattr(args, "n_nodes", None) is not None:
-        spec = spec.scaled_to(args.n_nodes)
-    if getattr(args, "topology", None):
-        spec = spec.with_overrides(topology=args.topology)
     try:
-        result = run_workload(
-            spec,
-            seed=args.seed,
-            repetitions=args.repetitions,
-            workers=args.workers,
-            store=store,
-            engine=getattr(args, "engine", None),
-        )
+        result = run(store)
     except (MissingResultError, ValueError) as error:
-        # ValueError: spec/size combinations the engine rejects (e.g. an
-        # overlay too small for the minimum degree) -- user input, not a bug.
+        # ValueError: spec/size combinations the spec or the engine rejects
+        # (an overlay too small for the minimum degree, too few viewers for
+        # the lineup) -- user input, not a bug.
         print(f"error: {error}", file=sys.stderr)
         return 1
     if args.json:
-        payload = (
-            _workload_compare_payload(result)
-            if getattr(args, "compare", False)
-            else _workload_payload(result)
-        )
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(result, compare_only=args.compare), indent=2))
     else:
-        _print_workload_result(result, compare_only=args.compare)
+        show(result, compare_only=args.compare)
         if store is not None:
             print(f"results persisted under {store.root}")
     return 0
+
+
+def _run_workload_spec(spec: WorkloadSpec, args: argparse.Namespace) -> int:
+    """Shared execution path of ``workload run|compare`` and ``scenario``."""
+    from repro.workloads.runner import run_workload
+
+    def run(store: Optional[BaseResultStore]) -> WorkloadResult:
+        scaled = spec
+        if getattr(args, "n_nodes", None) is not None:
+            scaled = scaled.scaled_to(args.n_nodes)
+        if args.topology:
+            scaled = scaled.with_overrides(topology=args.topology)
+        return run_workload(scaled, seed=args.seed, repetitions=args.repetitions,
+                            workers=args.workers, store=store, engine=args.engine)
+
+    return _named_run(args, run, _workload_payload, _print_workload_result)
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
@@ -889,11 +829,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
             }
             for _, spec in sorted(WORKLOADS.items())
         ]
-        if args.json:
-            print(json.dumps(rows, indent=2))
-        else:
-            print(_table(rows))
-        return 0
+        return _emit_rows(args, rows)
     if args.workload_command == "compare":
         args.compare = True
     return _run_workload_spec(get_workload(args.name), args)
@@ -942,7 +878,6 @@ def _print_universe_result(result: UniverseResult, *, compare_only: bool) -> Non
 
 def _cmd_universe(args: argparse.Namespace) -> int:
     from repro.channels.runner import run_universe
-    from repro.experiments.store import MissingResultError
     from repro.workloads.library import UNIVERSES, get_universe
 
     if args.universe_command == "ls":
@@ -958,42 +893,21 @@ def _cmd_universe(args: argparse.Namespace) -> int:
             }
             for _, spec in sorted(UNIVERSES.items())
         ]
-        if args.json:
-            print(json.dumps(rows, indent=2))
-        else:
-            print(_table(rows))
-        return 0
+        return _emit_rows(args, rows)
     if args.universe_command == "compare":
         args.compare = True
-    spec = get_universe(args.name)
-    store = _resolve_store(args, replay_only=args.from_store, required=args.from_store)
-    try:
+
+    def run(store: Optional[BaseResultStore]) -> UniverseResult:
+        spec = get_universe(args.name)
         if args.channels is not None or args.viewers is not None:
             spec = spec.scaled_to(n_channels=args.channels, n_viewers=args.viewers)
         if args.topology:
             spec = spec.with_topology(args.topology)
-        result = run_universe(
-            spec,
-            seed=args.seed,
-            repetitions=args.repetitions,
-            workers=args.workers,
-            store=store,
-            compute_engine=getattr(args, "engine", None),
-            shards=args.shards,
-            progress=getattr(args, "progress", False),
-        )
-    except (MissingResultError, ValueError) as error:
-        # ValueError: lineup/population combinations the spec rejects (e.g.
-        # too few viewers for the lineup) -- user input, not a bug.
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(_universe_payload(result, compare_only=args.compare), indent=2))
-    else:
-        _print_universe_result(result, compare_only=args.compare)
-        if store is not None:
-            print(f"results persisted under {store.root}")
-    return 0
+        return run_universe(spec, seed=args.seed, repetitions=args.repetitions,
+                            workers=args.workers, store=store, compute_engine=args.engine,
+                            shards=args.shards, progress=args.progress)
+
+    return _named_run(args, run, _universe_payload, _print_universe_result)
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -1079,49 +993,15 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.analysis.bench import bench_trend_rows, load_bench_summaries
-
-    summaries = load_bench_summaries(args.bench_dir)
-    rows = bench_trend_rows(summaries)
-    if args.json:
-        print(json.dumps({
-            "bench_dir": str(args.bench_dir),
-            "summaries": [s["file"] for s in summaries],
-            "rows": rows,
-        }, indent=2))
-        return 0
-    if len(summaries) < 2:
-        print(f"need >= 2 timestamped BENCH_*.json summaries under "
-              f"{args.bench_dir} to chart a trajectory; found {len(summaries)} "
-              f"(run benchmarks/run_benchmarks.py to record one)")
-        return 0
-    if not rows:
-        print(f"(no benchmark rows in the BENCH_*.json summaries under {args.bench_dir})")
-        return 0
-    table = [
-        {
-            "git_sha": row["git_sha"],
-            "created": row["created"][:19],
-            "benchmark": row["benchmark"].rsplit("::", 1)[-1],
-            "mean_s": f"{row['mean_s']:.6f}",
-            "change": "-" if row["change"] is None else f"{row['change']:+.1%}",
-        }
-        for row in rows
-    ]
-    print(_table(table))
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.figures import render_report
 
-    store = _resolve_store(args, replay_only=args.from_store, required=True)
+    store = _resolve_store(args, replay_only=args.from_store, required=True,
+                           existing=args.from_store)
     summary = render_report(
         store,
         args.out,
         title=args.title,
-        bench_dir=args.bench_dir,
         seed=args.seed,
         sizes=args.sizes,
         n_nodes=args.n_nodes,
@@ -1238,7 +1118,6 @@ _COMMANDS: Dict[str, _Command] = {
     "probe": _Command("run one probed simulation and inspect the sim-time protocol "
                       "probes (segment lifecycle, swarm health, startup funnel)",
                       _configure_probe, _cmd_probe),
-    "bench": _Command("inspect the benchmark trajectory", _configure_bench, _cmd_bench),
     "report": _Command("render every registered figure from a results store into one "
                        "self-contained HTML report", _configure_report, _cmd_report),
 }

@@ -3,21 +3,23 @@
 This subpackage turns the simulator into the paper's evaluation:
 
 * :mod:`repro.experiments.config` -- named parameter sets (the paper's
-  defaults, reduced laptop-scale defaults used by the benchmark suite, the
-  size sweeps of Figures 6--8 and 10--12);
+  defaults, the reduced laptop-scale defaults, the size sweeps of Figures
+  6--8 and 10--12);
 * :mod:`repro.experiments.runner` -- run one configuration, or a paired
   fast-vs-normal comparison on identical random draws;
 * :mod:`repro.experiments.sweeps` -- network-size sweeps with caching so
   the figure generators that share a sweep (6/7/8 and 10/11/12) do not
   re-simulate;
 * :mod:`repro.experiments.store` -- the persistent on-disk result store
-  (JSON keyed by configuration fingerprints) that makes every experiment
+  (a key -> document map keyed by configuration fingerprints, one table of
+  document kinds, one replay-or-execute loop) that makes every experiment
   incremental and turns figure regeneration into replay;
 * :mod:`repro.experiments.parallel` -- deterministic process-pool fan-out
   of ``(size, repetition)`` sweep pairs, bit-identical to serial runs;
-* :mod:`repro.experiments.figures` -- one generator per paper figure,
-  returning the plotted series/rows as plain data (the benchmark harness
-  prints them; nothing here depends on matplotlib);
+* :mod:`repro.experiments.figures` -- the builders behind the paper's
+  figures (figure 2, the ratio track, three views of the size sweep),
+  returning the plotted series/rows as plain data (nothing here depends on
+  matplotlib); :mod:`repro.figures` registers them in the one figure table;
 * :mod:`repro.experiments.scenarios` -- the named end-to-end scenarios used
   by the examples and the CLI.
 """
@@ -44,13 +46,5 @@ __getattr__, __dir__, __all__ = lazy_hub(__name__, {
     "SweepPoint": "repro.experiments.sweeps",
     "FigureResult": "repro.experiments.figures",
     "figure2": "repro.experiments.figures",
-    "figure5": "repro.experiments.figures",
-    "figure6": "repro.experiments.figures",
-    "figure7": "repro.experiments.figures",
-    "figure8": "repro.experiments.figures",
-    "figure9": "repro.experiments.figures",
-    "figure10": "repro.experiments.figures",
-    "figure11": "repro.experiments.figures",
-    "figure12": "repro.experiments.figures",
     "generate_figure": "repro.experiments.figures",
 })

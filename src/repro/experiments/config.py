@@ -1,20 +1,19 @@
 """Named experiment configurations.
 
 The paper's evaluation parameters (Section 5.1) are encoded once here and
-reused by the figure generators, the benchmark harness, the examples and
-the CLI.  Two sweeps are provided:
+reused by the figure builders, the examples and the CLI.  Two sweeps are
+provided:
 
 * :data:`PAPER_SWEEP_SIZES` -- the overlay sizes of Figures 6--8 and 10--12
   (100 to 8000 nodes),
-* :data:`BENCH_SWEEP_SIZES` -- a reduced sweep used by the automated
-  benchmark suite so ``pytest benchmarks/`` completes in minutes on a
-  laptop; the full sweep is a flag away (``repro-gossip figure 7
-  --paper-scale`` or ``REPRO_PAPER_SCALE=1``).
+* :data:`BENCH_SWEEP_SIZES` -- the reduced default sweep, so that the
+  figure suite completes in minutes on a laptop; the full sweep is one
+  flag away (``repro-gossip figure 7 --paper-scale``,
+  ``paper_scale=True`` in the API).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -28,25 +27,19 @@ __all__ = [
     "BENCH_RATIO_TRACK_SIZE",
     "ExperimentDefaults",
     "make_session_config",
-    "paper_scale_enabled",
 ]
 
 #: Overlay sizes swept by the paper (Figures 6-8, 10-12).
 PAPER_SWEEP_SIZES: Tuple[int, ...] = (100, 500, 1000, 2000, 4000, 8000)
 
-#: Reduced sweep used by the automated benchmarks.
+#: The reduced default sweep.
 BENCH_SWEEP_SIZES: Tuple[int, ...] = (100, 200, 400)
 
 #: Overlay size of the ratio-track figures (5 and 9) in the paper.
 RATIO_TRACK_SIZE: int = 1000
 
-#: Reduced ratio-track size used by the automated benchmarks.
+#: The reduced default ratio-track size.
 BENCH_RATIO_TRACK_SIZE: int = 300
-
-
-def paper_scale_enabled() -> bool:
-    """Whether full paper-scale experiments were requested via the environment."""
-    return os.environ.get("REPRO_PAPER_SCALE", "").strip() in {"1", "true", "yes", "on"}
 
 
 @dataclass(frozen=True)
@@ -142,15 +135,11 @@ def make_session_config(
     return SessionConfig(n_nodes=n_nodes, seed=seed, algorithm=algorithm, **kwargs)
 
 
-def sweep_sizes(*, paper_scale: Optional[bool] = None) -> Sequence[int]:
-    """The network sizes to sweep: the paper's or the benchmark-reduced set."""
-    if paper_scale is None:
-        paper_scale = paper_scale_enabled()
+def sweep_sizes(*, paper_scale: bool = False) -> Sequence[int]:
+    """The network sizes to sweep: the paper's or the reduced set."""
     return PAPER_SWEEP_SIZES if paper_scale else BENCH_SWEEP_SIZES
 
 
-def ratio_track_size(*, paper_scale: Optional[bool] = None) -> int:
+def ratio_track_size(*, paper_scale: bool = False) -> int:
     """The overlay size for the ratio-track figures (5 and 9)."""
-    if paper_scale is None:
-        paper_scale = paper_scale_enabled()
     return RATIO_TRACK_SIZE if paper_scale else BENCH_RATIO_TRACK_SIZE

@@ -1,35 +1,33 @@
-"""One generator per paper figure.
+"""The builders behind the paper's figures.
 
-Every evaluation figure of the paper has a function here that runs the
-necessary simulations and returns a :class:`FigureResult` containing the
-plotted series/rows as plain Python data.  The benchmark harness
-(``benchmarks/bench_fig*.py``) calls these functions and prints the rows;
-``EXPERIMENTS.md`` records how the regenerated shapes compare with the
-paper's.
+Figure 2 is one function; the other eight are two environments (static,
+dynamic) of four families -- the ratio track (5, 9) and the three views of
+one size sweep: times (6, 10), switch time (7, 11) and overhead (8, 12).
+Each builder runs (or replays) the necessary simulations and returns a
+:class:`FigureResult` containing the plotted series/rows as plain Python
+data.  :mod:`repro.figures.paper` binds ``dynamic`` and registers the nine
+figures in the one figure table (:data:`repro.figures.registry.FIGURES`)
+under stable names (``fig7-switch-static``, ...), next to the
+universe-scale sketch-backed figures; ``repro report`` renders that table
+wholesale, and :func:`generate_figure` / ``repro figure N`` look a paper
+figure up in it by number.
 
 Default parameters are reduced relative to the paper (smaller overlays) so
-that the whole figure suite runs in minutes; pass ``paper_scale=True`` (or
-set ``REPRO_PAPER_SCALE=1``) to use the paper's 100--8000-node sweep and the
-1000-node ratio tracks.
+that the whole figure suite runs in minutes; pass ``paper_scale=True``
+(``--paper-scale`` on the command line) to use the paper's 100--8000-node
+sweep and the 1000-node ratio tracks.
 
-Every simulation-backed generator accepts ``store=`` (a
+Every simulation-backed builder accepts ``store=`` (a
 :class:`~repro.experiments.store.ResultStore`): with a warm store, figure
 generation is pure replay -- no simulator code runs.  The sweep figures
 additionally accept ``workers=`` to fan the underlying size sweep out over
 a process pool (see :mod:`repro.experiments.parallel`).
-
-These generators are also the builders behind the declarative figure
-registry (:mod:`repro.figures`), which re-registers each of them under a
-stable name (``fig7-switch-static``, ...) next to the universe-scale
-sketch-backed figures, and which ``repro report`` renders wholesale.
-``FIGURE_GENERATORS``/:func:`generate_figure` remain the stable
-number-keyed interface used by ``repro figure N`` and the benchmarks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.base import LocalView, NeighbourView, Stream
 from repro.core.fast_switch import FastSwitchAlgorithm
@@ -44,20 +42,7 @@ from repro.experiments.store import ResultStore
 from repro.experiments.sweeps import SizeSweepResult, run_size_sweep
 from repro.metrics.report import format_table
 
-__all__ = [
-    "FigureResult",
-    "figure2",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure11",
-    "figure12",
-    "generate_figure",
-    "FIGURE_GENERATORS",
-]
+__all__ = ["FigureResult", "figure2", "generate_figure"]
 
 
 @dataclass
@@ -162,15 +147,17 @@ def figure2() -> FigureResult:
 # Ratio-track figures (5 static, 9 dynamic)
 # --------------------------------------------------------------------------- #
 def _ratio_track(
-    *,
-    dynamic: bool,
-    n_nodes: Optional[int],
-    seed: int,
-    paper_scale: Optional[bool],
     figure_id: str,
-    max_time: float,
-    store: Optional[ResultStore],
+    dynamic: bool,
+    *,
+    n_nodes: Optional[int] = None,
+    seed: int = 0,
+    paper_scale: bool = False,
+    max_time: float = 60.0,
+    store: Optional[ResultStore] = None,
 ) -> FigureResult:
+    """Figures 5 / 9: the ratio track of one paired run (paper: 1000 nodes;
+    dynamic: 5% churn)."""
     size = n_nodes if n_nodes is not None else ratio_track_size(paper_scale=paper_scale)
     config = make_session_config(
         size, seed=seed, dynamic=dynamic, record_rounds=True, max_time=max_time
@@ -211,43 +198,27 @@ def _ratio_track(
     )
 
 
-def figure5(
-    *, n_nodes: Optional[int] = None, seed: int = 0, paper_scale: Optional[bool] = None,
-    max_time: float = 60.0, store: Optional[ResultStore] = None,
-) -> FigureResult:
-    """Figure 5: ratio track in a static network (paper: 1000 nodes)."""
-    return _ratio_track(
-        dynamic=False, n_nodes=n_nodes, seed=seed, paper_scale=paper_scale,
-        figure_id="5", max_time=max_time, store=store,
-    )
-
-
-def figure9(
-    *, n_nodes: Optional[int] = None, seed: int = 0, paper_scale: Optional[bool] = None,
-    max_time: float = 60.0, store: Optional[ResultStore] = None,
-) -> FigureResult:
-    """Figure 9: ratio track in a dynamic network (paper: 1000 nodes, 5% churn)."""
-    return _ratio_track(
-        dynamic=True, n_nodes=n_nodes, seed=seed, paper_scale=paper_scale,
-        figure_id="9", max_time=max_time, store=store,
-    )
-
-
 # --------------------------------------------------------------------------- #
 # Size-sweep figures (6/7/8 static, 10/11/12 dynamic)
 # --------------------------------------------------------------------------- #
-def _sweep(
-    sizes: Optional[Sequence[int]],
+def _sweep_figure(
+    view: Callable[[SizeSweepResult, str, bool], FigureResult],
+    figure_id: str,
     dynamic: bool,
-    seed: int,
-    repetitions: int,
-    paper_scale: Optional[bool],
+    *,
+    sizes: Optional[Sequence[int]] = None,
+    seed: int = 0,
+    repetitions: int = 1,
+    paper_scale: bool = False,
     store: Optional[ResultStore] = None,
     workers: int = 1,
-) -> SizeSweepResult:
+) -> FigureResult:
+    """Figures 6-8 / 10-12: one ``view`` (times, switch time, overhead) of the
+    paired size sweep; the three views of an environment share the sweep."""
     chosen = tuple(sizes) if sizes is not None else tuple(sweep_sizes(paper_scale=paper_scale))
-    return run_size_sweep(chosen, dynamic=dynamic, seed=seed, repetitions=repetitions,
-                          store=store, workers=workers)
+    sweep = run_size_sweep(chosen, dynamic=dynamic, seed=seed, repetitions=repetitions,
+                           store=store, workers=workers)
+    return view(sweep, figure_id, dynamic)
 
 
 def _times_figure(sweep: SizeSweepResult, figure_id: str, dynamic: bool) -> FigureResult:
@@ -339,77 +310,18 @@ def _overhead_figure(sweep: SizeSweepResult, figure_id: str, dynamic: bool) -> F
     )
 
 
-def figure6(*, sizes: Optional[Sequence[int]] = None, seed: int = 0, repetitions: int = 1,
-            paper_scale: Optional[bool] = None, store: Optional[ResultStore] = None,
-            workers: int = 1) -> FigureResult:
-    """Figure 6: avg finishing/preparing times vs network size (static)."""
-    sweep = _sweep(sizes, False, seed, repetitions, paper_scale, store, workers)
-    return _times_figure(sweep, "6", dynamic=False)
-
-
-def figure7(*, sizes: Optional[Sequence[int]] = None, seed: int = 0, repetitions: int = 1,
-            paper_scale: Optional[bool] = None, store: Optional[ResultStore] = None,
-            workers: int = 1) -> FigureResult:
-    """Figure 7: avg switch time and reduction ratio vs network size (static)."""
-    sweep = _sweep(sizes, False, seed, repetitions, paper_scale, store, workers)
-    return _switch_time_figure(sweep, "7", dynamic=False)
-
-
-def figure8(*, sizes: Optional[Sequence[int]] = None, seed: int = 0, repetitions: int = 1,
-            paper_scale: Optional[bool] = None, store: Optional[ResultStore] = None,
-            workers: int = 1) -> FigureResult:
-    """Figure 8: communication overhead vs network size (static)."""
-    sweep = _sweep(sizes, False, seed, repetitions, paper_scale, store, workers)
-    return _overhead_figure(sweep, "8", dynamic=False)
-
-
-def figure10(*, sizes: Optional[Sequence[int]] = None, seed: int = 0, repetitions: int = 1,
-             paper_scale: Optional[bool] = None, store: Optional[ResultStore] = None,
-             workers: int = 1) -> FigureResult:
-    """Figure 10: avg finishing/preparing times vs network size (dynamic)."""
-    sweep = _sweep(sizes, True, seed, repetitions, paper_scale, store, workers)
-    return _times_figure(sweep, "10", dynamic=True)
-
-
-def figure11(*, sizes: Optional[Sequence[int]] = None, seed: int = 0, repetitions: int = 1,
-             paper_scale: Optional[bool] = None, store: Optional[ResultStore] = None,
-             workers: int = 1) -> FigureResult:
-    """Figure 11: avg switch time and reduction ratio vs network size (dynamic)."""
-    sweep = _sweep(sizes, True, seed, repetitions, paper_scale, store, workers)
-    return _switch_time_figure(sweep, "11", dynamic=True)
-
-
-def figure12(*, sizes: Optional[Sequence[int]] = None, seed: int = 0, repetitions: int = 1,
-             paper_scale: Optional[bool] = None, store: Optional[ResultStore] = None,
-             workers: int = 1) -> FigureResult:
-    """Figure 12: communication overhead vs network size (dynamic)."""
-    sweep = _sweep(sizes, True, seed, repetitions, paper_scale, store, workers)
-    return _overhead_figure(sweep, "12", dynamic=True)
-
-
-#: Dispatcher used by the CLI: figure id -> generator.
-FIGURE_GENERATORS: Mapping[str, Callable[..., FigureResult]] = {
-    "2": figure2,
-    "5": figure5,
-    "6": figure6,
-    "7": figure7,
-    "8": figure8,
-    "9": figure9,
-    "10": figure10,
-    "11": figure11,
-    "12": figure12,
-}
-
-
 def generate_figure(figure: Union[int, str], **kwargs: object) -> FigureResult:
     """Regenerate a paper figure by number.
 
-    ``kwargs`` are forwarded to the figure's generator (e.g. ``sizes=...``,
-    ``seed=...``, ``paper_scale=True``).
+    The number is looked up in the figure table
+    (:data:`repro.figures.registry.FIGURES`, by ``figure_id``) and rendered
+    with :func:`~repro.figures.registry.render_figure`: of ``kwargs``
+    (e.g. ``sizes=...``, ``seed=...``, ``paper_scale=True``) the figure
+    takes the ones it declares.
     """
-    key = str(figure)
-    if key not in FIGURE_GENERATORS:
-        raise KeyError(
-            f"unknown figure {figure!r}; available: {sorted(FIGURE_GENERATORS, key=int)}"
-        )
-    return FIGURE_GENERATORS[key](**kwargs)
+    from repro.figures import FIGURES, render_figure
+
+    by_number = {spec.figure_id: spec.name for spec in FIGURES.values()}
+    if str(figure) not in by_number:
+        raise KeyError(f"unknown figure {figure!r}; available: {list(by_number)}")
+    return render_figure(by_number[str(figure)], **kwargs)

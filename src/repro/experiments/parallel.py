@@ -23,12 +23,13 @@ from dataclasses import dataclass
 from typing import Iterator, List, Mapping, Optional, Sequence
 
 from repro.experiments.config import make_session_config
-from repro.experiments.runner import PairedRunResult, run_pair
+from repro.experiments.runner import PairedRunResult, run_pair, run_pairs
 from repro.experiments.store import (
     BaseResultStore,
     pair_fingerprint,
-    replay_or_execute,
     sweep_fingerprint,
+    sweep_from_dict,
+    sweep_to_dict,
 )
 from repro.experiments.sweeps import SizeSweepResult, SweepPoint, _aggregate
 from repro.streaming.config import SessionConfig
@@ -142,25 +143,18 @@ class ParallelSweepRunner:
                 sizes, dynamic=dynamic, seed=seed, repetitions=repetitions,
                 overrides=overrides, pair_keys=pair_keys,
             )
-            stored = self.store.load_sweep(sweep_key)
+            stored = self.store.load(sweep_key, "sweep")
             if stored is not None:
-                return stored
-
-        def _load(key: str) -> Optional[PairedRunResult]:
-            cached = self.store.load_pair(key)
-            return None if cached is None else PairedRunResult(*cached)
+                return sweep_from_dict(stored["sweep"])
 
         # Each pair is persisted as soon as it completes: an interrupted
         # long sweep keeps its finished pairs and the rerun only simulates
         # the remainder.
-        results, _ = replay_or_execute(
-            self.store,
+        results = run_pairs(
+            [task.config for task in tasks],
             pair_keys,
-            load=_load,
+            store=self.store,
             execute=lambda pending: self._execute([tasks[i] for i in pending]),
-            save=lambda key, index, pair: self.store.save_pair(
-                key, tasks[index].config, pair.normal, pair.fast
-            ),
         )
 
         points: List[SweepPoint] = []
@@ -170,17 +164,17 @@ class ParallelSweepRunner:
         sweep = SizeSweepResult(dynamic=bool(dynamic), seed=int(seed), points=tuple(points))
 
         if self.store is not None and sweep_key is not None:
-            self.store.save_sweep(
-                sweep_key,
-                sweep,
-                params={
+            self.store.save(sweep_key, {
+                "kind": "sweep",
+                "params": {
                     "sizes": [int(s) for s in sizes],
                     "dynamic": bool(dynamic),
                     "seed": int(seed),
                     "repetitions": int(repetitions),
                     "overrides": {k: str(v) for k, v in sorted(overrides.items())},
                 },
-            )
+                "sweep": sweep_to_dict(sweep),
+            })
         return sweep
 
     # ------------------------------------------------------------------ #

@@ -9,17 +9,25 @@ same overlay topologies, bandwidth assignments and churn schedules.
 for everything outside the algorithm itself.
 
 When a :class:`~repro.experiments.store.ResultStore` is supplied,
-:func:`run_pair` reads through it: a stored pair for the same
-configuration, seed and code version is replayed from disk instead of
-simulated, and fresh results are persisted for the next caller.
+:func:`run_pairs` reads through it (:func:`~repro.experiments.store.
+replay_or_execute`): a stored pair for the same configuration, seed and
+code version is replayed from disk instead of simulated, and fresh results
+are persisted for the next caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, List, Optional, Sequence
 
-from repro.experiments.store import BaseResultStore, pair_fingerprint, persist_net_document
+from repro.experiments.store import (
+    BaseResultStore,
+    config_to_dict,
+    pair_fingerprint,
+    replay_or_execute,
+    session_result_from_dict,
+    session_result_to_dict,
+)
 from repro.metrics.report import ComparisonRow, compare_metrics
 from repro.streaming.config import SessionConfig, SessionResult
 
@@ -56,6 +64,45 @@ class PairedRunResult:
         return self.comparison().switch_time_reduction
 
 
+def _simulate_pair(config: SessionConfig) -> PairedRunResult:
+    return PairedRunResult(
+        normal=run_single(config.with_algorithm("normal")),
+        fast=run_single(config.with_algorithm("fast")),
+    )
+
+
+def run_pairs(
+    configs: Sequence[SessionConfig],
+    keys: Sequence[str],
+    *,
+    store: Optional[BaseResultStore] = None,
+    execute: Optional[Callable[[List[int]], Iterable[PairedRunResult]]] = None,
+) -> List[PairedRunResult]:
+    """The pairs of ``configs`` (which share a topology), replayed from
+    ``store`` under their ``pair-*`` ``keys`` where it holds them.
+
+    ``execute`` produces the missing ones (default: simulate them here, one
+    after the other); the sweep runner hands in its worker pool.
+    """
+    pairs, _ = replay_or_execute(
+        store,
+        "pair",
+        keys,
+        decode=lambda document: PairedRunResult(
+            normal=session_result_from_dict(document["normal"]),
+            fast=session_result_from_dict(document["fast"]),
+        ),
+        execute=execute or (lambda pending: (_simulate_pair(configs[i]) for i in pending)),
+        encode=lambda index, pair, _net_key: {
+            "config": config_to_dict(configs[index]),
+            "normal": session_result_to_dict(pair.normal),
+            "fast": session_result_to_dict(pair.fast),
+        },
+        topology=configs[0].topology,
+    )
+    return pairs
+
+
 def run_pair(config: SessionConfig, *, store: Optional[BaseResultStore] = None) -> PairedRunResult:
     """Run the normal and the fast switch algorithm on identical random draws.
 
@@ -71,18 +118,4 @@ def run_pair(config: SessionConfig, *, store: Optional[BaseResultStore] = None) 
         persisted.  A replay-only store raises
         :class:`~repro.experiments.store.MissingResultError` on a miss.
     """
-    key: Optional[str] = None
-    if store is not None:
-        key = pair_fingerprint(config)
-        cached = store.load_pair(key)
-        if cached is not None:
-            return PairedRunResult(normal=cached[0], fast=cached[1])
-        if store.replay_only:
-            raise store.missing(key)
-    normal_result = run_single(config.with_algorithm("normal"))
-    fast_result = run_single(config.with_algorithm("fast"))
-    pair = PairedRunResult(normal=normal_result, fast=fast_result)
-    if store is not None and key is not None:
-        store.save_pair(key, config, normal_result, fast_result)
-        persist_net_document(store, config.topology)
-    return pair
+    return run_pairs([config], [pair_fingerprint(config)], store=store)[0]

@@ -19,8 +19,8 @@ payloads) inside a single database:
   workers sharing one database serialise cleanly instead of corrupting
   each other.
 
-Only the storage primitives live here; every typed saver and the
-replay-or-execute discipline are inherited from
+Only the storage primitives live here; the kind check, the kind walk and
+the instrumented ``load`` / ``save`` doors are inherited from
 :class:`~repro.experiments.store.BaseResultStore` unchanged.
 """
 
@@ -68,8 +68,9 @@ class SQLiteStore(BaseResultStore):
     def __init__(self, root: "str | os.PathLike[str]", *, replay_only: bool = False) -> None:
         super().__init__(root, replay_only=replay_only)
         self.db_path = self.root / SQLITE_STORE_FILENAME
-        with self._connect() as connection:
-            connection.executescript(_SCHEMA)
+        if not self.replay_only:
+            with self._connect() as connection:
+                connection.executescript(_SCHEMA)
 
     @contextmanager
     def _connect(self) -> Iterator[sqlite3.Connection]:
@@ -81,6 +82,14 @@ class SQLiteStore(BaseResultStore):
         finally:
             connection.close()
 
+    def _select(self, sql: str, *args: Any) -> List[tuple]:
+        """The rows of one read query.  A replay-only store creates nothing,
+        so its database may not exist: it then reads as empty."""
+        if not self.db_path.is_file():
+            return []
+        with self._connect() as connection:
+            return connection.execute(sql, args).fetchall()
+
     # -- backend primitives --------------------------------------------- #
     def _load_document(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored payload for ``key``, or ``None`` when absent.
@@ -90,17 +99,9 @@ class SQLiteStore(BaseResultStore):
         an error.
         """
         try:
-            with self._connect() as connection:
-                row = connection.execute(
-                    "SELECT payload FROM documents WHERE key = ?", (key,)
-                ).fetchone()
-        except sqlite3.Error:
-            return None
-        if row is None:
-            return None
-        try:
-            payload = json.loads(row[0])
-        except (json.JSONDecodeError, TypeError):
+            rows = self._select("SELECT payload FROM documents WHERE key = ?", key)
+            payload = json.loads(rows[0][0]) if rows else None
+        except (sqlite3.Error, json.JSONDecodeError, TypeError):
             return None
         if not isinstance(payload, dict) or payload.get("schema") != SCHEMA_VERSION:
             return None
@@ -138,10 +139,12 @@ class SQLiteStore(BaseResultStore):
             cursor = connection.execute("DELETE FROM documents WHERE key = ?", (key,))
             return cursor.rowcount > 0
 
-    def keys(self) -> List[str]:
-        """All stored keys, sorted."""
-        with self._connect() as connection:
-            rows = connection.execute("SELECT key FROM documents ORDER BY key").fetchall()
+    def keys(self, kind: Optional[str] = None) -> List[str]:
+        """All stored keys (of one document kind, if given), sorted."""
+        if kind is None:
+            rows = self._select("SELECT key FROM documents ORDER BY key")
+        else:
+            rows = self._select("SELECT key FROM documents WHERE kind = ? ORDER BY key", kind)
         return [row[0] for row in rows]
 
     def clear(self) -> int:
@@ -153,11 +156,10 @@ class SQLiteStore(BaseResultStore):
 
     def _all_entries(self) -> List[StoreEntry]:
         """Entry summaries straight from the indexed metadata columns."""
-        with self._connect() as connection:
-            rows = connection.execute(
-                "SELECT key, kind, created, code_version, description, size_bytes "
-                "FROM documents ORDER BY key"
-            ).fetchall()
+        rows = self._select(
+            "SELECT key, kind, created, code_version, description, size_bytes "
+            "FROM documents ORDER BY key"
+        )
         return [
             StoreEntry(
                 key=row[0],

@@ -3,33 +3,39 @@
 Every paper-grade experiment in this repository boils down to paired
 fast-vs-normal simulation runs, and those runs are expensive (minutes at
 benchmark scale, hours at the paper's 8000-node scale).  This module makes
-them *incremental*: results are written to a directory of JSON documents,
-keyed by a stable content hash of the full :class:`SessionConfig` (seed
-included) plus the package's code version, and every consumer -- the size
-sweeps, the figure generators, the benchmark harness and the CLI -- reads
-through the store before simulating.  Regenerating a figure from a warm
-store touches no simulator code at all; it is pure replay.
+them *incremental*: results are written to a store of JSON documents, keyed
+by a stable content hash of what identifies them (for a pair: the full
+:class:`SessionConfig`, seed included) plus the package's code version, and
+every consumer -- the size sweeps, the figure builders, the benchmark and
+the CLI -- reads through the store before simulating.  Regenerating a
+figure from a warm store touches no simulator code at all; it is pure
+replay.
 
-Two granularities are stored:
+Three things live here, each once:
 
-``pair`` entries
-    One paired fast-vs-normal comparison (both full
-    :class:`~repro.streaming.config.SessionResult` payloads) for one
-    ``(SessionConfig, seed)``.  The ``algorithm`` field is excluded from
-    the key: a pair always contains both algorithms.
+the store
+    A key -> document map (:class:`BaseResultStore`: ``load`` / ``save`` /
+    ``documents`` / ``keys`` / ``entries`` / ``delete`` / ``clear``) with two
+    backends.  It stamps the envelope and checks a document's kind; what a
+    document means is its callers' business, and the codecs are functions
+    (``session_result_to/from_dict``, ``sweep_to/from_dict``, ...).
 
-``sweep`` entries
-    One aggregated :class:`~repro.experiments.sweeps.SizeSweepResult`,
-    keyed by the sweep parameters.  Sweep entries round-trip the result
-    exactly and let a repeated sweep invocation return without opening the
-    per-pair documents.
+the table of kinds
+    :data:`KINDS`: ``pair`` (one paired comparison, both full
+    :class:`~repro.streaming.config.SessionResult` payloads; ``algorithm`` is
+    not in the key), ``sweep`` (one aggregated
+    :class:`~repro.experiments.sweeps.SizeSweepResult`, so that a repeated
+    sweep returns without opening its pairs), ``workload`` and ``universe``
+    (one repetition each, :mod:`repro.workloads.runner` /
+    :mod:`repro.channels.runner`), ``net`` (the
+    :class:`~repro.net.topology.NetTopology` a latency-fabric run executed
+    over) and ``telemetry`` (one run's digest, keyed by the run's identity).
+    Keys, filename globs, ``store ls --kind`` and descriptions derive from it.
 
-Higher layers add their own kinds through the same envelope: ``workload``
-documents (one workload repetition, :mod:`repro.workloads.runner`),
-``universe`` documents (one channel-universe repetition,
-:mod:`repro.channels.runner`) and ``net`` documents (the full
-:class:`~repro.net.topology.NetTopology` a latency-fabric run executed
-over, keyed by its content hash -- see :func:`net_fingerprint`).
+the loop
+    :func:`replay_or_execute`: look every key up, refuse to simulate on a
+    replay-only store, execute what is missing, save each unit as it
+    completes.  Every runner enters the store through it.
 
 Keys change whenever the configuration *or* the code version changes, so a
 store never serves results produced by a different simulator; stale
@@ -86,7 +92,6 @@ __all__ = [
     "sweep_fingerprint",
     "net_fingerprint",
     "telemetry_fingerprint",
-    "persist_net_document",
     "persist_telemetry_document",
     "session_result_to_dict",
     "session_result_from_dict",
@@ -120,7 +125,7 @@ class MissingResultError(KeyError):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"result {self.key!r} is not in the store; run the same command "
-            "without --from-store (or with more workers) to populate it first"
+            "without --from-store to populate it first"
         )
 
 
@@ -179,27 +184,40 @@ def stable_hash(payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
 
 
-#: Backwards-compatible private alias (pre-workload callers).
-_stable_hash = stable_hash
+def _fingerprint(kind: str, version: Optional[str], **identity: Any) -> str:
+    """``<kind>-<hash>``: the one envelope every store key is hashed under.
+
+    ``identity`` is what tells two documents of ``kind`` apart; the kind,
+    the schema and the code version (``version`` overrides it) are always
+    part of the hash.  The six public ``*_fingerprint`` functions are
+    one-call wrappers that name their identity fields.
+    """
+    return f"{kind}-" + stable_hash(
+        {
+            "kind": kind,
+            "schema": SCHEMA_VERSION,
+            "code_version": version if version is not None else code_version(),
+            **identity,
+        }
+    )
 
 
-def persist_net_document(
-    store: Optional["ResultStore"], topology_name: str
-) -> Optional[str]:
+def persist_net_document(store: "BaseResultStore", topology_name: str) -> Optional[str]:
     """Persist a named library topology as a ``net-*`` document.
 
-    The shared convenience used by every store-backed runner: whenever a
-    run executed over ``SessionConfig.topology``, the topology it resolved
-    to is written (idempotently) alongside the result documents.  Returns
-    the ``net-*`` key, or ``None`` when there is nothing to persist.
+    Called by :func:`replay_or_execute` alone: whenever a run executed over
+    ``SessionConfig.topology``, the topology it resolved to is written
+    (idempotently: the key is a content hash) alongside the result
+    documents.  Returns the ``net-*`` key, or ``None`` when the run used the
+    ideal fabric and there is nothing to persist.
     """
-    if store is None or not topology_name:
+    if not topology_name:
         return None
     from repro.net.library import get_topology
 
     topology = get_topology(topology_name)
     key = net_fingerprint(topology)
-    store.save_net(key, topology)
+    store.save(key, {"kind": "net", "topology": topology.to_dict()})
     return key
 
 
@@ -213,14 +231,7 @@ def net_fingerprint(topology: "NetTopology", *, version: Optional[str] = None) -
     back to -- and replayed against -- the exact region model that
     produced it.
     """
-    return "net-" + stable_hash(
-        {
-            "kind": "net",
-            "schema": SCHEMA_VERSION,
-            "code_version": version if version is not None else code_version(),
-            "topology": topology.to_dict(),
-        }
-    )
+    return _fingerprint("net", version, topology=topology.to_dict())
 
 
 def pair_fingerprint(config: SessionConfig, *, version: Optional[str] = None) -> str:
@@ -232,14 +243,7 @@ def pair_fingerprint(config: SessionConfig, *, version: Optional[str] = None) ->
     """
     cfg = config_to_dict(config)
     cfg.pop("algorithm", None)
-    return "pair-" + _stable_hash(
-        {
-            "kind": "pair",
-            "schema": SCHEMA_VERSION,
-            "code_version": version if version is not None else code_version(),
-            "config": cfg,
-        }
-    )
+    return _fingerprint("pair", version, config=cfg)
 
 
 def sweep_fingerprint(
@@ -259,18 +263,15 @@ def sweep_fingerprint(
     the experiment defaults rotates the sweep key in lockstep with the
     pair keys even when the sweep-level parameters look unchanged.
     """
-    return "sweep-" + _stable_hash(
-        {
-            "kind": "sweep",
-            "schema": SCHEMA_VERSION,
-            "code_version": version if version is not None else code_version(),
-            "sizes": [int(s) for s in sizes],
-            "dynamic": bool(dynamic),
-            "seed": int(seed),
-            "repetitions": int(repetitions),
-            "overrides": dict(sorted((overrides or {}).items())),
-            "pair_keys": list(pair_keys or []),
-        }
+    return _fingerprint(
+        "sweep",
+        version,
+        sizes=[int(s) for s in sizes],
+        dynamic=bool(dynamic),
+        seed=int(seed),
+        repetitions=int(repetitions),
+        overrides=dict(sorted((overrides or {}).items())),
+        pair_keys=list(pair_keys or []),
     )
 
 
@@ -284,14 +285,7 @@ def telemetry_fingerprint(
     telemetry enabled refreshes one document instead of accreting copies,
     and enabling telemetry can never rotate any result fingerprint.
     """
-    return "telemetry-" + stable_hash(
-        {
-            "kind": "telemetry",
-            "schema": SCHEMA_VERSION,
-            "code_version": version if version is not None else code_version(),
-            "run": dict(run),
-        }
-    )
+    return _fingerprint("telemetry", version, run=dict(run))
 
 
 def persist_telemetry_document(
@@ -316,7 +310,7 @@ def persist_telemetry_document(
     from repro.obs.export import build_telemetry_document
 
     key = telemetry_fingerprint(run)
-    store.save_telemetry(key, build_telemetry_document(handle, run=run))
+    store.save(key, {**build_telemetry_document(handle, run=run), "kind": "telemetry"})
     return key
 
 
@@ -384,46 +378,67 @@ def sweep_from_dict(payload: Mapping[str, Any]) -> "SizeSweepResult":
     )
 
 
+def _describe_pair(document: Mapping[str, Any]) -> str:
+    cfg = document.get("config", {})
+    dynamic = bool((cfg.get("churn") or {}).get("enabled", False))
+    return f"n_nodes={cfg.get('n_nodes')} seed={cfg.get('seed')} dynamic={dynamic}"
+
+
+def _describe_sweep(document: Mapping[str, Any]) -> str:
+    params = document.get("params", {})
+    return (
+        f"sizes={params.get('sizes')} seed={params.get('seed')} "
+        f"repetitions={params.get('repetitions')} dynamic={params.get('dynamic')}"
+    )
+
+
+def _describe_workload(document: Mapping[str, Any]) -> str:
+    return (
+        f"workload={document.get('workload')} seed={document.get('seed')} "
+        f"n_nodes={document.get('n_nodes')}"
+    )
+
+
+def _describe_universe(document: Mapping[str, Any]) -> str:
+    return (
+        f"universe={document.get('universe')} seed={document.get('seed')} "
+        f"channels={document.get('n_channels')} viewers={document.get('n_viewers')}"
+    )
+
+
+def _describe_net(document: Mapping[str, Any]) -> str:
+    topology = document.get("topology", {})
+    regions = [r.get("name") for r in topology.get("regions", [])]
+    return f"topology={topology.get('name')} regions={','.join(map(str, regions))}"
+
+
+def _describe_telemetry(document: Mapping[str, Any]) -> str:
+    run = document.get("run", {})
+    return (
+        f"run={run.get('kind')}:{run.get('name', '?')} "
+        f"spans={len(document.get('spans', {}))} "
+        f"events={document.get('trace', {}).get('events', 0)}"
+    )
+
+
+#: The one table of document kinds: kind -> the one-line summary of such a
+#: document.  A kind's keys are ``<kind>-<hash>`` (:func:`_fingerprint`); the
+#: JSON backend's filename globs, ``store ls --kind`` and the descriptions in
+#: every listing are read from here, so a new kind is one row.
+KINDS: Dict[str, Callable[[Mapping[str, Any]], str]] = {
+    "pair": _describe_pair,
+    "sweep": _describe_sweep,
+    "workload": _describe_workload,
+    "universe": _describe_universe,
+    "net": _describe_net,
+    "telemetry": _describe_telemetry,
+}
+
+
 def _describe(document: Mapping[str, Any]) -> str:
     """One-line human summary of a stored document (shown by ``store ls``)."""
-    kind = document.get("kind")
-    if kind == "pair":
-        cfg = document.get("config", {})
-        churn = cfg.get("churn") or {}
-        return (
-            f"n_nodes={cfg.get('n_nodes')} seed={cfg.get('seed')} "
-            f"dynamic={bool(churn.get('enabled', False))}"
-        )
-    if kind == "sweep":
-        params = document.get("params", {})
-        return (
-            f"sizes={params.get('sizes')} seed={params.get('seed')} "
-            f"repetitions={params.get('repetitions')} "
-            f"dynamic={params.get('dynamic')}"
-        )
-    if kind == "workload":
-        return (
-            f"workload={document.get('workload')} seed={document.get('seed')} "
-            f"n_nodes={document.get('n_nodes')}"
-        )
-    if kind == "universe":
-        return (
-            f"universe={document.get('universe')} seed={document.get('seed')} "
-            f"channels={document.get('n_channels')} viewers={document.get('n_viewers')}"
-        )
-    if kind == "net":
-        topology = document.get("topology", {})
-        regions = [r.get("name") for r in topology.get("regions", [])]
-        return f"topology={topology.get('name')} regions={','.join(map(str, regions))}"
-    if kind == "telemetry":
-        run = document.get("run", {})
-        trace = document.get("trace", {})
-        return (
-            f"run={run.get('kind')}:{run.get('name', '?')} "
-            f"spans={len(document.get('spans', {}))} "
-            f"events={trace.get('events', 0)}"
-        )
-    return ""
+    describe = KINDS.get(document.get("kind"))
+    return describe(document) if describe is not None else ""
 
 
 # --------------------------------------------------------------------------- #
@@ -461,18 +476,22 @@ class BaseResultStore:
     (:class:`~repro.experiments.sqlite_store.SQLiteStore`).  Concrete
     backends provide the storage primitives (:meth:`load`, :meth:`save`,
     :meth:`delete`, :meth:`keys`, :meth:`clear` and the listing hook
-    :meth:`_all_entries`); the envelope stamping, the per-kind typed
-    savers, replay-only semantics and entry filtering all live here so
-    the backends cannot drift apart -- the backend-parametrised store
-    test suite pins that both satisfy the same contract, document for
-    document.
+    :meth:`_all_entries`); the envelope stamping, the kind check of
+    :meth:`load`, the kind walk :meth:`documents`, replay-only semantics
+    and entry filtering all live here so the backends cannot drift apart
+    -- the backend-parametrised store test suite pins that both satisfy
+    the same contract, document for document.  The store knows no document
+    kind beyond its name (:data:`KINDS`): callers encode and decode their
+    own payloads.
 
     Parameters
     ----------
     root:
-        Results directory (created on first use).  Both backends anchor
-        here: the JSON backend spreads documents inside it, the SQLite
-        backend keeps one ``store.sqlite`` file in it.
+        Results directory.  Both backends anchor here: the JSON backend
+        spreads documents inside it, the SQLite backend keeps one
+        ``store.sqlite`` file in it.  A writable store creates it; a
+        replay-only store never touches the filesystem, and a directory
+        that is not there reads as an empty store.
     replay_only:
         When true, consumers must find every result they need in the store;
         :class:`MissingResultError` is raised instead of simulating.  Used
@@ -485,23 +504,31 @@ class BaseResultStore:
     def __init__(self, root: "str | os.PathLike[str]", *, replay_only: bool = False) -> None:
         self.root = Path(root)
         self.replay_only = bool(replay_only)
-        self.root.mkdir(parents=True, exist_ok=True)
+        if not self.replay_only:
+            self.root.mkdir(parents=True, exist_ok=True)
 
     # -- instrumented read/write entry points ---------------------------- #
-    def load(self, key: str) -> Optional[Dict[str, Any]]:
+    def load(self, key: str, kind: Optional[str] = None) -> Optional[Dict[str, Any]]:
         """The stored payload for ``key``, or ``None`` when absent.
 
         Corrupt or unreadable documents are treated as misses rather than
-        errors: the result is simply recomputed and rewritten.  Every read
+        errors: the result is simply recomputed and rewritten -- and so is
+        a document of another kind than the ``kind`` asked for.  Every read
         funnels through here, so one span/counter update per document
         covers both backends (a no-op while telemetry is disabled).
         """
         obs = get_telemetry()
         if not obs.enabled:
-            return self._load_document(key)
+            return self._load_kind(key, kind)
         with obs.span("store.load", backend=self.backend, key=key):
-            payload = self._load_document(key)
+            payload = self._load_kind(key, kind)
         obs.counter("store.load.hit" if payload is not None else "store.load.miss").inc()
+        return payload
+
+    def _load_kind(self, key: str, kind: Optional[str]) -> Optional[Dict[str, Any]]:
+        payload = self._load_document(key)
+        if payload is not None and kind is not None and payload.get("kind") != kind:
+            return None
         return payload
 
     def save(self, key: str, payload: Mapping[str, Any]) -> Path:
@@ -528,8 +555,8 @@ class BaseResultStore:
         """Remove one document; returns whether it existed."""
         raise NotImplementedError
 
-    def keys(self) -> List[str]:
-        """All stored keys, sorted."""
+    def keys(self, kind: Optional[str] = None) -> List[str]:
+        """All stored keys (of one document kind, if given), sorted."""
         raise NotImplementedError
 
     def clear(self) -> int:
@@ -555,9 +582,10 @@ class BaseResultStore:
         document.setdefault("created", datetime.now(timezone.utc).isoformat())
         return document
 
-    def contains(self, key: str) -> bool:
-        """Whether the store holds a (readable) document for ``key``."""
-        return self.load(key) is not None
+    def documents(self, kind: str) -> List[Tuple[str, Dict[str, Any]]]:
+        """Every readable document of ``kind``, as key-ordered ``(key, document)`` pairs."""
+        loaded = ((key, self.load(key, kind)) for key in self.keys(kind))
+        return [(key, document) for key, document in loaded if document is not None]
 
     def missing(self, key: str) -> "MissingResultError":
         """The error to raise for a miss in replay-only mode."""
@@ -586,121 +614,6 @@ class BaseResultStore:
     def __len__(self) -> int:
         return len(self.keys())
 
-    # -- pair documents -------------------------------------------------- #
-    def save_pair(
-        self, key: str, config: SessionConfig, normal: SessionResult, fast: SessionResult
-    ) -> Path:
-        """Persist one paired fast-vs-normal run under ``key``."""
-        return self.save(
-            key,
-            {
-                "kind": "pair",
-                "config": config_to_dict(config),
-                "normal": session_result_to_dict(normal),
-                "fast": session_result_to_dict(fast),
-            },
-        )
-
-    def load_pair(self, key: str) -> Optional[Tuple[SessionResult, SessionResult]]:
-        """The ``(normal, fast)`` results stored under ``key`` (or ``None``)."""
-        payload = self.load(key)
-        if payload is None or payload.get("kind") != "pair":
-            return None
-        return (
-            session_result_from_dict(payload["normal"]),
-            session_result_from_dict(payload["fast"]),
-        )
-
-    # -- workload documents ----------------------------------------------- #
-    def save_workload(self, key: str, payload: Mapping[str, Any]) -> Path:
-        """Persist one workload-repetition document under ``key``.
-
-        ``payload`` is the JSON form produced by the workload engine
-        (:mod:`repro.workloads.runner`); the store only stamps the common
-        envelope fields, keeping this module free of workload imports.
-        """
-        document = dict(payload)
-        document["kind"] = "workload"
-        return self.save(key, document)
-
-    def load_workload(self, key: str) -> Optional[Dict[str, Any]]:
-        """The workload document stored under ``key`` (or ``None``)."""
-        payload = self.load(key)
-        if payload is None or payload.get("kind") != "workload":
-            return None
-        return payload
-
-    # -- universe documents ------------------------------------------------ #
-    def save_universe(self, key: str, payload: Mapping[str, Any]) -> Path:
-        """Persist one universe-repetition document under ``key``.
-
-        ``payload`` is the JSON form produced by the channel-universe
-        runner (:mod:`repro.channels.runner`); like workload documents,
-        the store only stamps the common envelope fields.
-        """
-        document = dict(payload)
-        document["kind"] = "universe"
-        return self.save(key, document)
-
-    def load_universe(self, key: str) -> Optional[Dict[str, Any]]:
-        """The universe document stored under ``key`` (or ``None``)."""
-        payload = self.load(key)
-        if payload is None or payload.get("kind") != "universe":
-            return None
-        return payload
-
-    # -- net documents ----------------------------------------------------- #
-    def save_net(self, key: str, topology: "NetTopology") -> Path:
-        """Persist one network topology as a ``net-*`` document.
-
-        Saving is idempotent per key (the key is a content hash of the
-        topology), so every run over the same fabric simply refreshes the
-        same document.
-        """
-        return self.save(key, {"kind": "net", "topology": topology.to_dict()})
-
-    def load_net(self, key: str) -> Optional["NetTopology"]:
-        """The topology stored under ``key`` (or ``None``)."""
-        payload = self.load(key)
-        if payload is None or payload.get("kind") != "net":
-            return None
-        return NetTopology.from_dict(payload["topology"])
-
-    # -- telemetry documents ---------------------------------------------- #
-    def save_telemetry(self, key: str, payload: Mapping[str, Any]) -> Path:
-        """Persist one run's telemetry digest under ``key``.
-
-        ``payload`` is the JSON form produced by
-        :func:`repro.obs.export.build_telemetry_document`.  Telemetry
-        documents live *beside* result documents: nothing else references
-        them and no fingerprint covers their content, so they can be
-        deleted (or never written) without invalidating any result.
-        """
-        document = dict(payload)
-        document["kind"] = "telemetry"
-        return self.save(key, document)
-
-    def load_telemetry(self, key: str) -> Optional[Dict[str, Any]]:
-        """The telemetry document stored under ``key`` (or ``None``)."""
-        payload = self.load(key)
-        if payload is None or payload.get("kind") != "telemetry":
-            return None
-        return payload
-
-    # -- sweep documents ------------------------------------------------- #
-    def save_sweep(self, key: str, sweep: "SizeSweepResult", params: Mapping[str, Any]) -> Path:
-        """Persist one aggregated size sweep under ``key``."""
-        return self.save(
-            key,
-            {"kind": "sweep", "params": dict(params), "sweep": sweep_to_dict(sweep)},
-        )
-
-    def load_sweep(self, key: str) -> Optional["SizeSweepResult"]:
-        """The aggregated sweep stored under ``key`` (or ``None``)."""
-        payload = self.load(key)
-        if payload is None or payload.get("kind") != "sweep":
-            return None
-        return sweep_from_dict(payload["sweep"])
 
 class ResultStore(BaseResultStore):
     """A directory of JSON result documents keyed by content fingerprints.
@@ -788,31 +701,22 @@ class ResultStore(BaseResultStore):
             json.dump(meta, handle, sort_keys=True)
         os.replace(tmp, path)
 
-    #: Filename globs of the store's own documents.  ``keys``/``clear``
-    #: only ever touch these shapes, so pointing ``--results-dir`` at a
-    #: directory that also holds unrelated ``.json`` files is safe.
-    _DOCUMENT_GLOBS = (
-        "pair-*.json",
-        "sweep-*.json",
-        "workload-*.json",
-        "universe-*.json",
-        "net-*.json",
-        "telemetry-*.json",
-    )
-
-    def _document_paths(self) -> List[Path]:
-        paths: List[Path] = []
-        for pattern in self._DOCUMENT_GLOBS:
-            paths.extend(
-                path for path in self.root.glob(pattern)
-                if not path.name.endswith(".meta.json")
-            )
-        return sorted(paths)
+    def _document_paths(self, kind: Optional[str] = None) -> List[Path]:
+        """The store's own document files: ``<kind>-*.json`` for every kind of
+        :data:`KINDS` (or the one given).  ``keys``/``clear`` only ever touch
+        these shapes, so pointing ``--results-dir`` at a directory that also
+        holds unrelated ``.json`` files is safe."""
+        return sorted(
+            path
+            for name in ([kind] if kind is not None else KINDS)
+            for path in self.root.glob(f"{name}-*.json")
+            if not path.name.endswith(".meta.json")
+        )
 
     # -- maintenance ----------------------------------------------------- #
-    def keys(self) -> List[str]:
-        """All stored keys, sorted."""
-        return [path.stem for path in self._document_paths()]
+    def keys(self, kind: Optional[str] = None) -> List[str]:
+        """All stored keys (of one document kind, if given), sorted."""
+        return [path.stem for path in self._document_paths(kind)]
 
     def _all_entries(self) -> List[StoreEntry]:
         """One :class:`StoreEntry` per stored document, in key order.
@@ -858,23 +762,11 @@ class ResultStore(BaseResultStore):
     def clear(self) -> int:
         """Delete every stored document; returns how many were removed.
 
-        Only the store's own documents (see :attr:`_DOCUMENT_GLOBS`) and
+        Only the store's own documents (see :meth:`_document_paths`) and
         their metadata sidecars are touched; unrelated files in the
         directory survive.  Sidecars are deleted too but not counted.
         """
-        removed = 0
-        for path in self._document_paths():
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
-            sidecar = self.meta_path_for(path.stem)
-            try:
-                sidecar.unlink()
-            except OSError:
-                pass
-        return removed
+        return sum(self.delete(key) for key in self.keys())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = ", replay_only=True" if self.replay_only else ""
@@ -935,55 +827,65 @@ _T = TypeVar("_T")
 
 def replay_or_execute(
     store: Optional[BaseResultStore],
+    kind: str,
     keys: Sequence[str],
     *,
-    load: Callable[[str], Optional[_T]],
+    decode: Callable[[Dict[str, Any]], _T],
     execute: Callable[[List[int]], Iterable[_T]],
-    save: Callable[[str, int, _T], None],
+    encode: Callable[[int, _T, Optional[str]], Mapping[str, Any]],
+    topology: str = "",
 ) -> Tuple[List[_T], int]:
-    """The shared replay-or-simulate loop over repetition documents.
+    """The one replay-or-simulate loop over a run's units.
 
-    Every runner (sweep pairs, workload repetitions, universe repetitions)
-    follows the same store discipline: look every key up first, refuse to
-    simulate on a replay-only store, execute only the missing units and
-    persist each one as soon as it completes (interrupted runs keep their
-    finished units).  This helper owns that discipline once.
+    Every runner (single pairs, sweep pairs, workload repetitions, universe
+    repetitions) enters here, and nothing else looks a result up: every
+    key is loaded first (a document of another kind is a miss), a
+    replay-only store refuses to simulate, only the missing units are
+    executed, and each one is persisted as soon as it completes, so an
+    interrupted run keeps its finished units.  A run over a named
+    ``topology`` also persists that topology's ``net-*`` document, once,
+    with its first fresh unit.
 
     Parameters
     ----------
     store:
         The result store, or ``None`` to always execute.
+    kind:
+        The document kind of the units (a key of :data:`KINDS`).
     keys:
-        One store key per repetition, in result order.
-    load:
-        Decode the stored repetition for a key (``None`` on a miss).
+        One store key per unit, in result order.
+    decode:
+        The unit a stored document holds.
     execute:
         Produce fresh results for the given pending indices, lazily and in
         that order.
-    save:
-        Persist one freshly executed repetition (key, index, result).
+    encode:
+        The document body of one fresh unit, from its index, its result and
+        the run's ``net-*`` key (``None`` on the ideal fabric); the ``kind``
+        stamp is added here.
+    topology:
+        Name of the library topology the run executes over (``""``: none).
 
     Returns
     -------
-    The repetition results in key order, and how many were replayed.
+    The unit results in key order, and how many were replayed.
     """
     results: Dict[int, _T] = {}
-    pending: List[int] = []
     if store is not None:
         for index, key in enumerate(keys):
-            loaded = load(key)
-            if loaded is not None:
-                results[index] = loaded
-            else:
-                pending.append(index)
-        if pending and store.replay_only:
-            raise store.missing(keys[pending[0]])
-    else:
-        pending = list(range(len(keys)))
+            document = store.load(key, kind)
+            if document is not None:
+                results[index] = decode(document)
+    pending = [index for index in range(len(keys)) if index not in results]
+    if pending and store is not None and store.replay_only:
+        raise store.missing(keys[pending[0]])
 
-    for index, result in zip(pending, execute(pending)):
+    net_key: Optional[str] = None
+    for position, (index, result) in enumerate(zip(pending, execute(pending))):
         results[index] = result
         if store is not None:
-            save(keys[index], index, result)
+            if position == 0:
+                net_key = persist_net_document(store, topology)
+            store.save(keys[index], {**encode(index, result, net_key), "kind": kind})
 
     return [results[index] for index in range(len(keys))], len(keys) - len(pending)

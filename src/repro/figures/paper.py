@@ -1,111 +1,78 @@
 """Registry entries for the nine classic paper figures.
 
-Each entry wraps the corresponding generator in
-:mod:`repro.experiments.figures` unchanged -- same defaults, same store
-semantics -- and declares the exact keyword surface the generator
-accepts, so :func:`repro.figures.registry.render_figure` can feed every
-figure from one uniform kwargs set.
+One table of rows over :func:`~repro.experiments.figures.figure2` and the
+family builders of :mod:`repro.experiments.figures` -- the ratio track and
+the three views of the size sweep -- each bound to its figure number and
+its environment (static or dynamic).  A row also declares, through its
+kind, the keyword surface the builder accepts, so
+:func:`repro.figures.registry.render_figure` can feed every figure from
+one uniform kwargs set.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.experiments import figures as _fig
 from repro.figures.registry import FigureSpec, register_figure
 
 __all__ = ["register_paper_figures"]
 
-#: Parameter surfaces shared by the generator families.
-_TRACK_PARAMS = ("n_nodes", "seed", "paper_scale", "max_time", "store")
-_SWEEP_PARAMS = ("sizes", "seed", "repetitions", "paper_scale", "store", "workers")
+#: Parameter surface per figure kind.
+_PARAMS = {
+    "static": (),
+    "track": ("n_nodes", "seed", "paper_scale", "max_time", "store"),
+    "sweep": ("sizes", "seed", "repetitions", "paper_scale", "store", "workers"),
+}
+
+_TRACK = _fig._ratio_track
+_TIMES = partial(_fig._sweep_figure, _fig._times_figure)
+_SWITCH = partial(_fig._sweep_figure, _fig._switch_time_figure)
+_OVERHEAD = partial(_fig._sweep_figure, _fig._overhead_figure)
+
+#: (name, paper figure number, kind, family builder, dynamic, title,
+#: description), in registration -- that is, report -- order.
+_PAPER_FIGURES = (
+    ("fig2-ordering", "2", "static", _fig.figure2, None,
+     "Request ordering example (Figure 2)",
+     "The illustrative normal-vs-fast request-ordering walkthrough; pure "
+     "arithmetic, no simulation."),
+    ("fig5-ratio-static", "5", "track", _TRACK, False,
+     "Prepared-segment ratio over time, static network (Figure 5)",
+     "Ratio track of one switching peer in a static mesh."),
+    ("fig6-times-static", "6", "sweep", _TIMES, False,
+     "Finishing/preparing times vs size, static (Figure 6)",
+     "Average finishing and preparing times across network sizes in static meshes."),
+    ("fig7-switch-static", "7", "sweep", _SWITCH, False,
+     "Switch time vs size, static (Figure 7)",
+     "Mean source-switch latency across network sizes in static meshes."),
+    ("fig8-overhead-static", "8", "sweep", _OVERHEAD, False,
+     "Control overhead vs size, static (Figure 8)",
+     "Control-message overhead across network sizes in static meshes."),
+    ("fig9-ratio-dynamic", "9", "track", _TRACK, True,
+     "Prepared-segment ratio over time, dynamic network (Figure 9)",
+     "Ratio track of one switching peer in a churning mesh."),
+    ("fig10-times-dynamic", "10", "sweep", _TIMES, True,
+     "Finishing/preparing times vs size, dynamic (Figure 10)",
+     "Average finishing and preparing times across network sizes under churn."),
+    ("fig11-switch-dynamic", "11", "sweep", _SWITCH, True,
+     "Switch time vs size, dynamic (Figure 11)",
+     "Mean source-switch latency across network sizes under churn."),
+    ("fig12-overhead-dynamic", "12", "sweep", _OVERHEAD, True,
+     "Control overhead vs size, dynamic (Figure 12)",
+     "Control-message overhead across network sizes under churn."),
+)
 
 
 def register_paper_figures() -> None:
     """Register figures 2 and 5-12 (called once on package import)."""
-    register_figure(FigureSpec(
-        name="fig2-ordering",
-        title="Request ordering example (Figure 2)",
-        kind="static",
-        builder=_fig.figure2,
-        figure_id="2",
-        description="The illustrative normal-vs-fast request-ordering "
-                    "walkthrough; pure arithmetic, no simulation.",
-        params=(),
-    ))
-    register_figure(FigureSpec(
-        name="fig5-ratio-static",
-        title="Prepared-segment ratio over time, static network (Figure 5)",
-        kind="track",
-        builder=_fig.figure5,
-        figure_id="5",
-        description="Ratio track of one switching peer in a static mesh.",
-        params=_TRACK_PARAMS,
-    ))
-    register_figure(FigureSpec(
-        name="fig6-times-static",
-        title="Finishing/preparing times vs size, static (Figure 6)",
-        kind="sweep",
-        builder=_fig.figure6,
-        figure_id="6",
-        description="Average finishing and preparing times across network "
-                    "sizes in static meshes.",
-        params=_SWEEP_PARAMS,
-    ))
-    register_figure(FigureSpec(
-        name="fig7-switch-static",
-        title="Switch time vs size, static (Figure 7)",
-        kind="sweep",
-        builder=_fig.figure7,
-        figure_id="7",
-        description="Mean source-switch latency across network sizes in "
-                    "static meshes.",
-        params=_SWEEP_PARAMS,
-    ))
-    register_figure(FigureSpec(
-        name="fig8-overhead-static",
-        title="Control overhead vs size, static (Figure 8)",
-        kind="sweep",
-        builder=_fig.figure8,
-        figure_id="8",
-        description="Control-message overhead across network sizes in "
-                    "static meshes.",
-        params=_SWEEP_PARAMS,
-    ))
-    register_figure(FigureSpec(
-        name="fig9-ratio-dynamic",
-        title="Prepared-segment ratio over time, dynamic network (Figure 9)",
-        kind="track",
-        builder=_fig.figure9,
-        figure_id="9",
-        description="Ratio track of one switching peer in a churning mesh.",
-        params=_TRACK_PARAMS,
-    ))
-    register_figure(FigureSpec(
-        name="fig10-times-dynamic",
-        title="Finishing/preparing times vs size, dynamic (Figure 10)",
-        kind="sweep",
-        builder=_fig.figure10,
-        figure_id="10",
-        description="Average finishing and preparing times across network "
-                    "sizes under churn.",
-        params=_SWEEP_PARAMS,
-    ))
-    register_figure(FigureSpec(
-        name="fig11-switch-dynamic",
-        title="Switch time vs size, dynamic (Figure 11)",
-        kind="sweep",
-        builder=_fig.figure11,
-        figure_id="11",
-        description="Mean source-switch latency across network sizes under "
-                    "churn.",
-        params=_SWEEP_PARAMS,
-    ))
-    register_figure(FigureSpec(
-        name="fig12-overhead-dynamic",
-        title="Control overhead vs size, dynamic (Figure 12)",
-        kind="sweep",
-        builder=_fig.figure12,
-        figure_id="12",
-        description="Control-message overhead across network sizes under "
-                    "churn.",
-        params=_SWEEP_PARAMS,
-    ))
+    for name, figure_id, kind, family, dynamic, title, description in _PAPER_FIGURES:
+        register_figure(FigureSpec(
+            name=name,
+            title=title,
+            kind=kind,
+            builder=family if dynamic is None else partial(family, figure_id, dynamic),
+            figure_id=figure_id,
+            description=description,
+            params=_PARAMS[kind],
+        ))

@@ -35,7 +35,7 @@ def _probe_documents(
 ) -> List[Tuple[str, Dict[str, Any]]]:
     """Every telemetry document carrying an enabled probes block.
 
-    Returned as ``(key, document)`` sorted by key -- deterministic
+    Returned as ``(key, document)`` in key order -- deterministic
     regardless of store layout.  Raises :class:`FigureUnavailable` with
     actionable guidance when the store has telemetry but no probe data
     (or no telemetry at all).
@@ -45,17 +45,12 @@ def _probe_documents(
             "probe figures need a results store; pass store=... "
             "(e.g. --results-dir on the CLI)"
         )
-    probed: List[Tuple[str, Dict[str, Any]]] = []
-    plain = 0
-    for entry in store.entries(kind="telemetry"):
-        document = store.load_telemetry(entry.key)
-        if document is None:
-            continue
-        probes = document.get("probes")
-        if isinstance(probes, dict) and probes.get("enabled"):
-            probed.append((entry.key, document))
-        else:
-            plain += 1
+    documents = store.documents("telemetry")
+    probed = [
+        (key, document) for key, document in documents
+        if isinstance(document.get("probes"), dict) and document["probes"].get("enabled")
+    ]
+    plain = len(documents) - len(probed)
     if not probed:
         if plain:
             raise FigureUnavailable(
@@ -66,7 +61,6 @@ def _probe_documents(
             "the store holds no telemetry documents with probe data; "
             "run e.g. `repro run --probes` against this store first"
         )
-    probed.sort(key=lambda item: item[0])
     return probed
 
 

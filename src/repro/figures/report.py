@@ -5,9 +5,9 @@
 can from the given store, and writes:
 
 * ``<out>/report.html`` -- one self-contained page (inline CSS, inline
-  SVG charts, no external assets): a figure index, the benchmark
-  trajectory table (when a bench directory is given), one section per
-  rendered figure with its chart and data table, and a store inventory;
+  SVG charts, no external assets): a figure index, one section per
+  rendered figure with its chart and data table, the telemetry and probe
+  sections of instrumented runs, and a store inventory;
 * ``<out>/data/<name>.json`` -- each rendered figure's data as
   sorted-key JSON, the machine-readable companion the CI smoke job (and
   the determinism tests) diff.
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.bench import bench_trend_rows, load_bench_summaries
 from repro.analysis.charts import svg_bar_chart, svg_line_chart
 from repro.experiments.figures import FigureResult
 from repro.experiments.store import BaseResultStore, MissingResultError
@@ -68,7 +67,6 @@ def render_report(
     out_dir: "str | Path",
     *,
     title: str = "Reproduction report",
-    bench_dir: Optional["str | Path"] = None,
     seed: int = 0,
     sizes: Optional[Sequence[int]] = None,
     n_nodes: Optional[int] = None,
@@ -122,16 +120,10 @@ def render_report(
             handle.write("\n")
         summary.data_files.append(data_path)
 
-    bench_rows = (
-        bench_trend_rows(load_bench_summaries(bench_dir))
-        if bench_dir is not None
-        else []
-    )
     document = _render_html(
         title=title,
         figures=figures,
         skipped=summary.skipped,
-        bench_rows=bench_rows,
         store=store,
     )
     with summary.html_path.open("w", encoding="utf-8") as handle:
@@ -206,18 +198,15 @@ def _telemetry_section(store: BaseResultStore) -> List[str]:
     Stores without telemetry documents render nothing -- the section only
     appears for instrumented runs (``--telemetry``).
     """
-    entries = store.entries(kind="telemetry")
-    if not entries:
+    documents = store.documents("telemetry")
+    if not documents:
         return []
     parts = ["<h2>Run telemetry</h2>"]
-    for entry in entries:
-        document = store.load_telemetry(entry.key)
-        if document is None:
-            continue
+    for key, document in documents:
         run = document.get("run", {})
         label = ", ".join(
-            f"{key}={run[key]}" for key in sorted(run) if key != "kind"
-        ) or entry.key
+            f"{field}={run[field]}" for field in sorted(run) if field != "kind"
+        ) or key
         parts.append('<div class="figure-block">')
         parts.append(f"<h3>{html.escape(str(run.get('kind', 'run')))}: "
                      f"{html.escape(label)}</h3>")
@@ -273,17 +262,14 @@ def _probe_section(store: BaseResultStore) -> List[str]:
     documents (probes disabled) render nothing here.
     """
     blocks: List[str] = []
-    for entry in store.entries(kind="telemetry"):
-        document = store.load_telemetry(entry.key)
-        if document is None:
-            continue
+    for key, document in store.documents("telemetry"):
         probes = document.get("probes")
         if not isinstance(probes, dict) or not probes.get("enabled"):
             continue
         run = document.get("run", {})
         label = ", ".join(
-            f"{key}={run[key]}" for key in sorted(run) if key != "kind"
-        ) or entry.key
+            f"{field}={run[field]}" for field in sorted(run) if field != "kind"
+        ) or key
         blocks.append('<div class="figure-block">')
         blocks.append(f"<h3>{html.escape(str(run.get('kind', 'run')))}: "
                       f"{html.escape(label)}</h3>")
@@ -330,7 +316,6 @@ def _render_html(
     title: str,
     figures: List[Tuple[str, FigureResult]],
     skipped: Dict[str, str],
-    bench_rows: List[Dict[str, Any]],
     store: BaseResultStore,
 ) -> str:
     parts = [
@@ -355,20 +340,6 @@ def _render_html(
             f"{html.escape(spec.title)} (skipped)</li>"
         )
     parts.append("</ul>")
-
-    # -- benchmark trajectory ---------------------------------------------- #
-    if bench_rows:
-        parts.append("<h2>Benchmark trajectory</h2>")
-        table_rows = [
-            {
-                "commit": row["git_sha"],
-                "benchmark": row["benchmark"],
-                "mean_s": row["mean_s"],
-                "change": "" if row["change"] is None else f"{row['change']:+.1%}",
-            }
-            for row in bench_rows
-        ]
-        parts.append(_html_table(table_rows))
 
     # -- one section per figure -------------------------------------------- #
     for name, figure in figures:

@@ -44,7 +44,7 @@ def _universe_documents(
 ) -> List[Dict[str, Any]]:
     """All usable universe documents, sorted by ``(universe, seed, key)``.
 
-    Usable means: a ``universe-*`` key, ``kind == "universe"`` and an
+    Usable means: a ``universe`` document with an
     ``aggregates`` block.  Documents predating the aggregate block are
     counted so the error message can say "re-run to upgrade" rather than
     "no data".  Only the document's identity fields and its ``aggregates``
@@ -57,12 +57,7 @@ def _universe_documents(
         )
     usable: List[Tuple[str, int, str, Dict[str, Any]]] = []
     legacy = 0
-    for key in store.keys():
-        if not key.startswith("universe-"):
-            continue
-        document = store.load(key)
-        if not isinstance(document, dict) or document.get("kind") != "universe":
-            continue
+    for key, document in store.documents("universe"):
         name = str(document.get("universe", ""))
         if universe is not None and name != universe:
             continue

@@ -32,14 +32,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.config import make_session_config
-from repro.experiments.store import (
-    SCHEMA_VERSION,
-    BaseResultStore,
-    code_version,
-    persist_net_document,
-    replay_or_execute,
-    stable_hash,
-)
+from repro.experiments.store import BaseResultStore, _fingerprint, replay_or_execute
 from repro.churn.model import ChurnConfig
 from repro.metrics.collectors import RoundSample
 from repro.metrics.qoe import (
@@ -249,15 +242,7 @@ def workload_fingerprint(
     schema and the code version -- any change to the script, the
     population, the simulator or the store layout rotates the key.
     """
-    return "workload-" + stable_hash(
-        {
-            "kind": "workload",
-            "schema": SCHEMA_VERSION,
-            "code_version": version if version is not None else code_version(),
-            "spec": spec.to_dict(),
-            "seed": int(seed),
-        }
-    )
+    return _fingerprint("workload", version, spec=spec.to_dict(), seed=int(seed))
 
 
 def switch_outcome_to_dict(outcome: SwitchOutcome) -> Dict[str, Any]:
@@ -476,39 +461,23 @@ class WorkloadRunner:
             raise ValueError(f"repetitions must be >= 1, got {repetitions}")
         rep_seeds = [seed + rep for rep in range(repetitions)]
         keys = [workload_fingerprint(spec, rep_seed) for rep_seed in rep_seeds]
-
-        def _load(key: str) -> Optional[WorkloadRepResult]:
-            document = self.store.load_workload(key)
-            return None if document is None else rep_from_dict(document["rep"])
-
-        # The topology is fixed per spec: persist its net-* document (and
-        # hash it) at most once per run, on the first fresh repetition.
-        net_key_memo: List[Optional[str]] = []
-
-        def _save(key: str, index: int, rep: WorkloadRepResult) -> None:
-            if not net_key_memo:
-                net_key_memo.append(persist_net_document(
-                    self.store, str(spec.overrides_dict().get("topology", ""))
-                ))
-            document = {
+        reps, replayed = replay_or_execute(
+            self.store,
+            "workload",
+            keys,
+            decode=lambda document: rep_from_dict(document["rep"]),
+            execute=lambda pending: self._execute(
+                spec, [rep_seeds[i] for i in pending]
+            ),
+            encode=lambda index, rep, net_key: {
                 "workload": spec.name,
                 "seed": rep_seeds[index],
                 "n_nodes": spec.n_nodes,
                 "spec": spec.to_dict(),
                 "rep": rep_to_dict(rep),
-            }
-            if net_key_memo[0] is not None:
-                document["net_key"] = net_key_memo[0]
-            self.store.save_workload(key, document)
-
-        reps, replayed = replay_or_execute(
-            self.store,
-            keys,
-            load=_load,
-            execute=lambda pending: self._execute(
-                spec, [rep_seeds[i] for i in pending]
-            ),
-            save=_save,
+                **({} if net_key is None else {"net_key": net_key}),
+            },
+            topology=str(spec.overrides_dict().get("topology", "")),
         )
         return WorkloadResult(
             spec=spec,

@@ -1,11 +1,11 @@
 """Shared pytest fixtures and differential-testing helpers.
 
 The simulation-level fixtures use deliberately small overlays so the unit
-and integration test suite stays fast; the benchmark harness (under
-``benchmarks/``) is where realistic sizes live.
+and integration test suite stays fast; the benchmark (``bench/``) is where
+realistic sizes live.
 
-The module-level helpers (importable as ``from conftest import ...``, the
-same idiom the benchmarks use) are the shared core of the vector-engine
+The module-level helpers (importable as ``from conftest import ...``) are
+the shared core of the vector-engine
 differential suite: they run a configuration through both engines and
 normalise results/stores into comparable JSON documents.
 """

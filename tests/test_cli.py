@@ -114,7 +114,7 @@ def test_run_with_telemetry_persists_document_and_identical_metrics(
     store = ResultStore(store_dir)
     keys = [key for key in store.keys() if key.startswith("telemetry-")]
     assert len(keys) == 1
-    document = store.load_telemetry(keys[0])
+    document = store.load(keys[0], "telemetry")
     assert document["kind"] == "telemetry"
     assert document["spans"]["period.decide"]["count"] > 0
 
@@ -162,6 +162,7 @@ def test_figure_from_store_requires_populated_store(tmp_path, capsys):
                     "--from-store", "--results-dir", str(store_dir)]
     assert main(argv_missing) == 1
     assert "not in the store" in capsys.readouterr().err
+    assert not store_dir.exists()
 
 
 def test_store_ls_and_clear_commands(tmp_path, capsys):
@@ -182,6 +183,23 @@ def test_store_command_without_results_dir_errors(monkeypatch):
     monkeypatch.delenv("REPRO_RESULTS_DIR", raising=False)
     with pytest.raises(SystemExit):
         main(["store", "ls"])
+
+
+@pytest.mark.parametrize("backend", ["json", "sqlite"])
+@pytest.mark.parametrize("argv", [
+    ["store", "ls"],
+    ["store", "clear"],
+    ["store", "migrate", "--to", "sqlite", "--dest-dir", "{tmp}/dest"],
+    ["report", "--from-store", "--out", "{tmp}/report"],
+], ids=["store-ls", "store-clear", "store-migrate", "report-from-store"])
+def test_commands_that_cannot_write_never_create_a_store(argv, backend, tmp_path):
+    """A mistyped --results-dir is an error, not an empty store -- and stays absent."""
+    missing = tmp_path / "no" / "such" / "dir"
+    argv = [word.replace("{tmp}", str(tmp_path)) for word in argv]
+    with pytest.raises(SystemExit) as exit:
+        main(argv + ["--results-dir", str(missing), "--store-backend", backend])
+    assert exit.value.code == f"error: no results store at {missing}"  # status 1, on stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == []
 
 
 def test_workload_ls_lists_the_library(capsys):
@@ -235,6 +253,7 @@ def test_workload_from_store_requires_populated_store(tmp_path, capsys):
             "--results-dir", str(tmp_path / "empty")]
     assert main(argv) == 1
     assert "not in the store" in capsys.readouterr().err
+    assert not (tmp_path / "empty").exists()
 
 
 def test_scenario_from_store_requires_populated_store(tmp_path, capsys):
@@ -242,6 +261,7 @@ def test_scenario_from_store_requires_populated_store(tmp_path, capsys):
             "--results-dir", str(tmp_path / "empty")]
     assert main(argv) == 1
     assert "not in the store" in capsys.readouterr().err
+    assert not (tmp_path / "empty").exists()
 
 
 def test_parser_knows_universe_subcommands():
@@ -308,6 +328,7 @@ def test_universe_from_store_requires_populated_store(tmp_path, capsys):
             "--results-dir", str(tmp_path / "empty")]
     assert main(argv) == 1
     assert "not in the store" in capsys.readouterr().err
+    assert not (tmp_path / "empty").exists()
 
 
 def test_workload_compare_json_is_switch_focused(tmp_path, capsys):
@@ -416,7 +437,7 @@ def test_universe_run_with_topology_persists_net_document(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------- #
-# sharded runtime, store backends, bench trend
+# sharded runtime, store backends
 # --------------------------------------------------------------------------- #
 def test_parser_knows_dist_and_backend_flags():
     parser = build_parser()
@@ -430,8 +451,6 @@ def test_parser_knows_dist_and_backend_flags():
     args = parser.parse_args(["store", "migrate", "--results-dir", "/tmp/r",
                               "--to", "sqlite", "--dest-dir", "/tmp/d"])
     assert args.to_backend == "sqlite" and args.dest_dir == "/tmp/d"
-    args = parser.parse_args(["bench", "trend", "--bench-dir", "/tmp/b", "--json"])
-    assert args.bench_command == "trend" and args.bench_dir == "/tmp/b" and args.json
 
 
 def test_universe_run_sharded_on_sqlite_persists_and_replays(tmp_path, capsys):
@@ -483,44 +502,6 @@ def test_store_migrate_between_backends(tmp_path, capsys):
     # migrating a store onto itself is refused
     assert main(["store", "migrate", "--results-dir", str(store_dir),
                  "--to", "json"]) == 1
-
-
-def test_bench_trend_renders_trajectory(tmp_path, capsys):
-    (tmp_path / "BENCH_aaa.json").write_text(json.dumps({
-        "git_sha": "aaa", "created": "2026-01-01T00:00:00",
-        "benchmarks": [{"name": "bench_x.py::test_speed", "mean_s": 2.0}],
-    }), encoding="utf-8")
-    (tmp_path / "BENCH_bbb.json").write_text(json.dumps({
-        "git_sha": "bbb", "created": "2026-02-01T00:00:00",
-        "benchmarks": [{"name": "bench_x.py::test_speed", "mean_s": 1.0}],
-    }), encoding="utf-8")
-    assert main(["bench", "trend", "--bench-dir", str(tmp_path), "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["summaries"] == ["BENCH_aaa.json", "BENCH_bbb.json"]
-    assert [row["git_sha"] for row in payload["rows"]] == ["aaa", "bbb"]
-    assert payload["rows"][0]["change"] is None
-    assert payload["rows"][1]["change"] == pytest.approx(-0.5)
-    assert main(["bench", "trend", "--bench-dir", str(tmp_path)]) == 0
-    table = capsys.readouterr().out
-    assert "test_speed" in table and "-50.0%" in table
-
-
-def test_bench_trend_empty_directory(tmp_path, capsys):
-    assert main(["bench", "trend", "--bench-dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "need >= 2 timestamped BENCH_*.json summaries" in out
-    assert str(tmp_path) in out and "found 0" in out
-    assert "run_benchmarks.py" in out  # the fix-it hint
-
-
-def test_bench_trend_single_summary_needs_a_second(tmp_path, capsys):
-    (tmp_path / "BENCH_aaa.json").write_text(json.dumps({
-        "git_sha": "aaa", "created": "2026-01-01T00:00:00",
-        "benchmarks": [{"name": "bench_x.py::test_speed", "mean_s": 2.0}],
-    }), encoding="utf-8")
-    assert main(["bench", "trend", "--bench-dir", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "need >= 2" in out and "found 1" in out
 
 
 # --------------------------------------------------------------------------- #
@@ -583,7 +564,7 @@ def test_run_probes_flag_persists_the_probes_block(tmp_path, capsys):
     store = ResultStore(store_dir)
     keys = [key for key in store.keys() if key.startswith("telemetry-")]
     assert len(keys) == 1
-    probes = store.load_telemetry(keys[0])["probes"]
+    probes = store.load(keys[0], "telemetry")["probes"]
     assert probes["enabled"] is True
     assert probes["lifecycle"]["events"] > 0
     assert probes["health"]["periods"] > 0

@@ -53,8 +53,6 @@ ARGV_SAMPLES = [
     ["trace", "run", "--algorithm", "slow"],
     ["probe", "--peer", "5", "--last", "3"],
     ["probe", "--last", "0"],
-    ["bench", "trend", "--bench-dir", "."],
-    ["bench"],
     ["report", "--from-store", "--results-dir", "d", "--sizes", "30", "40"],
     ["report", "--sizes", "0"],
     ["--log-level", "debug", "net", "ls"],

@@ -413,7 +413,7 @@ def test_streaming_aggregates_match_exact_statistics(tmp_path):
     store = open_store(tmp_path, backend="json")
     result = run_universe(TINY, seed=0, repetitions=2, store=store, shards=3, workers=2)
     documents = [
-        store.load_universe(universe_fingerprint(TINY, rep.seed)) for rep in result.reps
+        store.load(universe_fingerprint(TINY, rep.seed), "universe") for rep in result.reps
     ]
     aggregates = merge_rep_aggregates([doc["aggregates"] for doc in documents])
     assert set(aggregates) == {"normal", "fast"}
@@ -495,7 +495,7 @@ def test_resume_replays_finished_shards_from_journal(tmp_path):
     from repro.channels.runner import rep_to_dict
 
     serial = rep_to_dict(run_universe_rep(TINY, 0))
-    stored = store.load_universe(universe_fingerprint(TINY, 0))["rep"]
+    stored = store.load(universe_fingerprint(TINY, 0), "universe")["rep"]
     assert json.dumps(stored, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
 

@@ -6,6 +6,11 @@ the calling process.  Whatever the kind, the two backends must write
 **byte-identical store documents** (minus wallclock/timestamp fields), on
 both store backends -- and a worker crash in the middle of a pooled run
 must not change a single number.
+
+Whatever the kind, the runner also enters the store through the one
+``replay_or_execute`` loop, whose contract is pinned here once for all of
+them: a hit replays without executing, a replay-only miss names the first
+missing key, an interrupted run keeps the units it had saved.
 """
 
 import json
@@ -13,12 +18,21 @@ import os
 
 import pytest
 
+import repro.channels.runner as universe_runner_module
 import repro.experiments.parallel as parallel_module
+import repro.experiments.runner as runner_module
+import repro.workloads.runner as workload_runner_module
 from conftest import strip_volatile
 from repro.channels.runner import run_universe
 from repro.channels.universe import UniverseSpec
+from repro.experiments.config import make_session_config
 from repro.experiments.runner import run_pair
-from repro.experiments.store import STORE_BACKENDS, open_store
+from repro.experiments.store import (
+    STORE_BACKENDS,
+    MissingResultError,
+    open_store,
+    replay_or_execute,
+)
 from repro.experiments.sweeps import clear_sweep_cache, run_size_sweep
 from repro.workloads.runner import run_workload
 from repro.workloads.spec import Phase, WorkloadSpec
@@ -137,3 +151,100 @@ def test_worker_crash_mid_sweep_is_retried_and_changes_nothing(tmp_path, monkeyp
         clear_sweep_cache()
     assert (tmp_path / "crashed").exists(), "the injected crash never fired"
     assert pooled == serial
+
+
+# --------------------------------------------------------------------------- #
+# the one replay-or-execute loop, through every runner
+# --------------------------------------------------------------------------- #
+def _pair(store, workers):
+    config = make_session_config(30, seed=4, **SWEEP_OVERRIDES)
+    return run_pair(config, store=store).comparison()
+
+
+#: the fan-out kinds plus the one runner that has nothing to fan out
+LOOP_KINDS = {**RUN_KINDS, "pair": _pair}
+
+
+class _Interrupted(Exception):
+    pass
+
+
+class _LoopSpy:
+    """Stands between the runners and ``replay_or_execute``: records each
+    call's unit keys and which units ran, and can interrupt ``execute``
+    between its first and its second unit."""
+
+    def __init__(self):
+        self.keys, self.executed, self.interrupt = [], [], False
+
+    def __call__(self, store, kind, keys, *, execute, **rest):
+        if store is None:  # a sweep's pending pairs, each simulated by a storeless run_pair
+            return replay_or_execute(store, kind, keys, execute=execute, **rest)
+        self.keys = list(keys)
+
+        def observed(pending):
+            for index, result in zip(pending, execute(pending)):
+                if self.interrupt and self.executed:
+                    raise _Interrupted
+                self.executed.append(keys[index])
+                yield result
+
+        return replay_or_execute(store, kind, keys, execute=observed, **rest)
+
+
+@pytest.fixture
+def loop_spy(monkeypatch):
+    spy = _LoopSpy()
+    for module in (runner_module, workload_runner_module, universe_runner_module):
+        monkeypatch.setattr(module, "replay_or_execute", spy)
+    clear_sweep_cache()
+    return spy
+
+
+def _drop_sweep_aggregates(store):
+    """A sweep also stores its aggregate; without it, it is back to its pairs."""
+    for key in store.keys("sweep"):
+        store.delete(key)
+
+
+@pytest.mark.parametrize("kind", sorted(LOOP_KINDS))
+def test_a_hit_replays_without_executing(tmp_path, loop_spy, kind):
+    store = open_store(tmp_path)
+    first = LOOP_KINDS[kind](store, 1)
+    assert loop_spy.executed == loop_spy.keys  # cold: every unit ran, in key order
+    _drop_sweep_aggregates(store)
+    loop_spy.executed.clear()
+    assert LOOP_KINDS[kind](open_store(tmp_path, replay_only=True), 1) == first
+    assert loop_spy.executed == []
+
+
+@pytest.mark.parametrize("kind", sorted(LOOP_KINDS))
+def test_a_replay_only_miss_names_the_first_missing_key(tmp_path, loop_spy, kind):
+    store = open_store(tmp_path)
+    LOOP_KINDS[kind](store, 1)
+    _drop_sweep_aggregates(store)
+    victim = loop_spy.keys[-1]
+    assert store.delete(victim)
+    loop_spy.executed.clear()
+    with pytest.raises(MissingResultError) as error:
+        LOOP_KINDS[kind](open_store(tmp_path, replay_only=True), 1)
+    assert error.value.key == victim
+    assert loop_spy.executed == []  # refused before anything ran
+
+
+@pytest.mark.parametrize("kind", ["sweep", "universe", "workload"])  # the multi-unit kinds
+def test_an_interrupted_run_keeps_the_units_it_saved(tmp_path, loop_spy, kind):
+    reference = RUN_KINDS[kind](open_store(tmp_path / "reference"), 1)
+    store = open_store(tmp_path / "interrupted")
+    loop_spy.executed.clear()
+    loop_spy.interrupt = True
+    with pytest.raises(_Interrupted):
+        RUN_KINDS[kind](store, 1)
+    (saved,) = loop_spy.executed
+    assert [key for key in store.keys() if not key.startswith("net-")] == [saved]
+    # the rerun simulates the remainder only, and nothing shows the seam
+    loop_spy.interrupt = False
+    loop_spy.executed.clear()
+    assert RUN_KINDS[kind](store, 1) == reference
+    assert loop_spy.executed == loop_spy.keys[1:]
+    assert _documents(store) == _documents(open_store(tmp_path / "reference"))

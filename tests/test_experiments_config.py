@@ -7,7 +7,6 @@ from repro.experiments.config import (
     PAPER_SWEEP_SIZES,
     ExperimentDefaults,
     make_session_config,
-    paper_scale_enabled,
     ratio_track_size,
     sweep_sizes,
 )
@@ -55,17 +54,12 @@ def test_custom_defaults_flow_through():
     assert config.max_time == 33.0
 
 
-def test_scale_helpers_respect_environment(monkeypatch):
-    monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-    assert not paper_scale_enabled()
+def test_scale_helpers_respect_environment():
+    # the explicit argument is the one way to ask for the paper's scale
     assert sweep_sizes() == BENCH_SWEEP_SIZES
     assert ratio_track_size() < 1000
 
-    monkeypatch.setenv("REPRO_PAPER_SCALE", "1")
-    assert paper_scale_enabled()
-    assert sweep_sizes() == PAPER_SWEEP_SIZES
-    assert ratio_track_size() == 1000
-
-    # explicit arguments beat the environment
+    assert sweep_sizes(paper_scale=True) == PAPER_SWEEP_SIZES
+    assert ratio_track_size(paper_scale=True) == 1000
     assert sweep_sizes(paper_scale=False) == BENCH_SWEEP_SIZES
     assert ratio_track_size(paper_scale=False) < 1000

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.experiments.figures import (
-    FIGURE_GENERATORS,
-    figure2,
-    figure5,
-    figure7,
-    figure8,
-    generate_figure,
-)
+from repro.experiments.figures import figure2, generate_figure
+from repro.figures import FIGURES, render_figure
 from repro.experiments.sweeps import clear_sweep_cache
 
 
@@ -37,7 +31,7 @@ def test_figure2_reproduces_ordering_difference():
 
 
 def test_figure5_ratio_track_series_shapes():
-    result = figure5(n_nodes=36, seed=2, max_time=70.0)
+    result = render_figure("fig5-ratio-static", n_nodes=36, seed=2, max_time=70.0)
     assert result.figure_id == "5"
     assert set(result.series) == {
         "normal_undelivered_ratio_S1",
@@ -57,7 +51,7 @@ def test_figure5_ratio_track_series_shapes():
 
 
 def test_figure7_rows_contain_reduction_per_size():
-    result = figure7(sizes=TINY_SIZES, seed=1)
+    result = render_figure("fig7-switch-static", sizes=TINY_SIZES, seed=1)
     assert [row["n_nodes"] for row in result.rows] == TINY_SIZES
     for row in result.rows:
         assert row["normal_switch_time"] > 0
@@ -67,7 +61,7 @@ def test_figure7_rows_contain_reduction_per_size():
 
 
 def test_figure8_overhead_in_plausible_band():
-    result = figure8(sizes=TINY_SIZES, seed=1)
+    result = render_figure("fig8-overhead-static", sizes=TINY_SIZES, seed=1)
     for row in result.rows:
         assert 0.0 < row["fast_overhead"] < 0.2
         assert 0.0 < row["normal_overhead"] < 0.2
@@ -77,13 +71,14 @@ def test_sweep_figures_share_cached_simulations():
     # figure6/7/8 on the same sizes should reuse the same sweep: the second
     # call must not redo the (already slow) simulations.  We check object
     # identity of the underlying cached sweep indirectly via equal rows.
-    first = figure7(sizes=TINY_SIZES, seed=1)
-    second = figure8(sizes=TINY_SIZES, seed=1)
+    first = generate_figure(7, sizes=TINY_SIZES, seed=1)
+    second = generate_figure(8, sizes=TINY_SIZES, seed=1)
     assert [r["n_nodes"] for r in first.rows] == [r["n_nodes"] for r in second.rows]
 
 
 def test_generate_figure_dispatcher_and_unknown_figure():
-    assert set(FIGURE_GENERATORS) == {"2", "5", "6", "7", "8", "9", "10", "11", "12"}
+    numbers = {spec.figure_id for spec in FIGURES.values() if spec.figure_id.isdigit()}
+    assert numbers == {"2", "5", "6", "7", "8", "9", "10", "11", "12"}
     result = generate_figure(2)
     assert result.figure_id == "2"
     with pytest.raises(KeyError):

@@ -1,18 +1,21 @@
 """Tests for the persistent result store and its serialisation."""
 
 import json
+import re
 
 import pytest
 
 from repro.experiments.config import make_session_config
 from repro.experiments.runner import run_pair
 from repro.experiments.store import (
+    KINDS,
     STORE_BACKENDS,
     MissingResultError,
     ResultStore,
     config_from_dict,
     config_to_dict,
     migrate_store,
+    net_fingerprint,
     open_store,
     pair_fingerprint,
     session_result_from_dict,
@@ -22,6 +25,7 @@ from repro.experiments.store import (
     sweep_to_dict,
 )
 from repro.experiments.sweeps import clear_sweep_cache, run_size_sweep
+from repro.net.library import get_topology
 
 
 @pytest.fixture(autouse=True)
@@ -131,10 +135,9 @@ def test_store_save_load_pair(any_store):
     config = _tiny()
     pair = run_pair(config, store=store)
     key = pair_fingerprint(config)
-    assert store.contains(key)
-    loaded = store.load_pair(key)
+    loaded = store.load(key, "pair")
     assert loaded is not None
-    normal, fast = loaded
+    normal, fast = (session_result_from_dict(loaded[side]) for side in ("normal", "fast"))
     assert normal.metrics == pair.normal.metrics
     assert fast.metrics == pair.fast.metrics
 
@@ -167,7 +170,6 @@ def test_corrupt_documents_are_treated_as_misses(any_store):
     key = pair_fingerprint(_tiny())
     _corrupt(store, key)
     assert store.load(key) is None
-    assert not store.contains(key)
 
 
 def test_corrupt_json_documents_are_listed_as_corrupt(tmp_path):
@@ -194,7 +196,7 @@ def test_store_delete(any_store):
     run_size_sweep([30], seed=2, repetitions=1, overrides=OVERRIDES, store=store)
     key = store.keys()[0]
     assert store.delete(key) is True
-    assert not store.contains(key)
+    assert store.load(key) is None
     assert key not in store.keys()
     assert store.delete(key) is False  # already gone
 
@@ -257,9 +259,9 @@ def test_migrate_round_trips_losslessly(tmp_path):
         assert back.load(key) == source.load(key)
     # and the migrated pair deserialises into live results
     pair_key = next(key for key in sqlite.keys() if key.startswith("pair-"))
-    loaded = sqlite.load_pair(pair_key)
+    loaded = sqlite.load(pair_key, "pair")
     assert loaded is not None
-    normal, fast = loaded
+    normal, fast = (session_result_from_dict(loaded[side]) for side in ("normal", "fast"))
     assert normal.metrics is not None and fast.metrics is not None
 
 
@@ -293,3 +295,71 @@ def test_sweep_through_store_replays_exactly(any_store, monkeypatch):
             store.delete(key)
     third = run_size_sweep([30, 36], store=store, **kwargs)
     assert third == first
+
+
+def test_sweep_over_a_topology_stores_its_net_document(any_store):
+    """A sweep's pairs enter the store through the same loop as ``run_pair``:
+    over a topology, the ``net-*`` document is written with them."""
+    store = any_store
+    overrides = {"topology": "metro", "max_time": 60.0}
+    run_size_sweep([30], overrides=overrides, store=store)
+    assert sorted({entry.kind for entry in store.entries()}) == ["net", "pair", "sweep"]
+    assert store.keys("net") == [net_fingerprint(get_topology("metro"))]
+    # the pair document is the one run_pair writes: no net_key in it, then or now
+    ((pair_key, pair_document),) = store.documents("pair")
+    assert "net_key" not in pair_document
+    alone = open_store(store.root / "alone", backend=store.backend)
+    run_pair(make_session_config(30, record_rounds=False, **overrides), store=alone)
+    assert _scrub_volatile(alone.load(pair_key)) == _scrub_volatile(pair_document)
+
+
+# --------------------------------------------------------------------------- #
+# the table of kinds is the only list of kinds
+# --------------------------------------------------------------------------- #
+def _document_of(kind):
+    """A minimal document of ``kind`` with the fields its description reads."""
+    return {
+        "kind": kind,
+        "config": {"n_nodes": 30, "seed": 1, "churn": {"enabled": True}},
+        "params": {"sizes": [30], "seed": 1, "repetitions": 1, "dynamic": False},
+        "workload": "w", "universe": "u", "seed": 1, "n_nodes": 30,
+        "n_channels": 3, "n_viewers": 36,
+        "topology": {"name": "metro", "regions": [{"name": "core"}]},
+        "run": {"kind": "run", "name": "unit"}, "spans": {}, "trace": {"events": 0},
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_kind_of_the_table_goes_through_the_generic_doors(any_store, kind):
+    store = any_store
+    for other in KINDS:  # one document of every kind, so that filters have something to drop
+        store.save(f"{other}-0123", _document_of(other))
+    key = f"{kind}-0123"
+    assert store.load(key, kind)["kind"] == kind
+    assert store.load(key)["key"] == key  # the envelope is stamped on every kind
+    for other in set(KINDS) - {kind}:
+        assert store.load(key, other) is None  # another kind is a miss, not an error
+    assert [k for k, _ in store.documents(kind)] == store.keys(kind) == [key]
+    assert store.documents(kind)[0][1] == store.load(key)
+    (entry,) = store.entries(kind=kind)
+    assert entry.key == key and entry.description
+    assert store.keys() == sorted(f"{other}-0123" for other in KINDS)
+    assert store.clear() == len(KINDS) and store.keys() == []
+
+
+def test_store_ls_kind_choices_are_the_table_plus_the_run_alias(capsys):
+    from repro.cli import build_parser
+
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["store", "ls", "--kind", "nope"])
+    offered = re.search(r"choose from (.*)\)", capsys.readouterr().err).group(1)
+    assert [choice.strip("' ") for choice in offered.split(",")] == sorted(["run", *KINDS])
+
+
+def test_a_replay_only_store_never_creates_anything(tmp_path):
+    for backend in STORE_BACKENDS:
+        root = tmp_path / backend / "not-there"
+        store = open_store(root, backend=backend, replay_only=True)
+        assert store.load("pair-0123") is None
+        assert store.keys() == [] and store.entries() == [] and store.documents("pair") == []
+        assert not root.exists() and not root.parent.exists()

@@ -169,7 +169,7 @@ class TestUniverseFigures:
                 continue
             document = dict(document)
             document["rep"] = {"poison": "raw outcomes must never be read"}
-            poisoned.save_universe(key, document)
+            poisoned.save(key, document)
         for name in ("universe-deciles", "universe-percentiles", "universe-summary"):
             baseline[name] = figure_json(render_figure(name, store=warm_store))
             assert figure_json(render_figure(name, store=poisoned)) == baseline[name]
@@ -182,7 +182,7 @@ class TestUniverseFigures:
                 continue
             document = dict(document)
             del document["aggregates"]
-            legacy.save_universe(key, document)
+            legacy.save(key, document)
         with pytest.raises(FigureUnavailable, match="re-run the universe"):
             render_figure("universe-summary", store=legacy)
 
@@ -233,18 +233,6 @@ class TestReport:
         assert set(summary.skipped) == set(figure_names()) - {"fig2-ordering"}
         html = summary.html_path.read_text(encoding="utf-8")
         assert "Skipped figures" in html
-
-    def test_bench_trajectory_section(self, warm_store, tmp_path):
-        bench_dir = tmp_path / "bench"
-        bench_dir.mkdir()
-        (bench_dir / "BENCH_abc.json").write_text(json.dumps({
-            "git_sha": "abc", "created": "2026-01-01T00:00:00+00:00",
-            "benchmarks": [{"name": "b::one", "mean_s": 0.25}],
-        }), encoding="utf-8")
-        summary = render_report(warm_store, tmp_path / "report",
-                                bench_dir=bench_dir, **RENDER_KWARGS)
-        html = summary.html_path.read_text(encoding="utf-8")
-        assert "Benchmark trajectory" in html and "b::one" in html
 
 
 class TestReportCLI:

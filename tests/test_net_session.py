@@ -308,7 +308,7 @@ class TestStoreIntegration:
         # The topology was persisted as a net-* document...
         topology = get_topology("metro")
         key = net_fingerprint(topology)
-        assert store.load_net(key) == topology
+        assert NetTopology.from_dict(store.load(key, "net")["topology"]) == topology
         assert any(k.startswith("net-") for k in store.keys())
         # ...and the pair replays bit-identically from disk.
         replayed = run_pair(config, store=store)

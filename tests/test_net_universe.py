@@ -78,9 +78,9 @@ class TestExecution:
         universe_keys = [k for k in store.keys() if k.startswith("universe-")]
         net_keys = [k for k in store.keys() if k.startswith("net-")]
         assert len(universe_keys) == 1 and len(net_keys) == 1
-        document = store.load_universe(universe_keys[0])
+        document = store.load(universe_keys[0], "universe")
         assert document["net_key"] == net_keys[0]
-        assert store.load_net(net_keys[0]).name == "metro"
+        assert store.load(net_keys[0], "net")["topology"]["name"] == "metro"
         # Pure replay: bit-identical, nothing simulated.
         replay_store = ResultStore(tmp_path, replay_only=True)
         replayed = run_universe(TINY_NET, seed=0, store=replay_store)

@@ -235,7 +235,7 @@ def test_save_and_load_telemetry_document(tmp_path, store_cls):
     run = {"kind": "run", "name": "unit", "seed": 5}
     key = persist_telemetry_document(store, run=run, telemetry=telemetry)
     assert key == telemetry_fingerprint(run)
-    document = store.load_telemetry(key)
+    document = store.load(key, "telemetry")
     assert document["kind"] == "telemetry"
     assert document["counters"]["engine.events"] == 12
     (entry,) = store.entries(kind="telemetry")

@@ -242,7 +242,7 @@ def test_universe_store_documents_identical_with_probes_on_and_off(tmp_path):
     telemetry_docs = [name for name in documents_on
                       if name.startswith("telemetry-")]
     assert len(telemetry_docs) == 2  # the document plus its .meta.json sidecar
-    probes_block = store_on.load_telemetry(key)["probes"]
+    probes_block = store_on.load(key, "telemetry")["probes"]
     assert probes_block["enabled"] and probes_block["health"]["periods"] > 0
     for name in telemetry_docs:
         documents_on.pop(name)
