@@ -3,9 +3,9 @@
 
 Builds a small multi-channel universe -- a lineup of channels under
 Zipf-skewed popularity shared by a population of surfing and loyal
-viewers -- and runs every channel's paired fast-vs-normal source switch
-on one shared simulation engine.  Prints the per-channel zap-time table
-and the per-popularity-decile comparison.
+viewers -- and runs every channel's paired fast-vs-normal source switch,
+each mesh on its own clock.  Prints the per-channel zap-time table and the
+per-popularity-decile comparison.
 
 Usage::
 

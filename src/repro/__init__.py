@@ -34,7 +34,7 @@ Layout
 :mod:`repro.channels`
     The multi-channel universe: Zipf channel lineups, the tracker-style
     channel directory, surfing/loyal zapping processes and whole-lineup
-    switch measurement on one shared simulation engine.
+    switch measurement, one mesh per channel.
 :mod:`repro.net`
     The latency-aware network layer: named regions with an inter-region
     latency matrix, deterministic lossy links, and the network fabrics
@@ -76,7 +76,6 @@ __getattr__, __dir__, __all__ = lazy_hub(__name__, {
     "get_workload": "repro.workloads.library",
     "run_workload": "repro.workloads.runner",
     "UniverseSpec": "repro.channels.universe",
-    "UniverseSession": "repro.channels.universe",
     "get_universe": "repro.workloads.library",
     "run_universe": "repro.channels.runner",
     "Region": "repro.net.topology",

@@ -14,13 +14,12 @@ N-channel IPTV ecosystem:
     :class:`ZappingProcess` -- surfing vs. loyal viewers hopping channels,
     compiled into per-channel arrival/departure schedules.
 :mod:`repro.channels.universe`
-    :class:`UniverseSpec` / :class:`UniverseSession` -- every channel mesh,
-    both switch algorithms, on one shared engine and clock; each channel
-    change is exactly the paper's fast/normal switch, measured across the
-    whole lineup.
+    :class:`UniverseSpec` / :func:`run_universe_rep` -- every channel mesh
+    under both switch algorithms; each channel change is exactly the
+    paper's fast/normal switch, measured across the whole lineup.
 :mod:`repro.channels.runner`
     :class:`UniverseRunner` -- store-backed execution, bit-identical
-    between the serial shared-engine path and the per-channel worker pool.
+    between the in-process run and the per-channel worker pool.
 """
 
 from repro._hub import lazy_hub
@@ -34,7 +33,6 @@ __getattr__, __dir__, __all__ = lazy_hub(__name__, {
     "ZapPlan": "repro.channels.zapping",
     "ZappingProcess": "repro.channels.zapping",
     "UniverseSpec": "repro.channels.universe",
-    "UniverseSession": "repro.channels.universe",
     "UniverseRepResult": "repro.channels.universe",
     "ChannelOutcome": "repro.channels.universe",
     "plan_universe": "repro.channels.universe",

@@ -12,8 +12,9 @@ without ever touching the raw per-peer outcome data.
 
 Bit-identity contract
 ---------------------
-Both execution paths (the in-process shared-engine session and the
-sharded runtime over the worker pool) build the block the same way:
+Whoever runs the channels (this process or the sharded runtime's workers),
+the block is built one way (:func:`repro.channels.universe.run_channel_unit`
+and :func:`~repro.channels.universe.fold_units`):
 
 1. per channel and algorithm, a *unit* aggregate
    (:func:`unit_aggregate`) over that mesh's zap-time samples

@@ -9,29 +9,28 @@ assume "the" overlay implicitly.  A multi-channel universe breaks that
 assumption: partner selection must be scoped to the target channel, and
 somebody has to know which viewer watches what.
 
-:class:`Directory` is that somebody.  It keeps two registries:
-
-* the **viewer registry** -- which logical viewer is tuned to which
-  channel (maintained by the :class:`~repro.channels.zapping.ZappingProcess`
-  as it scripts tune-away events), and
-* the **mesh registry** -- one per-channel
-  :class:`~repro.overlay.membership.MembershipService` per running mesh,
-  created through :meth:`membership_factory` and handed to the channel's
-  :class:`~repro.streaming.session.SwitchSession`.  Joining and zapping
-  peers thereby obtain their ``M`` alive neighbours *on their target
-  channel*, and neighbour-set repair after departures draws partners from
-  the same channel-scoped pool (directory-backed repair).
+:class:`Directory` is that somebody.  It keeps the **viewer registry** --
+which logical viewer is tuned to which channel (maintained by the
+:class:`~repro.channels.zapping.ZappingProcess` as it scripts tune-away
+events) -- and hands every channel mesh its own
+:class:`~repro.overlay.membership.MembershipService` through
+:meth:`membership_factory`.  Joining and zapping peers thereby obtain
+their ``M`` alive neighbours *on their target channel*, and neighbour-set
+repair after departures draws partners from the same channel-scoped pool
+(directory-backed repair).  A mesh's service belongs to its
+:class:`~repro.streaming.session.SwitchSession` alone: the directory keeps
+no reference, so a finished mesh is freed while the plan lives on.
 
 Determinism: each channel's membership randomness is seeded from that
 channel's spawned seed (see :func:`repro.sim.rng.sequence_seeds`), and the
 factory derives identical generators no matter which process builds the
 mesh -- the property that makes the universe bit-identical between the
-shared-engine serial path and per-channel worker processes.
+serial path and per-channel worker processes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -74,8 +73,6 @@ class Directory:
         self.channel_seeds = tuple(int(s) for s in channel_seeds)
         self._channel_of: Dict[int, int] = {}
         self._audiences: List[int] = [0] * lineup.n_channels
-        #: per-(channel, algorithm) membership services of running meshes
-        self.services: Dict[Tuple[int, str], MembershipService] = {}
         #: cumulative tune-away events recorded through :meth:`tune`
         self.zaps = 0
 
@@ -116,21 +113,20 @@ class Directory:
         return tuple(self._audiences)
 
     # ------------------------------------------------------------------ #
-    # mesh registry
+    # channel meshes
     # ------------------------------------------------------------------ #
     def membership_factory(
-        self, channel_index: int, algorithm: str
+        self, channel_index: int
     ) -> Callable[[Overlay, FrozenSet[int]], MembershipService]:
-        """A membership-service factory for one channel mesh.
+        """A membership-service factory for the meshes of one channel.
 
         The returned callable matches the ``membership_factory`` hook of
         :class:`~repro.streaming.session.SwitchSession`: called with the
-        session's overlay and protected source ids, it creates -- and
-        registers under ``(channel_index, algorithm)`` -- a channel-scoped
-        :class:`MembershipService`.  Both algorithms of a paired run get
-        generators with identical seeds (derived from the channel seed
-        only), so partner selection stays paired exactly like every other
-        random draw of the mesh.
+        session's overlay and protected source ids, it creates a
+        channel-scoped :class:`MembershipService`.  Every call seeds a fresh
+        generator from the channel seed only, so both algorithms of a
+        paired run draw the same partners, exactly like every other random
+        draw of the mesh.
         """
         self._check_channel(channel_index)
         seed = derive_seed(self.channel_seeds[channel_index], "channel-membership")
@@ -138,22 +134,14 @@ class Directory:
         def factory(
             overlay: Overlay, protected: Iterable[int] = ()
         ) -> MembershipService:
-            service = MembershipService(
+            return MembershipService(
                 overlay,
                 self.min_degree,
                 np.random.default_rng(seed),
                 protected=protected,
             )
-            self.services[(channel_index, str(algorithm))] = service
-            return service
 
         return factory
-
-    def service_for(
-        self, channel_index: int, algorithm: str
-    ) -> Optional[MembershipService]:
-        """The registered membership service of one mesh (or ``None``)."""
-        return self.services.get((channel_index, str(algorithm)))
 
     # ------------------------------------------------------------------ #
     def _check_channel(self, channel_index: int) -> None:
@@ -166,6 +154,5 @@ class Directory:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Directory(channels={self.lineup.n_channels}, "
-            f"viewers={len(self._channel_of)}, meshes={len(self.services)}, "
-            f"zaps={self.zaps})"
+            f"viewers={len(self._channel_of)}, zaps={self.zaps})"
         )

@@ -4,21 +4,21 @@ Execution model
 ---------------
 One *repetition* of a universe is fully determined by ``(spec, seed)`` --
 the plan (lineup, per-channel seeds, zap script) is a pure function of the
-two, and every channel mesh is causally independent given the plan.  The
-runner exploits that through exactly two execution paths:
+two, and every channel mesh is causally independent given the plan.  So a
+``(repetition, channel)`` pair is the unit of work, one function runs it
+(:func:`~repro.channels.universe.run_channel_unit`) and one folds a
+repetition's units (:func:`~repro.channels.universe.fold_units`); the
+runner only decides who calls them:
 
-* ``workers == 1`` without ``shards`` runs each repetition in-process
-  through :class:`~repro.channels.universe.UniverseSession`: every mesh of
-  the lineup interleaved on **one shared engine** (the canonical
-  semantics, and the reference the identity tests compare against).
-* ``workers > 1`` or an explicit ``shards`` count runs every channel mesh
-  on its own engine as a work unit of the sharded runtime
-  (:class:`~repro.dist.runner.ShardedExecutor` over the shared
-  :class:`~repro.dist.pool.WorkerPool`): crash-tolerant, journaled,
-  reassembled in deterministic channel order.  Without ``shards`` each
-  ``(repetition, channel)`` unit is its own shard.  Results are
-  **bit-identical** to the serial path -- the property the acceptance
-  tests pin down.
+* ``workers == 1`` without ``shards``: this process, channel after channel
+  (:func:`~repro.channels.universe.run_universe_rep`).
+* ``workers > 1`` or an explicit ``shards`` count: the worker processes of
+  the sharded runtime (:class:`~repro.dist.runner.ShardedExecutor` over
+  the shared :class:`~repro.dist.pool.WorkerPool`), with a checkpoint
+  journal in between: crash-tolerant, resumable, reassembled in
+  deterministic channel order.  Without ``shards`` each unit is its own
+  shard.  Results are **bit-identical** to the in-process run -- the
+  property the acceptance tests pin down.
 
 Each repetition persists as one ``universe-*`` document in the
 :class:`~repro.experiments.store.ResultStore`, keyed by a content hash of
@@ -217,9 +217,8 @@ class UniverseRunner:
     ----------
     workers:
         Worker processes of the pool.  ``1`` (with ``shards`` unset) runs
-        each repetition on one shared engine in-process; ``> 1`` runs the
-        channels on the sharded runtime.  Results are bit-identical for
-        any value.
+        each repetition's channels in-process; ``> 1`` runs them on the
+        sharded runtime.  Results are bit-identical for any value.
     store:
         Optional persistent result store; repetitions found there are
         replayed, missing ones are simulated and persisted.  A replay-only
@@ -236,8 +235,8 @@ class UniverseRunner:
         one unit per shard when ``workers > 1`` and the in-process path
         when ``workers == 1``; an integer always selects the sharded
         runtime: a long-lived crash-tolerant worker pool, checkpoint-
-        journaled against the store.  Still bit-identical to the serial
-        path at store-document level.
+        journaled against the store.  Still bit-identical to the
+        in-process run at store-document level.
     max_retries / fault_hook / after_shard:
         Sharded-runtime knobs, forwarded to
         :class:`~repro.dist.runner.ShardedExecutor` (bounded retry,
@@ -309,8 +308,6 @@ class UniverseRunner:
             return document
 
         if self.shards is None and self.workers == 1:
-            # The canonical path: all channel meshes of a repetition on one
-            # shared engine and clock, in-process.
             executor = None
             execute = lambda pending: (  # noqa: E731
                 run_universe_rep(

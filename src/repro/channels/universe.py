@@ -1,13 +1,13 @@
-"""The multi-channel universe: N channel meshes, one clock, scripted zapping.
+"""The multi-channel universe: N channel meshes, scripted zapping.
 
 This module promotes the single-switch session into an ecosystem
 simulation.  A :class:`UniverseSpec` declares the lineup (how many
 channels, how skewed, how many viewers) and the viewer mix (surfers vs.
 loyal); :func:`plan_universe` expands it deterministically into a
 :class:`UniversePlan` -- the Zipf lineup, per-channel spawned seeds and the
-compiled zapping script; and :class:`UniverseSession` executes every
-channel mesh, **both switch algorithms, all channels, against one shared
-discrete-event engine and clock**.
+compiled zapping script; :func:`run_channel_unit` runs one channel of a
+plan under both switch algorithms, and :func:`fold_units` folds a
+repetition's units into its :class:`UniverseRepResult`.
 
 Execution model
 ---------------
@@ -22,31 +22,30 @@ the channel :class:`~repro.channels.directory.Directory`.
 Channel meshes are causally independent (a mesh never reads another mesh's
 state; cross-channel coupling lives entirely in the precomputed plan) and
 stochastically independent (per-channel seeds come from
-:func:`repro.sim.rng.sequence_seeds`).  Interleaving them on the shared
-engine is therefore observationally identical to running each mesh on its
-own engine -- which is exactly what :func:`run_planned_channel_detailed`
-does, and what the runner (:mod:`repro.channels.runner`) fans out over the
-worker pool.  Same seed, any worker count: bit-identical results.
+:func:`repro.sim.rng.sequence_seeds`), so a ``(repetition, channel)`` pair
+is the unit of work: :func:`run_universe_rep` runs a repetition's units one
+after the other in-process, the sharded runtime (:mod:`repro.dist`) runs
+the same function in worker processes.  Same seed, any worker count:
+bit-identical results.
 """
 
 from __future__ import annotations
 
-import time as _wallclock
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.channels.aggregates import RepAggregator, unit_aggregate
 from repro.channels.directory import Directory
 from repro.channels.lineup import Channel, ChannelLineup
 from repro.channels.zapping import ZapPlan, ZappingProcess
 from repro.churn.model import ChurnConfig
 from repro.experiments.config import make_session_config
 from repro.metrics.qoe import phase_qoe
-from repro.metrics.universe import zap_time_stats
+from repro.metrics.universe import zap_time_stats, zap_time_values
 from repro.net.library import topology_names
 from repro.sim.clock import round_half_up
-from repro.sim.engine import SimulationEngine
 from repro.sim.rng import sequence_seeds
 from repro.streaming.session import (
     SessionConfig,
@@ -60,11 +59,12 @@ __all__ = [
     "UniversePlan",
     "ChannelOutcome",
     "UniverseRepResult",
-    "UniverseSession",
     "plan_universe",
     "channel_mesh_config",
+    "run_channel_meshes",
+    "run_channel_unit",
+    "fold_units",
     "run_universe_rep",
-    "run_planned_channel_detailed",
 ]
 
 #: Algorithms of one paired universe run, in execution order.
@@ -125,7 +125,7 @@ class UniverseSpec:
         every channel mesh runs over; empty keeps the paper's ideal
         zero-latency network.  Each mesh gets its own latency fabric
         seeded from its channel seed, so universes stay bit-identical
-        between the serial shared-engine path and worker fan-out.
+        between the serial path and worker fan-out.
     session_overrides:
         Extra :class:`~repro.streaming.session.SessionConfig` fields
         applied to every channel mesh, as a sorted tuple of pairs (JSON
@@ -272,8 +272,8 @@ class UniversePlan:
     (its overlay, bandwidth draws, membership and churn selection);
     ``zap_plan`` scripts the cross-channel traffic.  The plan is a pure
     function of the spec and the repetition seed, so any process --
-    the serial universe session or an isolated channel worker -- derives
-    the identical plan locally instead of shipping state around.
+    the serial run or an isolated channel worker -- derives the identical
+    plan locally instead of shipping state around.
     """
 
     spec: UniverseSpec
@@ -335,8 +335,7 @@ def channel_mesh_config(
     is disabled because the zap plan scripts membership changes as exact
     per-period counts.  ``compute_engine`` picks the simulation core
     (``"oracle"``/``"vector"``; ``None`` keeps
-    :data:`~repro.streaming.session.DEFAULT_ENGINE`) -- not to be confused
-    with the shared :class:`SimulationEngine` clock.
+    :data:`~repro.streaming.session.DEFAULT_ENGINE`).
     """
     overrides = spec.overrides_dict()
     overrides.update(
@@ -357,44 +356,41 @@ def channel_mesh_config(
     )
 
 
-def _build_channel_sessions(
+def run_channel_meshes(
     plan: UniversePlan,
     channel_index: int,
     *,
-    engine: Optional[SimulationEngine] = None,
-    directory: Optional[Directory] = None,
     compute_engine: Optional[str] = None,
-) -> Dict[str, SwitchSession]:
-    """Both algorithms' mesh sessions for one channel (paired on one overlay)."""
-    spec = plan.spec
+) -> Iterator[Tuple[str, SessionResult]]:
+    """Run one channel's mesh under each algorithm, paired on one overlay.
+
+    Yields ``(algorithm, result)`` in :data:`PAIRED_ALGORITHMS` order; each
+    mesh runs on its own engine and is gone before the next one is built.
+    """
     channel = plan.lineup.channels[channel_index]
     channel_seed = plan.channel_seeds[channel_index]
-    directory = directory if directory is not None else plan.directory
-    first = channel_mesh_config(
-        spec, channel, channel_seed, PAIRED_ALGORITHMS[0],
-        compute_engine=compute_engine,
-    )
+    configs = [
+        channel_mesh_config(
+            plan.spec, channel, channel_seed, algorithm, compute_engine=compute_engine
+        )
+        for algorithm in PAIRED_ALGORITHMS
+    ]
     overlay = build_session_overlay(
-        first.n_nodes,
+        configs[0].n_nodes,
         channel_seed,
-        min_degree=first.min_degree,
-        trace_mean_degree=first.trace_mean_degree,
+        min_degree=configs[0].min_degree,
+        trace_mean_degree=configs[0].trace_mean_degree,
     )
     directives = plan.zap_plan.channel_directives(channel_index)
-    sessions: Dict[str, SwitchSession] = {}
-    for algorithm in PAIRED_ALGORITHMS:
-        config = channel_mesh_config(
-            spec, channel, channel_seed, algorithm, compute_engine=compute_engine
-        )
-        sessions[algorithm] = SwitchSession(
+    membership_factory = plan.directory.membership_factory(channel_index)
+    for config in configs:
+        yield config.algorithm, SwitchSession(
             config,
             overlay=overlay,
             directives=directives,
-            engine=engine,
             label=channel.name,
-            membership_factory=directory.membership_factory(channel_index, algorithm),
-        )
-    return sessions
+            membership_factory=membership_factory,
+        ).run()
 
 
 # --------------------------------------------------------------------------- #
@@ -493,11 +489,53 @@ def _channel_outcome(
     )
 
 
-def _rep_result(
+# --------------------------------------------------------------------------- #
+# execution: the unit of work and the fold, shared by every execution path
+# --------------------------------------------------------------------------- #
+def run_channel_unit(
     plan: UniversePlan,
-    outcomes: Dict[str, List[ChannelOutcome]],
-    aggregates: Optional[Dict[str, Any]] = None,
-) -> UniverseRepResult:
+    channel_index: int,
+    *,
+    compute_engine: Optional[str] = None,
+) -> Dict[str, Any]:
+    """Run one ``(repetition, channel)`` unit of work, as a plain-JSON document.
+
+    Per algorithm the channel's :class:`ChannelOutcome` (as a dict) and,
+    under ``"aggregates"``, the :func:`~repro.channels.aggregates.
+    unit_aggregate` of its per-peer zap times -- the samples themselves
+    never leave the unit, so whoever folds it holds O(channels), not
+    O(viewers).  This document is what a shard worker returns, what the
+    journal checkpoints and what :func:`fold_units` reads.
+    """
+    unit: Dict[str, Any] = {"rep_seed": plan.seed, "channel": int(channel_index)}
+    aggregates: Dict[str, Any] = {}
+    for algorithm, result in run_channel_meshes(
+        plan, channel_index, compute_engine=compute_engine
+    ):
+        outcome = _channel_outcome(plan, channel_index, algorithm, result)
+        samples, _ = zap_time_values(
+            result.metrics.outcomes, horizon=result.metrics.horizon
+        )
+        unit[algorithm] = asdict(outcome)
+        aggregates[algorithm] = unit_aggregate(samples, outcome.unfinished)
+    unit["aggregates"] = aggregates
+    return unit
+
+
+def fold_units(plan: UniversePlan, units: Iterable[Mapping[str, Any]]) -> UniverseRepResult:
+    """Fold a repetition's units, in ascending channel order, into its result.
+
+    The order is the contract: the aggregate block is a chain of sketch
+    merges, so one fold order is what keeps the persisted ``aggregates``
+    byte-identical whoever ran the units.
+    """
+    outcomes: Dict[str, List[ChannelOutcome]] = {a: [] for a in PAIRED_ALGORITHMS}
+    aggregator = RepAggregator()
+    for unit in units:
+        for algorithm in PAIRED_ALGORITHMS:
+            outcome = ChannelOutcome(**unit[algorithm])
+            outcomes[algorithm].append(outcome)
+            aggregator.fold_unit(algorithm, outcome.decile, unit["aggregates"][algorithm])
     return UniverseRepResult(
         universe=plan.spec.name,
         seed=plan.seed,
@@ -507,121 +545,19 @@ def _rep_result(
         surfers=plan.zap_plan.surfers,
         normal=tuple(outcomes["normal"]),
         fast=tuple(outcomes["fast"]),
-        aggregates=aggregates,
+        aggregates=aggregator.to_dict(),
     )
-
-
-# --------------------------------------------------------------------------- #
-# execution
-# --------------------------------------------------------------------------- #
-class UniverseSession:
-    """One universe repetition on a single shared engine (see module docstring).
-
-    All ``2 * n_channels`` mesh sessions (both algorithms of every channel)
-    are attached to one :class:`~repro.sim.engine.SimulationEngine`; running
-    it interleaves every mesh's scheduling rounds on one clock.  Finished
-    meshes retire their periodic processes individually, so a small channel
-    completing its switch early never stalls -- or stops -- the rest of the
-    lineup.
-    """
-
-    def __init__(
-        self,
-        spec: UniverseSpec,
-        seed: int = 0,
-        *,
-        compute_engine: Optional[str] = None,
-    ) -> None:
-        self.spec = spec
-        self.seed = int(seed)
-        self.plan = plan_universe(spec, seed)
-        self.engine = SimulationEngine()
-        self.directory = self.plan.directory
-        self.sessions: Dict[Tuple[int, str], SwitchSession] = {}
-        for channel_index in range(self.plan.n_channels):
-            built = _build_channel_sessions(
-                self.plan, channel_index, engine=self.engine,
-                directory=self.directory, compute_engine=compute_engine,
-            )
-            for algorithm, session in built.items():
-                self.sessions[(channel_index, algorithm)] = session
-        self.wallclock_seconds = 0.0
-
-    def run(self) -> UniverseRepResult:
-        """Drive every mesh to the horizon and summarise per channel."""
-        from repro.channels.aggregates import RepAggregator, unit_aggregate
-        from repro.metrics.universe import zap_time_values
-
-        started = _wallclock.perf_counter()
-        self.engine.run_until(self.spec.horizon + self.spec.tau)
-        self.wallclock_seconds = _wallclock.perf_counter() - started
-        outcomes: Dict[str, List[ChannelOutcome]] = {a: [] for a in PAIRED_ALGORITHMS}
-        # Ascending channel order -- the canonical fold order every
-        # execution path shares (see repro.channels.aggregates).
-        aggregator = RepAggregator()
-        for channel_index in range(self.plan.n_channels):
-            for algorithm in PAIRED_ALGORITHMS:
-                session = self.sessions[(channel_index, algorithm)]
-                result = session.finalize()
-                outcome = _channel_outcome(
-                    self.plan, channel_index, algorithm, result
-                )
-                outcomes[algorithm].append(outcome)
-                samples, _ = zap_time_values(
-                    result.metrics.outcomes, horizon=result.metrics.horizon
-                )
-                aggregator.fold_unit(
-                    algorithm, outcome.decile, unit_aggregate(samples, outcome.unfinished)
-                )
-        # Detach every mesh from the shared engine and drop what is still
-        # queued (the retired rounds): nothing then keeps the sessions alive
-        # beyond this object.
-        for session in self.sessions.values():
-            session.close()
-        self.engine.queue.clear()
-        return _rep_result(self.plan, outcomes, aggregates=aggregator.to_dict())
 
 
 def run_universe_rep(
     spec: UniverseSpec, seed: int, *, compute_engine: Optional[str] = None
 ) -> UniverseRepResult:
-    """Run one repetition of ``spec`` on a shared engine (the serial path)."""
-    return UniverseSession(spec, seed, compute_engine=compute_engine).run()
-
-
-def run_planned_channel_detailed(
-    plan: UniversePlan,
-    channel_index: int,
-    *,
-    compute_engine: Optional[str] = None,
-) -> Tuple[
-    Tuple[ChannelOutcome, ChannelOutcome], Tuple[List[float], List[float]]
-]:
-    """Run one channel of an already-expanded plan in isolation.
-
-    Builds only this channel's meshes (each on its own engine) and returns
-    ``((normal, fast), (normal_values, fast_values))``: the paired
-    outcomes -- bit-identical to the corresponding entries of
-    :func:`run_universe_rep` -- plus the per-peer zap-time samples their
-    statistics were computed from
-    (:func:`~repro.metrics.universe.zap_time_values`).  The sharded
-    runtime (:mod:`repro.dist`) reduces those samples worker-side into
-    mergeable unit aggregates instead of shipping them upstream, so the
-    parent's memory stays O(shard).
-    """
-    from repro.metrics.universe import zap_time_values
-
-    sessions = _build_channel_sessions(
-        plan, channel_index, compute_engine=compute_engine
+    """Run one repetition of ``spec`` in-process, channel after channel."""
+    plan = plan_universe(spec, seed)
+    return fold_units(
+        plan,
+        (
+            run_channel_unit(plan, channel_index, compute_engine=compute_engine)
+            for channel_index in range(plan.n_channels)
+        ),
     )
-    outcomes: List[ChannelOutcome] = []
-    values: List[List[float]] = []
-    for algorithm in PAIRED_ALGORITHMS:
-        result = sessions[algorithm].run()
-        outcomes.append(_channel_outcome(plan, channel_index, algorithm, result))
-        samples, _ = zap_time_values(
-            result.metrics.outcomes, horizon=result.metrics.horizon
-        )
-        values.append(samples)
-    return (outcomes[0], outcomes[1]), (values[0], values[1])
-

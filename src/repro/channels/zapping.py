@@ -19,7 +19,7 @@ membership churn on both meshes involved.  The plan is generated once,
 up front, from a single spawned generator, which keeps channel meshes
 causally independent: a mesh consumes its scripted counts without ever
 observing another mesh's state, the property that lets the universe run
-channels on one shared engine *or* on isolated worker processes with
+channels one after the other *or* on isolated worker processes with
 bit-identical results.
 """
 

@@ -6,10 +6,11 @@ an explicit shard count goes through it.  What it adds on top of
 :class:`~repro.dist.pool.WorkerPool`:
 
 * **O(shard) memory.**  Workers never ship per-peer samples to the
-  parent; each channel's zap-time distribution is reduced worker-side
-  into a :func:`~repro.channels.aggregates.unit_aggregate`, and the
-  parent folds the units of a repetition in ascending channel order
-  (deterministic regardless of completion order).
+  parent: a shard's payload is the plain-JSON documents of its units
+  (:func:`~repro.channels.universe.run_channel_unit`), and the parent
+  folds the units of a repetition in ascending channel order
+  (:func:`~repro.channels.universe.fold_units`; deterministic regardless
+  of completion order).
 * **Checkpointed progress.**  Every finished shard is journaled
   (:class:`~repro.dist.journal.ShardJournal`) before it is folded into
   the run, so an interrupted run resumes by replaying journaled shards
@@ -29,18 +30,16 @@ planning cost.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.channels.aggregates import RepAggregator, unit_aggregate
 from repro.channels.universe import (
-    ChannelOutcome,
-    PAIRED_ALGORITHMS,
     UniverseRepResult,
     UniverseSpec,
+    fold_units,
     plan_universe,
-    run_planned_channel_detailed,
+    run_channel_unit,
 )
 from repro.dist.journal import ShardJournal
 from repro.dist.plan import ShardPlan, ShardUnit
@@ -53,7 +52,7 @@ __all__ = ["ShardResult", "ShardedExecutor"]
 
 @dataclass(frozen=True)
 class ShardResult:
-    """One executed shard: per-unit channel outcomes plus unit aggregates.
+    """One executed shard: the documents of its units, by ``(rep_seed, channel)``.
 
     Built by :meth:`from_payload` from the plain-JSON payload that is
     both what workers return over their result pipe and what the journal
@@ -61,32 +60,22 @@ class ShardResult:
     """
 
     shard_id: int
-    #: ``(rep_seed, channel) -> (normal outcome dict, fast outcome dict)``
-    outcomes: Mapping[Tuple[int, int], Tuple[Dict[str, Any], Dict[str, Any]]]
-    #: ``(rep_seed, channel) -> {algorithm: unit aggregate dict}`` -- the
-    #: per-channel building blocks of the persisted repetition aggregates
-    #: (:mod:`repro.channels.aggregates`), built worker-side at the
-    #: default sketch capacity.  May be empty for journal records written
-    #: before aggregates were persisted; such records are unusable and
-    #: their shards re-simulate.
-    unit_aggregates: Mapping[Tuple[int, int], Dict[str, Any]] = field(
-        default_factory=dict
-    )
+    #: ``(rep_seed, channel) -> unit document`` (see
+    #: :func:`~repro.channels.universe.run_channel_unit`).  A journal record
+    #: written before units carried their ``"aggregates"`` is unusable: its
+    #: units are left out, and the shard re-simulates.
+    units: Mapping[Tuple[int, int], Mapping[str, Any]]
 
     @staticmethod
     def from_payload(shard_id: int, payload: Mapping[str, Any]) -> "ShardResult":
         """Parse a worker's shard payload (``{"units": [...]}``)."""
-        outcomes = {}
-        unit_aggregates = {}
-        for unit in payload["units"]:
-            unit_key = (int(unit["rep_seed"]), int(unit["channel"]))
-            outcomes[unit_key] = (dict(unit["normal"]), dict(unit["fast"]))
-            if "aggregates" in unit:
-                unit_aggregates[unit_key] = dict(unit["aggregates"])
         return ShardResult(
             shard_id=int(shard_id),
-            outcomes=outcomes,
-            unit_aggregates=unit_aggregates,
+            units={
+                (int(unit["rep_seed"]), int(unit["channel"])): unit
+                for unit in payload["units"]
+                if "aggregates" in unit
+            },
         )
 
 
@@ -119,27 +108,15 @@ def _run_shard_task(
     ``rep<seed>/ch<channel>`` label (what the failure summary surfaces).
     """
     spec = UniverseSpec.from_dict(payload["spec"])
-    compute_engine = payload["compute_engine"]
     units: List[Dict[str, Any]] = []
     for unit in payload["units"]:
         rep_seed = int(unit["rep_seed"])
         channel = int(unit["channel"])
         heartbeat(f"rep{rep_seed}/ch{channel}")
-        plan = _planned(spec, rep_seed)
-        (normal, fast), (normal_values, fast_values) = run_planned_channel_detailed(
-            plan, channel, compute_engine=compute_engine
-        )
         units.append(
-            {
-                "rep_seed": rep_seed,
-                "channel": channel,
-                "normal": asdict(normal),
-                "fast": asdict(fast),
-                "aggregates": {
-                    "normal": unit_aggregate(normal_values, normal.unfinished),
-                    "fast": unit_aggregate(fast_values, fast.unfinished),
-                },
-            }
+            run_channel_unit(
+                _planned(spec, rep_seed), channel, compute_engine=payload["compute_engine"]
+            )
         )
     return {"units": units}
 
@@ -244,14 +221,8 @@ class ShardedExecutor:
                 replayed = ShardResult.from_payload(shard_id, payload)
                 # A record is only usable if it covers every unit this
                 # run still needs from the shard (it may legally cover
-                # more: repetitions persisted since it was written) --
-                # outcomes AND per-unit aggregates both; a record from
-                # before aggregates were journaled re-simulates.
-                if all(
-                    (u.rep_seed, u.channel) in replayed.outcomes
-                    and (u.rep_seed, u.channel) in replayed.unit_aggregates
-                    for u in needed[shard_id]
-                ):
+                # more: repetitions persisted since it was written).
+                if all((u.rep_seed, u.channel) in replayed.units for u in needed[shard_id]):
                     journaled[shard_id] = replayed
                     self.journal_replayed += 1
 
@@ -283,10 +254,7 @@ class ShardedExecutor:
 
         # Assemble repetitions incrementally: a rep is ready once all its
         # channels are collected; yield strictly in pending-seed order.
-        collected: Dict[
-            Tuple[int, int],
-            Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Any]],
-        ] = {}
+        collected: Dict[Tuple[int, int], Mapping[str, Any]] = {}
         remaining: Dict[int, int] = {seed: n_channels for seed in pending}
         emitted = 0
 
@@ -294,18 +262,21 @@ class ShardedExecutor:
             for unit in needed[result.shard_id]:
                 unit_key = (unit.rep_seed, unit.channel)
                 if unit_key not in collected:
-                    normal_doc, fast_doc = result.outcomes[unit_key]
-                    collected[unit_key] = (
-                        normal_doc,
-                        fast_doc,
-                        result.unit_aggregates[unit_key],
-                    )
+                    collected[unit_key] = result.units[unit_key]
                     remaining[unit.rep_seed] -= 1
 
         def drain(limit: int) -> Iterator[UniverseRepResult]:
             nonlocal emitted
             while emitted < limit and remaining[pending[emitted]] == 0:
-                yield self._assemble(pending[emitted], collected)
+                rep_seed = pending[emitted]
+                # Units are popped as they fold, so parent memory stays
+                # bounded by the in-flight shard frontier, not the run.
+                # ``n_zaps`` / ``surfers`` live on the zap plan: planning is
+                # pure and cheap enough to repeat once per repetition here.
+                yield fold_units(
+                    plan_universe(self.plan.spec, rep_seed),
+                    (collected.pop((rep_seed, channel)) for channel in range(n_channels)),
+                )
                 emitted += 1
 
         # The consumer (``replay_or_execute``'s zip) never advances this
@@ -342,45 +313,3 @@ class ShardedExecutor:
         if journal is not None:
             journal.discard()
         yield from drain(len(pending))
-
-    # ------------------------------------------------------------------ #
-    def _assemble(
-        self,
-        rep_seed: int,
-        collected: Dict[
-            Tuple[int, int],
-            Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Any]],
-        ],
-    ) -> UniverseRepResult:
-        """Reassemble one repetition from its per-channel outcome dicts.
-
-        Pops the consumed outcomes so parent memory stays bounded by the
-        in-flight shard frontier, not the whole run.  The per-unit
-        aggregates fold in ascending channel order -- the canonical order
-        shared with the serial and parallel paths, which is what keeps
-        the persisted ``aggregates`` block byte-identical across them.
-        """
-        spec = self.plan.spec
-        normal: List[ChannelOutcome] = []
-        fast: List[ChannelOutcome] = []
-        aggregator = RepAggregator()
-        for channel in range(spec.n_channels):
-            normal_doc, fast_doc, units = collected.pop((rep_seed, channel))
-            normal.append(ChannelOutcome(**normal_doc))
-            fast.append(ChannelOutcome(**fast_doc))
-            for name in PAIRED_ALGORITHMS:
-                aggregator.fold_unit(name, int(fast_doc["decile"]), units[name])
-        # n_zaps/surfers live on the zap plan; re-derive it (pure, memoised
-        # per worker but cheap enough to do once per rep in the parent).
-        plan = plan_universe(spec, rep_seed)
-        return UniverseRepResult(
-            universe=spec.name,
-            seed=int(rep_seed),
-            n_channels=spec.n_channels,
-            n_viewers=spec.n_viewers,
-            n_zaps=plan.zap_plan.n_zaps,
-            surfers=plan.zap_plan.surfers,
-            normal=tuple(normal),
-            fast=tuple(fast),
-            aggregates=aggregator.to_dict(),
-        )

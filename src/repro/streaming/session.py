@@ -225,15 +225,6 @@ class SwitchSession:
         defaults to building one from the config.
     directives:
         Per-period environment overrides (the workload/universe engines).
-    engine:
-        A *shared* :class:`~repro.sim.engine.SimulationEngine` to attach to.
-        When given, the session schedules its rounds on that engine but does
-        not drive it: a finished session quietly retires its periodic
-        process instead of stopping the engine, so many independent channel
-        meshes can run interleaved on one clock (the multi-channel
-        universe).  The owner runs the engine, calls :meth:`finalize` and
-        :meth:`close` on each session and clears the engine's queue.  Shared
-        sessions require the analytic warm-up (a shared clock starts at 0).
     label:
         Free-form tag (e.g. the channel name) carried for bookkeeping.
     membership_factory:
@@ -256,7 +247,6 @@ class SwitchSession:
         algorithm_factory: Optional[Callable[[], SwitchAlgorithm]] = None,
         overlay: Optional[Overlay] = None,
         directives: Optional[Mapping[int, PeriodDirective]] = None,
-        engine: Optional[SimulationEngine] = None,
         label: str = "",
         membership_factory: Optional[
             Callable[[Overlay, frozenset], MembershipService]
@@ -282,12 +272,7 @@ class SwitchSession:
             self.fabric = build_fabric(
                 topology, self.streams.get("net") if topology else None
             )
-        self._owns_engine = engine is None
-        if engine is not None and config.warmup == "simulated":
-            raise ValueError(
-                "a session on a shared engine requires the analytic warm-up"
-            )
-        self.engine = engine if engine is not None else SimulationEngine(
+        self.engine = SimulationEngine(
             start_time=-config.warmup_duration if config.warmup == "simulated" else 0.0
         )
         #: region pin per bandwidth-class name (classes without a pin
@@ -906,11 +891,7 @@ class SwitchSession:
             self._stop_reason = "time horizon reached"
         else:
             return
-        if self._owns_engine:
-            raise StopSimulation(self._stop_reason)
-        # On a shared engine the session only retires itself: other channel
-        # meshes keep running on the same clock.
-        self.close()
+        raise StopSimulation(self._stop_reason)
 
     @property
     def finished(self) -> bool:
@@ -920,18 +901,12 @@ class SwitchSession:
     def run(self) -> SessionResult:
         """Run the simulation to completion, close the session, return the results.
 
-        Only valid once, and only for a session that owns its engine;
-        sessions attached to a shared engine are driven by their owner,
-        which then collects each session's result through :meth:`finalize`.
+        Only valid once.  A segment still in flight when the run stops is
+        dropped: it reached nobody within the run.
         """
-        if not self._owns_engine:
-            raise RuntimeError(
-                "session runs on a shared engine; run that engine and call finalize()"
-            )
         if self.finished or not self._periodic.active:
             raise RuntimeError(
-                f"session {self.label!r} is finished or closed and cannot run again; "
-                "finalize() still returns its result"
+                f"session {self.label!r} is finished or closed and cannot run again"
             )
         started = _wallclock.perf_counter()
         try:
@@ -944,7 +919,7 @@ class SwitchSession:
             ):
                 self.engine.run_until(self.config.max_time + self.config.tau)
             self._wallclock = _wallclock.perf_counter() - started
-            return self.finalize()
+            return self._finalize()
         finally:
             self.close()
 
@@ -954,20 +929,16 @@ class SwitchSession:
         Scheduled rounds keep a session in a reference cycle (periodic
         process -> bound ``_round`` -> session, and the queue in between),
         so peers, buffers and the array engine's matrices would wait for a
-        full garbage collection.  Closing stops and unhooks the process and,
-        on an engine the session owns, drops what is still queued and the
-        deliveries in flight past the stop (a shared clock runs on, so there
-        :meth:`finalize` lands them).  Nothing a caller reads is touched.
+        full garbage collection.  Closing stops and unhooks the process and
+        drops what is still queued and the deliveries in flight past the
+        stop.  Nothing a caller reads is touched.
         """
         self._periodic.stop()
-        if self._owns_engine:
-            self.engine.queue.clear()
-            self._calendar.clear()
+        self.engine.queue.clear()
+        self._calendar.clear()
 
-    def finalize(self) -> SessionResult:
-        """Build the :class:`SessionResult` from the session's current state."""
-        if not self._owns_engine:
-            self._land_arrivals(self.engine.now)
+    def _finalize(self) -> SessionResult:
+        """The tail of :meth:`run`: the :class:`SessionResult` of the session's state."""
         # Peers that left through churn only contribute if they completed
         # their switch before leaving; peers that departed mid-switch carry
         # no meaningful completion time (the paper's dynamic scenario lets

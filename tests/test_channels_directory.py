@@ -5,6 +5,7 @@ import pytest
 
 from repro.channels.directory import Directory
 from repro.channels.lineup import ChannelLineup
+from repro.overlay.membership import MembershipService
 from repro.overlay.topology import NodeInfo, Overlay
 from repro.sim.rng import sequence_seeds
 
@@ -67,18 +68,19 @@ class TestMeshRegistry:
     def test_factory_creates_channel_scoped_service(self):
         directory = _directory()
         overlay = _overlay()
-        factory = directory.membership_factory(2, "fast")
+        factory = directory.membership_factory(2)
         service = factory(overlay, frozenset({0, 1}))
-        assert directory.service_for(2, "fast") is service
-        assert directory.service_for(2, "normal") is None
+        assert isinstance(service, MembershipService)
+        assert factory(overlay, frozenset({0, 1})) is not service  # one per mesh, kept by nobody
         assert service.overlay is overlay
         assert service.min_degree == 3
         assert service.protected == {0, 1}
 
     def test_paired_algorithms_draw_identical_partners(self):
         directory = _directory()
-        a = directory.membership_factory(1, "normal")(_overlay(), frozenset())
-        b = directory.membership_factory(1, "fast")(_overlay(), frozenset())
+        factory = directory.membership_factory(1)
+        a = factory(_overlay(), frozenset())
+        b = factory(_overlay(), frozenset())
         ja = a.join(NodeInfo(node_id=100))
         jb = b.join(NodeInfo(node_id=100))
         assert ja == jb
@@ -86,8 +88,8 @@ class TestMeshRegistry:
 
     def test_different_channels_draw_differently(self):
         directory = _directory()
-        a = directory.membership_factory(0, "fast")(_overlay(30), frozenset())
-        b = directory.membership_factory(3, "fast")(_overlay(30), frozenset())
+        a = directory.membership_factory(0)(_overlay(30), frozenset())
+        b = directory.membership_factory(3)(_overlay(30), frozenset())
         a.join(NodeInfo(node_id=100))
         b.join(NodeInfo(node_id=100))
         # same population, independent channel seeds: neighbour draws differ
@@ -96,7 +98,7 @@ class TestMeshRegistry:
     def test_joiner_gets_neighbours_on_its_target_channel(self):
         directory = _directory()
         overlay = _overlay(12)
-        service = directory.membership_factory(0, "fast")(overlay, frozenset())
+        service = directory.membership_factory(0)(overlay, frozenset())
         node = service.join()
         assert len(overlay.neighbours(node)) == 3
         assert all(n in overlay for n in overlay.neighbours(node))
@@ -104,4 +106,4 @@ class TestMeshRegistry:
     def test_factory_rejects_unknown_channel(self):
         directory = _directory(n_channels=2, n_viewers=30)
         with pytest.raises(ValueError):
-            directory.membership_factory(2, "fast")
+            directory.membership_factory(2)

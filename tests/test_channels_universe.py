@@ -15,14 +15,15 @@ from repro.channels.runner import (
     universe_fingerprint,
 )
 from repro.channels.universe import (
-    UniverseSession,
+    ChannelOutcome,
     UniverseSpec,
     plan_universe,
-    run_planned_channel_detailed,
+    run_channel_unit,
     run_universe_rep,
 )
 from repro.experiments.store import MissingResultError, ResultStore
 from repro.sim.rng import RandomStreams
+from repro.streaming.session import SwitchSession
 
 #: A deliberately tiny universe so the suite stays fast.
 TINY = UniverseSpec(
@@ -118,39 +119,43 @@ class TestExecution:
         rep = run_universe_rep(TINY, 2)
         plan = plan_universe(TINY, 2)
         for channel in range(TINY.n_channels):
-            (normal, fast), _ = run_planned_channel_detailed(plan, channel)
-            assert normal == rep.normal[channel]
-            assert fast == rep.fast[channel]
+            unit = run_channel_unit(plan, channel)
+            assert (unit["rep_seed"], unit["channel"]) == (2, channel)
+            assert ChannelOutcome(**unit["normal"]) == rep.normal[channel]
+            assert ChannelOutcome(**unit["fast"]) == rep.fast[channel]
 
-    def test_shared_engine_runs_every_mesh(self):
-        session = UniverseSession(TINY, 0)
-        assert len(session.sessions) == 2 * TINY.n_channels
-        rep = session.run()
-        assert len(session.directory.services) == 2 * TINY.n_channels
-        assert rep.n_channels == TINY.n_channels
+    @pytest.mark.parametrize("topology", ["", "transcontinental"], ids=["ideal", "wan"])
+    def test_serial_rep_holds_one_channel_at_a_time(self, topology, monkeypatch):
+        """A mesh runs on its own engine and is freed, without a collection,
+        before the next channel starts: whenever a session starts to run,
+        every session alive is one of that channel's pair."""
+        started, alive_at_start = [], []
+        run = SwitchSession.run
+
+        def counted_run(session):
+            started.append(weakref.ref(session))
+            alive_at_start.append([s.label for s in (ref() for ref in started) if s is not None])
+            return run(session)
+
+        monkeypatch.setattr(SwitchSession, "run", counted_run)
+        gc.collect()
+        gc.disable()
+        try:
+            rep = run_universe_rep(replace(TINY, topology=topology), 0)
+        finally:
+            gc.enable()
+        running = [outcome.name for outcome in rep.normal for _ in ("normal", "fast")]
+        assert [set(labels) for labels in alive_at_start] == [{name} for name in running]
+        assert max(len(labels) for labels in alive_at_start) <= 2
+        assert [ref() for ref in started] == [None] * len(started)
+
+    def test_outcomes_are_paired_and_measured(self):
+        rep = run_universe_rep(TINY, 0)
+        assert rep.n_channels == len(rep.normal) == len(rep.fast) == TINY.n_channels
         assert rep.n_viewers == TINY.n_viewers
         assert all(o.algorithm == "normal" for o in rep.normal)
         assert all(o.algorithm == "fast" for o in rep.fast)
         assert sum(o.audience for o in rep.fast) == TINY.n_viewers
-
-    @pytest.mark.parametrize("topology", ["", "transcontinental"])
-    def test_finished_universe_frees_its_meshes_without_a_collection(self, topology):
-        """run() closes every mesh and clears the shared engine, so with the
-        cyclic collector off the meshes die with the universe."""
-        gc.collect()
-        gc.disable()
-        try:
-            universe = UniverseSession(replace(TINY, topology=topology), 0)
-            meshes = [weakref.ref(mesh) for mesh in universe.sessions.values()]
-            universe.run()
-            assert all(mesh.finished for mesh in universe.sessions.values())
-            del universe
-            assert [mesh() for mesh in meshes] == [None] * len(meshes)
-        finally:
-            gc.enable()
-
-    def test_outcomes_are_paired_and_measured(self):
-        rep = run_universe_rep(TINY, 0)
         for normal, fast in zip(rep.normal, rep.fast):
             assert normal.channel == fast.channel
             assert normal.n_peers > 0

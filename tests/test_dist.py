@@ -408,7 +408,8 @@ def test_streaming_aggregates_match_exact_statistics(tmp_path):
     """``merge_rep_aggregates`` over the documents a sharded run persisted
     yields the exact pooled statistics -- the one aggregation mechanism."""
     from repro.channels.aggregates import merge_rep_aggregates
-    from repro.channels.universe import plan_universe, run_planned_channel_detailed
+    from repro.channels.universe import plan_universe, run_channel_meshes
+    from repro.metrics.universe import zap_time_values
 
     store = open_store(tmp_path, backend="json")
     result = run_universe(TINY, seed=0, repetitions=2, store=store, shards=3, workers=2)
@@ -418,15 +419,17 @@ def test_streaming_aggregates_match_exact_statistics(tmp_path):
     aggregates = merge_rep_aggregates([doc["aggregates"] for doc in documents])
     assert set(aggregates) == {"normal", "fast"}
 
-    # Pool the exact per-peer samples the serial statistics are built from
-    # (re-derived through the same detailed channel runner the workers use).
+    # Pool the exact per-peer samples the unit aggregates are built from
+    # (re-derived from the same mesh runs the workers' units reduce).
     pooled = {"normal": [], "fast": []}
     for rep in result.reps:
         plan = plan_universe(TINY, rep.seed)
         for channel in range(TINY.n_channels):
-            _, (normal_values, fast_values) = run_planned_channel_detailed(plan, channel)
-            pooled["normal"].extend(normal_values)
-            pooled["fast"].extend(fast_values)
+            for algorithm, mesh in run_channel_meshes(plan, channel):
+                samples, _ = zap_time_values(
+                    mesh.metrics.outcomes, horizon=mesh.metrics.horizon
+                )
+                pooled[algorithm].extend(samples)
     for name in ("normal", "fast"):
         samples = pooled[name]
         agg = aggregates[name]

@@ -1,0 +1,106 @@
+"""Structural fences: one table of ``rule -> pattern -> paths -> allowed count``.
+
+Each row counts the lines of the files under ``paths`` that match
+``pattern`` (``re.search``, line by line, like ``grep -E``) and compares the
+count with ``allowed``.  ``paths`` are globs relative to the repository
+root; one starting with ``!`` takes files back out.  Rules about *loaded
+modules* rather than source text live next door, in
+``tests/test_import_fences.py``.
+
+A pattern that names something deleted is spelled with one bracketed letter
+(``NAM[E]``) wherever this file is itself among the files searched.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+from typing import List, Tuple
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_SRC = "src/repro/**/*.py"
+_SESSION = "src/repro/streaming/session.py"
+_HOT_MODULES = tuple(
+    f"src/repro/{module}"
+    for module in ("core/vector.py", "net/fabric.py", "net/link.py", "streaming/peer.py")
+)
+_DEFERRED_IMPORT = r"^\s+(from \S+ import|import \S+)"
+
+#: (rule, pattern, paths, allowed count)
+FENCES: Tuple[Tuple[str, str, Tuple[str, ...], int], ...] = (
+    # Imports follow use: the CLI imports the standard library only, every
+    # command imports what it runs; imports are deferred at command and run
+    # boundaries, never per period or per message (in the session exactly
+    # two: TYPE_CHECKING, the decider in __init__); dist/pool.py is the only
+    # process starter; networkx is a test-only dependency.
+    ("cli-imports-stdlib-only",
+     r"^(from|import) repro", ("src/repro/cli.py",), 0),
+    ("no-deferred-import-in-hot-modules", _DEFERRED_IMPORT, _HOT_MODULES, 0),
+    ("session-defers-two-imports", _DEFERRED_IMPORT, (_SESSION,), 2),
+    ("one-process-starter",
+     r"^\s*(import|from)\s.*\b(concurrent|multiprocessing)\b",
+     (_SRC, "!src/repro/dist/pool.py"), 0),
+    ("networkx-is-test-only", r"^(import|from)\s+networkx\b", (_SRC,), 0),
+    # One door per job: the store is a key -> document map; replay_or_execute
+    # alone refuses a replay-only miss and persists a run's net-* document;
+    # the by-number figure table, the CLI's copy of FigureSpec.kind, the
+    # paper-scale variable and the legacy benchmark suite stay deleted.
+    ("no-typed-store-method",
+     r"def (save|load)_(pair|sweep|workload|universe|net|telemetry)\b", (_SRC,), 0),
+    ("one-replay-loop",
+     r"\.missing\(|persist_net_document\(", (_SRC, "!src/repro/experiments/store.py"), 0),
+    ("deleted-doors-stay-deleted",
+     r"FIGURE_GENERATOR[S]|_SWEEP_FIGURE[S]|REPRO_PAPER_SCAL[E]|benchmark[s]/",
+     ("src/**/*", "tests/**/*", ".github/**/*", "pyproject.toml"), 0),
+    # The engine a command runs on without --engine is DEFAULT_ENGINE and
+    # nothing else: no second literal default in a dataclass field, a
+    # getattr fallback or a help text.
+    ("default-engine-defined-once", r"^DEFAULT_ENGINE\b[^=]*=", (_SRC,), 1),
+    ("default-engine-is-a-literal",
+     r'^DEFAULT_ENGINE: str = "(oracle|vector)"$', ("src/repro/streaming/config.py",), 1),
+    ("no-second-default-engine-literal",
+     r'engine: str = "|"engine", *"(oracle|vector)"|default: (oracle|vector)', (_SRC,), 0),
+    # One period pipeline: the control-plane draw (the RNG-order-sensitive
+    # step of the decide phase) lives in SwitchSession.pull_neighbours;
+    # delayed deliveries wait on the arrival calendar, so the session
+    # schedules two things, the periodic round and the simulated warm-up's
+    # end; the engine picks a decider inside the one SwitchSession class.
+    ("one-neighbour-walk",
+     r"control_transfer\(", ("src/repro/streaming/*.py", "src/repro/core/*.py"), 1),
+    ("no-per-message-engine-event", r"schedule_in\(|partial\(", (_SESSION,), 0),
+    ("two-engine-schedule-sites", r"engine\.schedule", (_SESSION,), 2),
+    ("no-session-new", r"__new__", (_SESSION,), 0),
+    ("no-session-subclass", r"class .*\(SwitchSession\)", (_SRC,), 0),
+    # A session owns its clock: SwitchSession.__init__ is the one place
+    # outside sim/ that builds an engine, nothing is handed one, no universe
+    # shares one, and run() is the one way to a SessionResult.
+    ("one-engine-constructor", r"SimulationEngine\(", (_SRC, "!src/repro/sim/*.py"), 1),
+    ("no-shared-engine-mode", r"_owns_engine|UniverseSession", (_SRC,), 0),
+    ("session-takes-no-engine", r"^\s+engine: ", (_SESSION,), 0),
+    ("finalize-is-private", r"\._?finalize\(", (_SRC, f"!{_SESSION}"), 0),
+)
+
+
+def _files(paths: Tuple[str, ...]) -> List[Path]:
+    taken = {p for glob in paths if glob.startswith("!") for p in ROOT.glob(glob[1:])}
+    found = {p for glob in paths if not glob.startswith("!") for p in ROOT.glob(glob)}
+    return sorted(p for p in found - taken if p.is_file() and p.suffix != ".pyc")
+
+
+@pytest.mark.parametrize("rule,pattern,paths,allowed", FENCES, ids=[row[0] for row in FENCES])
+def test_fence(rule, pattern, paths, allowed):
+    files = _files(paths)
+    assert files, f"no file under {paths}"
+    matcher = re.compile(pattern)
+    hits = [
+        f"{path.relative_to(ROOT)}:{number}: {line}"
+        for path in files
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8", errors="replace").splitlines(), start=1
+        )
+        if matcher.search(line)
+    ]
+    assert len(hits) == allowed, "\n".join([f"{rule}: {len(hits)} lines, {allowed} allowed", *hits])

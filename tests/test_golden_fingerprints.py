@@ -46,7 +46,6 @@ from repro.experiments.store import (
 from repro.experiments.sweeps import run_size_sweep
 from repro.net.library import get_topology
 from repro.obs.telemetry import telemetry_session
-from repro.sim.engine import SimulationEngine
 from repro.streaming.bandwidth import PeerClass
 from repro.streaming.session import PeriodDirective, SwitchSession
 from repro.workloads.library import get_universe, get_workload
@@ -139,8 +138,7 @@ def test_telemetry_fingerprint_golden():
 # --------------------------------------------------------------------------- #
 #: Paths the reference session does not reach: churn over a lossy, delayed
 #: fabric; the simulated warm-up; bandwidth classes with a region pin (set-up
-#: and joiners); a scripted environment on a *shared* engine, collected
-#: through ``finalize()``.
+#: and joiners); a scripted environment.
 _CHURN_WAN = dict(dynamic=True, topology="transcontinental")
 _SIMULATED_WARMUP = dict(warmup="simulated", warmup_duration=20.0)
 _CLASSES_PINNED = dict(
@@ -151,22 +149,13 @@ _CLASSES_PINNED = dict(
         PeerClass("fiber", 0.5, 18.0, 33.0, 24.0, 18.0, 33.0, 24.0),
     ),
 )
-_SCRIPTED_SHARED = dict(max_time=20.0, run_full_horizon=True, topology="metro")
+_SCRIPTED = dict(max_time=20.0, run_full_horizon=True, topology="metro")
 _SCRIPT = {
     3: PeriodDirective(fail_fraction=0.15),
     5: PeriodDirective(leave_count=4, join_count=3),
     6: PeriodDirective(bandwidth_scale=0.5),
     8: PeriodDirective(bandwidth_scale=0.5, join_count=2),
 }
-
-
-def _golden_result(config, *, scripted=False):
-    if not scripted:
-        return SwitchSession(config).run()
-    engine = SimulationEngine()
-    session = SwitchSession(config, directives=_SCRIPT, engine=engine)
-    engine.run_until(config.max_time + config.tau)
-    return session.finalize()
 
 
 @pytest.mark.parametrize(
@@ -186,10 +175,8 @@ def _golden_result(config, *, scripted=False):
                      id="fast-classes-region-pin"),
         pytest.param("normal", "9625c16be5641f7bf501acdd", _CLASSES_PINNED,
                      id="normal-classes-region-pin"),
-        pytest.param("fast", "80451e0e8019a79fb3727087", _SCRIPTED_SHARED,
-                     id="fast-scripted-shared-engine"),
-        pytest.param("normal", "eaced4b8c0aacf6bcf2b280b", _SCRIPTED_SHARED,
-                     id="normal-scripted-shared-engine"),
+        pytest.param("fast", "57215f346fbaaabf1f6a12c0", _SCRIPTED, id="fast-scripted"),
+        pytest.param("normal", "184d5b2e8d1e6a770f038da4", _SCRIPTED, id="normal-scripted"),
     ],
 )
 @pytest.mark.parametrize("engine", ["oracle", "vector"])
@@ -198,7 +185,8 @@ def test_run_document_content_golden(algorithm, expected, overrides, engine):
     variants above -- is pinned under both engines, which by contract hash
     identically."""
     config = _golden_config(algorithm=algorithm, engine=engine, **overrides)
-    result = _golden_result(config, scripted=overrides is _SCRIPTED_SHARED)
+    directives = _SCRIPT if overrides is _SCRIPTED else None
+    result = SwitchSession(config, directives=directives).run()
     assert stable_hash(normalized_run_document(result)) == expected
 
 

@@ -34,7 +34,7 @@ from repro.net.fabric import IdealFabric, LatencyFabric
 from repro.net.library import get_topology
 from repro.net.topology import NetTopology, Region
 from repro.obs.telemetry import telemetry_session
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import StopSimulation
 from repro.streaming.session import ENGINE_NAMES, SessionConfig, SwitchSession
 
 
@@ -168,17 +168,16 @@ class TestDelayedDeliveries:
                     - counters["fabric.deliveries_arrived"]
                     - counters["fabric.deliveries_evaporated"])
 
-        shared = SimulationEngine()
         with telemetry_session() as telemetry:
-            session = SwitchSession(config, engine=shared, fabric=fabric)
-            shared.run_until(5.5 * config.tau)  # between two periods
+            session = SwitchSession(config, fabric=fabric)
+            session.engine.run_until(5.5 * config.tau)  # between two periods
             assert unaccounted() == len(session._calendar) > 0
-            while not session.finished:
-                shared.step()
-            assert unaccounted() == len(session._calendar) > 0  # in flight at stop
-            shared.run_until(shared.now + 2 * config.tau)  # the owner's clock runs on
-            session.finalize()
-            assert unaccounted() == len(session._calendar) == 0
+            with pytest.raises(StopSimulation):
+                while True:
+                    session.engine.step()  # one period
+                    assert unaccounted() == len(session._calendar)
+            assert session.finished
+            assert unaccounted() == len(session._calendar) > 0  # in flight at the stop
             counters = telemetry.registry.snapshot()["counters"]
         assert counters["fabric.deliveries_arrived"] > 1000
         assert (counters["fabric.deliveries_evaporated"] > 0) == (path_ms is not None)

@@ -163,7 +163,7 @@ def test_overhead_series_is_nondecreasing_in_time(tiny_config):
 
 
 # --------------------------------------------------------------------------- #
-# lifecycle: run once, finalize any number of times, close
+# lifecycle: run once, close
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("engine", ENGINE_NAMES)
 def test_second_run_is_refused_and_finalize_repeats(tiny_config, engine):
@@ -172,11 +172,11 @@ def test_second_run_is_refused_and_finalize_repeats(tiny_config, engine):
     assert result.n_rounds == 15
     with pytest.raises(RuntimeError, match="'once'"):
         session.run()  # used to simulate a 16th period
-    assert session.finalize() == result == session.finalize()
+    assert session._finalize() == result == session._finalize()
     assert session.rounds_run == 15
     session.close()  # idempotent, and wipes nothing
     assert len(session.peers) == tiny_config.n_nodes - 2
-    assert session.finalize() == result
+    assert session._finalize() == result
 
 
 def test_closed_session_refuses_to_run(tiny_config):
@@ -186,33 +186,17 @@ def test_closed_session_refuses_to_run(tiny_config):
         session.run()
 
 
-@pytest.mark.parametrize("topology", ["", "transcontinental"])
+@pytest.mark.parametrize("topology", ["", "transcontinental"], ids=["ideal", "wan"])
 @pytest.mark.parametrize("engine", ENGINE_NAMES)
-@pytest.mark.parametrize("lifecycle", ["owned", "shared"])
-def test_finished_session_is_freed_without_a_collection(
-    tiny_config, lifecycle, engine, topology
-):
+def test_finished_session_is_freed_without_a_collection(tiny_config, engine, topology):
     """A finished, closed session is in no reference cycle: with the cyclic
     collector off it is gone the moment the last reference goes."""
     config = dataclasses.replace(tiny_config, engine=engine, topology=topology)
     gc.collect()
     gc.disable()
     try:
-        if lifecycle == "owned":
-            session = SwitchSession(config)
-            session.run()
-        else:
-            shared = SimulationEngine()
-            session = SwitchSession(config, engine=shared)
-            while not session.finished:
-                shared.step()
-            # the last period's delayed deliveries are still in flight: on the
-            # session's calendar, not as events holding the session in the queue
-            assert bool(session._calendar) == bool(topology)
-            assert len(shared.queue) == 0
-            session.finalize()
-            session.close()
-            shared.queue.clear()
+        session = SwitchSession(config)
+        session.run()
         alive = weakref.ref(session)
         del session
         assert alive() is None
@@ -254,12 +238,12 @@ def _queue_reference(tau, start, sends):
         for order, delay in enumerate(sends[rounds_run - 1]):
             engine.schedule_in(delay, partial(deliver, (rounds_run, order)))
         if rounds_run == len(sends):
-            process.stop()  # a finished session retires; the engine runs on
+            process.stop()  # no further round; the clock runs on
 
     process = engine.schedule_periodic(tau, round_)
     while rounds_run < len(sends):
         engine.step()
-    engine.run_until(engine.now + tau)  # inclusive, like the owner of a shared engine
+    engine.run_until(engine.now + tau)  # inclusive
     return landed, engine.now, len(engine.queue)
 
 
@@ -267,11 +251,11 @@ def _queue_reference(tau, start, sends):
 @given(traffic=_delayed_traffic())
 @example(traffic=(1.0, 0.0, [[1.0, 2.0, 0.5], [1.0, 2.0], [1.0], []]))
 def test_calendar_drains_in_the_event_queues_order(traffic):
-    """Draining the calendar at every round (and once more at the end, as
-    ``finalize()`` does on a shared engine) applies the same segments, in the
-    same order, with the same arrival times and period stamps -- i.e. before
-    the same round -- as the event queue does, ties on a round's timestamp
-    included."""
+    """Draining the calendar at every round (and once more at the end, with
+    an infinite index, as the end of a simulated warm-up does) applies the
+    same segments, in the same order, with the same arrival times and period
+    stamps -- i.e. before the same round -- as the event queue does, ties on
+    a round's timestamp included."""
     tau, start, sends = traffic
     expected, stopped_at, still_queued = _queue_reference(tau, start, sends)
     calendar, landed, now = [], [], start

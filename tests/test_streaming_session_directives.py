@@ -165,53 +165,3 @@ def test_count_directives_execute_exact_membership_changes(baseline):
     assert scripted.metrics.rounds[-1].tracked_peers == base_final - 5
     assert session.membership.joins == 3
     assert session.membership.leaves == 5
-
-
-def _run_session(config, directives=None, engine=None):
-    return SwitchSession(config, directives=directives, engine=engine)
-
-
-def test_shared_engine_sessions_match_owned_engine_runs():
-    from repro.sim.engine import SimulationEngine
-
-    config_a = _config(seed=3)
-    config_b = _config(seed=4, algorithm="normal")
-    solo_a = SwitchSession(config_a).run()
-    solo_b = SwitchSession(config_b).run()
-
-    engine = SimulationEngine()
-    shared_a = _run_session(config_a, engine=engine)
-    shared_b = _run_session(config_b, engine=engine)
-    engine.run_until(config_a.max_time + config_a.tau)
-    result_a = shared_a.finalize()
-    result_b = shared_b.finalize()
-
-    assert result_a.metrics == solo_a.metrics
-    assert result_b.metrics == solo_b.metrics
-    assert result_a.stop_reason == solo_a.stop_reason
-    assert result_a.n_rounds == solo_a.n_rounds
-    assert shared_a.finished and shared_b.finished
-
-
-def test_shared_engine_session_rejects_run_and_simulated_warmup():
-    from repro.sim.engine import SimulationEngine
-
-    engine = SimulationEngine()
-    session = _run_session(_config(seed=5), engine=engine)
-    with pytest.raises(RuntimeError, match="shared engine"):
-        session.run()
-    with pytest.raises(ValueError, match="analytic"):
-        SwitchSession(_config(seed=5, warmup="simulated"), engine=engine)
-
-
-def test_early_finisher_on_shared_engine_retires_quietly():
-    from repro.sim.engine import SimulationEngine
-
-    engine = SimulationEngine()
-    quick = _run_session(_config(seed=6, run_full_horizon=False), engine=engine)
-    slow = _run_session(_config(seed=7), engine=engine)
-    engine.run_until(30.0 + 1.0)
-    assert quick.finished and quick.finalize().stop_reason == "all tracked peers switched"
-    assert slow.finalize().stop_reason == "time horizon reached"
-    assert slow.rounds_run == 30
-    assert quick.rounds_run < 30
