@@ -14,7 +14,10 @@ The types in this module form the contract between the streaming simulator
 * :class:`ScheduleDecision` is the algorithm's output: an ordered list of
   :class:`SegmentRequest` plus the diagnostic quantities (``I1``, ``I2``,
   ``r1``, allocation case) that the tests and the model-validation
-  benchmarks inspect.
+  benchmarks inspect.  A session does not carry these objects around: its
+  wire format is plain request rows (``streaming/session.py:RequestRow``),
+  into which the reference decider flattens a decision and which the array
+  engine emits directly.
 
 Algorithms must be pure functions of the :class:`LocalView`; they may keep
 internal state across periods (both paper algorithms are stateless, but the

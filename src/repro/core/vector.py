@@ -30,8 +30,10 @@ pass per period**:
   floating-point operation order matches the scalar implementation exactly
   (sequential per-supplier rarity products, the same ``(-priority,
   seg_id)`` total order);
-* what stays per peer is the bitmask greedy and request assembly, fed with
-  pre-sliced Python lists, and the rate split with its four-case allocation
+* what stays per peer is the bitmask greedy, fed with pre-sliced Python
+  lists and emitting plain request rows ``(rank, seg_id, supplier_id,
+  completion_time)`` -- the session's wire format; a request is never an
+  object here -- and the rate split with its four-case allocation
   (``core.allocation``, one call per peer: its arguments hardly ever repeat).
 
 Everything else -- RNG streams, churn, the outbound ledger, request
@@ -55,7 +57,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.allocation import allocate_for_model
-from repro.core.base import ScheduleDecision, SegmentRequest, Stream
 from repro.core.fast_switch import FastSwitchAlgorithm
 from repro.core.normal_switch import NormalSwitchAlgorithm
 from repro.core.priority import URGENCY_CAP, PriorityPolicy
@@ -64,7 +65,7 @@ from repro.obs.telemetry import get_telemetry
 from repro.streaming.buffer import SegmentBuffer, range_mask
 from repro.streaming.buffermap import UNBOUNDED_CAPACITY
 from repro.streaming.peer import _EMPTY_RANGE, PeerNode
-from repro.streaming.session import OracleDecider, PeriodState, SwitchSession
+from repro.streaming.session import OracleDecider, PeriodState, RequestRow, SwitchSession
 from repro.streaming.source import SourceNode
 
 __all__ = [
@@ -274,8 +275,6 @@ class VectorDecider:
         self._cached_alive: Optional[set] = None
         self._fallback_warned = False
         self._capacity_cache: Dict[int, int] = {}
-        #: the normal algorithm's rank priorities ``1 / (1 + rank)``
-        self._rank_priorities: List[float] = []
 
     # ------------------------------------------------------------------ #
     # array construction
@@ -338,7 +337,7 @@ class VectorDecider:
         )
         switch_info = (session.switch_plan.id_end, session.switch_plan.id_begin)
         now = state.now
-        decisions = state.decisions
+        rows = state.request_rows
         #: jobs by priority policy (``None``: the normal algorithm)
         groups: Dict[Optional[PriorityPolicy], List[_Job]] = {}
         fallback_types: Dict[str, int] = {}
@@ -353,7 +352,7 @@ class VectorDecider:
                 # Unsupported algorithm: the reference path, identical draws.
                 name = algorithm_type.__name__
                 fallback_types[name] = fallback_types.get(name, 0) + 1
-                decisions[node_id] = OracleDecider.decide_peer(session, peer, state)
+                rows[node_id] = OracleDecider.decide_peer(session, peer, state)
                 continue
             windows = peer.interest_windows()
             survivors = self._survivors_of(session, node_id, state, ideal)
@@ -372,7 +371,7 @@ class VectorDecider:
             groups.setdefault(policy, []).append((peer, survivors, windows))
         with np.errstate(divide="ignore"):
             for policy, jobs in groups.items():
-                self._decide_batch(jobs, policy, decisions)
+                self._decide_batch(jobs, policy, rows)
 
         fallbacks = sum(fallback_types.values())
         if fallbacks and not self._fallback_warned:
@@ -414,13 +413,13 @@ class VectorDecider:
         self,
         jobs: List[_Job],
         policy: Optional[PriorityPolicy],
-        decisions: Dict[int, ScheduleDecision],
+        rows: Dict[int, Sequence[RequestRow]],
     ) -> None:
         """Decide peers that share one algorithm configuration in one pass.
 
         ``policy`` is their priority policy (fast algorithm) or ``None``
-        (normal algorithm, rank priorities).  Sets every peer's wanted sets
-        (authoritative: collectors read them) and files its decision.
+        (normal algorithm, playback order).  Sets every peer's wanted sets
+        (authoritative: collectors read them) and files its request rows.
         """
         arrays = self._arrays
         table = np.array(
@@ -450,7 +449,7 @@ class VectorDecider:
         stops = np.cumsum(np.bincount(job_of, minlength=len(jobs))).tolist()
         n_old = np.count_nonzero(missing & inside[:, 0], axis=1).tolist()
 
-        priorities, order, masks = batched_kernel(
+        _, order, masks = batched_kernel(
             arrays,
             [survivors for _, survivors, _ in jobs],
             candidates,
@@ -469,22 +468,21 @@ class VectorDecider:
             capacity = self._capacity_of(peer)
             if capacity <= 0 or not survivors.ids or not any(masks[start:stop]):
                 # No capacity, no live neighbours or nothing wanted that
-                # anybody advertises: every algorithm branch collapses to an
-                # all-defaults empty decision.
-                decisions[peer.node_id] = ScheduleDecision(requests=())
+                # anybody advertises: every algorithm branch requests nothing.
+                rows[peer.node_id] = ()
             elif policy is None:
-                decisions[peer.node_id] = self._normal_finish(
+                rows[peer.node_id] = self._normal_finish(
                     peer, capacity, survivors, candidates[start:stop], masks[start:stop], old
                 )
             else:
                 # Candidates ascend, so the kernel's stable sort on descending
-                # priority breaks ties towards earlier segments -- the same
-                # total order as sort(key=(-priority, seg_id)).
+                # priority breaks ties towards earlier segments: a row's rank
+                # is its place in the total order (-priority, seg_id).
                 assigned_old, assigned_new, _ = _greedy_masks(
-                    order[start:stop], candidates[start:stop], priorities[start:stop],
-                    masks[start:stop], old, survivors, peer.tau,
+                    order[start:stop], candidates[start:stop], masks[start:stop],
+                    old, survivors, peer.tau,
                 )
-                decisions[peer.node_id] = self._fast_finish(
+                rows[peer.node_id] = self._fast_finish(
                     peer, capacity, assigned_old, assigned_new
                 )
             start = stop
@@ -503,15 +501,14 @@ class VectorDecider:
         self,
         peer: PeerNode,
         capacity: int,
-        assigned_old: List[Tuple[int, float, int, float, Stream]],
-        assigned_new: List[Tuple[int, float, int, float, Stream]],
-    ) -> ScheduleDecision:
+        assigned_old: List[RequestRow],
+        assigned_new: List[RequestRow],
+    ) -> List[RequestRow]:
         tau = peer.tau
-        o1_rate = len(assigned_old) / tau
-        o2_rate = len(assigned_new) / tau
         allocation = allocate_for_model(
             peer.bandwidth.inbound, len(peer.wanted_old), len(peer.wanted_new),
-            peer.startup_quota_old, peer.play_rate, o1_rate, o2_rate,
+            peer.startup_quota_old, peer.play_rate,
+            len(assigned_old) / tau, len(assigned_new) / tau,
         )
         take_old = min(len(assigned_old), int(round(allocation.i1 * tau)))
         take_new = min(len(assigned_new), int(round(allocation.i2 * tau)))
@@ -528,16 +525,12 @@ class VectorDecider:
             leftover = capacity - len(chosen)
             if leftover > 0:
                 extras = assigned_old[take_old:] + assigned_new[take_new:]
-                if extras:
-                    extras.sort(key=_priority_order)
-                    chosen = chosen + extras[:leftover]
-        chosen.sort(key=_priority_order)
+                extras.sort()
+                chosen += extras[:leftover]
+        # Ranks are unique within a peer: a bare sort is the priority order.
+        chosen.sort()
         peer.requests_issued += len(chosen)
-        return ScheduleDecision(
-            requests=tuple(_new_request(item) for item in chosen),
-            i1=allocation.i1, i2=allocation.i2, r1=allocation.split.r1,
-            r2=allocation.split.r2, o1=o1_rate, o2=o2_rate, case=allocation.case,
-        )
+        return chosen
 
     # ------------------------------------------------------------------ #
     # normal switch algorithm (baseline): two greedy passes in playback order
@@ -550,45 +543,29 @@ class VectorDecider:
         candidates: List[int],
         masks: List[int],
         n_old: int,
-    ) -> ScheduleDecision:
-        """Rank priorities cover *all* needed ids of a pass (supplier-less
-        ones included), exactly as the scalar ``_sequential_candidates``
-        enumerates them; zero-mask candidates are skipped by the greedy."""
+    ) -> List[RequestRow]:
+        """Both passes walk *all* needed ids of their stream in playback
+        order (supplier-less ones included), exactly as the scalar
+        ``_sequential_candidates`` enumerates them; zero-mask candidates are
+        skipped by the greedy."""
         tau = peer.tau
-        ranks = self._rank_priorities
-        while len(ranks) < len(candidates):
-            ranks.append(1.0 / (1.0 + len(ranks)))
         old_assigned, _, queue = _greedy_masks(
-            range(n_old), candidates, ranks, masks, n_old, survivors, tau
+            range(n_old), candidates, masks, n_old, survivors, tau
         )
-        old_chosen = old_assigned[:capacity]
+        chosen = old_assigned[:capacity]
 
         if peer.algorithm.opportunistic_leftover:
-            reserved_for_old = len(old_chosen)
+            reserved_for_old = len(chosen)
         else:
             reserved_for_old = min(capacity, n_old)
         remaining = capacity - reserved_for_old
-        new_chosen: List[Tuple[int, float, int, float, Stream]] = []
         if remaining > 0 and len(candidates) > n_old:
             _, new_assigned, _ = _greedy_masks(
-                range(len(candidates) - n_old), candidates[n_old:], ranks,
-                masks[n_old:], 0, survivors, tau, queue,
+                range(n_old, len(candidates)), candidates, masks, n_old, survivors, tau, queue
             )
-            new_chosen = new_assigned[:remaining]
-
-        requests = [_new_request(item) for item in old_chosen]
-        requests.extend(_new_request(item) for item in new_chosen)
-        peer.requests_issued += len(requests)
-        return ScheduleDecision(
-            requests=tuple(requests),
-            i1=len(old_chosen) / tau,
-            i2=len(new_chosen) / tau,
-            r1=None,
-            r2=None,
-            o1=len(old_assigned) / tau,
-            o2=len(new_chosen) / tau if new_chosen else 0.0,
-            case=None,
-        )
+            chosen += new_assigned[:remaining]
+        peer.requests_issued += len(chosen)
+        return chosen
 
 
 # --------------------------------------------------------------------------- #
@@ -752,43 +729,17 @@ def vectorized_priorities(
 
 
 # --------------------------------------------------------------------------- #
-# request helpers
-# --------------------------------------------------------------------------- #
-def _priority_order(item: Tuple[int, float, int, float, Stream]) -> Tuple[float, int]:
-    return (-item[1], item[0])
-
-
-def _new_request(item: Tuple[int, float, int, float, Stream]) -> SegmentRequest:
-    # Bypasses the frozen-dataclass __init__ (which costs ~2x a plain
-    # attribute fill through object.__setattr__); the resulting instance is
-    # indistinguishable -- same __dict__, same eq/hash/repr.
-    request = object.__new__(SegmentRequest)
-    request.__dict__.update(
-        seg_id=item[0],
-        supplier_id=item[2],
-        stream=item[4],
-        expected_receive_time=item[3],
-    )
-    return request
-
-
-# --------------------------------------------------------------------------- #
 # greedy earliest-completion assignment
 # --------------------------------------------------------------------------- #
 def _greedy_masks(
     order,
     candidates: Sequence[int],
-    priorities: Sequence[float],
     masks: List[int],
     n_old: int,
     survivors: _Survivors,
     period: float,
     initial_queue: Optional[Dict[int, float]] = None,
-) -> Tuple[
-    List[Tuple[int, float, int, float, Stream]],
-    List[Tuple[int, float, int, float, Stream]],
-    Dict[int, float],
-]:
+) -> Tuple[List[RequestRow], List[RequestRow], Dict[int, float]]:
     """Replicates ``greedy_supplier_assignment`` exactly, bitmask-driven.
 
     Strictly earlier completion wins, the first minimum (in supplier slot
@@ -798,8 +749,10 @@ def _greedy_masks(
     ever grow, so a slot that leaves the mask never re-enters, candidates
     with no live supplier are skipped in O(1), and once the mask empties no
     later candidate can be assigned -- same result as the scalar greedy in
-    a fraction of the iterations.  Candidates at ``order`` positions
-    ``>= n_old`` are new-stream.
+    a fraction of the iterations.  Returns the old-stream rows, the
+    new-stream rows (candidates at ``order`` values ``>= n_old``) and the
+    supplier queue; a row's ``rank`` is its candidate's position in
+    ``order``.
     """
     queue: Dict[int, float] = dict(initial_queue) if initial_queue else {}
     ids = survivors.ids
@@ -815,10 +768,10 @@ def _greedy_masks(
     for slot, completion in enumerate(comp):
         if rates[slot] > 0 and completion < period:
             live_mask |= 1 << slot
-    assigned_old: List[Tuple[int, float, int, float, Stream]] = []
-    assigned_new: List[Tuple[int, float, int, float, Stream]] = []
+    assigned_old: List[RequestRow] = []
+    assigned_new: List[RequestRow] = []
     if live_mask:
-        for index in order:
+        for rank, index in enumerate(order):
             bits = masks[index] & live_mask
             if not bits:
                 continue
@@ -834,16 +787,11 @@ def _greedy_masks(
                     best_slot = slot
             supplier_id = ids[best_slot]
             queue[supplier_id] = best_time
+            row = (rank, candidates[index], supplier_id, best_time)
             if index >= n_old:
-                assigned_new.append(
-                    (candidates[index], priorities[index],
-                     supplier_id, best_time, Stream.NEW)
-                )
+                assigned_new.append(row)
             else:
-                assigned_old.append(
-                    (candidates[index], priorities[index],
-                     supplier_id, best_time, Stream.OLD)
-                )
+                assigned_old.append(row)
             next_completion = transfers[best_slot] + best_time
             comp[best_slot] = next_completion
             if next_completion >= period:

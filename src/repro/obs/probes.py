@@ -26,8 +26,8 @@ Instrumented code guards bulk work behind ``probes.enabled`` exactly
 like the metrics pattern, so the off cost is one attribute lookup.
 
 Every emission site is the session's period pipeline, shared by both
-engines, and the decide-stage rows are read off bit-identical decision
-data, so an oracle and a vector run of the same config produce
+engines, and the decide-stage rows are read off bit-identical request
+rows, so an oracle and a vector run of the same config produce
 *identical* event streams (pinned by the differential test and a content
 golden).
 """

@@ -175,11 +175,7 @@ class MembershipService:
     # ------------------------------------------------------------------ #
     def _connect_to_random_partners(self, node_id: int, count: int) -> int:
         """Connect ``node_id`` to up to ``count`` random non-neighbours."""
-        candidates = [
-            other
-            for other in self.overlay.node_ids
-            if other != node_id and not self.overlay.has_edge(node_id, other)
-        ]
+        candidates = self._partner_candidates(node_id)
         if not candidates:
             return 0
         count = min(count, len(candidates))
@@ -206,6 +202,11 @@ class MembershipService:
             if self.overlay.add_edge(node_id, candidates[int(idx)]):
                 added += 1
         return added
+
+    def _partner_candidates(self, node_id: int) -> List[int]:
+        """Every alive node ``node_id`` is not yet connected to, in id order."""
+        excluded = {node_id, *self.overlay.neighbours(node_id)}
+        return [other for other in self.overlay.node_ids if other not in excluded]
 
     def random_alive_peer(self, exclude: Iterable[int] = ()) -> Optional[int]:
         """A uniformly random alive node id not in ``exclude`` (or ``None``)."""

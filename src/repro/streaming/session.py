@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Seque
 import numpy as np
 
 from repro.churn.model import ChurnModel
-from repro.core.base import ScheduleDecision, Stream, SwitchAlgorithm
+from repro.core.base import Stream, SwitchAlgorithm
 from repro.metrics.collectors import MetricsCollector
 from repro.metrics.overhead import OverheadAccountant
 from repro.net.fabric import NetworkFabric, build_fabric
@@ -92,6 +92,7 @@ __all__ = [
     "SessionConfig",
     "SessionResult",
     "SwitchSession",
+    "RequestConservationError",
     "PeriodDirective",
     "build_session_overlay",
     "ALGORITHM_FACTORIES",
@@ -125,6 +126,12 @@ def build_session_overlay(
 #: The directive of a period nobody scripted.
 _NEUTRAL = PeriodDirective()
 
+#: One request as the deciders file it and the exchange reads it: ``(rank,
+#: seg_id, supplier_id, completion_time)``.  ``rank`` orders a peer's requests
+#: (the array engine sorts on it; nothing reads it afterwards) and
+#: ``completion_time`` is the scheduler's estimate, from the period's start.
+RequestRow = Tuple[int, int, int, float]
+
 
 @dataclass
 class PeriodState:
@@ -140,7 +147,8 @@ class PeriodState:
     index: int  #: 1-based count of the session's periods, warm-up rounds included
     directive: PeriodDirective
     order: List[int] = field(default_factory=list)  #: shuffled peer ids (generate)
-    decisions: Dict[int, ScheduleDecision] = field(default_factory=dict)
+    #: each peer's requests in issue order (decide); read out in ``order``
+    request_rows: Dict[int, Sequence[RequestRow]] = field(default_factory=dict)
     #: advertised rate ``R(j)`` per supplier: churn only runs before the
     #: decide phase, so a supplier advertises one value to all its neighbours
     send_rates: Dict[int, float] = field(default_factory=dict)
@@ -172,6 +180,11 @@ def due_arrivals(calendar: List[tuple], now: float, index: float) -> List[tuple]
     return due
 
 
+class RequestConservationError(RuntimeError):
+    """A period's requests are not all accounted for after the exchange:
+    each ends delivered within the period, delayed on the calendar or failed."""
+
+
 class OracleDecider:
     """The reference decider: peer by peer, through each peer's own objects.
 
@@ -186,9 +199,11 @@ class OracleDecider:
         """Nothing to prepare: the reference reads the node objects as they are."""
 
     def decide(self, session: "SwitchSession", state: PeriodState) -> None:
-        """File every peer's :class:`ScheduleDecision` in ``state.decisions``."""
+        """File every peer's request rows in ``state.request_rows``."""
         for node_id in state.order:
-            state.decisions[node_id] = self.decide_peer(session, session.peers[node_id], state)
+            state.request_rows[node_id] = self.decide_peer(
+                session, session.peers[node_id], state
+            )
         obs = get_telemetry()
         if obs.enabled:
             obs.counter("engine.dispatch.scalar").add(len(state.order))
@@ -196,18 +211,21 @@ class OracleDecider:
     @staticmethod
     def decide_peer(
         session: "SwitchSession", peer: PeerNode, state: PeriodState
-    ) -> ScheduleDecision:
+    ) -> List[RequestRow]:
         """One peer's period: pull its neighbours' maps, run its algorithm.
 
-        Also how the array engine decides a peer whose algorithm has no
-        array form.
+        Returns the decision's requests flattened into rows.  Also how the
+        array engine decides a peer whose algorithm has no array form.
         """
         windows = peer.interest_windows()
         nodes, rates, _ = session.pull_neighbours(peer.node_id, state)
         snapshots = [
             node.snapshot_for(windows, send_rate=rate) for node, rate in zip(nodes, rates)
         ]
-        return peer.decide(snapshots, state.now)
+        return [
+            (rank, request.seg_id, request.supplier_id, request.expected_receive_time)
+            for rank, request in enumerate(peer.decide(snapshots, state.now).requests)
+        ]
 
 
 class SwitchSession:
@@ -591,25 +609,23 @@ class SwitchSession:
             lifecycle = probes.lifecycle
             now, period = state.now, state.index
             for node_id in state.order:
-                for request in state.decisions[node_id].requests:
-                    lifecycle.append(now, period, node_id, request.seg_id, STAGE_REQUESTED)
-                    lifecycle.append(now, period, node_id, request.seg_id,
-                                     STAGE_ASSIGNED, request.supplier_id)
-                    lifecycle.append(now, period, node_id, request.seg_id,
-                                     STAGE_SCHEDULED, request.supplier_id,
-                                     request.expected_receive_time)
+                for _, seg_id, supplier_id, completion in state.request_rows[node_id]:
+                    lifecycle.append(now, period, node_id, seg_id, STAGE_REQUESTED)
+                    lifecycle.append(now, period, node_id, seg_id, STAGE_ASSIGNED, supplier_id)
+                    lifecycle.append(now, period, node_id, seg_id,
+                                     STAGE_SCHEDULED, supplier_id, completion)
 
     def _exchange_phase(self, state: PeriodState) -> None:
         """Execute the requests against the suppliers' budgets and the fabric."""
         now, period = state.now, state.index
         probes = get_telemetry().probes
         requests = failed = delayed = 0
-        deliveries, calendar = state.deliveries, self._calendar
+        deliveries, calendar, rows = state.deliveries, self._calendar, state.request_rows
         for node_id in state.order:
             peer = self.peers[node_id]
-            for request in state.decisions[node_id].requests:
-                requests += 1
-                seg_id, supplier_id = request.seg_id, request.supplier_id
+            peer_rows = rows[node_id]
+            requests += len(peer_rows)
+            for _, seg_id, supplier_id, _ in peer_rows:
                 supplier = self._node(supplier_id)
                 if supplier is None or not supplier.buffer.contains(seg_id):
                     dropped = DROP_SUPPLIER_GONE
@@ -643,6 +659,11 @@ class SwitchSession:
         for peer, seg_id, supplier_id in deliveries:
             self._arrive(peer, seg_id, supplier_id, now, 0.0, probes)
         state.requests, state.failed, state.delayed = requests, failed, delayed
+        if requests != len(deliveries) + delayed + failed:
+            raise RequestConservationError(
+                f"session {self.label!r}, period {period}: {requests} requests but "
+                f"{len(deliveries)} delivered + {delayed} delayed + {failed} failed"
+            )
 
     def _flush_phase(self, state: PeriodState) -> None:
         """Advance every peer's playback by one period (and probe what that did)."""

@@ -13,7 +13,8 @@ hypothesis-generated inputs far outside what any shipped scenario reaches:
 * :func:`_greedy_masks` -- the bitmask supplier-allocation pass must
   reproduce ``greedy_supplier_assignment`` (``core/scheduler.py``),
   including queue carry-over between passes, which is how the engine
-  replicates the two-pass budget allocation built on ``core/allocation.py``;
+  replicates the two-pass budget allocation built on ``core/allocation.py``,
+  as plain request rows whose ``rank`` sorts like ``(-priority, seg_id)``;
 * :func:`batched_kernel` -- the flattened per-period pass must equal one
   :func:`vectorized_priorities` call per peer (priorities, stable priority
   order, supplier bitmasks) on ragged supplier / candidate counts.
@@ -317,6 +318,19 @@ def test_vectorized_priorities_match_priority_for_view(case, policy):
 # --------------------------------------------------------------------------- #
 # bitmask greedy allocation vs core/scheduler.py
 # --------------------------------------------------------------------------- #
+def _described(rows, order, seg_ids, priorities, n_old):
+    """Request rows ``(rank, seg_id, supplier_id, completion_time)`` spelled
+    out as ``(seg_id, priority, supplier_id, completion_time, stream)``: the
+    members a row leaves implicit are read through ``order[rank]``."""
+    described = []
+    for rank, seg, supplier, when in rows:
+        index = order[rank]
+        assert seg == seg_ids[index]
+        stream = Stream.NEW if index >= n_old else Stream.OLD
+        described.append((seg, priorities[index], supplier, when, stream))
+    return described
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=greedy_cases())
 def test_greedy_masks_matches_greedy_supplier_assignment(case):
@@ -327,7 +341,6 @@ def test_greedy_masks_matches_greedy_supplier_assignment(case):
     assigned_old, assigned_new, queue = _greedy_masks(
         order,
         seg_ids,
-        priorities,
         masks,
         len(seg_ids),
         survivors,
@@ -335,6 +348,7 @@ def test_greedy_masks_matches_greedy_supplier_assignment(case):
         dict(initial_queue) if initial_queue else None,
     )
     assert assigned_new == []
+    assigned_old = _described(assigned_old, order, seg_ids, priorities, len(seg_ids))
 
     scalar = greedy_supplier_assignment(
         _scalar_candidates(order, seg_ids, priorities, masks, supplier_ids, rates),
@@ -357,8 +371,8 @@ def test_greedy_masks_matches_greedy_supplier_assignment(case):
 @settings(max_examples=200, deadline=None)
 @given(case=greedy_cases(), data=st.data())
 def test_greedy_masks_stream_split_tags(case, data):
-    """Candidates at order positions >= n_old come back tagged NEW, in the
-    same relative processing order, with the same combined assignment."""
+    """Candidates at order positions >= n_old come back in the NEW list, in
+    the same relative processing order, with the same combined assignment."""
     supplier_ids, rates, seg_ids, priorities, masks, period, initial_queue = case
     n_old = data.draw(st.integers(0, len(seg_ids)))
     survivors = _make_survivors(supplier_ids, rates)
@@ -367,13 +381,14 @@ def test_greedy_masks_stream_split_tags(case, data):
     assigned_old, assigned_new, queue = _greedy_masks(
         order,
         seg_ids,
-        priorities,
         masks,
         n_old,
         survivors,
         period,
         dict(initial_queue) if initial_queue else None,
     )
+    assigned_old = _described(assigned_old, order, seg_ids, priorities, n_old)
+    assigned_new = _described(assigned_new, order, seg_ids, priorities, n_old)
     assert all(stream is Stream.OLD for *_, stream in assigned_old)
     assert all(stream is Stream.NEW for *_, stream in assigned_new)
     old_ids = {seg_ids[index] for index in range(n_old)}
@@ -402,6 +417,24 @@ def test_greedy_masks_stream_split_tags(case, data):
     assert [seg for seg, *_ in assigned_new] == [
         seg for seg in scalar_order if seg not in old_ids
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=greedy_cases(), data=st.data())
+def test_greedy_masks_rank_sorts_like_priority_then_id(case, data):
+    """What lets the fast finish merge and trim with a bare ``sort()``: rows
+    sorted by ``rank`` are the rows sorted by ``(-priority, seg_id)``."""
+    supplier_ids, rates, seg_ids, priorities, masks, period, initial_queue = case
+    n_old = data.draw(st.integers(0, len(seg_ids)))
+    order = np.argsort(-np.array(priorities), kind="stable").tolist()
+
+    assigned_old, assigned_new, _ = _greedy_masks(
+        order, seg_ids, masks, n_old, _make_survivors(supplier_ids, rates), period, initial_queue
+    )
+    rows = assigned_new + assigned_old
+    assert sorted(rows) == sorted(
+        rows, key=lambda row: (-priorities[order[row[0]]], row[1])
+    )
 
 
 # --------------------------------------------------------------------------- #

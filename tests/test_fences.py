@@ -74,6 +74,18 @@ FENCES: Tuple[Tuple[str, str, Tuple[str, ...], int], ...] = (
     ("two-engine-schedule-sites", r"engine\.schedule", (_SESSION,), 2),
     ("no-session-new", r"__new__", (_SESSION,), 0),
     ("no-session-subclass", r"class .*\(SwitchSession\)", (_SRC,), 0),
+    # Requests are rows: on the array engine a request never becomes an
+    # object, the two classes stay the output of the scalar algorithms (the
+    # oracle flattens them into the same rows), and the partner scan builds
+    # one exclusion set instead of asking the overlay once per alive node.
+    ("vector-builds-no-request-object",
+     r"SegmentRequest|ScheduleDecision\(|object\.__new__", ("src/repro/core/vector.py",), 0),
+    ("request-objects-come-from-the-algorithms",
+     r"(SegmentRequest|ScheduleDecision)\(",
+     (_SRC, "!src/repro/core/base.py", "!src/repro/core/fast_switch.py",
+      "!src/repro/core/normal_switch.py"), 0),
+    ("no-request-object-helpers", r"_new_request|_priority_order", ("src/**/*.py",), 0),
+    ("partner-scan-asks-no-edge", r"has_edge\(", ("src/repro/overlay/membership.py",), 0),
     # A session owns its clock: SwitchSession.__init__ is the one place
     # outside sim/ that builds an engine, nothing is handed one, no universe
     # shares one, and run() is the one way to a SessionResult.

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.overlay.membership import MembershipService
 from repro.overlay.topology import NodeInfo, Overlay
@@ -93,6 +95,29 @@ def test_join_on_tiny_overlay_connects_to_everyone():
     service = MembershipService(overlay, 5, np.random.default_rng(0))
     node_id = service.join()
     assert overlay.degree(node_id) == 1  # only one possible partner
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    node_ids=st.sets(st.integers(0, 40), min_size=1, max_size=25),
+    edges=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=80),
+)
+def test_partner_candidates_are_the_non_neighbours_in_id_order(node_ids, edges):
+    """The one-exclusion-set scan equals the per-node ``has_edge`` scan it
+    replaced, order included (the partner draws index into this list)."""
+    overlay = Overlay()
+    for node_id in node_ids:
+        overlay.add_node(NodeInfo(node_id=node_id))
+    for a, b in edges:
+        if a != b and a in node_ids and b in node_ids:
+            overlay.add_edge(a, b)
+    service = _service(overlay)
+    for node_id in node_ids:
+        assert service._partner_candidates(node_id) == [
+            other
+            for other in overlay.node_ids
+            if other != node_id and not overlay.has_edge(node_id, other)
+        ]
 
 
 class TestSubCriticalPopulations:

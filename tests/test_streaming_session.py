@@ -16,6 +16,7 @@ from repro.sim.engine import SimulationEngine
 from repro.streaming.session import (
     ALGORITHM_FACTORIES,
     ENGINE_NAMES,
+    RequestConservationError,
     SessionConfig,
     SwitchSession,
     due_arrivals,
@@ -184,6 +185,26 @@ def test_closed_session_refuses_to_run(tiny_config):
     session.close()
     with pytest.raises(RuntimeError, match="closed"):
         session.run()
+
+
+def test_exchange_checks_request_conservation(tiny_config):
+    """Every request of a period ends delivered, delayed or failed: an
+    exchange whose books do not balance names the session and the period."""
+    session = SwitchSession(tiny_config, label="ch7")
+    decide = session._decider.decide
+
+    def decide_with_phantom_delivery(_, state):
+        decide(session, state)
+        if state.index == 3:
+            peer = session.peers[state.order[0]]
+            state.deliveries.append((peer, 0, session.old_source_id))
+
+    session._decider.decide = decide_with_phantom_delivery
+    with pytest.raises(
+        RequestConservationError, match=r"session 'ch7', period 3: \d+ requests but \d+ delivered"
+    ):
+        session.run()
+    assert session.rounds_run == 3
 
 
 @pytest.mark.parametrize("topology", ["", "transcontinental"], ids=["ideal", "wan"])

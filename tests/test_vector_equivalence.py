@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import replace
+from itertools import cycle
 
 import pytest
 from hypothesis import given, settings
@@ -28,10 +29,12 @@ from conftest import normalized_run_document, run_engine_pair, store_documents
 
 from repro.churn.model import ChurnConfig
 from repro.core.fast_switch import FastSwitchAlgorithm
+from repro.core.normal_switch import NormalSwitchAlgorithm
 from repro.core.priority import PriorityPolicy
 from repro.experiments.config import make_session_config
 from repro.experiments.runner import run_pair
 from repro.experiments.store import ResultStore
+from repro.obs.telemetry import telemetry_session
 from repro.streaming.session import (
     DEFAULT_ENGINE,
     ENGINE_NAMES,
@@ -260,6 +263,48 @@ def test_scalar_fallback_warns_once_per_session(caplog):
         replace(config, engine="oracle"), algorithm_factory=_CustomAlgorithm
     ).run()
     assert normalized_run_document(result) == normalized_run_document(oracle)
+
+
+def _mixed_factory():
+    """A fresh factory dealing normal / fast-PAPER / fast-SEQUENTIAL / custom
+    algorithms to the peers in turn, joiners included."""
+    makers = cycle((
+        NormalSwitchAlgorithm,
+        lambda: FastSwitchAlgorithm(priority_policy=PriorityPolicy.PAPER),
+        lambda: FastSwitchAlgorithm(priority_policy=PriorityPolicy.SEQUENTIAL),
+        _CustomAlgorithm,
+    ))
+    return lambda: next(makers)()
+
+
+def test_mixed_algorithm_session_documents_and_probe_streams_identical():
+    """Three batched groups and the scalar fallback in one mesh, under churn
+    on a lossy fabric: the vector decider files request rows group by group,
+    the session reads them in the period's shuffled order -- so the requests,
+    the budget contention between them and every probe row come out as the
+    oracle's."""
+    config = _tiny(
+        seed=23,
+        topology="lossy-edge",
+        churn=ChurnConfig(enabled=True, leave_fraction=0.05, join_fraction=0.05),
+    )
+    runs = []
+    for engine in ("oracle", "vector"):
+        with telemetry_session(probes=True) as telemetry:
+            session = SwitchSession(
+                replace(config, engine=engine), algorithm_factory=_mixed_factory()
+            )
+            result = session.run()
+        algorithms = {
+            (type(peer.algorithm), getattr(peer.algorithm, "priority_policy", None))
+            for peer in session.peers.values()
+        }
+        assert len(algorithms) == 4
+        lifecycle = telemetry.probes.lifecycle
+        assert lifecycle.stage_counts()["dropped"] > 0
+        runs.append((normalized_run_document(result), lifecycle.rows()))
+    assert runs[0][0] == runs[1][0]  # store documents
+    assert runs[0][1] == runs[1][1]  # probe lifecycle streams, row for row
 
 
 @pytest.mark.parametrize("algorithm", ["fast", "normal"])
