@@ -9,11 +9,12 @@ population.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.sim.clock import round_half_up
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ChurnConfig", "ChurnPlan", "ChurnModel"]
 
@@ -131,7 +132,7 @@ class ChurnModel:
         leavers: List[int] = []
         if n_leave > 0:
             picked = self._rng.choice(population, size=n_leave, replace=False)
-            leavers = [int(eligible_ids[int(i)]) for i in np.atleast_1d(picked)]
+            leavers = [int(eligible_ids[int(i)]) for i in picked]
         self.total_leaves += len(leavers)
         self.total_joins += n_join
         return ChurnPlan(leavers=tuple(sorted(leavers)), joins=n_join)

@@ -171,21 +171,19 @@ def universe_percentiles(
     series: Dict[str, List[Tuple[float, float]]] = {}
     for name, _doc, algorithms in merged:
         suffix = f" ({name})" if len(merged) > 1 else ""
-        local: List[Dict[str, object]] = []
-        for q in PERCENTILE_GRID:
-            row: Dict[str, object] = {"percentile": q}
-            for algorithm in _ALGORITHMS:
-                aggregate = algorithms.get(algorithm)
-                if aggregate is not None and aggregate.sketch.count:
-                    row[algorithm] = aggregate.sketch.percentile(float(q))
-            local.append(row)
-        for algorithm in _ALGORITHMS:
-            aggregate = algorithms.get(algorithm)
-            if aggregate is not None and aggregate.sketch.count:
-                series[f"{algorithm}{suffix}"] = [
-                    (float(q), aggregate.sketch.percentile(float(q)))
-                    for q in PERCENTILE_GRID
-                ]
+        curves = {
+            algorithm: aggregate.sketch.percentiles(PERCENTILE_GRID)
+            for algorithm in _ALGORITHMS
+            if (aggregate := algorithms.get(algorithm)) is not None and aggregate.sketch.count
+        }
+        local: List[Dict[str, object]] = [
+            {"percentile": q, **{algorithm: curve[i] for algorithm, curve in curves.items()}}
+            for i, q in enumerate(PERCENTILE_GRID)
+        ]
+        for algorithm, curve in curves.items():
+            series[f"{algorithm}{suffix}"] = [
+                (float(q), value) for q, value in zip(PERCENTILE_GRID, curve)
+            ]
         _tag(local, name, len(merged) > 1)
         rows.extend(local)
     return FigureResult(

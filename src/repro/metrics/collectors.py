@@ -18,9 +18,7 @@ bias both algorithms identically instead of silently dropping slow nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 __all__ = ["PeerOutcome", "RoundSample", "SwitchMetrics", "MetricsCollector"]
 
@@ -127,6 +125,11 @@ class MetricsCollector:
             raise ValueError("startup_quota_new must be positive")
         self.startup_quota_new = int(startup_quota_new)
         self.rounds: List[RoundSample] = []
+        # Bound per collector, not at module level: a store replay loads this
+        # module for its record classes and never builds a collector.
+        from numpy import mean
+
+        self._mean = mean
 
     # ------------------------------------------------------------------ #
     def sample_round(
@@ -183,8 +186,8 @@ class MetricsCollector:
         count = len(tracked)
         sample = RoundSample(
             time=float(time),
-            undelivered_ratio_old=float(np.mean(undelivered)),
-            delivered_ratio_new=float(np.mean(delivered)),
+            undelivered_ratio_old=self._average(undelivered),
+            delivered_ratio_new=self._average(delivered),
             fraction_finished_old=finished / count,
             fraction_prepared_new=prepared / count,
             fraction_switched=switched / count,
@@ -193,6 +196,9 @@ class MetricsCollector:
         )
         self.rounds.append(sample)
         return sample
+
+    def _average(self, values: List[float]) -> float:
+        return float(self._mean(values)) if values else 0.0
 
     # ------------------------------------------------------------------ #
     def finalize(
@@ -241,10 +247,10 @@ class MetricsCollector:
         return SwitchMetrics(
             algorithm=algorithm,
             n_peers=len(tracked),
-            avg_finish_old=_mean(finish_times),
-            avg_prepare_new=_mean(prepare_times),
-            avg_switch_time=_mean(prepare_times),
-            avg_start_time=_mean(start_times),
+            avg_finish_old=self._average(finish_times),
+            avg_prepare_new=self._average(prepare_times),
+            avg_switch_time=self._average(prepare_times),
+            avg_start_time=self._average(start_times),
             last_finish_old=_max(finish_times),
             last_prepare_new=_max(prepare_times),
             last_start_time=_max(start_times),
@@ -256,11 +262,5 @@ class MetricsCollector:
         )
 
 
-def _mean(values: Iterable[float]) -> float:
-    values = list(values)
-    return float(np.mean(values)) if values else 0.0
-
-
-def _max(values: Iterable[float]) -> float:
-    values = list(values)
-    return float(np.max(values)) if values else 0.0
+def _max(values: List[float]) -> float:
+    return float(max(values, default=0.0))

@@ -32,10 +32,10 @@ journal persist shard aggregates losslessly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
-
-import numpy as np
 
 __all__ = [
     "DEFAULT_SKETCH_CAPACITY",
@@ -110,8 +110,8 @@ class QuantileSketch:
 
     Internally a sorted list of ``(value, weight)`` centroids with integer
     weights.  While every weight is one (no compression has happened) the
-    sketch is a verbatim multiset of the samples and percentiles are
-    computed by ``numpy.percentile`` -- bit-identical to the in-memory
+    sketch is a verbatim multiset of the samples and percentiles follow
+    the rule of ``numpy.percentile`` -- bit-identical to the in-memory
     statistics.  Once the centroid count exceeds ``capacity`` the sketch
     collapses into ``capacity`` equal-count bins (weighted means), after
     which percentiles are linear interpolations over the conceptual
@@ -178,8 +178,13 @@ class QuantileSketch:
         self._normalise()
 
     def _normalise(self) -> None:
-        """Restore the sorted-centroid invariant, compressing if oversize."""
-        order = np.argsort(np.asarray(self.values, dtype=float), kind="stable")
+        """Restore the sorted-centroid invariant, compressing if oversize.
+
+        A stable index sort: the order ``numpy.argsort(values,
+        kind="stable")`` gives (equal values, ``-0.0`` and ``0.0`` included,
+        keep their insertion order; samples are never NaN).
+        """
+        order = sorted(range(len(self.values)), key=self.values.__getitem__)
         values = [self.values[i] for i in order]
         weights = [self.weights[i] for i in order]
         if len(values) > self.capacity:
@@ -192,31 +197,62 @@ class QuantileSketch:
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (linear interpolation; 0.0 when empty).
 
-        Exact mode delegates to ``numpy.percentile`` over the raw samples;
-        compressed mode interpolates over the expanded weighted centroids
-        without materialising them, with the tails pinned to the exact
-        extremes (``np.interp`` alone would clamp ``q -> 0/100`` to the
-        first/last *centroid mean*, shrinking the reported range).
+        Both modes are plain Python that repeats NumPy's arithmetic step for
+        step, so results are bit-identical to it for finite samples
+        (``tests/test_metrics_sketch.py`` holds the property tests):
+
+        * exact mode is ``numpy.percentile(values, q)``, ``method="linear"``:
+          virtual index ``(n - 1) * (q / 100)``, neighbours ``a`` and ``b``,
+          ``a + (b - a) * g``, or ``b - (b - a) * (1 - g)`` once
+          ``g >= 0.5``; ``q`` outside ``[0, 100]`` raises ``ValueError``;
+        * compressed mode is ``numpy.interp(h, midpoints, values)`` with the
+          centroid means placed at their bins' index midpoints
+          ``cumsum(w) - w / 2 - 0.5`` (with unit weights 0, 1, 2, ... --
+          the formula of the exact mode), never materialising the expanded
+          samples.  The tails are pinned to the exact extremes:
+          interpolation alone would clamp ``q -> 0/100`` to the first/last
+          *centroid mean*, shrinking the reported range.
         """
         if not self.values:
             return 0.0
+        values = self.values
+        fraction = float(q) / 100.0
         if not self.compressed:
-            return float(np.percentile(np.asarray(self.values, dtype=float), q))
+            if not 0.0 <= fraction <= 1.0:
+                raise ValueError("Percentiles must be in the range [0, 100]")
+            last = len(values) - 1
+            h = last * fraction
+            if h >= last:  # NumPy indexes both neighbours as -1 here
+                low, high, g = last, last, h + 1.0
+            else:
+                low = int(h)
+                high, g = low + 1, h - low
+            a, b = values[low], values[high]
+            return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
         if float(q) <= 0.0:
             return float(self.minimum)
         if float(q) >= 100.0:
             return float(self.maximum)
-        values = np.asarray(self.values, dtype=float)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        total = weights.sum()
-        # Fractional order-statistic index of the percentile (numpy's
-        # linear-interpolation convention), evaluated by interpolating
-        # between centroid means placed at their bins' index midpoints.
-        # With unit weights the midpoints are 0, 1, 2, ... -- i.e. this is
-        # the same formula the exact branch computes.
-        h = (total - 1.0) * (float(q) / 100.0)
-        midpoints = np.cumsum(weights) - weights / 2.0 - 0.5
-        return float(np.interp(h, midpoints, values))
+        # Fractional order-statistic index of the percentile over the
+        # conceptual expansion of the centroids, whose bin ``i`` covers the
+        # indices ``above[i] - w[i] .. above[i] - 1`` around its midpoint.
+        above = list(accumulate(self.weights))
+        h = (above[-1] - 1) * fraction
+
+        def midpoint(i: int) -> float:
+            return above[i] - self.weights[i] / 2.0 - 0.5
+
+        j = bisect_right(above, h)  # the bin whose indices hold h
+        if midpoint(j) > h:
+            j -= 1  # now midpoint(j) <= h < midpoint(j + 1)
+        if j < 0:
+            return values[0]
+        if j >= len(values) - 1:
+            return values[-1]
+        if midpoint(j) == h:
+            return values[j]
+        slope = (values[j + 1] - values[j]) / (midpoint(j + 1) - midpoint(j))
+        return slope * (h - midpoint(j)) + values[j]
 
     def percentiles(self, qs: Sequence[float]) -> Tuple[float, ...]:
         """Several percentiles at once."""
@@ -228,6 +264,8 @@ class QuantileSketch:
         total = self.count
         if total == 0:
             return 0.0
+        import numpy as np  # deferred: BLAS rounding is not worth replicating
+
         return float(
             np.dot(
                 np.asarray(self.values, dtype=float),
@@ -277,6 +315,8 @@ def _compress(
     never on how it was accumulated.  Weights stay integral and their sum
     is preserved exactly.
     """
+    import numpy as np  # deferred: only an over-capacity merge pays for it
+
     weights_arr = np.array(weights, dtype=np.int64)  # a copy: bins mutate it
     total = int(weights_arr.sum())
     cumulative = np.cumsum(weights_arr)

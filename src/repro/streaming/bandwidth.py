@@ -21,9 +21,10 @@ request order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BandwidthProfile",
@@ -132,6 +133,8 @@ def draw_class_indices(
     """Draw a class index for each of ``count`` peers, weighted by fraction."""
     if not classes:
         raise ValueError("need at least one peer class")
+    import numpy as np  # deferred: store replays load this module for its records
+
     weights = np.array([cls.fraction for cls in classes], dtype=float)
     weights = weights / weights.sum()
     return rng.choice(len(classes), size=count, p=weights)
@@ -165,7 +168,7 @@ def sample_rates(
         raise ValueError(f"mean must lie strictly between low and high, got {mean}")
     scale = mean - low
     values = low + rng.exponential(scale, size=count)
-    return np.clip(values, low, high)
+    return values.clip(low, high)
 
 
 class OutboundLedger:

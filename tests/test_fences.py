@@ -28,6 +28,13 @@ _HOT_MODULES = tuple(
     for module in ("core/vector.py", "net/fabric.py", "net/link.py", "streaming/peer.py")
 )
 _DEFERRED_IMPORT = r"^\s+(from \S+ import|import \S+)"
+#: The 16 modules that simulate (tier 2) and so import NumPy at module level.
+_NUMPY_MODULES = (
+    "analysis/stats.py", "channels/directory.py", "channels/lineup.py", "channels/universe.py",
+    "channels/zapping.py", "core/vector.py", "metrics/net.py", "metrics/qoe.py",
+    "metrics/universe.py", "net/fabric.py", "net/link.py", "overlay/augment.py",
+    "overlay/generator.py", "overlay/membership.py", "sim/rng.py", "streaming/session.py",
+)
 
 #: (rule, pattern, paths, allowed count)
 FENCES: Tuple[Tuple[str, str, Tuple[str, ...], int], ...] = (
@@ -44,6 +51,11 @@ FENCES: Tuple[Tuple[str, str, Tuple[str, ...], int], ...] = (
      r"^\s*(import|from)\s.*\b(concurrent|multiprocessing)\b",
      (_SRC, "!src/repro/dist/pool.py"), 0),
     ("networkx-is-test-only", r"^(import|from)\s+networkx\b", (_SRC,), 0),
+    # A module imports NumPy at module level only if it simulates: the
+    # records, the store and the figures a replay loads run on the standard
+    # library (tests/test_import_fences.py, tier 1).
+    ("numpy-at-module-level-only-where-it-simulates", r"^(import|from)\s+numpy\b",
+     (_SRC, *(f"!src/repro/{module}" for module in _NUMPY_MODULES)), 0),
     # One door per job: the store is a key -> document map; replay_or_execute
     # alone refuses a replay-only miss and persists a run's net-* document;
     # the by-number figure table, the CLI's copy of FigureSpec.kind, the

@@ -8,8 +8,10 @@ Three tiers (docs/architecture.md, "Package layers"):
   (``import repro.cli`` itself is fenced in ``tests/test_public_api.py``);
 * tier 1 -- the store-backed commands that never simulate (``report`` and
   ``figure`` with ``--from-store``, ``store ls``) load the records and the
-  store, not the simulator, the fan-out or the network stack;
-* tier 2 -- everything that simulates; not fenced.
+  store on the standard library only: no NumPy, no simulator, no fan-out,
+  no network stack;
+* tier 2 -- everything that simulates; not fenced (which source files may
+  import NumPy at module level is pinned in ``tests/test_fences.py``).
 
 Every check runs in a fresh interpreter and compares ``sys.modules``, which
 repeats exactly; the one timing check is relative (against ``import
@@ -33,7 +35,7 @@ TIER1_FORBIDDEN = {
     "repro.sim.engine", "repro.sim.events", "repro.core.vector",
     "repro.net.fabric", "repro.net.link",
     "repro.channels.universe", "repro.channels.runner",
-    "multiprocessing", "urllib.request", "ssl", "importlib.metadata",
+    "multiprocessing", "urllib.request", "ssl", "importlib.metadata", "numpy",
 }
 #: ... and whole packages.
 TIER1_FORBIDDEN_PACKAGES = {"repro.overlay", "repro.dist", "repro.workloads"}
@@ -57,27 +59,41 @@ def test_a_command_does_not_look_the_version_up():
 
 
 @pytest.fixture(scope="module")
-def warm_store(tmp_path_factory):
-    """A small store holding what every registered figure replays from."""
+def warm_stores(tmp_path_factory):
+    """A small store holding what every registered figure replays from, once
+    per backend (the SQLite one is a migration of the JSON one)."""
     root = tmp_path_factory.mktemp("fence-store")
+    sqlite_root = tmp_path_factory.mktemp("fence-store-sqlite")
     steps = [
         ["universe", "run", "lineup-mini", "--channels", "3", "--viewers", "36"],
         ["run", "--n-nodes", "30", "--seed", "7", "--max-time", "60", "--probes"],
         ["report", "--out", str(root / "cold-report"), "--sizes", "30", "--n-nodes", "30", "--json"],
+        ["store", "migrate", "--to", "sqlite", "--dest-dir", str(sqlite_root)],
     ]
     for argv in steps:
         assert main(argv + ["--results-dir", str(root)]) == 0
-    return root
+    return {"json": root, "sqlite": sqlite_root}
 
 
-@pytest.mark.parametrize("command", ["report", "figure", "store-ls"])
-def test_tier1_replay_commands_do_not_load_the_simulator(command, warm_store, tmp_path):
-    argv = {
-        "report": ["report", "--from-store", "--out", str(tmp_path / "replay"),
-                   "--sizes", "30", "--n-nodes", "30", "--json"],
-        "figure": ["figure", "7", "--from-store", "--sizes", "30", "--json"],
-        "store-ls": ["store", "ls"],
-    }[command] + ["--results-dir", str(warm_store)]
+#: id -> argv of a tier-1 command (``report`` also gets its ``--out``).
+TIER1_COMMANDS = {
+    "report": ["report", "--from-store", "--sizes", "30", "--n-nodes", "30", "--json"],
+    "figure": ["figure", "7", "--from-store", "--sizes", "30", "--json"],
+    "figure-5": ["figure", "5", "--from-store", "--n-nodes", "30", "--json"],
+    "store-ls": ["store", "ls"],
+    "store-ls-pair": ["store", "ls", "--kind", "pair"],
+}
+
+
+@pytest.mark.parametrize("command,backend", [
+    pytest.param(command, backend, id=command if backend == "json" else f"{command}-{backend}")
+    for backend in ("json", "sqlite") for command in TIER1_COMMANDS
+])
+def test_tier1_replay_commands_do_not_load_the_simulator(command, backend, warm_stores, tmp_path):
+    argv = TIER1_COMMANDS[command] + [
+        "--results-dir", str(warm_stores[backend]), "--store-backend", backend]
+    if command == "report":
+        argv += ["--out", str(tmp_path / "replay")]
     modules = modules_loaded_by(
         f"import sys; from repro.cli import main; sys.exit(main({argv!r}))"
     )
@@ -88,6 +104,37 @@ def test_tier1_replay_commands_do_not_load_the_simulator(command, warm_store, tm
     if command == "report":
         assert (tmp_path / "replay" / "report.html").is_file()
         assert "repro.figures.report" in modules
+
+
+#: Runs ``main(argv)`` with every process start recording whether the parent
+#: has the simulator (and with it NumPy) loaded; prints one line per start.
+_FORK_PROGRAM = """
+import sys
+from multiprocessing.process import BaseProcess
+start = BaseProcess.start
+def recording_start(self):
+    print("@@ start", "numpy" in sys.modules, "repro.streaming.session" in sys.modules)
+    start(self)
+BaseProcess.start = recording_start
+assert "numpy" not in sys.modules
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--sizes", "30", "36", "--repetitions", "1", "--max-time", "60", "--workers", "2"],
+    ["universe", "run", "lineup-mini", "--channels", "3", "--viewers", "36", "--workers", "2"],
+], ids=["sweep", "universe-run"])
+def test_fan_out_forks_workers_from_a_parent_that_imported_the_simulator(argv, tmp_path):
+    """Tier 1 went lazy; a worker must still inherit NumPy, not import it."""
+    done = subprocess.run(
+        [sys.executable, "-c", _FORK_PROGRAM, *argv, "--results-dir", str(tmp_path)],
+        env=fresh_python_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    starts = [line for line in done.stdout.splitlines() if line.startswith("@@ start")]
+    assert len(starts) >= 2
+    assert set(starts) == {"@@ start True True"}
 
 
 def _min_wall_s(code: str, repeats: int = 5) -> float:

@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.sketch import (
     DEFAULT_SKETCH_CAPACITY,
@@ -18,6 +20,30 @@ from repro.metrics.sketch import (
     StreamAccumulator,
     sketch_of,
 )
+
+#: Finite samples of every size class: ties and signed zeros, ordinary,
+#: denormal-sized and near-overflow magnitudes.
+SAMPLES = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 2.5e-310, 1.7e308, -1.7e308]),
+        st.integers(-3, 3).map(float),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=0.0, max_value=60.0),
+    ),
+    min_size=1, max_size=40,
+)
+#: Whole, fractional and boundary percentiles.
+PERCENTILES = st.one_of(
+    st.sampled_from([0, 100, 0.0, 100.0, 50, 99.9, 1e-300, 99.99999999999999]),
+    st.integers(0, 100),
+    st.floats(min_value=0.0, max_value=100.0),
+)
+
+
+def _same(left: float, right: float) -> bool:
+    """``==``, with NaN (``inf - inf`` at overflowing magnitudes) equal to NaN."""
+    return left == right or (left != left and right != right)
+
 
 #: Relative-error tolerance pinned for compressed sketches on the shipped
 #: percentiles (p50/p90/p99).  The dist layer's merge contract relies on it.
@@ -112,6 +138,64 @@ class TestExactMode:
         assert sketch.percentile(90.0) == stats.p90
         assert sketch.percentile(99.0) == stats.p99
         assert sketch.mean == pytest.approx(stats.mean, rel=1e-12)
+
+
+class TestPlainPythonMatchesNumpy:
+    """The three functions a store replay runs are plain Python; each repeats
+    the NumPy rule its docstring names, to the last bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=SAMPLES, q=PERCENTILES)
+    @example(samples=[3.0], q=37.5)
+    @example(samples=[2.0, 2.0, 2.0], q=50)
+    @example(samples=[1.0, 2.0], q=99.99999999999999)
+    def test_exact_percentile_is_numpy_percentile(self, samples, q):
+        sketch = sketch_of(samples)
+        with np.errstate(all="ignore"):
+            expected = float(np.percentile(np.asarray(samples, dtype=float), q))
+        # ``==`` and not the bit pattern: among equal samples NumPy's
+        # partition may hand back either of ``-0.0`` and ``0.0``.
+        assert _same(sketch.percentile(q), expected)
+
+    @pytest.mark.parametrize("q", [-0.001, 100.001, float("nan")])
+    def test_exact_percentile_rejects_what_numpy_rejects(self, q):
+        with pytest.raises(ValueError, match="range"):
+            np.percentile([1.0, 2.0], q)
+        with pytest.raises(ValueError, match="range"):
+            sketch_of([1.0, 2.0]).percentile(q)
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=SAMPLES, data=st.data(),
+           q=PERCENTILES.filter(lambda q: 0.0 < q < 100.0))  # beyond: TestTailClamping
+    def test_compressed_percentile_is_numpy_interp_over_index_midpoints(self, samples, q, data):
+        values = sorted(samples)
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=len(values),
+                                     max_size=len(values)))
+        sketch = QuantileSketch(capacity=max(2, len(values)), values=values,
+                                weights=weights, compressed=True)
+        w = np.asarray(weights, dtype=np.float64)
+        h = (w.sum() - 1.0) * (float(q) / 100.0)
+        with np.errstate(all="ignore"):
+            expected = float(np.interp(h, np.cumsum(w) - w / 2 - 0.5,
+                                       np.asarray(values, dtype=float)))
+        assert sketch.percentile(q).hex() == expected.hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(samples=SAMPLES, more=SAMPLES)
+    @example(samples=[0.0, -0.0, 0.0], more=[-0.0, 0.0, -0.0])
+    def test_normalise_order_is_numpy_stable_argsort(self, samples, more):
+        sketch = sketch_of(samples)
+        before = sketch.values + more
+        sketch.extend(more)
+        order = np.argsort(np.asarray(before, dtype=float), kind="stable")
+        # Bit patterns, so that the order among ``-0.0`` and ``0.0`` counts.
+        assert [v.hex() for v in sketch.values] == [before[i].hex() for i in order]
+
+    def test_docstrings_name_the_numpy_rule_they_repeat(self):
+        assert 'numpy.argsort(values,' in QuantileSketch._normalise.__doc__
+        assert 'kind="stable"' in QuantileSketch._normalise.__doc__
+        for rule in ("numpy.percentile(values, q)", 'method="linear"', "numpy.interp("):
+            assert rule in QuantileSketch.percentile.__doc__
 
 
 class TestCompressedMode:
