@@ -14,17 +14,16 @@ supplier tuple and one greedy step for every needed segment somebody
 advertises.  This module replaces exactly that with **one batched NumPy
 pass per period**:
 
-* every node's FIFO buffer is mirrored into one shared ``peers x segments``
-  boolean *presence* matrix plus an insertion-index matrix (for the FIFO
-  positions the rarity term consumes), kept in sync by
-  :class:`MirroredBuffer` (mutations are queued and flushed in one fancy
-  assignment per period);
+* every node's FIFO buffer keeps its insertion index in its row of one
+  shared ``int32`` ``peers x segments`` matrix (:class:`MirroredBuffer`
+  writes it directly): ``index != 0`` is presence, ``counter + 1 - index``
+  the FIFO position the rarity term consumes;
 * a pre-pass visits the peers in the period's canonical order and does what
   depends on that order or is cheapest per peer: the control-plane pulls
   (the session's one neighbour walk, with its loss draws), switch adoption
   and the highest-known-id update from the OR of the neighbours' bitmaps;
 * the undelivered-segment sets of *all* peers come from one ``(peer, id)``
-  grid over the presence matrix, and :func:`batched_kernel` then computes
+  grid over that matrix, and :func:`batched_kernel` then computes
   supply, urgency, rarity, the priority order and the supplier bitmasks for
   every (peer, candidate, supplier slot) triple in one flattened pass whose
   floating-point operation order matches the scalar implementation exactly
@@ -51,6 +50,7 @@ slow path), preserving correctness for custom algorithm factories.
 from __future__ import annotations
 
 import logging
+import weakref
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -82,137 +82,81 @@ _BIT_WEIGHTS = np.left_shift(np.ones(64, dtype=np.uint64), np.arange(64, dtype=n
 
 
 class SegmentArrays:
-    """The shared struct-of-arrays state: one row per node, one column per id.
+    """The shared insertion-index matrix: one row per node, one column per id.
 
-    Attributes
-    ----------
-    present:
-        ``bool`` matrix; ``present[row, seg]`` is buffer membership.
-    insert_index:
-        ``int32`` matrix of FIFO insertion counters (valid where present;
-        zero-allocated, so columns no row ever held cost no memory);
-        a segment's position from the buffer tail is
-        ``counter - insert_index[row, seg]`` (no out-of-order discards, the
-        only removal path a session exercises).
-    pending:
-        Mutations queued by :class:`MirroredBuffer` since the last
-        :meth:`flush`; ``(row, seg) -> insertion counter`` (or ``-1`` for a
-        removal).  The dict keeps only the *final* state per cell, so one
-        fancy assignment per period replaces thousands of scalar writes.
+    ``index`` is ``int32``; row ``r`` *is* the index of the buffer bound to
+    it (:class:`MirroredBuffer`): ``index[r, seg]`` is the segment's
+    insertion number + 1 in that buffer, 0 when it is not held.  So presence
+    is ``index != 0`` and a segment's position from the buffer tail is
+    ``counter + 1 - index`` (no out-of-order discards, the only removal
+    path a session exercises).  Zero-allocated, so columns no row ever held
+    cost no memory.  Growing the matrix rebinds the rows of the buffers still
+    alive, which are held weakly: a buffer references its matrix, never the
+    other way round.
     """
 
     def __init__(self, n_rows: int, n_segments: int) -> None:
-        self.present = np.zeros((max(1, n_rows), max(1, n_segments)), dtype=bool)
-        self.insert_index = np.zeros(self.present.shape, dtype=np.int32)
-        self.pending: Dict[Tuple[int, int], int] = {}
+        self.index = np.zeros((max(1, n_rows), max(1, n_segments)), dtype=np.int32)
+        self._buffers: "weakref.WeakSet[MirroredBuffer]" = weakref.WeakSet()
 
-    @property
-    def n_segments(self) -> int:
-        """Current width of the segment axis."""
-        return self.present.shape[1]
-
-    def flush(self) -> None:
-        """Apply all queued buffer mutations to the matrices."""
-        pending = self.pending
-        if not pending:
-            return
-        self.pending = {}
-        n = len(pending)
-        rows = np.empty(n, dtype=np.intp)
-        cols = np.empty(n, dtype=np.intp)
-        values = np.empty(n, dtype=np.int64)
-        max_seg = 0
-        i = 0
-        for (row, seg), value in pending.items():
-            rows[i] = row
-            cols[i] = seg
-            values[i] = value
-            if seg > max_seg:
-                max_seg = seg
-            i += 1
-        self.ensure_segments(max_seg + 1)
-        inserted = values >= 0
-        self.present[rows, cols] = inserted
-        self.insert_index[rows, cols] = np.where(inserted, values, 0)
+    def bind(self, buffer: "MirroredBuffer") -> None:
+        """Make row ``buffer.row`` the buffer's index (growing the rows)."""
+        self.ensure_rows(buffer.row + 1)
+        self._buffers.add(buffer)
+        buffer._index = memoryview(self.index[buffer.row])
 
     def ensure_segments(self, n: int) -> None:
         """Grow the segment axis (geometrically) to cover ids ``< n``."""
-        current = self.present.shape[1]
-        if n <= current:
-            return
-        new = max(n, current * 2)
-        self.present = _grown(self.present, (self.present.shape[0], new))
-        self.insert_index = _grown(self.insert_index, (self.insert_index.shape[0], new))
+        rows, current = self.index.shape
+        if n > current:
+            self._resize(rows, max(n, current * 2))
 
     def ensure_rows(self, n: int) -> None:
         """Grow the node axis (geometrically) to cover rows ``< n``."""
-        current = self.present.shape[0]
-        if n <= current:
-            return
-        new = max(n, current * 2)
-        self.present = _grown(self.present, (new, self.present.shape[1]))
-        self.insert_index = _grown(self.insert_index, (new, self.insert_index.shape[1]))
+        current, columns = self.index.shape
+        if n > current:
+            self._resize(max(n, current * 2), columns)
 
-
-def _grown(array: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
-    out = np.zeros(shape, dtype=array.dtype)
-    out[: array.shape[0], : array.shape[1]] = array
-    return out
+    def _resize(self, rows: int, columns: int) -> None:
+        old = self.index
+        self.index = np.zeros((rows, columns), dtype=np.int32)
+        self.index[: old.shape[0], : old.shape[1]] = old
+        for buffer in self._buffers:
+            buffer._index = memoryview(self.index[buffer.row])
 
 
 class MirroredBuffer(SegmentBuffer):
-    """A :class:`SegmentBuffer` that mirrors its contents into a matrix row.
+    """A :class:`SegmentBuffer` whose index is a row of :class:`SegmentArrays`.
 
-    Behaviour is identical to the parent (the parent's own structures stay
-    authoritative and are always current); the mirror only queues array
-    bookkeeping on the mutation paths, flushed lazily before the next
-    decide phase reads the matrices.
+    It behaves exactly like a plain buffer and writes its insertion numbers
+    straight into the shared matrix the batched kernel reads, so there is
+    nothing to copy or synchronise; growing its index grows the matrix.
     """
 
     def __init__(self, capacity: Optional[int], arrays: SegmentArrays, row: int) -> None:
         super().__init__(capacity=capacity)
         self.arrays = arrays
         self.row = int(row)
+        arrays.bind(self)
 
     @classmethod
     def adopt(
         cls, buffer: SegmentBuffer, arrays: SegmentArrays, row: int
     ) -> "MirroredBuffer":
-        """Wrap an existing buffer, taking over its state and filling the row."""
+        """Take over an existing buffer's state, copying its index into the row."""
         mirrored = cls(buffer.capacity, arrays, row)
-        mirrored._order = buffer._order
-        mirrored._insert_index = buffer._insert_index
+        arrays.ensure_segments(len(buffer._index))
+        mirrored._index[: len(buffer._index)] = buffer._index
+        mirrored._queue = buffer._queue
+        mirrored._head = buffer._head
         mirrored._bits = buffer._bits
         mirrored._counter = buffer._counter
         mirrored._discards = buffer._discards
         mirrored.evicted_total = buffer.evicted_total
-        if mirrored._insert_index:
-            ids = np.fromiter(
-                mirrored._insert_index.keys(), dtype=np.int64, count=len(mirrored._insert_index)
-            )
-            values = np.fromiter(
-                mirrored._insert_index.values(), dtype=np.int64, count=len(mirrored._insert_index)
-            )
-            arrays.ensure_segments(int(ids.max()) + 1)
-            arrays.present[row, ids] = True
-            arrays.insert_index[row, ids] = values
         return mirrored
 
-    def insert(self, seg_id: int) -> Optional[int]:
-        if seg_id in self._insert_index:
-            return None
-        evicted = super().insert(seg_id)
-        pending = self.arrays.pending
-        pending[(self.row, seg_id)] = self._counter - 1
-        if evicted is not None:
-            pending[(self.row, evicted)] = -1
-        return evicted
-
-    def discard(self, seg_id: int) -> bool:
-        removed = super().discard(seg_id)
-        if removed:
-            self.arrays.pending[(self.row, seg_id)] = -1
-        return removed
+    def _grow_index(self, n: int) -> None:
+        self.arrays.ensure_segments(n)
 
 
 class _Survivors:
@@ -288,13 +232,12 @@ class VectorDecider:
             cfg = session.config
             plan = session.switch_plan
             # Size the segment axis for everything the run can generate or
-            # advertise interest in; MirroredBuffer still grows on demand.
+            # advertise interest in; a buffer still grows it on demand.
             horizon_ids = plan.id_begin + int(cfg.play_rate * (cfg.max_time + 2.0 * cfg.tau))
             startup_ids = plan.id_begin + cfg.startup_quota_new + cfg.lookahead // 4
             n_segments = max(horizon_ids, startup_ids, cfg.old_stream_segments) + 64
             self._arrays = SegmentArrays(len(self._unmirrored) + 8, n_segments)
         for node in self._unmirrored:
-            self._arrays.ensure_rows(self._next_row + 1)
             node.buffer = MirroredBuffer.adopt(node.buffer, self._arrays, self._next_row)
             self._next_row += 1
         self._unmirrored.clear()
@@ -311,10 +254,9 @@ class VectorDecider:
         cheap scalar knowledge updates (switch adoption, highest known ids
         from the OR-ed neighbour bitmaps); wanted sets, supply, priorities,
         the priority order and the supplier bitmasks of *all* peers then come
-        from one batched kernel (one per algorithm configuration present).
+        from one batched kernel (one per algorithm configuration in use).
         """
         self._mirror_adopted(session)
-        self._arrays.flush()
         peers, sources = session.peers, session.sources
         ideal = type(session.fabric) is IdealFabric
         if ideal:
@@ -443,7 +385,7 @@ class VectorDecider:
         arrays.ensure_segments(top + 1)
         ids = np.arange(bottom, top + 1)
         inside = (ids >= lo) & (ids <= hi)
-        missing = (inside[:, 0] | inside[:, 1]) & ~arrays.present[table[:, 0], bottom : top + 1]
+        missing = (inside[:, 0] | inside[:, 1]) & (arrays.index[table[:, 0], bottom : top + 1] == 0)
         job_of, offset = np.nonzero(missing)
         candidates = offset + bottom
         stops = np.cumsum(np.bincount(job_of, minlength=len(jobs))).tolist()
@@ -623,8 +565,8 @@ def batched_kernel(
     elem_slot = np.arange(ends[-1]) - starts[elem_col]
     elem_flat = (np.cumsum(k_of) - k_of)[job_of][elem_col] + elem_slot
     elem_row = _per_slot(survivors, "rows", np.intp)[elem_flat]
-    elem_cand = candidates[elem_col]
-    supply = arrays.present[elem_row, elem_cand] & visible[elem_col]
+    held = arrays.index[elem_row, candidates[elem_col]]
+    supply = (held != 0) & visible[elem_col]
 
     low = elem_slot < 64
     masks = np.add.reduceat(_BIT_WEIGHTS[elem_slot & 63] * (supply & low), starts).tolist()
@@ -640,7 +582,7 @@ def batched_kernel(
         counters = np.fromiter(
             (b._counter for s in survivors for b in s.buffers), np.int64, count=int(k_of.sum())
         )
-        positions = counters[elem_flat] - arrays.insert_index[elem_row, elem_cand]
+        positions = counters[elem_flat] + 1 - held
     priorities = vectorized_priorities(
         candidates,
         supply,

@@ -8,22 +8,30 @@ buffer exposes the *position from the tail* of each segment -- the quantity
 recently inserted segment, position ``len(buffer)`` is the next to be
 evicted.
 
-Next to the FIFO order the buffer keeps a *presence bitmap*: one Python
-``int`` whose bit ``i`` is set exactly while segment ``i`` is held.  It is
-the paper's buffer map (Section 5.3) and the one representation a map
-travels in: a pull is ``buffer.bits & window``, the range queries and
-:meth:`SegmentBuffer.contains_range` are mask operations, and
-:class:`FifoPositions` answers the ``p_ij`` lookups lazily, only for the
-(segment, supplier) pairs the priority term asks about.  Segment ids are
-therefore non-negative.
+A buffer is three flat structures, no object per segment:
+
+* a *presence bitmap* -- one Python ``int`` whose bit ``i`` is set exactly
+  while segment ``i`` is held.  It is the membership test and the paper's
+  buffer map (Section 5.3), the one representation a map travels in: a
+  pull is ``buffer.bits & window``, the range queries and
+  :meth:`SegmentBuffer.contains_range` are mask operations;
+* an ``array('i')`` *queue* of the held ids in insertion order, read from a
+  head pointer (eviction advances it; the dead prefix is cut off once it is
+  half the array);
+* an ``int32`` *index*, ``index[seg] = insertion number + 1`` (0: not held).
+  :class:`FifoPositions` answers the ``p_ij`` lookups from it lazily, only
+  for the (segment, supplier) pairs the priority term asks about.  On the
+  array engine this index is the node's row of the decider's matrix
+  (:class:`repro.core.vector.MirroredBuffer`), so there is one copy.
+
+Segment ids are therefore non-negative.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from collections.abc import Mapping
-from itertools import count
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 __all__ = [
     "SegmentBuffer",
@@ -95,8 +103,10 @@ class FifoPositions(Mapping):
         if seg_id < 0 or not self._bits >> seg_id & 1:
             raise KeyError(seg_id)
         buffer = self._buffer
-        index = buffer._insert_index.get(seg_id)
-        if index is None or index >= self._counter:
+        # A bit of the map was set in the owner's bitmap once, so the index
+        # covers ``seg_id`` (it never shrinks).
+        number = buffer._index[seg_id]
+        if not number or number > self._counter:
             raise StaleBufferMapError(
                 f"segment {seg_id} was evicted after this buffer map was taken"
             )
@@ -104,7 +114,7 @@ class FifoPositions(Mapping):
             # Pure FIFO: if ``seg_id`` is present, every later insertion is
             # present too (evictions happen strictly in insertion order), so
             # the insertion-counter difference equals the in-buffer position.
-            return self._counter - index
+            return self._counter + 1 - number
         # After an out-of-order ``discard`` the counter shortcut over-counts;
         # count the segments that were newer than ``seg_id``.  Segments
         # removed since are gone from the index, so that count cannot be
@@ -114,9 +124,8 @@ class FifoPositions(Mapping):
                 "the owner removed segments after this buffer map was taken; "
                 f"the position of segment {seg_id} can no longer be derived"
             )
-        newer = sum(
-            1 for other in buffer._insert_index.values() if index < other < self._counter
-        )
+        index = buffer._index
+        newer = sum(1 for other in buffer if number < index[other] <= self._counter)
         return newer + 1
 
     def __iter__(self) -> Iterator[int]:
@@ -140,12 +149,20 @@ class SegmentBuffer:
         if capacity is not None and capacity <= 0:
             raise ValueError(f"capacity must be positive or None, got {capacity}")
         self._capacity = capacity
-        self._order: deque[int] = deque()
-        self._insert_index: Dict[int, int] = {}
+        #: held ids in insertion order from ``_head`` on (before it: evicted)
+        self._queue = array("i")
+        self._head = 0
+        #: ``seg_id -> insertion number + 1``; 0 = not held
+        self._index = array("i")
         self._bits = 0
         self._counter = 0
         self._discards = 0
         self.evicted_total = 0
+
+    def _grow_index(self, n: int) -> None:
+        """Make the index cover ids ``< n`` (and 64 more, zero-filled)."""
+        index = self._index
+        index.frombytes(bytes(index.itemsize * (n + 64 - len(index))))
 
     # ------------------------------------------------------------------ #
     # mutation
@@ -156,18 +173,27 @@ class SegmentBuffer:
         Re-inserting an id that is already present is a no-op (and returns
         ``None``): duplicate deliveries do not change eviction order.
         """
-        if seg_id in self._insert_index:
+        if self._bits >> seg_id & 1:  # a negative id raises here, unchanged
             return None
         self._bits |= 1 << seg_id
-        self._order.append(seg_id)
-        self._insert_index[seg_id] = self._counter
         self._counter += 1
-        evicted: Optional[int] = None
-        if self._capacity is not None and len(self._order) > self._capacity:
-            evicted = self._order.popleft()
-            del self._insert_index[evicted]
-            self._bits ^= 1 << evicted
-            self.evicted_total += 1
+        if seg_id >= len(self._index):
+            self._grow_index(seg_id + 1)
+        self._index[seg_id] = self._counter
+        queue = self._queue
+        queue.append(seg_id)
+        head = self._head
+        if self._capacity is None or len(queue) - head <= self._capacity:
+            return None
+        evicted = queue[head]
+        self._index[evicted] = 0
+        self._bits ^= 1 << evicted
+        self.evicted_total += 1
+        head += 1
+        if 2 * head > len(queue):
+            del queue[:head]
+            head = 0
+        self._head = head
         return evicted
 
     def insert_many(self, seg_ids: Iterable[int]) -> List[int]:
@@ -181,13 +207,16 @@ class SegmentBuffer:
             type(seg_ids) is range
             and seg_ids.step == 1
             and seg_ids.start >= 0
-            and not self._order
+            and not len(self)
             and (self._capacity is None or len(seg_ids) <= self._capacity)
-            and type(self).insert is SegmentBuffer.insert
         ):
-            self._order.extend(seg_ids)
-            self._insert_index.update(zip(seg_ids, count(self._counter)))
-            self._bits |= range_mask(seg_ids.start, seg_ids.stop - 1)
+            start, stop, counter = seg_ids.start, seg_ids.stop, self._counter
+            if stop > len(self._index):
+                self._grow_index(stop)
+            self._index[start:stop] = array("i", range(counter + 1, counter + 1 + len(seg_ids)))
+            self._queue = array("i", seg_ids)
+            self._head = 0
+            self._bits |= range_mask(start, stop - 1)
             self._counter += len(seg_ids)
             return []
         evicted: List[int] = []
@@ -204,11 +233,13 @@ class SegmentBuffer:
         path there) but useful for tests and for modelling corrupted
         segments in failure-injection scenarios.
         """
-        if seg_id not in self._insert_index:
+        if not self.contains(seg_id):
             return False
-        del self._insert_index[seg_id]
+        self._index[seg_id] = 0
         self._bits ^= 1 << seg_id
-        self._order.remove(seg_id)
+        del self._queue[: self._head]
+        self._head = 0
+        self._queue.remove(seg_id)
         self._discards += 1
         return True
 
@@ -226,22 +257,22 @@ class SegmentBuffer:
         return self._bits
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._queue) - self._head
 
     def __contains__(self, seg_id: int) -> bool:
-        return seg_id in self._insert_index
+        return self.contains(seg_id)
 
     def __iter__(self) -> Iterator[int]:
         """Iterate ids from oldest to newest insertion."""
-        return iter(self._order)
+        return iter(self._queue[self._head :])
 
     def contains(self, seg_id: int) -> bool:
         """Membership test (alias of ``in`` for readability at call sites)."""
-        return seg_id in self._insert_index
+        return seg_id >= 0 and self._bits >> seg_id & 1 == 1
 
     def contains_all(self, seg_ids: Iterable[int]) -> bool:
         """Whether every id in ``seg_ids`` is present."""
-        return all(seg_id in self._insert_index for seg_id in seg_ids)
+        return all(self.contains(seg_id) for seg_id in seg_ids)
 
     def contains_range(self, lo: int, hi: int) -> bool:
         """Whether every id of the inclusive range ``[lo, hi]`` is present."""
@@ -250,11 +281,11 @@ class SegmentBuffer:
 
     def newest(self) -> Optional[int]:
         """The most recently inserted id, or ``None`` when empty."""
-        return self._order[-1] if self._order else None
+        return self._queue[-1] if len(self) else None
 
     def oldest(self) -> Optional[int]:
         """The id that would be evicted next, or ``None`` when empty."""
-        return self._order[0] if self._order else None
+        return self._queue[self._head] if len(self) else None
 
     def position_from_tail(self, seg_id: int) -> int:
         """FIFO position of ``seg_id`` counted from the insertion end.
@@ -274,7 +305,7 @@ class SegmentBuffer:
 
     def as_set(self) -> frozenset[int]:
         """Frozen snapshot of all held ids."""
-        return frozenset(self._insert_index)
+        return frozenset(self._queue[self._head :])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -61,5 +61,7 @@ def test_shims_bind_on_a_real_pair_and_leave_results_untouched(engine):
         assert "core.schedule" not in table
         # one batched kernel call per period and algorithm group, not per peer
         assert 0 < table["core.vector.priorities"].calls < table["core.allocate"].calls
-        assert table["core.vector.flush"].calls > 0
+        # buffers write the kernel's matrix directly: nothing to flush, so
+        # the table's flush target is gone and its row reads 0
+        assert "core.vector.flush" not in table
         assert digest == _shimmed_pair("oracle")[0]

@@ -5,9 +5,10 @@ session-level differential suite (``test_vector_equivalence.py``) checks
 that promise end to end; this module attacks the individual kernels with
 hypothesis-generated inputs far outside what any shipped scenario reaches:
 
-* :class:`MirroredBuffer` / :class:`SegmentArrays` -- the bitmask
-  buffer-map mirror must track a plain :class:`SegmentBuffer` under
-  arbitrary insert/discard/evict sequences;
+* :class:`MirroredBuffer` / :class:`SegmentArrays` -- a buffer's matrix
+  row is its index (insertion number + 1, 0 when not held) and must track
+  a plain :class:`SegmentBuffer` under arbitrary insert/discard/evict
+  sequences;
 * :func:`vectorized_priorities` -- must match ``priority_for_view``
   (``core/priority.py``) float for float under every policy;
 * :func:`_greedy_masks` -- the bitmask supplier-allocation pass must
@@ -170,32 +171,45 @@ def _scalar_candidates(
 # --------------------------------------------------------------------------- #
 # bitmask buffer maps
 # --------------------------------------------------------------------------- #
+def _apply_alike(buffers, ops, inserted):
+    """Apply ``(is_insert, seg_id)`` ops to every buffer, checking they all
+    answer alike; ``inserted`` gains each id an insert actually stored, so
+    an id's insertion number is its last place in that list."""
+    for is_insert, seg_id in ops:
+        if is_insert and seg_id not in buffers[0]:
+            inserted.append(seg_id)
+        results = {
+            buffer.insert(seg_id) if is_insert else buffer.discard(seg_id) for buffer in buffers
+        }
+        assert len(results) == 1
+
+
+def _assert_row_is_the_index(arrays, row, reference, inserted):
+    """Matrix row - 1 is the insertion number of every held id, 0 elsewhere."""
+    numbers = {seg_id: number for number, seg_id in enumerate(inserted)}
+    values = arrays.index[row]
+    held = set(np.flatnonzero(values).tolist())
+    assert held == set(reference.as_set())
+    for seg_id in held:
+        assert values[seg_id] - 1 == numbers[seg_id]
+
+
 @settings(max_examples=300, deadline=None)
 @given(ops=buffer_ops, capacity=capacities)
 def test_mirrored_buffer_tracks_scalar_buffer(ops, capacity):
-    """After flush, the matrix row equals the scalar buffer exactly."""
+    """The buffer's matrix row is its index: it equals the scalar buffer's
+    state exactly, with no flush in between."""
     scalar = SegmentBuffer(capacity=capacity)
     arrays = SegmentArrays(1, 8)
     mirrored = MirroredBuffer(capacity, arrays, 0)
+    inserted = []
+    _apply_alike([mirrored, scalar], ops, inserted)
 
-    for is_insert, seg_id in ops:
-        if is_insert:
-            assert mirrored.insert(seg_id) == scalar.insert(seg_id)
-        else:
-            assert mirrored.discard(seg_id) == scalar.discard(seg_id)
-
-    arrays.flush()
-    assert not arrays.pending
-    held = set(np.flatnonzero(arrays.present[0]).tolist())
-    assert held == set(scalar.as_set()) == set(mirrored.as_set())
+    _assert_row_is_the_index(arrays, 0, scalar, inserted)
+    assert mirrored.as_set() == scalar.as_set()
+    assert list(mirrored) == list(scalar)
     assert len(mirrored) == len(scalar)
     assert mirrored.evicted_total == scalar.evicted_total
-    for seg_id in held:
-        assert arrays.insert_index[0, seg_id] == scalar._insert_index[seg_id]
-    # flush is idempotent: a second flush must change nothing.
-    before = arrays.present.copy()
-    arrays.flush()
-    assert np.array_equal(arrays.present, before)
 
 
 @settings(max_examples=300, deadline=None)
@@ -204,17 +218,15 @@ def test_mirrored_buffer_tracks_scalar_buffer(ops, capacity):
     capacity=capacities,
 )
 def test_fifo_positions_recoverable_from_insert_index(seg_ids, capacity):
-    """The rarity positions the engine derives from the insertion-counter
-    matrix (``counter - insert_index + 1``) match ``position_from_tail``
-    for every held segment under pure-FIFO histories (no discards)."""
+    """The rarity positions the engine derives from the index matrix
+    (``counter + 1 - index``) match ``position_from_tail`` for every held
+    segment under pure-FIFO histories (no discards)."""
     arrays = SegmentArrays(1, 8)
     mirrored = MirroredBuffer(capacity, arrays, 0)
     for seg_id in seg_ids:
         mirrored.insert(seg_id)
-    arrays.flush()
-    newest_index = mirrored._counter - 1
-    for seg_id in np.flatnonzero(arrays.present[0]).tolist():
-        derived = int(newest_index - arrays.insert_index[0, seg_id]) + 1
+    for seg_id in np.flatnonzero(arrays.index[0]).tolist():
+        derived = int(mirrored._counter + 1 - arrays.index[0, seg_id])
         assert derived == mirrored.position_from_tail(seg_id)
 
 
@@ -225,31 +237,22 @@ def test_fifo_positions_recoverable_from_insert_index(seg_ids, capacity):
     capacity=capacities,
 )
 def test_adopted_buffer_mirrors_existing_state(seg_ids, extra_ops, capacity):
-    """``MirroredBuffer.adopt`` fills the row from a live buffer and keeps
-    mirroring subsequent mutations."""
+    """``MirroredBuffer.adopt`` copies a live buffer's index into its row and
+    the row stays the index under subsequent mutations."""
     original = SegmentBuffer(capacity=capacity)
     reference = SegmentBuffer(capacity=capacity)
-    for seg_id in seg_ids:
-        original.insert(seg_id)
-        reference.insert(seg_id)
+    inserted = []
+    _apply_alike([original, reference], [(True, seg_id) for seg_id in seg_ids], inserted)
 
-    arrays = SegmentArrays(1, 8)
-    mirrored = MirroredBuffer.adopt(original, arrays, 0)
-    held = set(np.flatnonzero(arrays.present[0]).tolist())
-    assert held == set(reference.as_set())
+    arrays = SegmentArrays(2, 8)
+    MirroredBuffer(capacity, arrays, 0)  # a neighbour row the adoption must not touch
+    mirrored = MirroredBuffer.adopt(original, arrays, 1)
+    _assert_row_is_the_index(arrays, 1, reference, inserted)
 
-    for is_insert, seg_id in extra_ops:
-        if is_insert:
-            mirrored.insert(seg_id)
-            reference.insert(seg_id)
-        else:
-            mirrored.discard(seg_id)
-            reference.discard(seg_id)
-    arrays.flush()
-    held = set(np.flatnonzero(arrays.present[0]).tolist())
-    assert held == set(reference.as_set())
-    for seg_id in held:
-        assert arrays.insert_index[0, seg_id] == reference._insert_index[seg_id]
+    _apply_alike([mirrored, reference], extra_ops, inserted)
+    _assert_row_is_the_index(arrays, 1, reference, inserted)
+    assert not arrays.index[0].any()
+    assert list(mirrored) == list(reference)
 
 
 # --------------------------------------------------------------------------- #
@@ -458,7 +461,6 @@ def test_batched_kernel_matches_per_peer_kernels(seed, supplier_counts, policy):
     for buffer in pool:
         for seg_id in rng.integers(0, n_segments, size=rng.integers(0, 40)).tolist():
             buffer.insert(seg_id)
-    arrays.flush()
 
     survivors, candidates, job_of, visible = [], [], [], []
     for job, k in enumerate(supplier_counts):
@@ -489,7 +491,8 @@ def test_batched_kernel_matches_per_peer_kernels(seed, supplier_counts, policy):
                 continue  # a supplier-less peer's outputs are never read
             lo, hi = int(mine[0]), int(mine[-1]) + 1
             rows = np.array(entry.rows)[:, None]
-            supply = arrays.present[rows, candidates[lo:hi]] & visible[lo:hi]
+            held = arrays.index[rows, candidates[lo:hi]]
+            supply = (held != 0) & visible[lo:hi]
             assert masks[lo:hi] == [
                 sum(1 << slot for slot in np.flatnonzero(column).tolist())
                 for column in supply.T
@@ -502,7 +505,7 @@ def test_batched_kernel_matches_per_peer_kernels(seed, supplier_counts, policy):
                 candidates[lo:hi],
                 supply,
                 np.array(entry.rates)[:, None],
-                counters - arrays.insert_index[rows, candidates[lo:hi]],
+                counters + 1 - held,
                 np.array(entry.caps)[:, None],
                 int(playback_ids[job]),
                 float(play_rates[job]),

@@ -105,6 +105,13 @@ FENCES: Tuple[Tuple[str, str, Tuple[str, ...], int], ...] = (
     ("no-shared-engine-mode", r"_owns_engine|UniverseSession", (_SRC,), 0),
     ("session-takes-no-engine", r"^\s+engine: ", (_SESSION,), 0),
     ("finalize-is-private", r"\._?finalize\(", (_SRC, f"!{_SESSION}"), 0),
+    # A buffer is a bitmap, an order array and an index row: no per-segment
+    # Python objects, and on the array engine one copy -- the buffer writes
+    # the matrix the kernel reads, nothing is queued, mirrored or flushed.
+    ("buffer-holds-no-deque", r"\bdeque\b", ("src/repro/streaming/buffer.py",), 0),
+    ("no-insert-index-dict", r"_insert_index", (_SRC,), 0),
+    ("vector-keeps-no-second-copy", r"\bpending\b|\bpresent\b|def flush",
+     ("src/repro/core/vector.py",), 0),
 )
 
 

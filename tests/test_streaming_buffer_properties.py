@@ -1,7 +1,7 @@
 """Property-based tests for the FIFO buffer (hypothesis)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.vector import MirroredBuffer, SegmentArrays
@@ -33,26 +33,66 @@ def test_size_never_exceeds_capacity(inserts, capacity):
     assert len(buffer) == len(buffer.as_set())
 
 
+#: long scripts, one step in ten a discard: eviction passes the queue's
+#: compaction point many times over
+long_mutations = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=9).map(lambda roll: roll == 0),
+              st.integers(min_value=0, max_value=200)),
+    max_size=400,
+)
+
+
+def _plain(capacity):
+    return SegmentBuffer(capacity=capacity)
+
+
+def _mirrored(capacity):
+    return MirroredBuffer(capacity, SegmentArrays(1, 8), 0)
+
+
+#: re-inserts evicted ids, compacts the queue many times, ends on a discard
+_CYCLING = [(False, step % 150) for step in range(400)] + [(True, 399 % 150)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(inserts=ids, capacity=capacities)
-def test_buffer_matches_reference_fifo_model(inserts, capacity):
+@given(script=long_mutations, capacity=any_capacity, make=st.sampled_from([_plain, _mirrored]))
+@example(script=_CYCLING, capacity=7, make=_plain)
+@example(script=_CYCLING, capacity=7, make=_mirrored)
+@example(script=_CYCLING, capacity=None, make=_mirrored)
+def test_buffer_matches_reference_fifo_model(script, capacity, make):
     """The buffer behaves exactly like a simple list-based FIFO model.
 
     The model: an insert of an id not currently held appends it; when the
-    size exceeds the capacity the oldest held id is dropped.  Re-inserting a
-    currently-held id is a no-op, but an id that was evicted earlier can be
-    inserted again.
+    size exceeds the capacity the oldest held id is dropped; a discard
+    removes the id wherever it is.  Re-inserting a currently-held id is a
+    no-op, but an id that was evicted earlier can be inserted again.  A
+    position is the place from the model's newest end, in pure-FIFO runs
+    and after discards alike.  Both buffer kinds, both bounded and not.
     """
-    buffer = SegmentBuffer(capacity=capacity)
+    buffer = make(capacity)
     model: list[int] = []
-    for seg in inserts:
-        buffer.insert(seg)
-        if seg not in model:
-            model.append(seg)
-            if len(model) > capacity:
-                model.pop(0)
-    assert list(buffer) == model
+    for step, (is_discard, seg) in enumerate(script):
+        if is_discard:
+            assert buffer.discard(seg) == (seg in model)
+            if seg in model:
+                model.remove(seg)
+        else:
+            evicted = None
+            if seg not in model:
+                model.append(seg)
+                if capacity is not None and len(model) > capacity:
+                    evicted = model.pop(0)
+            assert buffer.insert(seg) == evicted
+        assert len(buffer) == len(model)
+        assert buffer.newest() == (model[-1] if model else None)
+        assert buffer.oldest() == (model[0] if model else None)
+        if step % 50 == 0 or step == len(script) - 1:
+            assert list(buffer) == model
+            assert [buffer.position_from_tail(seg) for seg in model] == list(
+                range(len(model), 0, -1)
+            )
     assert buffer.as_set() == frozenset(model)
+    assert set_bits(buffer.bits) == sorted(model)
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,7 +146,7 @@ def test_bitmap_equals_the_key_set_of_the_insertion_index(script, capacity):
     buffer = SegmentBuffer(capacity=capacity)
     for step in script:
         _apply(buffer, [step])
-        assert set_bits(buffer.bits) == sorted(buffer._insert_index)
+        assert set_bits(buffer.bits) == _indexed(buffer)
     assert popcount(buffer.bits) == len(buffer)
     assert set_bits(buffer.bits) == sorted(buffer.as_set())
 
@@ -125,14 +165,20 @@ def test_mirrored_adopt_preserves_the_bitmap(before, after, capacity):
     _apply(mirrored, after)
     _apply(reference, after)
     assert mirrored.bits == reference.bits
-    assert set_bits(mirrored.bits) == sorted(mirrored._insert_index)
+    assert set_bits(mirrored.bits) == _indexed(mirrored)
     assert list(mirrored) == list(reference)
+
+
+def _indexed(buffer):
+    """Ids the index marks as held (insertion number + 1 != 0), ascending."""
+    return [seg for seg, number in enumerate(buffer._index) if number]
 
 
 def _state(buffer):
     return (
-        list(buffer._order),
-        dict(buffer._insert_index),
+        list(buffer),
+        {seg: buffer._index[seg] for seg in buffer},
+        _indexed(buffer),
         buffer.bits,
         buffer._counter,
         buffer.evicted_total,
@@ -181,11 +227,12 @@ def test_bulk_seeding_rejects_negative_ids_like_insert():
     assert len(buffer) == 0 and buffer.bits == 0
 
 
-def test_mirrored_buffer_seeding_goes_through_its_own_insert():
-    arrays = SegmentArrays(1, 64)
+def test_mirrored_buffer_seeding_writes_its_matrix_row():
+    arrays = SegmentArrays(1, 4)
     mirrored = MirroredBuffer(None, arrays, 0)
     assert mirrored.insert_many(range(3, 9)) == []
-    assert sorted(arrays.pending) == [(0, seg) for seg in range(3, 9)]
+    row = arrays.index[0].tolist()
+    assert row == [0, 0, 0, 1, 2, 3, 4, 5, 6] + [0] * (len(row) - 9)
     plain = SegmentBuffer(capacity=None)
     plain.insert_many(range(3, 9))
     assert _state(mirrored) == _state(plain)
