@@ -22,15 +22,15 @@ pass per period**:
   depends on that order or is cheapest per peer: the control-plane pulls
   (the session's one neighbour walk, with its loss draws), switch adoption
   and the highest-known-id update from the OR of the neighbours' bitmaps;
-* the undelivered-segment sets of *all* peers come from one ``(peer, id)``
-  grid over that matrix, and :func:`batched_kernel` then computes
-  supply, urgency, rarity, the priority order and the supplier bitmasks for
-  every (peer, candidate, supplier slot) triple in one flattened pass whose
+* the undelivered-segment sets of *all* peers come from one gather at
+  each peer's own id ranges, and :func:`batched_kernel` then computes the
+  supplier bitmasks, urgency, rarity and priority order of the (candidate,
+  supplier slot) pairs that supply, in one flattened pass whose
   floating-point operation order matches the scalar implementation exactly
   (sequential per-supplier rarity products, the same ``(-priority,
   seg_id)`` total order);
-* what stays per peer is the bitmask greedy, fed with pre-sliced Python
-  lists and emitting plain request rows ``(rank, seg_id, supplier_id,
+* what stays per peer is the bitmask greedy over the supplied candidates,
+  emitting plain request rows ``(rank, seg_id, supplier_id,
   completion_time)`` -- the session's wire format; a request is never an
   object here -- and the rate split with its four-case allocation
   (``core.allocation``, one call per peer: its arguments hardly ever repeat).
@@ -165,12 +165,11 @@ class _Survivors:
     Plain per-slot lists (slots follow overlay-neighbour order): the greedy
     reads them as they are and the batched kernel concatenates them once per
     period.  Built from the session's neighbour walk
-    (:meth:`VectorDecider._survivors_of`).
+    (:meth:`VectorDecider._survivors_of`), and kept while the same
+    neighbours answer at the same rates.
     """
 
-    __slots__ = (
-        "ids", "id_set", "rows", "rates", "transfers", "caps", "buffers", "wire_bits",
-    )
+    __slots__ = ("ids", "rows", "rates", "transfers", "caps", "buffers", "wire_bits", "_opening")
 
     def __init__(
         self,
@@ -180,7 +179,6 @@ class _Survivors:
         wire_bits: int,
     ) -> None:
         self.ids = ids
-        self.id_set = frozenset(ids)
         self.rows = [b.row for b in buffers]
         self.rates = rates
         self.transfers = [1.0 / rate if rate > 0 else _INF for rate in rates]
@@ -189,6 +187,22 @@ class _Survivors:
         ]
         self.buffers = buffers
         self.wire_bits = wire_bits
+        self._opening = (0.0, 0)  # (period, mask): nothing completes within 0
+
+    def opening_mask(self, period: float) -> int:
+        """The greedy's live mask before it assigns anything (memoised)."""
+        if self._opening[0] != period:
+            self._opening = (period, _live_mask(self.rates, self.transfers, period))
+        return self._opening[1]
+
+
+def _live_mask(rates: List[float], completions: List[float], period: float) -> int:
+    """The supplier slots that send and whose next completion beats ``period``."""
+    return sum(
+        1 << slot
+        for slot, (rate, completion) in enumerate(zip(rates, completions))
+        if rate > 0 and completion < period
+    )
 
 
 #: One vectorised peer of a period: the peer, its surviving neighbourhood and
@@ -259,12 +273,14 @@ class VectorDecider:
         self._mirror_adopted(session)
         peers, sources = session.peers, session.sources
         ideal = type(session.fabric) is IdealFabric
-        if ideal:
-            alive = set(peers)
-            alive.update(sources)
-            if alive != self._cached_alive:
+        alive = peers.keys() | sources.keys()
+        if alive != self._cached_alive:  # keep nothing for a node that left
+            self._cached_alive = alive
+            if ideal:
                 self._survivor_cache.clear()
-                self._cached_alive = alive
+            for cache in (self._survivor_cache, self._capacity_cache):
+                for node_id in cache.keys() - alive:
+                    del cache[node_id]
         # Announcers are fixed for the whole phase: deciding never delivers
         # data, so ``has_new_data`` cannot flip mid-loop.
         announcers = {
@@ -299,7 +315,7 @@ class VectorDecider:
             windows = peer.interest_windows()
             survivors = self._survivors_of(session, node_id, state, ideal)
             # Switch adoption comes before the horizon update, as in the oracle.
-            if peer.switch_plan is None and not announcers.isdisjoint(survivors.id_set):
+            if peer.switch_plan is None and not announcers.isdisjoint(survivors.ids):
                 peer._adopt_switch(switch_info, now)
             # Maps advertise buffer ∩ interest windows, and the windows were
             # computed *before* any mid-round switch adoption -- a just-adopted
@@ -335,19 +351,18 @@ class VectorDecider:
 
         The ideal fabric draws nothing and drops nothing, so there the
         walk's result is reused (and its control traffic re-counted) until
-        membership changes.
+        membership changes; elsewhere, while the same neighbours answer at
+        the same rates.
         """
-        if ideal:
-            entry = self._survivor_cache.get(node_id)
-            if entry is not None:
-                state.control_pulls += len(entry.ids)
-                state.control_bits += entry.wire_bits
-                return entry
+        entry = self._survivor_cache.get(node_id)
+        if ideal and entry is not None:
+            state.control_pulls += len(entry.ids)
+            state.control_bits += entry.wire_bits
+            return entry
         nodes, rates, wire_bits = session.pull_neighbours(node_id, state)
-        entry = _Survivors(
-            [node.node_id for node in nodes], rates, [node.buffer for node in nodes], wire_bits
-        )
-        if ideal:
+        ids = [node.node_id for node in nodes]
+        if entry is None or entry.ids != ids or entry.rates != rates:
+            entry = _Survivors(ids, rates, [node.buffer for node in nodes], wire_bits)
             self._survivor_cache[node_id] = entry
         return entry
 
@@ -375,59 +390,65 @@ class VectorDecider:
             ],
             dtype=np.int64,
         )
-        # -- undelivered segments: one (peer, id) grid over the ids anybody
-        #    wants; old ids precede new ones, so each peer's candidates come
-        #    out ascending with its old-stream ones first ------------------- #
-        lo = table[:, 2::2, None]  # per peer: old range, new range, two windows
-        hi = table[:, 3::2, None]
-        top = int(hi[:, :2].max())
-        bottom = int(np.where(hi[:, :2] >= lo[:, :2], lo[:, :2], top + 1).min())
-        arrays.ensure_segments(top + 1)
-        ids = np.arange(bottom, top + 1)
-        inside = (ids >= lo) & (ids <= hi)
-        missing = (inside[:, 0] | inside[:, 1]) & (arrays.index[table[:, 0], bottom : top + 1] == 0)
-        job_of, offset = np.nonzero(missing)
-        candidates = offset + bottom
-        stops = np.cumsum(np.bincount(job_of, minlength=len(jobs))).tolist()
-        n_old = np.count_nonzero(missing & inside[:, 0], axis=1).tolist()
+        # -- undelivered segments: each peer's old range, then its new range,
+        #    laid end to end; old ids precede new ones, so each peer's
+        #    candidates come out ascending with its old-stream ones first -- #
+        lo = table[:, 2:6:2].ravel()  # per peer: old range, new range
+        length = np.maximum(table[:, 3:6:2].ravel() - lo + 1, 0)
+        run = np.repeat(np.arange(length.size), length)  # (peer, range) of each id
+        ids = np.arange(run.size) + np.repeat(lo - (np.cumsum(length) - length), length)
+        arrays.ensure_segments(int(ids.max(initial=0)) + 1)
+        missing = arrays.index[table[run >> 1, 0], ids] == 0
+        candidates, run = ids[missing], run[missing]
+        job_of = run >> 1
+        counts = np.bincount(run, minlength=length.size).reshape(-1, 2)
+        stops = np.cumsum(counts.sum(axis=1))
+        splits = stops - counts[:, 1]  # each peer's first new-stream candidate
+        w = table[job_of, 6:]  # the two interest windows
 
-        _, order, masks = batched_kernel(
+        supplied, _, order, masks = batched_kernel(
             arrays,
             [survivors for _, survivors, _ in jobs],
             candidates,
             job_of,
-            (inside[:, 2] | inside[:, 3])[missing],
+            ((w[:, 0] <= candidates) & (candidates <= w[:, 1]))
+            | ((w[:, 2] <= candidates) & (candidates <= w[:, 3])),
             table[:, 1],
             np.array([peer.play_rate for peer, _, _ in jobs]),
             policy,
         )
+        # Each peer's supplied candidates, and where its new-stream ones begin.
+        offered = np.searchsorted(supplied, np.stack([splits, stops], axis=1)).tolist()
+        offered_ids = candidates[supplied].tolist()
         candidates = candidates.tolist()
-        start = 0
-        for (peer, survivors, _), stop, old in zip(jobs, stops, n_old):
-            split = start + old
+        start = first = 0
+        for (peer, survivors, _), stop, split, (middle, end) in zip(
+            jobs, stops.tolist(), splits.tolist(), offered
+        ):
             peer.wanted_old = set(candidates[start:split])
             peer.wanted_new = set(candidates[split:stop])
             capacity = self._capacity_of(peer)
-            if capacity <= 0 or not survivors.ids or not any(masks[start:stop]):
-                # No capacity, no live neighbours or nothing wanted that
-                # anybody advertises: every algorithm branch requests nothing.
+            if capacity <= 0 or end == first:
+                # No capacity or nothing wanted that anybody advertises:
+                # every algorithm branch requests nothing.
                 rows[peer.node_id] = ()
             elif policy is None:
                 rows[peer.node_id] = self._normal_finish(
-                    peer, capacity, survivors, candidates[start:stop], masks[start:stop], old
+                    peer, capacity, survivors, offered_ids[first:end], masks[first:end],
+                    middle - first, split - start,
                 )
             else:
-                # Candidates ascend, so the kernel's stable sort on descending
-                # priority breaks ties towards earlier segments: a row's rank
-                # is its place in the total order (-priority, seg_id).
+                # Supplied candidates ascend, so the kernel's stable sort on
+                # descending priority breaks ties towards earlier segments: a
+                # row's rank is its place in the total order (-priority, seg_id).
                 assigned_old, assigned_new, _ = _greedy_masks(
-                    order[start:stop], candidates[start:stop], masks[start:stop],
-                    old, survivors, peer.tau,
+                    order[first:end], offered_ids[first:end], masks[first:end],
+                    middle - first, survivors, peer.tau,
                 )
                 rows[peer.node_id] = self._fast_finish(
                     peer, capacity, assigned_old, assigned_new
                 )
-            start = stop
+            start, first = stop, end
 
     def _capacity_of(self, peer: PeerNode) -> int:
         capacity = self._capacity_cache.get(peer.node_id)
@@ -485,27 +506,27 @@ class VectorDecider:
         candidates: List[int],
         masks: List[int],
         n_old: int,
+        n_wanted_old: int,
     ) -> List[RequestRow]:
-        """Both passes walk *all* needed ids of their stream in playback
-        order (supplier-less ones included), exactly as the scalar
-        ``_sequential_candidates`` enumerates them; zero-mask candidates are
-        skipped by the greedy."""
+        """Both passes walk the supplied ids of their stream in playback
+        order, as the scalar ``_sequential_candidates`` enumerates them, and
+        stop once they hold what they may keep: pass 2 only runs when pass 1
+        kept fewer than ``capacity``, so it gets pass 1's whole queue."""
         tau = peer.tau
-        old_assigned, _, queue = _greedy_masks(
-            range(n_old), candidates, masks, n_old, survivors, tau
+        chosen, _, queue = _greedy_masks(
+            range(n_old), candidates, masks, n_old, survivors, tau, limit=capacity
         )
-        chosen = old_assigned[:capacity]
-
         if peer.algorithm.opportunistic_leftover:
             reserved_for_old = len(chosen)
         else:
-            reserved_for_old = min(capacity, n_old)
+            reserved_for_old = min(capacity, n_wanted_old)
         remaining = capacity - reserved_for_old
         if remaining > 0 and len(candidates) > n_old:
             _, new_assigned, _ = _greedy_masks(
-                range(n_old, len(candidates)), candidates, masks, n_old, survivors, tau, queue
+                range(n_old, len(candidates)), candidates, masks, n_old, survivors, tau, queue,
+                limit=remaining,
             )
-            chosen += new_assigned[:remaining]
+            chosen += new_assigned
         peer.requests_issued += len(chosen)
         return chosen
 
@@ -522,7 +543,7 @@ def batched_kernel(
     playback_ids: np.ndarray,
     play_rates: np.ndarray,
     policy: Optional[PriorityPolicy],
-) -> Tuple[Optional[List[float]], Optional[List[int]], List[int]]:
+) -> Tuple[np.ndarray, Optional[List[float]], Optional[List[int]], List[int]]:
     """Supply, priorities, priority order and supplier bitmasks of a period.
 
     ``survivors`` / ``playback_ids`` / ``play_rates`` describe the peers
@@ -531,82 +552,66 @@ def batched_kernel(
     (ascending) and ``visible`` whether it lies inside that peer's interest
     windows.  The (candidate, supplier slot) pairs are laid out *flattened*:
     candidate ``i`` owns ``k`` consecutive elements, one per slot of its
-    peer in ascending slot order, so ragged supplier counts cost nothing
-    and the segmented reductions of :func:`vectorized_priorities` multiply
+    peer in ascending slot order, so ragged supplier counts cost nothing.
+    After the one gather of the index only the *supplying* elements are
+    kept.  That is exact: a non-supplier adds no mask bit, ``* 1.0`` to the
+    rarity product, ``-inf`` to the rate maximum and 0 to the supplier
+    count, and :func:`vectorized_priorities` still reduces the remaining
     slots in the scalar order.
 
-    Returns ``(priorities, order, masks)`` as Python lists aligned with
-    ``candidates``: ``order`` is, per peer, the stable descending-priority
-    permutation in peer-local indices; ``masks`` packs each candidate's
-    supplier slots into one int.  Supplier-less candidates are NOT filtered
-    out: their mask is zero, so the greedy skips them in O(1) and whatever
-    priority they got never surfaces.  ``policy=None`` (rank priorities)
-    yields ``(None, None, masks)``.
+    Returns ``(supplied, priorities, order, masks)``: the ascending
+    positions in ``candidates`` of the supplied candidates, and three lists
+    aligned with them (any other candidate has mask 0 and no priority).
+    ``masks`` packs a candidate's supplier slots into one int; ``order`` is,
+    per peer, the stable descending-priority permutation of its supplied
+    candidates in peer-local indices.  ``policy=None`` (rank priorities)
+    yields ``(supplied, None, None, masks)``.
     """
     k_of = np.array([len(s.ids) for s in survivors], dtype=np.intp)
     k_col = k_of[job_of]
-    if not k_col.all():
-        # Peers without suppliers would own empty slot runs, which reduceat
-        # cannot express: compute the others and hand these zeros.
-        live = np.flatnonzero(k_col)
-        partial = batched_kernel(
-            arrays, survivors, candidates[live], job_of[live], visible[live],
-            playback_ids, play_rates, policy,
-        )
-        return tuple(
-            None if values is None else _spread(values, live, candidates.size)
-            for values in partial
-        )
-    if candidates.size == 0:
-        return None, None, []
     ends = np.cumsum(k_col)
-    starts = ends - k_col
     elem_col = np.repeat(np.arange(candidates.size), k_col)
-    elem_slot = np.arange(ends[-1]) - starts[elem_col]
+    elem_slot = np.arange(elem_col.size) - (ends - k_col)[elem_col]
     elem_flat = (np.cumsum(k_of) - k_of)[job_of][elem_col] + elem_slot
-    elem_row = _per_slot(survivors, "rows", np.intp)[elem_flat]
-    held = arrays.index[elem_row, candidates[elem_col]]
-    supply = (held != 0) & visible[elem_col]
+    held = arrays.index[_per_slot(survivors, "rows", np.intp)[elem_flat], candidates[elem_col]]
+    keep = np.flatnonzero((held != 0) & visible[elem_col])
+    col, slot, flat = elem_col[keep], elem_slot[keep], elem_flat[keep]
+    starts = np.flatnonzero(np.diff(col, prepend=-1))  # one run per supplied candidate
+    supplied = col[starts]
 
-    low = elem_slot < 64
-    masks = np.add.reduceat(_BIT_WEIGHTS[elem_slot & 63] * (supply & low), starts).tolist()
+    low = slot < 64
+    masks = np.add.reduceat(_BIT_WEIGHTS[slot & 63] * low, starts).tolist()
     if not low.all():
-        high = np.flatnonzero(supply & ~low)
-        for col, slot in zip(elem_col[high].tolist(), elem_slot[high].tolist()):
-            masks[col] |= 1 << slot
+        high = np.flatnonzero(~low)
+        runs = np.searchsorted(starts, high, side="right") - 1
+        for index, bit in zip(runs.tolist(), slot[high].tolist()):
+            masks[index] |= 1 << bit
     if policy is None:
-        return None, None, masks
+        return supplied, None, None, masks
 
     positions = None
     if policy is PriorityPolicy.PAPER:
         counters = np.fromiter(
             (b._counter for s in survivors for b in s.buffers), np.int64, count=int(k_of.sum())
         )
-        positions = counters[elem_flat] + 1 - held
+        positions = counters[flat] + 1 - held[keep]
+    job = job_of[supplied]
     priorities = vectorized_priorities(
-        candidates,
-        supply,
-        _per_slot(survivors, "rates", np.float64)[elem_flat],
+        candidates[supplied],
+        np.ones(keep.size, dtype=bool),
+        _per_slot(survivors, "rates", np.float64)[flat],
         positions,
-        _per_slot(survivors, "caps", np.int64)[elem_flat],
-        playback_ids[job_of],
-        play_rates[job_of],
+        _per_slot(survivors, "caps", np.int64)[flat],
+        playback_ids[job],
+        play_rates[job],
         policy,
         starts=starts,
     )
-    order = np.lexsort((-priorities, job_of)) - np.searchsorted(job_of, job_of)
+    order = np.lexsort((-priorities, job)) - np.searchsorted(job, job)
     # One tolist per array instead of numpy-scalar conversions per
     # assignment; downstream consumers (requests, store documents) then
     # only ever see native Python ints/floats.
-    return priorities.tolist(), order.tolist(), masks
-
-
-def _spread(values: list, positions: np.ndarray, size: int) -> list:
-    """``values`` placed at ``positions`` of a zero-filled list of ``size``."""
-    out = [0] * size
-    for position, value in zip(positions.tolist(), values):
-        out[position] = value
-    return out
+    return supplied, priorities.tolist(), order.tolist(), masks
 
 
 def _per_slot(survivors: Sequence[_Survivors], name: str, dtype) -> np.ndarray:
@@ -681,6 +686,8 @@ def _greedy_masks(
     survivors: _Survivors,
     period: float,
     initial_queue: Optional[Dict[int, float]] = None,
+    *,
+    limit: int = -1,
 ) -> Tuple[List[RequestRow], List[RequestRow], Dict[int, float]]:
     """Replicates ``greedy_supplier_assignment`` exactly, bitmask-driven.
 
@@ -691,25 +698,25 @@ def _greedy_masks(
     ever grow, so a slot that leaves the mask never re-enters, candidates
     with no live supplier are skipped in O(1), and once the mask empties no
     later candidate can be assigned -- same result as the scalar greedy in
-    a fraction of the iterations.  Returns the old-stream rows, the
+    a fraction of the iterations.  A positive ``limit`` stops the walk once
+    that many rows are assigned (the rows are the scalar greedy's first
+    ``limit``; its queue is not).  Returns the old-stream rows, the
     new-stream rows (candidates at ``order`` values ``>= n_old``) and the
     supplier queue; a row's ``rank`` is its candidate's position in
     ``order``.
     """
-    queue: Dict[int, float] = dict(initial_queue) if initial_queue else {}
     ids = survivors.ids
     transfers = survivors.transfers
-    rates = survivors.rates
     # comp[slot] is the completion time the slot would yield if chosen next;
     # it only changes when the slot is assigned, so keeping it as a list
     # turns the inner scan into plain index/compare work.
-    comp = [
-        transfers[slot] + queue.get(ids[slot], 0.0) for slot in range(len(ids))
-    ]
-    live_mask = 0
-    for slot, completion in enumerate(comp):
-        if rates[slot] > 0 and completion < period:
-            live_mask |= 1 << slot
+    queue: Dict[int, float] = dict(initial_queue) if initial_queue else {}
+    if queue:
+        comp = [transfers[slot] + queue.get(ids[slot], 0.0) for slot in range(len(ids))]
+        live_mask = _live_mask(survivors.rates, comp, period)
+    else:
+        comp = list(transfers)
+        live_mask = survivors.opening_mask(period)
     assigned_old: List[RequestRow] = []
     assigned_new: List[RequestRow] = []
     if live_mask:
@@ -734,6 +741,9 @@ def _greedy_masks(
                 assigned_new.append(row)
             else:
                 assigned_old.append(row)
+            limit -= 1
+            if not limit:
+                break
             next_completion = transfers[best_slot] + best_time
             comp[best_slot] = next_completion
             if next_completion >= period:

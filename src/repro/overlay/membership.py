@@ -17,6 +17,12 @@ behaviours are:
 :class:`~repro.overlay.topology.Overlay`, which keeps the simulation faithful
 to the paper while avoiding per-message simulation of the membership gossip
 itself (whose traffic the paper does not count either).
+
+A partner draw is array work, not a population scan: the alive ids are one
+sorted array (each node's region next to it, looked up once per node).  The
+weighted draw replicates ``Generator.choice`` without its per-call checks
+of the weights, which cost several times the draw itself
+(:func:`_choice_without_replacement`, fuzzed against NumPy in the tests).
 """
 
 from __future__ import annotations
@@ -28,6 +34,9 @@ import numpy as np
 from repro.overlay.topology import NodeInfo, Overlay
 
 __all__ = ["MembershipService"]
+
+#: Regions of a node not looked up yet, and of one the lookup does not know.
+_UNSEEN, _UNKNOWN = -2, -1
 
 
 class MembershipService:
@@ -59,7 +68,9 @@ class MembershipService:
         self.min_degree = int(min_degree)
         self._rng = rng
         self.protected = set(protected)
-        self._next_id = (max(overlay.node_ids) + 1) if len(overlay) else 0
+        #: row 0: the alive ids, ascending; row 1: each one's region
+        self._members = np.array([overlay.node_ids, [_UNSEEN] * len(overlay)], dtype=np.int64)
+        self._next_id = int(self._members[0, -1]) + 1 if len(overlay) else 0
         self._region_index_of: Optional[Callable[[int], Optional[int]]] = None
         self._locality_bias = 1.0
         #: cumulative counters, useful for tests and reports
@@ -80,7 +91,9 @@ class MembershipService:
         ``region_index_of`` maps a node id to its network-region index (or
         ``None`` when unknown) and ``bias`` is the weight multiplier for
         same-region candidates: with bias ``b``, a same-region candidate is
-        ``b`` times as likely to be drawn as a remote one.  A ``bias`` of
+        ``b`` times as likely to be drawn as a remote one.  A region is
+        looked up once, when its node is first a candidate (it must be
+        assigned by then), and the drawing node's at every draw.  A ``bias`` of
         1.0 (or less) is a no-op: locality stays disabled and partner
         selection keeps the classic region-blind uniform draw, bit
         identical to a service that never saw this call.  (The weighted
@@ -119,6 +132,8 @@ class MembershipService:
         elif info.node_id >= self._next_id:
             self._next_id = info.node_id + 1
         self.overlay.add_node(info)
+        at = int(self._members[0].searchsorted(info.node_id))
+        self._members = np.insert(self._members, at, (info.node_id, _UNSEEN), axis=1)
         self._connect_to_random_partners(info.node_id, self.min_degree)
         self.joins += 1
         return info.node_id
@@ -133,6 +148,7 @@ class MembershipService:
             raise ValueError(f"node {node_id} is protected and cannot leave")
         former = self.overlay.neighbours(node_id)
         self.overlay.remove_node(node_id)
+        self._members = np.delete(self._members, self._members[0].searchsorted(node_id), axis=1)
         self.leaves += 1
         return former
 
@@ -174,50 +190,52 @@ class MembershipService:
     # internals
     # ------------------------------------------------------------------ #
     def _connect_to_random_partners(self, node_id: int, count: int) -> int:
-        """Connect ``node_id`` to up to ``count`` random non-neighbours."""
-        candidates = self._partner_candidates(node_id)
-        if not candidates:
+        """Connect ``node_id`` to up to ``count`` random non-neighbours (in
+        id order: the draws index into them)."""
+        alive, regions = self._members
+        keep = np.ones(alive.size, dtype=bool)
+        keep[alive.searchsorted([node_id, *self.overlay.neighbours(node_id)])] = False
+        candidates = alive[keep]
+        if not candidates.size:
             return 0
-        count = min(count, len(candidates))
-        if self._region_index_of is not None:
+        count = min(count, candidates.size)
+        region_index_of = self._region_index_of
+        if region_index_of is not None:
             # Locality-aware draw: same-region candidates carry ``bias``
             # weight, everyone else 1.0 (unknown regions count as remote).
-            own = self._region_index_of(node_id)
-            weights = np.array(
-                [
-                    self._locality_bias
-                    if own is not None and self._region_index_of(c) == own
-                    else 1.0
-                    for c in candidates
-                ],
-                dtype=float,
-            )
-            chosen = self._rng.choice(
-                len(candidates), size=count, replace=False, p=weights / weights.sum()
-            )
+            for at in np.flatnonzero(keep & (regions == _UNSEEN)).tolist():
+                region = region_index_of(int(alive[at]))
+                regions[at] = _UNKNOWN if region is None else region
+            own = region_index_of(node_id)  # None matches nobody: no candidate is unseen now
+            same = regions[keep] == (_UNSEEN if own is None else own)
+            weights = np.where(same, self._locality_bias, 1.0)
+            chosen = _choice_without_replacement(self._rng, weights / weights.sum(), count)
         else:
-            chosen = self._rng.choice(len(candidates), size=count, replace=False)
+            chosen = self._rng.choice(candidates.size, size=count, replace=False)
         added = 0
-        for idx in np.atleast_1d(chosen):
-            if self.overlay.add_edge(node_id, candidates[int(idx)]):
+        for partner in candidates[chosen].tolist():
+            if self.overlay.add_edge(node_id, partner):
                 added += 1
         return added
-
-    def _partner_candidates(self, node_id: int) -> List[int]:
-        """Every alive node ``node_id`` is not yet connected to, in id order."""
-        excluded = {node_id, *self.overlay.neighbours(node_id)}
-        return [other for other in self.overlay.node_ids if other not in excluded]
-
-    def random_alive_peer(self, exclude: Iterable[int] = ()) -> Optional[int]:
-        """A uniformly random alive node id not in ``exclude`` (or ``None``)."""
-        exclude_set = set(exclude)
-        candidates = [n for n in self.overlay.node_ids if n not in exclude_set]
-        if not candidates:
-            return None
-        return int(candidates[int(self._rng.integers(0, len(candidates)))])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"MembershipService(nodes={len(self.overlay)}, M={self.min_degree}, "
             f"joins={self.joins}, leaves={self.leaves})"
         )
+
+
+def _choice_without_replacement(rng: np.random.Generator, p: np.ndarray, size: int) -> List[int]:
+    """What ``rng.choice`` draws for ``size`` picks without replacement from
+    weights ``p``, by NumPy's own algorithm: invert the CDF of the mass not
+    picked yet at fresh uniforms, keep each new index's first occurrence,
+    repeat.  ``p`` is consumed."""
+    picked: List[int] = []
+    while len(picked) < size:
+        uniforms = rng.random(size - len(picked))
+        if picked:
+            p[picked] = 0.0
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        picked.extend(dict.fromkeys(cdf.searchsorted(uniforms, side="right").tolist()))
+    return picked

@@ -4,7 +4,8 @@ A buffer is a bitmap, an ``array('i')`` queue and an ``int32`` index -- no
 Python object per segment -- and on the array engine that index is the
 node's row of one shared matrix, which the buffers reference and which
 references them only weakly.  These tests fail if boxed-int buffers, a
-second copy of the index or a buffer <-> matrix reference cycle come back.
+second copy of the index or a buffer <-> matrix reference cycle come back,
+or the decider keeps per-peer state for peers that left.
 """
 
 from __future__ import annotations
@@ -87,6 +88,20 @@ def test_the_matrix_and_its_buffers_are_freed_without_a_collection(monkeypatch):
     finally:
         gc.enable()
     assert created and not alive
+
+
+def test_the_decider_keeps_nothing_for_departed_peers():
+    """The decider's capacity and neighbourhood caches are bounded by the
+    alive nodes under churn, on the ideal fabric and on a lossy one."""
+    for topology in (None, "transcontinental"):
+        session = SwitchSession(make_session_config(
+            40, seed=5, engine="vector", dynamic=True, max_time=60.0, topology=topology
+        ))
+        session.run()
+        decider, alive = session._decider, session.peers.keys() | session.sources.keys()
+        assert session.membership.leaves > 0 and decider._capacity_cache
+        assert decider._capacity_cache.keys() <= alive
+        assert decider._survivor_cache.keys() <= alive
 
 
 _PAIR_LOOP = """

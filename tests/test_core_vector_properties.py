@@ -15,10 +15,12 @@ hypothesis-generated inputs far outside what any shipped scenario reaches:
   reproduce ``greedy_supplier_assignment`` (``core/scheduler.py``),
   including queue carry-over between passes, which is how the engine
   replicates the two-pass budget allocation built on ``core/allocation.py``,
-  as plain request rows whose ``rank`` sorts like ``(-priority, seg_id)``;
+  as plain request rows whose ``rank`` sorts like ``(-priority, seg_id)``,
+  and the normal finish's capped passes must keep the uncapped rows;
 * :func:`batched_kernel` -- the flattened per-period pass must equal one
-  :func:`vectorized_priorities` call per peer (priorities, stable priority
-  order, supplier bitmasks) on ragged supplier / candidate counts.
+  :func:`vectorized_priorities` call per peer (supplier bitmasks for every
+  candidate; priorities and stable priority order on the supplied ones) on
+  ragged supplier / candidate counts.
 
 All equality assertions are exact (``==`` on floats): any re-association
 of floating-point work in the kernels is a bug, not noise.
@@ -26,6 +28,7 @@ of floating-point work in the kernels is a bug, not noise.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -38,6 +41,7 @@ from repro.core.scheduler import CandidateSegment, greedy_supplier_assignment
 from repro.core.vector import (
     MirroredBuffer,
     SegmentArrays,
+    VectorDecider,
     _greedy_masks,
     _Survivors,
     batched_kernel,
@@ -440,6 +444,43 @@ def test_greedy_masks_rank_sorts_like_priority_then_id(case, data):
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    case=greedy_cases(),
+    data=st.data(),
+    capacity=st.integers(1, 12),
+    opportunistic=st.booleans(),
+)
+def test_capped_normal_passes_keep_the_uncapped_rows(case, data, capacity, opportunistic):
+    """The normal finish stops each pass once it holds the rows it can keep
+    (``capacity``, then ``remaining``): the same rows as running both passes
+    to the end and trimming, because pass 2 only runs when pass 1 kept fewer
+    than ``capacity`` rows and so handed over the whole supplier queue."""
+    supplier_ids, rates, seg_ids, _, masks, period, _ = case
+    n_old = data.draw(st.integers(0, len(seg_ids)))
+    n_wanted_old = n_old + data.draw(st.integers(0, 4))  # + supplier-less old ids
+    survivors = _make_survivors(supplier_ids, rates)
+
+    old, _, queue = _greedy_masks(range(n_old), seg_ids, masks, n_old, survivors, period)
+    expected = old[:capacity]
+    remaining = capacity - (len(expected) if opportunistic else min(capacity, n_wanted_old))
+    if remaining > 0:
+        _, new, _ = _greedy_masks(
+            range(n_old, len(seg_ids)), seg_ids, masks, n_old, survivors, period, queue
+        )
+        expected += new[:remaining]
+
+    peer = SimpleNamespace(
+        tau=period, algorithm=SimpleNamespace(opportunistic_leftover=opportunistic),
+        requests_issued=0,
+    )
+    capped = VectorDecider()._normal_finish(
+        peer, capacity, survivors, seg_ids, masks, n_old, n_wanted_old
+    )
+    assert capped == expected
+    assert peer.requests_issued == len(expected)
+
+
 # --------------------------------------------------------------------------- #
 # the batched per-period kernel vs one vectorized_priorities call per peer
 # --------------------------------------------------------------------------- #
@@ -451,7 +492,9 @@ def test_greedy_masks_rank_sorts_like_priority_then_id(case, data):
 )
 def test_batched_kernel_matches_per_peer_kernels(seed, supplier_counts, policy):
     """Ragged peers in one flattened pass: every example also carries a
-    peer without suppliers and one with more than 64 (multi-word bitmasks)."""
+    peer without suppliers and one with more than 64 (multi-word bitmasks).
+    Masks equal the dense per-peer reference for every candidate (0 off the
+    supplied list); priorities and order equal it on the supplied ones."""
     rng = np.random.default_rng(seed)
     supplier_counts = [0, int(rng.integers(65, 80)), *supplier_counts]
     rng.shuffle(supplier_counts)
@@ -481,25 +524,34 @@ def test_batched_kernel_matches_per_peer_kernels(seed, supplier_counts, policy):
     visible = np.array(visible, dtype=bool)
 
     with np.errstate(divide="ignore"):
-        priorities, order, masks = batched_kernel(
+        supplied, priorities, order, masks = batched_kernel(
             arrays, survivors, candidates, job_of, visible, playback_ids, play_rates, policy
         )
-        assert len(masks) == candidates.size
+        assert len(masks) == supplied.size and all(masks)
+        dense = [0] * candidates.size
+        for position, mask in zip(supplied.tolist(), masks):
+            dense[position] = mask
         for job, entry in enumerate(survivors):
             mine = np.flatnonzero(job_of == job)
-            if not entry.ids or mine.size == 0:
-                continue  # a supplier-less peer's outputs are never read
+            if mine.size == 0:
+                continue
             lo, hi = int(mine[0]), int(mine[-1]) + 1
+            if not entry.ids:
+                assert not any(dense[lo:hi])
+                continue
             rows = np.array(entry.rows)[:, None]
             held = arrays.index[rows, candidates[lo:hi]]
             supply = (held != 0) & visible[lo:hi]
-            assert masks[lo:hi] == [
+            assert dense[lo:hi] == [
                 sum(1 << slot for slot in np.flatnonzero(column).tolist())
                 for column in supply.T
             ]
             if policy is None:
                 assert priorities is None and order is None
                 continue
+            first, end = np.searchsorted(supplied, [lo, hi]).tolist()
+            offered = supply.any(axis=0)
+            assert (supplied[first:end] - lo).tolist() == np.flatnonzero(offered).tolist()
             counters = np.array([b._counter for b in entry.buffers])[:, None]
             expected = vectorized_priorities(
                 candidates[lo:hi],
@@ -510,6 +562,6 @@ def test_batched_kernel_matches_per_peer_kernels(seed, supplier_counts, policy):
                 int(playback_ids[job]),
                 float(play_rates[job]),
                 policy,
-            )
-            assert priorities[lo:hi] == expected.tolist()
-            assert order[lo:hi] == np.argsort(-expected, kind="stable").tolist()
+            )[offered]
+            assert priorities[first:end] == expected.tolist()
+            assert order[first:end] == np.argsort(-expected, kind="stable").tolist()

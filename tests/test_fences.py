@@ -112,6 +112,15 @@ FENCES: Tuple[Tuple[str, str, Tuple[str, ...], int], ...] = (
     ("no-insert-index-dict", r"_insert_index", (_SRC,), 0),
     ("vector-keeps-no-second-copy", r"\bpending\b|\bpresent\b|def flush",
      ("src/repro/core/vector.py",), 0),
+    # Pay for what can move: the decider gathers each peer's own id ranges
+    # (no peers x id-span grid) and never hands supplier-less candidates
+    # around; a partner draw cuts neighbours out of the sorted alive-id array
+    # (the overlay's id list is read only to build it and to repair
+    # everyone) and weights it without NumPy's checked weighted choice.
+    ("decider-walks-supplied-candidates", r"np\.nonzero\(missing\)|_spread\(",
+     ("src/repro/core/vector.py",), 0),
+    ("membership-reads-the-id-list-twice", r"\.node_ids\b", ("src/repro/overlay/membership.py",), 2),
+    ("no-checked-weighted-choice", r"replace=False, p=", ("src/repro/overlay/membership.py",), 0),
 )
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.overlay.membership import MembershipService
+from repro.overlay.membership import MembershipService, _choice_without_replacement
 from repro.overlay.topology import NodeInfo, Overlay
 
 
@@ -75,14 +75,6 @@ def test_repair_all_nodes_by_default():
     assert all(overlay.degree(n) >= 4 for n in overlay.node_ids)
 
 
-def test_random_alive_peer_respects_exclusions():
-    overlay = _overlay(n=4, degree_edges=[(0, 1), (1, 2), (2, 3)])
-    service = _service(overlay, min_degree=1)
-    pick = service.random_alive_peer(exclude=[0, 1, 2])
-    assert pick == 3
-    assert service.random_alive_peer(exclude=[0, 1, 2, 3]) is None
-
-
 def test_min_degree_must_be_positive():
     overlay = _overlay()
     with pytest.raises(ValueError):
@@ -97,27 +89,103 @@ def test_join_on_tiny_overlay_connects_to_everyone():
     assert overlay.degree(node_id) == 1  # only one possible partner
 
 
+class _FirstPicks:
+    """A generator stand-in whose uniform partner draw takes the first
+    ``size`` candidates, in candidate order."""
+
+    def choice(self, n, size, replace):
+        assert not replace and size <= n
+        return np.arange(size)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     node_ids=st.sets(st.integers(0, 40), min_size=1, max_size=25),
     edges=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=80),
+    leavers=st.sets(st.integers(0, 40), max_size=6),
+    joiners=st.sets(st.integers(0, 60), max_size=4),
 )
-def test_partner_candidates_are_the_non_neighbours_in_id_order(node_ids, edges):
-    """The one-exclusion-set scan equals the per-node ``has_edge`` scan it
-    replaced, order included (the partner draws index into this list)."""
+def test_partner_candidates_are_the_non_neighbours_in_id_order(node_ids, edges, leavers, joiners):
+    """The candidates a draw indexes into -- the alive-id array minus the
+    drawing node and its neighbours -- are every other alive node it has no
+    edge to, in id order, and the array follows joins and leaves."""
     overlay = Overlay()
     for node_id in node_ids:
         overlay.add_node(NodeInfo(node_id=node_id))
     for a, b in edges:
         if a != b and a in node_ids and b in node_ids:
             overlay.add_edge(a, b)
-    service = _service(overlay)
-    for node_id in node_ids:
-        assert service._partner_candidates(node_id) == [
+    service = MembershipService(overlay, 3, _FirstPicks())
+    for node_id in sorted(leavers & node_ids):
+        service.leave(node_id)
+    for node_id in sorted(joiners - node_ids):
+        service.join(NodeInfo(node_id=node_id))
+    partners = []
+    add_edge = overlay.add_edge
+    overlay.add_edge = lambda a, b: partners.append(b) or add_edge(a, b)
+    for node_id in overlay.node_ids:
+        expected = [
             other
             for other in overlay.node_ids
             if other != node_id and not overlay.has_edge(node_id, other)
         ]
+        partners.clear()
+        assert service._connect_to_random_partners(node_id, len(overlay)) == len(expected)
+        assert partners == expected
+        for partner in partners:  # the next node sees the overlay as drawn
+            overlay.remove_edge(node_id, partner)
+
+
+def test_weighted_partner_draw_replicates_numpy_choice():
+    """The weighted draw is NumPy's ``Generator.choice`` without replacement,
+    pick for pick, and leaves the generator where NumPy leaves it: 100 000
+    cases, population 1..300, every size 1..n (mostly the small ones the
+    overlay asks for), weights in {1, bias}."""
+    cases = np.random.default_rng(20_26)
+    n_cases = 100_000
+    sizes = cases.integers(1, 301, size=n_cases)
+    wide = cases.random(n_cases) < 0.05
+    picks = np.where(
+        wide,
+        (cases.random(n_cases) * sizes).astype(int) + 1,
+        np.minimum(sizes, cases.integers(1, 9, size=n_cases)),
+    )
+    biases = cases.choice([1.5, 2.0, 4.0, 50.0], size=n_cases)
+    shares = cases.random(n_cases)
+    pattern = cases.random(300)
+    numpy_rng, replica_rng = np.random.default_rng(3), np.random.default_rng(3)
+    for n, k, bias, share in zip(sizes.tolist(), picks.tolist(), biases.tolist(), shares.tolist()):
+        weights = np.where(pattern[:n] < share, bias, 1.0)
+        p = weights / weights.sum()
+        expected = numpy_rng.choice(n, size=k, replace=False, p=p).tolist()
+        assert _choice_without_replacement(replica_rng, p, k) == expected, (n, k, bias)
+        assert replica_rng.random() == numpy_rng.random(), (n, k, bias)
+    assert picks.max() > 250 and (picks == sizes).sum() > 100
+
+
+def test_repairs_look_each_region_up_once_per_node():
+    """Partner draws do not scan the population: 300 repairs on a 3 000-node
+    overlay with locality on make at most one region lookup per node plus
+    one per draw (the drawing node's own region)."""
+    n = 3_000
+    overlay = Overlay()
+    for node_id in range(n):
+        overlay.add_node(NodeInfo(node_id=node_id))
+    for node_id in range(n):
+        for step in (1, 2, 3):
+            overlay.add_edge(node_id, (node_id + step) % n)
+    service = MembershipService(overlay, 6, np.random.default_rng(11))
+    lookups = []
+    service.set_locality(lambda node_id: lookups.append(node_id) or node_id % 4, bias=4.0)
+    draws = []
+    connect = service._connect_to_random_partners
+    service._connect_to_random_partners = lambda *args: draws.append(args) or connect(*args)
+    order = np.random.default_rng(12).permutation(n).tolist()
+    for leaver in order[:300]:
+        service.repair(service.leave(leaver))
+        service.join()
+    assert service.leaves == 300 and len(draws) >= 600
+    assert len(lookups) <= n + service.joins + len(draws)
 
 
 class TestSubCriticalPopulations:
