@@ -14,7 +14,7 @@ Layout
     the urgency/rarity request priorities, the greedy supplier assignment
     and the fast/normal switch algorithms.
 :mod:`repro.sim`
-    The discrete-event simulation engine.
+    Named deterministic random streams and the rounding policy.
 :mod:`repro.overlay`
     Overlay traces (clip2/DSS-style format, synthetic Gnutella-like
     generator), topology, random-edge augmentation and membership.

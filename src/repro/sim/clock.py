@@ -1,10 +1,8 @@
-"""Virtual time for the discrete-event engine.
+"""The simulator's rounding policy for simulated time.
 
-The simulation clock is a monotonically non-decreasing floating point time
-expressed in seconds.  Time ``0.0`` is, by convention of the paper's
-evaluation, the instant at which the old source ``S1`` stops generating new
-segments and the new source ``S2`` starts; the warm-up phase therefore runs
-at negative times when a simulated warm-up is requested.
+Time ``0.0`` is, by convention of the paper's evaluation, the instant at
+which the old source ``S1`` stops generating new segments and the new source
+``S2`` starts; a simulated warm-up therefore runs at negative times.
 """
 
 from __future__ import annotations
@@ -30,71 +28,3 @@ def round_half_up(value: float) -> int:
     0
     """
     return math.floor(value + 0.5)
-
-
-class ClockError(RuntimeError):
-    """Raised when the clock would be moved backwards."""
-
-
-class SimulationClock:
-    """A monotonic virtual clock.
-
-    Parameters
-    ----------
-    start:
-        Initial simulation time in seconds.  Defaults to ``0.0``.
-
-    Examples
-    --------
-    >>> clock = SimulationClock()
-    >>> clock.now
-    0.0
-    >>> clock.advance_to(2.5)
-    >>> clock.now
-    2.5
-    """
-
-    __slots__ = ("_now", "_start")
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._start = float(start)
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
-    @property
-    def start(self) -> float:
-        """The time the clock was created with (or last reset to)."""
-        return self._start
-
-    @property
-    def elapsed(self) -> float:
-        """Seconds elapsed since the start of the simulation."""
-        return self._now - self._start
-
-    def advance_to(self, when: float) -> None:
-        """Move the clock forward to ``when``.
-
-        Raises
-        ------
-        ClockError
-            If ``when`` is earlier than the current time.  Equal times are
-            allowed (many events may share a timestamp).
-        """
-        when = float(when)
-        if when < self._now:
-            raise ClockError(
-                f"cannot move clock backwards: now={self._now!r}, requested={when!r}"
-            )
-        self._now = when
-
-    def reset(self, start: float = 0.0) -> None:
-        """Reset the clock to ``start`` (used between experiment repetitions)."""
-        self._start = float(start)
-        self._now = float(start)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimulationClock(now={self._now!r})"

@@ -1,14 +1,15 @@
 """The two-source switch session: one full simulation run.
 
 :class:`SwitchSession` assembles the whole system -- overlay, sources,
-peers, bandwidth, churn, metrics -- and drives it period by period through
-the discrete-event engine:
+peers, bandwidth, churn, metrics -- and runs it as a loop over periods:
 
 1. **Setup** (time 0): build the overlay from a (synthetic) trace, augment
    it to the minimum degree ``M``, pick the two source nodes, assign
    bandwidth, create the peers and seed them into the steady state of the
-   old stream (analytic warm-up) or run a simulated warm-up.
-2. **Periods** (every ``tau`` seconds): ``SwitchSession._round`` is the list
+   old stream (analytic warm-up) or start a simulated warm-up at
+   ``-warmup_duration``, whose end announces the switch at time 0.
+2. **Periods** (every ``tau`` seconds, one :meth:`SwitchSession.step`
+   each): ``SwitchSession._round`` is the list
    of phases, each a method taking the period's :class:`PeriodState`:
    *arrive* (delayed segments due by now land, :func:`due_arrivals`) ->
    *churn* (membership change) -> *generate* (new segments, fresh upload
@@ -69,7 +70,6 @@ from repro.overlay.generator import generate_trace
 from repro.overlay.membership import MembershipService
 from repro.overlay.topology import NodeInfo, Overlay, build_overlay_from_trace
 from repro.sim.clock import round_half_up
-from repro.sim.engine import SimulationEngine, StopSimulation
 from repro.sim.rng import RandomStreams
 from repro.streaming.bandwidth import (
     BandwidthProfile,
@@ -290,9 +290,8 @@ class SwitchSession:
             self.fabric = build_fabric(
                 topology, self.streams.get("net") if topology else None
             )
-        self.engine = SimulationEngine(
-            start_time=-config.warmup_duration if config.warmup == "simulated" else 0.0
-        )
+        #: the start time, then the time of the last period run
+        self.now = float(-config.warmup_duration if config.warmup == "simulated" else 0.0)
         #: region pin per bandwidth-class name (classes without a pin
         #: omitted; the ideal fabric has no regions to pin to)
         self._class_region_pin: Dict[str, str] = {
@@ -304,6 +303,7 @@ class SwitchSession:
         #: (sources advertise the standard 600-slot bitmap)
         self._map_bits = (buffer_map_bits(config.buffer_capacity), buffer_map_bits(600))
         self._stop_reason: Optional[str] = None
+        self._closed = False
         self._wallclock = 0.0
         self.overlay = overlay.copy() if overlay is not None else build_session_overlay(
             config.n_nodes,
@@ -375,22 +375,13 @@ class SwitchSession:
             self._analytic_warmup()
             self._announce_switch()
         else:
+            # step() announces the switch (and records Q0) at time 0, after
+            # the last warm-up period.
             for peer in self.peers.values():
                 peer.init_fresh_playback(position=0)
-            # The switch is announced (and Q0 recorded) by an event at time 0,
-            # after the last warm-up round has executed.
-            self.engine.schedule(
-                0.0, self._announce_switch, priority=10, label="finish-warmup"
-            )
 
         self.collector.sample_round(
-            max(self.engine.now, 0.0), list(self.peers.values()), self._departed_stalls
-        )
-        self._periodic = self.engine.schedule_periodic(
-            cfg.tau,
-            self._round,
-            start=self.engine.now + cfg.tau,
-            label=f"scheduling-round:{self.label}" if self.label else "scheduling-round",
+            max(self.now, 0.0), list(self.peers.values()), self._departed_stalls
         )
 
     def _choose_sources(self, rng: np.random.Generator) -> Tuple[int, int]:
@@ -527,7 +518,7 @@ class SwitchSession:
     def _announce_switch(self) -> None:
         """The switch instant: the new source learns the plan (it embeds
         ``id_end`` in its data) and every tracked peer's ``Q0`` is recorded."""
-        self._land_arrivals(self.engine.now)  # a simulated warm-up's last deliveries
+        self._land_arrivals(self.now)  # a simulated warm-up's last deliveries
         self.sources[self.new_source_id].announce_switch(self.switch_plan)
         id_end = self.switch_plan.id_end
         for peer in self.peers.values():
@@ -910,52 +901,77 @@ class SwitchSession:
             self._stop_reason = "all tracked peers switched"
         elif now >= self.config.max_time:
             self._stop_reason = "time horizon reached"
-        else:
-            return
-        raise StopSimulation(self._stop_reason)
 
     @property
     def finished(self) -> bool:
-        """Whether this session has stopped scheduling rounds."""
+        """Whether this session has stopped running periods."""
         return self._stop_reason is not None
 
+    @property
+    def _switch_announced(self) -> bool:
+        """Whether :meth:`_announce_switch` has run: the new source knows the plan."""
+        return self.sources[self.new_source_id].switch_plan is not None
+
+    def _refuse_if_done(self) -> None:
+        if self.finished or self._closed:
+            raise RuntimeError(
+                f"session {self.label!r} is finished or closed and cannot run again"
+            )
+
+    def step(self) -> bool:
+        """Run the next period, at ``now + tau``; ``False`` once the session has stopped.
+
+        Under a simulated warm-up the switch is announced at time 0, before
+        the first period later than 0 (a period landing exactly on 0 still
+        runs first).
+        """
+        self._refuse_if_done()
+        now = self.now + self.config.tau
+        if not self._switch_announced and now > 0:
+            self.now = 0.0
+            self._announce_switch()
+        self.now = now
+        self._round(now)
+        return not self.finished
+
     def run(self) -> SessionResult:
-        """Run the simulation to completion, close the session, return the results.
+        """Run the periods to the stop, close the session, return the results.
 
         Only valid once.  A segment still in flight when the run stops is
         dropped: it reached nobody within the run.
         """
-        if self.finished or not self._periodic.active:
-            raise RuntimeError(
-                f"session {self.label!r} is finished or closed and cannot run again"
-            )
+        self._refuse_if_done()
+        obs = get_telemetry()
+        tau, horizon = self.config.tau, self.config.max_time + self.config.tau
+        rounds, announced = self.rounds_run, self._switch_announced
         started = _wallclock.perf_counter()
         try:
-            with get_telemetry().span(
+            with obs.span(
                 "session.run",
                 label=self.label,
                 algorithm=self.config.algorithm,
                 engine=self.config.engine,
                 n_nodes=self.config.n_nodes,
             ):
-                self.engine.run_until(self.config.max_time + self.config.tau)
+                # The span keeps the name the benchmark's layer table reads.
+                with obs.span("engine.run", until=horizon):
+                    while self.now + tau <= horizon and self.step():
+                        pass
+                if obs.enabled:
+                    obs.counter("engine.events").add(
+                        self.rounds_run - rounds + (self._switch_announced != announced)
+                    )
             self._wallclock = _wallclock.perf_counter() - started
             return self._finalize()
         finally:
             self.close()
 
     def close(self) -> None:
-        """Detach the session from its engine (idempotent).
+        """Mark the session closed and drop the deliveries in flight (idempotent).
 
-        Scheduled rounds keep a session in a reference cycle (periodic
-        process -> bound ``_round`` -> session, and the queue in between),
-        so peers, buffers and the array engine's matrices would wait for a
-        full garbage collection.  Closing stops and unhooks the process and
-        drops what is still queued and the deliveries in flight past the
-        stop.  Nothing a caller reads is touched.
+        Nothing a caller reads is touched.
         """
-        self._periodic.stop()
-        self.engine.queue.clear()
+        self._closed = True
         self._calendar.clear()
 
     def _finalize(self) -> SessionResult:

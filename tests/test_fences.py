@@ -77,13 +77,11 @@ FENCES: Tuple[Tuple[str, str, Tuple[str, ...], int], ...] = (
      r'engine: str = "|"engine", *"(oracle|vector)"|default: (oracle|vector)', (_SRC,), 0),
     # One period pipeline: the control-plane draw (the RNG-order-sensitive
     # step of the decide phase) lives in SwitchSession.pull_neighbours;
-    # delayed deliveries wait on the arrival calendar, so the session
-    # schedules two things, the periodic round and the simulated warm-up's
-    # end; the engine picks a decider inside the one SwitchSession class.
+    # delayed deliveries wait on the arrival calendar; the engine picks a
+    # decider inside the one SwitchSession class.
     ("one-neighbour-walk",
      r"control_transfer\(", ("src/repro/streaming/*.py", "src/repro/core/*.py"), 1),
     ("no-per-message-engine-event", r"schedule_in\(|partial\(", (_SESSION,), 0),
-    ("two-engine-schedule-sites", r"engine\.schedule", (_SESSION,), 2),
     ("no-session-new", r"__new__", (_SESSION,), 0),
     ("no-session-subclass", r"class .*\(SwitchSession\)", (_SRC,), 0),
     # Requests are rows: on the array engine a request never becomes an
@@ -98,10 +96,16 @@ FENCES: Tuple[Tuple[str, str, Tuple[str, ...], int], ...] = (
       "!src/repro/core/normal_switch.py"), 0),
     ("no-request-object-helpers", r"_new_request|_priority_order", ("src/**/*.py",), 0),
     ("partner-scan-asks-no-edge", r"has_edge\(", ("src/repro/overlay/membership.py",), 0),
-    # A session owns its clock: SwitchSession.__init__ is the one place
-    # outside sim/ that builds an engine, nothing is handed one, no universe
-    # shares one, and run() is the one way to a SessionResult.
-    ("one-engine-constructor", r"SimulationEngine\(", (_SRC, "!src/repro/sim/*.py"), 1),
+    # A session is a loop over periods: SwitchSession.step runs one, there
+    # is no event engine to build, share or hand around, and run() is the
+    # one way to a SessionResult.  The engine a session runs on is one
+    # branch on config.engine (which decider it builds), and time moves at
+    # two sites, both in step(): the switch announcement at 0 and the period.
+    ("one-engine-constructor", r"if .*\bengine == \"", (_SRC,), 1),
+    ("two-engine-schedule-sites", r"^\s+self\.now = (?!float\()", (_SESSION,), 2),
+    ("no-event-engine",
+     r"SimulationEngin[e]|EventQueu[e]|PeriodicProces[s]|StopSimulatio[n]",
+     ("src/**/*.py", "tests/**/*.py"), 0),
     ("no-shared-engine-mode", r"_owns_engine|UniverseSession", (_SRC,), 0),
     ("session-takes-no-engine", r"^\s+engine: ", (_SESSION,), 0),
     ("finalize-is-private", r"\._?finalize\(", (_SRC, f"!{_SESSION}"), 0),

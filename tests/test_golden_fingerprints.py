@@ -150,6 +150,12 @@ _CLASSES_PINNED = dict(
     ),
 )
 _SCRIPTED = dict(max_time=20.0, run_full_horizon=True, topology="metro")
+#: Timelines whose period times are not whole seconds: a warm-up that is not
+#: a multiple of ``tau`` (the switch lands between two periods), a short
+#: ``tau``, and a horizon stop on it (34 periods, "time horizon reached").
+_WARMUP_OFF_GRID = dict(warmup="simulated", warmup_duration=20.5)
+_SHORT_TAU = dict(tau=0.3)
+_SHORT_TAU_HORIZON = dict(tau=0.3, max_time=10.0, run_full_horizon=True)
 _SCRIPT = {
     3: PeriodDirective(fail_fraction=0.15),
     5: PeriodDirective(leave_count=4, join_count=3),
@@ -177,6 +183,14 @@ _SCRIPT = {
                      id="normal-classes-region-pin"),
         pytest.param("fast", "57215f346fbaaabf1f6a12c0", _SCRIPTED, id="fast-scripted"),
         pytest.param("normal", "184d5b2e8d1e6a770f038da4", _SCRIPTED, id="normal-scripted"),
+        pytest.param("fast", "9f252e68b3c71779989501e8", _WARMUP_OFF_GRID,
+                     id="fast-warmup-off-grid"),
+        pytest.param("normal", "ea7905c5081e4c00ee932d9c", _WARMUP_OFF_GRID,
+                     id="normal-warmup-off-grid"),
+        pytest.param("fast", "dd84b71cef8f86a03846eff9", _SHORT_TAU, id="fast-short-tau"),
+        pytest.param("normal", "80599f82f111da32c3c2c06b", _SHORT_TAU, id="normal-short-tau"),
+        pytest.param("fast", "34e3f5f075b5a35d439724a5", _SHORT_TAU_HORIZON,
+                     id="fast-short-tau-horizon"),
     ],
 )
 @pytest.mark.parametrize("engine", ["oracle", "vector"])

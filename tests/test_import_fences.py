@@ -32,8 +32,7 @@ from repro.cli import main
 #: What a tier-1 command must not load: exact names ...
 TIER1_FORBIDDEN = {
     "repro.streaming.session", "repro.streaming.peer", "repro.streaming.source",
-    "repro.sim.engine", "repro.sim.events", "repro.core.vector",
-    "repro.net.fabric", "repro.net.link",
+    "repro.core.vector", "repro.net.fabric", "repro.net.link",
     "repro.channels.universe", "repro.channels.runner",
     "multiprocessing", "urllib.request", "ssl", "importlib.metadata", "numpy",
 }

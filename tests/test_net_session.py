@@ -34,7 +34,6 @@ from repro.net.fabric import IdealFabric, LatencyFabric
 from repro.net.library import get_topology
 from repro.net.topology import NetTopology, Region
 from repro.obs.telemetry import telemetry_session
-from repro.sim.engine import StopSimulation
 from repro.streaming.session import ENGINE_NAMES, SessionConfig, SwitchSession
 
 
@@ -128,15 +127,13 @@ class TestDelayedDeliveries:
             assert seg_id not in leaver_node.buffer and seg_id not in stayer_node.buffer
             # deliveries in flight are records on the session's calendar:
             # (arrival, sending period, send order, receiver, segment, supplier, delay)
-            arrival = session.engine.now + 0.25
+            arrival = session.now + 0.25
             session._calendar.append((arrival, 0, 1, leaver, seg_id, stayer, 0.25))
             session._calendar.append((arrival, 0, 2, stayer, seg_id, leaver, 0.25))
-            pending = len(session.engine.queue)
             session._remove_peer(leaver)
-            session.engine.run_until(arrival)  # no event in between: nothing lands yet
-            assert len(session.engine.queue) == pending and len(session._calendar) == 2
+            assert len(session._calendar) == 2  # nothing lands between two periods
             assert seg_id not in stayer_node.buffer
-            session.engine.step()  # the next period boundary drains what is due
+            session.step()  # the next period boundary drains what is due
         assert seg_id in stayer_node.buffer
         assert seg_id not in leaver_node.buffer
         assert leaver not in session.peers
@@ -170,12 +167,11 @@ class TestDelayedDeliveries:
 
         with telemetry_session() as telemetry:
             session = SwitchSession(config, fabric=fabric)
-            session.engine.run_until(5.5 * config.tau)  # between two periods
+            for _ in range(5):
+                assert session.step()  # one period
             assert unaccounted() == len(session._calendar) > 0
-            with pytest.raises(StopSimulation):
-                while True:
-                    session.engine.step()  # one period
-                    assert unaccounted() == len(session._calendar)
+            while session.step():
+                assert unaccounted() == len(session._calendar)
             assert session.finished
             assert unaccounted() == len(session._calendar) > 0  # in flight at the stop
             counters = telemetry.registry.snapshot()["counters"]
@@ -191,7 +187,7 @@ class TestDelayedDeliveries:
         fabric = LatencyFabric(one_second_topology(), np.random.default_rng(0))
         with telemetry_session(probes=True) as telemetry:
             session = SwitchSession(config, fabric=fabric)
-            start = session.engine.now
+            start = session.now
             session.run()
         delivered = [
             row for row in telemetry.probes.lifecycle.rows() if row["stage"] == "delivered"
@@ -214,7 +210,7 @@ class TestDelayedDeliveries:
         fabric = LatencyFabric(two_seconds, np.random.default_rng(0))
         with telemetry_session(probes=True) as telemetry:
             session = SwitchSession(config, fabric=fabric)
-            start = session.engine.now
+            start = session.now
             result = session.run()
         delivered = [
             row for row in telemetry.probes.lifecycle.rows() if row["stage"] == "delivered"

@@ -2,9 +2,10 @@
 
 import dataclasses
 import gc
+import heapq
+import itertools
 import math
 import weakref
-from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from repro.churn.model import ChurnConfig
 from repro.experiments.config import make_session_config
-from repro.sim.engine import SimulationEngine
 from repro.streaming.session import (
     ALGORITHM_FACTORIES,
     ENGINE_NAMES,
@@ -187,6 +187,32 @@ def test_closed_session_refuses_to_run(tiny_config):
         session.run()
 
 
+@pytest.mark.parametrize(
+    "overrides", [{}, dict(warmup="simulated", warmup_duration=20.5)],
+    ids=["analytic", "simulated-warmup-off-grid"],
+)
+def test_stepping_to_the_stop_is_a_run(tiny_config, overrides):
+    """``step()`` runs one period and says whether the session goes on; a
+    stopped or closed session refuses both doors, naming its label."""
+    config = dataclasses.replace(tiny_config, **overrides)
+    stepped = SwitchSession(config, label="stepped")
+    assert stepped.now == (-config.warmup_duration if overrides else 0.0)  # the start
+    while stepped.step():
+        pass
+    ran = SwitchSession(config).run()
+    assert stepped.rounds_run == ran.n_rounds
+    assert stepped._finalize() == dataclasses.replace(ran, wallclock_seconds=0.0)
+    with pytest.raises(RuntimeError, match="'stepped'"):
+        stepped.step()
+    with pytest.raises(RuntimeError, match="'stepped'"):
+        stepped.run()
+    closed = SwitchSession(config, label="closed")
+    assert closed.step()
+    closed.close()
+    with pytest.raises(RuntimeError, match="'closed'"):
+        closed.step()
+
+
 def test_exchange_checks_request_conservation(tiny_config):
     """Every request of a period ends delivered, delayed or failed: an
     exchange whose books do not balance names the session and the period."""
@@ -244,28 +270,29 @@ def _delayed_traffic(draw):
 
 
 def _queue_reference(tau, start, sends):
-    """One engine event per segment, scheduled from inside a periodic round
-    the way the exchange phase used to: ``(segment, arrival, period stamp)``
-    in execution order, the clock the engine stopped at, what is still queued."""
-    engine = SimulationEngine(start_time=start)
-    landed, rounds_run = [], 0
-
-    def deliver(segment):
-        landed.append((segment, engine.now, rounds_run))
-
-    def round_(now):
-        nonlocal rounds_run
-        rounds_run += 1
-        for order, delay in enumerate(sends[rounds_run - 1]):
-            engine.schedule_in(delay, partial(deliver, (rounds_run, order)))
-        if rounds_run == len(sends):
-            process.stop()  # no further round; the clock runs on
-
-    process = engine.schedule_periodic(tau, round_)
+    """The event queue the calendar stands in for, as a heap: one ``(time,
+    priority, insertion)`` entry per round and per segment, each round pushing
+    the next before it sends.  Returns ``(segment, arrival, period stamp)`` in
+    execution order, the time the queue was run to (one period past the last
+    round, inclusive) and what is still queued."""
+    heap, landed, rounds_run = [], [], 0
+    insertion = itertools.count()
+    heapq.heappush(heap, (start + tau, 0, next(insertion), None))
     while rounds_run < len(sends):
-        engine.step()
-    engine.run_until(engine.now + tau)  # inclusive
-    return landed, engine.now, len(engine.queue)
+        now, _, _, segment = heapq.heappop(heap)
+        if segment is not None:
+            landed.append((segment, now, rounds_run))
+            continue
+        rounds_run += 1
+        if rounds_run < len(sends):
+            heapq.heappush(heap, (now + tau, 0, next(insertion), None))
+        for order, delay in enumerate(sends[rounds_run - 1]):
+            heapq.heappush(heap, (now + delay, 0, next(insertion), (rounds_run, order)))
+    stopped_at = now + tau
+    while heap and heap[0][0] <= stopped_at:
+        arrival, _, _, segment = heapq.heappop(heap)
+        landed.append((segment, arrival, rounds_run))
+    return landed, stopped_at, len(heap)
 
 
 @settings(max_examples=300, deadline=None)
@@ -281,7 +308,7 @@ def test_calendar_drains_in_the_event_queues_order(traffic):
     expected, stopped_at, still_queued = _queue_reference(tau, start, sends)
     calendar, landed, now = [], [], start
     for index, delays in enumerate(sends, start=1):
-        now = now + tau  # PeriodicProcess: the next round is at ``now + period``
+        now = now + tau  # as SwitchSession.step: the next round is at ``now + tau``
         for arrival, sent, order, *_ in due_arrivals(calendar, now, index):
             landed.append(((sent, order), arrival, index - 1))
         for order, delay in enumerate(delays):
