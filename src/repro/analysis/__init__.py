@@ -20,6 +20,4 @@ __getattr__, __dir__, __all__ = lazy_hub(__name__, {
     "PairedComparison": "repro.analysis.stats",
     "paired_comparison": "repro.analysis.stats",
     "ascii_line_chart": "repro.analysis.charts",
-    "ascii_bar_chart": "repro.analysis.charts",
-    "sparkline": "repro.analysis.charts",
 })

@@ -15,35 +15,14 @@ import html
 from typing import Mapping, Optional, Sequence, Tuple
 
 __all__ = [
-    "sparkline",
     "ascii_line_chart",
-    "ascii_bar_chart",
     "svg_line_chart",
     "svg_bar_chart",
 ]
 
-_SPARK_LEVELS = "▁▂▃▄▅▆▇█"
-
-
 def _escape(text: str) -> str:
     """Escape ``&``, ``<`` and ``>`` for SVG element text (quotes stay as they are)."""
     return html.escape(text, quote=False)
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """A one-line unicode sparkline of ``values`` (empty string for no data)."""
-    values = [float(v) for v in values]
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    span = hi - lo
-    if span <= 0:
-        return _SPARK_LEVELS[0] * len(values)
-    chars = []
-    for value in values:
-        index = int((value - lo) / span * (len(_SPARK_LEVELS) - 1))
-        chars.append(_SPARK_LEVELS[index])
-    return "".join(chars)
 
 
 def ascii_line_chart(
@@ -97,27 +76,6 @@ def ascii_line_chart(
     lines.append(f"{lo:8.3f} └" + "─" * width)
     lines.append(f"          x: {x_lo:g} … {x_hi:g}")
     lines.extend(f"          {entry}" for entry in legend)
-    return "\n".join(lines)
-
-
-def ascii_bar_chart(
-    rows: Sequence[Tuple[str, float]],
-    *,
-    width: int = 50,
-    title: str = "",
-    unit: str = "",
-) -> str:
-    """Render labelled values as horizontal bars (used for Figure 6-style data)."""
-    if not rows:
-        return "(no data)"
-    max_value = max(value for _, value in rows)
-    if max_value <= 0:
-        max_value = 1.0
-    label_width = max(len(label) for label, _ in rows)
-    lines = [title] if title else []
-    for label, value in rows:
-        bar = "█" * int(round(max(0.0, value) / max_value * width))
-        lines.append(f"{label.ljust(label_width)} │{bar} {value:g}{unit}")
     return "\n".join(lines)
 
 

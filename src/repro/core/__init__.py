@@ -44,10 +44,8 @@ __getattr__, __dir__, __all__ = lazy_hub(__name__, {
     "switch_time_lower_bound": "repro.core.model",
     "AllocationCase": "repro.core.allocation",
     "allocate_rates": "repro.core.allocation",
-    "PriorityPolicy": "repro.core.priority",
     "urgency": "repro.core.priority",
     "rarity": "repro.core.priority",
-    "traditional_rarity": "repro.core.priority",
     "request_priority": "repro.core.priority",
     "GreedyAssignment": "repro.core.scheduler",
     "greedy_supplier_assignment": "repro.core.scheduler",

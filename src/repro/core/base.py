@@ -317,32 +317,3 @@ class SwitchAlgorithm(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-def validate_view(view: LocalView) -> None:
-    """Sanity-check a :class:`LocalView` (used by tests and the simulator).
-
-    Raises
-    ------
-    ValueError
-        If structural invariants are violated (negative rates, overlapping
-        old/new needed sets, needed segments already played, ...).
-    """
-    if view.tau <= 0:
-        raise ValueError(f"tau must be positive, got {view.tau}")
-    if view.play_rate <= 0:
-        raise ValueError(f"play_rate must be positive, got {view.play_rate}")
-    if view.inbound_rate < 0:
-        raise ValueError(f"inbound_rate must be non-negative, got {view.inbound_rate}")
-    if view.old_needed & view.new_needed:
-        raise ValueError("old_needed and new_needed overlap")
-    if view.id_end is not None and view.id_begin is not None:
-        if view.id_begin <= view.id_end:
-            raise ValueError(
-                f"id_begin ({view.id_begin}) must exceed id_end ({view.id_end})"
-            )
-    for neighbour in view.neighbours:
-        if neighbour.send_rate < 0:
-            raise ValueError(f"negative send rate for neighbour {neighbour.node_id}")
-        if neighbour.buffer_capacity <= 0:
-            raise ValueError(f"non-positive buffer capacity for neighbour {neighbour.node_id}")

@@ -27,9 +27,9 @@ exploits the residual playback time of the old source.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.core.allocation import RateAllocation, allocate_rates
+from repro.core.allocation import allocate_rates
 from repro.core.base import (
     LocalView,
     ScheduleDecision,
@@ -38,7 +38,7 @@ from repro.core.base import (
     SwitchAlgorithm,
 )
 from repro.core.model import optimal_split
-from repro.core.priority import PriorityPolicy, priority_for_view
+from repro.core.priority import priority_for_view
 from repro.core.scheduler import (
     AssignedSegment,
     CandidateSegment,
@@ -51,30 +51,14 @@ __all__ = ["FastSwitchAlgorithm"]
 class FastSwitchAlgorithm(SwitchAlgorithm):
     """The paper's greedy fast source switch algorithm.
 
-    Parameters
-    ----------
-    priority_policy:
-        Which priority rule to use (default: the paper's
-        ``max(urgency, rarity)``).  Exposed for the ablation benchmark.
-    work_conserving:
-        When ``True`` (default) any inbound capacity left over after the
-        four-case allocation (because one of the two schedulable sets is
-        shorter than its allocation) is spent on the remaining schedulable
-        segments in priority order.  This matches what any real client
-        would do and never reduces throughput; set to ``False`` to follow
-        the four-case split to the letter.
+    The algorithm is work-conserving: inbound capacity left over after the
+    four-case allocation (because one of the two schedulable sets is
+    shorter than its allocation) is spent on the remaining schedulable
+    segments in priority order.  This matches what any real client would do
+    and never reduces throughput.
     """
 
     name = "fast"
-
-    def __init__(
-        self,
-        *,
-        priority_policy: PriorityPolicy = PriorityPolicy.PAPER,
-        work_conserving: bool = True,
-    ) -> None:
-        self.priority_policy = priority_policy
-        self.work_conserving = work_conserving
 
     # ------------------------------------------------------------------ #
     def schedule(self, view: LocalView) -> ScheduleDecision:
@@ -114,11 +98,9 @@ class FastSwitchAlgorithm(SwitchAlgorithm):
                 break
 
         chosen: List[AssignedSegment] = old_set[:take_old] + new_set[:take_new]
-
-        if self.work_conserving:
-            chosen = self._fill_leftover_capacity(
-                chosen, old_set, new_set, take_old, take_new, capacity
-            )
+        chosen = self._fill_leftover_capacity(
+            chosen, old_set, new_set, take_old, take_new, capacity
+        )
 
         # Emit requests in descending priority order so the simulator's
         # supplier-side contention favours what the algorithm values most.
@@ -153,11 +135,7 @@ class FastSwitchAlgorithm(SwitchAlgorithm):
                 continue
             suppliers = view.suppliers_of(seg_id)
             priority = priority_for_view(
-                seg_id,
-                suppliers,
-                view.playback_id,
-                view.play_rate,
-                policy=self.priority_policy,
+                seg_id, suppliers, view.playback_id, view.play_rate
             )
             candidates.append(
                 CandidateSegment(seg_id=seg_id, priority=priority, suppliers=suppliers)

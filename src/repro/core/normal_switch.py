@@ -19,22 +19,15 @@ This is exactly the ordering shown in the paper's Figure 2: the node fills
 its seven request slots with the five old-source segments first and only
 then with the first two new-source segments.
 
-How much inbound rate "remains" for the new source admits two readings and
-the class exposes both:
-
-* **reserved** (default, ``opportunistic_leftover=False``): the old source
-  is granted ``min(I, Q1)`` of the inbound rate whether or not that much of
-  it can actually be scheduled this period (neighbours may not hold the
-  needed segments, or may be saturated).  While the node's undelivered
-  backlog ``Q1`` exceeds its inbound rate it therefore requests *no*
-  new-source segments at all.  This matches the behaviour visible in the
-  paper's evaluation, where the baseline makes essentially no new-source
-  progress until the old stream is finished (e.g. the last node finishing
-  S1 at t=15 but only becoming ready for S2 at t=24).
-* **opportunistic** (``opportunistic_leftover=True``): only the old-source
-  segments that could actually be scheduled consume inbound rate; anything
-  left spills over to the new source immediately.  This is a stronger
-  baseline used as a sensitivity check (see the ablation benchmark).
+How much inbound rate "remains" for the new source is read as a
+reservation: the old source is granted ``min(I, Q1)`` of the inbound rate
+whether or not that much of it can actually be scheduled this period
+(neighbours may not hold the needed segments, or may be saturated).  While
+the node's undelivered backlog ``Q1`` exceeds its inbound rate it therefore
+requests *no* new-source segments at all.  This matches the behaviour
+visible in the paper's evaluation, where the baseline makes essentially no
+new-source progress until the old stream is finished (e.g. the last node
+finishing S1 at t=15 but only becoming ready for S2 at t=24).
 """
 
 from __future__ import annotations
@@ -54,21 +47,9 @@ __all__ = ["NormalSwitchAlgorithm"]
 
 
 class NormalSwitchAlgorithm(SwitchAlgorithm):
-    """Old source strictly first; leftovers go to the new source.
-
-    Parameters
-    ----------
-    opportunistic_leftover:
-        See the module docstring.  ``False`` (default) reserves
-        ``min(I, Q1)`` of the inbound rate for the old source regardless of
-        how much of it is actually schedulable this period; ``True`` lets
-        unschedulable old-source capacity spill over to the new source.
-    """
+    """Old source strictly first; leftovers go to the new source."""
 
     name = "normal"
-
-    def __init__(self, *, opportunistic_leftover: bool = False) -> None:
-        self.opportunistic_leftover = opportunistic_leftover
 
     def schedule(self, view: LocalView) -> ScheduleDecision:
         """Compute the period's segment requests (see module docstring)."""
@@ -82,11 +63,7 @@ class NormalSwitchAlgorithm(SwitchAlgorithm):
         old_chosen = old_assignment.assigned[:capacity]
 
         # --- pass 2: the new source, with the remaining capacity --------- #
-        if self.opportunistic_leftover:
-            reserved_for_old = len(old_chosen)
-        else:
-            reserved_for_old = min(capacity, len(view.old_needed))
-        remaining = capacity - reserved_for_old
+        remaining = capacity - min(capacity, len(view.old_needed))
         new_chosen = []
         if remaining > 0 and view.new_needed:
             new_candidates = self._sequential_candidates(view, view.new_needed)

@@ -21,7 +21,7 @@ For every candidate segment ``D_i`` a peer computes:
   (the insertion end): a position close to ``B`` means the segment is close
   to the eviction end in that supplier's buffer.  The paper argues this is
   more informative than the traditional ``1 / n_i`` rarity (one over the
-  number of suppliers), which is also provided for the ablation benchmark.
+  number of suppliers).
 
 * **priority** -- ``max(urgency_i, rarity_i)`` (Eq. 9).
 
@@ -32,19 +32,16 @@ property-tested directly.
 
 from __future__ import annotations
 
-import enum
 from typing import Iterable, Sequence
 
 from repro.core.base import NeighbourView
 
 __all__ = [
     "URGENCY_CAP",
-    "PriorityPolicy",
     "max_receive_rate",
     "deadline_slack",
     "urgency",
     "rarity",
-    "traditional_rarity",
     "request_priority",
     "priority_for_view",
 ]
@@ -54,24 +51,6 @@ __all__ = [
 #: using a finite cap keeps sort keys well-defined and lets equally-late
 #: segments be ordered by their id (earliest deadline first) downstream.
 URGENCY_CAP: float = 1.0e6
-
-
-class PriorityPolicy(enum.Enum):
-    """Priority rule variants (used by the ablation benchmark).
-
-    * ``PAPER`` -- ``max(urgency, rarity)`` with the buffer-position rarity
-      (the paper's Eq. 9).
-    * ``URGENCY_ONLY`` -- ignore rarity.
-    * ``TRADITIONAL_RARITY`` -- ``max(urgency, 1/n_i)`` as in earlier
-      pull-based systems.
-    * ``SEQUENTIAL`` -- priority decreases with segment id (earliest first),
-      i.e. no urgency/rarity information at all.
-    """
-
-    PAPER = "paper"
-    URGENCY_ONLY = "urgency-only"
-    TRADITIONAL_RARITY = "traditional-rarity"
-    SEQUENTIAL = "sequential"
 
 
 def max_receive_rate(rates: Iterable[float]) -> float:
@@ -147,13 +126,6 @@ def rarity(positions: Sequence[int], buffer_capacity: int | Sequence[int]) -> fl
     return value
 
 
-def traditional_rarity(n_suppliers: int) -> float:
-    """The traditional rarity ``1 / n_i`` the paper compares against."""
-    if n_suppliers <= 0:
-        return 1.0
-    return 1.0 / n_suppliers
-
-
 def request_priority(urgency_value: float, rarity_value: float) -> float:
     """``priority_i = max(urgency_i, rarity_i)`` (Eq. 9)."""
     return max(urgency_value, rarity_value)
@@ -164,30 +136,18 @@ def priority_for_view(
     suppliers: Sequence[NeighbourView],
     playback_id: int,
     play_rate: float,
-    *,
-    policy: PriorityPolicy = PriorityPolicy.PAPER,
 ) -> float:
-    """Compute a segment's priority from neighbour snapshots.
+    """Compute a segment's priority (Eq. 9) from neighbour snapshots.
 
     This is the convenience entry point used by the switch algorithms: it
     derives ``R_i``, the per-supplier buffer positions and capacities from
-    the :class:`~repro.core.base.NeighbourView` objects and applies the
-    selected :class:`PriorityPolicy`.
+    the :class:`~repro.core.base.NeighbourView` objects.
     """
     receive_rate = max_receive_rate(s.send_rate for s in suppliers)
-    urgency_value = urgency(seg_id, playback_id, play_rate, receive_rate)
-
-    if policy is PriorityPolicy.SEQUENTIAL:
-        # Larger priority for earlier segments; strictly positive, below any
-        # urgency cap so tests can still distinguish the policies.
-        return 1.0 / (1.0 + max(seg_id - playback_id, 0))
-    if policy is PriorityPolicy.URGENCY_ONLY:
-        return urgency_value
-    if policy is PriorityPolicy.TRADITIONAL_RARITY:
-        return request_priority(urgency_value, traditional_rarity(len(suppliers)))
-
     rarity_value = rarity(
         [s.position_of(seg_id) for s in suppliers],
         [s.buffer_capacity for s in suppliers],
     )
-    return request_priority(urgency_value, rarity_value)
+    return request_priority(
+        urgency(seg_id, playback_id, play_rate, receive_rate), rarity_value
+    )

@@ -37,19 +37,13 @@ pass per period**:
 
 Everything else -- RNG streams, churn, the outbound ledger, request
 execution, playback, metrics, probes -- is the session's period pipeline,
-shared by both deciders.  The contract is **bit-identity**: for every
-supported algorithm configuration the vector engine produces byte-for-byte
-the same store documents as the oracle (enforced by
-``tests/test_vector_equivalence.py``).  Peers whose algorithm instance is
-not a plain :class:`~repro.core.fast_switch.FastSwitchAlgorithm` or
-:class:`~repro.core.normal_switch.NormalSwitchAlgorithm` are decided by the
-reference's per-peer step (with one logged warning per session: it is the
-slow path), preserving correctness for custom algorithm factories.
+shared by both deciders.  The contract is **bit-identity**: for both
+switch algorithms the vector engine produces byte-for-byte the same store
+documents as the oracle (enforced by ``tests/test_vector_equivalence.py``).
 """
 
 from __future__ import annotations
 
-import logging
 import weakref
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -57,15 +51,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.allocation import allocate_for_model
-from repro.core.fast_switch import FastSwitchAlgorithm
-from repro.core.normal_switch import NormalSwitchAlgorithm
-from repro.core.priority import URGENCY_CAP, PriorityPolicy
+from repro.core.priority import URGENCY_CAP
 from repro.net.fabric import IdealFabric
 from repro.obs.telemetry import get_telemetry
 from repro.streaming.buffer import SegmentBuffer, range_mask
 from repro.streaming.buffermap import UNBOUNDED_CAPACITY
 from repro.streaming.peer import _EMPTY_RANGE, PeerNode
-from repro.streaming.session import OracleDecider, PeriodState, RequestRow, SwitchSession
+from repro.streaming.session import PeriodState, RequestRow, SwitchSession
 from repro.streaming.source import SourceNode
 
 __all__ = [
@@ -73,8 +65,6 @@ __all__ = [
     "MirroredBuffer",
     "vectorized_priorities",
 ]
-
-_LOG = logging.getLogger("repro.core.vector")
 
 _INF = float("inf")
 #: ``1 << slot`` for the 64 supplier slots one machine word of bitmask holds.
@@ -88,11 +78,10 @@ class SegmentArrays:
     it (:class:`MirroredBuffer`): ``index[r, seg]`` is the segment's
     insertion number + 1 in that buffer, 0 when it is not held.  So presence
     is ``index != 0`` and a segment's position from the buffer tail is
-    ``counter + 1 - index`` (no out-of-order discards, the only removal
-    path a session exercises).  Zero-allocated, so columns no row ever held
-    cost no memory.  Growing the matrix rebinds the rows of the buffers still
-    alive, which are held weakly: a buffer references its matrix, never the
-    other way round.
+    ``counter + 1 - index`` (FIFO eviction is a buffer's only removal path).
+    Zero-allocated, so columns no row ever held cost no memory.  Growing the
+    matrix rebinds the rows of the buffers still alive, which are held
+    weakly: a buffer references its matrix, never the other way round.
     """
 
     def __init__(self, n_rows: int, n_segments: int) -> None:
@@ -151,7 +140,6 @@ class MirroredBuffer(SegmentBuffer):
         mirrored._head = buffer._head
         mirrored._bits = buffer._bits
         mirrored._counter = buffer._counter
-        mirrored._discards = buffer._discards
         mirrored.evicted_total = buffer.evicted_total
         return mirrored
 
@@ -231,7 +219,6 @@ class VectorDecider:
         self._next_row = 0
         self._survivor_cache: Dict[int, _Survivors] = {}
         self._cached_alive: Optional[set] = None
-        self._fallback_warned = False
         self._capacity_cache: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -268,7 +255,7 @@ class VectorDecider:
         cheap scalar knowledge updates (switch adoption, highest known ids
         from the OR-ed neighbour bitmaps); wanted sets, supply, priorities,
         the priority order and the supplier bitmasks of *all* peers then come
-        from one batched kernel (one per algorithm configuration in use).
+        from one batched kernel, fast or normal as the session's config says.
         """
         self._mirror_adopted(session)
         peers, sources = session.peers, session.sources
@@ -296,22 +283,9 @@ class VectorDecider:
         switch_info = (session.switch_plan.id_end, session.switch_plan.id_begin)
         now = state.now
         rows = state.request_rows
-        #: jobs by priority policy (``None``: the normal algorithm)
-        groups: Dict[Optional[PriorityPolicy], List[_Job]] = {}
-        fallback_types: Dict[str, int] = {}
+        jobs: List[_Job] = []
         for node_id in state.order:
             peer = peers[node_id]
-            algorithm_type = type(peer.algorithm)
-            if algorithm_type is FastSwitchAlgorithm:
-                policy = peer.algorithm.priority_policy
-            elif algorithm_type is NormalSwitchAlgorithm:
-                policy = None
-            else:
-                # Unsupported algorithm: the reference path, identical draws.
-                name = algorithm_type.__name__
-                fallback_types[name] = fallback_types.get(name, 0) + 1
-                rows[node_id] = OracleDecider.decide_peer(session, peer, state)
-                continue
             windows = peer.interest_windows()
             survivors = self._survivors_of(session, node_id, state, ideal)
             # Switch adoption comes before the horizon update, as in the oracle.
@@ -326,23 +300,13 @@ class VectorDecider:
             for buffer in survivors.buffers:
                 advertised |= buffer._bits
             peer._extend_horizons(advertised & window)
-            groups.setdefault(policy, []).append((peer, survivors, windows))
-        with np.errstate(divide="ignore"):
-            for policy, jobs in groups.items():
-                self._decide_batch(jobs, policy, rows)
-
-        fallbacks = sum(fallback_types.values())
-        if fallbacks and not self._fallback_warned:
-            self._fallback_warned = True
-            _LOG.warning(
-                "vector engine: %d of %d peers run %s, which has no array form; "
-                "they are decided on the scalar path every period",
-                fallbacks, len(state.order), "/".join(sorted(fallback_types)),
-            )
+            jobs.append((peer, survivors, windows))
+        if jobs:
+            with np.errstate(divide="ignore"):
+                self._decide_batch(jobs, session.config.algorithm == "fast", rows)
         obs = get_telemetry()
         if obs.enabled:
-            obs.counter("engine.dispatch.vector").add(len(state.order) - fallbacks)
-            obs.counter("engine.dispatch.scalar_fallback").add(fallbacks)
+            obs.counter("engine.dispatch.vector").add(len(jobs))
 
     def _survivors_of(
         self, session: SwitchSession, node_id: int, state: PeriodState, ideal: bool
@@ -369,14 +333,14 @@ class VectorDecider:
     def _decide_batch(
         self,
         jobs: List[_Job],
-        policy: Optional[PriorityPolicy],
+        fast: bool,
         rows: Dict[int, Sequence[RequestRow]],
     ) -> None:
-        """Decide peers that share one algorithm configuration in one pass.
+        """Decide the period's peers in one pass.
 
-        ``policy`` is their priority policy (fast algorithm) or ``None``
-        (normal algorithm, playback order).  Sets every peer's wanted sets
-        (authoritative: collectors read them) and files its request rows.
+        ``fast`` selects the fast algorithm (priority order) over the normal
+        one (playback order).  Sets every peer's wanted sets (authoritative:
+        collectors read them) and files its request rows.
         """
         arrays = self._arrays
         table = np.array(
@@ -415,7 +379,7 @@ class VectorDecider:
             | ((w[:, 2] <= candidates) & (candidates <= w[:, 3])),
             table[:, 1],
             np.array([peer.play_rate for peer, _, _ in jobs]),
-            policy,
+            fast,
         )
         # Each peer's supplied candidates, and where its new-stream ones begin.
         offered = np.searchsorted(supplied, np.stack([splits, stops], axis=1)).tolist()
@@ -432,7 +396,7 @@ class VectorDecider:
                 # No capacity or nothing wanted that anybody advertises:
                 # every algorithm branch requests nothing.
                 rows[peer.node_id] = ()
-            elif policy is None:
+            elif not fast:
                 rows[peer.node_id] = self._normal_finish(
                     peer, capacity, survivors, offered_ids[first:end], masks[first:end],
                     middle - first, split - start,
@@ -484,12 +448,11 @@ class VectorDecider:
                 break
 
         chosen = assigned_old[:take_old] + assigned_new[:take_new]
-        if peer.algorithm.work_conserving:
-            leftover = capacity - len(chosen)
-            if leftover > 0:
-                extras = assigned_old[take_old:] + assigned_new[take_new:]
-                extras.sort()
-                chosen += extras[:leftover]
+        leftover = capacity - len(chosen)  # the algorithm is work-conserving
+        if leftover > 0:
+            extras = assigned_old[take_old:] + assigned_new[take_new:]
+            extras.sort()
+            chosen += extras[:leftover]
         # Ranks are unique within a peer: a bare sort is the priority order.
         chosen.sort()
         peer.requests_issued += len(chosen)
@@ -516,11 +479,7 @@ class VectorDecider:
         chosen, _, queue = _greedy_masks(
             range(n_old), candidates, masks, n_old, survivors, tau, limit=capacity
         )
-        if peer.algorithm.opportunistic_leftover:
-            reserved_for_old = len(chosen)
-        else:
-            reserved_for_old = min(capacity, n_wanted_old)
-        remaining = capacity - reserved_for_old
+        remaining = capacity - min(capacity, n_wanted_old)
         if remaining > 0 and len(candidates) > n_old:
             _, new_assigned, _ = _greedy_masks(
                 range(n_old, len(candidates)), candidates, masks, n_old, survivors, tau, queue,
@@ -542,7 +501,7 @@ def batched_kernel(
     visible: np.ndarray,
     playback_ids: np.ndarray,
     play_rates: np.ndarray,
-    policy: Optional[PriorityPolicy],
+    fast: bool,
 ) -> Tuple[np.ndarray, Optional[List[float]], Optional[List[int]], List[int]]:
     """Supply, priorities, priority order and supplier bitmasks of a period.
 
@@ -564,8 +523,8 @@ def batched_kernel(
     aligned with them (any other candidate has mask 0 and no priority).
     ``masks`` packs a candidate's supplier slots into one int; ``order`` is,
     per peer, the stable descending-priority permutation of its supplied
-    candidates in peer-local indices.  ``policy=None`` (rank priorities)
-    yields ``(supplied, None, None, masks)``.
+    candidates in peer-local indices.  ``fast=False`` (the normal algorithm
+    needs no priorities) yields ``(supplied, None, None, masks)``.
     """
     k_of = np.array([len(s.ids) for s in survivors], dtype=np.intp)
     k_col = k_of[job_of]
@@ -586,15 +545,13 @@ def batched_kernel(
         runs = np.searchsorted(starts, high, side="right") - 1
         for index, bit in zip(runs.tolist(), slot[high].tolist()):
             masks[index] |= 1 << bit
-    if policy is None:
+    if not fast:
         return supplied, None, None, masks
 
-    positions = None
-    if policy is PriorityPolicy.PAPER:
-        counters = np.fromiter(
-            (b._counter for s in survivors for b in s.buffers), np.int64, count=int(k_of.sum())
-        )
-        positions = counters[flat] + 1 - held[keep]
+    counters = np.fromiter(
+        (b._counter for s in survivors for b in s.buffers), np.int64, count=int(k_of.sum())
+    )
+    positions = counters[flat] + 1 - held[keep]
     job = job_of[supplied]
     priorities = vectorized_priorities(
         candidates[supplied],
@@ -604,7 +561,6 @@ def batched_kernel(
         _per_slot(survivors, "caps", np.int64)[flat],
         playback_ids[job],
         play_rates[job],
-        policy,
         starts=starts,
     )
     order = np.lexsort((-priorities, job)) - np.searchsorted(job, job)
@@ -625,11 +581,10 @@ def vectorized_priorities(
     candidates: np.ndarray,
     supply: np.ndarray,
     rates_col: np.ndarray,
-    positions: Optional[np.ndarray],
+    positions: np.ndarray,
     caps_col: np.ndarray,
     playback_id,
     play_rate,
-    policy: PriorityPolicy,
     *,
     starts: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -637,21 +592,18 @@ def vectorized_priorities(
 
     ``candidates`` is ``(m,)`` int64, ``supply`` is ``(k, m)`` bool
     (supplier slot x candidate), ``rates_col``/``caps_col`` are ``(k, 1)``
-    columns, ``positions`` is the ``(k, m)`` int64 FIFO-position matrix
-    (only consulted for the PAPER policy).  Nothing in the engine calls this
-    one-peer ``(k, m)`` form any more: it is kept as the reference the
-    property tests hold the flattened form (and ``priority_for_view``)
-    against.  With ``starts`` the slot axis is *flattened* instead (what
-    :func:`batched_kernel` passes): the four slot arrays
-    are 1-D, candidate ``i`` owns the elements from ``starts[i]`` up to
-    ``starts[i + 1]`` in ascending slot order, and ``playback_id`` /
+    columns, ``positions`` is the ``(k, m)`` int64 FIFO-position matrix.
+    Nothing in the engine calls this one-peer ``(k, m)`` form any more: it
+    is kept as the reference the property tests hold the flattened form (and
+    ``priority_for_view``) against.  With ``starts`` the slot axis is
+    *flattened* instead (what :func:`batched_kernel` passes): the four slot
+    arrays are 1-D, candidate ``i`` owns the elements from ``starts[i]`` up
+    to ``starts[i + 1]`` in ascending slot order, and ``playback_id`` /
     ``play_rate`` may be per-candidate arrays.  Every floating-point
     operation happens in the same order as the scalar implementation, so
     results are bit-identical: the rarity product multiplies supplier slots
     in ascending order, with non-suppliers contributing an exact ``* 1.0``.
     """
-    if policy is PriorityPolicy.SEQUENTIAL:
-        return 1.0 / (1.0 + np.maximum(candidates - playback_id, 0))
     if starts is None:
         def over_slots(ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
             return ufunc.reduce(values, axis=0)
@@ -663,10 +615,6 @@ def vectorized_priorities(
     transfer = np.where(receive > 0, 1.0 / receive, np.inf)
     slack = distance - transfer
     urgency = np.where(slack <= 0, URGENCY_CAP, np.minimum(1.0 / slack, URGENCY_CAP))
-    if policy is PriorityPolicy.URGENCY_ONLY:
-        return urgency
-    if policy is PriorityPolicy.TRADITIONAL_RARITY:
-        return np.maximum(urgency, 1.0 / over_slots(np.add, supply.astype(np.intp)))
     clamped = np.minimum(np.maximum(positions, 1), caps_col)
     ratios = np.where(supply, clamped / caps_col, 1.0)
     # Both reductions multiply pairwise left-to-right in ascending slot

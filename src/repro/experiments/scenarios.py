@@ -15,8 +15,7 @@ machinery as ``repro workload``.
 * ``flash-crowd`` -- a 500-node premiere under tight bandwidth and a large
   startup window (the ``flash-crowd`` workload, stressed).
 
-For backwards compatibility :meth:`Scenario.config` (and
-:func:`scenario_config`) still materialise a single
+:meth:`Scenario.config` materialises a single
 :class:`~repro.streaming.session.SessionConfig` -- the scenario's first
 switch segment -- for callers that want one session rather than the whole
 scripted workload.
@@ -33,7 +32,7 @@ from repro.workloads.runner import segment_config
 from repro.workloads.schedule import compile_workload
 from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["Scenario", "SCENARIOS", "scenario_config"]
+__all__ = ["Scenario", "SCENARIOS"]
 
 
 @dataclass(frozen=True)
@@ -135,12 +134,3 @@ SCENARIOS: Dict[str, Scenario] = {
         ),
     ),
 }
-
-
-def scenario_config(name: str, *, algorithm: str = "fast", seed: int = 0) -> SessionConfig:
-    """Configuration for a named scenario (``KeyError`` with a hint otherwise)."""
-    try:
-        scenario = SCENARIOS[name]
-    except KeyError as exc:
-        raise KeyError(f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}") from exc
-    return scenario.config(algorithm=algorithm, seed=seed)

@@ -10,9 +10,9 @@ segments carry 30 kbit of media data.  If a node obtained exactly the
 ``620 * M / (30 * 1024 * 10) ≈ 1 %``; the measured value is slightly higher
 because most nodes' delivery rate cannot quite match the playback rate.
 
-:class:`OverheadAccountant` tracks the two byte counters per scheduling
-period and cumulatively, and can optionally include request messages in the
-control cost as a sensitivity analysis (the paper does not count them).
+:class:`OverheadAccountant` tracks the byte counters per scheduling period
+and cumulatively.  Request messages are tracked too, but, as in the paper,
+not charged to the control cost.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ class OverheadSample:
     request_bits: int
     data_bits: int
 
-    def ratio(self, *, include_requests: bool = False) -> float:
+    def ratio(self) -> float:
         """Control-to-data ratio; 0.0 when no data has been transferred."""
-        control = self.control_bits + (self.request_bits if include_requests else 0)
         if self.data_bits <= 0:
             return 0.0
-        return control / self.data_bits
+        return self.control_bits / self.data_bits
 
 
 @dataclass
@@ -90,16 +89,15 @@ class OverheadAccountant:
         self.samples.append(sample)
         return sample
 
-    def overhead_ratio(self, *, include_requests: bool = False) -> float:
+    def overhead_ratio(self) -> float:
         """Cumulative control-to-data ratio (the paper's metric 3)."""
-        control = self.control_bits + (self.request_bits if include_requests else 0)
         if self.data_bits <= 0:
             return 0.0
-        return control / self.data_bits
+        return self.control_bits / self.data_bits
 
-    def ratio_series(self, *, include_requests: bool = False) -> List[tuple[float, float]]:
+    def ratio_series(self) -> List[tuple[float, float]]:
         """``(time, cumulative overhead ratio)`` per recorded period."""
-        return [(s.time, s.ratio(include_requests=include_requests)) for s in self.samples]
+        return [(s.time, s.ratio()) for s in self.samples]
 
     def last_sample(self) -> Optional[OverheadSample]:
         """The most recent period snapshot, or ``None``."""

@@ -22,7 +22,6 @@ __all__ = [
     "ComparisonRow",
     "compare_metrics",
     "format_table",
-    "format_series",
     "metrics_to_dict",
     "metrics_from_dict",
 ]
@@ -139,15 +138,3 @@ def format_table(
         if index == 0:
             lines.append("  ".join("-" * width for width in widths))
     return "\n".join(lines)
-
-
-def format_series(
-    series: Sequence[tuple[float, float]],
-    *,
-    x_label: str = "time",
-    y_label: str = "value",
-    float_format: str = "{:.3f}",
-) -> str:
-    """Render a ``(x, y)`` series as a two-column text table."""
-    rows = [{x_label: x, y_label: y} for x, y in series]
-    return format_table(rows, [x_label, y_label], float_format=float_format)

@@ -22,7 +22,7 @@ as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -212,24 +212,3 @@ def generate_trace(
         hub_fraction=hub_fraction,
     )
     return SyntheticTraceGenerator(spec).generate()
-
-
-def generate_paper_trace_suite(
-    *,
-    seed: int = 0,
-    sizes: Optional[Sequence[int]] = None,
-    traces_per_size: int = 5,
-) -> dict[int, List[List[TraceNode]]]:
-    """Generate a suite of traces mirroring the paper's 30-trace corpus.
-
-    The paper uses 30 real traces spanning 100 -- 10000 nodes.  With the
-    default arguments this produces ``len(PAPER_TRACE_SIZES) * 5 = 30``
-    deterministic synthetic traces keyed by size.
-    """
-    sizes = tuple(sizes) if sizes is not None else PAPER_TRACE_SIZES
-    suite: dict[int, List[List[TraceNode]]] = {}
-    for size in sizes:
-        suite[size] = [
-            generate_trace(size, seed=seed + 1000 * k) for k in range(traces_per_size)
-        ]
-    return suite

@@ -8,32 +8,16 @@ substrate and the churn model need:
 * neighbour queries,
 * node addition/removal (churn),
 * random-edge augmentation bookkeeping,
-* BFS hop distances (used by the analytic warm-up to seed per-peer lag),
-* conversion to/from :mod:`networkx` for analysis and tests (imported
-  where a graph is built, not at module level: the package does not
-  depend on it).
+* BFS hop distances (used by the analytic warm-up to seed per-peer lag).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.overlay.trace import TraceNode
-
-if TYPE_CHECKING:  # pragma: no cover - networkx is a test-only dependency
-    import networkx as nx
 
 __all__ = ["NodeInfo", "Overlay", "build_overlay_from_trace"]
 
@@ -192,37 +176,6 @@ class Overlay:
             return True
         origin = next(iter(self._nodes))
         return len(self.hop_distances_from(origin)) == len(self._nodes)
-
-    def to_networkx(self) -> nx.Graph:
-        """Export to a :class:`networkx.Graph` (with node/edge attributes)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        for info in self.nodes():
-            graph.add_node(info.node_id, ping_ms=info.ping_ms, speed_kbps=info.speed_kbps)
-        for a, b in self.edges():
-            graph.add_edge(a, b, latency=self.edge_latency(a, b))
-        return graph
-
-    @classmethod
-    def from_networkx(cls, graph: nx.Graph) -> "Overlay":
-        """Build an overlay from a :class:`networkx.Graph`.
-
-        Node attributes ``ping_ms`` and ``speed_kbps`` are honoured when
-        present; otherwise defaults apply.
-        """
-        overlay = cls()
-        for node, data in graph.nodes(data=True):
-            overlay.add_node(
-                NodeInfo(
-                    node_id=int(node),
-                    ping_ms=float(data.get("ping_ms", 50.0)),
-                    speed_kbps=float(data.get("speed_kbps", 1000.0)),
-                )
-            )
-        for a, b in graph.edges():
-            overlay.add_edge(int(a), int(b))
-        return overlay
 
     def copy(self) -> "Overlay":
         """Deep copy of the overlay (node records are copied by value)."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 __all__ = ["TraceNode", "TraceRecordError", "parse_trace", "parse_trace_lines", "write_trace"]
 
@@ -163,19 +163,3 @@ def write_trace(
         handle.write("# id|ip|host|port|ping_ms|speed_kbps|neighbours\n")
         for node in nodes:
             handle.write(node.to_line() + "\n")
-
-
-def iter_trace(path: Union[str, Path]) -> Iterator[TraceNode]:
-    """Lazily iterate records of a (potentially large) trace file."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        seen: set[int] = set()
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            node = _parse_line(line, lineno)
-            if node.node_id in seen:
-                raise TraceRecordError(f"line {lineno}: duplicate node id {node.node_id}")
-            seen.add(node.node_id)
-            yield node

@@ -27,8 +27,8 @@ Modules
 :mod:`repro.streaming.bandwidth`
     Bandwidth sampling and the per-period outbound capacity ledger.
 :mod:`repro.streaming.protocol`
-    Message records exchanged between peers (sizes used by the
-    communication-overhead metric).
+    Wire sizes of protocol messages (used by the communication-overhead
+    metric and the probe timeline).
 :mod:`repro.streaming.playback`
     Per-stream playback state machines.
 :mod:`repro.streaming.source`
@@ -52,9 +52,6 @@ __getattr__, __dir__, __all__ = lazy_hub(__name__, {
     "PeerClass": "repro.streaming.bandwidth",
     "draw_class_indices": "repro.streaming.bandwidth",
     "sample_rates": "repro.streaming.bandwidth",
-    "BufferMapExchange": "repro.streaming.protocol",
-    "SegmentRequestMessage": "repro.streaming.protocol",
-    "SegmentDelivery": "repro.streaming.protocol",
     "PlaybackState": "repro.streaming.playback",
     "SourceNode": "repro.streaming.source",
     "PeerNode": "repro.streaming.peer",

@@ -82,51 +82,35 @@ class FifoPositions(Mapping):
     ``buffer.bits`` -- frozen at the instant of construction.
 
     A read-only mapping ``seg_id -> p_ij`` evaluated on lookup.  What the
-    answer depends on is captured as values -- the bitmap, the insertion
-    counter, the removal count -- so a lookup made after the owner moved on
-    either returns what it would have returned at construction or raises
+    answer depends on is captured as values -- the bitmap and the insertion
+    counter -- so a lookup made after the owner moved on either returns what
+    it would have returned at construction or raises
     :class:`StaleBufferMapError`; it never reports a different position.
     This is the one implementation of the position rule
     (:meth:`SegmentBuffer.position_from_tail` goes through it).
     """
 
-    __slots__ = ("_buffer", "_bits", "_counter", "_removed", "_fifo")
+    __slots__ = ("_buffer", "_bits", "_counter")
 
     def __init__(self, buffer: "SegmentBuffer", bits: int) -> None:
         self._buffer = buffer
         self._bits = bits
         self._counter = buffer._counter
-        self._removed = buffer.evicted_total + buffer._discards
-        self._fifo = buffer._discards == 0
 
     def __getitem__(self, seg_id: int) -> int:
         if seg_id < 0 or not self._bits >> seg_id & 1:
             raise KeyError(seg_id)
-        buffer = self._buffer
         # A bit of the map was set in the owner's bitmap once, so the index
         # covers ``seg_id`` (it never shrinks).
-        number = buffer._index[seg_id]
+        number = self._buffer._index[seg_id]
         if not number or number > self._counter:
             raise StaleBufferMapError(
                 f"segment {seg_id} was evicted after this buffer map was taken"
             )
-        if self._fifo:
-            # Pure FIFO: if ``seg_id`` is present, every later insertion is
-            # present too (evictions happen strictly in insertion order), so
-            # the insertion-counter difference equals the in-buffer position.
-            return self._counter + 1 - number
-        # After an out-of-order ``discard`` the counter shortcut over-counts;
-        # count the segments that were newer than ``seg_id``.  Segments
-        # removed since are gone from the index, so that count cannot be
-        # rebuilt once anything was removed.
-        if buffer.evicted_total + buffer._discards != self._removed:
-            raise StaleBufferMapError(
-                "the owner removed segments after this buffer map was taken; "
-                f"the position of segment {seg_id} can no longer be derived"
-            )
-        index = buffer._index
-        newer = sum(1 for other in buffer if number < index[other] <= self._counter)
-        return newer + 1
+        # FIFO: if ``seg_id`` is present, every later insertion is present
+        # too (evictions happen strictly in insertion order), so the
+        # insertion-counter difference equals the in-buffer position.
+        return self._counter + 1 - number
 
     def __iter__(self) -> Iterator[int]:
         return iter(set_bits(self._bits))
@@ -156,7 +140,6 @@ class SegmentBuffer:
         self._index = array("i")
         self._bits = 0
         self._counter = 0
-        self._discards = 0
         self.evicted_total = 0
 
     def _grow_index(self, n: int) -> None:
@@ -225,23 +208,6 @@ class SegmentBuffer:
             if out is not None:
                 evicted.append(out)
         return evicted
-
-    def discard(self, seg_id: int) -> bool:
-        """Remove ``seg_id`` if present (returns whether it was present).
-
-        Not part of the paper's protocol (FIFO eviction is the only removal
-        path there) but useful for tests and for modelling corrupted
-        segments in failure-injection scenarios.
-        """
-        if not self.contains(seg_id):
-            return False
-        self._index[seg_id] = 0
-        self._bits ^= 1 << seg_id
-        del self._queue[: self._head]
-        self._head = 0
-        self._queue.remove(seg_id)
-        self._discards += 1
-        return True
 
     # ------------------------------------------------------------------ #
     # queries

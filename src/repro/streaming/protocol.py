@@ -1,36 +1,24 @@
-"""Protocol messages and their wire sizes.
+"""Wire sizes of protocol messages.
 
 The simulator does not route real packets, but the communication-overhead
 metric (Section 5.2, metric 3) needs the *sizes* of what would be on the
-wire.  This module defines one record per message type together with its
-size accounting:
-
-* :class:`BufferMapExchange` -- the periodic availability exchange
-  (620 bits per neighbour with the paper's parameters);
-* :class:`SegmentRequestMessage` -- a segment request (the paper does not
-  charge requests to the overhead metric, but the sizes are tracked so the
-  metric can optionally include them);
-* :class:`SegmentDelivery` -- a delivered segment (30 kbit of payload).
-
-The paper's overhead definition only divides buffer-map bits by delivered
-data bits; :class:`repro.metrics.overhead.OverheadAccountant` follows that
-definition by default and can include request bits as a sensitivity check.
+wire: a buffer map costs 620 bits per neighbour with the paper's
+parameters, a segment request :data:`SEGMENT_REQUEST_BITS` and a delivered
+segment 30 kbit of payload.  The paper's overhead definition only divides
+buffer-map bits by delivered data bits
+(:class:`repro.metrics.overhead.OverheadAccountant`); request bits are
+tracked but not charged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
-from repro.core.base import Stream
 from repro.streaming.segment import DEFAULT_SEGMENT_BITS
 
 __all__ = [
     "SEGMENT_REQUEST_BITS",
     "STAGE_WIRE_BITS",
-    "BufferMapExchange",
-    "SegmentRequestMessage",
-    "SegmentDelivery",
 ]
 
 #: Wire size of one segment request: a 20-bit segment id plus minimal framing.
@@ -44,62 +32,3 @@ STAGE_WIRE_BITS: Dict[str, int] = {
     "scheduled": SEGMENT_REQUEST_BITS,
     "delivered": DEFAULT_SEGMENT_BITS,
 }
-
-
-@dataclass(frozen=True)
-class BufferMapExchange:
-    """One buffer-map pull between two neighbours.
-
-    Attributes
-    ----------
-    time:
-        Simulation time of the exchange.
-    requester_id / owner_id:
-        The peer pulling the map and the neighbour providing it.
-    wire_bits:
-        Size of the map message in bits.
-    """
-
-    time: float
-    requester_id: int
-    owner_id: int
-    wire_bits: int
-
-
-@dataclass(frozen=True)
-class SegmentRequestMessage:
-    """A request for one segment sent to a chosen supplier."""
-
-    time: float
-    requester_id: int
-    supplier_id: int
-    seg_id: int
-    stream: Stream
-    wire_bits: int = SEGMENT_REQUEST_BITS
-
-
-@dataclass(frozen=True)
-class SegmentDelivery:
-    """A successful segment transfer.
-
-    Attributes
-    ----------
-    time:
-        Simulation time at which the transfer completed (end of the period
-        in the round-based execution model).
-    supplier_id / receiver_id:
-        Sender and receiver node ids.
-    seg_id:
-        Delivered segment id.
-    stream:
-        Which source's stream the segment belongs to.
-    payload_bits:
-        Segment payload size (30 kbit by default).
-    """
-
-    time: float
-    supplier_id: int
-    receiver_id: int
-    seg_id: int
-    stream: Stream
-    payload_bits: int = DEFAULT_SEGMENT_BITS

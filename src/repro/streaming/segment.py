@@ -11,7 +11,6 @@ exactly as the paper's model does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.base import Stream
 
@@ -127,14 +126,3 @@ class SwitchPlan:
             switch_time=switch_time,
             startup_quota=startup_quota,
         )
-
-
-def classify_segment(seg_id: int, plan: Optional[SwitchPlan]) -> Stream:
-    """Classify ``seg_id`` as old/new given an optional switch plan.
-
-    Without a plan every segment is considered part of the old stream (there
-    is only one stream before a switch is announced).
-    """
-    if plan is None:
-        return Stream.OLD
-    return plan.stream_of(seg_id)

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Seque
 import numpy as np
 
 from repro.churn.model import ChurnModel
-from repro.core.base import Stream, SwitchAlgorithm
+from repro.core.base import Stream
 from repro.metrics.collectors import MetricsCollector
 from repro.metrics.overhead import OverheadAccountant
 from repro.net.fabric import NetworkFabric, build_fabric
@@ -199,33 +199,26 @@ class OracleDecider:
         """Nothing to prepare: the reference reads the node objects as they are."""
 
     def decide(self, session: "SwitchSession", state: PeriodState) -> None:
-        """File every peer's request rows in ``state.request_rows``."""
+        """File every peer's request rows in ``state.request_rows``.
+
+        One peer's period: pull its neighbours' maps, run its algorithm and
+        flatten the decision's requests into rows.
+        """
         for node_id in state.order:
-            state.request_rows[node_id] = self.decide_peer(
-                session, session.peers[node_id], state
-            )
+            peer = session.peers[node_id]
+            windows = peer.interest_windows()
+            nodes, rates, _ = session.pull_neighbours(node_id, state)
+            snapshots = [
+                node.snapshot_for(windows, send_rate=rate)
+                for node, rate in zip(nodes, rates)
+            ]
+            state.request_rows[node_id] = [
+                (rank, request.seg_id, request.supplier_id, request.expected_receive_time)
+                for rank, request in enumerate(peer.decide(snapshots, state.now).requests)
+            ]
         obs = get_telemetry()
         if obs.enabled:
             obs.counter("engine.dispatch.scalar").add(len(state.order))
-
-    @staticmethod
-    def decide_peer(
-        session: "SwitchSession", peer: PeerNode, state: PeriodState
-    ) -> List[RequestRow]:
-        """One peer's period: pull its neighbours' maps, run its algorithm.
-
-        Returns the decision's requests flattened into rows.  Also how the
-        array engine decides a peer whose algorithm has no array form.
-        """
-        windows = peer.interest_windows()
-        nodes, rates, _ = session.pull_neighbours(peer.node_id, state)
-        snapshots = [
-            node.snapshot_for(windows, send_rate=rate) for node, rate in zip(nodes, rates)
-        ]
-        return [
-            (rank, request.seg_id, request.supplier_id, request.expected_receive_time)
-            for rank, request in enumerate(peer.decide(snapshots, state.now).requests)
-        ]
 
 
 class SwitchSession:
@@ -235,9 +228,6 @@ class SwitchSession:
     ----------
     config:
         The full run configuration.
-    algorithm_factory:
-        Override for the switch-algorithm constructor (defaults to the
-        configured algorithm).
     overlay:
         Pre-built overlay to start from (the session takes its own copy);
         defaults to building one from the config.
@@ -262,7 +252,6 @@ class SwitchSession:
         self,
         config: SessionConfig,
         *,
-        algorithm_factory: Optional[Callable[[], SwitchAlgorithm]] = None,
         overlay: Optional[Overlay] = None,
         directives: Optional[Mapping[int, PeriodDirective]] = None,
         label: str = "",
@@ -273,7 +262,6 @@ class SwitchSession:
     ) -> None:
         self.config = config
         self.label = label
-        self._algorithm_factory = algorithm_factory or config.make_algorithm
         self._membership_factory = membership_factory
         self._directives: Dict[int, PeriodDirective] = dict(directives or {})
         if config.engine == "vector":
@@ -438,7 +426,7 @@ class SwitchSession:
         peer = PeerNode(
             node_id,
             BandwidthProfile(inbound=inbound, outbound=outbound),
-            self._algorithm_factory(),
+            cfg.make_algorithm(),
             buffer_capacity=cfg.buffer_capacity,
             play_rate=cfg.play_rate,
             startup_quota_old=cfg.startup_quota_old,

@@ -3,21 +3,10 @@
 import pytest
 
 from repro.analysis.charts import (
-    ascii_bar_chart,
     ascii_line_chart,
-    sparkline,
     svg_bar_chart,
     svg_line_chart,
 )
-
-
-def test_sparkline_levels():
-    line = sparkline([0.0, 0.5, 1.0])
-    assert len(line) == 3
-    assert line[0] == "▁"
-    assert line[-1] == "█"
-    assert sparkline([]) == ""
-    assert sparkline([2.0, 2.0, 2.0]) == "▁▁▁"
 
 
 def test_line_chart_contains_markers_and_legend():
@@ -49,24 +38,6 @@ def test_line_chart_empty_and_invalid_dimensions():
 def test_line_chart_flat_series_does_not_crash():
     chart = ascii_line_chart({"flat": [(0.0, 0.5), (5.0, 0.5)]}, width=20, height=5)
     assert "flat" in chart
-
-
-def test_bar_chart_scales_bars_by_value():
-    chart = ascii_bar_chart(
-        [("normal prepare", 20.0), ("fast prepare", 10.0)], width=40, unit="s"
-    )
-    lines = chart.splitlines()
-    normal_bar = lines[0].count("█")
-    fast_bar = lines[1].count("█")
-    assert normal_bar == 40
-    assert fast_bar == 20
-    assert "20s" in lines[0]
-
-
-def test_bar_chart_empty_and_zero_values():
-    assert ascii_bar_chart([]) == "(no data)"
-    chart = ascii_bar_chart([("zero", 0.0)], title="t")
-    assert "zero" in chart and "t" in chart
 
 
 # --------------------------------------------------------------------------- #

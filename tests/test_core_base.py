@@ -1,6 +1,4 @@
-"""Tests for the shared core data model (views, decisions, validation)."""
-
-import pytest
+"""Tests for the shared core data model (views and decisions)."""
 
 from repro.core.base import (
     LocalView,
@@ -8,7 +6,6 @@ from repro.core.base import (
     ScheduleDecision,
     SegmentRequest,
     Stream,
-    validate_view,
 )
 
 
@@ -102,40 +99,6 @@ def test_decision_partitions_requests_by_stream():
     assert [r.seg_id for r in decision.old_requests] == [101]
     assert [r.seg_id for r in decision.new_requests] == [200]
     assert decision.requested_ids() == frozenset({101, 200})
-
-
-def test_validate_view_accepts_well_formed_view():
-    validate_view(_view())  # should not raise
-
-
-def test_validate_view_rejects_overlapping_needs():
-    with pytest.raises(ValueError, match="overlap"):
-        validate_view(_view(new_needed=frozenset({101})))
-
-
-def test_validate_view_rejects_bad_switch_boundary():
-    with pytest.raises(ValueError, match="id_begin"):
-        validate_view(_view(id_begin=140))
-
-
-def test_validate_view_rejects_nonpositive_parameters():
-    with pytest.raises(ValueError):
-        validate_view(_view(tau=0.0))
-    with pytest.raises(ValueError):
-        validate_view(_view(play_rate=0.0))
-    with pytest.raises(ValueError):
-        validate_view(_view(inbound_rate=-1.0))
-
-
-def test_validate_view_rejects_bad_neighbours():
-    bad_rate = NeighbourView(node_id=1, send_rate=-1.0, available=frozenset())
-    with pytest.raises(ValueError):
-        validate_view(_view(neighbours=(bad_rate,)))
-    bad_capacity = NeighbourView(
-        node_id=1, send_rate=1.0, available=frozenset(), buffer_capacity=0
-    )
-    with pytest.raises(ValueError):
-        validate_view(_view(neighbours=(bad_capacity,)))
 
 
 def test_stream_enum_labels():

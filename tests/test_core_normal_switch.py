@@ -48,8 +48,8 @@ def test_figure2_ordering_old_first_then_new():
 
 
 def test_reserved_inbound_blocks_new_stream_while_backlog_large():
-    """Default (reserved) reading: Q1 >= I means no new-source requests even
-    if not all of the backlog is schedulable this period."""
+    """Reserved reading: Q1 >= I means no new-source requests even if not
+    all of the backlog is schedulable this period."""
     neighbour = _neighbour(1, available=list(range(0, 3)) + list(range(20, 30)))
     view = _view(old_needed=range(0, 15), new_needed=range(20, 30),
                  neighbours=[neighbour], inbound=10.0, id_end=19)
@@ -58,23 +58,13 @@ def test_reserved_inbound_blocks_new_stream_while_backlog_large():
     assert len(decision.old_requests) == 3  # only what is schedulable
 
 
-def test_opportunistic_variant_spills_leftover_to_new_stream():
-    neighbour = _neighbour(1, available=list(range(0, 3)) + list(range(20, 30)))
-    view = _view(old_needed=range(0, 15), new_needed=range(20, 30),
-                 neighbours=[neighbour], inbound=10.0, id_end=19)
-    decision = NormalSwitchAlgorithm(opportunistic_leftover=True).schedule(view)
-    assert len(decision.old_requests) == 3
-    assert len(decision.new_requests) == 7
-
-
-def test_small_backlog_leaves_room_for_new_stream_in_both_variants():
+def test_small_backlog_leaves_room_for_new_stream():
     neighbour = _neighbour(1, available=range(0, 10))
     view = _view(old_needed=range(0, 2), new_needed=range(5, 10),
                  neighbours=[neighbour], inbound=6.0)
-    for opportunistic in (False, True):
-        decision = NormalSwitchAlgorithm(opportunistic_leftover=opportunistic).schedule(view)
-        assert len(decision.old_requests) == 2
-        assert len(decision.new_requests) == 4
+    decision = NormalSwitchAlgorithm().schedule(view)
+    assert len(decision.old_requests) == 2
+    assert len(decision.new_requests) == 4
 
 
 def test_zero_capacity_produces_empty_decision():
@@ -108,7 +98,8 @@ def test_requests_target_actual_holders():
     n_new = _neighbour(2, available={5, 6, 7})
     view = _view(old_needed=range(0, 5), new_needed=range(5, 10), neighbours=[n_old, n_new],
                  inbound=10.0)
-    decision = NormalSwitchAlgorithm(opportunistic_leftover=True).schedule(view)
+    decision = NormalSwitchAlgorithm().schedule(view)
+    assert decision.new_requests
     holders = {1: {0, 1}, 2: {5, 6, 7}}
     for request in decision.requests:
         assert request.seg_id in holders[request.supplier_id]

@@ -5,13 +5,11 @@ import pytest
 from repro.core.base import NeighbourView
 from repro.core.priority import (
     URGENCY_CAP,
-    PriorityPolicy,
     deadline_slack,
     max_receive_rate,
     priority_for_view,
     rarity,
     request_priority,
-    traditional_rarity,
     urgency,
 )
 
@@ -82,11 +80,6 @@ def test_rarity_higher_when_close_to_eviction_everywhere():
     assert endangered > safe
 
 
-def test_traditional_rarity_is_one_over_suppliers():
-    assert traditional_rarity(4) == pytest.approx(0.25)
-    assert traditional_rarity(0) == 1.0
-
-
 def test_request_priority_is_max_of_both_terms():
     assert request_priority(0.3, 0.8) == 0.8
     assert request_priority(2.0, 0.1) == 2.0
@@ -105,25 +98,11 @@ def test_priority_for_view_paper_policy_uses_positions():
     )
 
 
-def test_priority_policies_differ():
+def test_far_segment_priority_is_its_rarity():
     suppliers = [
         _neighbour(1, send_rate=10.0, available={80}, positions={80: 550}),
         _neighbour(2, send_rate=10.0, available={80}, positions={80: 580}),
     ]
-    paper = priority_for_view(80, suppliers, 10, 10.0, policy=PriorityPolicy.PAPER)
-    urgency_only = priority_for_view(80, suppliers, 10, 10.0, policy=PriorityPolicy.URGENCY_ONLY)
-    traditional = priority_for_view(
-        80, suppliers, 10, 10.0, policy=PriorityPolicy.TRADITIONAL_RARITY
-    )
-    sequential = priority_for_view(80, suppliers, 10, 10.0, policy=PriorityPolicy.SEQUENTIAL)
-    # far-away segment: urgency is small, so the rarity flavours dominate
-    assert paper > urgency_only
-    assert traditional == pytest.approx(max(urgency_only, 0.5))
-    assert 0.0 < sequential < 1.0
-
-
-def test_sequential_policy_orders_by_segment_id():
-    suppliers = [_neighbour(1, available={20, 30}, positions={20: 1, 30: 1})]
-    early = priority_for_view(20, suppliers, 10, 10.0, policy=PriorityPolicy.SEQUENTIAL)
-    late = priority_for_view(30, suppliers, 10, 10.0, policy=PriorityPolicy.SEQUENTIAL)
-    assert early > late
+    value = priority_for_view(80, suppliers, 10, 10.0)
+    # far-away segment: urgency is small, so the rarity term dominates
+    assert value == rarity([550, 580], 600) > urgency(80, 10, 10.0, 10.0)

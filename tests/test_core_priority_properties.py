@@ -7,7 +7,6 @@ from repro.core.priority import (
     URGENCY_CAP,
     rarity,
     request_priority,
-    traditional_rarity,
     urgency,
 )
 
@@ -61,9 +60,3 @@ def test_priority_upper_bounds_both_terms(u, r):
     value = request_priority(u, r)
     assert value >= u and value >= r
     assert value in (u, r)
-
-
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(min_value=1, max_value=1000))
-def test_traditional_rarity_monotone(n):
-    assert traditional_rarity(n) >= traditional_rarity(n + 1)

@@ -7,10 +7,9 @@ hypothesis-generated inputs far outside what any shipped scenario reaches:
 
 * :class:`MirroredBuffer` / :class:`SegmentArrays` -- a buffer's matrix
   row is its index (insertion number + 1, 0 when not held) and must track
-  a plain :class:`SegmentBuffer` under arbitrary insert/discard/evict
-  sequences;
+  a plain :class:`SegmentBuffer` under arbitrary insert/evict sequences;
 * :func:`vectorized_priorities` -- must match ``priority_for_view``
-  (``core/priority.py``) float for float under every policy;
+  (``core/priority.py``) float for float;
 * :func:`_greedy_masks` -- the bitmask supplier-allocation pass must
   reproduce ``greedy_supplier_assignment`` (``core/scheduler.py``),
   including queue carry-over between passes, which is how the engine
@@ -36,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.base import NeighbourView, Stream
-from repro.core.priority import PriorityPolicy, priority_for_view
+from repro.core.priority import priority_for_view
 from repro.core.scheduler import CandidateSegment, greedy_supplier_assignment
 from repro.core.vector import (
     MirroredBuffer,
@@ -52,12 +51,9 @@ from repro.streaming.buffer import SegmentBuffer
 # --------------------------------------------------------------------------- #
 # strategies
 # --------------------------------------------------------------------------- #
-#: (is_insert, seg_id) op sequences over a small id space so collisions,
-#: re-inserts and discard-of-absent all happen often.
-buffer_ops = st.lists(
-    st.tuples(st.booleans(), st.integers(min_value=0, max_value=40)),
-    max_size=80,
-)
+#: inserted-id sequences over a small id space so collisions and re-inserts
+#: of evicted ids happen often.
+buffer_ops = st.lists(st.integers(min_value=0, max_value=40), max_size=80)
 
 capacities = st.one_of(st.none(), st.integers(min_value=1, max_value=12))
 
@@ -176,16 +172,13 @@ def _scalar_candidates(
 # bitmask buffer maps
 # --------------------------------------------------------------------------- #
 def _apply_alike(buffers, ops, inserted):
-    """Apply ``(is_insert, seg_id)`` ops to every buffer, checking they all
-    answer alike; ``inserted`` gains each id an insert actually stored, so
-    an id's insertion number is its last place in that list."""
-    for is_insert, seg_id in ops:
-        if is_insert and seg_id not in buffers[0]:
+    """Insert the ids of ``ops`` into every buffer, checking they all answer
+    alike; ``inserted`` gains each id an insert actually stored, so an id's
+    insertion number is its last place in that list."""
+    for seg_id in ops:
+        if seg_id not in buffers[0]:
             inserted.append(seg_id)
-        results = {
-            buffer.insert(seg_id) if is_insert else buffer.discard(seg_id) for buffer in buffers
-        }
-        assert len(results) == 1
+        assert len({buffer.insert(seg_id) for buffer in buffers}) == 1
 
 
 def _assert_row_is_the_index(arrays, row, reference, inserted):
@@ -224,7 +217,7 @@ def test_mirrored_buffer_tracks_scalar_buffer(ops, capacity):
 def test_fifo_positions_recoverable_from_insert_index(seg_ids, capacity):
     """The rarity positions the engine derives from the index matrix
     (``counter + 1 - index``) match ``position_from_tail`` for every held
-    segment under pure-FIFO histories (no discards)."""
+    segment."""
     arrays = SegmentArrays(1, 8)
     mirrored = MirroredBuffer(capacity, arrays, 0)
     for seg_id in seg_ids:
@@ -246,7 +239,7 @@ def test_adopted_buffer_mirrors_existing_state(seg_ids, extra_ops, capacity):
     original = SegmentBuffer(capacity=capacity)
     reference = SegmentBuffer(capacity=capacity)
     inserted = []
-    _apply_alike([original, reference], [(True, seg_id) for seg_id in seg_ids], inserted)
+    _apply_alike([original, reference], seg_ids, inserted)
 
     arrays = SegmentArrays(2, 8)
     MirroredBuffer(capacity, arrays, 0)  # a neighbour row the adoption must not touch
@@ -263,8 +256,8 @@ def test_adopted_buffer_mirrors_existing_state(seg_ids, extra_ops, capacity):
 # vectorized priorities vs core/priority.py
 # --------------------------------------------------------------------------- #
 @settings(max_examples=300, deadline=None)
-@given(case=priority_cases(), policy=st.sampled_from(list(PriorityPolicy)))
-def test_vectorized_priorities_match_priority_for_view(case, policy):
+@given(case=priority_cases())
+def test_vectorized_priorities_match_priority_for_view(case):
     (
         k,
         m,
@@ -292,7 +285,6 @@ def test_vectorized_priorities_match_priority_for_view(case, policy):
             np.array(caps, dtype=np.int64)[:, None],
             playback_id,
             play_rate,
-            policy,
         )
 
     views = [
@@ -313,12 +305,9 @@ def test_vectorized_priorities_match_priority_for_view(case, policy):
     ]
     for i, seg_id in enumerate(candidates):
         suppliers = tuple(views[slot] for slot in range(k) if supply[slot, i])
-        scalar = priority_for_view(
-            seg_id, suppliers, playback_id, play_rate, policy=policy
-        )
+        scalar = priority_for_view(seg_id, suppliers, playback_id, play_rate)
         assert float(vectorized[i]) == scalar, (
-            f"policy={policy} seg={seg_id}: vector={vectorized[i]!r} "
-            f"scalar={scalar!r}"
+            f"seg={seg_id}: vector={vectorized[i]!r} scalar={scalar!r}"
         )
 
 
@@ -449,9 +438,8 @@ def test_greedy_masks_rank_sorts_like_priority_then_id(case, data):
     case=greedy_cases(),
     data=st.data(),
     capacity=st.integers(1, 12),
-    opportunistic=st.booleans(),
 )
-def test_capped_normal_passes_keep_the_uncapped_rows(case, data, capacity, opportunistic):
+def test_capped_normal_passes_keep_the_uncapped_rows(case, data, capacity):
     """The normal finish stops each pass once it holds the rows it can keep
     (``capacity``, then ``remaining``): the same rows as running both passes
     to the end and trimming, because pass 2 only runs when pass 1 kept fewer
@@ -463,17 +451,14 @@ def test_capped_normal_passes_keep_the_uncapped_rows(case, data, capacity, oppor
 
     old, _, queue = _greedy_masks(range(n_old), seg_ids, masks, n_old, survivors, period)
     expected = old[:capacity]
-    remaining = capacity - (len(expected) if opportunistic else min(capacity, n_wanted_old))
+    remaining = capacity - min(capacity, n_wanted_old)
     if remaining > 0:
         _, new, _ = _greedy_masks(
             range(n_old, len(seg_ids)), seg_ids, masks, n_old, survivors, period, queue
         )
         expected += new[:remaining]
 
-    peer = SimpleNamespace(
-        tau=period, algorithm=SimpleNamespace(opportunistic_leftover=opportunistic),
-        requests_issued=0,
-    )
+    peer = SimpleNamespace(tau=period, requests_issued=0)
     capped = VectorDecider()._normal_finish(
         peer, capacity, survivors, seg_ids, masks, n_old, n_wanted_old
     )
@@ -488,9 +473,9 @@ def test_capped_normal_passes_keep_the_uncapped_rows(case, data, capacity, oppor
 @given(
     seed=st.integers(0, 2**32 - 1),
     supplier_counts=st.lists(st.integers(0, 12), min_size=0, max_size=4),
-    policy=st.sampled_from([None, *PriorityPolicy]),
+    fast=st.booleans(),
 )
-def test_batched_kernel_matches_per_peer_kernels(seed, supplier_counts, policy):
+def test_batched_kernel_matches_per_peer_kernels(seed, supplier_counts, fast):
     """Ragged peers in one flattened pass: every example also carries a
     peer without suppliers and one with more than 64 (multi-word bitmasks).
     Masks equal the dense per-peer reference for every candidate (0 off the
@@ -525,7 +510,7 @@ def test_batched_kernel_matches_per_peer_kernels(seed, supplier_counts, policy):
 
     with np.errstate(divide="ignore"):
         supplied, priorities, order, masks = batched_kernel(
-            arrays, survivors, candidates, job_of, visible, playback_ids, play_rates, policy
+            arrays, survivors, candidates, job_of, visible, playback_ids, play_rates, fast
         )
         assert len(masks) == supplied.size and all(masks)
         dense = [0] * candidates.size
@@ -546,7 +531,7 @@ def test_batched_kernel_matches_per_peer_kernels(seed, supplier_counts, policy):
                 sum(1 << slot for slot in np.flatnonzero(column).tolist())
                 for column in supply.T
             ]
-            if policy is None:
+            if not fast:
                 assert priorities is None and order is None
                 continue
             first, end = np.searchsorted(supplied, [lo, hi]).tolist()
@@ -561,7 +546,6 @@ def test_batched_kernel_matches_per_peer_kernels(seed, supplier_counts, policy):
                 np.array(entry.caps)[:, None],
                 int(playback_ids[job]),
                 float(play_rates[job]),
-                policy,
             )[offered]
             assert priorities[first:end] == expected.tolist()
             assert order[first:end] == np.argsort(-expected, kind="stable").tolist()

@@ -1,8 +1,6 @@
 """Tests for the named example scenarios (wrappers over workload specs)."""
 
-import pytest
-
-from repro.experiments.scenarios import SCENARIOS, scenario_config
+from repro.experiments.scenarios import SCENARIOS
 from repro.workloads.library import WORKLOADS
 
 
@@ -26,7 +24,7 @@ def test_video_conference_is_static_multi_switch():
     spec = scenario.spec()
     assert not scenario.dynamic
     assert spec.n_switches >= 3  # repeated speaker changes
-    config = scenario_config("video-conference", algorithm="normal", seed=9)
+    config = scenario.config(algorithm="normal", seed=9)
     assert config.n_nodes == scenario.n_nodes == 300
     assert config.algorithm == "normal"
     assert config.seed == 9
@@ -36,25 +34,20 @@ def test_video_conference_is_static_multi_switch():
 def test_distance_education_is_dynamic():
     scenario = SCENARIOS["distance-education"]
     assert scenario.dynamic
-    config = scenario_config("distance-education")
+    config = scenario.config()
     assert config.churn.enabled
     assert config.churn.leave_fraction == 0.05
     assert config.n_nodes == 800
 
 
 def test_flash_crowd_overrides_bandwidth_and_quota():
-    config = scenario_config("flash-crowd")
+    config = SCENARIOS["flash-crowd"].config()
     assert config.inbound_mean == 12.0
     assert config.startup_quota_new == 80
     assert config.peer_classes == ()  # tight homogeneous bandwidth
 
 
 def test_scenario_configs_run_full_horizon_for_phase_metrics():
-    config = scenario_config("flash-crowd")
+    config = SCENARIOS["flash-crowd"].config()
     assert config.run_full_horizon
     assert config.record_rounds
-
-
-def test_unknown_scenario_raises_with_hint():
-    with pytest.raises(KeyError, match="available"):
-        scenario_config("does-not-exist")

@@ -42,7 +42,7 @@ FENCES: Tuple[Tuple[str, str, Tuple[str, ...], int], ...] = (
     # command imports what it runs; imports are deferred at command and run
     # boundaries, never per period or per message (in the session exactly
     # two: TYPE_CHECKING, the decider in __init__); dist/pool.py is the only
-    # process starter; networkx is a test-only dependency.
+    # process starter; nothing imports networkx, not even a test.
     ("cli-imports-stdlib-only",
      r"^(from|import) repro", ("src/repro/cli.py",), 0),
     ("no-deferred-import-in-hot-modules", _DEFERRED_IMPORT, _HOT_MODULES, 0),
@@ -50,7 +50,7 @@ FENCES: Tuple[Tuple[str, str, Tuple[str, ...], int], ...] = (
     ("one-process-starter",
      r"^\s*(import|from)\s.*\b(concurrent|multiprocessing)\b",
      (_SRC, "!src/repro/dist/pool.py"), 0),
-    ("networkx-is-test-only", r"^(import|from)\s+networkx\b", (_SRC,), 0),
+    ("no-networkx", r"^\s*(import|from)\s+networ[k]x\b", ("src/**/*.py", "tests/**/*.py"), 0),
     # A module imports NumPy at module level only if it simulates: the
     # records, the store and the figures a replay loads run on the standard
     # library (tests/test_import_fences.py, tier 1).
@@ -125,6 +125,17 @@ FENCES: Tuple[Tuple[str, str, Tuple[str, ...], int], ...] = (
      ("src/repro/core/vector.py",), 0),
     ("membership-reads-the-id-list-twice", r"\.node_ids\b", ("src/repro/overlay/membership.py",), 2),
     ("no-checked-weighted-choice", r"replace=False, p=", ("src/repro/overlay/membership.py",), 0),
+    # The paper's two schedulers and nothing else: Eq. 9 priorities, a
+    # work-conserving fast algorithm, a baseline that reserves min(I, Q1)
+    # for S1, and peers built by config.make_algorithm() -- no knob, factory
+    # or sensitivity switch that only a test would turn.  A buffer is FIFO:
+    # eviction is its only removal path, so a position is counter + 1 - index.
+    ("no-ablation-knobs",
+     r"PriorityPolic[y]|work_conservin[g]|opportunistic_leftove[r]|algorithm_factor[y]"
+     r"|include_request[s]",
+     ("src/**/*.py", "tests/**/*.py"), 0),
+    ("buffer-is-fifo", r"_discard[s]|def discar[d]",
+     ("src/repro/streaming/buffer.py", "src/repro/core/vector.py"), 0),
 )
 
 

@@ -20,13 +20,14 @@ def test_paper_back_of_envelope_one_percent():
     assert 0.005 < accountant.overhead_ratio() < 0.015
 
 
-def test_requests_optionally_included():
+def test_requests_are_tracked_but_not_charged():
     accountant = OverheadAccountant()
     accountant.add_control(1000)
     accountant.add_request(500)
     accountant.add_data(10_000)
+    assert accountant.request_bits == 500
     assert accountant.overhead_ratio() == pytest.approx(0.1)
-    assert accountant.overhead_ratio(include_requests=True) == pytest.approx(0.15)
+    assert accountant.close_period(1.0).ratio() == pytest.approx(0.1)
 
 
 def test_zero_data_gives_zero_ratio():

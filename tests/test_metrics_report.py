@@ -5,7 +5,6 @@ import pytest
 from repro.metrics.collectors import SwitchMetrics
 from repro.metrics.report import (
     compare_metrics,
-    format_series,
     format_table,
     reduction_ratio,
 )
@@ -63,10 +62,3 @@ def test_format_table_empty_and_column_selection():
     rows = [{"a": 1, "b": 2}]
     text = format_table(rows, columns=["b"])
     assert "a" not in text.splitlines()[0]
-
-
-def test_format_series_two_columns():
-    text = format_series([(1.0, 0.5), (2.0, 0.75)], x_label="time", y_label="ratio")
-    lines = text.splitlines()
-    assert lines[0].split() == ["time", "ratio"]
-    assert len(lines) == 4

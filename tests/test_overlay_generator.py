@@ -6,7 +6,6 @@ from repro.overlay.generator import (
     PAPER_TRACE_SIZES,
     SyntheticTraceGenerator,
     TraceSpec,
-    generate_paper_trace_suite,
     generate_trace,
 )
 from repro.overlay.topology import build_overlay_from_trace
@@ -66,13 +65,6 @@ def test_generator_respects_mean_degree_knob():
     sparse = build_overlay_from_trace(generate_trace(300, seed=7, mean_degree=1.5))
     denser = build_overlay_from_trace(generate_trace(300, seed=7, mean_degree=3.0))
     assert denser.average_degree() > sparse.average_degree()
-
-
-def test_paper_trace_suite_covers_thirty_traces():
-    suite = generate_paper_trace_suite(seed=0, sizes=(50, 80), traces_per_size=3)
-    assert set(suite) == {50, 80}
-    assert all(len(traces) == 3 for traces in suite.values())
-    assert len(suite[50][0]) == 50
 
 
 def test_paper_trace_sizes_match_evaluation():

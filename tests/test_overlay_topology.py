@@ -1,6 +1,5 @@
 """Tests for the overlay graph structure."""
 
-import networkx as nx
 import pytest
 
 from repro.overlay.topology import NodeInfo, Overlay, build_overlay_from_trace
@@ -82,17 +81,6 @@ def test_average_degree_and_copy():
     clone.remove_node(0)
     assert len(overlay) == 3  # original untouched
     assert len(clone) == 2
-
-
-def test_networkx_roundtrip_preserves_structure():
-    overlay = _triangle()
-    graph = overlay.to_networkx()
-    assert isinstance(graph, nx.Graph)
-    assert graph.number_of_nodes() == 3
-    assert graph.number_of_edges() == 3
-    back = Overlay.from_networkx(graph)
-    assert sorted(back.edges()) == sorted(overlay.edges())
-    assert back.info(0).ping_ms == overlay.info(0).ping_ms
 
 
 def test_build_overlay_from_trace_ignores_dangling_neighbours():

@@ -5,7 +5,6 @@ import pytest
 from repro.overlay.trace import (
     TraceNode,
     TraceRecordError,
-    iter_trace,
     parse_trace,
     parse_trace_lines,
     write_trace,
@@ -29,13 +28,6 @@ def test_roundtrip_through_file(tmp_path):
     write_trace(nodes, path, header="test trace")
     parsed = parse_trace(path)
     assert parsed == nodes
-
-
-def test_iter_trace_matches_parse(tmp_path):
-    path = tmp_path / "overlay.trace"
-    nodes = _sample_nodes()
-    write_trace(nodes, path)
-    assert list(iter_trace(path)) == parse_trace(path)
 
 
 def test_comments_and_blank_lines_ignored():

@@ -48,10 +48,8 @@ def test_subpackages_import_cleanly():
 
 
 def test_importing_the_cli_does_not_import_networkx():
-    """networkx is a test-only dependency: only ``Overlay.to_networkx`` loads it.
-
-    Importing the CLI in fact loads nothing but the standard library: tier 0
-    of the import fences (the other tiers are in ``tests/test_import_fences.py``).
+    """Importing the CLI loads nothing but the standard library: tier 0 of
+    the import fences (the other tiers are in ``tests/test_import_fences.py``).
     """
     modules = modules_loaded_by("import repro.cli")
     assert "networkx" not in modules

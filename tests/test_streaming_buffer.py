@@ -4,12 +4,10 @@ import pytest
 
 from repro.streaming.buffer import (
     SegmentBuffer,
-    StaleBufferMapError,
     popcount,
     range_mask,
     set_bits,
 )
-from repro.streaming.buffermap import snapshot_buffer
 
 
 def test_insert_contains_len():
@@ -77,47 +75,7 @@ def test_position_from_tail_stable_after_evictions():
     assert buffer.position_from_tail(3) == 3
 
 
-def test_position_from_tail_after_discard():
-    buffer = SegmentBuffer(capacity=10)
-    buffer.insert_many([1, 2, 3, 4])
-    assert buffer.discard(3) is True
-    assert buffer.discard(3) is False
-    assert buffer.position_from_tail(4) == 1
-    assert buffer.position_from_tail(2) == 2
-    assert buffer.position_from_tail(1) == 3
-    # a buffer map pulled after the discard answers by the same rule
-    snap = snapshot_buffer(1, buffer, [(0, 9)], send_rate=1.0)
-    assert snap.available == frozenset({1, 2, 4})
-    assert [snap.position_of(seg) for seg in (4, 2, 1)] == [1, 2, 3]
-    assert snap.position_of(3) == 1  # not advertised: the newest-position default
-
-
-def test_discard_after_wraparound_keeps_snapshot_and_buffer_in_step():
-    buffer = SegmentBuffer(capacity=4)
-    buffer.insert_many(range(10, 18))  # holds 14..17, four evictions behind it
-    buffer.discard(15)
-    buffer.insert(18)  # room left by the discard: nothing is evicted
-    snap = snapshot_buffer(1, buffer, [(0, 30)], send_rate=1.0)
-    assert snap.available == frozenset({14, 16, 17, 18})
-    for seg in (14, 16, 17, 18):
-        assert snap.position_of(seg) == buffer.position_from_tail(seg)
-    assert sorted(snap.positions.values()) == [1, 2, 3, 4]
-
-
-def test_positions_taken_after_a_discard_go_stale_on_any_removal():
-    buffer = SegmentBuffer(capacity=4)
-    buffer.insert_many([1, 2, 3, 4])
-    buffer.discard(2)
-    snap = snapshot_buffer(1, buffer, [(0, 9)], send_rate=1.0)
-    assert snap.position_of(1) == 3
-    buffer.insert(5)  # an insertion alone does not disturb the pull-time answer
-    assert snap.position_of(1) == 3
-    buffer.discard(4)  # ... but "how many were newer" is gone with a removal
-    with pytest.raises(StaleBufferMapError):
-        snap.position_of(1)
-
-
-def test_presence_bitmap_follows_insert_evict_discard():
+def test_presence_bitmap_follows_insert_and_evict():
     buffer = SegmentBuffer(capacity=3)
     assert buffer.bits == 0
     buffer.insert_many([1, 2, 3])
@@ -126,10 +84,6 @@ def test_presence_bitmap_follows_insert_evict_discard():
     assert buffer.bits == 0b1110
     buffer.insert(5)  # evicts 1
     assert buffer.bits == 0b101100
-    buffer.discard(3)
-    assert buffer.bits == 0b100100
-    buffer.discard(3)
-    assert buffer.bits == 0b100100
 
 
 def test_negative_ids_are_rejected_before_any_mutation():

@@ -9,19 +9,15 @@ from repro.streaming.buffer import SegmentBuffer, popcount, set_bits
 
 ids = st.lists(st.integers(min_value=0, max_value=200), min_size=0, max_size=120)
 capacities = st.integers(min_value=1, max_value=40)
-#: a mutation script: (is_discard, seg_id) steps on a bounded or unbounded buffer
-mutations = st.lists(
-    st.tuples(st.booleans(), st.integers(min_value=0, max_value=200)), max_size=150
-)
+#: a mutation script: the ids inserted, one by one, into a bounded or unbounded
+#: buffer (FIFO eviction is a buffer's only removal path)
+mutations = st.lists(st.integers(min_value=0, max_value=200), max_size=150)
 any_capacity = st.one_of(st.none(), capacities)
 
 
 def _apply(buffer, script):
-    for is_discard, seg in script:
-        if is_discard:
-            buffer.discard(seg)
-        else:
-            buffer.insert(seg)
+    for seg in script:
+        buffer.insert(seg)
 
 
 @settings(max_examples=200, deadline=None)
@@ -33,13 +29,8 @@ def test_size_never_exceeds_capacity(inserts, capacity):
     assert len(buffer) == len(buffer.as_set())
 
 
-#: long scripts, one step in ten a discard: eviction passes the queue's
-#: compaction point many times over
-long_mutations = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=9).map(lambda roll: roll == 0),
-              st.integers(min_value=0, max_value=200)),
-    max_size=400,
-)
+#: long scripts: eviction passes the queue's compaction point many times over
+long_mutations = st.lists(st.integers(min_value=0, max_value=200), max_size=400)
 
 
 def _plain(capacity):
@@ -50,8 +41,8 @@ def _mirrored(capacity):
     return MirroredBuffer(capacity, SegmentArrays(1, 8), 0)
 
 
-#: re-inserts evicted ids, compacts the queue many times, ends on a discard
-_CYCLING = [(False, step % 150) for step in range(400)] + [(True, 399 % 150)]
+#: re-inserts evicted ids and compacts the queue many times
+_CYCLING = [step % 150 for step in range(400)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -63,26 +54,20 @@ def test_buffer_matches_reference_fifo_model(script, capacity, make):
     """The buffer behaves exactly like a simple list-based FIFO model.
 
     The model: an insert of an id not currently held appends it; when the
-    size exceeds the capacity the oldest held id is dropped; a discard
-    removes the id wherever it is.  Re-inserting a currently-held id is a
-    no-op, but an id that was evicted earlier can be inserted again.  A
-    position is the place from the model's newest end, in pure-FIFO runs
-    and after discards alike.  Both buffer kinds, both bounded and not.
+    size exceeds the capacity the oldest held id is dropped.  Re-inserting
+    a currently-held id is a no-op, but an id that was evicted earlier can
+    be inserted again.  A position is the place from the model's newest
+    end.  Both buffer kinds, both bounded and not.
     """
     buffer = make(capacity)
     model: list[int] = []
-    for step, (is_discard, seg) in enumerate(script):
-        if is_discard:
-            assert buffer.discard(seg) == (seg in model)
-            if seg in model:
-                model.remove(seg)
-        else:
-            evicted = None
-            if seg not in model:
-                model.append(seg)
-                if capacity is not None and len(model) > capacity:
-                    evicted = model.pop(0)
-            assert buffer.insert(seg) == evicted
+    for step, seg in enumerate(script):
+        evicted = None
+        if seg not in model:
+            model.append(seg)
+            if capacity is not None and len(model) > capacity:
+                evicted = model.pop(0)
+        assert buffer.insert(seg) == evicted
         assert len(buffer) == len(model)
         assert buffer.newest() == (model[-1] if model else None)
         assert buffer.oldest() == (model[0] if model else None)
@@ -113,18 +98,6 @@ def test_newest_has_position_one_and_oldest_has_position_len(inserts, capacity):
         return
     assert buffer.position_from_tail(buffer.newest()) == 1
     assert buffer.position_from_tail(buffer.oldest()) == len(buffer)
-
-
-@settings(max_examples=200, deadline=None)
-@given(inserts=ids, capacity=capacities,
-       discards=st.lists(st.integers(min_value=0, max_value=200), max_size=20))
-def test_positions_remain_consistent_after_discards(inserts, capacity, discards):
-    buffer = SegmentBuffer(capacity=capacity)
-    buffer.insert_many(inserts)
-    for seg in discards:
-        buffer.discard(seg)
-    positions = sorted(buffer.position_from_tail(seg) for seg in buffer.as_set())
-    assert positions == list(range(1, len(buffer) + 1))
 
 
 @settings(max_examples=150, deadline=None)

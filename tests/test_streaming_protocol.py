@@ -1,40 +1,12 @@
-"""Tests for protocol message records and size accounting."""
+"""Tests for the protocol's wire sizes."""
 
-from repro.core.base import Stream
-from repro.streaming.protocol import (
-    SEGMENT_REQUEST_BITS,
-    BufferMapExchange,
-    SegmentDelivery,
-    SegmentRequestMessage,
-)
+from repro.streaming.protocol import SEGMENT_REQUEST_BITS, STAGE_WIRE_BITS
 from repro.streaming.segment import DEFAULT_SEGMENT_BITS
 
 
-def test_buffer_map_exchange_record():
-    msg = BufferMapExchange(time=1.0, requester_id=3, owner_id=4, wire_bits=620)
-    assert msg.wire_bits == 620
-    assert msg.requester_id != msg.owner_id
-
-
-def test_request_message_defaults():
-    msg = SegmentRequestMessage(time=2.0, requester_id=1, supplier_id=2, seg_id=42,
-                                stream=Stream.OLD)
-    assert msg.wire_bits == SEGMENT_REQUEST_BITS
-    assert msg.stream is Stream.OLD
-
-
-def test_delivery_payload_defaults_to_30kb():
-    delivery = SegmentDelivery(time=3.0, supplier_id=1, receiver_id=2, seg_id=7,
-                               stream=Stream.NEW)
-    assert delivery.payload_bits == DEFAULT_SEGMENT_BITS == 30 * 1024
-
-
-def test_records_are_immutable():
-    msg = SegmentRequestMessage(time=2.0, requester_id=1, supplier_id=2, seg_id=42,
-                                stream=Stream.OLD)
-    try:
-        msg.seg_id = 43
-    except AttributeError:
-        pass
-    else:  # pragma: no cover
-        raise AssertionError("protocol records must be frozen")
+def test_stage_wire_bits_are_a_request_and_a_30kb_payload():
+    assert STAGE_WIRE_BITS == {
+        "scheduled": SEGMENT_REQUEST_BITS,
+        "delivered": DEFAULT_SEGMENT_BITS,
+    }
+    assert DEFAULT_SEGMENT_BITS == 30 * 1024

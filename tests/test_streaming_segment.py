@@ -7,7 +7,6 @@ from repro.streaming.segment import (
     DEFAULT_SEGMENT_BITS,
     StreamSpec,
     SwitchPlan,
-    classify_segment,
 )
 
 
@@ -51,9 +50,3 @@ def test_switch_plan_enforces_paper_convention():
         SwitchPlan(id_end=10, id_begin=12)
     with pytest.raises(ValueError):
         SwitchPlan(id_end=10, id_begin=11, startup_quota=0)
-
-
-def test_classify_segment_without_plan_defaults_to_old():
-    assert classify_segment(123456, None) is Stream.OLD
-    plan = SwitchPlan.from_old_stream(100)
-    assert classify_segment(123456, plan) is Stream.NEW

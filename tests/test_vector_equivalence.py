@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import replace
-from itertools import cycle
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +27,6 @@ from hypothesis import strategies as st
 from conftest import normalized_run_document, run_engine_pair, store_documents
 
 from repro.churn.model import ChurnConfig
-from repro.core.fast_switch import FastSwitchAlgorithm
-from repro.core.normal_switch import NormalSwitchAlgorithm
-from repro.core.priority import PriorityPolicy
 from repro.experiments.config import make_session_config
 from repro.experiments.runner import run_pair
 from repro.experiments.store import ResultStore
@@ -212,26 +208,15 @@ def generated_sessions(draw):
     return config, {burst_start + offset: burst for offset in range(3)}
 
 
-@pytest.mark.parametrize(
-    "policy", [None, *PriorityPolicy], ids=lambda p: "normal" if p is None else p.name
-)
+@pytest.mark.parametrize("algorithm", ["normal", "fast"])
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(case=generated_sessions())
-def test_generated_sessions_documents_identical(policy, case):
-    """``policy=None`` is the normal algorithm; the rest are the fast
-    algorithm under each priority policy."""
+def test_generated_sessions_documents_identical(algorithm, case):
     config, directives = case
-    if policy is None:
-        config, factory = replace(config, algorithm="normal"), None
-    else:
-        def factory():
-            return FastSwitchAlgorithm(priority_policy=policy)
     oracle, vector = (
         normalized_run_document(
             SwitchSession(
-                replace(config, engine=engine),
-                algorithm_factory=factory,
-                directives=directives,
+                replace(config, algorithm=algorithm, engine=engine), directives=directives
             ).run()
         )
         for engine in ("oracle", "vector")
@@ -239,67 +224,22 @@ def test_generated_sessions_documents_identical(policy, case):
     assert oracle == vector
 
 
-# --------------------------------------------------------------------------- #
-# the slow path is loud: scalar fallback under a custom algorithm factory
-# --------------------------------------------------------------------------- #
-class _CustomAlgorithm(FastSwitchAlgorithm):
-    """Not *exactly* a library algorithm, so the array engine cannot assume
-    its ``schedule`` and decides these peers on the scalar path."""
-
-
-def test_scalar_fallback_warns_once_per_session(caplog):
-    config = _tiny(engine="vector", max_time=30.0)
-    session = SwitchSession(config, algorithm_factory=_CustomAlgorithm)
-    with caplog.at_level(logging.WARNING, logger="repro.core.vector"):
-        result = session.run()
-    assert session.rounds_run > 1
-    warnings = [r for r in caplog.records if r.name == "repro.core.vector"]
-    assert len(warnings) == 1
-    message = warnings[0].getMessage()
-    assert "_CustomAlgorithm" in message
-    assert f"{config.n_nodes - 2} of {config.n_nodes - 2} peers" in message
-    # the fallback is a slow path, not a different result
-    oracle = SwitchSession(
-        replace(config, engine="oracle"), algorithm_factory=_CustomAlgorithm
-    ).run()
-    assert normalized_run_document(result) == normalized_run_document(oracle)
-
-
-def _mixed_factory():
-    """A fresh factory dealing normal / fast-PAPER / fast-SEQUENTIAL / custom
-    algorithms to the peers in turn, joiners included."""
-    makers = cycle((
-        NormalSwitchAlgorithm,
-        lambda: FastSwitchAlgorithm(priority_policy=PriorityPolicy.PAPER),
-        lambda: FastSwitchAlgorithm(priority_policy=PriorityPolicy.SEQUENTIAL),
-        _CustomAlgorithm,
-    ))
-    return lambda: next(makers)()
-
-
-def test_mixed_algorithm_session_documents_and_probe_streams_identical():
-    """Three batched groups and the scalar fallback in one mesh, under churn
-    on a lossy fabric: the vector decider files request rows group by group,
-    the session reads them in the period's shuffled order -- so the requests,
-    the budget contention between them and every probe row come out as the
-    oracle's."""
+@pytest.mark.parametrize("algorithm", ["normal", "fast"])
+def test_churned_lossy_session_documents_and_probe_streams_identical(algorithm):
+    """Churn on a lossy fabric: the vector decider files every peer's
+    request rows in one batch, the session reads them in the period's
+    shuffled order -- so the requests, the budget contention between them
+    and every probe row come out as the oracle's."""
     config = _tiny(
         seed=23,
+        algorithm=algorithm,
         topology="lossy-edge",
         churn=ChurnConfig(enabled=True, leave_fraction=0.05, join_fraction=0.05),
     )
     runs = []
     for engine in ("oracle", "vector"):
         with telemetry_session(probes=True) as telemetry:
-            session = SwitchSession(
-                replace(config, engine=engine), algorithm_factory=_mixed_factory()
-            )
-            result = session.run()
-        algorithms = {
-            (type(peer.algorithm), getattr(peer.algorithm, "priority_policy", None))
-            for peer in session.peers.values()
-        }
-        assert len(algorithms) == 4
+            result = SwitchSession(replace(config, engine=engine)).run()
         lifecycle = telemetry.probes.lifecycle
         assert lifecycle.stage_counts()["dropped"] > 0
         runs.append((normalized_run_document(result), lifecycle.rows()))
