@@ -26,7 +26,10 @@ Layout
 :mod:`repro.metrics`
     Metric collection, communication-overhead accounting, reports.
 :mod:`repro.experiments`
-    Experiment configurations, runners, sweeps and per-figure generators.
+    Experiment configurations, paired runs, size sweeps and the result store.
+:mod:`repro.figures`
+    The one figure table (the paper's figures and the store-backed ones)
+    and the HTML report.
 :mod:`repro.workloads`
     The time-scripted workload engine: declarative multi-switch zapping,
     churn-burst and bandwidth-regime scenarios over heterogeneous peer
@@ -41,8 +44,8 @@ Layout
     that turn instantaneous exchanges into delayed (and droppable)
     deliveries -- plus locality-aware overlay partner selection.
 
-The names exported here, and by every sub-package but :mod:`repro.figures`,
-are imported on first use (:mod:`repro._hub`): ``import repro`` alone loads
+The names exported here, and by every sub-package, are imported on first
+use (:mod:`repro._hub`): ``import repro`` alone loads
 no other module of the package.
 
 Quickstart
@@ -70,7 +73,7 @@ __getattr__, __dir__, __all__ = lazy_hub(__name__, {
     "make_session_config": "repro.experiments.config",
     "run_single": "repro.experiments.runner",
     "run_pair": "repro.experiments.runner",
-    "generate_figure": "repro.experiments.figures",
+    "generate_figure": "repro.figures.registry",
     "WorkloadSpec": "repro.workloads.spec",
     "Phase": "repro.workloads.spec",
     "get_workload": "repro.workloads.library",

@@ -1,8 +1,7 @@
 """Lazy package hubs (PEP 562): a hub imports a name when it is first used.
 
-``repro/__init__.py`` and every sub-package ``__init__.py`` except
-``repro.figures`` (whose import *registers* the figures) keep their public
-names in one ``name -> defining module`` table and hand it to
+``repro/__init__.py`` and every sub-package ``__init__.py`` keep their
+public names in one ``name -> defining module`` table and hand it to
 :func:`lazy_hub`::
 
     __getattr__, __dir__, __all__ = lazy_hub(__name__, {

@@ -18,8 +18,8 @@ N-channel IPTV ecosystem:
     under both switch algorithms; each channel change is exactly the
     paper's fast/normal switch, measured across the whole lineup.
 :mod:`repro.channels.runner`
-    :class:`UniverseRunner` -- store-backed execution, bit-identical
-    between the in-process run and the per-channel worker pool.
+    :func:`run_universe` -- store-backed execution, bit-identical
+    between the in-process run and the sharded worker pool.
 """
 
 from repro._hub import lazy_hub
@@ -38,7 +38,6 @@ __getattr__, __dir__, __all__ = lazy_hub(__name__, {
     "plan_universe": "repro.channels.universe",
     "run_universe_rep": "repro.channels.universe",
     "UniverseResult": "repro.channels.runner",
-    "UniverseRunner": "repro.channels.runner",
     "run_universe": "repro.channels.runner",
     "universe_fingerprint": "repro.channels.runner",
 })

@@ -7,8 +7,8 @@ the plan (lineup, per-channel seeds, zap script) is a pure function of the
 two, and every channel mesh is causally independent given the plan.  So a
 ``(repetition, channel)`` pair is the unit of work, one function runs it
 (:func:`~repro.channels.universe.run_channel_unit`) and one folds a
-repetition's units (:func:`~repro.channels.universe.fold_units`); the
-runner only decides who calls them:
+repetition's units (:func:`~repro.channels.universe.fold_units`);
+:func:`run_universe` only decides who calls them:
 
 * ``workers == 1`` without ``shards``: this process, channel after channel
   (:func:`~repro.channels.universe.run_universe_rep`).
@@ -29,7 +29,7 @@ re-running a named universe replays from disk without simulating.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.channels.universe import (
     ChannelOutcome,
@@ -46,7 +46,6 @@ __all__ = [
     "universe_fingerprint",
     "rep_to_dict",
     "rep_from_dict",
-    "UniverseRunner",
     "run_universe",
 ]
 
@@ -70,8 +69,8 @@ def rep_to_dict(rep: UniverseRepResult) -> Dict[str, Any]:
     """JSON-friendly dictionary form of a :class:`UniverseRepResult`.
 
     Deliberately excludes the ``aggregates`` block: the store document
-    carries it as a top-level sibling of ``rep`` (see the runner's save
-    path), so aggregate-only consumers never deserialise -- or even
+    carries it as a top-level sibling of ``rep`` (see :func:`run_universe`),
+    so aggregate-only consumers never deserialise -- or even
     parse past -- the raw per-channel outcome table.
     """
     return {
@@ -210,8 +209,21 @@ class UniverseResult:
 # --------------------------------------------------------------------------- #
 # execution
 # --------------------------------------------------------------------------- #
-class UniverseRunner:
-    """Executes universe repetitions, optionally in parallel and via a store.
+def run_universe(
+    spec: UniverseSpec,
+    *,
+    seed: int = 0,
+    repetitions: int = 1,
+    workers: int = 1,
+    store: Optional[BaseResultStore] = None,
+    compute_engine: Optional[str] = None,
+    shards: Optional[int] = None,
+    progress: Any = False,
+    max_retries: int = 1,
+    fault_hook: Optional[Callable[[int, int], None]] = None,
+    after_shard: Optional[Callable[[int], None]] = None,
+) -> UniverseResult:
+    """Run (or replay) ``repetitions`` independent runs of ``spec``.
 
     Parameters
     ----------
@@ -226,7 +238,7 @@ class UniverseRunner:
         instead of simulating.
     compute_engine:
         Simulation core for fresh repetitions (``"oracle"``/``"vector"``;
-        ``None`` keeps :data:`~repro.streaming.session.DEFAULT_ENGINE`).
+        ``None`` keeps :data:`~repro.streaming.config.DEFAULT_ENGINE`).
         Bit-identical by contract, so store keys and replays are
         engine-agnostic.
     shards:
@@ -237,158 +249,93 @@ class UniverseRunner:
         runtime: a long-lived crash-tolerant worker pool, checkpoint-
         journaled against the store.  Still bit-identical to the
         in-process run at store-document level.
-    max_retries / fault_hook / after_shard:
-        Sharded-runtime knobs, forwarded to
-        :class:`~repro.dist.runner.ShardedExecutor` (bounded retry,
-        fault injection, post-shard callback).  Ignored in-process.
     progress:
         ``True`` prints a live status line (shards done/total, ETA,
         per-worker heartbeat age) to stderr while the sharded runtime
         runs; a :class:`~repro.dist.progress.ProgressReporter` instance is
         used as-is (the test seam).  Ignored in-process or when every
         repetition replays from the store.
+    max_retries / fault_hook / after_shard:
+        Sharded-runtime seams, forwarded to
+        :class:`~repro.dist.runner.ShardedExecutor` (bounded retry,
+        fault injection, post-shard callback).  Ignored in-process.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if shards is not None and shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    rep_seeds = [seed + rep for rep in range(repetitions)]
+    keys = [universe_fingerprint(spec, rep_seed) for rep_seed in rep_seeds]
 
-    def __init__(
-        self,
-        workers: int = 1,
-        store: Optional[BaseResultStore] = None,
-        compute_engine: Optional[str] = None,
-        shards: Optional[int] = None,
-        max_retries: int = 1,
-        fault_hook: Optional[Any] = None,
-        after_shard: Optional[Any] = None,
-        progress: Any = False,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.workers = int(workers)
-        self.store = store
-        self.compute_engine = compute_engine
-        self.shards = None if shards is None else int(shards)
-        self.max_retries = int(max_retries)
-        self.fault_hook = fault_hook
-        self.after_shard = after_shard
-        self.progress = progress
-        #: Journal shards replayed by the last sharded run.
-        self.journal_replayed: int = 0
+    def encode(index: int, rep: UniverseRepResult, net_key: Optional[str]) -> Dict[str, Any]:
+        document = {
+            "universe": spec.name,
+            "seed": rep_seeds[index],
+            "n_channels": spec.n_channels,
+            "n_viewers": spec.n_viewers,
+            "spec": spec.to_dict(),
+            "rep": rep_to_dict(rep),
+        }
+        if rep.aggregates is not None:
+            # The streaming-aggregate block sits NEXT TO the raw outcome
+            # table, never inside it: universe-scale figures read only this
+            # key (plus the identification fields), so they stay
+            # O(channels), not O(viewers).
+            document["aggregates"] = rep.aggregates
+        if net_key is not None:
+            document["net_key"] = net_key
+        return document
 
-    def run(
-        self,
-        spec: UniverseSpec,
-        *,
-        seed: int = 0,
-        repetitions: int = 1,
-    ) -> UniverseResult:
-        """Run (or replay) ``repetitions`` independent runs of ``spec``."""
-        if repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-        rep_seeds = [seed + rep for rep in range(repetitions)]
-        keys = [universe_fingerprint(spec, rep_seed) for rep_seed in rep_seeds]
+    def execute(pending: List[int]) -> Iterator[UniverseRepResult]:
+        if shards is None and workers == 1:
+            return (run_universe_rep(spec, rep_seeds[i], compute_engine=compute_engine)
+                    for i in pending)
+        # Sharded runtime: the plan spans ALL repetition seeds (never just
+        # the pending subset) so shard ids -- and the checkpoint journal
+        # keyed off the plan fingerprint -- stay stable no matter how many
+        # repetitions already persisted.  Without an explicit count every
+        # (repetition, channel) unit is a shard.
+        import repro.streaming.session  # noqa: F401 - forked workers inherit the simulator
+        from repro.dist import ProgressReporter, ShardedExecutor, ShardPlan
 
-        def _encode(index: int, rep: UniverseRepResult, net_key: Optional[str]) -> Dict[str, Any]:
-            document = {
-                "universe": spec.name,
-                "seed": rep_seeds[index],
-                "n_channels": spec.n_channels,
-                "n_viewers": spec.n_viewers,
-                "spec": spec.to_dict(),
-                "rep": rep_to_dict(rep),
-            }
-            if rep.aggregates is not None:
-                # The streaming-aggregate block sits NEXT TO the raw
-                # outcome table, never inside it: universe-scale figures
-                # read only this key (plus the identification fields), so
-                # they stay O(channels), not O(viewers).
-                document["aggregates"] = rep.aggregates
-            if net_key is not None:
-                document["net_key"] = net_key
-            return document
-
-        if self.shards is None and self.workers == 1:
-            executor = None
-            execute = lambda pending: (  # noqa: E731
-                run_universe_rep(
-                    spec, rep_seeds[i], compute_engine=self.compute_engine
-                )
-                for i in pending
-            )
-        else:
-            # Sharded runtime: the plan spans ALL repetition seeds (never
-            # just the pending subset) so shard ids -- and the checkpoint
-            # journal keyed off the plan fingerprint -- stay stable no
-            # matter how many repetitions already persisted.  Without an
-            # explicit count every (repetition, channel) unit is a shard.
-            from repro.dist import ProgressReporter, ShardedExecutor, ShardPlan
-
-            n_shards = self.shards or repetitions * spec.n_channels
-            shard_plan = ShardPlan.build(spec, rep_seeds, n_shards)
-            journal_root = None
-            if self.store is not None and not self.store.replay_only:
-                journal_root = self.store.root / "journal"
-            reporter: Optional[ProgressReporter]
-            if isinstance(self.progress, ProgressReporter):
-                reporter = self.progress
-            elif self.progress:
-                reporter = ProgressReporter()
-            else:
-                reporter = None
-            executor = ShardedExecutor(
-                shard_plan,
-                workers=self.workers,
-                compute_engine=self.compute_engine,
-                journal_root=journal_root,
-                max_retries=self.max_retries,
-                fault_hook=self.fault_hook,
-                after_shard=self.after_shard,
-                progress=reporter,
-            )
-            execute = lambda pending: executor.execute(  # noqa: E731
-                [rep_seeds[i] for i in pending]
-            )
-
-        reps, replayed = replay_or_execute(
-            self.store,
-            "universe",
-            keys,
-            # Replays are faithful: the streaming-aggregate block persisted
-            # next to the raw outcome table is re-attached (``None`` for a
-            # document written before the block existed).
-            decode=lambda document: replace(
-                rep_from_dict(document["rep"]), aggregates=document.get("aggregates")
-            ),
-            execute=execute,
-            encode=_encode,
-            topology=spec.topology,
+        journal_root = None
+        if store is not None and not store.replay_only:
+            journal_root = store.root / "journal"
+        reporter = progress if isinstance(progress, ProgressReporter) else None
+        if reporter is None and progress:
+            reporter = ProgressReporter()
+        executor = ShardedExecutor(
+            ShardPlan.build(spec, rep_seeds, shards or repetitions * spec.n_channels),
+            workers=workers,
+            compute_engine=compute_engine,
+            journal_root=journal_root,
+            max_retries=max_retries,
+            fault_hook=fault_hook,
+            after_shard=after_shard,
+            progress=reporter,
         )
-        if executor is not None:
-            self.journal_replayed = executor.journal_replayed
-        return UniverseResult(
-            spec=spec,
-            seed=int(seed),
-            repetitions=int(repetitions),
-            reps=tuple(reps),
-            replayed=replayed,
-        )
+        return executor.execute([rep_seeds[i] for i in pending])
 
-def run_universe(
-    spec: UniverseSpec,
-    *,
-    seed: int = 0,
-    repetitions: int = 1,
-    workers: int = 1,
-    store: Optional[BaseResultStore] = None,
-    compute_engine: Optional[str] = None,
-    shards: Optional[int] = None,
-    progress: Any = False,
-) -> UniverseResult:
-    """Convenience wrapper: build a :class:`UniverseRunner` and run ``spec``."""
-    return UniverseRunner(
-        workers=workers,
-        store=store,
-        compute_engine=compute_engine,
-        shards=shards,
-        progress=progress,
-    ).run(spec, seed=seed, repetitions=repetitions)
+    reps, replayed = replay_or_execute(
+        store,
+        "universe",
+        keys,
+        # Replays are faithful: the streaming-aggregate block persisted next
+        # to the raw outcome table is re-attached (``None`` for a document
+        # written before the block existed).
+        decode=lambda document: replace(
+            rep_from_dict(document["rep"]), aggregates=document.get("aggregates")
+        ),
+        execute=execute,
+        encode=encode,
+        topology=spec.topology,
+    )
+    return UniverseResult(
+        spec=spec,
+        seed=int(seed),
+        repetitions=int(repetitions),
+        reps=tuple(reps),
+        replayed=replayed,
+    )

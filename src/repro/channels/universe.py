@@ -47,12 +47,7 @@ from repro.metrics.universe import zap_time_stats, zap_time_values
 from repro.net.library import topology_names
 from repro.sim.clock import round_half_up
 from repro.sim.rng import sequence_seeds
-from repro.streaming.session import (
-    SessionConfig,
-    SessionResult,
-    SwitchSession,
-    build_session_overlay,
-)
+from repro.streaming.config import SessionConfig, SessionResult
 
 __all__ = [
     "UniverseSpec",
@@ -127,7 +122,7 @@ class UniverseSpec:
         seeded from its channel seed, so universes stay bit-identical
         between the serial path and worker fan-out.
     session_overrides:
-        Extra :class:`~repro.streaming.session.SessionConfig` fields
+        Extra :class:`~repro.streaming.config.SessionConfig` fields
         applied to every channel mesh, as a sorted tuple of pairs (JSON
         primitives only, so specs fingerprint exactly).
     """
@@ -335,7 +330,7 @@ def channel_mesh_config(
     is disabled because the zap plan scripts membership changes as exact
     per-period counts.  ``compute_engine`` picks the simulation core
     (``"oracle"``/``"vector"``; ``None`` keeps
-    :data:`~repro.streaming.session.DEFAULT_ENGINE`).
+    :data:`~repro.streaming.config.DEFAULT_ENGINE`).
     """
     overrides = spec.overrides_dict()
     overrides.update(
@@ -367,6 +362,8 @@ def run_channel_meshes(
     Yields ``(algorithm, result)`` in :data:`PAIRED_ALGORITHMS` order; each
     mesh runs on its own engine and is gone before the next one is built.
     """
+    from repro.streaming.session import SwitchSession, build_session_overlay
+
     channel = plan.lineup.channels[channel_index]
     channel_seed = plan.channel_seeds[channel_index]
     configs = [

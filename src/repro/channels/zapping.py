@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.channels.directory import Directory
 from repro.channels.lineup import ChannelLineup
-from repro.streaming.session import PeriodDirective
+from repro.streaming.config import PeriodDirective
 
 __all__ = ["ZapEvent", "ZapPlan", "ZappingProcess"]
 
@@ -82,7 +82,7 @@ class ZapPlan:
         """The per-period directives channel ``channel_index``'s mesh runs.
 
         Arrivals become exact join counts, departures exact leave counts
-        (see :class:`~repro.streaming.session.PeriodDirective`); periods
+        (see :class:`~repro.streaming.config.PeriodDirective`); periods
         without traffic are omitted.
         """
         joins = dict(self.arrivals[channel_index])

@@ -55,7 +55,7 @@ Installed as ``repro-gossip`` (and the shorter alias ``repro``; see
     per shard).
 
 ``report``
-    Render every figure in the declarative registry
+    Render every figure of the one figure table
     (:mod:`repro.figures`) from a results store into one self-contained
     HTML report (``report.html`` plus per-figure ``data/<name>.json``):
     the nine paper figures and the universe-scale sketch-backed figures,
@@ -116,7 +116,10 @@ what it runs -- so ``--version`` and ``--help`` load no NumPy, and a warm
 Every group of flags that several commands share is declared once (the
 ``_add_*_arguments`` helpers), the three named-run commands share one
 handler skeleton (``_named_run``) and the four ``ls`` commands one emitter
-(``_emit_rows``).
+(``_emit_rows``).  Input the simulator or a replay-only store rejects
+(``ValueError``, ``MissingResultError``) is caught once, in :func:`_run`:
+one ``error:`` line on stderr and status 1 (the traceback at
+``--log-level debug``).
 """
 
 from __future__ import annotations
@@ -539,20 +542,15 @@ def _metrics_rows(result) -> List[dict]:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.experiments.figures import generate_figure
-    from repro.experiments.store import MissingResultError
+    from repro.figures.registry import generate_figure
 
     store = _resolve_store(args, replay_only=args.from_store, required=args.from_store)
-    try:
-        # One uniform set: the figure takes the parameters its spec declares.
-        result = generate_figure(
-            args.number, store=store, seed=args.seed, paper_scale=args.paper_scale,
-            sizes=args.sizes, n_nodes=args.n_nodes, repetitions=args.repetitions,
-            workers=args.workers,
-        )
-    except MissingResultError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    # One uniform set: the figure takes the parameters its builder names.
+    result = generate_figure(
+        args.number, store=store, seed=args.seed, paper_scale=args.paper_scale,
+        sizes=args.sizes, n_nodes=args.n_nodes, repetitions=args.repetitions,
+        workers=args.workers,
+    )
     if args.json:
         print(json.dumps({
             "figure": result.figure_id,
@@ -776,19 +774,10 @@ def _named_run(
 ) -> int:
     """The handler skeleton of ``workload run|compare``, ``universe run|compare``
     and ``scenario``: resolve the store, ``run(store)`` (which scales the
-    named spec and runs it), report what the user got wrong, then print the
-    result's ``payload`` as JSON or ``show`` it and say where it persisted."""
-    from repro.experiments.store import MissingResultError
-
+    named spec and runs it), then print the result's ``payload`` as JSON or
+    ``show`` it and say where it persisted."""
     store = _resolve_store(args, replay_only=args.from_store, required=args.from_store)
-    try:
-        result = run(store)
-    except (MissingResultError, ValueError) as error:
-        # ValueError: spec/size combinations the spec or the engine rejects
-        # (an overlay too small for the minimum degree, too few viewers for
-        # the lineup) -- user input, not a bug.
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    result = run(store)
     if args.json:
         print(json.dumps(payload(result, compare_only=args.compare), indent=2))
     else:
@@ -1216,12 +1205,24 @@ def _run(argv: Sequence[str]) -> int:
         or getattr(args, "trace_out", None)
         or probes_on
     )
-    if not telemetry_on:
-        return handler(args)
-    from repro.obs.telemetry import telemetry_session
+    try:
+        if not telemetry_on:
+            return handler(args)
+        from repro.obs.telemetry import telemetry_session
 
-    with telemetry_session(probes=probes_on) as telemetry:
-        code = handler(args)
+        with telemetry_session(probes=probes_on) as telemetry:
+            code = handler(args)
+    except (KeyError, ValueError) as error:
+        from repro.experiments.store import MissingResultError
+
+        # User input, not a bug: a replay-only miss, or a spec or size the
+        # simulator rejects (an overlay too small for the minimum degree,
+        # too few viewers for the lineup).
+        if not isinstance(error, (MissingResultError, ValueError)):
+            raise
+        _LOG.debug("%s failed", args.command, exc_info=True)
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     if code == 0:
         _export_telemetry(args, telemetry)
     return code

@@ -10,7 +10,8 @@ the same units in the calling process and starts nothing):
   across tasks, tracks per-task heartbeats, retries crashed tasks a
   bounded number of times and names the offending shard/channel when it
   gives up.  Its ordered lazy :meth:`~repro.dist.pool.WorkerPool.map` is
-  what the sweep and workload runners call;
+  what :func:`~repro.experiments.sweeps.run_size_sweep` and
+  :func:`~repro.workloads.runner.run_workload` call;
 * :mod:`repro.dist.plan` -- :class:`~repro.dist.plan.ShardPlan`, the
   deterministic partition of a universe run's ``repetitions x channels``
   work units into shards;
@@ -22,8 +23,8 @@ the same units in the calling process and starts nothing):
   ETA, per-worker heartbeat age) behind ``repro universe run
   --progress``;
 * :mod:`repro.dist.runner` -- the shard executor gluing plan, pool and
-  journal together underneath :class:`~repro.channels.runner.
-  UniverseRunner` (``repro universe run --workers W [--shards N]``).
+  journal together underneath :func:`~repro.channels.runner.run_universe`
+  (``repro universe run --workers W [--shards N]``).
 
 Results are **bit-identical** (at store-document level) to the serial
 path for any shard/worker combination, under both compute engines -- the

@@ -1,8 +1,8 @@
 """The sharded executor: plan + worker pool + journal.
 
-:class:`ShardedExecutor` is how :class:`~repro.channels.runner.
-UniverseRunner` uses the pool: every universe run with ``workers > 1`` or
-an explicit shard count goes through it.  What it adds on top of
+:class:`ShardedExecutor` is how :func:`~repro.channels.runner.run_universe`
+uses the pool: every universe run with ``workers > 1`` or an explicit
+shard count goes through it.  What it adds on top of
 :class:`~repro.dist.pool.WorkerPool`:
 
 * **O(shard) memory.**  Workers never ship per-peer samples to the

@@ -16,19 +16,27 @@ at two levels:
   disk instead of simulating.
 
 Pass ``workers > 1`` to fan the ``(size, repetition)`` pairs out over the
-shared worker pool (see :mod:`repro.experiments.parallel`); the results are
-bit-identical to the serial path because every pair is independently and
-deterministically seeded with ``seed + repetition``.
+shared :class:`~repro.dist.pool.WorkerPool`; the results are bit-identical
+to the serial path because every pair is independently and
+deterministically seeded with ``seed + repetition`` and aggregation
+consumes the pairs in fixed size-major order.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.experiments.runner import PairedRunResult
-from repro.experiments.store import BaseResultStore
+from repro.experiments.config import make_session_config
+from repro.experiments.runner import PairedRunResult, run_pair, run_pairs
+from repro.experiments.store import (
+    BaseResultStore,
+    pair_fingerprint,
+    sweep_fingerprint,
+    sweep_from_dict,
+    sweep_to_dict,
+)
 from repro.metrics.report import reduction_ratio
 
 __all__ = ["SweepPoint", "SizeSweepResult", "run_size_sweep", "clear_sweep_cache"]
@@ -178,28 +186,75 @@ def run_size_sweep(
         pairs and the aggregated sweep are persisted there and replayed on
         subsequent invocations.
     """
-    from repro.experiments.parallel import ParallelSweepRunner
-
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     overrides = dict(overrides or {})
-    if store is not None:
+    memo_key = None
+    if store is None:
         # Persistence supersedes the in-process memo: the store already
         # deduplicates across invocations (and processes).
-        return ParallelSweepRunner(workers=workers, store=store).run(
-            sizes, dynamic=dynamic, seed=seed, repetitions=repetitions, overrides=overrides
+        memo_key = (tuple(int(s) for s in sizes), bool(dynamic), int(seed),
+                    int(repetitions), tuple(sorted(overrides.items())))
+        cached = _sweep_memo.get(memo_key)
+        if cached is not None:
+            _sweep_memo.move_to_end(memo_key)
+            return cached
+
+    # Size-major: repetition k of every size uses seed + k, and the pairs of
+    # one size are consecutive -- the order aggregation consumes them in.
+    configs = [
+        make_session_config(int(n_nodes), seed=seed + repetition, dynamic=dynamic,
+                            record_rounds=False, **overrides)
+        for n_nodes in sizes
+        for repetition in range(repetitions)
+    ]
+    # Pair keys hash the fully *resolved* configs, and folding them into
+    # the sweep key keeps both store granularities in lockstep: anything
+    # that would change a pair's identity also retires the aggregate.
+    pair_keys = [pair_fingerprint(config) for config in configs]
+    sweep_key: Optional[str] = None
+    if store is not None:
+        sweep_key = sweep_fingerprint(
+            sizes, dynamic=dynamic, seed=seed, repetitions=repetitions,
+            overrides=overrides, pair_keys=pair_keys,
         )
-    key = (tuple(int(s) for s in sizes), bool(dynamic), int(seed), int(repetitions),
-           tuple(sorted(overrides.items())))
-    cached = _sweep_memo.get(key)
-    if cached is not None:
-        _sweep_memo.move_to_end(key)
-        return cached
-    result = ParallelSweepRunner(workers=workers).run(
-        sizes, dynamic=dynamic, seed=seed, repetitions=repetitions, overrides=overrides
-    )
-    _sweep_memo[key] = result
-    if len(_sweep_memo) > _MEMO_LIMIT:
-        _sweep_memo.popitem(last=False)
-    return result
+        stored = store.load(sweep_key, "sweep")
+        if stored is not None:
+            return sweep_from_dict(stored["sweep"])
+
+    def execute(pending: List[int]) -> Iterator[PairedRunResult]:
+        import repro.streaming.session  # noqa: F401 - forked workers inherit the simulator
+        from repro.dist.pool import WorkerPool
+
+        return WorkerPool(workers).map(run_pair, [configs[i] for i in pending])
+
+    # Each pair is persisted as soon as it completes: an interrupted long
+    # sweep keeps its finished pairs and the rerun only simulates the rest.
+    pairs = run_pairs(configs, pair_keys, store=store, execute=execute)
+    sweep = SizeSweepResult(dynamic=bool(dynamic), seed=int(seed), points=tuple(
+        _aggregate(int(n_nodes), pairs[position * repetitions:(position + 1) * repetitions])
+        for position, n_nodes in enumerate(sizes)
+    ))
+
+    if sweep_key is not None:
+        store.save(sweep_key, {
+            "kind": "sweep",
+            "params": {
+                "sizes": [int(s) for s in sizes],
+                "dynamic": bool(dynamic),
+                "seed": int(seed),
+                "repetitions": int(repetitions),
+                "overrides": {k: str(v) for k, v in sorted(overrides.items())},
+            },
+            "sweep": sweep_to_dict(sweep),
+        })
+    if memo_key is not None:
+        _sweep_memo[memo_key] = sweep
+        if len(_sweep_memo) > _MEMO_LIMIT:
+            _sweep_memo.popitem(last=False)
+    return sweep
 
 
 def clear_sweep_cache() -> None:

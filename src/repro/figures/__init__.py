@@ -1,41 +1,25 @@
-"""Declarative figure registry and the store-backed HTML report.
+"""The one figure table and the store-backed HTML report.
 
-Importing this package populates the registry: the nine classic paper
-figures (:mod:`repro.figures.paper`) followed by the universe-scale
-sketch-backed figures (:mod:`repro.figures.universe`).  Render any of
-them by name with :func:`render_figure`, or the whole registry into one
-HTML report with :func:`render_report` (the ``repro report`` command).
+:data:`FIGURES` (:mod:`repro.figures.registry`) holds the nine classic
+paper figures (:mod:`repro.figures.paper`), the universe-scale
+sketch-backed figures (:mod:`repro.figures.universe`) and the
+probe-backed figures (:mod:`repro.figures.probes`).  Render any of them
+by name with :func:`render_figure`, a paper figure by number with
+:func:`generate_figure`, or the whole table into one HTML report with
+:func:`render_report` (the ``repro report`` command).
 """
 
-from __future__ import annotations
+from repro._hub import lazy_hub
 
-from repro.figures.paper import register_paper_figures
-from repro.figures.registry import (
-    FIGURES,
-    FigureSpec,
-    FigureUnavailable,
-    figure_names,
-    get_figure,
-    register_figure,
-    render_figure,
-)
-from repro.figures.probes import register_probe_figures
-from repro.figures.universe import register_universe_figures
-
-register_paper_figures()
-register_universe_figures()
-register_probe_figures()
-
-from repro.figures.report import ReportSummary, render_report  # noqa: E402
-
-__all__ = [
-    "FIGURES",
-    "FigureSpec",
-    "FigureUnavailable",
-    "register_figure",
-    "figure_names",
-    "get_figure",
-    "render_figure",
-    "ReportSummary",
-    "render_report",
-]
+__getattr__, __dir__, __all__ = lazy_hub(__name__, {
+    "FIGURES": "repro.figures.registry",
+    "get_figure": "repro.figures.registry",
+    "render_figure": "repro.figures.registry",
+    "generate_figure": "repro.figures.registry",
+    "FigureResult": "repro.figures.spec",
+    "FigureSpec": "repro.figures.spec",
+    "FigureUnavailable": "repro.figures.spec",
+    "figure2": "repro.figures.paper",
+    "ReportSummary": "repro.figures.report",
+    "render_report": "repro.figures.report",
+})

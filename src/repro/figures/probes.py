@@ -9,7 +9,7 @@ startup funnel (joined -> first_map -> first_segment -> playback).
 
 Telemetry documents without probe data -- ``--telemetry`` runs where
 probes stayed off -- are skipped; when no document carries probes the
-figures raise :class:`~repro.figures.registry.FigureUnavailable`, which
+figures raise :class:`~repro.figures.spec.FigureUnavailable`, which
 the report renderer treats as "skip this figure", exactly like the
 universe figures on an empty store.
 """
@@ -18,15 +18,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.experiments.figures import FigureResult
 from repro.experiments.store import BaseResultStore
-from repro.figures.registry import FigureSpec, FigureUnavailable, register_figure
+from repro.figures.spec import FigureResult, FigureSpec, FigureUnavailable
 from repro.obs.probes import FUNNEL_MILESTONES
 
 __all__ = [
     "probe_swarm_health",
     "probe_startup_funnel",
-    "register_probe_figures",
+    "PROBE_FIGURES",
 ]
 
 
@@ -158,26 +157,13 @@ def probe_startup_funnel(
     )
 
 
-def register_probe_figures() -> None:
-    """Register the probe-backed figures (called once on package import)."""
-    register_figure(FigureSpec(
-        name="probe-swarm-health",
-        title="Swarm health timeline",
-        kind="universe",
-        builder=probe_swarm_health,
-        figure_id="P-health",
-        description="Per-period buffer-fill distribution, pending-request "
-                    "depth and supplier utilisation from the swarm-health "
-                    "probe of --probes runs.",
-        params=("store",),
-    ))
-    register_figure(FigureSpec(
-        name="probe-startup-funnel",
-        title="Startup funnel",
-        kind="universe",
-        builder=probe_startup_funnel,
-        figure_id="P-funnel",
-        description="How many peers reached each startup milestone and how "
-                    "fast, from the startup-funnel probe of --probes runs.",
-        params=("store",),
-    ))
+#: The probe-backed figures in report order: (name, title, builder, slug,
+#: description).
+PROBE_FIGURES: Tuple[FigureSpec, ...] = (
+    FigureSpec("probe-swarm-health", "Swarm health timeline", probe_swarm_health, "P-health",
+               "Per-period buffer-fill distribution, pending-request depth and supplier "
+               "utilisation from the swarm-health probe of --probes runs."),
+    FigureSpec("probe-startup-funnel", "Startup funnel", probe_startup_funnel, "P-funnel",
+               "How many peers reached each startup milestone and how fast, from the "
+               "startup-funnel probe of --probes runs."),
+)

@@ -1,127 +1,65 @@
-"""Declarative figure registry: names to generator specs.
+"""The one figure table: names to :class:`~repro.figures.spec.FigureSpec` rows.
 
-Every figure the repository can render -- the nine classic paper figures
-(:mod:`repro.figures.paper`) and the universe-scale sketch-backed figures
-(:mod:`repro.figures.universe`) -- registers a :class:`FigureSpec` here
-under a stable name.  Callers render by name through
-:func:`render_figure`, which filters the caller's keyword soup down to
-the parameters the figure actually declares; the report renderer
-(:mod:`repro.figures.report`) iterates :func:`figure_names` to cover the
-whole registry without knowing any figure individually.
-
-Registration happens at import time of the ``repro.figures`` package;
-importing this module alone yields an empty registry.
+:data:`FIGURES` is the literal concatenation of the three families' rows --
+the paper figures (:mod:`repro.figures.paper`), the universe-scale
+sketch-backed figures (:mod:`repro.figures.universe`) and the probe-backed
+figures (:mod:`repro.figures.probes`) -- in report order.  Callers render
+by name through :func:`render_figure`, which hands a builder the keywords
+its signature names out of the caller's uniform set; the report renderer
+(:mod:`repro.figures.report`) iterates the table without knowing any
+figure individually, and :func:`generate_figure` is the by-number door.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Tuple
+import inspect
+from typing import Any, Dict, Union
 
-from repro.experiments.figures import FigureResult
+from repro.figures.paper import PAPER_FIGURES
+from repro.figures.probes import PROBE_FIGURES
+from repro.figures.spec import FigureResult, FigureSpec
+from repro.figures.universe import UNIVERSE_FIGURES
 
-__all__ = [
-    "FigureSpec",
-    "FigureUnavailable",
-    "register_figure",
-    "figure_names",
-    "get_figure",
-    "render_figure",
-]
+__all__ = ["FIGURES", "get_figure", "render_figure", "generate_figure"]
 
-#: The figure kinds the registry understands.  ``static`` figures need no
-#: simulation, ``track``/``sweep`` figures simulate (or replay) meshes,
-#: ``universe`` figures read only persisted sketch aggregates.
-FIGURE_KINDS = ("static", "track", "sweep", "universe")
-
-
-class FigureUnavailable(RuntimeError):
-    """A registered figure cannot render from the data it was given.
-
-    Raised by universe figures when the store holds no usable universe
-    documents; the report renderer treats it as "skip this figure", not
-    as an error.
-    """
-
-
-@dataclass(frozen=True)
-class FigureSpec:
-    """One renderable figure: identity, provenance and parameter surface.
-
-    Attributes
-    ----------
-    name:
-        Stable registry key (e.g. ``"fig7-switch-static"``).
-    title:
-        Human-readable one-liner, shown in the report index.
-    kind:
-        One of :data:`FIGURE_KINDS`.
-    builder:
-        Callable producing a :class:`FigureResult`; accepts (a subset of)
-        ``params`` as keyword arguments.
-    figure_id:
-        Paper figure number for paper figures, a short slug otherwise.
-    description:
-        What the figure shows and where its data comes from.
-    params:
-        The keyword arguments the builder accepts -- the filter
-        :func:`render_figure` applies to caller kwargs.
-    """
-
-    name: str
-    title: str
-    kind: str
-    builder: Callable[..., FigureResult]
-    figure_id: str
-    description: str = ""
-    params: Tuple[str, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if self.kind not in FIGURE_KINDS:
-            raise ValueError(
-                f"unknown figure kind {self.kind!r}; expected one of {FIGURE_KINDS}"
-            )
-
-
-#: The registry proper.  Insertion order is the report's presentation
-#: order, so modules register their figures in reading order.
-FIGURES: Dict[str, FigureSpec] = {}
-
-
-def register_figure(spec: FigureSpec) -> FigureSpec:
-    """Add ``spec`` to the registry; duplicate names are a programming error."""
-    if spec.name in FIGURES:
-        raise ValueError(f"figure {spec.name!r} is already registered")
-    FIGURES[spec.name] = spec
-    return spec
-
-
-def figure_names() -> Tuple[str, ...]:
-    """All registered figure names, in registration (presentation) order."""
-    return tuple(FIGURES)
+#: The figure table; its order is the report's presentation order.
+FIGURES: Dict[str, FigureSpec] = {
+    spec.name: spec for spec in (*PAPER_FIGURES, *UNIVERSE_FIGURES, *PROBE_FIGURES)
+}
 
 
 def get_figure(name: str) -> FigureSpec:
     """Look up one spec; unknown names raise ``KeyError`` with guidance."""
-    try:
-        return FIGURES[name]
-    except KeyError:
-        known = ", ".join(sorted(FIGURES)) or "<none registered>"
-        raise KeyError(f"unknown figure {name!r}; registered figures: {known}") from None
+    spec = FIGURES.get(name)
+    if spec is None:
+        raise KeyError(f"unknown figure {name!r}; figures: {', '.join(sorted(FIGURES))}")
+    return spec
 
 
 def render_figure(name: str, **kwargs: Any) -> FigureResult:
-    """Render one registered figure.
+    """Render one figure of the table.
 
     ``kwargs`` may carry parameters for *any* figure (the report passes
-    one uniform set to every spec); only the keys the spec declares in
-    ``params`` reach the builder, and ``None`` values are dropped so the
-    builder's own defaults apply.
+    one uniform set to every spec); only the keys the builder's signature
+    names reach it, and ``None`` values are dropped so the builder's own
+    defaults apply.
     """
     spec = get_figure(name)
-    accepted: Mapping[str, Any] = {
-        key: value
-        for key, value in kwargs.items()
-        if key in spec.params and value is not None
-    }
-    return spec.builder(**accepted)
+    accepted = inspect.signature(spec.builder).parameters
+    return spec.builder(**{
+        key: value for key, value in kwargs.items() if key in accepted and value is not None
+    })
+
+
+def generate_figure(figure: Union[int, str], **kwargs: Any) -> FigureResult:
+    """Regenerate a paper figure by number.
+
+    The number is looked up in :data:`FIGURES` by ``figure_id`` and
+    rendered with :func:`render_figure`: of ``kwargs`` (e.g.
+    ``sizes=...``, ``seed=...``, ``paper_scale=True``) the figure takes the
+    ones its builder names.
+    """
+    by_number = {spec.figure_id: spec.name for spec in FIGURES.values()}
+    if str(figure) not in by_number:
+        raise KeyError(f"unknown figure {figure!r}; available: {list(by_number)}")
+    return render_figure(by_number[str(figure)], **kwargs)

@@ -1,8 +1,8 @@
 """Render a whole results store into a self-contained HTML report.
 
-``repro report`` walks the complete figure registry
-(:func:`repro.figures.registry.figure_names`), renders every figure it
-can from the given store, and writes:
+``repro report`` walks the figure table
+(:data:`repro.figures.registry.FIGURES`), renders every figure it can
+from the given store, and writes:
 
 * ``<out>/report.html`` -- one self-contained page (inline CSS, inline
   SVG charts, no external assets): a figure index, one section per
@@ -29,14 +29,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.charts import svg_bar_chart, svg_line_chart
-from repro.experiments.figures import FigureResult
 from repro.experiments.store import BaseResultStore, MissingResultError
-from repro.figures.registry import (
-    FigureUnavailable,
-    figure_names,
-    get_figure,
-    render_figure,
-)
+from repro.figures.registry import FIGURES, render_figure
+from repro.figures.spec import FigureResult, FigureUnavailable
 
 __all__ = ["ReportSummary", "render_report"]
 
@@ -74,12 +69,12 @@ def render_report(
     workers: int = 1,
     universe: Optional[str] = None,
 ) -> ReportSummary:
-    """Render every registered figure from ``store`` into ``out_dir``.
+    """Render every figure of the table from ``store`` into ``out_dir``.
 
-    One uniform parameter set feeds the whole registry;
+    One uniform parameter set feeds the whole table;
     :func:`~repro.figures.registry.render_figure` routes each figure the
-    subset it declares.  ``sizes``/``n_nodes`` left as ``None`` means the
-    figure generators' own defaults (CI passes the miniature scales).
+    subset its builder names.  ``sizes``/``n_nodes`` left as ``None`` means
+    the figure generators' own defaults (CI passes the miniature scales).
     """
     out = Path(out_dir)
     data_dir = out / "data"
@@ -96,7 +91,7 @@ def render_report(
     }
     summary = ReportSummary(out_dir=out, html_path=out / "report.html")
     figures: List[Tuple[str, FigureResult]] = []
-    for name in figure_names():
+    for name in FIGURES:
         try:
             figures.append((name, render_figure(name, **kwargs)))
         except (FigureUnavailable, MissingResultError) as exc:
@@ -334,10 +329,9 @@ def _render_html(
             f"&mdash; {html.escape(figure.title)}</li>"
         )
     for name in skipped:
-        spec = get_figure(name)
         parts.append(
             f'<li class="skipped">{html.escape(name)} &mdash; '
-            f"{html.escape(spec.title)} (skipped)</li>"
+            f"{html.escape(FIGURES[name].title)} (skipped)</li>"
         )
     parts.append("</ul>")
 
@@ -347,9 +341,9 @@ def _render_html(
         parts.append(
             f"<h2>{html.escape(name)}: {html.escape(figure.title)}</h2>"
         )
-        spec = get_figure(name)
-        if spec.description:
-            parts.append(f"<p>{html.escape(spec.description)}</p>")
+        description = FIGURES[name].description
+        if description:
+            parts.append(f"<p>{html.escape(description)}</p>")
         if figure.meta:
             meta = ", ".join(f"{k}={v}" for k, v in sorted(figure.meta.items()))
             parts.append(f'<p class="meta">{html.escape(meta)}</p>')

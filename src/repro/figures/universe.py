@@ -21,15 +21,14 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.channels.aggregates import AlgorithmAggregate, merge_rep_aggregates
-from repro.experiments.figures import FigureResult
 from repro.experiments.store import BaseResultStore
-from repro.figures.registry import FigureSpec, FigureUnavailable, register_figure
+from repro.figures.spec import FigureResult, FigureSpec, FigureUnavailable
 
 __all__ = [
     "universe_deciles",
     "universe_percentiles",
     "universe_summary",
-    "register_universe_figures",
+    "UNIVERSE_FIGURES",
 ]
 
 #: The percentile grid of the percentile-curve figure.
@@ -250,40 +249,6 @@ def universe_summary(
     )
 
 
-def register_universe_figures() -> None:
-    """Register the sketch-backed figures (called once on package import)."""
-    register_figure(FigureSpec(
-        name="universe-deciles",
-        title="Zap time by channel-popularity decile",
-        kind="universe",
-        builder=universe_deciles,
-        figure_id="U-deciles",
-        description="Per-decile normal/fast zap-time means, fast p90 and "
-                    "reduction, read purely from persisted decile sketches.",
-        params=("store", "universe"),
-    ))
-    register_figure(FigureSpec(
-        name="universe-percentiles",
-        title="Zap-time percentile curves",
-        kind="universe",
-        builder=universe_percentiles,
-        figure_id="U-percentiles",
-        description="Normal/fast zap-time percentile curves from the pooled "
-                    "quantile sketches.",
-        params=("store", "universe"),
-    ))
-    register_figure(FigureSpec(
-        name="universe-summary",
-        title="Universe summary",
-        kind="universe",
-        builder=universe_summary,
-        figure_id="U-summary",
-        description="One row per stored universe: sample counts, means, "
-                    "tail percentiles and the fast-switch reduction.",
-        params=("store", "universe"),
-    ))
-
-
 def _meta(
     documents: List[Dict[str, Any]], universe: Optional[str]
 ) -> Dict[str, object]:
@@ -297,3 +262,19 @@ def _meta(
     if universe is not None:
         meta["filter"] = universe
     return meta
+
+
+#: The sketch-backed figures in report order: (name, title, builder, slug,
+#: description).
+UNIVERSE_FIGURES: Tuple[FigureSpec, ...] = (
+    FigureSpec("universe-deciles", "Zap time by channel-popularity decile",
+               universe_deciles, "U-deciles",
+               "Per-decile normal/fast zap-time means, fast p90 and reduction, read "
+               "purely from persisted decile sketches."),
+    FigureSpec("universe-percentiles", "Zap-time percentile curves",
+               universe_percentiles, "U-percentiles",
+               "Normal/fast zap-time percentile curves from the pooled quantile sketches."),
+    FigureSpec("universe-summary", "Universe summary", universe_summary, "U-summary",
+               "One row per stored universe: sample counts, means, tail percentiles and "
+               "the fast-switch reduction."),
+)

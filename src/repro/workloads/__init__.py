@@ -14,7 +14,7 @@ Modules
     fingerprints).
 :mod:`repro.workloads.schedule`
     Compiles a spec into deterministic per-period
-    :class:`~repro.streaming.session.PeriodDirective` maps, one switch
+    :class:`~repro.streaming.config.PeriodDirective` maps, one switch
     segment per ``switch=True`` phase.
 :mod:`repro.workloads.runner`
     Paired (fast vs normal) execution of compiled workloads: store-backed,
@@ -44,7 +44,6 @@ __getattr__, __dir__, __all__ = lazy_hub(__name__, {
     "WorkloadSchedule": "repro.workloads.schedule",
     "SegmentPlan": "repro.workloads.schedule",
     "PhaseWindow": "repro.workloads.schedule",
-    "WorkloadRunner": "repro.workloads.runner",
     "WorkloadResult": "repro.workloads.runner",
     "WorkloadRepResult": "repro.workloads.runner",
     "SwitchOutcome": "repro.workloads.runner",

@@ -11,10 +11,10 @@ Repetition ``k`` of base seed ``s`` uses seed ``s + k``, exactly like the
 size-sweep machinery, so:
 
 * repetitions are independent and deterministically seeded, which lets
-  :class:`WorkloadRunner` map them over the shared
+  :func:`run_workload` map them over the shared
   :class:`~repro.dist.pool.WorkerPool` with results **bit-identical** to
   a serial run (same guarantee, same mechanism, as
-  :class:`~repro.experiments.parallel.ParallelSweepRunner`);
+  :func:`~repro.experiments.sweeps.run_size_sweep`);
 * each repetition is one document in the persistent
   :class:`~repro.experiments.store.ResultStore`, keyed by a content hash
   of the full spec (dict round trip), the seed and the code version --
@@ -60,7 +60,6 @@ __all__ = [
     "workload_fingerprint",
     "segment_config",
     "run_workload_rep",
-    "WorkloadRunner",
     "run_workload",
 ]
 
@@ -415,8 +414,16 @@ def _execute_rep(
     return run_workload_rep(WorkloadSpec.from_dict(spec_dict), seed, engine=engine)
 
 
-class WorkloadRunner:
-    """Executes workload repetitions, optionally in parallel and via a store.
+def run_workload(
+    spec: WorkloadSpec,
+    *,
+    seed: int = 0,
+    repetitions: int = 1,
+    workers: int = 1,
+    store: Optional[BaseResultStore] = None,
+    engine: Optional[str] = None,
+) -> WorkloadResult:
+    """Run (or replay) ``repetitions`` independent runs of ``spec``.
 
     Parameters
     ----------
@@ -432,81 +439,43 @@ class WorkloadRunner:
     engine:
         Simulation core used for fresh repetitions (``"oracle"`` or
         ``"vector"``; ``None`` defers to a spec override or
-        :data:`~repro.streaming.session.DEFAULT_ENGINE`).  Engines are
+        :data:`~repro.streaming.config.DEFAULT_ENGINE`).  Engines are
         bit-identical, so the choice does not rotate store keys and
         replays stay valid either way.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    rep_seeds = [seed + rep for rep in range(repetitions)]
+    keys = [workload_fingerprint(spec, rep_seed) for rep_seed in rep_seeds]
 
-    def __init__(
-        self,
-        workers: int = 1,
-        store: Optional[BaseResultStore] = None,
-        engine: Optional[str] = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
-        self.store = store
-        self.engine = engine
-
-    def run(
-        self,
-        spec: WorkloadSpec,
-        *,
-        seed: int = 0,
-        repetitions: int = 1,
-    ) -> WorkloadResult:
-        """Run (or replay) ``repetitions`` independent runs of ``spec``."""
-        if repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-        rep_seeds = [seed + rep for rep in range(repetitions)]
-        keys = [workload_fingerprint(spec, rep_seed) for rep_seed in rep_seeds]
-        reps, replayed = replay_or_execute(
-            self.store,
-            "workload",
-            keys,
-            decode=lambda document: rep_from_dict(document["rep"]),
-            execute=lambda pending: self._execute(
-                spec, [rep_seeds[i] for i in pending]
-            ),
-            encode=lambda index, rep, net_key: {
-                "workload": spec.name,
-                "seed": rep_seeds[index],
-                "n_nodes": spec.n_nodes,
-                "spec": spec.to_dict(),
-                "rep": rep_to_dict(rep),
-                **({} if net_key is None else {"net_key": net_key}),
-            },
-            topology=str(spec.overrides_dict().get("topology", "")),
-        )
-        return WorkloadResult(
-            spec=spec,
-            seed=int(seed),
-            repetitions=int(repetitions),
-            reps=tuple(reps),
-            replayed=replayed,
-        )
-
-    # ------------------------------------------------------------------ #
-    def _execute(
-        self, spec: WorkloadSpec, seeds: Sequence[int]
-    ) -> Iterator[WorkloadRepResult]:
+    def execute(pending: List[int]) -> Iterator[WorkloadRepResult]:
         from repro.dist.pool import WorkerPool
 
-        payloads = [(spec.to_dict(), rep_seed, self.engine) for rep_seed in seeds]
-        return WorkerPool(self.workers).map(_execute_rep, payloads)
+        payloads = [(spec.to_dict(), rep_seeds[i], engine) for i in pending]
+        return WorkerPool(workers).map(_execute_rep, payloads)
 
-
-def run_workload(
-    spec: WorkloadSpec,
-    *,
-    seed: int = 0,
-    repetitions: int = 1,
-    workers: int = 1,
-    store: Optional[BaseResultStore] = None,
-    engine: Optional[str] = None,
-) -> WorkloadResult:
-    """Convenience wrapper: build a :class:`WorkloadRunner` and run ``spec``."""
-    return WorkloadRunner(workers=workers, store=store, engine=engine).run(
-        spec, seed=seed, repetitions=repetitions
+    reps, replayed = replay_or_execute(
+        store,
+        "workload",
+        keys,
+        decode=lambda document: rep_from_dict(document["rep"]),
+        execute=execute,
+        encode=lambda index, rep, net_key: {
+            "workload": spec.name,
+            "seed": rep_seeds[index],
+            "n_nodes": spec.n_nodes,
+            "spec": spec.to_dict(),
+            "rep": rep_to_dict(rep),
+            **({} if net_key is None else {"net_key": net_key}),
+        },
+        topology=str(spec.overrides_dict().get("topology", "")),
+    )
+    return WorkloadResult(
+        spec=spec,
+        seed=int(seed),
+        repetitions=int(repetitions),
+        reps=tuple(reps),
+        replayed=replayed,
     )

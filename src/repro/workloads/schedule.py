@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.sim.clock import round_half_up
-from repro.streaming.session import PeriodDirective
+from repro.streaming.config import PeriodDirective
 from repro.workloads.spec import Phase, WorkloadSpec
 
 __all__ = ["PhaseWindow", "SegmentPlan", "WorkloadSchedule", "compile_workload"]

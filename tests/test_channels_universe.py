@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.channels.runner import (
-    UniverseRunner,
     rep_from_dict,
     rep_to_dict,
     run_universe,
@@ -213,6 +212,8 @@ class TestRunnerStore:
 
     def test_runner_validates_arguments(self):
         with pytest.raises(ValueError):
-            UniverseRunner(workers=0)
+            run_universe(TINY, workers=0)
         with pytest.raises(ValueError):
-            UniverseRunner().run(TINY, repetitions=0)
+            run_universe(TINY, shards=0)
+        with pytest.raises(ValueError):
+            run_universe(TINY, repetitions=0)

@@ -165,6 +165,24 @@ def test_figure_from_store_requires_populated_store(tmp_path, capsys):
     assert not store_dir.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--n-nodes", "3"],
+    ["compare", "--n-nodes", "3"],
+    ["probe", "--n-nodes", "3"],
+    ["trace", "run", "--n-nodes", "3", "--out", "{tmp}/trace.json"],
+    ["sweep", "--sizes", "3", "--results-dir", "{tmp}/results"],
+    ["figure", "7", "--sizes", "3"],
+    ["report", "--sizes", "3", "--n-nodes", "3", "--out", "{tmp}/report",
+     "--results-dir", "{tmp}/results"],
+], ids=["run", "compare", "probe", "trace-run", "sweep", "figure", "report"])
+def test_a_size_the_simulator_rejects_is_one_error_line(argv, tmp_path, capsys):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: need at least min_degree + 2 = 7 nodes, got 3"]
+    assert "Traceback" not in err
+
+
 def test_store_ls_and_clear_commands(tmp_path, capsys):
     store_dir = tmp_path / "results"
     assert main(["sweep", "--sizes", "30", "--seed", "2", "--max-time", "70",

@@ -29,6 +29,7 @@ from repro.dist import (
 )
 from repro.dist.progress import format_eta
 from repro.experiments.store import STORE_BACKENDS, open_store
+from repro.obs import telemetry_session
 
 #: The same deliberately tiny universe the channel tests use.
 TINY = UniverseSpec(
@@ -442,6 +443,11 @@ def test_streaming_aggregates_match_exact_statistics(tmp_path):
             assert agg.sketch.percentile(q) == float(np.percentile(samples, q))
 
 
+def _journal_replayed(telemetry):
+    """How many shards the run under ``telemetry`` replayed from its journal."""
+    return telemetry.registry.snapshot()["counters"]["dist.shards.replayed"]
+
+
 class _StopAfter:
     """after_shard hook that interrupts the run after ``n`` shards."""
 
@@ -456,18 +462,14 @@ class _StopAfter:
 
 
 def test_interrupted_run_resumes_byte_identically(tmp_path):
-    from repro.channels.runner import UniverseRunner
-
     reference_store = open_store(tmp_path / "ref", backend="json")
     run_universe(TINY, seed=0, repetitions=3, store=reference_store, shards=4)
     reference = _universe_documents(reference_store)
 
     store = open_store(tmp_path / "resumed", backend="json")
-    interrupted = UniverseRunner(
-        workers=2, store=store, shards=4, after_shard=_StopAfter(2)
-    )
     with pytest.raises(KeyboardInterrupt):
-        interrupted.run(TINY, seed=0, repetitions=3)
+        run_universe(TINY, seed=0, repetitions=3, store=store, shards=4, workers=2,
+                     after_shard=_StopAfter(2))
 
     # the journal survived the interrupt
     plan = ShardPlan.build(TINY, [0, 1, 2], 4)
@@ -480,20 +482,16 @@ def test_interrupted_run_resumes_byte_identically(tmp_path):
 
 
 def test_resume_replays_finished_shards_from_journal(tmp_path):
-    from repro.channels.runner import UniverseRunner
-
     store = open_store(tmp_path, backend="json")
-    interrupted = UniverseRunner(
-        workers=1, store=store, shards=4, after_shard=_StopAfter(2)
-    )
     with pytest.raises(KeyboardInterrupt):
-        interrupted.run(TINY, seed=0, repetitions=3)
+        run_universe(TINY, seed=0, repetitions=3, store=store, shards=4,
+                     after_shard=_StopAfter(2))
 
-    resumed = UniverseRunner(workers=1, store=store, shards=4)
-    result = resumed.run(TINY, seed=0, repetitions=3)
+    with telemetry_session() as telemetry:
+        result = run_universe(TINY, seed=0, repetitions=3, store=store, shards=4)
     assert result.repetitions == 3
     # the two finished shards came back from the journal, not the simulator
-    assert resumed.journal_replayed == 2
+    assert _journal_replayed(telemetry) == 2
     # and the resumed store matches a from-scratch serial repetition
     from repro.channels.runner import rep_to_dict
 
@@ -505,21 +503,19 @@ def test_resume_replays_finished_shards_from_journal(tmp_path):
 def test_interrupted_pooled_run_without_shards_resumes_byte_identically(tmp_path):
     """``workers > 1`` alone also runs on the journaled sharded runtime
     (one ``(repetition, channel)`` unit per shard)."""
-    from repro.channels.runner import UniverseRunner
-
     reference_store = open_store(tmp_path / "ref", backend="json")
     run_universe(TINY, seed=0, repetitions=2, store=reference_store)
 
     store = open_store(tmp_path / "resumed", backend="json")
-    interrupted = UniverseRunner(workers=2, store=store, after_shard=_StopAfter(3))
     with pytest.raises(KeyboardInterrupt):
-        interrupted.run(TINY, seed=0, repetitions=2)
+        run_universe(TINY, seed=0, repetitions=2, store=store, workers=2,
+                     after_shard=_StopAfter(3))
     plan = ShardPlan.build(TINY, [0, 1], 2 * TINY.n_channels)
     assert ShardJournal.exists(store.root / "journal", plan.fingerprint())
 
-    resumed = UniverseRunner(workers=2, store=store)
-    resumed.run(TINY, seed=0, repetitions=2)
-    assert resumed.journal_replayed == 3
+    with telemetry_session() as telemetry:
+        run_universe(TINY, seed=0, repetitions=2, store=store, workers=2)
+    assert _journal_replayed(telemetry) == 3
     assert _universe_documents(store) == _universe_documents(reference_store)
     assert not (store.root / "journal").exists()
 
@@ -529,8 +525,6 @@ def test_journal_left_by_the_parent_commit_is_discarded_not_parsed(tmp_path):
     ``sketch_capacity`` and records carried ``sketches``/``stats``.  Such a
     journal fails the manifest check and is wiped: its shards re-simulate
     and its records are never read (the poisoned ``units`` would raise)."""
-    from repro.channels.runner import UniverseRunner
-
     reference_store = open_store(tmp_path / "ref", backend="json")
     run_universe(TINY, seed=0, repetitions=2, store=reference_store)
 
@@ -546,9 +540,9 @@ def test_journal_left_by_the_parent_commit_is_discarded_not_parsed(tmp_path):
     for shard_id in range(plan.n_shards):
         stale.record(shard_id, {"units": "poison", "sketches": {}, "stats": {}})
 
-    runner = UniverseRunner(store=store, shards=2)
-    runner.run(TINY, seed=0, repetitions=2)
-    assert runner.journal_replayed == 0
+    with telemetry_session() as telemetry:
+        run_universe(TINY, seed=0, repetitions=2, store=store, shards=2)
+    assert _journal_replayed(telemetry) == 0
     assert _universe_documents(store) == _universe_documents(reference_store)
     assert not (store.root / "journal").exists()
 
@@ -561,25 +555,17 @@ def test_crashed_worker_produces_identical_documents(tmp_path, monkeypatch):
     reference_store = open_store(tmp_path / "ref", backend="json")
     run_universe(TINY, seed=0, repetitions=2, store=reference_store, shards=2)
 
-    from repro.channels.runner import UniverseRunner
-
     store = open_store(tmp_path / "crashy", backend="json")
-    runner = UniverseRunner(
-        workers=2, store=store, shards=2, max_retries=1, fault_hook=_crash_once_hook
-    )
-    runner.run(TINY, seed=0, repetitions=2)
+    run_universe(TINY, seed=0, repetitions=2, store=store, workers=2, shards=2,
+                 max_retries=1, fault_hook=_crash_once_hook)
     assert _universe_documents(store) == _universe_documents(reference_store)
 
 
 def test_exhausted_shard_failure_reaches_the_caller(tmp_path):
-    from repro.channels.runner import UniverseRunner
-
     store = open_store(tmp_path, backend="json")
-    runner = UniverseRunner(
-        workers=1, store=store, shards=2, max_retries=0, fault_hook=_always_raise_hook
-    )
     with pytest.raises(ShardExecutionError) as excinfo:
-        runner.run(TINY, seed=0, repetitions=1)
+        run_universe(TINY, seed=0, repetitions=1, store=store, shards=2,
+                     max_retries=0, fault_hook=_always_raise_hook)
     assert "injected fault" in str(excinfo.value)
 
 
@@ -608,19 +594,15 @@ class TestShardSpanCoverage:
     def test_spans_exactly_once_after_an_injected_worker_crash(
         self, tmp_path, monkeypatch
     ):
-        from repro.channels.runner import UniverseRunner
-        from repro.obs import build_telemetry_document, telemetry_session
+        from repro.obs import build_telemetry_document
 
         flags = tmp_path / "flags"
         flags.mkdir()
         monkeypatch.setenv("DIST_TEST_FLAGS", str(flags))
         store = open_store(tmp_path / "store", backend="json")
-        runner = UniverseRunner(
-            workers=2, store=store, shards=2, max_retries=1,
-            fault_hook=_crash_once_hook,
-        )
         with telemetry_session() as telemetry:
-            runner.run(TINY, seed=0, repetitions=2)
+            run_universe(TINY, seed=0, repetitions=2, store=store, workers=2, shards=2,
+                         max_retries=1, fault_hook=_crash_once_hook)
         document = build_telemetry_document(telemetry, run={"kind": "universe"})
         plan = ShardPlan.build(TINY, [0, 1], 2)
         assert sorted(row["shard"] for row in document["shards"]) == \

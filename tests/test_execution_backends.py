@@ -19,8 +19,8 @@ import os
 import pytest
 
 import repro.channels.runner as universe_runner_module
-import repro.experiments.parallel as parallel_module
 import repro.experiments.runner as runner_module
+import repro.experiments.sweeps as sweeps_module
 import repro.workloads.runner as workload_runner_module
 from conftest import strip_volatile
 from repro.channels.runner import run_universe
@@ -144,7 +144,7 @@ def test_worker_crash_mid_sweep_is_retried_and_changes_nothing(tmp_path, monkeyp
     clear_sweep_cache()  # store-less sweeps are memoised regardless of workers
 
     monkeypatch.setenv("BACKEND_TEST_FLAGS", str(tmp_path))
-    monkeypatch.setattr(parallel_module, "run_pair", _crash_once_on_size_36)
+    monkeypatch.setattr(sweeps_module, "run_pair", _crash_once_on_size_36)
     try:
         pooled = run_size_sweep([30, 36], workers=2, **kwargs)
     finally:

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.experiments.figures import figure2, generate_figure
-from repro.figures import FIGURES, render_figure
+from repro.figures import FIGURES, figure2, generate_figure, render_figure
 from repro.experiments.sweeps import clear_sweep_cache
 
 

@@ -1,4 +1,4 @@
-"""Tests for the parallel sweep runner: task building and store integration.
+"""Tests for the size sweep's fan-out: pair order, seeding and store integration.
 
 The headline guarantee -- a pooled sweep is *bit-identical* to the serial
 run at the same seed, because every ``(size, repetition)`` pair is an
@@ -7,9 +7,11 @@ and aggregation consumes results in fixed task order -- is pinned for every
 run kind at once by ``tests/test_execution_backends.py``.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.experiments.parallel import ParallelSweepRunner, build_sweep_tasks
+import repro.experiments.sweeps as sweeps_module
 from repro.experiments.store import ResultStore
 from repro.experiments.sweeps import clear_sweep_cache, run_size_sweep
 
@@ -23,22 +25,27 @@ def _fresh_cache():
     clear_sweep_cache()
 
 
-def test_build_sweep_tasks_order_and_seeding():
-    tasks = build_sweep_tasks([30, 40], seed=5, repetitions=2, overrides=OVERRIDES)
-    assert [(t.n_nodes, t.repetition) for t in tasks] == [
-        (30, 0), (30, 1), (40, 0), (40, 1)
-    ]
-    assert [t.index for t in tasks] == [0, 1, 2, 3]
-    # repetition k uses seed + k, independently per size
-    assert [t.config.seed for t in tasks] == [5, 6, 5, 6]
-    # sweep tasks never record per-round series (memory at scale)
-    assert all(t.config.record_rounds is False for t in tasks)
-    assert all(t.config.max_time == 70.0 for t in tasks)
+def test_sweep_pairs_are_size_major_and_seeded_per_repetition(monkeypatch):
+    configs = []
+
+    def _recording_pair(config):
+        configs.append(config)
+        metrics = SimpleNamespace(avg_prepare_new=1.0, avg_finish_old=1.0)
+        run = SimpleNamespace(metrics=metrics, overhead_ratio=0.0)
+        return SimpleNamespace(normal=run, fast=run)
+
+    monkeypatch.setattr(sweeps_module, "run_pair", _recording_pair)
+    sweep = run_size_sweep([30, 40], seed=5, repetitions=2, overrides=OVERRIDES)
+    assert [(c.n_nodes, c.seed) for c in configs] == [(30, 5), (30, 6), (40, 5), (40, 6)]
+    assert [(p.n_nodes, p.repetitions) for p in sweep.points] == [(30, 2), (40, 2)]
+    # sweep pairs never record per-round series (memory at scale)
+    assert all(c.record_rounds is False for c in configs)
+    assert all(c.max_time == 70.0 for c in configs)
 
 
 def test_workers_must_be_positive():
     with pytest.raises(ValueError):
-        ParallelSweepRunner(workers=0)
+        run_size_sweep([30], seed=1, workers=0, overrides=OVERRIDES)
 
 
 def test_repetitions_must_be_positive():
@@ -48,9 +55,7 @@ def test_repetitions_must_be_positive():
 
 def test_pairs_persist_incrementally_even_when_a_later_task_fails(tmp_path, monkeypatch):
     store = ResultStore(tmp_path)
-    import repro.experiments.parallel as parallel_module
-
-    real = parallel_module.run_pair
+    real = sweeps_module.run_pair
     calls = []
 
     def _fail_on_second(config):
@@ -59,7 +64,7 @@ def test_pairs_persist_incrementally_even_when_a_later_task_fails(tmp_path, monk
             raise RuntimeError("simulated crash mid-sweep")
         return real(config)
 
-    monkeypatch.setattr(parallel_module, "run_pair", _fail_on_second)
+    monkeypatch.setattr(sweeps_module, "run_pair", _fail_on_second)
     with pytest.raises(RuntimeError):
         run_size_sweep([30, 36], seed=1, repetitions=1, overrides=OVERRIDES, store=store)
     # the completed first pair survived the crash: the rerun resumes from it
@@ -88,10 +93,8 @@ def test_parallel_sweep_with_store_matches_and_replays(tmp_path, monkeypatch):
     assert len([k for k in store.keys() if k.startswith("sweep-")]) == 1
 
     # a repeated invocation never reaches the executor
-    import repro.experiments.parallel as parallel_module
-
     monkeypatch.setattr(
-        parallel_module, "run_pair",
+        sweeps_module, "run_pair",
         lambda config: (_ for _ in ()).throw(AssertionError("re-simulated")),
     )
     replay = run_size_sweep([30, 36], workers=2, store=store, **kwargs)

@@ -136,6 +136,13 @@ FENCES: Tuple[Tuple[str, str, Tuple[str, ...], int], ...] = (
      ("src/**/*.py", "tests/**/*.py"), 0),
     ("buffer-is-fifo", r"_discard[s]|def discar[d]",
      ("src/repro/streaming/buffer.py", "src/repro/core/vector.py"), 0),
+    # A run is a function: sweeps, workloads and universes are each one
+    # run_* function over the one WorkerPool, not a class that only holds
+    # its arguments.  The figures are one literal table of rows: nothing
+    # registers a figure and a row carries no kind.
+    ("no-runner-classes", r"class \w*Runne[r]\b", (_SRC,), 0),
+    ("one-figure-table", r"register_figur[e]|register_\w+_figure[s]|FIGURE_KIND[S]",
+     ("src/**/*.py", "tests/**/*.py"), 0),
 )
 
 

@@ -1,12 +1,13 @@
-"""The declarative figure registry, universe figures and the HTML report.
+"""The figure table, universe figures and the HTML report.
 
 Everything here runs at miniature scale against one module-scoped warm
-store: the registry's completeness and kwargs routing, the sketch-backed
+store: the table's completeness and kwargs routing, the sketch-backed
 universe figures' aggregate-only data path (pinned by poisoning the raw
 outcome table), serial-vs-sharded bit-identity of the universe figures,
 and the report's warm-replay determinism.
 """
 
+import inspect
 import json
 
 import pytest
@@ -18,12 +19,10 @@ from repro.experiments.sweeps import clear_sweep_cache
 from repro.figures import (
     FIGURES,
     FigureUnavailable,
-    figure_names,
     get_figure,
     render_figure,
     render_report,
 )
-from repro.figures.registry import FigureSpec, register_figure
 
 TINY_SIZES = [30]
 TINY_UNIVERSE = UniverseSpec(
@@ -66,7 +65,7 @@ def warm_store(tmp_path_factory):
     run_universe(TINY_UNIVERSE, seed=0, repetitions=2, store=store)
     _persist_probed_run(store)
     clear_sweep_cache()
-    for name in figure_names():
+    for name in FIGURES:
         render_figure(name, store=store, **RENDER_KWARGS)
     clear_sweep_cache()
     return store
@@ -84,33 +83,44 @@ def figure_json(result):
     )
 
 
+#: What each family's builders take: the keyword surface render_figure
+#: routes out of the uniform set, read off the builders' signatures.
+TRACK_KEYWORDS = {"n_nodes", "seed", "paper_scale", "max_time", "store"}
+SWEEP_KEYWORDS = {"sizes", "seed", "repetitions", "paper_scale", "store", "workers"}
+KEYWORDS = {
+    "fig2-ordering": set(),
+    **dict.fromkeys(["fig5-ratio-static", "fig9-ratio-dynamic"], TRACK_KEYWORDS),
+    **dict.fromkeys(["fig6-times-static", "fig7-switch-static", "fig8-overhead-static",
+                     "fig10-times-dynamic", "fig11-switch-dynamic", "fig12-overhead-dynamic"],
+                    SWEEP_KEYWORDS),
+    **dict.fromkeys(["universe-deciles", "universe-percentiles", "universe-summary"],
+                    {"store", "universe"}),
+    **dict.fromkeys(["probe-swarm-health", "probe-startup-funnel"], {"store"}),
+}
+
+
 class TestRegistry:
     def test_covers_all_paper_figures_and_universe_figures(self):
-        ids = {spec.figure_id for spec in FIGURES.values()}
-        assert {"2", "5", "6", "7", "8", "9", "10", "11", "12"} <= ids
-        kinds = {spec.kind for spec in FIGURES.values()}
-        assert kinds == {"static", "track", "sweep", "universe"}
-        # Three sketch-backed universe figures plus two probe-backed ones.
-        assert sum(1 for s in FIGURES.values() if s.kind == "universe") == 5
-        assert {"probe-swarm-health", "probe-startup-funnel"} <= set(FIGURES)
+        ids = [spec.figure_id for spec in FIGURES.values()]
+        assert ids[:9] == ["2", "5", "6", "7", "8", "9", "10", "11", "12"]
+        # Three sketch-backed universe figures, then two probe-backed ones.
+        assert list(FIGURES)[9:] == [
+            "universe-deciles", "universe-percentiles", "universe-summary",
+            "probe-swarm-health", "probe-startup-funnel",
+        ]
+
+    def test_builder_signatures_are_the_keyword_surface(self):
+        assert set(FIGURES) == set(KEYWORDS)
+        for name, spec in FIGURES.items():
+            assert set(inspect.signature(spec.builder).parameters) == KEYWORDS[name], name
 
     def test_get_figure_unknown_name_lists_known_ones(self):
         with pytest.raises(KeyError, match="fig7-switch-static"):
             get_figure("no-such-figure")
 
-    def test_duplicate_registration_rejected(self):
-        spec = get_figure("fig2-ordering")
-        with pytest.raises(ValueError, match="already registered"):
-            register_figure(spec)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown figure kind"):
-            FigureSpec(name="x", title="x", kind="holographic",
-                       builder=lambda: None, figure_id="x")
-
     def test_render_filters_kwargs_to_the_declared_surface(self):
-        # fig2 declares no params: the uniform kwargs soup must not leak
-        # into its zero-argument builder.
+        # fig2's builder takes no argument: the uniform kwargs soup must
+        # not leak into it.
         result = render_figure("fig2-ordering", store=None, **RENDER_KWARGS)
         assert result.figure_id == "2"
 
@@ -207,11 +217,11 @@ class TestUniverseFigures:
 class TestReport:
     def test_renders_every_registered_figure_from_the_warm_store(self, warm_store, tmp_path):
         summary = render_report(warm_store, tmp_path / "report", **RENDER_KWARGS)
-        assert summary.rendered == list(figure_names())
+        assert summary.rendered == list(FIGURES)
         assert summary.skipped == {}
         html = summary.html_path.read_text(encoding="utf-8")
         assert html.startswith("<!DOCTYPE html>")
-        for name in figure_names():
+        for name in FIGURES:
             assert name in html
             payload = json.loads((tmp_path / "report" / "data" / f"{name}.json")
                                  .read_text(encoding="utf-8"))
@@ -230,7 +240,7 @@ class TestReport:
         store = ResultStore(tmp_path / "empty-store", replay_only=True)
         summary = render_report(store, tmp_path / "report")
         assert summary.rendered == ["fig2-ordering"]
-        assert set(summary.skipped) == set(figure_names()) - {"fig2-ordering"}
+        assert set(summary.skipped) == set(FIGURES) - {"fig2-ordering"}
         html = summary.html_path.read_text(encoding="utf-8")
         assert "Skipped figures" in html
 
@@ -252,5 +262,5 @@ class TestReportCLI:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["skipped"] == {}
-        assert sorted(payload["rendered"]) == sorted(figure_names())
+        assert sorted(payload["rendered"]) == sorted(FIGURES)
         assert (out / "report.html").stat().st_size > 0

@@ -11,7 +11,9 @@ Three tiers (docs/architecture.md, "Package layers"):
   store on the standard library only: no NumPy, no simulator, no fan-out,
   no network stack;
 * tier 2 -- everything that simulates; not fenced (which source files may
-  import NumPy at module level is pinned in ``tests/test_fences.py``).
+  import NumPy at module level is pinned in ``tests/test_fences.py``),
+  except that listing the named workloads and universes loads the specs,
+  not the simulator they describe.
 
 Every check runs in a fresh interpreter and compares ``sys.modules``, which
 repeats exactly; the one timing check is relative (against ``import
@@ -103,6 +105,22 @@ def test_tier1_replay_commands_do_not_load_the_simulator(command, backend, warm_
     if command == "report":
         assert (tmp_path / "replay" / "report.html").is_file()
         assert "repro.figures.report" in modules
+
+
+#: What ``workload ls`` / ``universe ls`` must not load: the machine a
+#: spec runs on, and the fan-out that would run it.
+SIMULATOR_MODULES = {
+    "repro.streaming.session", "repro.streaming.peer", "repro.streaming.source",
+    "repro.core.vector", "repro.net.fabric",
+}
+
+
+@pytest.mark.parametrize("library", ["workload", "universe"])
+def test_listing_a_library_does_not_load_the_simulator(library):
+    modules = modules_loaded_by(f"from repro.cli import main; main([{library!r}, 'ls'])")
+    assert not {name for name in modules
+                if name in SIMULATOR_MODULES or name.split(".")[:2] == ["repro", "dist"]}
+    assert "repro.workloads.library" in modules  # the command did run
 
 
 #: Runs ``main(argv)`` with every process start recording whether the parent

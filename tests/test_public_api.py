@@ -63,19 +63,10 @@ def test_importing_the_cli_does_not_import_networkx():
 HUBS = ["repro"] + sorted(
     "repro." + module.name for module in pkgutil.iter_modules(repro.__path__) if module.ispkg
 )
-#: ``repro.figures`` stays eager: importing it *registers* the figures.
-LAZY_HUBS = [name for name in HUBS if name != "repro.figures"]
-FIGURES_TABLE = {
-    **dict.fromkeys(["FIGURES", "FigureSpec", "FigureUnavailable", "register_figure",
-                     "figure_names", "get_figure", "render_figure"], "repro.figures.registry"),
-    **dict.fromkeys(["ReportSummary", "render_report"], "repro.figures.report"),
-}
 
 
 def _hub_table(hub_name):
     """name -> defining module, read from the hub's one ``lazy_hub(...)`` call."""
-    if hub_name not in LAZY_HUBS:
-        return FIGURES_TABLE
     hub = import_module(hub_name)
     tree = ast.parse(Path(hub.__file__).read_text(encoding="utf-8"))
     (call,) = [node for node in ast.walk(tree)
@@ -89,7 +80,7 @@ def _hub_table(hub_name):
 
 
 def test_there_are_fifteen_hubs():
-    assert len(HUBS) == 15 and len(LAZY_HUBS) == 14
+    assert len(HUBS) == 15
 
 
 @pytest.mark.parametrize("hub_name", HUBS)
@@ -120,7 +111,7 @@ def test_star_import_binds_exactly_the_public_names():
     assert set(namespace) == set(repro.__all__)
 
 
-@pytest.mark.parametrize("hub_name", LAZY_HUBS)
+@pytest.mark.parametrize("hub_name", HUBS)
 def test_rebinding_in_the_defining_module_is_seen_through_the_hub_and_undone(
         hub_name, monkeypatch):
     """What ``bench/trace.py``'s "every binding restored" check relies on."""

@@ -7,7 +7,6 @@ import pytest
 
 from repro.experiments.store import ResultStore
 from repro.workloads.runner import (
-    WorkloadRunner,
     rep_from_dict,
     rep_to_dict,
     run_workload,
@@ -95,7 +94,7 @@ def test_store_round_trip_and_pure_replay(zap_spec, zap_rep, tmp_path, monkeypat
         raise AssertionError("simulated despite a warm store")
 
     monkeypatch.setattr(runner_module, "run_workload_rep", _boom)
-    replayed = WorkloadRunner(store=store).run(zap_spec, seed=5)
+    replayed = run_workload(zap_spec, seed=5, store=store)
     assert replayed.replayed == 1 and replayed.simulated == 0
     assert replayed.reps == result.reps  # bit-identical replay
 
@@ -103,7 +102,7 @@ def test_store_round_trip_and_pure_replay(zap_spec, zap_rep, tmp_path, monkeypat
 def test_replay_only_store_raises_on_miss(zap_spec, tmp_path):
     store = ResultStore(tmp_path / "empty", replay_only=True)
     with pytest.raises(KeyError):
-        WorkloadRunner(store=store).run(zap_spec, seed=99)
+        run_workload(zap_spec, seed=99, store=store)
 
 
 def test_repetitions_use_consecutive_seeds(zap_spec):
@@ -126,11 +125,9 @@ def test_result_tables_have_one_row_per_switch(zap_rep, zap_spec):
 
 
 def test_invalid_runner_parameters():
+    spec = WorkloadSpec(name="x", description="", n_nodes=50,
+                        phases=(Phase("a", 5.0, switch=True),))
     with pytest.raises(ValueError):
-        WorkloadRunner(workers=0)
+        run_workload(spec, workers=0)
     with pytest.raises(ValueError):
-        run_workload(
-            WorkloadSpec(name="x", description="", n_nodes=50,
-                         phases=(Phase("a", 5.0, switch=True),)),
-            repetitions=0,
-        )
+        run_workload(spec, repetitions=0)
