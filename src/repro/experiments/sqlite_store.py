@@ -19,6 +19,12 @@ payloads) inside a single database:
   workers sharing one database serialise cleanly instead of corrupting
   each other.
 
+Each process holds one connection per store, opened on first use.  WAL
+mode is a property of the database file, so it is set once, where the
+schema is created.  A connection never crosses ``fork()``: a child that
+inherited one opens its own and leaves the inherited handle alone, neither
+used nor closed (sqlite.org/howtocorrupt.html, section 2.6).
+
 Only the storage primitives live here; the kind check, the kind walk and
 the instrumented ``load`` / ``save`` doors are inherited from
 :class:`~repro.experiments.store.BaseResultStore` unchanged.
@@ -40,6 +46,10 @@ __all__ = ["SQLITE_STORE_FILENAME", "SQLiteStore"]
 #: The database file kept inside the results directory.
 SQLITE_STORE_FILENAME = "store.sqlite"
 
+#: Connections a forked child inherited from its parent: referenced here so
+#: that replacing one never closes it in the child.
+_INHERITED: List[sqlite3.Connection] = []
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS documents (
     key          TEXT PRIMARY KEY,
@@ -58,9 +68,10 @@ CREATE INDEX IF NOT EXISTS documents_created ON documents (created);
 class SQLiteStore(BaseResultStore):
     """Single-file result store (see module docstring).
 
-    Connections are opened per operation rather than held: the store
-    object stays picklable (parallel sweep workers receive it), and WAL
-    mode makes the reopen cost irrelevant next to a simulation.
+    The connection is opened on first use and serves the process (and, as
+    sqlite3 requires, the thread) that opened it; the pickled state leaves
+    it out, since parallel sweep workers receive the store by pickle.
+    Every operation still runs in its own ``with connection:`` transaction.
     """
 
     backend = "sqlite"
@@ -68,19 +79,26 @@ class SQLiteStore(BaseResultStore):
     def __init__(self, root: "str | os.PathLike[str]", *, replay_only: bool = False) -> None:
         super().__init__(root, replay_only=replay_only)
         self.db_path = self.root / SQLITE_STORE_FILENAME
+        self._connection: Optional[sqlite3.Connection] = None
+        self._pid = 0
         if not self.replay_only:
             with self._connect() as connection:
+                connection.execute("PRAGMA journal_mode=WAL")
                 connection.executescript(_SCHEMA)
 
     @contextmanager
     def _connect(self) -> Iterator[sqlite3.Connection]:
-        connection = sqlite3.connect(self.db_path, timeout=30.0)
-        try:
-            connection.execute("PRAGMA journal_mode=WAL")
-            with connection:
-                yield connection
-        finally:
-            connection.close()
+        """This process's connection, inside one transaction."""
+        if self._pid != os.getpid():
+            if self._connection is not None:
+                _INHERITED.append(self._connection)
+            self._connection = sqlite3.connect(self.db_path, timeout=30.0)
+            self._pid = os.getpid()
+        with self._connection:
+            yield self._connection
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {**self.__dict__, "_connection": None, "_pid": 0}
 
     def _select(self, sql: str, *args: Any) -> List[tuple]:
         """The rows of one read query.  A replay-only store creates nothing,

@@ -57,10 +57,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -75,11 +76,12 @@ from typing import (
 
 from repro.churn.model import ChurnConfig
 from repro.metrics.report import metrics_from_dict, metrics_to_dict
-from repro.net.topology import NetTopology
 from repro.obs.telemetry import get_telemetry
-from repro.streaming.bandwidth import PeerClass
 from repro.streaming.segment import SwitchPlan
 from repro.streaming.config import SessionConfig, SessionResult
+
+if TYPE_CHECKING:
+    from repro.net.topology import NetTopology
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -149,6 +151,11 @@ def default_results_dir() -> Optional[str]:
 # --------------------------------------------------------------------------- #
 # configuration serialisation and fingerprints
 # --------------------------------------------------------------------------- #
+def _fields_dict(record: Any) -> Dict[str, Any]:
+    """A dataclass as a dict of its fields' values, field by field (no copies)."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def config_to_dict(config: SessionConfig) -> Dict[str, Any]:
     """JSON-friendly dictionary form of a :class:`SessionConfig`.
 
@@ -156,9 +163,15 @@ def config_to_dict(config: SessionConfig) -> Dict[str, Any]:
     execution detail, not an experiment parameter -- the vector engine is
     bit-identical to the oracle (enforced by the differential suite), so
     documents and fingerprints must not depend on which engine ran.
+
+    Equal to ``dataclasses.asdict`` minus ``engine``, without its deep copy:
+    every field is a scalar except the churn model and the peer classes,
+    which become dicts (the classes a tuple of them).
     """
-    payload = asdict(config)
-    payload.pop("engine", None)
+    payload = _fields_dict(config)
+    del payload["engine"]
+    payload["churn"] = _fields_dict(config.churn)
+    payload["peer_classes"] = tuple(_fields_dict(cls) for cls in config.peer_classes)
     return payload
 
 
@@ -170,6 +183,8 @@ def config_from_dict(payload: Mapping[str, Any]) -> SessionConfig:
         data["churn"] = ChurnConfig(**dict(churn))
     classes = data.pop("peer_classes", None)
     if classes:
+        from repro.streaming.bandwidth import PeerClass
+
         data["peer_classes"] = tuple(PeerClass(**dict(cls)) for cls in classes)
     return SessionConfig(**data)
 

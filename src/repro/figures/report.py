@@ -110,9 +110,8 @@ def render_report(
             "notes": figure.notes,
             "meta": figure.meta,
         }
-        with data_path.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        data_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                             encoding="utf-8")
         summary.data_files.append(data_path)
 
     document = _render_html(

@@ -6,8 +6,8 @@ and :data:`DEFAULT_ENGINE`, which it validates against), the per-period
 experiment configurations, the result store and the figure and report
 commands need them without ever running a simulation, so they live in this
 *leaf* module: it imports only other leaves (the churn model, the two switch
-algorithms, the metric records, the topology library, bandwidth classes and
-segment arithmetic) and never the machine that consumes them,
+algorithms, the metric records and segment arithmetic; the topology library
+only to validate a named topology) and never the machine that consumes them,
 :mod:`repro.streaming.session` -- which imports the records back, so
 ``from repro.streaming.session import SessionConfig`` keeps resolving.
 """
@@ -15,16 +15,17 @@ segment arithmetic) and never the machine that consumes them,
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.churn.model import ChurnConfig
 from repro.core.base import SwitchAlgorithm
 from repro.core.fast_switch import FastSwitchAlgorithm
 from repro.core.normal_switch import NormalSwitchAlgorithm
 from repro.metrics.collectors import SwitchMetrics
-from repro.net.library import topology_names
-from repro.streaming.bandwidth import PeerClass
 from repro.streaming.segment import SwitchPlan
+
+if TYPE_CHECKING:
+    from repro.streaming.bandwidth import PeerClass
 
 __all__ = [
     "SessionConfig",
@@ -276,10 +277,13 @@ class SessionConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; known: {sorted(ENGINE_NAMES)}"
             )
-        if self.topology and self.topology not in topology_names():
-            raise ValueError(
-                f"unknown topology {self.topology!r}; known: {topology_names()}"
-            )
+        if self.topology:
+            from repro.net.library import topology_names
+
+            if self.topology not in topology_names():
+                raise ValueError(
+                    f"unknown topology {self.topology!r}; known: {topology_names()}"
+                )
         if self.n_nodes < self.min_degree + 2:
             raise ValueError(
                 f"need at least min_degree + 2 = {self.min_degree + 2} nodes, got {self.n_nodes}"

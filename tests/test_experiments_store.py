@@ -1,9 +1,17 @@
 """Tests for the persistent result store and its serialisation."""
 
 import json
+import os
+import pickle
 import re
+import sqlite3
+from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.churn.model import ChurnConfig
 
 from repro.experiments.config import make_session_config
 from repro.experiments.runner import run_pair
@@ -25,7 +33,9 @@ from repro.experiments.store import (
     sweep_to_dict,
 )
 from repro.experiments.sweeps import clear_sweep_cache, run_size_sweep
-from repro.net.library import get_topology
+from repro.net.library import get_topology, topology_names
+from repro.streaming.bandwidth import PeerClass
+from repro.streaming.config import DEFAULT_ENGINE, ENGINE_NAMES, SessionConfig
 
 
 @pytest.fixture(autouse=True)
@@ -72,6 +82,58 @@ def test_config_round_trips_through_dict():
     config = _tiny(dynamic=True)
     rebuilt = config_from_dict(config_to_dict(config))
     assert rebuilt == config
+
+
+finite = st.floats(min_value=0.01, max_value=1e4, allow_nan=False)
+fraction = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def peer_classes(draw):
+    classes = []
+    for index in range(draw(st.integers(min_value=0, max_value=3))):
+        low, high = sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
+        classes.append(PeerClass(
+            name=f"class-{index}", fraction=draw(finite),
+            inbound_low=low, inbound_high=high, inbound_mean=(low + high) / 2,
+            outbound_low=low, outbound_high=high, outbound_mean=(low + high) / 2,
+            region=draw(st.sampled_from(["", "eu", "us"])),
+        ))
+    return tuple(classes)
+
+
+@st.composite
+def session_configs(draw):
+    quota = draw(st.integers(min_value=1, max_value=100))
+    churn = draw(st.one_of(
+        st.just(ChurnConfig.disabled()),
+        st.builds(ChurnConfig, leave_fraction=fraction, join_fraction=fraction,
+                  enabled=st.just(True)),
+    ))
+    return SessionConfig(
+        n_nodes=draw(st.integers(min_value=7, max_value=10_000)),
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        algorithm=draw(st.sampled_from(["fast", "normal"])),
+        play_rate=draw(finite), tau=draw(finite), max_time=draw(finite),
+        lag_jitter=draw(finite), buffer_capacity=draw(st.integers(min_value=1, max_value=5000)),
+        startup_quota_old=quota,
+        old_stream_segments=quota + draw(st.integers(min_value=1, max_value=5000)),
+        warmup=draw(st.sampled_from(["analytic", "simulated"])),
+        supplier_rate_estimate=draw(st.sampled_from(["full", "fair_share"])),
+        record_rounds=draw(st.booleans()), run_full_horizon=draw(st.booleans()),
+        churn=churn, peer_classes=draw(peer_classes()),
+        topology=draw(st.sampled_from(["", *topology_names()])),
+        engine=draw(st.sampled_from(ENGINE_NAMES)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=session_configs())
+def test_config_to_dict_is_asdict_without_the_engine(config):
+    expected = asdict(config)
+    del expected["engine"]
+    assert config_to_dict(config) == expected
+    assert config_from_dict(config_to_dict(config)) == replace(config, engine=DEFAULT_ENGINE)
 
 
 def test_pair_fingerprint_is_stable_and_algorithm_insensitive():
@@ -363,3 +425,63 @@ def test_a_replay_only_store_never_creates_anything(tmp_path):
         assert store.load("pair-0123") is None
         assert store.keys() == [] and store.entries() == [] and store.documents("pair") == []
         assert not root.exists() and not root.parent.exists()
+
+
+# --------------------------------------------------------------------------- #
+# the SQLite backend's one connection per process
+# --------------------------------------------------------------------------- #
+def test_a_forked_child_opens_its_own_sqlite_connection(tmp_path):
+    store = open_store(tmp_path, backend="sqlite")
+    store.save("pair-parent", {"kind": "pair", "side": "parent"})
+    inherited = store._connection
+    pid = os.fork()
+    if pid == 0:  # the child: never return into pytest
+        ok = False
+        try:
+            store.save("pair-child", {"kind": "pair", "side": "child"})
+            ok = (store.load("pair-parent")["side"] == "parent"
+                  and store.load("pair-child")["side"] == "child"
+                  and store._connection is not inherited)
+        finally:
+            os._exit(0 if ok else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert store._connection is inherited
+    assert store.load("pair-child")["side"] == "child"
+
+
+def test_a_pickled_sqlite_store_carries_no_connection(tmp_path):
+    store = open_store(tmp_path, backend="sqlite")
+    store.save("pair-one", {"kind": "pair"})
+    clone = pickle.loads(pickle.dumps(store))
+    assert clone._connection is None and store._connection is not None
+    assert clone.keys() == ["pair-one"]
+    clone.save("pair-two", {"kind": "pair"})
+    assert store.keys() == ["pair-one", "pair-two"]
+
+
+def test_a_replay_only_sqlite_store_over_an_empty_directory_creates_no_file(tmp_path):
+    store = open_store(tmp_path, backend="sqlite", replay_only=True)
+    assert store.load("pair-0123") is None
+    assert store.keys() == [] and store.entries() == [] and len(store) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_fresh_sqlite_store_is_in_wal_mode(tmp_path):
+    open_store(tmp_path, backend="sqlite")
+    connection = sqlite3.connect(tmp_path / "store.sqlite")
+    try:
+        assert connection.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+    finally:
+        connection.close()
+
+
+def test_two_sqlite_stores_on_one_directory_see_each_others_writes(tmp_path):
+    first = open_store(tmp_path, backend="sqlite")
+    second = open_store(tmp_path, backend="sqlite")
+    first.save("pair-one", {"kind": "pair", "by": "first"})
+    assert second.load("pair-one")["by"] == "first"
+    second.save("pair-two", {"kind": "pair", "by": "second"})
+    assert first.keys() == ["pair-one", "pair-two"]
+    assert first.delete("pair-one") is True
+    assert second.load("pair-one") is None and second.keys() == ["pair-two"]

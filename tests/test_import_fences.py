@@ -34,12 +34,12 @@ from repro.cli import main
 #: What a tier-1 command must not load: exact names ...
 TIER1_FORBIDDEN = {
     "repro.streaming.session", "repro.streaming.peer", "repro.streaming.source",
-    "repro.core.vector", "repro.net.fabric", "repro.net.link",
+    "repro.core.vector", "repro.streaming.bandwidth",
     "repro.channels.universe", "repro.channels.runner",
     "multiprocessing", "urllib.request", "ssl", "importlib.metadata", "numpy",
 }
 #: ... and whole packages.
-TIER1_FORBIDDEN_PACKAGES = {"repro.overlay", "repro.dist", "repro.workloads"}
+TIER1_FORBIDDEN_PACKAGES = {"repro.overlay", "repro.dist", "repro.workloads", "repro.net"}
 
 
 @pytest.mark.parametrize("code", [
