@@ -30,6 +30,7 @@ from repro.overlay.augment import augment_to_min_degree
 from repro.overlay.generator import generate_trace
 from repro.overlay.topology import build_overlay_from_trace
 from repro.overlay.trace import parse_trace, write_trace
+from repro.records import to_json
 from repro.streaming.session import SwitchSession
 
 
@@ -66,7 +67,7 @@ def main() -> None:
     pair = PairedRunResult(normal=normal, fast=fast)
 
     print()
-    print(format_table([pair.comparison(f"{args.n_nodes}-node custom trace").as_dict()]))
+    print(format_table([to_json(pair.comparison(f"{args.n_nodes}-node custom trace"))]))
     print(f"\nSwitch-time reduction on this trace: {pair.switch_time_reduction:.1%}")
 
 

@@ -22,8 +22,8 @@ the most popular tenth of the lineup, decile 9 the least popular.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -169,15 +169,3 @@ class ChannelLineup:
             for i in range(n_channels)
         )
         return ChannelLineup(channels=channels)
-
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly dictionary form (reports and documentation)."""
-        return {"channels": [asdict(channel) for channel in self.channels]}
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, Any]) -> "ChannelLineup":
-        """Rebuild a lineup from :meth:`to_dict` output."""
-        return ChannelLineup(
-            channels=tuple(Channel(**dict(c)) for c in payload["channels"])
-        )

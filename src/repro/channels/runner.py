@@ -28,11 +28,10 @@ re-running a named universe replays from disk without simulating.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.channels.universe import (
-    ChannelOutcome,
     UniverseRepResult,
     UniverseSpec,
     run_universe_rep,
@@ -40,18 +39,17 @@ from repro.channels.universe import (
 from repro.experiments.store import BaseResultStore, _fingerprint, replay_or_execute
 from repro.metrics.report import mean_of, reduction_ratio
 from repro.metrics.universe import weighted_mean
+from repro.records import from_json, to_json
 
 __all__ = [
     "UniverseResult",
     "universe_fingerprint",
-    "rep_to_dict",
-    "rep_from_dict",
     "run_universe",
 ]
 
 
 # --------------------------------------------------------------------------- #
-# fingerprints and serialisation
+# fingerprints
 # --------------------------------------------------------------------------- #
 def universe_fingerprint(
     spec: UniverseSpec, seed: int, *, version: Optional[str] = None
@@ -63,40 +61,6 @@ def universe_fingerprint(
     mix, the simulator or the store layout rotates the key.
     """
     return _fingerprint("universe", version, spec=spec.to_dict(), seed=int(seed))
-
-
-def rep_to_dict(rep: UniverseRepResult) -> Dict[str, Any]:
-    """JSON-friendly dictionary form of a :class:`UniverseRepResult`.
-
-    Deliberately excludes the ``aggregates`` block: the store document
-    carries it as a top-level sibling of ``rep`` (see :func:`run_universe`),
-    so aggregate-only consumers never deserialise -- or even
-    parse past -- the raw per-channel outcome table.
-    """
-    return {
-        "universe": rep.universe,
-        "seed": rep.seed,
-        "n_channels": rep.n_channels,
-        "n_viewers": rep.n_viewers,
-        "n_zaps": rep.n_zaps,
-        "surfers": rep.surfers,
-        "normal": [asdict(outcome) for outcome in rep.normal],
-        "fast": [asdict(outcome) for outcome in rep.fast],
-    }
-
-
-def rep_from_dict(payload: Mapping[str, Any]) -> UniverseRepResult:
-    """Rebuild a :class:`UniverseRepResult` (exact float round trip)."""
-    return UniverseRepResult(
-        universe=str(payload["universe"]),
-        seed=int(payload["seed"]),
-        n_channels=int(payload["n_channels"]),
-        n_viewers=int(payload["n_viewers"]),
-        n_zaps=int(payload["n_zaps"]),
-        surfers=int(payload["surfers"]),
-        normal=tuple(ChannelOutcome(**dict(o)) for o in payload["normal"]),
-        fast=tuple(ChannelOutcome(**dict(o)) for o in payload["fast"]),
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -270,19 +234,21 @@ def run_universe(
     keys = [universe_fingerprint(spec, rep_seed) for rep_seed in rep_seeds]
 
     def encode(index: int, rep: UniverseRepResult, net_key: Optional[str]) -> Dict[str, Any]:
+        # The streaming-aggregate block sits NEXT TO the raw outcome table,
+        # never inside it: universe-scale figures read only that key (plus
+        # the identification fields), so they stay O(channels), not
+        # O(viewers) -- and encoding the table never walks the sketches.
+        table = to_json(replace(rep, aggregates=None))
+        del table["aggregates"]
         document = {
             "universe": spec.name,
             "seed": rep_seeds[index],
             "n_channels": spec.n_channels,
             "n_viewers": spec.n_viewers,
             "spec": spec.to_dict(),
-            "rep": rep_to_dict(rep),
+            "rep": table,
         }
         if rep.aggregates is not None:
-            # The streaming-aggregate block sits NEXT TO the raw outcome
-            # table, never inside it: universe-scale figures read only this
-            # key (plus the identification fields), so they stay
-            # O(channels), not O(viewers).
             document["aggregates"] = rep.aggregates
         if net_key is not None:
             document["net_key"] = net_key
@@ -326,7 +292,8 @@ def run_universe(
         # to the raw outcome table is re-attached (``None`` for a document
         # written before the block existed).
         decode=lambda document: replace(
-            rep_from_dict(document["rep"]), aggregates=document.get("aggregates")
+            from_json(UniverseRepResult, document["rep"]),
+            aggregates=document.get("aggregates"),
         ),
         execute=execute,
         encode=encode,

@@ -31,7 +31,7 @@ bit-identical results.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -45,6 +45,7 @@ from repro.experiments.config import make_session_config
 from repro.metrics.qoe import phase_qoe
 from repro.metrics.universe import zap_time_stats, zap_time_values
 from repro.net.library import topology_names
+from repro.records import from_json, to_json
 from repro.sim.clock import round_half_up
 from repro.sim.rng import sequence_seeds
 from repro.streaming.config import SessionConfig, SessionResult
@@ -220,43 +221,18 @@ class UniverseSpec:
     # dict round trip (store fingerprinting)
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly dictionary form; see :meth:`from_dict`."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "n_channels": self.n_channels,
-            "n_viewers": self.n_viewers,
-            "zipf_exponent": self.zipf_exponent,
-            "min_audience": self.min_audience,
-            "surfer_fraction": self.surfer_fraction,
-            "surfer_zap_rate": self.surfer_zap_rate,
-            "loyal_zap_rate": self.loyal_zap_rate,
-            "duration": self.duration,
-            "tau": self.tau,
-            "topology": self.topology,
-            "session_overrides": {k: v for k, v in self.session_overrides},
-        }
+        """JSON-friendly dictionary form; see :meth:`from_dict`.
+
+        The record's :func:`~repro.records.to_json`, except that the
+        overrides are a dict -- the form the fingerprints hash.
+        """
+        return {**to_json(self), "session_overrides": dict(self.session_overrides)}
 
     @staticmethod
     def from_dict(payload: Mapping[str, Any]) -> "UniverseSpec":
         """Rebuild a spec from :meth:`to_dict` output (exact round trip)."""
-        return UniverseSpec(
-            name=str(payload["name"]),
-            description=str(payload.get("description", "")),
-            n_channels=int(payload["n_channels"]),
-            n_viewers=int(payload["n_viewers"]),
-            zipf_exponent=float(payload["zipf_exponent"]),
-            min_audience=int(payload["min_audience"]),
-            surfer_fraction=float(payload["surfer_fraction"]),
-            surfer_zap_rate=float(payload["surfer_zap_rate"]),
-            loyal_zap_rate=float(payload["loyal_zap_rate"]),
-            duration=float(payload["duration"]),
-            tau=float(payload["tau"]),
-            topology=str(payload.get("topology", "")),
-            session_overrides=tuple(
-                sorted(dict(payload.get("session_overrides", {})).items())
-            ),
-        )
+        overrides = tuple(payload.get("session_overrides", {}).items())
+        return from_json(UniverseSpec, {**payload, "session_overrides": overrides})
 
 
 @dataclass(frozen=True)
@@ -513,7 +489,7 @@ def run_channel_unit(
         samples, _ = zap_time_values(
             result.metrics.outcomes, horizon=result.metrics.horizon
         )
-        unit[algorithm] = asdict(outcome)
+        unit[algorithm] = to_json(outcome)
         aggregates[algorithm] = unit_aggregate(samples, outcome.unfinished)
     unit["aggregates"] = aggregates
     return unit
@@ -530,7 +506,7 @@ def fold_units(plan: UniversePlan, units: Iterable[Mapping[str, Any]]) -> Univer
     aggregator = RepAggregator()
     for unit in units:
         for algorithm in PAIRED_ALGORITHMS:
-            outcome = ChannelOutcome(**unit[algorithm])
+            outcome = from_json(ChannelOutcome, unit[algorithm])
             outcomes[algorithm].append(outcome)
             aggregator.fold_unit(algorithm, outcome.decile, unit["aggregates"][algorithm])
     return UniverseRepResult(

@@ -608,9 +608,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     store = _resolve_store(args, required=True, existing=True)
     if args.store_command == "ls":
+        from repro.records import to_json
+
         kind = "pair" if args.kind == "run" else args.kind
         entries = store.entries(kind=kind, limit=args.limit)
-        return _emit_rows(args, [entry.as_row() for entry in entries],
+        return _emit_rows(args, [to_json(entry) for entry in entries],
                           empty=f"(store at {store.root} is empty)")
     if args.store_command == "migrate":
         from repro.experiments.store import migrate_store, open_store
@@ -649,9 +651,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_pair
+    from repro.records import to_json
 
     pair = run_pair(_session_config(args))
-    row = pair.comparison().as_dict()
+    row = to_json(pair.comparison())
     region_rows = []
     if args.topology:
         from repro.metrics.net import region_comparison_rows
@@ -694,7 +697,9 @@ def _cmd_net(args: argparse.Namespace) -> int:
         return _emit_rows(args, rows)
     topology = get_topology(args.name)
     if args.json:
-        print(json.dumps(topology.to_dict(), indent=2))
+        from repro.records import to_json
+
+        print(json.dumps(to_json(topology), indent=2))
         return 0
     print(f"topology: {topology.name} -- {topology.description}")
     print(f"locality_bias: {topology.locality_bias}")

@@ -20,7 +20,7 @@ times comparable without needing cost estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.channels.universe import UniverseSpec
 
@@ -33,15 +33,6 @@ class ShardUnit:
 
     rep_seed: int
     channel: int
-
-    def to_dict(self) -> Dict[str, int]:
-        """JSON-friendly form (journal records)."""
-        return {"rep_seed": self.rep_seed, "channel": self.channel}
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, int]) -> "ShardUnit":
-        """Rebuild from :meth:`to_dict` output."""
-        return ShardUnit(rep_seed=int(payload["rep_seed"]), channel=int(payload["channel"]))
 
 
 @dataclass(frozen=True)

@@ -110,12 +110,11 @@ def _run_shard_task(
     spec = UniverseSpec.from_dict(payload["spec"])
     units: List[Dict[str, Any]] = []
     for unit in payload["units"]:
-        rep_seed = int(unit["rep_seed"])
-        channel = int(unit["channel"])
-        heartbeat(f"rep{rep_seed}/ch{channel}")
+        heartbeat(f"rep{unit.rep_seed}/ch{unit.channel}")
         units.append(
             run_channel_unit(
-                _planned(spec, rep_seed), channel, compute_engine=payload["compute_engine"]
+                _planned(spec, unit.rep_seed), unit.channel,
+                compute_engine=payload["compute_engine"],
             )
         )
     return {"units": units}
@@ -240,7 +239,7 @@ class ShardedExecutor:
             shard_id: {
                 "spec": self.plan.spec.to_dict(),
                 "compute_engine": self.compute_engine,
-                "units": [u.to_dict() for u in units],
+                "units": units,
             }
             for shard_id, units in needed.items()
             if shard_id not in journaled

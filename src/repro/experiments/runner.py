@@ -25,10 +25,10 @@ from repro.experiments.store import (
     config_to_dict,
     pair_fingerprint,
     replay_or_execute,
-    session_result_from_dict,
     session_result_to_dict,
 )
 from repro.metrics.report import ComparisonRow, compare_metrics
+from repro.records import from_json
 from repro.streaming.config import SessionConfig, SessionResult
 
 __all__ = ["run_single", "PairedRunResult", "run_pair"]
@@ -89,8 +89,8 @@ def run_pairs(
         "pair",
         keys,
         decode=lambda document: PairedRunResult(
-            normal=session_result_from_dict(document["normal"]),
-            fast=session_result_from_dict(document["fast"]),
+            normal=from_json(SessionResult, document["normal"]),
+            fast=from_json(SessionResult, document["fast"]),
         ),
         execute=execute or (lambda pending: (_simulate_pair(configs[i]) for i in pending)),
         encode=lambda index, pair, _net_key: {

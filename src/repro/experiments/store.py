@@ -17,8 +17,8 @@ the store
     A key -> document map (:class:`BaseResultStore`: ``load`` / ``save`` /
     ``documents`` / ``keys`` / ``entries`` / ``delete`` / ``clear``) with two
     backends.  It stamps the envelope and checks a document's kind; what a
-    document means is its callers' business, and the codecs are functions
-    (``session_result_to/from_dict``, ``sweep_to/from_dict``, ...).
+    document means is its callers' business, and the records in it go
+    through the one codec, :mod:`repro.records`.
 
 the table of kinds
     :data:`KINDS`: ``pair`` (one paired comparison, both full
@@ -57,7 +57,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import (
@@ -74,10 +74,8 @@ from typing import (
     TypeVar,
 )
 
-from repro.churn.model import ChurnConfig
-from repro.metrics.report import metrics_from_dict, metrics_to_dict
 from repro.obs.telemetry import get_telemetry
-from repro.streaming.segment import SwitchPlan
+from repro.records import to_json
 from repro.streaming.config import SessionConfig, SessionResult
 
 if TYPE_CHECKING:
@@ -89,16 +87,12 @@ __all__ = [
     "code_version",
     "stable_hash",
     "config_to_dict",
-    "config_from_dict",
     "pair_fingerprint",
     "sweep_fingerprint",
     "net_fingerprint",
     "telemetry_fingerprint",
     "persist_telemetry_document",
     "session_result_to_dict",
-    "session_result_from_dict",
-    "sweep_to_dict",
-    "sweep_from_dict",
     "StoreEntry",
     "BaseResultStore",
     "ResultStore",
@@ -151,42 +145,19 @@ def default_results_dir() -> Optional[str]:
 # --------------------------------------------------------------------------- #
 # configuration serialisation and fingerprints
 # --------------------------------------------------------------------------- #
-def _fields_dict(record: Any) -> Dict[str, Any]:
-    """A dataclass as a dict of its fields' values, field by field (no copies)."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
-
-
 def config_to_dict(config: SessionConfig) -> Dict[str, Any]:
     """JSON-friendly dictionary form of a :class:`SessionConfig`.
 
     The execution engine is stripped: like the worker count it is an
     execution detail, not an experiment parameter -- the vector engine is
     bit-identical to the oracle (enforced by the differential suite), so
-    documents and fingerprints must not depend on which engine ran.
-
-    Equal to ``dataclasses.asdict`` minus ``engine``, without its deep copy:
-    every field is a scalar except the churn model and the peer classes,
-    which become dicts (the classes a tuple of them).
+    documents and fingerprints must not depend on which engine ran.  The
+    rest is :func:`~repro.records.to_json`; ``from_json`` reads it back
+    with the default engine.
     """
-    payload = _fields_dict(config)
+    payload = to_json(config)
     del payload["engine"]
-    payload["churn"] = _fields_dict(config.churn)
-    payload["peer_classes"] = tuple(_fields_dict(cls) for cls in config.peer_classes)
     return payload
-
-
-def config_from_dict(payload: Mapping[str, Any]) -> SessionConfig:
-    """Rebuild a :class:`SessionConfig` from :func:`config_to_dict` output."""
-    data = dict(payload)
-    churn = data.pop("churn", None)
-    if churn is not None:
-        data["churn"] = ChurnConfig(**dict(churn))
-    classes = data.pop("peer_classes", None)
-    if classes:
-        from repro.streaming.bandwidth import PeerClass
-
-        data["peer_classes"] = tuple(PeerClass(**dict(cls)) for cls in classes)
-    return SessionConfig(**data)
 
 
 def stable_hash(payload: Mapping[str, Any]) -> str:
@@ -232,21 +203,21 @@ def persist_net_document(store: "BaseResultStore", topology_name: str) -> Option
 
     topology = get_topology(topology_name)
     key = net_fingerprint(topology)
-    store.save(key, {"kind": "net", "topology": topology.to_dict()})
+    store.save(key, {"kind": "net", "topology": to_json(topology)})
     return key
 
 
 def net_fingerprint(topology: "NetTopology", *, version: Optional[str] = None) -> str:
     """Stable store key of one network-topology configuration.
 
-    Covers the complete topology (dict round trip), the schema and the
-    code version.  Every run executed over a latency fabric persists its
-    topology as a ``net-*`` document under this key, so a stored
-    ``universe-*``/``workload-*``/``pair`` result can always be traced
-    back to -- and replayed against -- the exact region model that
+    Covers the complete topology (its :func:`~repro.records.to_json`), the
+    schema and the code version.  Every run executed over a latency fabric
+    persists its topology as a ``net-*`` document under this key, so a
+    stored ``universe-*``/``workload-*``/``pair`` result can always be
+    traced back to -- and replayed against -- the exact region model that
     produced it.
     """
-    return _fingerprint("net", version, topology=topology.to_dict())
+    return _fingerprint("net", version, topology=to_json(topology))
 
 
 def pair_fingerprint(config: SessionConfig, *, version: Optional[str] = None) -> str:
@@ -333,64 +304,11 @@ def persist_telemetry_document(
 # result serialisation
 # --------------------------------------------------------------------------- #
 def session_result_to_dict(result: SessionResult) -> Dict[str, Any]:
-    """JSON-friendly dictionary form of a full :class:`SessionResult`."""
-    return {
-        "config": config_to_dict(result.config),
-        "metrics": metrics_to_dict(result.metrics),
-        "switch_plan": asdict(result.switch_plan),
-        "n_peers": result.n_peers,
-        "n_rounds": result.n_rounds,
-        "average_degree": result.average_degree,
-        "overhead_ratio": result.overhead_ratio,
-        "overhead_series": [[t, v] for t, v in result.overhead_series],
-        "wallclock_seconds": result.wallclock_seconds,
-        "stop_reason": result.stop_reason,
-        "fabric_stats": dict(result.fabric_stats),
-    }
-
-
-def session_result_from_dict(payload: Mapping[str, Any]) -> SessionResult:
-    """Rebuild a :class:`SessionResult` from :func:`session_result_to_dict`."""
-    return SessionResult(
-        config=config_from_dict(payload["config"]),
-        metrics=metrics_from_dict(payload["metrics"]),
-        switch_plan=SwitchPlan(**dict(payload["switch_plan"])),
-        n_peers=int(payload["n_peers"]),
-        n_rounds=int(payload["n_rounds"]),
-        average_degree=float(payload["average_degree"]),
-        overhead_ratio=float(payload["overhead_ratio"]),
-        overhead_series=[(float(t), float(v)) for t, v in payload["overhead_series"]],
-        wallclock_seconds=float(payload["wallclock_seconds"]),
-        stop_reason=str(payload["stop_reason"]),
-        fabric_stats={
-            str(k): float(v) for k, v in payload.get("fabric_stats", {}).items()
-        },
-    )
-
-
-def sweep_to_dict(sweep: "SizeSweepResult") -> Dict[str, Any]:
-    """JSON-friendly dictionary form of a :class:`SizeSweepResult`."""
-    return {
-        "dynamic": sweep.dynamic,
-        "seed": sweep.seed,
-        "points": [asdict(point) for point in sweep.points],
-    }
-
-
-def sweep_from_dict(payload: Mapping[str, Any]) -> "SizeSweepResult":
-    """Rebuild a :class:`SizeSweepResult` from :func:`sweep_to_dict` output.
-
-    The round trip is exact: the rebuilt object compares equal to the
-    original (all fields are ints and floats, which ``json`` preserves
-    bit-identically).
-    """
-    from repro.experiments.sweeps import SizeSweepResult, SweepPoint
-
-    return SizeSweepResult(
-        dynamic=bool(payload["dynamic"]),
-        seed=int(payload["seed"]),
-        points=tuple(SweepPoint(**dict(point)) for point in payload["points"]),
-    )
+    """JSON-friendly dictionary form of a full :class:`SessionResult`: its
+    :func:`~repro.records.to_json`, the config as :func:`config_to_dict`."""
+    payload = to_json(result)
+    del payload["config"]["engine"]
+    return payload
 
 
 def _describe_pair(document: Mapping[str, Any]) -> str:
@@ -461,25 +379,15 @@ def _describe(document: Mapping[str, Any]) -> str:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class StoreEntry:
-    """Summary of one stored document (what ``store ls`` prints)."""
+    """Summary of one stored document (what ``store ls`` prints, field by
+    field in this order)."""
 
     key: str
     kind: str
     created: str
     code_version: str
-    description: str
     size_bytes: int
-
-    def as_row(self) -> Dict[str, object]:
-        """Dictionary form used for table printing."""
-        return {
-            "key": self.key,
-            "kind": self.kind,
-            "created": self.created,
-            "code_version": self.code_version,
-            "size_bytes": self.size_bytes,
-            "description": self.description,
-        }
+    description: str
 
 
 class BaseResultStore:

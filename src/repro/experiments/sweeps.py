@@ -34,10 +34,9 @@ from repro.experiments.store import (
     BaseResultStore,
     pair_fingerprint,
     sweep_fingerprint,
-    sweep_from_dict,
-    sweep_to_dict,
 )
 from repro.metrics.report import reduction_ratio
+from repro.records import from_json, to_json
 
 __all__ = ["SweepPoint", "SizeSweepResult", "run_size_sweep", "clear_sweep_cache"]
 
@@ -222,7 +221,7 @@ def run_size_sweep(
         )
         stored = store.load(sweep_key, "sweep")
         if stored is not None:
-            return sweep_from_dict(stored["sweep"])
+            return from_json(SizeSweepResult, stored["sweep"])
 
     def execute(pending: List[int]) -> Iterator[PairedRunResult]:
         import repro.streaming.session  # noqa: F401 - forked workers inherit the simulator
@@ -248,7 +247,7 @@ def run_size_sweep(
                 "repetitions": int(repetitions),
                 "overrides": {k: str(v) for k, v in sorted(overrides.items())},
             },
-            "sweep": sweep_to_dict(sweep),
+            "sweep": to_json(sweep),
         })
     if memo_key is not None:
         _sweep_memo[memo_key] = sweep

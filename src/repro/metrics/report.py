@@ -1,20 +1,18 @@
-"""Result comparison, plain-text tables and metric serialisation.
+"""Result comparison and plain-text tables.
 
 The benchmark harness prints, for every figure it regenerates, the same
 rows/series the paper reports.  This module provides the small amount of
 shared formatting machinery: pairwise comparison of a fast-switch run with
 a normal-switch run (reduction ratio, Figure 7/11) and fixed-width text
-tables.  It also owns the JSON-friendly (de)serialisation of
-:class:`~repro.metrics.collectors.SwitchMetrics`, used by the persistent
-result store (:mod:`repro.experiments.store`).
+tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Sequence
 
-from repro.metrics.collectors import PeerOutcome, RoundSample, SwitchMetrics
+from repro.metrics.collectors import SwitchMetrics
 
 __all__ = [
     "mean_of",
@@ -22,8 +20,6 @@ __all__ = [
     "ComparisonRow",
     "compare_metrics",
     "format_table",
-    "metrics_to_dict",
-    "metrics_from_dict",
 ]
 
 
@@ -58,20 +54,6 @@ class ComparisonRow:
     normal_overhead: float
     fast_overhead: float
 
-    def as_dict(self) -> Mapping[str, float | int | str]:
-        """Dictionary form (used by the CLI's machine-readable output)."""
-        return {
-            "label": self.label,
-            "n_peers": self.n_peers,
-            "normal_finish_old": self.normal_finish_old,
-            "fast_finish_old": self.fast_finish_old,
-            "fast_prepare_new": self.fast_prepare_new,
-            "normal_prepare_new": self.normal_prepare_new,
-            "switch_time_reduction": self.switch_time_reduction,
-            "normal_overhead": self.normal_overhead,
-            "fast_overhead": self.fast_overhead,
-        }
-
 
 def compare_metrics(
     label: str,
@@ -90,24 +72,6 @@ def compare_metrics(
         normal_overhead=normal.overhead_ratio,
         fast_overhead=fast.overhead_ratio,
     )
-
-
-def metrics_to_dict(metrics: SwitchMetrics) -> Dict[str, Any]:
-    """JSON-friendly dictionary form of a :class:`SwitchMetrics` summary.
-
-    The nested :class:`RoundSample` and :class:`PeerOutcome` records become
-    plain dictionaries; :func:`metrics_from_dict` restores the exact
-    original (floats round-trip bit-identically through ``json``).
-    """
-    return asdict(metrics)
-
-
-def metrics_from_dict(payload: Mapping[str, Any]) -> SwitchMetrics:
-    """Rebuild a :class:`SwitchMetrics` from :func:`metrics_to_dict` output."""
-    data = dict(payload)
-    data["rounds"] = [RoundSample(**dict(sample)) for sample in data.get("rounds", [])]
-    data["outcomes"] = [PeerOutcome(**dict(outcome)) for outcome in data.get("outcomes", [])]
-    return SwitchMetrics(**data)
 
 
 def format_table(

@@ -10,8 +10,8 @@ loss characteristics -- and quotes a square matrix of one-way backbone
 latencies between them (the diagonal is the intra-region backbone).
 
 Topologies are frozen, validated on construction and round-trip exactly
-through :meth:`NetTopology.to_dict` / :meth:`NetTopology.from_dict`; the
-persistent result store fingerprints that dictionary form as ``net-*``
+through :func:`~repro.records.to_json` / :func:`~repro.records.from_json`;
+the persistent result store fingerprints that dictionary form as ``net-*``
 documents, so a changed matrix can never replay a stale result.
 
 Examples
@@ -23,14 +23,15 @@ Examples
 ... )
 >>> topo.base_latency_ms("east", "west")
 80.0
->>> NetTopology.from_dict(topo.to_dict()) == topo
+>>> from repro.records import from_json, to_json
+>>> from_json(NetTopology, to_json(topo)) == topo
 True
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 __all__ = ["Region", "NetTopology"]
 
@@ -170,27 +171,3 @@ class NetTopology:
     def base_latency_ms(self, src: str, dst: str) -> float:
         """One-way backbone latency between two named regions."""
         return self.latency_ms[self.region_index(src)][self.region_index(dst)]
-
-    # ------------------------------------------------------------------ #
-    # dict round trip (store fingerprinting)
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly dictionary form; see :meth:`from_dict`."""
-        return {
-            "name": self.name,
-            "regions": [asdict(region) for region in self.regions],
-            "latency_ms": [list(row) for row in self.latency_ms],
-            "locality_bias": self.locality_bias,
-            "description": self.description,
-        }
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, Any]) -> "NetTopology":
-        """Rebuild a topology from :meth:`to_dict` output (exact round trip)."""
-        return NetTopology(
-            name=str(payload["name"]),
-            regions=tuple(Region(**dict(region)) for region in payload["regions"]),
-            latency_ms=tuple(tuple(row) for row in payload["latency_ms"]),
-            locality_bias=float(payload.get("locality_bias", 1.0)),
-            description=str(payload.get("description", "")),
-        )

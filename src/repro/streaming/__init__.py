@@ -49,13 +49,13 @@ __getattr__, __dir__, __all__ = lazy_hub(__name__, {
     "buffer_map_bits": "repro.streaming.buffermap",
     "BandwidthProfile": "repro.streaming.bandwidth",
     "OutboundLedger": "repro.streaming.bandwidth",
-    "PeerClass": "repro.streaming.bandwidth",
     "draw_class_indices": "repro.streaming.bandwidth",
     "sample_rates": "repro.streaming.bandwidth",
     "PlaybackState": "repro.streaming.playback",
     "SourceNode": "repro.streaming.source",
     "PeerNode": "repro.streaming.peer",
     "SwitchSession": "repro.streaming.session",
+    "PeerClass": "repro.streaming.config",
     "SessionResult": "repro.streaming.config",
     "PeriodDirective": "repro.streaming.config",
     "build_session_overlay": "repro.streaming.session",

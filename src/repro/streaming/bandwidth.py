@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Sequence
 
+from repro.streaming.config import PeerClass
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -53,76 +55,6 @@ class BandwidthProfile:
     def __post_init__(self) -> None:
         if self.inbound < 0 or self.outbound < 0:
             raise ValueError("bandwidth rates must be non-negative")
-
-
-@dataclass(frozen=True)
-class PeerClass:
-    """A named bandwidth class peers are drawn from (ADSL, cable, fiber, ...).
-
-    The paper assigns every peer the same skewed rate distribution; real
-    IPTV populations are mixtures of access technologies.  A workload can
-    declare a set of classes with relative ``fraction`` weights; each peer
-    is assigned a class at setup (and joiners at join time) and samples its
-    inbound/outbound rates from that class's distribution via
-    :func:`sample_rates`.
-
-    Attributes
-    ----------
-    name:
-        Class label (appears in per-class metrics).
-    fraction:
-        Relative weight of this class in the population (weights are
-        normalised over the declared classes; they need not sum to 1).
-    inbound_low / inbound_high / inbound_mean:
-        Inbound rate distribution parameters, in segments/second.
-    outbound_low / outbound_high / outbound_mean:
-        Outbound rate distribution parameters, in segments/second.
-    region:
-        Optional network-region pin: when the session runs on a latency
-        fabric whose topology names this region, every member of the class
-        lives there (ADSL in the exurbs, fiber downtown ...).  Empty keeps
-        the topology's weighted-random assignment; the pin is ignored by
-        the ideal fabric.
-    """
-
-    name: str
-    fraction: float
-    inbound_low: float
-    inbound_high: float
-    inbound_mean: float
-    outbound_low: float
-    outbound_high: float
-    outbound_mean: float
-    region: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("peer class needs a non-empty name")
-        if self.fraction <= 0:
-            raise ValueError(f"fraction must be positive, got {self.fraction}")
-        for low, high, mean, side in (
-            (self.inbound_low, self.inbound_high, self.inbound_mean, "inbound"),
-            (self.outbound_low, self.outbound_high, self.outbound_mean, "outbound"),
-        ):
-            if not (low < mean < high):
-                raise ValueError(
-                    f"{side} mean must lie strictly between low and high "
-                    f"for class {self.name!r}, got {low}/{mean}/{high}"
-                )
-
-    def sample_inbound(self, rng: np.random.Generator) -> float:
-        """One inbound rate draw from this class's distribution."""
-        return float(
-            sample_rates(1, rng, low=self.inbound_low, high=self.inbound_high,
-                         mean=self.inbound_mean)[0]
-        )
-
-    def sample_outbound(self, rng: np.random.Generator) -> float:
-        """One outbound rate draw from this class's distribution."""
-        return float(
-            sample_rates(1, rng, low=self.outbound_low, high=self.outbound_high,
-                         mean=self.outbound_mean)[0]
-        )
 
 
 def draw_class_indices(

@@ -88,11 +88,12 @@ class BufferMapSnapshot(NeighbourView):
         one new-source segment); ``None`` otherwise.  This mirrors the
         paper's rule that a node learns about the switch by *discovering
         data segments of a new source at its neighbours*.
-    wire_bits:
-        Size of the exchanged message in bits (for the overhead metric).
+
+    The wire size of the exchange is :func:`buffer_map_bits`, charged by
+    the session per pull.
     """
 
-    __slots__ = ("switch_info", "wire_bits")
+    __slots__ = ("switch_info",)
 
     def __init__(
         self,
@@ -102,13 +103,11 @@ class BufferMapSnapshot(NeighbourView):
         buffer_capacity: int = 600,
         send_rate: float = 0.0,
         switch_info: Optional[Tuple[int, int]] = None,
-        wire_bits: int = 620,
         *,
         bits: Optional[int] = None,
     ) -> None:
         super().__init__(owner_id, send_rate, available, positions, buffer_capacity, bits=bits)
         self.switch_info = switch_info
-        self.wire_bits = wire_bits
 
     @property
     def owner_id(self) -> int:
@@ -123,8 +122,6 @@ def snapshot_buffer(
     *,
     send_rate: float,
     switch_info: Optional[Tuple[int, int]] = None,
-    advertised_capacity: Optional[int] = None,
-    wire_bits: Optional[int] = None,
 ) -> BufferMapSnapshot:
     """Build a :class:`BufferMapSnapshot` of ``buffer`` for the given windows.
 
@@ -143,33 +140,22 @@ def snapshot_buffer(
         Advertised sending rate ``R(j)`` towards the requesting peer.
     switch_info:
         ``(id_end, id_begin)`` if the owner can announce the switch.
-    advertised_capacity:
-        Buffer capacity ``B`` announced to the peer (for the rarity term).
-        Defaults to the buffer's real capacity; source nodes with unbounded
-        buffers advertise a very large value so their segments never look
-        endangered (a source never evicts its own stream).
-    wire_bits:
-        Wire size of the map message; defaults to the bitmap size for the
-        advertised capacity (sources advertise the standard peer bitmap so
-        overhead accounting matches the paper's 620-bit figure).
+
+    The snapshot advertises the buffer's capacity ``B`` (for the rarity
+    term); an unbounded source buffer advertises :data:`UNBOUNDED_CAPACITY`
+    so its segments never look endangered (a source never evicts its own
+    stream).
     """
     window = 0
     for lo, hi in windows:
         window |= range_mask(lo, hi)
     bits = buffer.bits & window
-    if advertised_capacity is None:
-        advertised_capacity = (
-            buffer.capacity if buffer.capacity is not None else UNBOUNDED_CAPACITY
-        )
-    if wire_bits is None:
-        reference = buffer.capacity if buffer.capacity is not None else 600
-        wire_bits = buffer_map_bits(reference)
+    capacity = buffer.capacity if buffer.capacity is not None else UNBOUNDED_CAPACITY
     return BufferMapSnapshot(
         owner_id=owner_id,
         bits=bits,
         positions=FifoPositions(buffer, bits),
-        buffer_capacity=advertised_capacity,
+        buffer_capacity=capacity,
         send_rate=send_rate,
         switch_info=switch_info,
-        wire_bits=wire_bits,
     )

@@ -1,13 +1,15 @@
 """The records of a switch session: what configures a run and what it returns.
 
 :class:`SessionConfig` (with :data:`ALGORITHM_FACTORIES`, :data:`ENGINE_NAMES`
-and :data:`DEFAULT_ENGINE`, which it validates against), the per-period
+and :data:`DEFAULT_ENGINE`, which it validates against), the bandwidth
+:class:`PeerClass` it draws peers from, the per-period
 :class:`PeriodDirective` and :class:`SessionResult` are plain data.  The
 experiment configurations, the result store and the figure and report
 commands need them without ever running a simulation, so they live in this
 *leaf* module: it imports only other leaves (the churn model, the two switch
 algorithms, the metric records and segment arithmetic; the topology library
-only to validate a named topology) and never the machine that consumes them,
+only to validate a named topology, the rate sampler only to draw a class's
+rates) and never the machine that consumes them,
 :mod:`repro.streaming.session` -- which imports the records back, so
 ``from repro.streaming.session import SessionConfig`` keeps resolving.
 """
@@ -25,9 +27,10 @@ from repro.metrics.collectors import SwitchMetrics
 from repro.streaming.segment import SwitchPlan
 
 if TYPE_CHECKING:
-    from repro.streaming.bandwidth import PeerClass
+    import numpy as np
 
 __all__ = [
+    "PeerClass",
     "SessionConfig",
     "SessionResult",
     "PeriodDirective",
@@ -52,6 +55,80 @@ ENGINE_NAMES: Tuple[str, ...] = ("oracle", "vector")
 #: against.  Runner, workloads, universe shards, report sweeps and the CLI
 #: all inherit this one name.
 DEFAULT_ENGINE: str = "vector"
+
+
+@dataclass(frozen=True)
+class PeerClass:
+    """A named bandwidth class peers are drawn from (ADSL, cable, fiber, ...).
+
+    The paper assigns every peer the same skewed rate distribution; real
+    IPTV populations are mixtures of access technologies.  A workload can
+    declare a set of classes with relative ``fraction`` weights; each peer
+    is assigned a class at setup (and joiners at join time) and samples its
+    inbound/outbound rates from that class's distribution via
+    :func:`~repro.streaming.bandwidth.sample_rates`.
+
+    Attributes
+    ----------
+    name:
+        Class label (appears in per-class metrics).
+    fraction:
+        Relative weight of this class in the population (weights are
+        normalised over the declared classes; they need not sum to 1).
+    inbound_low / inbound_high / inbound_mean:
+        Inbound rate distribution parameters, in segments/second.
+    outbound_low / outbound_high / outbound_mean:
+        Outbound rate distribution parameters, in segments/second.
+    region:
+        Optional network-region pin: when the session runs on a latency
+        fabric whose topology names this region, every member of the class
+        lives there (ADSL in the exurbs, fiber downtown ...).  Empty keeps
+        the topology's weighted-random assignment; the pin is ignored by
+        the ideal fabric.
+    """
+
+    name: str
+    fraction: float
+    inbound_low: float
+    inbound_high: float
+    inbound_mean: float
+    outbound_low: float
+    outbound_high: float
+    outbound_mean: float
+    region: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ValueError("peer class needs a non-empty name")
+        if self.fraction <= 0:
+            raise ValueError(f"fraction must be positive, got {self.fraction}")
+        for low, high, mean, side in (
+            (self.inbound_low, self.inbound_high, self.inbound_mean, "inbound"),
+            (self.outbound_low, self.outbound_high, self.outbound_mean, "outbound"),
+        ):
+            if not (low < mean < high):
+                raise ValueError(
+                    f"{side} mean must lie strictly between low and high "
+                    f"for class {self.name!r}, got {low}/{mean}/{high}"
+                )
+
+    def sample_inbound(self, rng: np.random.Generator) -> float:
+        """One inbound rate draw from this class's distribution."""
+        from repro.streaming.bandwidth import sample_rates
+
+        return float(
+            sample_rates(1, rng, low=self.inbound_low, high=self.inbound_high,
+                         mean=self.inbound_mean)[0]
+        )
+
+    def sample_outbound(self, rng: np.random.Generator) -> float:
+        """One outbound rate draw from this class's distribution."""
+        from repro.streaming.bandwidth import sample_rates
+
+        return float(
+            sample_rates(1, rng, low=self.outbound_low, high=self.outbound_high,
+                         mean=self.outbound_mean)[0]
+        )
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from repro._hub import lazy_hub
 __getattr__, __dir__, __all__ = lazy_hub(__name__, {
     "WorkloadSpec": "repro.workloads.spec",
     "Phase": "repro.workloads.spec",
-    "PeerClass": "repro.streaming.bandwidth",
+    "PeerClass": "repro.streaming.config",
     "compile_workload": "repro.workloads.schedule",
     "WorkloadSchedule": "repro.workloads.schedule",
     "SegmentPlan": "repro.workloads.schedule",

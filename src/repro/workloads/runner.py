@@ -28,8 +28,8 @@ per-phase continuity/stalls and per-class switch-time percentiles.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import make_session_config
 from repro.experiments.store import BaseResultStore, _fingerprint, replay_or_execute
@@ -43,6 +43,7 @@ from repro.metrics.qoe import (
     phase_qoe,
 )
 from repro.metrics.report import mean_of, reduction_ratio
+from repro.records import from_json, to_json
 from repro.sim.rng import derive_seed
 from repro.streaming.session import (
     SessionConfig,
@@ -230,7 +231,7 @@ def _class_stats(outcome: SwitchOutcome, label: str) -> Optional[ClassSwitchStat
 
 
 # --------------------------------------------------------------------------- #
-# fingerprints and serialisation
+# fingerprints
 # --------------------------------------------------------------------------- #
 def workload_fingerprint(
     spec: WorkloadSpec, seed: int, *, version: Optional[str] = None
@@ -242,43 +243,6 @@ def workload_fingerprint(
     population, the simulator or the store layout rotates the key.
     """
     return _fingerprint("workload", version, spec=spec.to_dict(), seed=int(seed))
-
-
-def switch_outcome_to_dict(outcome: SwitchOutcome) -> Dict[str, Any]:
-    """JSON-friendly dictionary form of a :class:`SwitchOutcome`."""
-    return asdict(outcome)
-
-
-def switch_outcome_from_dict(payload: Mapping[str, Any]) -> SwitchOutcome:
-    """Rebuild a :class:`SwitchOutcome` (exact float round trip)."""
-    data = dict(payload)
-    data["per_phase"] = tuple(PhaseQoE(**dict(q)) for q in data.get("per_phase", []))
-    data["per_class"] = tuple(
-        ClassSwitchStats(**dict(s)) for s in data.get("per_class", [])
-    )
-    return SwitchOutcome(**data)
-
-
-def rep_to_dict(rep: WorkloadRepResult) -> Dict[str, Any]:
-    """JSON-friendly dictionary form of a :class:`WorkloadRepResult`."""
-    return {
-        "workload": rep.workload,
-        "seed": rep.seed,
-        "n_nodes": rep.n_nodes,
-        "normal": [switch_outcome_to_dict(o) for o in rep.normal],
-        "fast": [switch_outcome_to_dict(o) for o in rep.fast],
-    }
-
-
-def rep_from_dict(payload: Mapping[str, Any]) -> WorkloadRepResult:
-    """Rebuild a :class:`WorkloadRepResult` from :func:`rep_to_dict` output."""
-    return WorkloadRepResult(
-        workload=str(payload["workload"]),
-        seed=int(payload["seed"]),
-        n_nodes=int(payload["n_nodes"]),
-        normal=tuple(switch_outcome_from_dict(o) for o in payload["normal"]),
-        fast=tuple(switch_outcome_from_dict(o) for o in payload["fast"]),
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -460,14 +424,14 @@ def run_workload(
         store,
         "workload",
         keys,
-        decode=lambda document: rep_from_dict(document["rep"]),
+        decode=lambda document: from_json(WorkloadRepResult, document["rep"]),
         execute=execute,
         encode=lambda index, rep, net_key: {
             "workload": spec.name,
             "seed": rep_seeds[index],
             "n_nodes": spec.n_nodes,
             "spec": spec.to_dict(),
-            "rep": rep_to_dict(rep),
+            "rep": to_json(rep),
             **({} if net_key is None else {"net_key": net_key}),
         },
         topology=str(spec.overrides_dict().get("topology", "")),

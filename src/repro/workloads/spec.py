@@ -38,10 +38,11 @@ True
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.streaming.bandwidth import PeerClass
+from repro.records import from_json, to_json
+from repro.streaming.config import PeerClass
 
 __all__ = ["Phase", "PeerClass", "WorkloadSpec"]
 
@@ -203,34 +204,15 @@ class WorkloadSpec:
     # dict round trip (store fingerprinting)
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly dictionary form; see :meth:`from_dict`."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "n_nodes": self.n_nodes,
-            "phases": [asdict(phase) for phase in self.phases],
-            "peer_classes": [asdict(cls) for cls in self.peer_classes],
-            "tau": self.tau,
-            "base_leave_fraction": self.base_leave_fraction,
-            "base_join_fraction": self.base_join_fraction,
-            "session_overrides": {k: v for k, v in self.session_overrides},
-        }
+        """JSON-friendly dictionary form; see :meth:`from_dict`.
+
+        The record's :func:`~repro.records.to_json`, except that the
+        overrides are a dict -- the form the fingerprints hash.
+        """
+        return {**to_json(self), "session_overrides": dict(self.session_overrides)}
 
     @staticmethod
     def from_dict(payload: Mapping[str, Any]) -> "WorkloadSpec":
         """Rebuild a spec from :meth:`to_dict` output (exact round trip)."""
-        return WorkloadSpec(
-            name=str(payload["name"]),
-            description=str(payload["description"]),
-            n_nodes=int(payload["n_nodes"]),
-            phases=tuple(Phase(**dict(phase)) for phase in payload["phases"]),
-            peer_classes=tuple(
-                PeerClass(**dict(cls)) for cls in payload.get("peer_classes", [])
-            ),
-            tau=float(payload.get("tau", 1.0)),
-            base_leave_fraction=float(payload.get("base_leave_fraction", 0.0)),
-            base_join_fraction=float(payload.get("base_join_fraction", 0.0)),
-            session_overrides=tuple(
-                sorted(dict(payload.get("session_overrides", {})).items())
-            ),
-        )
+        overrides = tuple(payload.get("session_overrides", {}).items())
+        return from_json(WorkloadSpec, {**payload, "session_overrides": overrides})

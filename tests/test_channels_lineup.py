@@ -5,6 +5,7 @@ import pytest
 
 from repro.channels.lineup import Channel, ChannelLineup, zipf_weights
 from repro.metrics.universe import decile_of
+from repro.records import from_json, to_json
 
 
 class TestZipfWeights:
@@ -65,7 +66,7 @@ class TestLineupBuild:
 
     def test_dict_round_trip(self):
         lineup = ChannelLineup.build(6, 90)
-        assert ChannelLineup.from_dict(lineup.to_dict()) == lineup
+        assert from_json(ChannelLineup, to_json(lineup)) == lineup
 
     def test_popularity_array_matches_channels(self):
         lineup = ChannelLineup.build(6, 120)

@@ -7,20 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.channels.runner import (
-    rep_from_dict,
-    rep_to_dict,
-    run_universe,
-    universe_fingerprint,
-)
+from repro.channels.runner import run_universe, universe_fingerprint
 from repro.channels.universe import (
     ChannelOutcome,
+    UniverseRepResult,
     UniverseSpec,
     plan_universe,
     run_channel_unit,
     run_universe_rep,
 )
 from repro.experiments.store import MissingResultError, ResultStore
+from repro.records import from_json
 from repro.sim.rng import RandomStreams
 from repro.streaming.session import SwitchSession
 
@@ -161,14 +158,17 @@ class TestExecution:
             assert fast.mean_zap_time > 0
             assert 0.0 <= fast.continuity <= 1.0
 
-    def test_rep_dict_round_trip(self):
-        rep = run_universe_rep(TINY, 1)
-        # The dict forms cover the raw outcome table only: the streaming
+    def test_rep_dict_round_trip(self, tmp_path):
+        store = ResultStore(tmp_path)
+        (rep,) = run_universe(TINY, seed=1, store=store).reps
+        # The stored rep covers the raw outcome table only: the streaming
         # aggregate block persists as a store-document sibling, not inside
-        # the rep payload, so the round trip reconstructs it as None.
+        # the rep payload, so the rep block decodes with it None.
         assert rep.aggregates is not None
-        restored = rep_from_dict(rep_to_dict(rep))
-        assert restored.aggregates is None
+        document = store.load(universe_fingerprint(TINY, 1), "universe")
+        assert "aggregates" not in document["rep"]
+        assert document["aggregates"] == rep.aggregates
+        restored = from_json(UniverseRepResult, document["rep"])
         assert restored == replace(rep, aggregates=None)
 
 

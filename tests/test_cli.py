@@ -415,10 +415,11 @@ def test_net_show_prints_matrix(capsys):
 def test_net_show_json_round_trips(capsys):
     from repro.net.library import get_topology
     from repro.net.topology import NetTopology
+    from repro.records import from_json
 
     assert main(["net", "show", "metro", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert NetTopology.from_dict(payload) == get_topology("metro")
+    assert from_json(NetTopology, payload) == get_topology("metro")
 
 
 def test_run_command_with_topology_reports_net_stats(capsys):

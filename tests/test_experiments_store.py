@@ -20,22 +20,24 @@ from repro.experiments.store import (
     STORE_BACKENDS,
     MissingResultError,
     ResultStore,
-    config_from_dict,
     config_to_dict,
     migrate_store,
     net_fingerprint,
     open_store,
     pair_fingerprint,
-    session_result_from_dict,
     session_result_to_dict,
     sweep_fingerprint,
-    sweep_from_dict,
-    sweep_to_dict,
 )
-from repro.experiments.sweeps import clear_sweep_cache, run_size_sweep
+from repro.experiments.sweeps import SizeSweepResult, clear_sweep_cache, run_size_sweep
 from repro.net.library import get_topology, topology_names
-from repro.streaming.bandwidth import PeerClass
-from repro.streaming.config import DEFAULT_ENGINE, ENGINE_NAMES, SessionConfig
+from repro.records import from_json, to_json
+from repro.streaming.config import (
+    DEFAULT_ENGINE,
+    ENGINE_NAMES,
+    PeerClass,
+    SessionConfig,
+    SessionResult,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -80,7 +82,7 @@ OVERRIDES = {"max_time": 70.0, "old_stream_segments": 400, "lookahead": 120}
 # --------------------------------------------------------------------------- #
 def test_config_round_trips_through_dict():
     config = _tiny(dynamic=True)
-    rebuilt = config_from_dict(config_to_dict(config))
+    rebuilt = from_json(SessionConfig, config_to_dict(config))
     assert rebuilt == config
 
 
@@ -92,7 +94,10 @@ fraction = st.floats(min_value=0.0, max_value=1.0)
 def peer_classes(draw):
     classes = []
     for index in range(draw(st.integers(min_value=0, max_value=3))):
-        low, high = sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
+        # A gap of at least 1 keeps the midpoint strictly inside (low, high):
+        # two adjacent floats have no float between them.
+        low = draw(finite)
+        high = low + draw(st.floats(min_value=1.0, max_value=1e4))
         classes.append(PeerClass(
             name=f"class-{index}", fraction=draw(finite),
             inbound_low=low, inbound_high=high, inbound_mean=(low + high) / 2,
@@ -133,7 +138,9 @@ def test_config_to_dict_is_asdict_without_the_engine(config):
     expected = asdict(config)
     del expected["engine"]
     assert config_to_dict(config) == expected
-    assert config_from_dict(config_to_dict(config)) == replace(config, engine=DEFAULT_ENGINE)
+    assert from_json(SessionConfig, config_to_dict(config)) == replace(
+        config, engine=DEFAULT_ENGINE
+    )
 
 
 def test_pair_fingerprint_is_stable_and_algorithm_insensitive():
@@ -170,8 +177,8 @@ def test_sweep_fingerprint_covers_all_parameters():
 def test_session_result_round_trips_exactly():
     pair = run_pair(_tiny())
     for result in (pair.normal, pair.fast):
-        rebuilt = session_result_from_dict(
-            json.loads(json.dumps(session_result_to_dict(result)))
+        rebuilt = from_json(
+            SessionResult, json.loads(json.dumps(session_result_to_dict(result)))
         )
         assert rebuilt.config == result.config
         assert rebuilt.metrics == result.metrics
@@ -185,7 +192,7 @@ def test_session_result_round_trips_exactly():
 
 def test_sweep_round_trips_exactly_through_json():
     sweep = run_size_sweep([30, 36], seed=1, repetitions=2, overrides=OVERRIDES)
-    rebuilt = sweep_from_dict(json.loads(json.dumps(sweep_to_dict(sweep))))
+    rebuilt = from_json(SizeSweepResult, json.loads(json.dumps(to_json(sweep))))
     assert rebuilt == sweep  # bit-identical floats, exact dataclass equality
 
 
@@ -199,7 +206,7 @@ def test_store_save_load_pair(any_store):
     key = pair_fingerprint(config)
     loaded = store.load(key, "pair")
     assert loaded is not None
-    normal, fast = (session_result_from_dict(loaded[side]) for side in ("normal", "fast"))
+    normal, fast = (from_json(SessionResult, loaded[side]) for side in ("normal", "fast"))
     assert normal.metrics == pair.normal.metrics
     assert fast.metrics == pair.fast.metrics
 
@@ -323,7 +330,7 @@ def test_migrate_round_trips_losslessly(tmp_path):
     pair_key = next(key for key in sqlite.keys() if key.startswith("pair-"))
     loaded = sqlite.load(pair_key, "pair")
     assert loaded is not None
-    normal, fast = (session_result_from_dict(loaded[side]) for side in ("normal", "fast"))
+    normal, fast = (from_json(SessionResult, loaded[side]) for side in ("normal", "fast"))
     assert normal.metrics is not None and fast.metrics is not None
 
 

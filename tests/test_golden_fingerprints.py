@@ -19,17 +19,25 @@ they are independent of the package version string:
   leave behind (result payloads *and* the headers the runners assemble
   around them), on both backends.
 
+* **CLI output goldens** -- what ``--json`` commands print, in the order
+  they print it (the store goldens hash ``sort_keys`` documents, so they
+  cannot see key order).
+
 If a change rotates one of these on purpose (schema bump, intentional
 behaviour change), update the literal and say why in the commit message.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from conftest import normalized_run_document, strip_volatile
 
 import repro
+from repro.cli import main
 from repro.channels.runner import run_universe, universe_fingerprint
 from repro.experiments.config import make_session_config
 from repro.experiments.runner import run_pair
@@ -46,15 +54,11 @@ from repro.experiments.store import (
 from repro.experiments.sweeps import run_size_sweep
 from repro.net.library import get_topology
 from repro.obs.telemetry import telemetry_session
-from repro.streaming.bandwidth import PeerClass
+from repro.records import to_json
+from repro.streaming.config import PeerClass
 from repro.streaming.session import PeriodDirective, SwitchSession
 from repro.workloads.library import get_universe, get_workload
-from repro.workloads.runner import (
-    rep_to_dict,
-    run_workload,
-    run_workload_rep,
-    workload_fingerprint,
-)
+from repro.workloads.runner import run_workload, run_workload_rep, workload_fingerprint
 
 #: Frozen code-version stand-in: goldens must not rotate on version bumps.
 GOLDEN_VERSION = "golden-v1"
@@ -219,7 +223,7 @@ def test_probe_stream_content_golden(engine):
 
 def test_workload_document_content_golden():
     spec = get_workload("paper-baseline").scaled_to(30)
-    document = strip_volatile(rep_to_dict(run_workload_rep(spec, 3)))
+    document = strip_volatile(to_json(run_workload_rep(spec, 3)))
     assert stable_hash(document) == "552569faa595b110607eb560"
 
 
@@ -245,3 +249,52 @@ def test_store_content_golden(backend, tmp_path, monkeypatch):
         "net", "pair", "pair", "sweep", "universe", "workload",
     ]
     assert stable_hash(documents) == "9b5dc440a888f0ba5cccbcf8"
+
+
+# --------------------------------------------------------------------------- #
+# CLI --json output goldens (key order included)
+# --------------------------------------------------------------------------- #
+#: Printed fields that differ between runs or hosts: wall-clock time, the
+#: store path, store-write times and the document sizes that carry them.
+_VOLATILE_OUTPUT_KEYS = frozenset({"wallclock (s)", "results_dir", "created", "size_bytes"})
+
+
+def _stable_output(node):
+    if isinstance(node, dict):
+        return {k: _stable_output(v) for k, v in node.items() if k not in _VOLATILE_OUTPUT_KEYS}
+    if isinstance(node, list):
+        return [_stable_output(v) for v in node]
+    return node
+
+
+_SMALL = ["--seed", "2", "--max-time", "60"]
+_UNIVERSE = ["universe", "compare", "lineup-mini", "--channels", "3", "--viewers", "36",
+             "--results-dir", "{store}"]
+_SWEEP = ["sweep", "--sizes", "30", *_SMALL, "--results-dir", "{store}"]
+
+
+@pytest.mark.parametrize(
+    "commands,expected",
+    [
+        pytest.param([["net", "show", "metro"]], "9d8e77b16122077129861506", id="net-show"),
+        pytest.param([["run", "--n-nodes", "30", *_SMALL, "--topology", "metro"]],
+                     "d21af423dc1fcdde677e67cb", id="run-topology"),
+        pytest.param([["compare", "--n-nodes", "30", *_SMALL]],
+                     "c4d02a7516169819dd8414e1", id="compare"),
+        pytest.param([["workload", "compare", "paper-baseline", "--n-nodes", "30"]],
+                     "c6e5f4ae3c9b54e4009618f1", id="workload-compare"),
+        pytest.param([_UNIVERSE, [*_UNIVERSE, "--from-store"]],
+                     "068d92b3306ed9e7c907b588", id="universe-compare-replay"),
+        pytest.param([_SWEEP, _SWEEP, ["store", "ls", "--results-dir", "{store}"]],
+                     "924b1c383216770cec7458fc", id="sweep-replay-ls"),
+    ],
+)
+def test_cli_json_output_golden(commands, expected, tmp_path, capsys, monkeypatch):
+    """Each command's ``--json`` stdout, volatile fields stripped, in print order."""
+    monkeypatch.setattr(repro, "__version__", GOLDEN_VERSION)
+    printed = []
+    for argv in commands:
+        assert main([arg.format(store=tmp_path) for arg in argv] + ["--json"]) == 0
+        printed.append(_stable_output(json.loads(capsys.readouterr().out)))
+    blob = json.dumps(printed, indent=2).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest()[:24] == expected

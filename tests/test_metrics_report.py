@@ -8,6 +8,7 @@ from repro.metrics.report import (
     format_table,
     reduction_ratio,
 )
+from repro.records import to_json
 
 
 def _metrics(algorithm: str, prepare: float, finish: float, overhead: float) -> SwitchMetrics:
@@ -41,7 +42,7 @@ def test_compare_metrics_builds_row():
     assert row.switch_time_reduction == pytest.approx(0.25)
     assert row.normal_finish_old == 10.0
     assert row.fast_prepare_new == 15.0
-    as_dict = row.as_dict()
+    as_dict = to_json(row)
     assert as_dict["n_peers"] == 100
     assert as_dict["fast_overhead"] == 0.014
 

@@ -19,10 +19,8 @@ from repro.experiments.config import make_session_config
 from repro.experiments.runner import run_pair, run_single
 from repro.experiments.store import (
     ResultStore,
-    config_from_dict,
     config_to_dict,
     net_fingerprint,
-    session_result_from_dict,
     session_result_to_dict,
 )
 from repro.metrics.net import (
@@ -34,7 +32,8 @@ from repro.net.fabric import IdealFabric, LatencyFabric
 from repro.net.library import get_topology
 from repro.net.topology import NetTopology, Region
 from repro.obs.telemetry import telemetry_session
-from repro.streaming.session import ENGINE_NAMES, SessionConfig, SwitchSession
+from repro.records import from_json
+from repro.streaming.session import ENGINE_NAMES, SessionConfig, SessionResult, SwitchSession
 
 
 def small_config(n_nodes=80, **overrides):
@@ -283,16 +282,16 @@ class TestPairedTranscontinental:
 class TestStoreIntegration:
     def test_config_topology_round_trips(self):
         config = small_config(n_nodes=60, topology="metro")
-        assert config_from_dict(config_to_dict(config)) == config
+        assert from_json(SessionConfig, config_to_dict(config)) == config
 
     def test_old_config_payload_defaults_to_ideal(self):
         payload = config_to_dict(small_config(n_nodes=60))
         del payload["topology"]  # a pre-net-layer document
-        assert config_from_dict(payload).topology == ""
+        assert from_json(SessionConfig, payload).topology == ""
 
     def test_session_result_round_trips_with_fabric_stats(self):
         result = run_single(small_config(n_nodes=60, topology="metro", max_time=60.0))
-        rebuilt = session_result_from_dict(session_result_to_dict(result))
+        rebuilt = from_json(SessionResult, session_result_to_dict(result))
         assert rebuilt.fabric_stats == result.fabric_stats
         assert rebuilt.metrics.outcomes == result.metrics.outcomes
 
@@ -303,7 +302,7 @@ class TestStoreIntegration:
         # The topology was persisted as a net-* document...
         topology = get_topology("metro")
         key = net_fingerprint(topology)
-        assert NetTopology.from_dict(store.load(key, "net")["topology"]) == topology
+        assert from_json(NetTopology, store.load(key, "net")["topology"]) == topology
         assert any(k.startswith("net-") for k in store.keys())
         # ...and the pair replays bit-identically from disk.
         replayed = run_pair(config, store=store)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.library import TOPOLOGIES, get_topology, topology_names
 from repro.net.topology import NetTopology, Region
+from repro.records import from_json, to_json
 
 
 def two_region_topology(**kwargs):
@@ -40,7 +41,7 @@ class TestRegion:
 class TestNetTopology:
     def test_round_trips_exactly_through_dict(self):
         topo = two_region_topology()
-        assert NetTopology.from_dict(topo.to_dict()) == topo
+        assert from_json(NetTopology, to_json(topo)) == topo
 
     def test_rejects_non_square_matrix(self):
         with pytest.raises(ValueError):
@@ -91,7 +92,7 @@ class TestLibrary:
     def test_all_library_topologies_round_trip(self):
         for name, topo in TOPOLOGIES.items():
             assert topo.name == name
-            assert NetTopology.from_dict(topo.to_dict()) == topo
+            assert from_json(NetTopology, to_json(topo)) == topo
 
     def test_transcontinental_shape(self):
         topo = get_topology("transcontinental")

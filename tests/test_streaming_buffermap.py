@@ -31,7 +31,6 @@ def test_snapshot_restricted_to_windows():
     assert snap.owner_id == 7
     assert snap.available == frozenset(range(10, 20)) | frozenset(range(50, 55))
     assert snap.send_rate == 12.0
-    assert snap.wire_bits == 620
     assert snap.switch_info is None
 
 
@@ -50,17 +49,14 @@ def test_snapshot_of_unbounded_source_buffer():
     buffer.insert_many(range(0, 50))
     snap = snapshot_buffer(2, buffer, [(0, 49)], send_rate=60.0, switch_info=(899, 900))
     assert snap.buffer_capacity == UNBOUNDED_CAPACITY
-    assert snap.wire_bits == buffer_map_bits(600)
     assert snap.switch_info == (899, 900)
 
 
-def test_snapshot_capacity_and_wire_overrides():
+def test_snapshot_advertises_the_buffer_capacity():
     buffer = SegmentBuffer(capacity=300)
     buffer.insert(5)
-    snap = snapshot_buffer(3, buffer, [(0, 10)], send_rate=1.0,
-                           advertised_capacity=1000, wire_bits=64)
-    assert snap.buffer_capacity == 1000
-    assert snap.wire_bits == 64
+    snap = snapshot_buffer(3, buffer, [(0, 10)], send_rate=1.0)
+    assert snap.buffer_capacity == 300
 
 
 def test_snapshot_has_helper():

@@ -31,6 +31,7 @@ from repro.experiments.config import make_session_config
 from repro.experiments.runner import run_pair
 from repro.experiments.store import ResultStore
 from repro.obs.telemetry import telemetry_session
+from repro.records import to_json
 from repro.streaming.session import (
     DEFAULT_ENGINE,
     ENGINE_NAMES,
@@ -44,11 +45,8 @@ from repro.workloads.library import (
     universe_names,
     workload_names,
 )
-from repro.workloads.runner import rep_to_dict, run_workload, run_workload_rep
-from repro.channels.runner import (
-    rep_to_dict as universe_rep_to_dict,
-    run_universe,
-)
+from repro.workloads.runner import run_workload, run_workload_rep
+from repro.channels.runner import run_universe
 from repro.channels.universe import run_universe_rep
 
 
@@ -127,8 +125,8 @@ _WORKLOAD_SIZES = {"flash-crowd": 12}
 @pytest.mark.parametrize("name", workload_names())
 def test_workload_rep_identical(name):
     spec = get_workload(name).scaled_to(_WORKLOAD_SIZES.get(name, 30))
-    oracle = rep_to_dict(run_workload_rep(spec, 3, engine="oracle"))
-    vector = rep_to_dict(run_workload_rep(spec, 3, engine="vector"))
+    oracle = to_json(run_workload_rep(spec, 3, engine="oracle"))
+    vector = to_json(run_workload_rep(spec, 3, engine="vector"))
     assert json.dumps(oracle, sort_keys=True) == json.dumps(
         vector, sort_keys=True
     )
@@ -151,12 +149,8 @@ def test_workload_store_documents_identical(tmp_path):
 # --------------------------------------------------------------------------- #
 def test_lineup_universe_rep_identical():
     spec = get_universe("lineup-mini").scaled_to(n_channels=3, n_viewers=60)
-    oracle = universe_rep_to_dict(
-        run_universe_rep(spec, 5, compute_engine="oracle")
-    )
-    vector = universe_rep_to_dict(
-        run_universe_rep(spec, 5, compute_engine="vector")
-    )
+    oracle = to_json(run_universe_rep(spec, 5, compute_engine="oracle"))
+    vector = to_json(run_universe_rep(spec, 5, compute_engine="vector"))
     assert json.dumps(oracle, sort_keys=True) == json.dumps(
         vector, sort_keys=True
     )

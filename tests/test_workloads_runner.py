@@ -3,12 +3,14 @@
 Serial-vs-pooled determinism lives in ``tests/test_execution_backends.py``.
 """
 
+import json
+
 import pytest
 
 from repro.experiments.store import ResultStore
+from repro.records import from_json, to_json
 from repro.workloads.runner import (
-    rep_from_dict,
-    rep_to_dict,
+    WorkloadRepResult,
     run_workload,
     run_workload_rep,
     workload_fingerprint,
@@ -69,7 +71,7 @@ def test_segments_draw_different_switches(zap_rep):
 
 
 def test_rep_dict_round_trip(zap_rep):
-    assert rep_from_dict(rep_to_dict(zap_rep)) == zap_rep
+    assert from_json(WorkloadRepResult, json.loads(json.dumps(to_json(zap_rep)))) == zap_rep
 
 
 def test_fingerprint_covers_spec_seed_and_version(zap_spec):
