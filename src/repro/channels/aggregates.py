@@ -18,8 +18,8 @@ and :func:`~repro.channels.universe.fold_units`):
 
 1. per channel and algorithm, a *unit* aggregate
    (:func:`unit_aggregate`) over that mesh's zap-time samples
-   (:func:`repro.metrics.universe.zap_time_values`) at the default sketch
-   capacity -- a pure function of the sample multiset;
+   (:func:`repro.metrics.collectors.completion_times`, in outcome order) at
+   the default sketch capacity -- a pure function of the sample multiset;
 2. the units folded into the repetition block in ascending channel order
    (:class:`RepAggregator`).
 

@@ -42,8 +42,8 @@ from repro.channels.lineup import Channel, ChannelLineup
 from repro.channels.zapping import ZapPlan, ZappingProcess
 from repro.churn.model import ChurnConfig
 from repro.experiments.config import make_session_config
+from repro.metrics.collectors import completion_times, switch_time_stats
 from repro.metrics.qoe import phase_qoe
-from repro.metrics.universe import zap_time_stats, zap_time_values
 from repro.net.library import topology_names
 from repro.records import from_json, to_json
 from repro.sim.clock import round_half_up
@@ -437,7 +437,7 @@ def _channel_outcome(
     result: SessionResult,
 ) -> ChannelOutcome:
     channel = plan.lineup.channels[channel_index]
-    stats = zap_time_stats(result.metrics.outcomes, horizon=result.metrics.horizon)
+    stats = switch_time_stats(result.metrics.outcomes, horizon=result.metrics.horizon)[""]
     qoe = phase_qoe(
         result.metrics.rounds, [("zapping", 0.0, plan.spec.horizon)]
     )[0]
@@ -486,8 +486,8 @@ def run_channel_unit(
         plan, channel_index, compute_engine=compute_engine
     ):
         outcome = _channel_outcome(plan, channel_index, algorithm, result)
-        samples, _ = zap_time_values(
-            result.metrics.outcomes, horizon=result.metrics.horizon
+        samples = completion_times(
+            result.metrics.outcomes, "switch_complete_time", result.metrics.horizon
         )
         unit[algorithm] = to_json(outcome)
         aggregates[algorithm] = unit_aggregate(samples, outcome.unfinished)

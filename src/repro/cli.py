@@ -619,7 +619,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
         dest_dir = args.dest_dir if args.dest_dir else store.root
         dest = open_store(dest_dir, backend=args.to_backend)
-        if dest.backend == store.backend and Path(dest.root) == Path(store.root):
+        same_dir = Path(dest.root).resolve() == Path(store.root).resolve()
+        if dest.backend == store.backend and same_dir:
             print("error: source and destination are the same store; "
                   "pass --to with a different backend or --dest-dir",
                   file=sys.stderr)

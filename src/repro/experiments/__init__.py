@@ -25,7 +25,6 @@ __getattr__, __dir__, __all__ = lazy_hub(__name__, {
     "MissingResultError": "repro.experiments.store",
     "pair_fingerprint": "repro.experiments.store",
     "sweep_fingerprint": "repro.experiments.store",
-    "ExperimentDefaults": "repro.experiments.config",
     "make_session_config": "repro.experiments.config",
     "PAPER_SWEEP_SIZES": "repro.experiments.config",
     "BENCH_SWEEP_SIZES": "repro.experiments.config",

@@ -1,8 +1,10 @@
 """Named experiment configurations.
 
-The paper's evaluation parameters (Section 5.1) are encoded once here and
-reused by the figure builders, the examples and the CLI.  Two sweeps are
-provided:
+The paper's evaluation parameters (Section 5.1) are the defaults of
+:class:`~repro.streaming.config.SessionConfig`; this module builds a run's
+configuration from them (:func:`make_session_config`, which adds the
+paper's churn for the dynamic environment) and names the overlay sizes the
+figures sweep:
 
 * :data:`PAPER_SWEEP_SIZES` -- the overlay sizes of Figures 6--8 and 10--12
   (100 to 8000 nodes),
@@ -14,8 +16,7 @@ provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.churn.model import ChurnConfig
 from repro.streaming.config import SessionConfig
@@ -25,7 +26,6 @@ __all__ = [
     "BENCH_SWEEP_SIZES",
     "RATIO_TRACK_SIZE",
     "BENCH_RATIO_TRACK_SIZE",
-    "ExperimentDefaults",
     "make_session_config",
 ]
 
@@ -42,62 +42,12 @@ RATIO_TRACK_SIZE: int = 1000
 BENCH_RATIO_TRACK_SIZE: int = 300
 
 
-@dataclass(frozen=True)
-class ExperimentDefaults:
-    """The paper's simulation parameters (Section 5.1).
-
-    Attributes mirror :class:`repro.streaming.config.SessionConfig`; this
-    object exists so experiments, docs and tests quote a single source of
-    truth for "the paper's settings".
-    """
-
-    min_degree: int = 5
-    play_rate: float = 10.0
-    buffer_capacity: int = 600
-    tau: float = 1.0
-    startup_quota_old: int = 10
-    startup_quota_new: int = 50
-    inbound_low: float = 10.0
-    inbound_high: float = 33.0
-    inbound_mean: float = 15.0
-    outbound_low: float = 10.0
-    outbound_high: float = 33.0
-    outbound_mean: float = 15.0
-    churn_leave_fraction: float = 0.05
-    churn_join_fraction: float = 0.05
-    extra_session_kwargs: Mapping[str, object] = field(default_factory=dict)
-
-    def session_kwargs(self) -> dict:
-        """Keyword arguments for :class:`SessionConfig` (without size/seed)."""
-        kwargs = dict(
-            min_degree=self.min_degree,
-            play_rate=self.play_rate,
-            buffer_capacity=self.buffer_capacity,
-            tau=self.tau,
-            startup_quota_old=self.startup_quota_old,
-            startup_quota_new=self.startup_quota_new,
-            inbound_low=self.inbound_low,
-            inbound_high=self.inbound_high,
-            inbound_mean=self.inbound_mean,
-            outbound_low=self.outbound_low,
-            outbound_high=self.outbound_high,
-            outbound_mean=self.outbound_mean,
-        )
-        kwargs.update(self.extra_session_kwargs)
-        return kwargs
-
-
-#: Module-level singleton with the paper's defaults.
-PAPER_DEFAULTS = ExperimentDefaults()
-
-
 def make_session_config(
     n_nodes: int,
     *,
     algorithm: str = "fast",
     seed: int = 0,
     dynamic: bool = False,
-    defaults: Optional[ExperimentDefaults] = None,
     **overrides: object,
 ) -> SessionConfig:
     """Build a :class:`SessionConfig` for one experimental run.
@@ -113,26 +63,14 @@ def make_session_config(
         both algorithms.
     dynamic:
         Whether to enable the paper's 5 %/period churn.
-    defaults:
-        Base parameter set (defaults to the paper's).
     overrides:
-        Any :class:`SessionConfig` field, overriding the defaults (e.g.
+        Any :class:`SessionConfig` field, overriding its default (e.g.
         ``max_time=60.0`` or ``warmup="simulated"``).
     """
-    defaults = defaults or PAPER_DEFAULTS
-    kwargs = defaults.session_kwargs()
-    kwargs.update(overrides)
-    churn = (
-        ChurnConfig(
-            leave_fraction=defaults.churn_leave_fraction,
-            join_fraction=defaults.churn_join_fraction,
-            enabled=True,
-        )
-        if dynamic
-        else ChurnConfig.disabled()
+    overrides.setdefault(
+        "churn", ChurnConfig.paper_dynamic() if dynamic else ChurnConfig.disabled()
     )
-    kwargs.setdefault("churn", churn)
-    return SessionConfig(n_nodes=n_nodes, seed=seed, algorithm=algorithm, **kwargs)
+    return SessionConfig(n_nodes=n_nodes, seed=seed, algorithm=algorithm, **overrides)
 
 
 def sweep_sizes(*, paper_scale: bool = False) -> Sequence[int]:

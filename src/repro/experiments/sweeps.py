@@ -35,7 +35,7 @@ from repro.experiments.store import (
     pair_fingerprint,
     sweep_fingerprint,
 )
-from repro.metrics.report import reduction_ratio
+from repro.metrics.report import mean_of, reduction_ratio
 from repro.records import from_json, to_json
 
 __all__ = ["SweepPoint", "SizeSweepResult", "run_size_sweep", "clear_sweep_cache"]
@@ -124,21 +124,17 @@ class SizeSweepResult:
 
 def _aggregate(n_nodes: int, pairs: Sequence[PairedRunResult]) -> SweepPoint:
     """Average the paired results of all repetitions at one size."""
-
-    def mean(values: Sequence[float]) -> float:
-        return sum(values) / len(values) if values else 0.0
-
-    normal_prepare = mean([p.normal.metrics.avg_prepare_new for p in pairs])
-    fast_prepare = mean([p.fast.metrics.avg_prepare_new for p in pairs])
+    normal_prepare = mean_of([p.normal.metrics.avg_prepare_new for p in pairs])
+    fast_prepare = mean_of([p.fast.metrics.avg_prepare_new for p in pairs])
     return SweepPoint(
         n_nodes=n_nodes,
-        normal_finish_old=mean([p.normal.metrics.avg_finish_old for p in pairs]),
-        fast_finish_old=mean([p.fast.metrics.avg_finish_old for p in pairs]),
+        normal_finish_old=mean_of([p.normal.metrics.avg_finish_old for p in pairs]),
+        fast_finish_old=mean_of([p.fast.metrics.avg_finish_old for p in pairs]),
         fast_prepare_new=fast_prepare,
         normal_prepare_new=normal_prepare,
         reduction=reduction_ratio(normal_prepare, fast_prepare),
-        normal_overhead=mean([p.normal.overhead_ratio for p in pairs]),
-        fast_overhead=mean([p.fast.overhead_ratio for p in pairs]),
+        normal_overhead=mean_of([p.normal.overhead_ratio for p in pairs]),
+        fast_overhead=mean_of([p.fast.overhead_ratio for p in pairs]),
         repetitions=len(pairs),
     )
 

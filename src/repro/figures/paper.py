@@ -24,7 +24,7 @@ the worker pool (see :func:`~repro.experiments.sweeps.run_size_sweep`).
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import LocalView, NeighbourView, Stream
 from repro.core.fast_switch import FastSwitchAlgorithm
@@ -36,7 +36,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.runner import run_pair
 from repro.experiments.store import ResultStore
-from repro.experiments.sweeps import SizeSweepResult, run_size_sweep
+from repro.experiments.sweeps import run_size_sweep
 from repro.figures.spec import FigureResult, FigureSpec
 
 __all__ = ["figure2", "PAPER_FIGURES"]
@@ -159,8 +159,10 @@ def _ratio_track(
 # --------------------------------------------------------------------------- #
 # Size-sweep figures (6/7/8 static, 10/11/12 dynamic)
 # --------------------------------------------------------------------------- #
-def _sweep_figure(
-    view: Callable[[SizeSweepResult, str, bool], FigureResult],
+def _sweep_view(
+    title: str,
+    columns: Dict[str, str],
+    notes: str,
     figure_id: str,
     dynamic: bool,
     *,
@@ -171,106 +173,53 @@ def _sweep_figure(
     store: Optional[ResultStore] = None,
     workers: int = 1,
 ) -> FigureResult:
-    """Figures 6-8 / 10-12: one ``view`` (times, switch time, overhead) of the
-    paired size sweep; the three views of an environment share the sweep."""
+    """Figures 6-8 / 10-12: one view of the paired size sweep -- a row per
+    size and a series per column, ``columns`` mapping each column name to a
+    :class:`~repro.experiments.sweeps.SweepPoint` field.  The three views of
+    an environment share the sweep."""
     chosen = tuple(sizes) if sizes is not None else tuple(sweep_sizes(paper_scale=paper_scale))
     sweep = run_size_sweep(chosen, dynamic=dynamic, seed=seed, repetitions=repetitions,
                            store=store, workers=workers)
-    return view(sweep, figure_id, dynamic)
-
-
-def _times_figure(sweep: SizeSweepResult, figure_id: str, dynamic: bool) -> FigureResult:
     rows = [
-        {
-            "n_nodes": p.n_nodes,
-            "normal_finish_S1": p.normal_finish_old,
-            "fast_finish_S1": p.fast_finish_old,
-            "fast_prepare_S2": p.fast_prepare_new,
-            "normal_prepare_S2": p.normal_prepare_new,
-        }
+        {"n_nodes": p.n_nodes, **{name: getattr(p, key) for name, key in columns.items()}}
         for p in sweep.points
     ]
-    environment = "dynamic" if dynamic else "static"
     return FigureResult(
         figure_id=figure_id,
-        title=f"Average finishing time of S1 and preparing time of S2 ({environment})",
+        title=f"{title} ({'dynamic' if dynamic else 'static'})",
         rows=rows,
-        series={
-            "normal_finish_S1": sweep.series("normal_finish_old"),
-            "fast_finish_S1": sweep.series("fast_finish_old"),
-            "fast_prepare_S2": sweep.series("fast_prepare_new"),
-            "normal_prepare_S2": sweep.series("normal_prepare_new"),
-        },
-        notes=(
-            "Paper shape: per size the four bars satisfy "
-            "normal_finish <= fast_finish <= fast_prepare <= normal_prepare; the fast "
-            "algorithm splits the difference between the normal algorithm's finish and "
-            "prepare times."
-        ),
+        series={name: sweep.series(key) for name, key in columns.items()},
+        notes=notes,
         meta={"dynamic": dynamic, "seed": sweep.seed,
               "sizes": [p.n_nodes for p in sweep.points]},
     )
 
 
-def _switch_time_figure(sweep: SizeSweepResult, figure_id: str, dynamic: bool) -> FigureResult:
-    rows = [
-        {
-            "n_nodes": p.n_nodes,
-            "normal_switch_time": p.normal_switch_time,
-            "fast_switch_time": p.fast_switch_time,
-            "reduction_ratio": p.reduction,
-        }
-        for p in sweep.points
-    ]
-    environment = "dynamic" if dynamic else "static"
-    return FigureResult(
-        figure_id=figure_id,
-        title=f"Average switch time and its reduction ratio ({environment})",
-        rows=rows,
-        series={
-            "normal_switch_time": sweep.series("normal_switch_time"),
-            "fast_switch_time": sweep.series("fast_switch_time"),
-            "reduction_ratio": sweep.series("reduction"),
-        },
-        notes=(
-            "Paper shape: reduction ratio between 0.2 and 0.3, tending to increase with "
-            "the network size."
-        ),
-        meta={"dynamic": dynamic, "seed": sweep.seed,
-              "sizes": [p.n_nodes for p in sweep.points]},
-    )
-
-
-def _overhead_figure(sweep: SizeSweepResult, figure_id: str, dynamic: bool) -> FigureResult:
-    rows = [
-        {
-            "n_nodes": p.n_nodes,
-            "fast_overhead": p.fast_overhead,
-            "normal_overhead": p.normal_overhead,
-        }
-        for p in sweep.points
-    ]
-    environment = "dynamic" if dynamic else "static"
-    return FigureResult(
-        figure_id=figure_id,
-        title=f"Communication overhead ({environment})",
-        rows=rows,
-        series={
-            "fast_overhead": sweep.series("fast_overhead"),
-            "normal_overhead": sweep.series("normal_overhead"),
-        },
-        notes=(
-            "Paper shape: both algorithms stay in the ~1-2% range; the fast algorithm's "
-            "overhead is slightly lower because it moves more data per exchanged map."
-        ),
-        meta={"dynamic": dynamic, "seed": sweep.seed,
-              "sizes": [p.n_nodes for p in sweep.points]},
-    )
-
-
-_TIMES = partial(_sweep_figure, _times_figure)
-_SWITCH = partial(_sweep_figure, _switch_time_figure)
-_OVERHEAD = partial(_sweep_figure, _overhead_figure)
+_TIMES = partial(
+    _sweep_view,
+    "Average finishing time of S1 and preparing time of S2",
+    {"normal_finish_S1": "normal_finish_old", "fast_finish_S1": "fast_finish_old",
+     "fast_prepare_S2": "fast_prepare_new", "normal_prepare_S2": "normal_prepare_new"},
+    "Paper shape: per size the four bars satisfy "
+    "normal_finish <= fast_finish <= fast_prepare <= normal_prepare; the fast "
+    "algorithm splits the difference between the normal algorithm's finish and "
+    "prepare times.",
+)
+_SWITCH = partial(
+    _sweep_view,
+    "Average switch time and its reduction ratio",
+    {"normal_switch_time": "normal_switch_time", "fast_switch_time": "fast_switch_time",
+     "reduction_ratio": "reduction"},
+    "Paper shape: reduction ratio between 0.2 and 0.3, tending to increase with "
+    "the network size.",
+)
+_OVERHEAD = partial(
+    _sweep_view,
+    "Communication overhead",
+    {"fast_overhead": "fast_overhead", "normal_overhead": "normal_overhead"},
+    "Paper shape: both algorithms stay in the ~1-2% range; the fast algorithm's "
+    "overhead is slightly lower because it moves more data per exchanged map.",
+)
 
 #: Figures 2 and 5--12 in report order: (name, title, builder, figure
 #: number, description).

@@ -25,6 +25,9 @@ __getattr__, __dir__, __all__ = lazy_hub(__name__, {
     "PeerOutcome": "repro.metrics.collectors",
     "RoundSample": "repro.metrics.collectors",
     "SwitchMetrics": "repro.metrics.collectors",
+    "SwitchTimeStats": "repro.metrics.collectors",
+    "completion_times": "repro.metrics.collectors",
+    "switch_time_stats": "repro.metrics.collectors",
     "OverheadAccountant": "repro.metrics.overhead",
     "PhaseQoE": "repro.metrics.qoe",
     "ClassSwitchStats": "repro.metrics.qoe",
@@ -35,8 +38,6 @@ __getattr__, __dir__, __all__ = lazy_hub(__name__, {
     "compare_metrics": "repro.metrics.report",
     "format_table": "repro.metrics.report",
     "reduction_ratio": "repro.metrics.report",
-    "ZapTimeStats": "repro.metrics.universe",
-    "zap_time_stats": "repro.metrics.universe",
     "decile_of": "repro.metrics.universe",
     "weighted_mean": "repro.metrics.universe",
 })

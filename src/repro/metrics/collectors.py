@@ -13,14 +13,25 @@ state and produces:
 Peers that never complete within the simulated horizon are accounted for
 with the horizon time (and counted in ``unfinished``), so truncated runs
 bias both algorithms identically instead of silently dropping slow nodes.
+That rule lives in :func:`completion_times`, and :func:`switch_time_stats`
+is the one switch-time summary (mean, p50/p90/p99) every report groups by
+channel, bandwidth class or network region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-__all__ = ["PeerOutcome", "RoundSample", "SwitchMetrics", "MetricsCollector"]
+__all__ = [
+    "PeerOutcome",
+    "RoundSample",
+    "SwitchMetrics",
+    "MetricsCollector",
+    "SwitchTimeStats",
+    "completion_times",
+    "switch_time_stats",
+]
 
 
 @dataclass(frozen=True)
@@ -210,43 +221,38 @@ class MetricsCollector:
         overhead_ratio: float = 0.0,
     ) -> SwitchMetrics:
         """Build the run summary from the tracked peers' recorded times."""
-        tracked = [p for p in peers if getattr(p, "tracked", True)]
-        outcomes: List[PeerOutcome] = []
-        finish_times: List[float] = []
-        prepare_times: List[float] = []
-        start_times: List[float] = []
-        unfinished = 0
-        for peer in tracked:
-            finish = peer.finish_old_time
-            prepare = peer.prepared_new_time
-            start = peer.switch_complete_time
-            if finish is None or prepare is None or start is None:
-                unfinished += 1
-            finish_times.append(finish if finish is not None else horizon)
-            prepare_times.append(prepare if prepare is not None else horizon)
-            start_times.append(start if start is not None else horizon)
-            outcomes.append(
-                PeerOutcome(
-                    node_id=peer.node_id,
-                    q0=peer.q0 or 0,
-                    finish_old_time=finish,
-                    prepared_new_time=prepare,
-                    switch_complete_time=start,
-                    stalls=peer.playback_old.stall_periods if peer.playback_old else 0,
-                    stalls_new=(
-                        peer.playback_new.stall_periods
-                        if getattr(peer, "playback_new", None) is not None
-                        else 0
-                    ),
-                    segments_received=peer.segments_received_total,
-                    peer_class=str(getattr(peer, "peer_class", "")),
-                    region=str(getattr(peer, "region", "")),
-                )
+        outcomes = [
+            PeerOutcome(
+                node_id=peer.node_id,
+                q0=peer.q0 or 0,
+                finish_old_time=peer.finish_old_time,
+                prepared_new_time=peer.prepared_new_time,
+                switch_complete_time=peer.switch_complete_time,
+                stalls=peer.playback_old.stall_periods if peer.playback_old else 0,
+                stalls_new=(
+                    peer.playback_new.stall_periods
+                    if getattr(peer, "playback_new", None) is not None
+                    else 0
+                ),
+                segments_received=peer.segments_received_total,
+                peer_class=str(getattr(peer, "peer_class", "")),
+                region=str(getattr(peer, "region", "")),
             )
+            for peer in peers
+            if getattr(peer, "tracked", True)
+        ]
+        finish_times = completion_times(outcomes, "finish_old_time", horizon)
+        prepare_times = completion_times(outcomes, "prepared_new_time", horizon)
+        start_times = completion_times(outcomes, "switch_complete_time", horizon)
+        unfinished = sum(
+            1
+            for o in outcomes
+            if None in (o.finish_old_time, o.prepared_new_time, o.switch_complete_time)
+        )
 
         return SwitchMetrics(
             algorithm=algorithm,
-            n_peers=len(tracked),
+            n_peers=len(outcomes),
             avg_finish_old=self._average(finish_times),
             avg_prepare_new=self._average(prepare_times),
             avg_switch_time=self._average(prepare_times),
@@ -264,3 +270,67 @@ class MetricsCollector:
 
 def _max(values: List[float]) -> float:
     return float(max(values, default=0.0))
+
+
+@dataclass(frozen=True)
+class SwitchTimeStats:
+    """Switch-time distribution of one group of tracked peers.
+
+    Times are switch completion times in seconds from the switch instant;
+    the ``unfinished`` peers contribute the horizon.
+    """
+
+    peers: int
+    mean: float
+    p50: float
+    p90: float
+    p99: float
+    unfinished: int
+
+
+def completion_times(
+    outcomes: Sequence[PeerOutcome], attribute: str, horizon: float
+) -> List[float]:
+    """The outcomes' ``attribute`` times in outcome order, a peer that never
+    got there counted at ``horizon``."""
+    return [
+        float(horizon) if (time := getattr(outcome, attribute)) is None else float(time)
+        for outcome in outcomes
+    ]
+
+
+def switch_time_stats(
+    outcomes: Sequence[PeerOutcome],
+    *,
+    horizon: float,
+    group: Optional[Callable[[PeerOutcome], str]] = None,
+) -> Dict[str, SwitchTimeStats]:
+    """One :class:`SwitchTimeStats` per ``group`` label, sorted by label.
+
+    Without ``group`` every outcome is in the one group ``""``, present even
+    when there are no outcomes (a channel whose mesh emptied out before the
+    switch completed reads all zeros).  The mean is taken over the sorted
+    samples and the percentiles interpolate linearly between them.
+    """
+    groups: Dict[str, List[PeerOutcome]] = {} if group else {"": []}
+    for outcome in outcomes:
+        groups.setdefault(group(outcome) if group else "", []).append(outcome)
+    return {label: _summary(groups[label], horizon) for label in sorted(groups)}
+
+
+def _summary(outcomes: Sequence[PeerOutcome], horizon: float) -> SwitchTimeStats:
+    if not outcomes:
+        return SwitchTimeStats(peers=0, mean=0.0, p50=0.0, p90=0.0, p99=0.0, unfinished=0)
+    # Deferred like MetricsCollector's: a store replay loads this module.
+    import numpy as np
+
+    times = np.sort(np.asarray(completion_times(outcomes, "switch_complete_time", horizon)))
+    p50, p90, p99 = (float(v) for v in np.percentile(times, [50.0, 90.0, 99.0]))
+    return SwitchTimeStats(
+        peers=int(times.size),
+        mean=float(np.mean(times)),
+        p50=p50,
+        p90=p90,
+        p99=p99,
+        unfinished=sum(1 for o in outcomes if o.switch_complete_time is None),
+    )

@@ -2,14 +2,13 @@
 
 The network layer (:mod:`repro.net`) places every peer in a named region;
 this module rolls the per-peer switch outcomes up by region, the way
-:mod:`repro.metrics.qoe` rolls them up by bandwidth class:
+:mod:`repro.metrics.qoe` rolls them up by bandwidth class, through the one
+switch-time summary (:func:`~repro.metrics.collectors.switch_time_stats`):
 
-* :func:`per_region_switch_stats` -- one :class:`RegionSwitchStats` per
-  populated region of a single run (mean and percentiles of the switch
-  completion time, unfinished peers contributing the horizon);
 * :func:`region_comparison_rows` -- the paired fast-vs-normal per-region
   table behind ``repro compare --topology ...`` (mean switch time of each
-  algorithm per region plus the reduction ratio).
+  algorithm per region plus the reduction ratio);
+* :func:`fabric_stats_rows` -- a run's fabric counters as printable rows.
 
 Peers with an empty region label (runs on the ideal fabric) fall into a
 single ``"-"`` bucket, so the functions are safe to call on any result.
@@ -17,82 +16,19 @@ single ``"-"`` bucket, so the functions are safe to call on any result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
-import numpy as np
-
-from repro.metrics.collectors import PeerOutcome
+from repro.metrics.collectors import PeerOutcome, switch_time_stats
 from repro.metrics.report import reduction_ratio
 
-__all__ = [
-    "RegionSwitchStats",
-    "per_region_switch_stats",
-    "region_comparison_rows",
-    "fabric_stats_rows",
-]
+__all__ = ["region_comparison_rows", "fabric_stats_rows"]
 
 #: Bucket label used for peers without a region (ideal-fabric runs).
 NO_REGION = "-"
 
 
-@dataclass(frozen=True)
-class RegionSwitchStats:
-    """Switch-time distribution of one region's tracked peers."""
-
-    region: str
-    peers: int
-    mean: float
-    p50: float
-    p90: float
-    unfinished: int
-
-
-def _completion_times(
-    outcomes: Sequence[PeerOutcome], horizon: float
-) -> Dict[str, List[float]]:
-    by_region: Dict[str, List[float]] = {}
-    for outcome in outcomes:
-        region = outcome.region or NO_REGION
-        time = (
-            float(outcome.switch_complete_time)
-            if outcome.switch_complete_time is not None
-            else float(horizon)
-        )
-        by_region.setdefault(region, []).append(time)
-    return by_region
-
-
-def per_region_switch_stats(
-    outcomes: Sequence[PeerOutcome], *, horizon: float
-) -> Tuple[RegionSwitchStats, ...]:
-    """Per-region switch-time statistics, sorted by region name.
-
-    Unfinished peers contribute the horizon time, mirroring
-    :class:`~repro.metrics.collectors.MetricsCollector` (truncation biases
-    every region identically instead of dropping slow peers).
-    """
-    by_region = _completion_times(outcomes, horizon)
-    unfinished: Dict[str, int] = {}
-    for outcome in outcomes:
-        region = outcome.region or NO_REGION
-        if outcome.switch_complete_time is None:
-            unfinished[region] = unfinished.get(region, 0) + 1
-    stats = []
-    for region in sorted(by_region):
-        samples = np.sort(np.asarray(by_region[region], dtype=float))
-        p50, p90 = (float(v) for v in np.percentile(samples, [50.0, 90.0]))
-        stats.append(
-            RegionSwitchStats(
-                region=region,
-                peers=int(samples.size),
-                mean=float(samples.mean()),
-                p50=p50,
-                p90=p90,
-                unfinished=unfinished.get(region, 0),
-            )
-        )
-    return tuple(stats)
+def _by_region(outcome: PeerOutcome) -> str:
+    return outcome.region or NO_REGION
 
 
 def region_comparison_rows(
@@ -102,23 +38,21 @@ def region_comparison_rows(
     horizon: float,
 ) -> List[Dict[str, object]]:
     """Paired per-region comparison rows (one per region of either run)."""
-    normal = {s.region: s for s in per_region_switch_stats(normal_outcomes, horizon=horizon)}
-    fast = {s.region: s for s in per_region_switch_stats(fast_outcomes, horizon=horizon)}
+    normal = switch_time_stats(normal_outcomes, horizon=horizon, group=_by_region)
+    fast = switch_time_stats(fast_outcomes, horizon=horizon, group=_by_region)
+    absent = switch_time_stats((), horizon=horizon)[""]  # all zeros
     rows: List[Dict[str, object]] = []
     for region in sorted(set(normal) | set(fast)):
-        n, f = normal.get(region), fast.get(region)
+        n, f = normal.get(region, absent), fast.get(region, absent)
         rows.append(
             {
                 "region": region,
-                "peers": (f.peers if f is not None else n.peers if n is not None else 0),
-                "normal_switch_time": n.mean if n is not None else 0.0,
-                "fast_switch_time": f.mean if f is not None else 0.0,
-                "reduction": reduction_ratio(
-                    n.mean if n is not None else 0.0,
-                    f.mean if f is not None else 0.0,
-                ),
-                "fast_p90": f.p90 if f is not None else 0.0,
-                "unfinished": f.unfinished if f is not None else 0,
+                "peers": f.peers or n.peers,
+                "normal_switch_time": n.mean,
+                "fast_switch_time": f.mean,
+                "reduction": reduction_ratio(n.mean, f.mean),
+                "fast_p90": f.p90,
+                "unfinished": f.unfinished,
             }
         )
     return rows

@@ -10,9 +10,9 @@ reports need finer-grained quality measures:
   the absolute number of stall periods incurred, and how far the switch
   progressed by the end of the phase;
 * :class:`ClassSwitchStats` -- per bandwidth class (ADSL/cable/fiber ...),
-  the mean and the 50th/90th/99th percentiles of the per-peer switch
-  completion times (peers that never completed are accounted for with the
-  horizon, mirroring :class:`~repro.metrics.collectors.MetricsCollector`).
+  the stored form of :func:`~repro.metrics.collectors.switch_time_stats`
+  grouped by class: the mean and the 50th/90th/99th percentiles of the
+  per-peer switch completion times (unfinished peers count at the horizon).
 
 Both are computed from data the session already records -- the
 :class:`~repro.metrics.collectors.RoundSample` series and the per-peer
@@ -23,11 +23,9 @@ result can be re-analysed without re-simulating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-import numpy as np
-
-from repro.metrics.collectors import PeerOutcome, RoundSample
+from repro.metrics.collectors import PeerOutcome, RoundSample, switch_time_stats
 
 __all__ = [
     "PhaseQoE",
@@ -156,33 +154,14 @@ def per_class_switch_stats(
     *,
     horizon: float,
 ) -> Tuple[ClassSwitchStats, ...]:
-    """Switch-time percentiles grouped by peer class.
+    """Switch-time statistics grouped by peer class, sorted by class name.
 
-    Peers without a class label are grouped under ``"all"``; classes are
-    returned sorted by name so the output is deterministic.  Percentiles
-    use linear interpolation on the sorted per-class samples.
+    Peers without a class label are grouped under ``"all"``.
     """
-    groups: Dict[str, List[float]] = {}
-    for outcome in outcomes:
-        label = outcome.peer_class or "all"
-        value = (
-            outcome.switch_complete_time
-            if outcome.switch_complete_time is not None
-            else float(horizon)
-        )
-        groups.setdefault(label, []).append(float(value))
-    stats: List[ClassSwitchStats] = []
-    for label in sorted(groups):
-        values = np.sort(np.asarray(groups[label], dtype=float))
-        p50, p90, p99 = (float(v) for v in np.percentile(values, [50.0, 90.0, 99.0]))
-        stats.append(
-            ClassSwitchStats(
-                peer_class=label,
-                peers=int(values.size),
-                mean=float(values.mean()),
-                p50=p50,
-                p90=p90,
-                p99=p99,
-            )
-        )
-    return tuple(stats)
+    stats = switch_time_stats(
+        outcomes, horizon=horizon, group=lambda outcome: outcome.peer_class or "all"
+    )
+    return tuple(
+        ClassSwitchStats(label, s.peers, s.mean, s.p50, s.p90, s.p99)
+        for label, s in stats.items()
+    )

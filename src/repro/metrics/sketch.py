@@ -13,7 +13,7 @@ The sketch is **exact** while the number of inserted samples stays at or
 below its ``capacity``: every sample is retained with weight one and
 :meth:`QuantileSketch.percentile` computes the same linear-interpolation
 percentile as ``numpy.percentile`` -- hence the same values as
-:func:`repro.metrics.universe.zap_time_stats` over the pooled samples.
+:func:`repro.metrics.collectors.switch_time_stats` over the pooled samples.
 Beyond the capacity the sketch compresses deterministically into
 equal-count centroid bins; percentiles then interpolate over the weighted
 centroids and are only guaranteed to lie within a pinned relative

@@ -1,15 +1,12 @@
-"""Per-channel and per-popularity-decile zap-time aggregation.
+"""Popularity-decile bucketing and weighted roll-ups of the universe.
 
 The multi-channel universe (:mod:`repro.channels`) measures the paper's
-source switch once per channel of a Zipf lineup; this module owns the
-statistics the universe reports:
+source switch once per channel of a Zipf lineup.  A channel's *zap time*
+distribution is the one switch-time summary,
+:func:`~repro.metrics.collectors.switch_time_stats`, over its mesh (the
+zap time of a peer is its switch completion time: the moment playback of
+the new stream starts).  This module owns how channels roll up:
 
-* :func:`zap_time_stats` -- the per-peer *zap time* distribution of one
-  channel mesh (mean and 50th/90th/99th percentiles).  The zap time of a
-  peer is its switch completion time: the moment playback of the new
-  stream actually starts (the viewer sees the new channel).  Peers that
-  never completed within the horizon contribute the horizon, mirroring
-  :class:`~repro.metrics.collectors.MetricsCollector`.
 * :func:`decile_of` -- the popularity-decile bucketing shared by the
   lineup and the reports: decile 0 is the most popular tenth of the
   lineup, decile 9 the least popular.
@@ -20,80 +17,9 @@ statistics the universe reports:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-import numpy as np
-
-from repro.metrics.collectors import PeerOutcome
-
-__all__ = [
-    "ZapTimeStats",
-    "zap_time_stats",
-    "zap_time_values",
-    "decile_of",
-    "weighted_mean",
-]
-
-
-@dataclass(frozen=True)
-class ZapTimeStats:
-    """Zap-time distribution of one channel mesh under one algorithm."""
-
-    peers: int
-    mean: float
-    p50: float
-    p90: float
-    p99: float
-    unfinished: int
-
-
-def zap_time_values(
-    outcomes: Sequence[PeerOutcome], *, horizon: float
-) -> Tuple[List[float], int]:
-    """Per-peer zap-time samples of one channel mesh.
-
-    Returns the samples (one per tracked peer, in outcome order) and how
-    many peers never completed within the horizon -- those contribute the
-    horizon itself, mirroring
-    :class:`~repro.metrics.collectors.MetricsCollector`.  This is the raw
-    distribution both :func:`zap_time_stats` and the sharded runtime's
-    streaming sketches (:mod:`repro.metrics.sketch`) are computed from, so
-    the two aggregation paths agree sample for sample.
-    """
-    values: List[float] = []
-    unfinished = 0
-    for outcome in outcomes:
-        if outcome.switch_complete_time is None:
-            unfinished += 1
-            values.append(float(horizon))
-        else:
-            values.append(float(outcome.switch_complete_time))
-    return values, unfinished
-
-
-def zap_time_stats(
-    outcomes: Sequence[PeerOutcome], *, horizon: float
-) -> ZapTimeStats:
-    """Per-peer zap-time statistics over one channel's tracked peers.
-
-    Percentiles use linear interpolation on the sorted samples; an empty
-    outcome list yields all-zero statistics (a channel whose mesh emptied
-    out before the switch completed).
-    """
-    values, unfinished = zap_time_values(outcomes, horizon=horizon)
-    if not values:
-        return ZapTimeStats(peers=0, mean=0.0, p50=0.0, p90=0.0, p99=0.0, unfinished=0)
-    samples = np.sort(np.asarray(values, dtype=float))
-    p50, p90, p99 = (float(v) for v in np.percentile(samples, [50.0, 90.0, 99.0]))
-    return ZapTimeStats(
-        peers=int(samples.size),
-        mean=float(samples.mean()),
-        p50=p50,
-        p90=p90,
-        p99=p99,
-        unfinished=unfinished,
-    )
+__all__ = ["decile_of", "weighted_mean"]
 
 
 def decile_of(rank: int, n_channels: int) -> int:

@@ -21,9 +21,9 @@ columns, bounded, dropped counter instead of unbounded growth):
 The probes ride the telemetry switch: :class:`ProbeSet` hangs off
 :class:`repro.obs.telemetry.Telemetry` when requested
 (``telemetry_session(probes=True)``) and is otherwise the shared
-:data:`NULL_PROBES`, whose every method is an allocation-free no-op.
-Instrumented code guards bulk work behind ``probes.enabled`` exactly
-like the metrics pattern, so the off cost is one attribute lookup.
+:data:`NULL_PROBES`, which has no probes at all.  Instrumented code
+guards every probe call behind ``probes.enabled``, so the off cost is one
+attribute lookup.
 
 Every emission site is the session's period pipeline, shared by both
 engines, and the decide-stage rows are read off bit-identical request
@@ -366,74 +366,11 @@ class ProbeSet:
         }
 
 
-class _NullLifecycle:
-    """No-op stand-ins so even unguarded probe calls cost nothing."""
-
-    dropped = 0
-
-    def __len__(self) -> int:
-        return 0
-
-    def append(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def rows(self, **kwargs: Any) -> List[Dict[str, Any]]:
-        return []
-
-    def stage_counts(self) -> Dict[str, int]:
-        return {}
-
-    def drop_reason_counts(self) -> Dict[str, int]:
-        return {}
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"events": 0, "dropped": 0, "stages": {}, "drop_reasons": {}}
-
-
-class _NullHealth:
-    dropped = 0
-
-    def __len__(self) -> int:
-        return 0
-
-    def sample(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def rows(self, **kwargs: Any) -> List[Dict[str, Any]]:
-        return []
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"periods": 0, "dropped": 0,
-                "buffer_fill": {"count": 0}, "series": []}
-
-
-class _NullFunnel:
-    def __len__(self) -> int:
-        return 0
-
-    def mark(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def seen(self, *args: Any, **kwargs: Any) -> bool:
-        return False
-
-    def peer_rows(self, **kwargs: Any) -> List[Dict[str, Any]]:
-        return []
-
-    def funnel_rows(self) -> List[Dict[str, Any]]:
-        return []
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"peers": 0, "rows": []}
-
-
 class NullProbeSet:
-    """The disabled probe facade: every member is a no-op."""
+    """The disabled probe set: it has no probes, so every probe call is
+    guarded by :attr:`enabled`."""
 
     enabled = False
-    lifecycle = _NullLifecycle()
-    health = _NullHealth()
-    funnel = _NullFunnel()
 
     def snapshot(self) -> Dict[str, Any]:
         return {"enabled": False}

@@ -57,8 +57,8 @@ class Telemetry:
 
     ``probes=True`` additionally attaches a live
     :class:`~repro.obs.probes.ProbeSet` (sim-time protocol probes);
-    otherwise :attr:`probes` is the shared no-op :data:`NULL_PROBES`, so
-    instrumented code can always reach ``get_telemetry().probes``.
+    otherwise :attr:`probes` is the shared disabled :data:`NULL_PROBES`, so
+    instrumented code can always reach ``get_telemetry().probes.enabled``.
     """
 
     enabled = True

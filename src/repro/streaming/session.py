@@ -439,7 +439,9 @@ class SwitchSession:
         )
         self.peers[node_id] = peer
         self._admit(peer, outbound)
-        get_telemetry().probes.funnel.mark(self.label, node_id, "joined", now)
+        probes = get_telemetry().probes
+        if probes.enabled:
+            probes.funnel.mark(self.label, node_id, "joined", now)
         return peer
 
     def _admit(self, node: "PeerNode | SourceNode", outbound: float) -> None:

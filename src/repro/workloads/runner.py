@@ -137,8 +137,7 @@ class WorkloadResult:
     @property
     def mean_reduction(self) -> float:
         """Switch-time reduction averaged over every segment and repetition."""
-        values = [r for rep in self.reps for r in rep.reductions()]
-        return sum(values) / len(values) if values else 0.0
+        return mean_of([r for rep in self.reps for r in rep.reductions()])
 
     # -- tables ---------------------------------------------------------- #
     def switch_rows(self) -> List[Dict[str, object]]:

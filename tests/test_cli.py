@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.store import open_store
 from repro.overlay.trace import parse_trace
 
 
@@ -521,6 +522,19 @@ def test_store_migrate_between_backends(tmp_path, capsys):
     # migrating a store onto itself is refused
     assert main(["store", "migrate", "--results-dir", str(store_dir),
                  "--to", "json"]) == 1
+
+
+@pytest.mark.parametrize("dest", ["r", "./r", "{cwd}/r"], ids=["relative", "dot", "absolute"])
+def test_store_migrate_refuses_the_same_store_however_spelled(dest, tmp_path, monkeypatch,
+                                                              capsys):
+    monkeypatch.chdir(tmp_path)
+    open_store("r").save("pair-0123", {"kind": "pair"})
+    before = {p.name: p.read_bytes() for p in (tmp_path / "r").iterdir()}
+    assert main(["store", "migrate", "--to", "json", "--results-dir", "r",
+                 "--dest-dir", dest.format(cwd=tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "same store" in err and "migrated" not in out
+    assert {p.name: p.read_bytes() for p in (tmp_path / "r").iterdir()} == before
 
 
 # --------------------------------------------------------------------------- #

@@ -411,7 +411,7 @@ def test_streaming_aggregates_match_exact_statistics(tmp_path):
     yields the exact pooled statistics -- the one aggregation mechanism."""
     from repro.channels.aggregates import merge_rep_aggregates
     from repro.channels.universe import plan_universe, run_channel_meshes
-    from repro.metrics.universe import zap_time_values
+    from repro.metrics.collectors import completion_times
 
     store = open_store(tmp_path, backend="json")
     result = run_universe(TINY, seed=0, repetitions=2, store=store, shards=3, workers=2)
@@ -428,8 +428,8 @@ def test_streaming_aggregates_match_exact_statistics(tmp_path):
         plan = plan_universe(TINY, rep.seed)
         for channel in range(TINY.n_channels):
             for algorithm, mesh in run_channel_meshes(plan, channel):
-                samples, _ = zap_time_values(
-                    mesh.metrics.outcomes, horizon=mesh.metrics.horizon
+                samples = completion_times(
+                    mesh.metrics.outcomes, "switch_complete_time", mesh.metrics.horizon
                 )
                 pooled[algorithm].extend(samples)
     for name in ("normal", "fast"):

@@ -2,14 +2,15 @@
 
 import pytest
 
+from repro.churn.model import ChurnConfig
 from repro.experiments.config import (
     BENCH_SWEEP_SIZES,
     PAPER_SWEEP_SIZES,
-    ExperimentDefaults,
     make_session_config,
     ratio_track_size,
     sweep_sizes,
 )
+from repro.streaming.config import SessionConfig
 
 
 def test_paper_sweep_sizes_match_the_evaluation_section():
@@ -18,16 +19,21 @@ def test_paper_sweep_sizes_match_the_evaluation_section():
 
 
 def test_defaults_quote_paper_parameters():
-    defaults = ExperimentDefaults()
+    """Section 5.1's parameters are SessionConfig's defaults, and the
+    experiment helper takes them from there unchanged."""
+    defaults = SessionConfig()
     assert defaults.min_degree == 5
     assert defaults.play_rate == 10.0
     assert defaults.buffer_capacity == 600
+    assert defaults.tau == 1.0
     assert defaults.startup_quota_old == 10
     assert defaults.startup_quota_new == 50
-    assert defaults.inbound_mean == 15.0
-    assert defaults.churn_leave_fraction == 0.05
-    kwargs = defaults.session_kwargs()
-    assert kwargs["tau"] == 1.0
+    for side in ("inbound", "outbound"):
+        rates = [getattr(defaults, f"{side}_{bound}") for bound in ("low", "high", "mean")]
+        assert rates == [10.0, 33.0, 15.0]
+    assert ChurnConfig.paper_dynamic().leave_fraction == 0.05
+    assert ChurnConfig.paper_dynamic().join_fraction == 0.05
+    assert make_session_config(200) == defaults
 
 
 def test_make_session_config_static_and_dynamic():
@@ -36,8 +42,10 @@ def test_make_session_config_static_and_dynamic():
     assert static.seed == 3
     assert not static.churn.enabled
     dynamic = make_session_config(200, dynamic=True)
-    assert dynamic.churn.enabled
-    assert dynamic.churn.leave_fraction == 0.05
+    assert dynamic.churn == ChurnConfig.paper_dynamic()
+    # an explicit churn override wins over the environment switch
+    assert make_session_config(200, dynamic=True, churn=ChurnConfig.disabled()).churn == (
+        ChurnConfig.disabled())
 
 
 def test_make_session_config_overrides_and_algorithm():
@@ -45,13 +53,6 @@ def test_make_session_config_overrides_and_algorithm():
     assert config.algorithm == "normal"
     assert config.max_time == 42.0
     assert config.lookahead == 99
-
-
-def test_custom_defaults_flow_through():
-    defaults = ExperimentDefaults(startup_quota_new=80, extra_session_kwargs={"max_time": 33.0})
-    config = make_session_config(100, defaults=defaults)
-    assert config.startup_quota_new == 80
-    assert config.max_time == 33.0
 
 
 def test_scale_helpers_respect_environment():

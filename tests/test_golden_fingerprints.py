@@ -287,6 +287,13 @@ _SWEEP = ["sweep", "--sizes", "30", *_SMALL, "--results-dir", "{store}"]
                      "068d92b3306ed9e7c907b588", id="universe-compare-replay"),
         pytest.param([_SWEEP, _SWEEP, ["store", "ls", "--results-dir", "{store}"]],
                      "924b1c383216770cec7458fc", id="sweep-replay-ls"),
+        pytest.param([["compare", "--n-nodes", "30", *_SMALL, "--topology", "metro"]],
+                     "161e928487d166bfff884833", id="compare-regions"),
+        pytest.param([["workload", "run", "zapping", "--n-nodes", "40"]],
+                     "0116fa767bd0099a3fd826bb", id="workload-run-classes"),
+        pytest.param([["figure", figure, "--sizes", "30", "--seed", "2"]
+                      for figure in ("6", "7", "8")],
+                     "36b677ab21b45c4d0f9a8d8c", id="figures-6-7-8"),
     ],
 )
 def test_cli_json_output_golden(commands, expected, tmp_path, capsys, monkeypatch):

@@ -3,9 +3,18 @@
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.metrics.collectors import MetricsCollector
+from repro.metrics.collectors import (
+    MetricsCollector,
+    PeerOutcome,
+    SwitchTimeStats,
+    completion_times,
+    switch_time_stats,
+)
 
 
 @dataclass
@@ -104,3 +113,70 @@ def test_finalize_with_collected_rounds_exposes_series():
 def test_collector_requires_positive_quota():
     with pytest.raises(ValueError):
         MetricsCollector(startup_quota_new=0)
+
+
+# --------------------------------------------------------------------------- #
+# the one switch-time summary
+# --------------------------------------------------------------------------- #
+def _reference_stats(outcomes, horizon, label_of):
+    """Horizon-fill, sort, then ``np.mean`` and one ``np.percentile`` per q."""
+    groups = {}
+    for outcome in outcomes:
+        groups.setdefault(label_of(outcome), []).append(outcome)
+    reference = {}
+    for label in sorted(groups):
+        members = groups[label]
+        times = np.sort(np.asarray(
+            [horizon if o.switch_complete_time is None else o.switch_complete_time
+             for o in members], dtype=float))
+        reference[label] = SwitchTimeStats(
+            peers=len(members),
+            mean=float(np.mean(times)),
+            p50=float(np.percentile(times, 50.0)),
+            p90=float(np.percentile(times, 90.0)),
+            p99=float(np.percentile(times, 99.0)),
+            unfinished=sum(o.switch_complete_time is None for o in members),
+        )
+    return reference
+
+
+_TIMES = st.one_of(
+    st.none(),
+    st.sampled_from([0.5, 3.0, 12.25]),  # repeated values
+    st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False),
+)
+_OUTCOMES = st.lists(
+    st.tuples(_TIMES, st.sampled_from(["", "adsl", "cable", "fiber"])), max_size=80
+).map(lambda rows: [
+    PeerOutcome(node_id=i, q0=0, finish_old_time=None, prepared_new_time=t,
+                switch_complete_time=t, peer_class=label)
+    for i, (t, label) in enumerate(rows)
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(outcomes=_OUTCOMES, horizon=st.sampled_from([12.25, 60.0, 1e4]))
+@example(outcomes=[], horizon=60.0)
+def test_switch_time_stats_equals_the_reference_bit_for_bit(outcomes, horizon):
+    def by_class(outcome):
+        return outcome.peer_class
+
+    grouped = switch_time_stats(outcomes, horizon=horizon, group=by_class)
+    assert grouped == _reference_stats(outcomes, horizon, by_class)
+    assert list(grouped) == sorted(grouped)
+    whole = switch_time_stats(outcomes, horizon=horizon)
+    if outcomes:
+        assert whole == _reference_stats(outcomes, horizon, lambda outcome: "")
+    else:  # an emptied mesh reads all zeros; a grouping has no empty group
+        assert whole == {"": SwitchTimeStats(0, 0.0, 0.0, 0.0, 0.0, 0)}
+        assert grouped == {}
+
+
+def test_completion_times_fill_the_horizon_in_outcome_order():
+    outcomes = [
+        PeerOutcome(node_id=i, q0=0, finish_old_time=t, prepared_new_time=None,
+                    switch_complete_time=None)
+        for i, t in enumerate([3.0, None, 1.0])
+    ]
+    assert completion_times(outcomes, "finish_old_time", 60) == [3.0, 60.0, 1.0]
+    assert completion_times(outcomes, "prepared_new_time", 9.5) == [9.5, 9.5, 9.5]

@@ -2,13 +2,17 @@
 
 import pytest
 
-from repro.metrics.collectors import PeerOutcome
+from repro.metrics.collectors import PeerOutcome, switch_time_stats
 from repro.metrics.net import (
     NO_REGION,
+    _by_region,
     fabric_stats_rows,
-    per_region_switch_stats,
     region_comparison_rows,
 )
+
+
+def per_region(outcomes, horizon):
+    return switch_time_stats(outcomes, horizon=horizon, group=_by_region)
 
 
 def outcome(node_id, switch_time, region=""):
@@ -29,25 +33,24 @@ class TestPerRegionSwitchStats:
             outcome(2, 20.0, "east"),
             outcome(3, 30.0, "east"),
         ]
-        stats = per_region_switch_stats(outcomes, horizon=100.0)
-        assert [s.region for s in stats] == ["east", "west"]
-        east = stats[0]
+        stats = per_region(outcomes, 100.0)
+        assert list(stats) == ["east", "west"]
+        east = stats["east"]
         assert east.peers == 2
         assert east.mean == pytest.approx(25.0)
         assert east.p50 == pytest.approx(25.0)
 
     def test_unfinished_contributes_horizon(self):
         outcomes = [outcome(1, 10.0, "a"), outcome(2, None, "a")]
-        (stats,) = per_region_switch_stats(outcomes, horizon=60.0)
+        (stats,) = per_region(outcomes, 60.0).values()
         assert stats.unfinished == 1
         assert stats.mean == pytest.approx(35.0)  # (10 + 60) / 2
 
     def test_empty_region_label_buckets_under_dash(self):
-        (stats,) = per_region_switch_stats([outcome(1, 5.0)], horizon=60.0)
-        assert stats.region == NO_REGION
+        assert list(per_region([outcome(1, 5.0)], 60.0)) == [NO_REGION]
 
     def test_empty_outcomes(self):
-        assert per_region_switch_stats([], horizon=60.0) == ()
+        assert per_region([], 60.0) == {}
 
 
 class TestRegionComparisonRows:
@@ -64,7 +67,12 @@ class TestRegionComparisonRows:
         rows = region_comparison_rows(
             [outcome(1, 20.0, "a")], [outcome(2, 10.0, "b")], horizon=60.0
         )
-        assert {row["region"] for row in rows} == {"a", "b"}
+        assert rows == [
+            {"region": "a", "peers": 1, "normal_switch_time": 20.0, "fast_switch_time": 0.0,
+             "reduction": 1.0, "fast_p90": 0.0, "unfinished": 0},
+            {"region": "b", "peers": 1, "normal_switch_time": 0.0, "fast_switch_time": 10.0,
+             "reduction": 0.0, "fast_p90": 10.0, "unfinished": 0},
+        ]
 
 
 def test_fabric_stats_rows_round_and_prefix():

@@ -2,7 +2,7 @@
 
 Pins both halves of the exactness contract documented in
 :mod:`repro.metrics.sketch`: exact percentiles (bit-identical to
-``numpy.percentile`` and hence to :func:`zap_time_stats`) while the sample
+``numpy.percentile`` and hence to :func:`switch_time_stats`) while the sample
 count stays within capacity, and a bounded relative error once the sketch
 has compressed.
 """
@@ -116,9 +116,8 @@ class TestExactMode:
 
     def test_matches_zap_time_stats_pooling(self):
         """The universe contract: pooled sketch percentiles equal the
-        in-memory ``zap_time_stats`` of the concatenated samples."""
-        from repro.metrics.collectors import PeerOutcome
-        from repro.metrics.universe import zap_time_stats, zap_time_values
+        in-memory ``switch_time_stats`` of the concatenated samples."""
+        from repro.metrics.collectors import PeerOutcome, completion_times, switch_time_stats
 
         outcomes = [
             PeerOutcome(
@@ -130,10 +129,10 @@ class TestExactMode:
             )
             for i in range(60)
         ]
-        values, unfinished = zap_time_values(outcomes, horizon=40.0)
-        stats = zap_time_stats(outcomes, horizon=40.0)
+        values = completion_times(outcomes, "switch_complete_time", 40.0)
+        stats = switch_time_stats(outcomes, horizon=40.0)[""]
         sketch = sketch_of(values)
-        assert unfinished > 0  # the horizon samples are in the distribution
+        assert stats.unfinished > 0  # the horizon samples are in the distribution
         assert sketch.percentile(50.0) == stats.p50
         assert sketch.percentile(90.0) == stats.p90
         assert sketch.percentile(99.0) == stats.p99

@@ -2,14 +2,19 @@
 
 Covers the boundary behaviour the channel reports rely on:
 ``decile_of`` at exact decile boundaries and for single-channel lineups,
-``weighted_mean`` with zero total weight, and ``zap_time_stats`` on empty
-and truncated outcome sets.
+``weighted_mean`` with zero total weight, and the ungrouped
+``switch_time_stats`` (a channel's zap times) on empty and truncated
+outcome sets.
 """
 
 import pytest
 
-from repro.metrics.collectors import PeerOutcome
-from repro.metrics.universe import decile_of, weighted_mean, zap_time_stats
+from repro.metrics.collectors import PeerOutcome, switch_time_stats
+from repro.metrics.universe import decile_of, weighted_mean
+
+
+def zap_time_stats(outcomes, horizon):
+    return switch_time_stats(outcomes, horizon=horizon)[""]
 
 
 def outcome(node_id, switch_time):

@@ -23,11 +23,8 @@ from repro.experiments.store import (
     net_fingerprint,
     session_result_to_dict,
 )
-from repro.metrics.net import (
-    fabric_stats_rows,
-    per_region_switch_stats,
-    region_comparison_rows,
-)
+from repro.metrics.collectors import switch_time_stats
+from repro.metrics.net import fabric_stats_rows, region_comparison_rows
 from repro.net.fabric import IdealFabric, LatencyFabric
 from repro.net.library import get_topology
 from repro.net.topology import NetTopology, Region
@@ -246,9 +243,10 @@ class TestPairedTranscontinental:
             assert row["reduction"] > 0
 
     def test_per_region_stats_cover_all_peers(self, pair):
-        stats = per_region_switch_stats(
-            pair.fast.metrics.outcomes, horizon=pair.fast.metrics.horizon
-        )
+        stats = switch_time_stats(
+            pair.fast.metrics.outcomes, horizon=pair.fast.metrics.horizon,
+            group=lambda outcome: outcome.region,
+        ).values()
         assert sum(s.peers for s in stats) == pair.fast.metrics.n_peers
         for s in stats:
             assert s.p50 <= s.p90

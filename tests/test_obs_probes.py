@@ -4,8 +4,8 @@ Covers the probe layer's tentpole properties:
 
 * the three probes record what instrumented code reports, with bounded
   (keep-first-N) buffers and dropped counters;
-* the null probe set is a true no-op and probes are off by default --
-  even under a plain ``--telemetry`` session;
+* probes are off by default -- even under a plain ``--telemetry``
+  session, where every probe call is guarded and nothing is recorded;
 * probes are provably inert: results and store documents are
   byte-identical with probes on and off (telemetry document excluded);
 * both engines emit **identical** probe event streams for the same
@@ -19,6 +19,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import normalized_run_document, store_documents
+from repro.churn.model import ChurnConfig
 from repro.experiments.store import ResultStore, persist_telemetry_document
 from repro.obs import (
     build_telemetry_document,
@@ -137,17 +138,21 @@ def test_funnel_rows_aggregate_per_label():
 # --------------------------------------------------------------------------- #
 # the null probe set and the telemetry switch
 # --------------------------------------------------------------------------- #
-def test_null_probes_are_inert():
-    assert NULL_PROBES.enabled is False
-    NULL_PROBES.lifecycle.append(1.0, 0, 1, 2, STAGE_REQUESTED)
-    NULL_PROBES.health.sample(1.0, "x", [1], pending=0, utilisation=0.0,
-                              requests=0, failed=0, delivered=0)
-    NULL_PROBES.funnel.mark("x", 1, "joined", 0.0)
-    assert len(NULL_PROBES.lifecycle) == 0
-    assert len(NULL_PROBES.health) == 0
-    assert len(NULL_PROBES.funnel) == 0
-    assert NULL_PROBES.funnel.seen("x", 1, "joined") is False
-    assert NULL_PROBES.snapshot() == {"enabled": False}
+def test_null_probes_are_inert(tiny_config):
+    """Telemetry on, probes off: a churning session over a latency fabric
+    runs clean on both engines and records no probe state.  The disabled set
+    has no probes, so an unguarded probe call (joiners pass ``_add_peer``)
+    would raise ``AttributeError`` here."""
+    config = replace(tiny_config, topology="metro", churn=ChurnConfig.paper_dynamic())
+    for engine in ("oracle", "vector"):
+        with telemetry_session() as telemetry:
+            session = SwitchSession(replace(config, engine=engine))
+            initial = set(session.peers)
+            session.run()
+        assert set(session.peers) - initial, "no joiner passed _add_peer"
+        assert telemetry.probes is NULL_PROBES
+        assert build_telemetry_document(telemetry, run={})["probes"] == {"enabled": False}
+    assert vars(NULL_PROBES) == {}
 
 
 def test_probes_are_off_by_default_even_with_telemetry_on():
