@@ -54,6 +54,10 @@ Installed as ``repro-gossip`` (and the shorter alias ``repro``; see
     the ``repetitions x channels`` units are dealt into (default: one unit
     per shard).
 
+``net ls`` / ``net show NAME``
+    The latency-aware network layer: list the library topologies or print
+    one topology's regions and latency matrix.
+
 ``report``
     Render every figure of the one figure table
     (:mod:`repro.figures`) from a results store into one self-contained
@@ -63,40 +67,28 @@ Installed as ``repro-gossip`` (and the shorter alias ``repro``; see
     ``--from-store`` forbids simulation -- figures without stored results
     are listed as skipped instead of simulated.
 
-``scenario NAME``
-    Run one of the named example scenarios -- thin wrappers over workload
-    specs, executed through the same engine (store-backed; ``--compare``
-    prints the switch-time reduction).
+``explain [KEY ...]``
+    Print what instrumented runs stored: per ``telemetry-*`` document (all
+    of them, in key order, when no key is named) the probe tables, the
+    span table and the counters.  Read-only: it never simulates and never
+    writes.
 
-``net ls`` / ``net show NAME``
-    The latency-aware network layer: list the library topologies or print
-    one topology's regions and latency matrix.  ``run``, ``compare``,
-    ``workload run|compare``, ``universe run|compare`` and ``scenario``
-    accept ``--topology NAME`` to execute over that topology's latency
-    fabric instead of the paper's ideal zero-latency network; ``run`` and
-    ``compare`` then also print the per-region switch-time breakdown.
-
-``trace overlay PATH`` / ``trace run``
-    ``overlay`` generates a synthetic clip2/DSS-style overlay trace
-    file.  ``run`` executes one instrumented simulation under the
-    observability layer (:mod:`repro.obs`) and writes a Chrome
-    trace-event file (``--out``, loadable in ``chrome://tracing`` or
-    https://ui.perfetto.dev) plus a per-span timing table.
-
-``run``, ``compare``, ``workload run|compare``, ``universe run|compare``
-and ``scenario`` accept ``--engine {oracle,vector}`` to pick the
-simulation core.  Without the flag they run on
+``run``, ``compare``, ``workload run|compare`` and ``universe run|compare``
+share the simulation flags.  ``--topology NAME`` runs over that
+topology's latency fabric instead of the paper's ideal zero-latency
+network (``run`` and ``compare`` then also print the per-region
+switch-time breakdown).  ``--engine {oracle,vector}`` picks the
+simulation core; without it they run on
 :data:`~repro.streaming.config.DEFAULT_ENGINE`: the NumPy array engine
 (``vector``) is the production path, and the per-peer object engine
 (``oracle``) is the readable reference and the debugging path -- the two
 are bit-identical (see docs/architecture.md), so store keys and
-documents do not depend on the choice.
-The same commands accept ``--telemetry`` (collect metrics and spans;
-persisted beside the results as a ``telemetry-*`` store document when a
-results directory is configured) and ``--trace-out PATH`` (also write
-the Chrome trace-event file).  Telemetry never changes simulation
-results: documents and fingerprints are byte-identical with it on or
-off.
+documents do not depend on the choice.  ``--telemetry`` collects metrics
+and spans, persisted beside the results as a ``telemetry-*`` store
+document when a results directory is configured; ``--trace-out PATH``
+also writes the Chrome trace-event file and ``--probes`` also records
+the sim-time protocol probes.  Telemetry never changes simulation
+results: documents and fingerprints are byte-identical with it on or off.
 
 ``--log-level {debug,info,warning,error}`` (global) configures the
 stdlib logging of the ``repro.*`` loggers on stderr -- worker respawn
@@ -114,7 +106,7 @@ what it runs -- so ``--version`` and ``--help`` load no NumPy, and a warm
 ``report --from-store`` loads no simulator (``tests/test_import_fences.py``).
 
 Every group of flags that several commands share is declared once (the
-``_add_*_arguments`` helpers), the three named-run commands share one
+``_add_*_arguments`` helpers), the two named-run commands share one
 handler skeleton (``_named_run``) and the four ``ls`` commands one emitter
 (``_emit_rows``).  Input the simulator or a replay-only store rejects
 (``ValueError``, ``MissingResultError``) is caught once, in :func:`_run`:
@@ -130,13 +122,12 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Collection, Dict, List, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Dict, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only; every command imports what it runs
     from repro.channels.runner import UniverseResult
     from repro.experiments.store import BaseResultStore
     from repro.workloads.runner import WorkloadResult
-    from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -205,19 +196,6 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
                              "telemetry document's 'probes' block)")
 
 
-def _add_session_arguments(parser: argparse.ArgumentParser, *, algorithm: bool = True) -> None:
-    """Attach the single-session flags of ``run``, ``compare``, ``probe`` and ``trace run``."""
-    if algorithm:
-        parser.add_argument("--algorithm", choices=["fast", "normal"], default="fast")
-    parser.add_argument("--n-nodes", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--dynamic", action="store_true", help="enable 5%% churn per period")
-    parser.add_argument("--max-time", type=float, default=120.0)
-    parser.add_argument("--json", action="store_true")
-    _add_topology_argument(parser)
-    _add_engine_argument(parser)
-
-
 def _add_named_run_arguments(
     parser: argparse.ArgumentParser,
     names: Sequence[str],
@@ -225,7 +203,7 @@ def _add_named_run_arguments(
     compare_help: str = "print only the paired switch-time comparison",
     workers_help: str = "worker processes; bit-identical to --workers 1",
 ) -> None:
-    """Attach the named-run flags of ``workload``/``universe`` ``run|compare`` and ``scenario``."""
+    """Attach the named-run flags of ``workload``/``universe`` ``run|compare``."""
     parser.add_argument("name", choices=names)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repetitions", type=_positive_int, default=1,
@@ -359,16 +337,23 @@ def _configure_store(store: argparse.ArgumentParser) -> None:
     _add_store_arguments(store_migrate)
 
 
-def _configure_run(run: argparse.ArgumentParser) -> None:
-    _add_session_arguments(run)
-    _add_telemetry_arguments(run)
-    _add_store_arguments(run)
+def _configure_run(parser: argparse.ArgumentParser, *, algorithm: bool = True) -> None:
+    """The single-session flags of ``run`` (and, without ``--algorithm``, ``compare``)."""
+    if algorithm:
+        parser.add_argument("--algorithm", choices=["fast", "normal"], default="fast")
+    parser.add_argument("--n-nodes", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--dynamic", action="store_true", help="enable 5%% churn per period")
+    parser.add_argument("--max-time", type=float, default=120.0)
+    parser.add_argument("--json", action="store_true")
+    _add_topology_argument(parser)
+    _add_engine_argument(parser)
+    _add_telemetry_arguments(parser)
+    _add_store_arguments(parser)
 
 
 def _configure_compare(cmp_parser: argparse.ArgumentParser) -> None:
-    _add_session_arguments(cmp_parser, algorithm=False)
-    _add_telemetry_arguments(cmp_parser)
-    _add_store_arguments(cmp_parser)
+    _configure_run(cmp_parser, algorithm=False)
 
 
 def _configure_workload(workload: argparse.ArgumentParser) -> None:
@@ -421,12 +406,6 @@ def _configure_universe(universe: argparse.ArgumentParser) -> None:
                                        "history, per-worker heartbeat age)")
 
 
-def _configure_scenario(scen: argparse.ArgumentParser) -> None:
-    from repro.experiments.scenarios import SCENARIOS
-
-    _add_named_run_arguments(scen, sorted(SCENARIOS))
-
-
 def _configure_net(net: argparse.ArgumentParser) -> None:
     from repro.net.library import topology_names
 
@@ -436,37 +415,6 @@ def _configure_net(net: argparse.ArgumentParser) -> None:
     net_show = net_sub.add_parser("show", help="print one topology's full model")
     net_show.add_argument("name", choices=topology_names())
     net_show.add_argument("--json", action="store_true")
-
-
-def _configure_trace(trace: argparse.ArgumentParser) -> None:
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    trace_overlay = trace_sub.add_parser(
-        "overlay", help="generate a synthetic overlay trace file"
-    )
-    trace_overlay.add_argument("path", help="output file path")
-    trace_overlay.add_argument("--n-nodes", type=int, default=1000)
-    trace_overlay.add_argument("--seed", type=int, default=0)
-    trace_overlay.add_argument("--mean-degree", type=float, default=2.0)
-    trace_run = trace_sub.add_parser(
-        "run",
-        help="run one instrumented simulation and write a Chrome "
-             "trace-event file (chrome://tracing / ui.perfetto.dev)",
-    )
-    trace_run.add_argument("--out", default="trace.json",
-                           help="Chrome trace-event output path "
-                                "(default: ./trace.json)")
-    _add_session_arguments(trace_run)
-
-
-def _configure_probe(probe: argparse.ArgumentParser) -> None:
-    _add_session_arguments(probe)
-    probe.add_argument("--peer", type=int, default=None, metavar="ID",
-                       help="print this peer's segment-lifecycle timeline "
-                            "instead of the swarm overview")
-    probe.add_argument("--seg", type=int, default=None, metavar="ID",
-                       help="restrict the --peer timeline to one segment id")
-    probe.add_argument("--last", type=_positive_int, default=40, metavar="N",
-                       help="timeline events to print (newest last, default 40)")
 
 
 def _configure_report(report: argparse.ArgumentParser) -> None:
@@ -493,6 +441,14 @@ def _configure_report(report: argparse.ArgumentParser) -> None:
     _add_store_arguments(report)
 
 
+def _configure_explain(explain: argparse.ArgumentParser) -> None:
+    explain.add_argument("keys", nargs="*", metavar="KEY",
+                         help="telemetry-* document keys (default: every one, in key order)")
+    explain.add_argument("--json", action="store_true",
+                         help="print the documents as one {key: document} object")
+    _add_store_arguments(explain)
+
+
 def _table(rows: Sequence[dict], columns: Optional[Sequence[str]] = None) -> str:
     """Rows as a fixed-width text table (:func:`repro.metrics.report.format_table`)."""
     from repro.metrics.report import format_table
@@ -510,7 +466,7 @@ def _emit_rows(args: argparse.Namespace, rows: Sequence[dict], empty: Optional[s
 
 
 def _session_config(args: argparse.Namespace, **kwargs):
-    """The one-session configuration ``run``, ``compare``, ``probe`` and ``trace run`` build."""
+    """The one-session configuration ``run`` and ``compare`` build."""
     from repro.experiments.config import make_session_config
 
     return make_session_config(
@@ -522,23 +478,6 @@ def _session_config(args: argparse.Namespace, **kwargs):
         **({"engine": args.engine} if args.engine else {}),
         **kwargs,
     )
-
-
-def _metrics_rows(result) -> List[dict]:
-    metrics = result.metrics
-    return [
-        {"metric": "algorithm", "value": metrics.algorithm},
-        {"metric": "tracked peers", "value": metrics.n_peers},
-        {"metric": "avg finishing time of S1 (s)", "value": round(metrics.avg_finish_old, 3)},
-        {"metric": "avg preparing time of S2 (s)", "value": round(metrics.avg_prepare_new, 3)},
-        {"metric": "avg switch time (s)", "value": round(metrics.avg_switch_time, 3)},
-        {"metric": "avg playback start of S2 (s)", "value": round(metrics.avg_start_time, 3)},
-        {"metric": "last prepare time (s)", "value": round(metrics.last_prepare_new, 3)},
-        {"metric": "unfinished peers", "value": metrics.unfinished},
-        {"metric": "communication overhead", "value": round(result.overhead_ratio, 5)},
-        {"metric": "rounds simulated", "value": result.n_rounds},
-        {"metric": "wallclock (s)", "value": round(result.wallclock_seconds, 2)},
-    ]
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -638,7 +577,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_single
 
     result = run_single(_session_config(args, algorithm=args.algorithm))
-    rows = _metrics_rows(result)
+    metrics = result.metrics
+    rows = [
+        {"metric": "algorithm", "value": metrics.algorithm},
+        {"metric": "tracked peers", "value": metrics.n_peers},
+        {"metric": "avg finishing time of S1 (s)", "value": round(metrics.avg_finish_old, 3)},
+        {"metric": "avg preparing time of S2 (s)", "value": round(metrics.avg_prepare_new, 3)},
+        {"metric": "avg switch time (s)", "value": round(metrics.avg_switch_time, 3)},
+        {"metric": "avg playback start of S2 (s)", "value": round(metrics.avg_start_time, 3)},
+        {"metric": "last prepare time (s)", "value": round(metrics.last_prepare_new, 3)},
+        {"metric": "unfinished peers", "value": metrics.unfinished},
+        {"metric": "communication overhead", "value": round(result.overhead_ratio, 5)},
+        {"metric": "rounds simulated", "value": result.n_rounds},
+        {"metric": "wallclock (s)", "value": round(result.wallclock_seconds, 2)},
+    ]
     if args.topology:
         from repro.metrics.net import fabric_stats_rows
 
@@ -778,8 +730,8 @@ def _named_run(
     payload: Callable[..., dict],
     show: Callable[..., None],
 ) -> int:
-    """The handler skeleton of ``workload run|compare``, ``universe run|compare``
-    and ``scenario``: resolve the store, ``run(store)`` (which scales the
+    """The handler skeleton of ``workload run|compare`` and ``universe
+    run|compare``: resolve the store, ``run(store)`` (which scales the
     named spec and runs it), then print the result's ``payload`` as JSON or
     ``show`` it and say where it persisted."""
     store = _resolve_store(args, replay_only=args.from_store, required=args.from_store)
@@ -791,22 +743,6 @@ def _named_run(
         if store is not None:
             print(f"results persisted under {store.root}")
     return 0
-
-
-def _run_workload_spec(spec: WorkloadSpec, args: argparse.Namespace) -> int:
-    """Shared execution path of ``workload run|compare`` and ``scenario``."""
-    from repro.workloads.runner import run_workload
-
-    def run(store: Optional[BaseResultStore]) -> WorkloadResult:
-        scaled = spec
-        if getattr(args, "n_nodes", None) is not None:
-            scaled = scaled.scaled_to(args.n_nodes)
-        if args.topology:
-            scaled = scaled.with_overrides(topology=args.topology)
-        return run_workload(scaled, seed=args.seed, repetitions=args.repetitions,
-                            workers=args.workers, store=store, engine=args.engine)
-
-    return _named_run(args, run, _workload_payload, _print_workload_result)
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
@@ -827,7 +763,19 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         return _emit_rows(args, rows)
     if args.workload_command == "compare":
         args.compare = True
-    return _run_workload_spec(get_workload(args.name), args)
+
+    def run(store: Optional[BaseResultStore]) -> WorkloadResult:
+        from repro.workloads.runner import run_workload
+
+        spec = get_workload(args.name)
+        if args.n_nodes is not None:
+            spec = spec.scaled_to(args.n_nodes)
+        if args.topology:
+            spec = spec.with_overrides(topology=args.topology)
+        return run_workload(spec, seed=args.seed, repetitions=args.repetitions,
+                            workers=args.workers, store=store, engine=args.engine)
+
+    return _named_run(args, run, _workload_payload, _print_workload_result)
 
 
 def _universe_payload(result: UniverseResult, *, compare_only: bool) -> dict:
@@ -905,89 +853,6 @@ def _cmd_universe(args: argparse.Namespace) -> int:
     return _named_run(args, run, _universe_payload, _print_universe_result)
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.experiments.scenarios import SCENARIOS
-
-    scenario = SCENARIOS[args.name]
-    _LOG.info("scenario: %s -- %s", scenario.name, scenario.description)
-    return _run_workload_spec(scenario.spec(), args)
-
-
-def _cmd_probe(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_single
-    from repro.obs.telemetry import telemetry_session
-    from repro.streaming.protocol import STAGE_WIRE_BITS
-
-    with telemetry_session(probes=True) as telemetry:
-        run_single(_session_config(args, algorithm=args.algorithm))
-    probes = telemetry.probes
-    lifecycle = probes.lifecycle
-    if args.json:
-        payload = probes.snapshot()
-        if args.peer is not None:
-            payload["timeline"] = lifecycle.rows(peer=args.peer, seg=args.seg)
-        print(json.dumps(payload, indent=2))
-        return 0
-    if args.peer is not None:
-        events = lifecycle.rows(peer=args.peer, seg=args.seg)
-        if not events:
-            print(f"(no lifecycle events recorded for peer {args.peer})")
-            return 0
-        shown = events[-args.last:]
-        print(f"segment lifecycle of peer {args.peer} "
-              f"({len(shown)} of {len(events)} events, newest last):")
-        print(_table([
-            {
-                "t_sim": f"{event['time']:.2f}",
-                "period": event["period"],
-                "seg": event["seg"],
-                "stage": event["stage"],
-                "supplier": event["supplier"] if event["supplier"] >= 0 else "-",
-                "value": round(event["value"], 4),
-                "wire_bits": STAGE_WIRE_BITS.get(event["stage"], 0),
-            }
-            for event in shown
-        ]))
-        return 0
-    print("segment lifecycle:")
-    print(_table([
-        {"stage": stage, "events": count}
-        for stage, count in lifecycle.stage_counts().items()
-    ]))
-    drops = lifecycle.drop_reason_counts()
-    if drops:
-        print("\ndrop reasons:")
-        print(_table([
-            {"reason": reason, "drops": count} for reason, count in drops.items()
-        ]))
-    print("\nstartup funnel:")
-    print(_table(probes.funnel.funnel_rows()))
-    health = probes.health.rows()
-    if health:
-        step = max(1, len(health) // 12)
-        print("\nswarm health (every "
-              f"{step}{'st' if step == 1 else 'th'} period):")
-        print(_table([
-            {
-                "t_sim": f"{row['time']:.1f}",
-                "peers": row["peers"],
-                "fill_p50": row["fill_p50"],
-                "fill_p90": row["fill_p90"],
-                "pending": row["pending"],
-                "util": row["utilisation"],
-                "requests": row["requests"],
-                "failed": row["failed"],
-                "delivered": row["delivered"],
-            }
-            for row in health[::step]
-        ]))
-    if lifecycle.dropped:
-        print(f"warning: lifecycle ring buffer overflowed; "
-              f"{lifecycle.dropped} events were dropped "
-              f"(first {len(lifecycle)} kept)", file=sys.stderr)
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.figures import render_report
 
@@ -1015,56 +880,23 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.trace_command == "run":
-        return _cmd_trace_run(args)
-    from repro.overlay.generator import generate_trace
-    from repro.overlay.trace import write_trace
+def _cmd_explain(args: argparse.Namespace) -> int:
+    from repro.obs.explain import explain_document, overflow_warning
 
-    records = generate_trace(args.n_nodes, seed=args.seed, mean_degree=args.mean_degree)
-    write_trace(records, args.path,
-                header=f"synthetic trace: n={args.n_nodes} seed={args.seed}")
-    print(f"wrote {len(records)} records to {args.path}")
-    return 0
-
-
-def _cmd_trace_run(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_single
-    from repro.obs.export import write_chrome_trace
-    from repro.obs.telemetry import telemetry_session
-
-    with telemetry_session() as telemetry:
-        run_single(_session_config(args, algorithm=args.algorithm))
-    identity = {
-        "kind": "run",
-        "name": f"trace-{args.algorithm}",
-        "n_nodes": args.n_nodes,
-        "seed": args.seed,
-    }
-    write_chrome_trace(telemetry, args.out, run=identity)
-    _warn_trace_overflow(telemetry)
-    stats = telemetry.tracer.span_stats()
-    n_events = len(telemetry.tracer.events())
+    store = _resolve_store(args, replay_only=True, required=True, existing=True)
+    documents = {key: store.load(key, "telemetry") for key in args.keys or store.keys("telemetry")}
+    for key, document in documents.items():
+        if document is None:
+            raise ValueError(f"no telemetry document {key!r} in the store at {store.root}")
     if args.json:
-        print(json.dumps({
-            "out": str(args.out),
-            "events": n_events,
-            "spans": stats,
-            "counters": telemetry.registry.snapshot()["counters"],
-        }, indent=2))
+        print(json.dumps(documents, indent=2))
         return 0
-    rows = [
-        {
-            "span": name,
-            "count": stat["count"],
-            "total_s": round(stat["total_s"], 4),
-            "mean_ms": round(stat["mean_s"] * 1e3, 3),
-            "p95_ms": round(stat["p95_s"] * 1e3, 3),
-        }
-        for name, stat in stats.items()
-    ]
-    print(_table(rows))
-    print(f"\nwrote {n_events} trace events to {args.out}")
+    print("\n\n".join(explain_document(key, document) for key, document in documents.items())
+          or f"(no telemetry documents in the store at {store.root})")
+    for key, document in documents.items():
+        warning = overflow_warning(key, document)
+        if warning:
+            print(f"warning: {warning}", file=sys.stderr)
     return 0
 
 
@@ -1106,15 +938,11 @@ _COMMANDS: Dict[str, _Command] = {
                          _configure_workload, _cmd_workload),
     "universe": _Command("list or run the multi-channel zapping universes",
                          _configure_universe, _cmd_universe),
-    "scenario": _Command("run a named example scenario", _configure_scenario, _cmd_scenario),
     "net": _Command("inspect the network-topology library", _configure_net, _cmd_net),
-    "trace": _Command("overlay trace files and run-telemetry traces",
-                      _configure_trace, _cmd_trace),
-    "probe": _Command("run one probed simulation and inspect the sim-time protocol "
-                      "probes (segment lifecycle, swarm health, startup funnel)",
-                      _configure_probe, _cmd_probe),
     "report": _Command("render every registered figure from a results store into one "
                        "self-contained HTML report", _configure_report, _cmd_report),
+    "explain": _Command("print the probe, span and counter tables of stored telemetry "
+                        "documents (read-only)", _configure_explain, _cmd_explain),
 }
 
 
@@ -1189,7 +1017,7 @@ def _export_telemetry(args: argparse.Namespace, telemetry) -> None:
         _LOG.info("wrote Chrome trace to %s", args.trace_out)
     if getattr(args, "from_store", False):
         return  # replay-only invocations never write to the store
-    store = _resolve_store(args) if hasattr(args, "results_dir") else None
+    store = _resolve_store(args)
     if store is not None:
         key = persist_telemetry_document(store, run=identity, telemetry=telemetry)
         _LOG.info("telemetry persisted as %s", key)

@@ -13,9 +13,7 @@ This subpackage turns the simulator into the paper's evaluation:
 * :mod:`repro.experiments.store` -- the persistent on-disk result store
   (a key -> document map keyed by configuration fingerprints, one table of
   document kinds, one replay-or-execute loop) that makes every experiment
-  incremental and turns figure regeneration into replay;
-* :mod:`repro.experiments.scenarios` -- the named end-to-end scenarios used
-  by the examples and the CLI.
+  incremental and turns figure regeneration into replay.
 """
 
 from repro._hub import lazy_hub

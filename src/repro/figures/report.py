@@ -32,6 +32,7 @@ from repro.analysis.charts import svg_bar_chart, svg_line_chart
 from repro.experiments.store import BaseResultStore, MissingResultError
 from repro.figures.registry import FIGURES, render_figure
 from repro.figures.spec import FigureResult, FigureUnavailable
+from repro.obs.explain import run_label
 
 __all__ = ["ReportSummary", "render_report"]
 
@@ -183,6 +184,13 @@ def _figure_chart(figure: FigureResult) -> str:
     return svg_bar_chart(bars, title=figure.title)
 
 
+def _run_heading(key: str, document: Mapping[str, Any]) -> str:
+    """A telemetry block's ``<h3>``: the run's kind and identity fields."""
+    run = document.get("run", {})
+    label = run_label(run) or key
+    return f"<h3>{html.escape(str(run.get('kind', 'run')))}: {html.escape(label)}</h3>"
+
+
 def _telemetry_section(store: BaseResultStore) -> List[str]:
     """The "Run telemetry" section: one block per ``telemetry-*`` document.
 
@@ -197,13 +205,8 @@ def _telemetry_section(store: BaseResultStore) -> List[str]:
         return []
     parts = ["<h2>Run telemetry</h2>"]
     for key, document in documents:
-        run = document.get("run", {})
-        label = ", ".join(
-            f"{field}={run[field]}" for field in sorted(run) if field != "kind"
-        ) or key
         parts.append('<div class="figure-block">')
-        parts.append(f"<h3>{html.escape(str(run.get('kind', 'run')))}: "
-                     f"{html.escape(label)}</h3>")
+        parts.append(_run_heading(key, document))
         spans = document.get("spans", {})
         if spans:
             bars = [
@@ -260,13 +263,8 @@ def _probe_section(store: BaseResultStore) -> List[str]:
         probes = document.get("probes")
         if not isinstance(probes, dict) or not probes.get("enabled"):
             continue
-        run = document.get("run", {})
-        label = ", ".join(
-            f"{field}={run[field]}" for field in sorted(run) if field != "kind"
-        ) or key
         blocks.append('<div class="figure-block">')
-        blocks.append(f"<h3>{html.escape(str(run.get('kind', 'run')))}: "
-                      f"{html.escape(label)}</h3>")
+        blocks.append(_run_heading(key, document))
         lifecycle = probes.get("lifecycle", {})
         stages = lifecycle.get("stages", {})
         if stages:

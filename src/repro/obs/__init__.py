@@ -10,7 +10,9 @@ ever taxing the answer's subject:
 * :mod:`repro.obs.telemetry` -- the process-local on/off switchboard
   (:func:`get_telemetry` / :func:`telemetry_session`);
 * :mod:`repro.obs.export` -- the ``telemetry-*`` store-document digest
-  and the Perfetto-loadable Chrome trace file.
+  and the Perfetto-loadable Chrome trace file;
+* :mod:`repro.obs.explain` -- that document read back as text tables
+  (``repro explain``).
 
 Telemetry is off by default and provably inert: store documents and
 fingerprints are byte-identical with it on or off, and the disabled

@@ -12,23 +12,7 @@ tracked but not charged.
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.streaming.segment import DEFAULT_SEGMENT_BITS
-
-__all__ = [
-    "SEGMENT_REQUEST_BITS",
-    "STAGE_WIRE_BITS",
-]
+__all__ = ["SEGMENT_REQUEST_BITS"]
 
 #: Wire size of one segment request: a 20-bit segment id plus minimal framing.
 SEGMENT_REQUEST_BITS: int = 32
-
-#: Wire cost (bits) of the message behind each segment-lifecycle probe stage
-#: (:mod:`repro.obs.probes`): ``scheduled`` puts a request on the wire,
-#: ``delivered`` a segment payload; the other stages are peer-internal and
-#: cost nothing.  The ``repro probe`` timeline renders this column.
-STAGE_WIRE_BITS: Dict[str, int] = {
-    "scheduled": SEGMENT_REQUEST_BITS,
-    "delivered": DEFAULT_SEGMENT_BITS,
-}

@@ -1,12 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments.store import open_store
-from repro.overlay.trace import parse_trace
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_parser_knows_all_subcommands():
@@ -17,12 +19,8 @@ def test_parser_knows_all_subcommands():
     assert args.algorithm == "normal" and args.n_nodes == 50
     args = parser.parse_args(["compare", "--dynamic"])
     assert args.dynamic is True
-    args = parser.parse_args(["scenario", "video-conference"])
-    assert args.name == "video-conference"
-    args = parser.parse_args(["trace", "overlay", "out.trace", "--n-nodes", "77"])
-    assert args.path == "out.trace" and args.n_nodes == 77
-    args = parser.parse_args(["trace", "run", "--out", "t.json", "--n-nodes", "40"])
-    assert args.trace_command == "run" and args.out == "t.json" and args.n_nodes == 40
+    args = parser.parse_args(["explain", "telemetry-a", "telemetry-b", "--results-dir", "/tmp/r"])
+    assert args.keys == ["telemetry-a", "telemetry-b"] and args.results_dir == "/tmp/r"
     args = parser.parse_args(["sweep", "--sizes", "30", "40", "--workers", "4",
                               "--results-dir", "/tmp/r"])
     assert args.sizes == [30, 40] and args.workers == 4 and args.results_dir == "/tmp/r"
@@ -41,9 +39,16 @@ def test_parser_knows_all_subcommands():
     assert args.workers == 2 and args.repetitions == 3 and args.from_store
     args = parser.parse_args(["workload", "compare", "flash-crowd"])
     assert args.workload_command == "compare" and args.name == "flash-crowd"
-    args = parser.parse_args(["scenario", "video-conference", "--compare",
+    args = parser.parse_args(["workload", "run", "zapping", "--compare",
                               "--results-dir", "/tmp/r"])
     assert args.compare and args.results_dir == "/tmp/r"
+
+
+def test_help_lists_the_ten_commands(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert "{figure,sweep,store,run,compare,workload,universe,net,report,explain}" in out
 
 
 def test_figure2_command_prints_table(capsys):
@@ -77,26 +82,15 @@ def test_compare_command_reports_reduction(capsys):
     assert payload["n_peers"] == 34
 
 
-def test_trace_overlay_command_writes_parseable_file(tmp_path, capsys):
-    target = tmp_path / "synthetic.trace"
-    assert main(["trace", "overlay", str(target), "--n-nodes", "60", "--seed", "3"]) == 0
-    assert "wrote 60 records" in capsys.readouterr().out
-    records = parse_trace(target)
-    assert len(records) == 60
-
-
-def test_trace_run_command_writes_chrome_trace(tmp_path, capsys):
+def test_run_trace_out_writes_chrome_trace(tmp_path):
     target = tmp_path / "run.trace.json"
-    argv = ["trace", "run", "--out", str(target), "--n-nodes", "36",
+    argv = ["run", "--trace-out", str(target), "--n-nodes", "36",
             "--seed", "2", "--max-time", "70", "--json"]
     assert main(argv) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["events"] > 0
-    assert "period.decide" in payload["spans"]
     document = json.loads(target.read_text(encoding="utf-8"))
     assert document["traceEvents"] and document["displayTimeUnit"] == "ms"
-    phases = {event["ph"] for event in document["traceEvents"]}
-    assert "X" in phases
+    spans = {event["name"] for event in document["traceEvents"] if event["ph"] == "X"}
+    assert "period.decide" in spans
 
 
 def test_run_with_telemetry_persists_document_and_identical_metrics(
@@ -169,8 +163,8 @@ def test_figure_from_store_requires_populated_store(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["run", "--n-nodes", "3"],
     ["compare", "--n-nodes", "3"],
-    ["probe", "--n-nodes", "3"],
-    ["trace", "run", "--n-nodes", "3", "--out", "{tmp}/trace.json"],
+    ["run", "--n-nodes", "3", "--probes"],
+    ["run", "--n-nodes", "3", "--trace-out", "{tmp}/trace.json"],
     ["sweep", "--sizes", "3", "--results-dir", "{tmp}/results"],
     ["figure", "7", "--sizes", "3"],
     ["report", "--sizes", "3", "--n-nodes", "3", "--out", "{tmp}/report",
@@ -210,7 +204,8 @@ def test_store_command_without_results_dir_errors(monkeypatch):
     ["store", "clear"],
     ["store", "migrate", "--to", "sqlite", "--dest-dir", "{tmp}/dest"],
     ["report", "--from-store", "--out", "{tmp}/report"],
-], ids=["store-ls", "store-clear", "store-migrate", "report-from-store"])
+    ["explain"],
+], ids=["store-ls", "store-clear", "store-migrate", "report-from-store", "explain"])
 def test_commands_that_cannot_write_never_create_a_store(argv, backend, tmp_path):
     """A mistyped --results-dir is an error, not an empty store -- and stays absent."""
     missing = tmp_path / "no" / "such" / "dir"
@@ -269,14 +264,6 @@ def test_workload_compare_prints_reduction(tmp_path, capsys):
 
 def test_workload_from_store_requires_populated_store(tmp_path, capsys):
     argv = ["workload", "run", "zapping", "--from-store",
-            "--results-dir", str(tmp_path / "empty")]
-    assert main(argv) == 1
-    assert "not in the store" in capsys.readouterr().err
-    assert not (tmp_path / "empty").exists()
-
-
-def test_scenario_from_store_requires_populated_store(tmp_path, capsys):
-    argv = ["scenario", "video-conference", "--from-store",
             "--results-dir", str(tmp_path / "empty")]
     assert main(argv) == 1
     assert "not in the store" in capsys.readouterr().err
@@ -386,8 +373,6 @@ def test_parser_knows_net_subcommands_and_topology_flags():
     args = parser.parse_args(["universe", "run", "lineup-mini",
                               "--topology", "transcontinental"])
     assert args.topology == "transcontinental"
-    args = parser.parse_args(["scenario", "video-conference", "--topology", "metro"])
-    assert args.topology == "metro"
     with pytest.raises(SystemExit):
         parser.parse_args(["run", "--topology", "atlantis"])
 
@@ -538,14 +523,10 @@ def test_store_migrate_refuses_the_same_store_however_spelled(dest, tmp_path, mo
 
 
 # --------------------------------------------------------------------------- #
-# protocol probes: the `probe` command, `run --probes`, live progress
+# protocol probes: `run --probes`, `explain` over the stored document, live progress
 # --------------------------------------------------------------------------- #
 def test_parser_knows_probe_and_progress_flags():
     parser = build_parser()
-    args = parser.parse_args(["probe", "--n-nodes", "60", "--peer", "5",
-                              "--seg", "100", "--last", "10", "--json"])
-    assert args.command == "probe" and args.peer == 5 and args.seg == 100
-    assert args.last == 10 and args.json
     args = parser.parse_args(["run", "--probes", "--results-dir", "/tmp/r"])
     assert args.probes is True
     args = parser.parse_args(["universe", "run", "lineup-mini", "--shards", "2",
@@ -553,54 +534,80 @@ def test_parser_knows_probe_and_progress_flags():
     assert args.progress is True
 
 
-def test_probe_command_prints_lifecycle_funnel_and_health(capsys):
-    assert main(["probe", "--n-nodes", "36", "--seed", "2",
-                 "--max-time", "70"]) == 0
-    out = capsys.readouterr().out
-    assert "segment lifecycle:" in out
-    assert "requested" in out and "delivered" in out and "played" in out
-    assert "startup funnel:" in out and "playback_mean_s" in out
-    assert "swarm health" in out and "fill_p50" in out
+_PROBED_RUN = ["run", "--n-nodes", "36", "--seed", "2", "--max-time", "70", "--probes"]
 
 
-def test_probe_command_peer_timeline(capsys):
-    assert main(["probe", "--n-nodes", "36", "--seed", "2", "--max-time", "70",
-                 "--peer", "5", "--last", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "segment lifecycle of peer 5" in out
-    assert "(5 of" in out and "newest last" in out
-    assert "t_sim" in out and "supplier" in out and "wire_bits" in out
-    # a peer outside the overlay has no recorded events
-    assert main(["probe", "--n-nodes", "36", "--seed", "2", "--max-time", "70",
-                 "--peer", "999"]) == 0
-    assert "no lifecycle events recorded for peer 999" in capsys.readouterr().out
+@pytest.fixture(scope="module")
+def probed_store(tmp_path_factory):
+    """A store holding the telemetry document of one probed run."""
+    store_dir = tmp_path_factory.mktemp("probed")
+    assert main(_PROBED_RUN + ["--results-dir", str(store_dir)]) == 0
+    return store_dir
 
 
-def test_probe_command_json_snapshot(capsys):
-    assert main(["probe", "--n-nodes", "36", "--seed", "2", "--max-time", "70",
-                 "--peer", "5", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["enabled"] is True
-    assert payload["lifecycle"]["events"] > 0
-    assert payload["health"]["periods"] > 0
-    assert payload["funnel"]["peers"] == 34
-    assert payload["timeline"][0]["peer"] == 5
-
-
-def test_run_probes_flag_persists_the_probes_block(tmp_path, capsys):
+def test_run_probes_flag_persists_the_probes_block(probed_store):
     from repro.experiments.store import ResultStore
 
-    store_dir = tmp_path / "results"
-    assert main(["run", "--n-nodes", "36", "--seed", "2", "--max-time", "70",
-                 "--probes", "--results-dir", str(store_dir), "--json"]) == 0
-    capsys.readouterr()
-    store = ResultStore(store_dir)
+    store = ResultStore(probed_store)
     keys = [key for key in store.keys() if key.startswith("telemetry-")]
     assert len(keys) == 1
     probes = store.load(keys[0], "telemetry")["probes"]
     assert probes["enabled"] is True
     assert probes["lifecycle"]["events"] > 0
     assert probes["health"]["periods"] > 0
+
+
+def test_explain_prints_the_tables_the_probe_command_printed(probed_store, capsys):
+    """The lifecycle, drop-reason, funnel and health tables are byte for byte
+    what the removed ``probe`` command printed for the same run."""
+    capsys.readouterr()
+    assert main(["explain", "--results-dir", str(probed_store)]) == 0
+    captured = capsys.readouterr()
+    assert (GOLDEN / "probe-n36-seed2.txt").read_text(encoding="utf-8") in captured.out
+    assert captured.out.startswith("telemetry-")
+    assert "\nspans:\n" in captured.out and "period.decide" in captured.out
+    assert "\ncounters:\n" in captured.out and "fabric.requests_failed" in captured.out
+    assert captured.err == ""
+
+
+def test_explain_orders_every_lifecycle_stage():
+    from repro.obs.explain import STAGE_ORDER
+    from repro.obs.probes import STAGE_NAMES
+
+    assert sorted(STAGE_ORDER) == sorted(STAGE_NAMES)
+
+
+def test_explain_json_prints_the_stored_documents(probed_store, capsys):
+    from repro.experiments.store import ResultStore
+
+    capsys.readouterr()
+    assert main(["explain", "--json", "--results-dir", str(probed_store)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    store = ResultStore(probed_store)
+    assert payload == {key: store.load(key) for key in store.keys("telemetry")}
+    (document,) = payload.values()
+    assert document["probes"]["funnel"]["peers"] == 34
+
+
+def test_explain_names_the_key_it_cannot_find(probed_store, capsys):
+    capsys.readouterr()
+    assert main(["explain", "telemetry-nope", "--results-dir", str(probed_store)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: no telemetry document 'telemetry-nope'")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+def test_explain_warns_once_when_a_ring_buffer_overflowed(tmp_path, capsys):
+    from repro.experiments.store import ResultStore
+
+    document = {"kind": "telemetry", "run": {"kind": "run", "name": "unit"},
+                "spans": {}, "counters": {}, "trace": {"events": 3, "dropped": 5},
+                "probes": {"enabled": False}}
+    ResultStore(tmp_path).save("telemetry-unit", document)
+    assert main(["explain", "telemetry-unit", "--results-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("telemetry-unit: run name=unit\n")
+    assert captured.err.count("warning:") == 1 and "dropped 5 trace and 0 lifecycle" in captured.err
 
 
 def test_universe_run_progress_prints_live_status(tmp_path, capsys):

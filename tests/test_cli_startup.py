@@ -40,21 +40,25 @@ ARGV_SAMPLES = [
     ["universe", "compare", "lineup-mini", "--json"],
     ["universe", "run", "nope"],
     ["universe", "compare"],
-    ["scenario", "flash-crowd", "--compare"],
-    ["scenario", "nope"],
-    ["scenario"],
     ["net", "ls", "--json"],
     ["net", "show", "metro"],
     ["net", "show", "nowhere"],
     ["net", "show"],
+    ["report", "--from-store", "--results-dir", "d", "--sizes", "30", "40"],
+    ["report", "--sizes", "0"],
+    ["explain", "telemetry-a", "telemetry-b", "--json", "--results-dir", "d"],
+    ["explain", "--store-backend", "nope"],
+    # Deleted commands (``run --probes`` / ``--trace-out`` and ``explain``
+    # replace them) are an invalid choice to both parsers alike.
+    ["scenario", "flash-crowd", "--compare"],
+    ["scenario", "nope"],
+    ["scenario"],
     ["trace", "overlay", "out.trace", "--n-nodes", "50"],
     ["trace", "overlay"],
     ["trace", "run", "--out", "t.json", "--algorithm", "normal"],
     ["trace", "run", "--algorithm", "slow"],
     ["probe", "--peer", "5", "--last", "3"],
     ["probe", "--last", "0"],
-    ["report", "--from-store", "--results-dir", "d", "--sizes", "30", "40"],
-    ["report", "--sizes", "0"],
     ["--log-level", "debug", "net", "ls"],
     ["--log-level", "loud", "net", "ls"],
     ["--log", "info", "run", "--seed", "1"],  # an abbreviated global option

@@ -1,19 +1,29 @@
-"""docs/architecture.md agrees with the registries it describes.
+"""The documents agree with the tables they describe.
 
-The store-kinds table ("One table of kinds") names, per document kind, the
-functions that write such a document: every row's kind is a row of
-``repro.experiments.store.KINDS`` (and every kind has a row), and every
-function a row names is a callable some ``repro`` module defines.
+* The store-kinds table of docs/architecture.md ("One table of kinds")
+  names, per document kind, the functions that write such a document:
+  every row's kind is a row of ``repro.experiments.store.KINDS`` (and
+  every kind has a row), and every function a row names is a callable
+  some ``repro`` module defines.
+* The package diagram of docs/architecture.md ("Package layers") names
+  every package under ``src/repro/`` and no other.
+* Every ``repro <command>`` line of README.md, docs/architecture.md and the
+  verify skill names a command of the CLI's one table (``_COMMANDS``), and
+  ``tools/reach.py`` drives every command of that table and no other.
 """
 
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.cli import _COMMANDS
 from repro.experiments.store import KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,3 +59,37 @@ def test_store_kinds_table_matches_kinds_and_names_real_producers():
     for kind, producers in rows.items():
         assert producers, f"row {kind!r} names no producer"
         assert set(producers) <= callables, (kind, set(producers) - callables)
+
+
+def test_package_diagram_names_every_package_and_no_other():
+    text = (ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
+    section = text[text.index("## Package layers"):]
+    diagram = section[section.index("```"):section.index("```", section.index("```") + 3)]
+    named = set(re.findall(r"│ (\w+)/", diagram))
+    packages = {path.parent.name for path in (ROOT / "src" / "repro").glob("*/__init__.py")}
+    assert named == packages
+
+
+#: ``repro <command>`` where a command line starts: not ``from repro import``.
+_COMMAND_LINE = re.compile(r"(?<![\w./-])(?<!from )repro ([a-z][\w-]*)")
+
+
+@pytest.mark.parametrize("document", [
+    "README.md", "docs/architecture.md", ".claude/skills/verify/SKILL.md",
+])
+def test_documented_command_lines_name_real_commands(document):
+    text = (ROOT / document).read_text(encoding="utf-8")
+    unknown = [
+        f"{document}:{text.count(chr(10), 0, match.start()) + 1}: repro {match.group(1)}"
+        for match in _COMMAND_LINE.finditer(text) if match.group(1) not in _COMMANDS
+    ]
+    assert not unknown, "\n".join(unknown)
+
+
+def test_reach_drives_every_command_and_no_other(tmp_path):
+    spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    driven = {argv[3] for argv in reach._entry_commands(str(tmp_path))
+              if argv[1:3] == ["-m", "repro.cli"] and not argv[3].startswith("-")}
+    assert driven == set(_COMMANDS)

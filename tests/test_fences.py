@@ -157,6 +157,11 @@ FENCES: Tuple[Tuple[str, str, Tuple[str, ...], int], ...] = (
     # second parameter object beside them.
     ("one-switch-time-summary",
      r"np\.percentile\(|ExperimentDefault[s]|PAPER_DEFAULT[S]", (_SRC,), 1),
+    # A run stores, a view reads: the CLI opens a telemetry session once (in
+    # _run, for whichever command asked) and runs a single session once (in
+    # _cmd_run); no command re-simulates a run just to print a view of it.
+    ("cli-no-rerun-views", r"^\s*with telemetry_session\(", ("src/repro/cli.py",), 1),
+    ("cli-runs-a-single-session-once", r"run_single\(", ("src/repro/cli.py",), 1),
 )
 
 

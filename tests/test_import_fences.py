@@ -7,9 +7,9 @@ Three tiers (docs/architecture.md, "Package layers"):
   beyond the package, the CLI and the hub helper
   (``import repro.cli`` itself is fenced in ``tests/test_public_api.py``);
 * tier 1 -- the store-backed commands that never simulate (``report`` and
-  ``figure`` with ``--from-store``, ``store ls``) load the records and the
-  store on the standard library only: no NumPy, no simulator, no fan-out,
-  no network stack;
+  ``figure`` with ``--from-store``, ``store ls``, ``explain``) load the
+  records and the store on the standard library only: no NumPy, no
+  simulator, no fan-out, no network stack;
 * tier 2 -- everything that simulates; not fenced (which source files may
   import NumPy at module level is pinned in ``tests/test_fences.py``),
   except that listing the named workloads and universes loads the specs,
@@ -83,6 +83,7 @@ TIER1_COMMANDS = {
     "figure-5": ["figure", "5", "--from-store", "--n-nodes", "30", "--json"],
     "store-ls": ["store", "ls"],
     "store-ls-pair": ["store", "ls", "--kind", "pair"],
+    "explain": ["explain"],
 }
 
 

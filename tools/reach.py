@@ -69,7 +69,6 @@ def start() -> None:
 
 def _entry_commands(tmp: str):
     """The product's entry points, at laptop sizes."""
-    from repro.experiments.scenarios import SCENARIOS
     from repro.workloads.library import universe_names, workload_names
 
     store, small = f"--results-dir {tmp}/store", "--n-nodes 30 --max-time 40"
@@ -78,9 +77,8 @@ def _entry_commands(tmp: str):
     cli = [
         "--version", "--help", "workload ls", "universe ls", "net ls", "net show metro --json",
         f"run {small}", f"run {small} --engine oracle --algorithm normal --dynamic --json",
-        f"run {small} --topology lossy-edge --telemetry --probes --trace-out {tmp}/run.json",
-        f"probe {small}", f"probe {small} --json --peer 5", f"compare {small} --json {store}",
-        f"trace run --out {tmp}/trace.json {small}", f"trace overlay {tmp}/o.trace --n-nodes 60",
+        f"run {small} --topology lossy-edge --probes --trace-out {tmp}/run.json {store}",
+        f"explain {store}", f"explain --json {store}", f"compare {small} --json {store}",
         f"sweep --sizes 20 30 --repetitions 2 --workers 2 --max-time 40 {store}",
         f"sweep --sizes 20 --repetitions 1 --max-time 40 --dynamic --json {store}",
         "figure 2", "figure 5 --n-nodes 30", f"figure 7 --sizes 20 --repetitions 1 --chart {store}",
@@ -93,7 +91,6 @@ def _entry_commands(tmp: str):
         f"store ls {sqlite}", f"store clear {sqlite}",
         *(f"workload run {name} --n-nodes 30 --workers 2 {store}" for name in workload_names()),
         *(f"universe run {name} --channels 2 --viewers 16 {store}" for name in universe_names()),
-        *(f"scenario {name} --probes {store}" for name in SCENARIOS),
     ]
     yield from ([sys.executable, "-m", "repro.cli", *argv.split()] for argv in cli)
     yield from ([sys.executable, str(path)] for path in sorted(ROOT.glob("examples/*.py")))
