@@ -449,19 +449,14 @@ def _configure_explain(explain: argparse.ArgumentParser) -> None:
     _add_store_arguments(explain)
 
 
-def _table(rows: Sequence[dict], columns: Optional[Sequence[str]] = None) -> str:
-    """Rows as a fixed-width text table (:func:`repro.metrics.report.format_table`)."""
-    from repro.metrics.report import format_table
-
-    return format_table(rows, columns)
-
-
 def _emit_rows(args: argparse.Namespace, rows: Sequence[dict], empty: Optional[str] = None) -> int:
     """What an ``ls`` command prints: the rows as JSON (``--json``) or as a table."""
+    from repro.metrics.report import format_table
+
     if args.json:
         print(json.dumps(rows, indent=2))
     else:
-        print(empty if empty is not None and not rows else _table(rows))
+        print(empty if empty is not None and not rows else format_table(rows))
     return 0
 
 
@@ -512,6 +507,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.config import sweep_sizes
     from repro.experiments.sweeps import run_size_sweep
+    from repro.metrics.report import format_table
 
     store = _resolve_store(args)
     sizes = args.sizes if args.sizes else list(sweep_sizes(paper_scale=args.paper_scale))
@@ -538,7 +534,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "rows": sweep.rows(),
         }, indent=2))
     else:
-        print(_table(sweep.rows()))
+        print(format_table(sweep.rows()))
         if store is not None:
             print(f"\nresults persisted under {store.root}")
     return 0
@@ -575,6 +571,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_single
+    from repro.metrics.report import format_table
 
     result = run_single(_session_config(args, algorithm=args.algorithm))
     metrics = result.metrics
@@ -598,12 +595,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps({row["metric"]: row["value"] for row in rows}, indent=2))
     else:
-        print(_table(rows, ["metric", "value"]))
+        print(format_table(rows, ["metric", "value"]))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_pair
+    from repro.metrics.report import format_table
     from repro.records import to_json
 
     pair = run_pair(_session_config(args))
@@ -624,15 +622,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             payload["regions"] = region_rows
         print(json.dumps(payload, indent=2))
     else:
-        print(_table([row]))
+        print(format_table([row]))
         if region_rows:
             print(f"\nper-region switch time over {args.topology!r}:")
-            print(_table(region_rows))
+            print(format_table(region_rows))
         print(f"\nswitch-time reduction: {pair.switch_time_reduction:.1%}")
     return 0
 
 
 def _cmd_net(args: argparse.Namespace) -> int:
+    from repro.metrics.report import format_table
     from repro.net.library import TOPOLOGIES, get_topology
 
     if args.net_command == "ls":
@@ -667,7 +666,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
         }
         for region in topology.regions
     ]
-    print(_table(region_rows))
+    print(format_table(region_rows))
     print()
     print("one-way backbone latency matrix (ms):")
     matrix_rows = [
@@ -675,7 +674,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
                                  for j, dst in enumerate(topology.regions)}}
         for i, src in enumerate(topology.regions)
     ]
-    print(_table(matrix_rows))
+    print(format_table(matrix_rows))
     return 0
 
 
@@ -703,6 +702,8 @@ def _workload_payload(result: WorkloadResult, *, compare_only: bool) -> dict:
 
 
 def _print_workload_result(result: WorkloadResult, *, compare_only: bool) -> None:
+    from repro.metrics.report import format_table
+
     spec = result.spec
     print(f"workload: {spec.name} -- {spec.description}")
     print(
@@ -711,16 +712,16 @@ def _print_workload_result(result: WorkloadResult, *, compare_only: bool) -> Non
         f"(simulated {result.simulated}, replayed {result.replayed})"
     )
     print()
-    print(_table(result.switch_rows()))
+    print(format_table(result.switch_rows()))
     if not compare_only:
         class_rows = result.class_rows()
         if class_rows:
             print()
             print("per-class switch-time percentiles (s):")
-            print(_table(class_rows))
+            print(format_table(class_rows))
         print()
         print("per-phase playback quality (fast algorithm):")
-        print(_table(result.phase_rows()))
+        print(format_table(result.phase_rows()))
     print(f"\nmean switch-time reduction: {result.mean_reduction:.1%}")
 
 
@@ -799,6 +800,8 @@ def _universe_payload(result: UniverseResult, *, compare_only: bool) -> dict:
 
 
 def _print_universe_result(result: UniverseResult, *, compare_only: bool) -> None:
+    from repro.metrics.report import format_table
+
     spec = result.spec
     print(f"universe: {spec.name} -- {spec.description}")
     if spec.topology:
@@ -812,10 +815,10 @@ def _print_universe_result(result: UniverseResult, *, compare_only: bool) -> Non
     )
     print()
     if not compare_only:
-        print(_table(result.channel_rows()))
+        print(format_table(result.channel_rows()))
         print()
         print("per-popularity-decile zap time (s):")
-    print(_table(result.decile_rows()))
+    print(format_table(result.decile_rows()))
     print(f"\nmean zap-time reduction: {result.mean_reduction:.1%}")
 
 

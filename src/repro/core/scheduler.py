@@ -136,6 +136,6 @@ def greedy_supplier_assignment(
     result.supplier_queue = queue
     obs = get_telemetry()
     if obs.enabled:
-        obs.counter("scheduler.assigned").add(len(result.assigned))
-        obs.counter("scheduler.unassigned").add(len(result.unassigned))
+        obs.count("scheduler.assigned", len(result.assigned))
+        obs.count("scheduler.unassigned", len(result.unassigned))
     return result

@@ -306,7 +306,7 @@ class VectorDecider:
                 self._decide_batch(jobs, session.config.algorithm == "fast", rows)
         obs = get_telemetry()
         if obs.enabled:
-            obs.counter("engine.dispatch.vector").add(len(jobs))
+            obs.count("engine.dispatch.vector", len(jobs))
 
     def _survivors_of(
         self, session: SwitchSession, node_id: int, state: PeriodState, ideal: bool

@@ -105,12 +105,6 @@ class ShardPlan:
         """Total work units across all shards."""
         return len(self.rep_seeds) * self.spec.n_channels
 
-    def units_of_rep(self, rep_seed: int) -> int:
-        """How many units one repetition contributes (= the lineup size)."""
-        if rep_seed not in self.rep_seeds:
-            raise KeyError(f"unknown rep_seed {rep_seed}")
-        return self.spec.n_channels
-
     def shard_of(self, unit: ShardUnit) -> int:
         """The shard id holding ``unit``."""
         try:

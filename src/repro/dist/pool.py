@@ -280,7 +280,7 @@ class WorkerPool:
             if obs.enabled:
                 name = "pool.worker_respawn" if respawn else "pool.worker_spawn"
                 obs.event(name, tid=worker.worker_id, worker=worker.worker_id)
-                obs.counter(name).inc()
+                obs.count(name)
             if respawn:
                 _LOG.warning("respawned dead worker as worker %d", worker.worker_id)
             else:
@@ -311,7 +311,7 @@ class WorkerPool:
                     attempt=attempts[shard_id],
                     heartbeat=label,
                 )
-                obs.counter("pool.shard_failure").inc()
+                obs.count("pool.shard_failure")
             return failure
 
         def retry_or_raise(shard_id: int) -> None:
@@ -330,7 +330,7 @@ class WorkerPool:
             )
             if obs.enabled:
                 obs.event("pool.shard_retry", shard=shard_id, attempt=attempts[shard_id] + 1)
-                obs.counter("pool.shard_retry").inc()
+                obs.count("pool.shard_retry")
             pending.append((shard_id, payloads[shard_id]))
 
         def bury(worker: _Worker) -> None:
@@ -375,7 +375,7 @@ class WorkerPool:
                         self._heartbeats[shard_id] = (message[2], message[3])
                         self._worker_heartbeats[worker_id] = (message[2], message[3])
                         if obs.enabled:
-                            obs.counter("pool.heartbeats").inc()
+                            obs.count("pool.heartbeats")
                         continue
                     worker.assigned = None
                     if shard_id in done:
@@ -395,7 +395,7 @@ class WorkerPool:
                             shard=shard_id,
                             label=label,
                         )
-                        obs.counter("pool.shards_done").inc()
+                        obs.count("pool.shards_done")
                     yield shard_id, message[2]
         finally:
             for worker in fleet:

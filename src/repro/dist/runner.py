@@ -227,7 +227,7 @@ class ShardedExecutor:
 
         obs = get_telemetry()
         if obs.enabled:
-            obs.counter("dist.shards.replayed").add(self.journal_replayed)
+            obs.count("dist.shards.replayed", self.journal_replayed)
             if self.journal_replayed:
                 obs.event(
                     "dist.journal_replay",
@@ -245,7 +245,7 @@ class ShardedExecutor:
             if shard_id not in journaled
         }
         if obs.enabled:
-            obs.counter("dist.shards.computed").add(len(tasks))
+            obs.count("dist.shards.computed", len(tasks))
         if self.progress is not None:
             self.progress.begin(
                 total=len(needed), replayed=self.journal_replayed, pool=self.pool

@@ -445,7 +445,7 @@ class BaseResultStore:
             return self._load_kind(key, kind)
         with obs.span("store.load", backend=self.backend, key=key):
             payload = self._load_kind(key, kind)
-        obs.counter("store.load.hit" if payload is not None else "store.load.miss").inc()
+        obs.count("store.load.hit" if payload is not None else "store.load.miss")
         return payload
 
     def _load_kind(self, key: str, kind: Optional[str]) -> Optional[Dict[str, Any]]:
@@ -462,7 +462,7 @@ class BaseResultStore:
             return self._save_document(key, payload)
         with obs.span("store.save", backend=self.backend, key=key):
             path = self._save_document(key, payload)
-        obs.counter("store.save").inc()
+        obs.count("store.save")
         return path
 
     # -- backend primitives --------------------------------------------- #

@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.store import BaseResultStore
 from repro.figures.spec import FigureResult, FigureSpec, FigureUnavailable
+from repro.obs.explain import run_label
 from repro.obs.probes import FUNNEL_MILESTONES
 
 __all__ = [
@@ -63,14 +64,6 @@ def _probe_documents(
     return probed
 
 
-def _run_label(document: Dict[str, Any]) -> str:
-    """Short identity of the run a telemetry document measured."""
-    run = document.get("run", {})
-    parts = [str(run[field]) for field in ("kind", "name", "algorithm", "seed")
-             if field in run and run[field] is not None]
-    return "/".join(parts) if parts else "run"
-
-
 def probe_swarm_health(
     *,
     store: Optional[BaseResultStore] = None,
@@ -82,7 +75,7 @@ def probe_swarm_health(
     multiple = len(documents) > 1
     for key, document in documents:
         health = document["probes"].get("health", {})
-        run = _run_label(document)
+        run = run_label(document.get("run", {})) or key
         for sample in health.get("series", []):
             row: Dict[str, object] = {}
             if multiple:
@@ -128,7 +121,7 @@ def probe_startup_funnel(
     multiple = len(documents) > 1
     for key, document in documents:
         funnel = document["probes"].get("funnel", {})
-        run = _run_label(document)
+        run = run_label(document.get("run", {})) or key
         for funnel_row in funnel.get("rows", []):
             row: Dict[str, object] = {}
             if multiple:

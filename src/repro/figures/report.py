@@ -6,8 +6,8 @@ from the given store, and writes:
 
 * ``<out>/report.html`` -- one self-contained page (inline CSS, inline
   SVG charts, no external assets): a figure index, one section per
-  rendered figure with its chart and data table, the telemetry and probe
-  sections of instrumented runs, and a store inventory;
+  rendered figure with its chart and data table, the telemetry section
+  of instrumented runs, and a store inventory;
 * ``<out>/data/<name>.json`` -- each rendered figure's data as
   sorted-key JSON, the machine-readable companion the CI smoke job (and
   the determinism tests) diff.
@@ -32,7 +32,7 @@ from repro.analysis.charts import svg_bar_chart, svg_line_chart
 from repro.experiments.store import BaseResultStore, MissingResultError
 from repro.figures.registry import FIGURES, render_figure
 from repro.figures.spec import FigureResult, FigureUnavailable
-from repro.obs.explain import run_label
+from repro.obs.explain import overflow_warning, run_label, telemetry_tables
 
 __all__ = ["ReportSummary", "render_report"]
 
@@ -194,11 +194,11 @@ def _run_heading(key: str, document: Mapping[str, Any]) -> str:
 def _telemetry_section(store: BaseResultStore) -> List[str]:
     """The "Run telemetry" section: one block per ``telemetry-*`` document.
 
-    Each block shows the run's period-phase timing profile (span
-    durations, bar chart + table), its per-shard execution spans when the
-    run went through the sharded runtime, and the counter snapshot.
-    Stores without telemetry documents render nothing -- the section only
-    appears for instrumented runs (``--telemetry``).
+    Each block renders the tables :func:`~repro.obs.explain.telemetry_tables`
+    builds -- the ones ``repro explain`` prints, in its order -- with a bar
+    chart over the span and shard times.  Stores without telemetry
+    documents render nothing: the section only appears for instrumented
+    runs (``--telemetry`` / ``--probes``).
     """
     documents = store.documents("telemetry")
     if not documents:
@@ -207,100 +207,19 @@ def _telemetry_section(store: BaseResultStore) -> List[str]:
     for key, document in documents:
         parts.append('<div class="figure-block">')
         parts.append(_run_heading(key, document))
-        spans = document.get("spans", {})
-        if spans:
-            bars = [
-                (name, float(stat.get("total_s", 0.0)))
-                for name, stat in sorted(spans.items())
-            ]
-            parts.append(svg_bar_chart(bars, title="Span time (total seconds)"))
-            parts.append(_html_table([
-                {
-                    "span": name,
-                    "count": stat.get("count", 0),
-                    "total_s": stat.get("total_s", 0.0),
-                    "mean_s": stat.get("mean_s", 0.0),
-                    "p95_s": stat.get("p95_s", 0.0),
-                }
-                for name, stat in sorted(spans.items())
-            ]))
-        shards = document.get("shards", [])
-        if shards:
-            parts.append("<h4>Per-shard execution</h4>")
-            bars = [
-                (f"shard {row.get('shard')} (w{row.get('worker')})",
-                 float(row.get("duration_s", 0.0)))
-                for row in shards
-            ]
-            parts.append(svg_bar_chart(bars, title="Shard wall time (seconds)"))
-            parts.append(_html_table(shards))
-        counters = document.get("counters", {})
-        if counters:
-            parts.append(_html_table([
-                {"counter": name, "value": value}
-                for name, value in sorted(counters.items())
-            ]))
-        trace = document.get("trace", {})
-        parts.append(
-            f'<p class="meta">trace events: {int(trace.get("events", 0))}'
-            f' (dropped {int(trace.get("dropped", 0))})</p>'
-        )
+        for table in telemetry_tables(document):
+            parts.append(f"<h4>{html.escape(table.title)}</h4>")
+            if table.bars and table.rows:
+                parts.append(svg_bar_chart(
+                    [(str(next(iter(row.values()))), float(row[table.bars])) for row in table.rows],
+                    title=f"{table.title} ({table.bars})",
+                ))
+            parts.append(_html_table(table.rows))
+        warning = overflow_warning(key, document)
+        if warning:
+            parts.append(f'<p class="meta">{html.escape(warning)}</p>')
         parts.append("</div>")
     return parts
-
-
-def _probe_section(store: BaseResultStore) -> List[str]:
-    """The "Protocol health" section: one block per probe-bearing document.
-
-    Complements the probe *figures* (swarm-health timeline, startup
-    funnel) with the numbers behind them: the lifecycle stage/drop-reason
-    tallies, the run-level buffer-fill distribution and the funnel table.
-    Only ``--probes`` runs produce the data; plain ``--telemetry``
-    documents (probes disabled) render nothing here.
-    """
-    blocks: List[str] = []
-    for key, document in store.documents("telemetry"):
-        probes = document.get("probes")
-        if not isinstance(probes, dict) or not probes.get("enabled"):
-            continue
-        blocks.append('<div class="figure-block">')
-        blocks.append(_run_heading(key, document))
-        lifecycle = probes.get("lifecycle", {})
-        stages = lifecycle.get("stages", {})
-        if stages:
-            blocks.append("<h4>Segment lifecycle</h4>")
-            blocks.append(_html_table([
-                {"stage": name, "events": count}
-                for name, count in sorted(stages.items())
-            ]))
-        drops = lifecycle.get("drop_reasons", {})
-        if drops:
-            blocks.append(_html_table([
-                {"drop reason": name, "events": count}
-                for name, count in sorted(drops.items())
-            ]))
-        health = probes.get("health", {})
-        fill = health.get("buffer_fill", {})
-        if fill.get("count"):
-            blocks.append(
-                '<p class="meta">buffer fill over '
-                f'{int(health.get("periods", 0))} periods: '
-                f'mean {fill.get("mean", 0)}, p10 {fill.get("p10", 0)}, '
-                f'p50 {fill.get("p50", 0)}, p90 {fill.get("p90", 0)}</p>'
-            )
-        funnel = probes.get("funnel", {})
-        if funnel.get("rows"):
-            blocks.append("<h4>Startup funnel</h4>")
-            blocks.append(_html_table(funnel["rows"]))
-        if lifecycle.get("dropped"):
-            blocks.append(
-                f'<p class="meta">lifecycle buffer overflowed: '
-                f'{int(lifecycle["dropped"])} events dropped</p>'
-            )
-        blocks.append("</div>")
-    if not blocks:
-        return []
-    return ["<h2>Protocol health</h2>"] + blocks
 
 
 def _render_html(
@@ -352,11 +271,8 @@ def _render_html(
             parts.append(f'<p class="meta">{html.escape(figure.notes)}</p>')
         parts.append("</div>")
 
-    # -- run telemetry ------------------------------------------------------ #
+    # -- run telemetry (probe tables included for probed runs) -------------- #
     parts.extend(_telemetry_section(store))
-
-    # -- protocol health (probe-bearing runs only) --------------------------- #
-    parts.extend(_probe_section(store))
 
     # -- skipped figures, with reasons -------------------------------------- #
     if skipped:

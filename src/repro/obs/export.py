@@ -3,9 +3,10 @@
 Two consumers, two shapes:
 
 * :func:`build_telemetry_document` -- the compact digest persisted beside
-  run documents as a ``telemetry-*`` store document (counters, gauges,
-  histogram summaries, the per-span-name phase profile, and one row per
-  shard span) and rendered by the report's "Run telemetry" section;
+  run documents as a ``telemetry-*`` store document (counters, the
+  per-span-name phase profile, one row per shard span and the probes
+  block), read back by ``repro explain`` and the report's "Run telemetry"
+  section through :func:`repro.obs.explain.telemetry_tables`;
 * :func:`chrome_trace_payload` / :func:`write_chrome_trace` -- the full
   event buffer in Chrome trace-event JSON object form
   (``{"traceEvents": [...]}``), loadable directly in ``chrome://tracing``
@@ -22,7 +23,6 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.obs.probes import NULL_PROBES
 from repro.obs.telemetry import NullTelemetry, Telemetry
 
 __all__ = [
@@ -63,24 +63,18 @@ def build_telemetry_document(
     feeds a fingerprint.
     """
     snapshot = telemetry.snapshot()
-    document: Dict[str, Any] = {
+    return {
         "kind": "telemetry",
         "run": dict(run or {}),
         "counters": snapshot["counters"],
-        "gauges": snapshot["gauges"],
-        "histograms": snapshot["histograms"],
         "spans": snapshot["spans"],
         "shards": shard_span_rows(telemetry),
-        "probes": getattr(telemetry, "probes", NULL_PROBES).snapshot(),
+        "probes": telemetry.probes.snapshot(),
+        "trace": (
+            {"events": len(telemetry.tracer.events()), "dropped": telemetry.tracer.dropped}
+            if telemetry.enabled else {"events": 0, "dropped": 0}
+        ),
     }
-    if telemetry.enabled:
-        document["trace"] = {
-            "events": len(telemetry.tracer.events()),
-            "dropped": telemetry.tracer.dropped,
-        }
-    else:
-        document["trace"] = {"events": 0, "dropped": 0}
-    return document
 
 
 def chrome_trace_payload(

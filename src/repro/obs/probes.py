@@ -18,6 +18,13 @@ columns, bounded, dropped counter instead of unbounded growth):
   (joined -> first buffer map -> first new-stream segment -> playback),
   the funnel every "why is this switch slow?" question starts from.
 
+One :class:`ProbeSet` may watch several sessions -- the two runs of a
+pair, every (channel, algorithm) session of a universe -- which share
+labels and peer ids.  Each session takes a number from
+:meth:`ProbeSet.register_session` and passes it with every health sample
+and funnel mark; when a probe has seen more than one session its rows
+carry a ``session`` column (a single-session probe's rows are unchanged).
+
 The probes ride the telemetry switch: :class:`ProbeSet` hangs off
 :class:`repro.obs.telemetry.Telemetry` when requested
 (``telemetry_session(probes=True)``) and is otherwise the shared
@@ -189,7 +196,7 @@ class SwarmHealthProbe:
     lifecycle buffer.
     """
 
-    __slots__ = ("capacity", "sketch_capacity", "times", "labels", "peers",
+    __slots__ = ("capacity", "sketch_capacity", "times", "sessions", "labels", "peers",
                  "fill_p10", "fill_p50", "fill_p90", "fill_mean", "pending",
                  "utilisation", "requests", "failed", "delivered",
                  "fill_sketch", "dropped")
@@ -201,6 +208,7 @@ class SwarmHealthProbe:
         self.capacity = capacity
         self.sketch_capacity = sketch_capacity
         self.times: List[float] = []
+        self.sessions: List[int] = []
         self.labels: List[str] = []
         self.peers: List[int] = []
         self.fill_p10: List[float] = []
@@ -220,7 +228,7 @@ class SwarmHealthProbe:
 
     def sample(self, time: float, label: str, buffer_fills: Sequence[int],
                *, pending: int, utilisation: float, requests: int,
-               failed: int, delivered: int) -> None:
+               failed: int, delivered: int, session: int = 0) -> None:
         """Record one period's swarm-health row."""
         if len(self.times) >= self.capacity:
             self.dropped += 1
@@ -229,6 +237,7 @@ class SwarmHealthProbe:
         sketch.extend(float(fill) for fill in buffer_fills)
         self.fill_sketch.merge(sketch)
         self.times.append(float(time))
+        self.sessions.append(int(session))
         self.labels.append(str(label))
         self.peers.append(len(buffer_fills))
         if sketch.count:
@@ -248,12 +257,14 @@ class SwarmHealthProbe:
 
     def rows(self, *, label: Optional[str] = None) -> List[Dict[str, Any]]:
         """Health rows as dicts (optionally one session label only)."""
+        several = len(set(self.sessions)) > 1
         out = []
         for i in range(len(self.times)):
             if label is not None and self.labels[i] != label:
                 continue
             out.append({
                 "time": self.times[i],
+                **({"session": self.sessions[i]} if several else {}),
                 "label": self.labels[i],
                 "peers": self.peers[i],
                 "fill_p10": self.fill_p10[i],
@@ -284,50 +295,58 @@ class SwarmHealthProbe:
 
 
 class StartupFunnelProbe:
-    """Set-once per-peer milestones: joined -> first_map -> first_segment
-    -> playback (all sim-time seconds)."""
+    """Set-once milestones per (session, label, peer): joined -> first_map
+    -> first_segment -> playback (all sim-time seconds)."""
 
     __slots__ = ("_marks",)
 
     def __init__(self) -> None:
-        # (label, peer) -> {milestone: time}; insertion order = join order.
-        self._marks: Dict[Tuple[str, int], Dict[str, float]] = {}
+        # (session, label, peer) -> {milestone: time}; insertion order = join order.
+        self._marks: Dict[Tuple[int, str, int], Dict[str, float]] = {}
 
     def __len__(self) -> int:
         return len(self._marks)
 
-    def mark(self, label: str, peer: int, milestone: str, time: float) -> None:
+    def mark(self, label: str, peer: int, milestone: str, time: float,
+             session: int = 0) -> None:
         """Record a milestone the first time it is reported (set-once)."""
-        record = self._marks.setdefault((str(label), int(peer)), {})
+        record = self._marks.setdefault((int(session), str(label), int(peer)), {})
         if milestone not in record:
             record[milestone] = float(time)
 
-    def seen(self, label: str, peer: int, milestone: str) -> bool:
+    def seen(self, label: str, peer: int, milestone: str, session: int = 0) -> bool:
         """Whether the milestone is already recorded for the peer."""
-        return milestone in self._marks.get((str(label), int(peer)), ())
+        return milestone in self._marks.get((int(session), str(label), int(peer)), ())
+
+    def _several_sessions(self) -> bool:
+        return len({session for session, _label, _peer in self._marks}) > 1
 
     def peer_rows(self, *, label: Optional[str] = None) -> List[Dict[str, Any]]:
         """One row per peer with every recorded milestone time."""
+        several = self._several_sessions()
         out = []
-        for (row_label, peer), record in self._marks.items():
+        for (session, row_label, peer), record in self._marks.items():
             if label is not None and row_label != label:
                 continue
-            row: Dict[str, Any] = {"label": row_label, "peer": peer}
+            row: Dict[str, Any] = {**({"session": session} if several else {}),
+                                   "label": row_label, "peer": peer}
             for milestone in FUNNEL_MILESTONES:
                 row[milestone] = record.get(milestone)
             out.append(row)
         return out
 
     def funnel_rows(self) -> List[Dict[str, Any]]:
-        """The aggregated funnel: per label, how many peers reached each
-        milestone and the mean time-since-join to reach it."""
-        by_label: Dict[str, List[Dict[str, float]]] = {}
-        for (label, _peer), record in self._marks.items():
-            by_label.setdefault(label, []).append(record)
+        """The aggregated funnel: per session and label, how many peers
+        reached each milestone and the mean time-since-join to reach it."""
+        by_session: Dict[Tuple[int, str], List[Dict[str, float]]] = {}
+        for (session, label, _peer), record in self._marks.items():
+            by_session.setdefault((session, label), []).append(record)
+        several = self._several_sessions()
         rows = []
-        for label in sorted(by_label):
-            records = by_label[label]
-            row: Dict[str, Any] = {"label": label}
+        for session, label in sorted(by_session):
+            records = by_session[session, label]
+            row: Dict[str, Any] = {**({"session": session} if several else {}),
+                                   "label": label}
             for milestone in FUNNEL_MILESTONES:
                 reached = [r for r in records if milestone in r]
                 row[milestone] = len(reached)
@@ -355,6 +374,12 @@ class ProbeSet:
         self.lifecycle = SegmentLifecycleProbe(max_lifecycle_events)
         self.health = SwarmHealthProbe(sketch_capacity=sketch_capacity)
         self.funnel = StartupFunnelProbe()
+        self.sessions = 0
+
+    def register_session(self) -> int:
+        """The number a new session passes to every sample and mark it makes."""
+        self.sessions += 1
+        return self.sessions - 1
 
     def snapshot(self) -> Dict[str, Any]:
         """The ``probes`` block of the telemetry document."""

@@ -1,8 +1,8 @@
 """The process-local telemetry switchboard.
 
 One module-level handle -- :func:`get_telemetry` -- is all the hot paths
-ever touch.  It returns either the active :class:`Telemetry` (metrics
-registry + tracer) or the shared :data:`NULL_TELEMETRY`, whose every method
+ever touch.  It returns either the active :class:`Telemetry` (counters,
+tracer, probes) or the shared :data:`NULL_TELEMETRY`, whose every method
 is an allocation-free no-op.  Instrumented code therefore never branches on
 a config flag:
 
@@ -10,7 +10,7 @@ a config flag:
     with obs.span("period.decide", t=now):
         ...
     if obs.enabled:                      # only for bulk counter updates
-        obs.counter("fabric.requests").add(n)
+        obs.count("fabric.requests", n)
 
 Telemetry is **off by default** and deliberately process-local: worker
 processes spawned by the dist layer inherit the default-off state, and the
@@ -26,17 +26,8 @@ produces byte-identical result documents.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator
 
-from repro.obs.metrics import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.obs.probes import NULL_PROBES, NullProbeSet, ProbeSet
 from repro.obs.trace import DEFAULT_MAX_EVENTS, NULL_SPAN, Span, Tracer
 
@@ -44,16 +35,13 @@ __all__ = [
     "NULL_TELEMETRY",
     "NullTelemetry",
     "Telemetry",
-    "disable_telemetry",
-    "enable_telemetry",
     "get_telemetry",
     "telemetry_session",
-    "trace_span",
 ]
 
 
 class Telemetry:
-    """A live metrics registry and tracer behind one facade.
+    """Named counters, a tracer and the probes behind one facade.
 
     ``probes=True`` additionally attaches a live
     :class:`~repro.obs.probes.ProbeSet` (sim-time protocol probes);
@@ -65,21 +53,15 @@ class Telemetry:
 
     def __init__(self, *, max_trace_events: int = DEFAULT_MAX_EVENTS,
                  probes: bool = False) -> None:
-        self.registry = MetricsRegistry()
+        self.counters: Dict[str, int] = {}
         self.tracer = Tracer(max_events=max_trace_events)
         self.probes: "ProbeSet | NullProbeSet" = (
             ProbeSet() if probes else NULL_PROBES
         )
 
-    # -- metrics --------------------------------------------------------- #
-    def counter(self, name: str) -> Counter:
-        return self.registry.counter(name)
-
-    def gauge(self, name: str) -> Gauge:
-        return self.registry.gauge(name)
-
-    def histogram(self, name: str) -> Histogram:
-        return self.registry.histogram(name)
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` (default 1) to the counter ``name``."""
+        self.counters[name] = self.counters.get(name, 0) + n
 
     # -- tracing --------------------------------------------------------- #
     def span(self, name: str, *, tid: int = 0, **args: Any) -> Span:
@@ -95,10 +77,9 @@ class Telemetry:
 
     # -- reading --------------------------------------------------------- #
     def snapshot(self) -> Dict[str, Any]:
-        """Metrics plus span statistics (the telemetry document's core)."""
-        snapshot = self.registry.snapshot()
-        snapshot["spans"] = self.tracer.span_stats()
-        return snapshot
+        """Counters (sorted by name) plus span statistics."""
+        return {"counters": dict(sorted(self.counters.items())),
+                "spans": self.tracer.span_stats()}
 
 
 class NullTelemetry:
@@ -107,14 +88,8 @@ class NullTelemetry:
     enabled = False
     probes = NULL_PROBES
 
-    def counter(self, name: str):
-        return NULL_COUNTER
-
-    def gauge(self, name: str):
-        return NULL_GAUGE
-
-    def histogram(self, name: str):
-        return NULL_HISTOGRAM
+    def count(self, name: str, n: int = 1) -> None:
+        return None
 
     def span(self, name: str, *, tid: int = 0, **args: Any):
         return NULL_SPAN
@@ -128,7 +103,7 @@ class NullTelemetry:
         return None
 
     def snapshot(self) -> Dict[str, Any]:
-        return {"counters": {}, "gauges": {}, "histograms": {}, "spans": {}}
+        return {"counters": {}, "spans": {}}
 
 
 #: The shared disabled handle (telemetry's default state).
@@ -140,27 +115,6 @@ _ACTIVE: "Telemetry | NullTelemetry" = NULL_TELEMETRY
 def get_telemetry() -> "Telemetry | NullTelemetry":
     """The process's current telemetry handle (null when disabled)."""
     return _ACTIVE
-
-
-def enable_telemetry(*, max_trace_events: int = DEFAULT_MAX_EVENTS,
-                     probes: bool = False) -> Telemetry:
-    """Install (and return) a fresh active :class:`Telemetry`.
-
-    Always starts from empty instruments: two runs in one process do not
-    bleed counts into each other unless the caller keeps one handle across
-    both on purpose.
-    """
-    global _ACTIVE
-    _ACTIVE = Telemetry(max_trace_events=max_trace_events, probes=probes)
-    return _ACTIVE
-
-
-def disable_telemetry() -> Optional[Telemetry]:
-    """Return to the null handle; returns the telemetry that was active."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = NULL_TELEMETRY
-    return previous if isinstance(previous, Telemetry) else None
 
 
 @contextmanager
@@ -187,14 +141,3 @@ def telemetry_session(
         yield telemetry
     finally:
         _ACTIVE = previous
-
-
-def trace_span(name: str, *, tid: int = 0, **args: Any):
-    """Time a block against the active telemetry (no-op when disabled).
-
-    The module-level convenience for call sites without a handle::
-
-        with trace_span("store.migrate", documents=n):
-            ...
-    """
-    return get_telemetry().span(name, tid=tid, **args)

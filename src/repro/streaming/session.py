@@ -218,7 +218,7 @@ class OracleDecider:
             ]
         obs = get_telemetry()
         if obs.enabled:
-            obs.counter("engine.dispatch.scalar").add(len(state.order))
+            obs.count("engine.dispatch.scalar", len(state.order))
 
 
 class SwitchSession:
@@ -262,6 +262,8 @@ class SwitchSession:
     ) -> None:
         self.config = config
         self.label = label
+        probes = get_telemetry().probes
+        self._probe_session = probes.register_session() if probes.enabled else 0
         self._membership_factory = membership_factory
         self._directives: Dict[int, PeriodDirective] = dict(directives or {})
         if config.engine == "vector":
@@ -441,7 +443,7 @@ class SwitchSession:
         self._admit(peer, outbound)
         probes = get_telemetry().probes
         if probes.enabled:
-            probes.funnel.mark(self.label, node_id, "joined", now)
+            probes.funnel.mark(self.label, node_id, "joined", now, self._probe_session)
         return peer
 
     def _admit(self, node: "PeerNode | SourceNode", outbound: float) -> None:
@@ -673,10 +675,10 @@ class SwitchSession:
             pending += len(peer.wanted_old) + len(peer.wanted_new)
             if peer.discovered_switch_time is not None:
                 probes.funnel.mark(self.label, peer.node_id, "first_map",
-                                   peer.discovered_switch_time)
+                                   peer.discovered_switch_time, self._probe_session)
             if peer.switch_complete_time is not None:
                 probes.funnel.mark(self.label, peer.node_id, "playback",
-                                   peer.switch_complete_time)
+                                   peer.switch_complete_time, self._probe_session)
         probes.health.sample(
             now, self.label, [len(peer.buffer) for peer in peers],
             pending=pending,
@@ -684,6 +686,7 @@ class SwitchSession:
             requests=state.requests,
             failed=state.failed,
             delivered=len(state.deliveries),
+            session=self._probe_session,
         )
 
     def _sample_phase(self, state: PeriodState) -> None:
@@ -692,14 +695,13 @@ class SwitchSession:
         self.ledger.end_period()
         obs = get_telemetry()
         if obs.enabled:
-            obs.counter("session.periods").inc()
-            obs.counter("fabric.control_pulls").add(state.control_pulls)
-            obs.counter("fabric.control_dropped").add(state.control_dropped)
-            obs.counter("fabric.requests").add(state.requests)
-            obs.counter("fabric.requests_failed").add(state.failed)
-            obs.counter("fabric.deliveries_immediate").add(len(state.deliveries))
-            obs.counter("fabric.deliveries_delayed").add(state.delayed)
-            obs.gauge("session.peers").set(len(self.peers))
+            obs.count("session.periods")
+            obs.count("fabric.control_pulls", state.control_pulls)
+            obs.count("fabric.control_dropped", state.control_dropped)
+            obs.count("fabric.requests", state.requests)
+            obs.count("fabric.requests_failed", state.failed)
+            obs.count("fabric.deliveries_immediate", len(state.deliveries))
+            obs.count("fabric.deliveries_delayed", state.delayed)
         if now >= 0:
             self.overhead.close_period(now)
             if self.config.record_rounds:
@@ -777,8 +779,8 @@ class SwitchSession:
                 arrived += 1
                 self._arrive(peer, seg_id, supplier_id, arrival, delay, probes)
         if obs.enabled:
-            obs.counter("fabric.deliveries_arrived").add(arrived)
-            obs.counter("fabric.deliveries_evaporated").add(len(due) - arrived)
+            obs.count("fabric.deliveries_arrived", arrived)
+            obs.count("fabric.deliveries_evaporated", len(due) - arrived)
 
     def _arrive(
         self, peer: PeerNode, seg_id: int, supplier_id: int, now: float, delay: float,
@@ -790,7 +792,8 @@ class SwitchSession:
             probes.lifecycle.append(now, self.rounds_run, peer.node_id, seg_id,
                                     STAGE_DELIVERED, supplier_id, delay)
             if seg_id >= self.switch_plan.id_begin:
-                probes.funnel.mark(self.label, peer.node_id, "first_segment", now)
+                probes.funnel.mark(self.label, peer.node_id, "first_segment", now,
+                                   self._probe_session)
 
     # ------------------------------------------------------------------ #
     # churn and scripted environment changes
@@ -948,9 +951,8 @@ class SwitchSession:
                     while self.now + tau <= horizon and self.step():
                         pass
                 if obs.enabled:
-                    obs.counter("engine.events").add(
-                        self.rounds_run - rounds + (self._switch_announced != announced)
-                    )
+                    obs.count("engine.events",
+                              self.rounds_run - rounds + (self._switch_announced != announced))
             self._wallclock = _wallclock.perf_counter() - started
             return self._finalize()
         finally:

@@ -570,6 +570,72 @@ def test_explain_prints_the_tables_the_probe_command_printed(probed_store, capsy
     assert captured.err == ""
 
 
+def test_run_telemetry_counters_match_the_golden(tmp_path):
+    """The counters block of a telemetry-on lossy-edge run, key for key and
+    value for value (taken from the code before counters became a dict)."""
+    from repro.experiments.store import ResultStore
+
+    assert main(["run", "--n-nodes", "60", "--seed", "2", "--max-time", "70",
+                 "--topology", "lossy-edge", "--telemetry",
+                 "--results-dir", str(tmp_path)]) == 0
+    store = ResultStore(tmp_path)
+    (key,) = store.keys("telemetry")
+    golden = json.loads((GOLDEN / "counters-lossy-edge-n60-seed2.json").read_text(encoding="utf-8"))
+    assert store.load(key, "telemetry")["counters"] == golden
+
+
+def _explain_tables(text):
+    """``title -> first-column cells`` of every table ``explain`` printed."""
+    tables = {}
+    for block in text.split("\n\n")[1:]:
+        title, _header, rule, *rows = block.splitlines()
+        width = len(rule.split("  ")[0])
+        tables[title.rstrip(":")] = [row[:width].strip() for row in rows]
+    return tables
+
+
+def _report_tables(page):
+    """``title -> first-column cells`` of every table of the "Run telemetry" section."""
+    import html
+    import re
+
+    section = page[page.index("<h2>Run telemetry</h2>"):]
+    section = section[:section.index("</div>")]
+    tables = {}
+    for chunk in section.split("<h4>")[1:]:
+        title, body = chunk.split("</h4>", 1)
+        table = body[body.index("<table>"):body.index("</table>")]
+        tables[html.unescape(title)] = [
+            html.unescape(cell) for cell in re.findall(r"<tr><td>(.*?)</td>", table)
+        ]
+    return tables
+
+
+def test_explain_and_the_report_render_the_same_tables(tmp_path, capsys):
+    """One probed pair document through both views: the same tables in the
+    same order, the same rows in each, lifecycle stages in ``STAGE_ORDER``
+    and one health table per session."""
+    from repro.obs.explain import STAGE_ORDER
+
+    store_dir = tmp_path / "store"
+    assert main(["compare", "--n-nodes", "36", "--seed", "2", "--max-time", "70",
+                 "--probes", "--results-dir", str(store_dir)]) == 0
+    capsys.readouterr()
+    assert main(["explain", "--results-dir", str(store_dir)]) == 0
+    explained = _explain_tables(capsys.readouterr().out)
+    assert main(["report", "--from-store", "--results-dir", str(store_dir),
+                 "--out", str(tmp_path / "report")]) == 0
+    reported = _report_tables((tmp_path / "report" / "report.html").read_text(encoding="utf-8"))
+
+    assert list(reported) == list(explained)
+    assert reported == explained
+    assert list(explained)[:3] == ["segment lifecycle", "drop reasons", "startup funnel"]
+    assert explained["segment lifecycle"] == [s for s in STAGE_ORDER if s in explained["segment lifecycle"]]
+    assert explained["startup funnel"] == ["0", "1"]
+    health = [title.split(" (")[0] for title in explained if title.startswith("swarm health")]
+    assert health == ["swarm health of session 0", "swarm health of session 1"]
+
+
 def test_explain_orders_every_lifecycle_stage():
     from repro.obs.explain import STAGE_ORDER
     from repro.obs.probes import STAGE_NAMES
@@ -608,6 +674,23 @@ def test_explain_warns_once_when_a_ring_buffer_overflowed(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("telemetry-unit: run name=unit\n")
     assert captured.err.count("warning:") == 1 and "dropped 5 trace and 0 lifecycle" in captured.err
+
+
+def test_views_read_documents_that_still_carry_gauges_and_histograms(tmp_path, capsys):
+    """Documents stored before counters became a dict render through both views."""
+    from repro.experiments.store import ResultStore
+
+    document = {"kind": "telemetry", "run": {"kind": "run", "name": "old"},
+                "counters": {"session.periods": 22}, "gauges": {"session.peers": 58.0},
+                "histograms": {}, "spans": {}, "shards": [],
+                "trace": {"events": 0, "dropped": 0}, "probes": {"enabled": False}}
+    ResultStore(tmp_path).save("telemetry-old", document)
+    assert main(["explain", "--results-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "session.periods  22" in out and "session.peers" not in out
+    assert main(["report", "--from-store", "--results-dir", str(tmp_path),
+                 "--out", str(tmp_path / "report")]) == 0
+    assert "<td>session.periods</td>" in (tmp_path / "report" / "report.html").read_text(encoding="utf-8")
 
 
 def test_universe_run_progress_prints_live_status(tmp_path, capsys):

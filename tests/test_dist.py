@@ -240,7 +240,7 @@ class TestWorkerPool:
         spans = telemetry.tracer.spans_named("shard.execute")
         assert sorted(e["args"]["shard"] for e in spans) == [0, 1, 2]
         assert all(e["dur"] >= 0.0 for e in spans)
-        counters = telemetry.registry.snapshot()["counters"]
+        counters = telemetry.snapshot()["counters"]
         assert counters["pool.shards_done"] == 3
         assert counters["pool.worker_spawn"] == 2
         assert counters["pool.heartbeats"] >= 3
@@ -253,7 +253,7 @@ class TestWorkerPool:
             pool = WorkerPool(1, max_retries=1, fault_hook=_crash_once_hook)
             results = dict(pool.run(_double_task, {0: 5}))
         assert results == {0: 10}
-        counters = telemetry.registry.snapshot()["counters"]
+        counters = telemetry.snapshot()["counters"]
         assert counters["pool.shard_failure"] == 1
         assert counters["pool.shard_retry"] == 1
         assert counters["pool.worker_respawn"] >= 1
@@ -446,7 +446,7 @@ def test_streaming_aggregates_match_exact_statistics(tmp_path):
 
 def _journal_replayed(telemetry):
     """How many shards the run under ``telemetry`` replayed from its journal."""
-    return telemetry.registry.snapshot()["counters"]["dist.shards.replayed"]
+    return telemetry.snapshot()["counters"]["dist.shards.replayed"]
 
 
 class _StopAfter:
@@ -608,7 +608,7 @@ class TestShardSpanCoverage:
         assert sorted(row["shard"] for row in document["shards"]) == \
             list(range(plan.n_shards))
         # ...and the retries really happened (one crash per shard).
-        counters = telemetry.registry.snapshot()["counters"]
+        counters = telemetry.snapshot()["counters"]
         assert counters["pool.shard_retry"] == plan.n_shards
 
 

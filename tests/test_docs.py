@@ -10,6 +10,8 @@
 * Every ``repro <command>`` line of README.md, docs/architecture.md and the
   verify skill names a command of the CLI's one table (``_COMMANDS``), and
   ``tools/reach.py`` drives every command of that table and no other.
+* Every counter of the "Metric names" table is a string literal of the
+  source, and every counter a telemetry-on lossy-edge run records is a row.
 """
 
 from __future__ import annotations
@@ -59,6 +61,28 @@ def test_store_kinds_table_matches_kinds_and_names_real_producers():
     for kind, producers in rows.items():
         assert producers, f"row {kind!r} names no producer"
         assert set(producers) <= callables, (kind, set(producers) - callables)
+
+
+def _metric_names():
+    """The counter names of the "Metric names" table of docs/architecture.md."""
+    text = (ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
+    table = text[text.index("### Metric names"):].split("\n\n")[1]
+    return {name for line in table.splitlines()[2:]
+            for name in re.findall(r"`([\w.]+)`", line.split("|")[1])}
+
+
+def test_metric_names_table_matches_the_counters_the_code_records():
+    from repro.experiments.config import make_session_config
+    from repro.experiments.runner import run_single
+    from repro.obs import telemetry_session
+
+    names = _metric_names()
+    source = "\n".join(path.read_text(encoding="utf-8")
+                       for path in (ROOT / "src" / "repro").rglob("*.py"))
+    assert sorted(name for name in names if f'"{name}"' not in source) == []
+    with telemetry_session() as telemetry:
+        run_single(make_session_config(60, seed=2, max_time=70.0, topology="lossy-edge"))
+    assert telemetry.counters and sorted(set(telemetry.counters) - names) == []
 
 
 def test_package_diagram_names_every_package_and_no_other():

@@ -137,7 +137,7 @@ class TestDelayedDeliveries:
                   if row["stage"] == "delivered" and row["seg"] == seg_id]
         assert landed == [{"time": arrival, "period": 0, "peer": stayer, "seg": seg_id,
                            "stage": "delivered", "supplier": leaver, "value": 0.25}]
-        counters = telemetry.registry.snapshot()["counters"]
+        counters = telemetry.snapshot()["counters"]
         assert counters["fabric.deliveries_evaporated"] == 1
         assert counters["fabric.deliveries_arrived"] == 1
 
@@ -156,7 +156,7 @@ class TestDelayedDeliveries:
             fabric = LatencyFabric(slow, np.random.default_rng(0))
 
         def unaccounted():
-            counters = telemetry.registry.snapshot()["counters"]
+            counters = telemetry.snapshot()["counters"]
             return (counters["fabric.deliveries_delayed"]
                     - counters["fabric.deliveries_arrived"]
                     - counters["fabric.deliveries_evaporated"])
@@ -170,7 +170,7 @@ class TestDelayedDeliveries:
                 assert unaccounted() == len(session._calendar)
             assert session.finished
             assert unaccounted() == len(session._calendar) > 0  # in flight at the stop
-            counters = telemetry.registry.snapshot()["counters"]
+            counters = telemetry.snapshot()["counters"]
         assert counters["fabric.deliveries_arrived"] > 1000
         assert (counters["fabric.deliveries_evaporated"] > 0) == (path_ms is not None)
 

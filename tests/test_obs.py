@@ -2,7 +2,7 @@
 
 Covers the three tentpole properties:
 
-* the metrics registry and tracer record what instrumented code reports;
+* the counters and tracer record what instrumented code reports;
 * the disabled (null) handles are true no-ops and telemetry is off by
   default;
 * telemetry is provably inert -- an instrumented run persists the exact
@@ -26,48 +26,36 @@ from repro.experiments.store import (
 from repro.experiments.sqlite_store import SQLiteStore
 from repro.obs import (
     NULL_TELEMETRY,
-    MetricsRegistry,
+    Telemetry,
     Tracer,
     build_telemetry_document,
     chrome_trace_payload,
-    disable_telemetry,
-    enable_telemetry,
     get_telemetry,
     shard_span_rows,
     telemetry_session,
-    trace_span,
     write_chrome_trace,
 )
 from repro.streaming.session import SwitchSession
 
 
 # --------------------------------------------------------------------------- #
-# metrics registry
+# counters
 # --------------------------------------------------------------------------- #
-def test_registry_instruments_are_created_once_and_accumulate():
-    registry = MetricsRegistry()
-    registry.counter("a").inc()
-    registry.counter("a").add(4)
-    assert registry.counter("a") is registry.counter("a")
-    assert registry.counter("a").value == 5
-    registry.gauge("g").set(2.5)
-    assert registry.gauge("g").value == 2.5
-    for value in (1.0, 2.0, 3.0, 4.0):
-        registry.histogram("h").observe(value)
-    summary = registry.histogram("h").summary()
-    assert summary["count"] == 4
-    assert summary["mean"] == pytest.approx(2.5)
-    assert summary["min"] == 1.0 and summary["max"] == 4.0
-    assert summary["p50"] <= summary["p90"] <= summary["p99"]
+def test_counters_accumulate_per_name():
+    telemetry = Telemetry()
+    telemetry.count("a")
+    telemetry.count("a", 4)
+    telemetry.count("b", 0)  # a zero count still names the counter
+    assert telemetry.counters == {"a": 5, "b": 0}
 
 
-def test_registry_snapshot_is_sorted_and_json_safe():
-    registry = MetricsRegistry()
-    registry.counter("z").inc()
-    registry.counter("a").inc()
-    snapshot = registry.snapshot()
+def test_snapshot_counters_are_sorted_and_json_safe():
+    telemetry = Telemetry()
+    telemetry.count("z")
+    telemetry.count("a")
+    snapshot = telemetry.snapshot()
+    assert list(snapshot) == ["counters", "spans"]
     assert list(snapshot["counters"]) == ["a", "z"]
-    assert snapshot["histograms"] == {}
     json.dumps(snapshot)  # must serialise as-is
 
 
@@ -124,35 +112,24 @@ def test_tracer_instant_and_spans_named():
 def test_telemetry_is_off_by_default_and_null_is_noop():
     handle = get_telemetry()
     assert handle is NULL_TELEMETRY and not handle.enabled
-    handle.counter("x").inc()
-    handle.gauge("x").set(1)
-    handle.histogram("x").observe(1.0)
+    handle.count("x")
+    handle.count("x", 5)
     handle.event("x")
     handle.complete_span("x", 0.0, 1.0)
     with handle.span("x"):
         pass
-    assert handle.snapshot() == {
-        "counters": {}, "gauges": {}, "histograms": {}, "spans": {},
-    }
-
-
-def test_enable_disable_round_trip():
-    telemetry = enable_telemetry()
-    try:
-        assert get_telemetry() is telemetry and telemetry.enabled
-        telemetry.counter("n").inc()
-    finally:
-        returned = disable_telemetry()
-    assert returned is telemetry
-    assert get_telemetry() is NULL_TELEMETRY
+    assert handle.snapshot() == {"counters": {}, "spans": {}}
 
 
 def test_telemetry_session_installs_and_restores():
     assert get_telemetry() is NULL_TELEMETRY
     with telemetry_session() as telemetry:
         assert get_telemetry() is telemetry
-        with trace_span("unit.block", kind="test"):
+        with get_telemetry().span("unit.block", kind="test"):
             pass
+        with telemetry_session() as inner:  # nested sessions restore the outer one
+            assert get_telemetry() is inner
+        assert get_telemetry() is telemetry
     assert get_telemetry() is NULL_TELEMETRY
     assert telemetry.tracer.span_stats()["unit.block"]["count"] == 1
 
@@ -164,8 +141,7 @@ def _sample_telemetry():
     import time
 
     with telemetry_session() as telemetry:
-        telemetry.counter("engine.events").add(12)
-        telemetry.gauge("session.peers").set(40)
+        telemetry.count("engine.events", 12)
         with telemetry.span("period.decide", t=1.0):
             pass
         base = time.perf_counter()
@@ -256,7 +232,7 @@ def test_store_access_is_counted_when_enabled(tmp_path):
         assert store.load("pair-missing") is None
         store.save("pair-unit", {"kind": "pair", "value": 1})
         assert store.load("pair-unit") is not None
-    counters = telemetry.registry.snapshot()["counters"]
+    counters = telemetry.snapshot()["counters"]
     assert counters["store.load.miss"] == 1
     assert counters["store.load.hit"] == 1
     assert counters["store.save"] == 1
@@ -282,7 +258,7 @@ def test_session_run_emits_phase_spans_and_counters(tiny_config):
 def test_vector_session_counts_vector_dispatch(tiny_config):
     with telemetry_session() as telemetry:
         SwitchSession(replace(tiny_config, engine="vector")).run()
-    counters = telemetry.registry.snapshot()["counters"]
+    counters = telemetry.snapshot()["counters"]
     assert counters["engine.dispatch.vector"] > 0
 
 
@@ -300,7 +276,7 @@ def test_engines_count_the_same_traffic(topology):
         )
         with telemetry_session() as telemetry:
             SwitchSession(config).run()
-        snapshot = telemetry.registry.snapshot()["counters"]
+        snapshot = telemetry.snapshot()["counters"]
         return {name: value for name, value in snapshot.items()
                 if name.startswith(("fabric.", "session.", "engine.events"))}
 

@@ -135,6 +135,38 @@ def test_funnel_rows_aggregate_per_label():
     json.dumps(probe.snapshot())
 
 
+def test_funnel_and_health_name_their_session_once_there_are_several():
+    funnel, health = StartupFunnelProbe(), SwarmHealthProbe()
+    for session in (0, 1):
+        funnel.mark("ch0", 1, "joined", 0.0, session)  # same label, same peer id
+        health.sample(1.0, "ch0", [1], pending=0, utilisation=0.0,
+                      requests=0, failed=0, delivered=0, session=session)
+    assert [(row["session"], row["joined"]) for row in funnel.funnel_rows()] == [(0, 1), (1, 1)]
+    assert [row["session"] for row in funnel.peer_rows()] == [0, 1]
+    assert [row["session"] for row in health.rows()] == [0, 1]
+    assert ProbeSet().register_session() == 0
+
+
+def _probed_funnel(run, config):
+    with telemetry_session(probes=True) as telemetry:
+        run(config)
+    return telemetry.probes.funnel.funnel_rows()
+
+
+def test_a_probed_pair_keeps_each_sessions_funnel():
+    """Both sessions of a pair share the label and the peer ids; each keeps
+    its own milestones, equal to those of the same session run alone."""
+    from repro.experiments.config import make_session_config
+    from repro.experiments.runner import run_pair, run_single
+
+    config = make_session_config(60, seed=3, max_time=70)
+    normal, fast = _probed_funnel(run_pair, config)
+    assert (normal.pop("session"), fast.pop("session")) == (0, 1)
+    assert [normal] == _probed_funnel(run_single, replace(config, algorithm="normal"))
+    assert [fast] == _probed_funnel(run_single, replace(config, algorithm="fast"))
+    assert fast["first_map_mean_s"] < normal["first_map_mean_s"]
+
+
 # --------------------------------------------------------------------------- #
 # the null probe set and the telemetry switch
 # --------------------------------------------------------------------------- #
