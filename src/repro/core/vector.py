@@ -339,15 +339,15 @@ class VectorDecider:
         """Decide the period's peers in one pass.
 
         ``fast`` selects the fast algorithm (priority order) over the normal
-        one (playback order).  Sets every peer's wanted sets (authoritative:
-        collectors read them) and files its request rows.
+        one (playback order).  Records the ranges every peer's wanted sets
+        are drawn from (their sizes are what the deciders read) and files its
+        request rows.
         """
         arrays = self._arrays
         table = np.array(
             [
                 (
-                    peer.buffer.row, peer._current_playback_id(),
-                    *peer._wanted_old_range(), *peer._wanted_new_range(),
+                    peer.buffer.row, peer._current_playback_id(), *peer.refresh_wanted(),
                     *windows[0], *(windows[1] if len(windows) > 1 else _EMPTY_RANGE),
                 )
                 for peer, _, windows in jobs
@@ -384,13 +384,10 @@ class VectorDecider:
         # Each peer's supplied candidates, and where its new-stream ones begin.
         offered = np.searchsorted(supplied, np.stack([splits, stops], axis=1)).tolist()
         offered_ids = candidates[supplied].tolist()
-        candidates = candidates.tolist()
         start = first = 0
         for (peer, survivors, _), stop, split, (middle, end) in zip(
             jobs, stops.tolist(), splits.tolist(), offered
         ):
-            peer.wanted_old = set(candidates[start:split])
-            peer.wanted_new = set(candidates[split:stop])
             capacity = self._capacity_of(peer)
             if capacity <= 0 or end == first:
                 # No capacity or nothing wanted that anybody advertises:
@@ -410,7 +407,7 @@ class VectorDecider:
                     middle - first, survivors, peer.tau,
                 )
                 rows[peer.node_id] = self._fast_finish(
-                    peer, capacity, assigned_old, assigned_new
+                    peer, capacity, assigned_old, assigned_new, split - start, stop - split
                 )
             start, first = stop, end
 
@@ -430,10 +427,12 @@ class VectorDecider:
         capacity: int,
         assigned_old: List[RequestRow],
         assigned_new: List[RequestRow],
+        n_wanted_old: int,
+        n_wanted_new: int,
     ) -> List[RequestRow]:
         tau = peer.tau
         allocation = allocate_for_model(
-            peer.bandwidth.inbound, len(peer.wanted_old), len(peer.wanted_new),
+            peer.bandwidth.inbound, n_wanted_old, n_wanted_new,
             peer.startup_quota_old, peer.play_rate,
             len(assigned_old) / tau, len(assigned_new) / tau,
         )

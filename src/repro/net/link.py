@@ -80,14 +80,18 @@ class LinkModel:
         self.total_delay = 0.0
 
     # ------------------------------------------------------------------ #
+    def _refill(self) -> List[float]:
+        """Draw the next block of the stream (the previous one is used up)."""
+        self._block = self._rng.random(_BLOCK).tolist()
+        return self._block
+
     def _next(self) -> float:
         """The next variate in ``[0, 1)`` of the stream."""
-        cursor = self._cursor
-        if cursor == len(self._block):
-            self._block = self._rng.random(_BLOCK).tolist()
-            cursor = 0
+        block, cursor = self._block, self._cursor
+        if cursor == len(block):
+            block, cursor = self._refill(), 0
         self._cursor = cursor + 1
-        return self._block[cursor]
+        return block[cursor]
 
     def uniforms(self, count: int) -> List[float]:
         """The next ``count`` variates of the stream, in order."""
@@ -112,12 +116,23 @@ class LinkModel:
         """
         self.messages += 1
         loss, delay, jitter = self._paths[src_region][dst_region]
-        if loss > 0.0 and self._next() < loss:
-            self.dropped += 1
-            return None
+        # What ``_next`` does, on a local cursor: this runs once per message.
+        block, cursor = self._block, self._cursor
+        if loss > 0.0:
+            if cursor == len(block):
+                block, cursor = self._refill(), 0
+            cursor += 1
+            if block[cursor - 1] < loss:
+                self._cursor = cursor
+                self.dropped += 1
+                return None
         if jitter > 0.0:
+            if cursor == len(block):
+                block, cursor = self._refill(), 0
             # ``Generator.uniform(-1.0, 1.0)`` is ``-1.0 + 2.0 * next_double``.
-            delay += jitter * (-1.0 + 2.0 * self._next())
+            delay += jitter * (-1.0 + 2.0 * block[cursor])
+            cursor += 1
+        self._cursor = cursor
         if delay <= 0.0:
             delay = 0.0
         self.total_delay += delay

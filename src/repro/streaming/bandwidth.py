@@ -182,8 +182,9 @@ class OutboundLedger:
         Returns ``True`` and decrements the budget when capacity is
         available; returns ``False`` (and counts a rejection) otherwise.
         """
-        if self.can_serve(node_id, segments):
-            self._budget[node_id] -= segments
+        budget = self._budget.get(node_id, 0.0)
+        if budget >= segments:
+            self._budget[node_id] = budget - segments
             self.served_total += segments
             return True
         self.rejected_total += 1

@@ -158,6 +158,10 @@ class SegmentBuffer:
         """
         if self._bits >> seg_id & 1:  # a negative id raises here, unchanged
             return None
+        return self._append(seg_id)
+
+    def _append(self, seg_id: int) -> Optional[int]:
+        """:meth:`insert` of an id known to be absent (the caller tested it)."""
         self._bits |= 1 << seg_id
         self._counter += 1
         if seg_id >= len(self._index):

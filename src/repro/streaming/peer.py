@@ -6,7 +6,8 @@ from its current neighbours; the peer
 
 1. updates its knowledge (discovers the source switch the first time a
    neighbour that *holds new-source data* announces it, learns about newly
-   generated segments, maintains its undelivered-segment sets),
+   generated segments, records the id ranges its undelivered-segment sets
+   are drawn from),
 2. builds a :class:`~repro.core.base.LocalView` and lets its switch
    algorithm produce a :class:`~repro.core.base.ScheduleDecision`,
 3. receives the deliveries the session executed against the suppliers'
@@ -24,11 +25,11 @@ time of the new stream and the switch completion time.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.base import LocalView, ScheduleDecision, SwitchAlgorithm
 from repro.streaming.bandwidth import BandwidthProfile
-from repro.streaming.buffer import SegmentBuffer, range_mask
+from repro.streaming.buffer import SegmentBuffer, popcount, range_mask
 from repro.streaming.buffermap import BufferMapSnapshot, snapshot_buffer
 from repro.streaming.playback import PlaybackState
 from repro.streaming.segment import SwitchPlan
@@ -116,8 +117,12 @@ class PeerNode:
         self.has_new_data = False
         self.highest_known_old: Optional[int] = None
         self.highest_known_new: Optional[int] = None
-        self.wanted_old: set[int] = set()
-        self.wanted_new: set[int] = set()
+        #: inclusive id ranges ``(old lo, old hi, new lo, new hi)`` the two
+        #: undelivered-segment sets were last drawn from: a set is the
+        #: buffer's holes in its range (:attr:`wanted_old`, :attr:`wanted_new`)
+        self._wanted_at: Tuple[int, int, int, int] = _EMPTY_RANGE + _EMPTY_RANGE
+        #: the bitmap of the start-up window, fixed with it
+        self._startup_mask = 0
 
         # --- per-node metric bookkeeping (read by the session/collectors) ---
         self.q0: Optional[int] = None
@@ -194,8 +199,7 @@ class PeerNode:
                 self._adopt_switch(snap.switch_info, now)
             advertised |= snap.bits
         self._extend_horizons(advertised)
-        self._refresh_wanted_old()
-        self._refresh_wanted_new()
+        self.refresh_wanted()
 
     def _extend_horizons(self, advertised: int) -> None:
         """Raise the highest known ids to what the OR-ed maps advertise.
@@ -226,6 +230,7 @@ class PeerNode:
         )
         startup = self.switch_plan.startup_ids()
         self._startup = (startup.start, startup.stop - 1)
+        self._startup_mask = range_mask(*self._startup)
         self.discovered_switch_time = now
         assert self.playback_old is not None
         self.playback_old.last_id = id_end
@@ -265,13 +270,34 @@ class PeerNode:
             return (lo, min(self.highest_known_new, lo + self.lookahead))
         return self._startup
 
-    def _refresh_wanted_old(self) -> None:
-        """Recompute the undelivered old-stream set from current knowledge."""
-        self.wanted_old = set(self.buffer.missing_in_range(*self._wanted_old_range()))
+    def refresh_wanted(self) -> Tuple[int, int, int, int]:
+        """Redraw both undelivered-segment sets from current knowledge.
+
+        Only their ranges are recorded; returns ``(old lo, old hi, new lo,
+        new hi)``.
+        """
+        self._wanted_at = self._wanted_old_range() + self._wanted_new_range()
+        return self._wanted_at
 
     def _refresh_wanted_new(self) -> None:
-        """Recompute the undelivered new-stream set from current knowledge."""
-        self.wanted_new = set(self.buffer.missing_in_range(*self._wanted_new_range()))
+        """Redraw the undelivered new-stream set from current knowledge."""
+        self._wanted_at = self._wanted_at[:2] + self._wanted_new_range()
+
+    @property
+    def wanted_old(self) -> Set[int]:
+        """Old-stream ids still undelivered (the holes of the recorded range)."""
+        return set(self.buffer.missing_in_range(*self._wanted_at[:2]))
+
+    @property
+    def wanted_new(self) -> Set[int]:
+        """New-stream ids still undelivered (the holes of the recorded range)."""
+        return set(self.buffer.missing_in_range(*self._wanted_at[2:]))
+
+    def wanted_count(self) -> int:
+        """``len(wanted_old) + len(wanted_new)``, counted on the bitmap."""
+        old_lo, old_hi, new_lo, new_hi = self._wanted_at
+        holes = (range_mask(old_lo, old_hi) | range_mask(new_lo, new_hi)) & ~self.buffer.bits
+        return popcount(holes)
 
     # ------------------------------------------------------------------ #
     # scheduling
@@ -298,6 +324,8 @@ class PeerNode:
         """Assemble the :class:`LocalView` for this period."""
         assert self.playback_old is not None
         playback_id = self._current_playback_id()
+        old_lo, old_hi, new_lo, new_hi = self._wanted_at
+        missing = self.buffer.missing_in_range
         return LocalView(
             now=now,
             tau=self.tau,
@@ -306,8 +334,8 @@ class PeerNode:
             playback_id=playback_id,
             startup_quota_old=self.startup_quota_old,
             startup_quota_new=self.startup_quota_new,
-            old_needed=frozenset(self.wanted_old),
-            new_needed=frozenset(self.wanted_new),
+            old_needed=frozenset(missing(old_lo, old_hi)),
+            new_needed=frozenset(missing(new_lo, new_hi)),
             id_end=self.switch_plan.id_end if self.switch_plan else None,
             id_begin=self.switch_plan.id_begin if self.switch_plan else None,
             neighbours=tuple(snapshots),
@@ -339,13 +367,11 @@ class PeerNode:
     # ------------------------------------------------------------------ #
     def apply_delivery(self, seg_id: int, now: float) -> None:
         """Store a delivered segment and update metric counters."""
-        was_new = not self.buffer.contains(seg_id)
-        self.buffer.insert(seg_id)
-        if not was_new:
+        buffer = self.buffer
+        if buffer._bits >> seg_id & 1:  # a duplicate changes nothing
             return
+        buffer._append(seg_id)
         self.segments_received_total += 1
-        self.wanted_old.discard(seg_id)
-        self.wanted_new.discard(seg_id)
         if self.switch_plan is not None and seg_id >= self.switch_plan.id_begin:
             self.has_new_data = True
             if seg_id <= self._startup[1]:
@@ -355,15 +381,12 @@ class PeerNode:
             if now >= 0.0:
                 self.old_received_since_switch += 1
 
-    def record_failed_request(self) -> None:
-        """Count a request the supplier could not serve this period."""
-        self.requests_failed += 1
-
     def _check_prepared(self, now: float) -> None:
         """Record the prepare time once all ``Qs`` startup segments are held."""
         if self.prepared_new_time is not None or self.switch_plan is None:
             return
-        if self.buffer.contains_range(*self._startup):
+        mask = self._startup_mask
+        if self.buffer._bits & mask == mask:
             self.prepared_new_time = now
 
     def advance_playback(self, now: float, duration: float) -> None:
@@ -430,10 +453,8 @@ class PeerNode:
         return stalls
 
     def undelivered_old(self) -> int:
-        """``Q1``: old-stream segments still undelivered (metric helper)."""
-        if self.q0 is None:
-            return len(self.wanted_old)
-        return max(0, self.q0 - self.old_received_since_switch)
+        """``Q1``: old-stream segments still undelivered since ``Q0`` (metric helper)."""
+        return max(0, (self.q0 or 0) - self.old_received_since_switch)
 
     def delivered_new_startup(self) -> int:
         """``Qs - Q2``: delivered segments of the new stream's startup window."""

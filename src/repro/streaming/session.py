@@ -599,24 +599,34 @@ class SwitchSession:
                                      STAGE_SCHEDULED, supplier_id, completion)
 
     def _exchange_phase(self, state: PeriodState) -> None:
-        """Execute the requests against the suppliers' budgets and the fabric."""
+        """Execute the requests against the suppliers' budgets and the fabric.
+
+        One fabric call per message; the payload bits are charged once, at
+        the end (nothing reads the totals mid-period).
+        """
         now, period = state.now, state.index
         probes = get_telemetry().probes
-        requests = failed = delayed = 0
+        requests = failed = delayed = sent = 0
         deliveries, calendar, rows = state.deliveries, self._calendar, state.request_rows
+        peers, sources = self.peers, self.sources
+        consume, data_transfer = self.ledger.consume, self.fabric.data_transfer
         for node_id in state.order:
-            peer = self.peers[node_id]
             peer_rows = rows[node_id]
+            if not peer_rows:
+                continue
+            peer = peers[node_id]
             requests += len(peer_rows)
             for _, seg_id, supplier_id, _ in peer_rows:
-                supplier = self._node(supplier_id)
-                if supplier is None or not supplier.buffer.contains(seg_id):
+                supplier = peers.get(supplier_id)
+                if supplier is None:
+                    supplier = sources.get(supplier_id)
+                if supplier is None or not supplier.buffer._bits >> seg_id & 1:
                     dropped = DROP_SUPPLIER_GONE
-                elif not self.ledger.consume(supplier_id):
+                elif not consume(supplier_id):
                     dropped = DROP_NO_BUDGET
                 else:
-                    self.overhead.add_data(DEFAULT_SEGMENT_BITS)
-                    delay = self.fabric.data_transfer(supplier_id, node_id)
+                    sent += 1
+                    delay = data_transfer(supplier_id, node_id)
                     if delay is None:
                         # The segment was lost in flight.  The loss sits on the
                         # large response, not the tiny request, so the
@@ -633,14 +643,17 @@ class SwitchSession:
                             (now + delay, period, delayed, node_id, seg_id, supplier_id, delay)
                         )
                         continue
-                peer.record_failed_request()
+                peer.requests_failed += 1
                 failed += 1
                 if probes.enabled:
                     probes.lifecycle.append(now, period, node_id, seg_id,
                                             STAGE_DROPPED, supplier_id, dropped)
+        self.overhead.add_data(sent * DEFAULT_SEGMENT_BITS)
         self.overhead.add_request(requests * SEGMENT_REQUEST_BITS)
         for peer, seg_id, supplier_id in deliveries:
-            self._arrive(peer, seg_id, supplier_id, now, 0.0, probes)
+            peer.apply_delivery(seg_id, now)
+            if probes.enabled:
+                self._probe_arrival(peer.node_id, seg_id, supplier_id, now, 0.0, probes)
         state.requests, state.failed, state.delayed = requests, failed, delayed
         if requests != len(deliveries) + delayed + failed:
             raise RequestConservationError(
@@ -672,7 +685,7 @@ class SwitchSession:
             if missed > 0:
                 probes.lifecycle.append(now, period, peer.node_id, reached,
                                         STAGE_MISSED, -1, float(missed))
-            pending += len(peer.wanted_old) + len(peer.wanted_new)
+            pending += peer.wanted_count()
             if peer.discovered_switch_time is not None:
                 probes.funnel.mark(self.label, peer.node_id, "first_map",
                                    peer.discovered_switch_time, self._probe_session)
@@ -733,11 +746,17 @@ class SwitchSession:
         dropped = bits = 0
         peer_bits, source_bits = self._map_bits
         send_rates = state.send_rates
+        peers, sources = self.peers, self.sources
+        control_transfer = self.fabric.control_transfer
         for neighbour_id in self.overlay.neighbours(node_id):
-            node = self._node(neighbour_id)
+            node = peers.get(neighbour_id)
+            wire_bits = peer_bits
             if node is None:
-                continue
-            if self.fabric.control_transfer(neighbour_id, node_id) is None:
+                node = sources.get(neighbour_id)
+                if node is None:
+                    continue
+                wire_bits = source_bits
+            if control_transfer(neighbour_id, node_id) is None:
                 dropped += 1
                 continue
             rate = send_rates.get(neighbour_id)
@@ -745,7 +764,7 @@ class SwitchSession:
                 rate = send_rates[neighbour_id] = self._estimate_send_rate(neighbour_id)
             nodes.append(node)
             rates.append(rate)
-            bits += source_bits if neighbour_id in self.sources else peer_bits
+            bits += wire_bits
         state.control_pulls += len(nodes)
         state.control_dropped += dropped
         state.control_bits += bits
@@ -758,12 +777,6 @@ class SwitchSession:
         degree = max(1, self.overlay.degree(supplier_id))
         return outbound / degree
 
-    def _node(self, node_id: int):
-        """Look up a peer or source by id (``None`` if it has left)."""
-        if node_id in self.peers:
-            return self.peers[node_id]
-        return self.sources.get(node_id)
-
     def _land_arrivals(self, now: float, index: float = float("inf")) -> None:
         """Apply what :func:`due_arrivals` takes off the calendar, each record at
         its own arrival time; a segment whose receiver has left evaporates."""
@@ -773,27 +786,27 @@ class SwitchSession:
         probes = obs.probes
         due = due_arrivals(self._calendar, now, index)
         arrived = 0
+        peers = self.peers
         for arrival, _, _, node_id, seg_id, supplier_id, delay in due:
-            peer = self.peers.get(node_id)
+            peer = peers.get(node_id)
             if peer is not None:
                 arrived += 1
-                self._arrive(peer, seg_id, supplier_id, arrival, delay, probes)
+                peer.apply_delivery(seg_id, arrival)
+                if probes.enabled:
+                    self._probe_arrival(node_id, seg_id, supplier_id, arrival, delay, probes)
         if obs.enabled:
             obs.count("fabric.deliveries_arrived", arrived)
             obs.count("fabric.deliveries_evaporated", len(due) - arrived)
 
-    def _arrive(
-        self, peer: PeerNode, seg_id: int, supplier_id: int, now: float, delay: float,
+    def _probe_arrival(
+        self, node_id: int, seg_id: int, supplier_id: int, now: float, delay: float,
         probes: "ProbeSet | NullProbeSet",
     ) -> None:
-        """``peer`` receives ``seg_id`` at ``now``, ``delay`` seconds after it was sent."""
-        peer.apply_delivery(seg_id, now)
-        if probes.enabled:
-            probes.lifecycle.append(now, self.rounds_run, peer.node_id, seg_id,
-                                    STAGE_DELIVERED, supplier_id, delay)
-            if seg_id >= self.switch_plan.id_begin:
-                probes.funnel.mark(self.label, peer.node_id, "first_segment", now,
-                                   self._probe_session)
+        """Probe that ``node_id`` received ``seg_id`` at ``now``, ``delay`` s after it was sent."""
+        probes.lifecycle.append(now, self.rounds_run, node_id, seg_id,
+                                STAGE_DELIVERED, supplier_id, delay)
+        if seg_id >= self.switch_plan.id_begin:
+            probes.funnel.mark(self.label, node_id, "first_segment", now, self._probe_session)
 
     # ------------------------------------------------------------------ #
     # churn and scripted environment changes

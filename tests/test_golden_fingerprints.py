@@ -209,6 +209,19 @@ def test_run_document_content_golden(algorithm, expected, overrides, engine):
 
 
 @pytest.mark.parametrize("engine", ["oracle", "vector"])
+def test_benchmark_pair_content_golden(engine):
+    """The shape the benchmark's ``pair-churn-wan-vector`` workload times --
+    100 peers, 5 %/5 % churn, the transcontinental fabric, a 120 s horizon --
+    at its first seed (``bench.workloads.seed_batch(1)[0]``), both
+    algorithms, pinned under both engines."""
+    config = make_session_config(100, seed=288545019, max_time=120.0, engine=engine, **_CHURN_WAN)
+    pair = run_pair(config)
+    assert [stable_hash(normalized_run_document(r)) for r in (pair.normal, pair.fast)] == [
+        "2aa84e75152720eaa2bc1384", "1126e2b09587ab8c663d5e11",
+    ]
+
+
+@pytest.mark.parametrize("engine", ["oracle", "vector"])
 def test_probe_stream_content_golden(engine):
     """Probe output is pinned too, row order included: every lifecycle row
     (requested / assigned / scheduled / dropped / delivered, immediate and
