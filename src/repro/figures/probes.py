@@ -76,24 +76,23 @@ def probe_swarm_health(
     for key, document in documents:
         health = document["probes"].get("health", {})
         run = run_label(document.get("run", {})) or key
+        # One line per session: a probe that watched several sessions tags
+        # its rows with a ``session`` column, and each restarts its clock.
+        sessions: Dict[object, List[Dict[str, Any]]] = {}
         for sample in health.get("series", []):
             row: Dict[str, object] = {}
             if multiple:
                 row["run"] = run
             row.update(sample)
             rows.append(row)
-        suffix = f" ({run})" if multiple else ""
-        points = health.get("series", [])
-        if points:
-            series[f"fill_p50{suffix}"] = [
-                (float(p["time"]), float(p["fill_p50"])) for p in points
-            ]
-            series[f"pending{suffix}"] = [
-                (float(p["time"]), float(p["pending"])) for p in points
-            ]
-            series[f"utilisation{suffix}"] = [
-                (float(p["time"]), float(p["utilisation"])) for p in points
-            ]
+            sessions.setdefault(sample.get("session"), []).append(sample)
+        for session, points in sessions.items():
+            tags = ([run] if multiple else []) + ([f"session {session}"] if session is not None else [])
+            suffix = f" ({', '.join(tags)})" if tags else ""
+            for column in ("fill_p50", "pending", "utilisation"):
+                series[f"{column}{suffix}"] = [
+                    (float(p["time"]), float(p[column])) for p in points
+                ]
     if not rows:
         raise FigureUnavailable(
             "the probe-bearing telemetry documents carry no health series; "

@@ -214,6 +214,42 @@ class TestUniverseFigures:
                 figure_json(render_figure(name, store=sharded))
 
 
+_HEALTH_COLUMNS = ("fill_p50", "pending", "utilisation")
+
+
+class TestProbeFigures:
+    def test_swarm_health_of_one_session_keeps_plain_line_names(self, warm_store):
+        assert list(render_figure("probe-swarm-health", store=warm_store).series) == list(
+            _HEALTH_COLUMNS
+        )
+
+    def test_swarm_health_draws_one_line_per_session(self, tmp_path):
+        """A pair's probe watches two sessions whose clocks each restart:
+        every column is one line per session, each in time order."""
+        from repro.experiments.config import make_session_config
+        from repro.experiments.runner import run_pair
+        from repro.experiments.store import persist_telemetry_document
+        from repro.obs import telemetry_session
+
+        store = ResultStore(tmp_path)
+        with telemetry_session(probes=True) as telemetry:
+            run_pair(make_session_config(30, seed=0, max_time=40.0))
+        persist_telemetry_document(
+            store, run={"kind": "pair", "name": "probe-pair", "seed": 0}, telemetry=telemetry
+        )
+        result = render_figure("probe-swarm-health", store=store)
+        assert list(result.series) == [
+            f"{column} (session {session})"
+            for session in (0, 1) for column in _HEALTH_COLUMNS
+        ]
+        for points in result.series.values():
+            times = [time for time, _ in points]
+            assert times == sorted(set(times))
+        assert len(result.rows) == len(result.series["pending (session 0)"]) + len(
+            result.series["pending (session 1)"]
+        )
+
+
 class TestReport:
     def test_renders_every_registered_figure_from_the_warm_store(self, warm_store, tmp_path):
         summary = render_report(warm_store, tmp_path / "report", **RENDER_KWARGS)
