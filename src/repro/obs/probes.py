@@ -191,15 +191,13 @@ class SwarmHealthProbe:
     """One struct-of-arrays row per scheduling period.
 
     ``sample`` computes the buffer-fill percentiles through an exact
-    (below-capacity) :class:`QuantileSketch`, merges the fills into a
-    cumulative run-level sketch, and appends one row.  Bounded like the
-    lifecycle buffer.
+    (below-capacity) :class:`QuantileSketch` and appends one row.  Bounded
+    like the lifecycle buffer.
     """
 
     __slots__ = ("capacity", "sketch_capacity", "times", "sessions", "labels", "peers",
                  "fill_p10", "fill_p50", "fill_p90", "fill_mean", "pending",
-                 "utilisation", "requests", "failed", "delivered",
-                 "fill_sketch", "dropped")
+                 "utilisation", "requests", "failed", "delivered", "dropped")
 
     def __init__(self, capacity: int = 100_000, *,
                  sketch_capacity: int = DEFAULT_SKETCH_CAPACITY) -> None:
@@ -220,7 +218,6 @@ class SwarmHealthProbe:
         self.requests: List[int] = []
         self.failed: List[int] = []
         self.delivered: List[int] = []
-        self.fill_sketch = QuantileSketch(capacity=sketch_capacity)
         self.dropped = 0
 
     def __len__(self) -> int:
@@ -235,7 +232,6 @@ class SwarmHealthProbe:
             return
         sketch = QuantileSketch(capacity=self.sketch_capacity)
         sketch.extend(float(fill) for fill in buffer_fills)
-        self.fill_sketch.merge(sketch)
         self.times.append(float(time))
         self.sessions.append(int(session))
         self.labels.append(str(label))
@@ -281,17 +277,7 @@ class SwarmHealthProbe:
 
     def snapshot(self) -> Dict[str, Any]:
         """The health series embedded in the telemetry document."""
-        fill = {"count": self.fill_sketch.count}
-        if self.fill_sketch.count:
-            fill["mean"] = round(self.fill_sketch.mean, 4)
-            for q in (10.0, 50.0, 90.0):
-                fill[f"p{int(q)}"] = self.fill_sketch.percentile(q)
-        return {
-            "periods": len(self.times),
-            "dropped": self.dropped,
-            "buffer_fill": fill,
-            "series": self.rows(),
-        }
+        return {"periods": len(self.times), "dropped": self.dropped, "series": self.rows()}
 
 
 class StartupFunnelProbe:

@@ -231,7 +231,7 @@ def test_probe_stream_content_golden(engine):
         SwitchSession(_golden_config(engine=engine, **_CHURN_WAN)).run()
     probes = telemetry.probes
     document = {"lifecycle": probes.lifecycle.rows(), "snapshot": probes.snapshot()}
-    assert stable_hash(document) == "ceb53ce05f070f3953a11b76"
+    assert stable_hash(document) == "0f8352449cac903c27066cf2"
 
 
 def test_workload_document_content_golden():

@@ -92,8 +92,7 @@ def test_health_sample_percentiles_and_snapshot():
     assert probe.rows(label="ch1")[0]["utilisation"] == 0.9
     snapshot = probe.snapshot()
     assert snapshot["periods"] == 2
-    assert snapshot["buffer_fill"]["count"] == 6  # cumulative across periods
-    assert snapshot["buffer_fill"]["p90"] == 10.0
+    assert snapshot["series"][1]["fill_p90"] == 10.0
     json.dumps(snapshot)
 
 
