@@ -263,8 +263,10 @@ def run_universe(
         # keyed off the plan fingerprint -- stay stable no matter how many
         # repetitions already persisted.  Without an explicit count every
         # (repetition, channel) unit is a shard.
-        import repro.streaming.session  # noqa: F401 - forked workers inherit the simulator
         from repro.dist import ProgressReporter, ShardedExecutor, ShardPlan
+        from repro.experiments.runner import load_simulator
+
+        load_simulator()  # before the pool forks
 
         journal_root = None
         if store is not None and not store.replay_only:

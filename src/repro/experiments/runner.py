@@ -41,6 +41,20 @@ def run_single(config: SessionConfig) -> SessionResult:
     return SwitchSession(config).run()
 
 
+def load_simulator() -> None:
+    """Import everything running a session imports, before a fan-out forks.
+
+    Forked workers then inherit the modules instead of each importing them
+    again: the default engine's decider, and the NumPy submodules NumPy
+    loads on first use (``random`` for the seeded streams, ``ma`` under the
+    switch-time percentiles).
+    """
+    import numpy.ma  # noqa: F401
+    import numpy.random  # noqa: F401
+
+    import repro.core.vector  # noqa: F401 - imports repro.streaming.session
+
+
 @dataclass(frozen=True)
 class PairedRunResult:
     """Results of one paired comparison (same seed, both algorithms)."""

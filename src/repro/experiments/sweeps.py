@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import make_session_config
-from repro.experiments.runner import PairedRunResult, run_pair, run_pairs
+from repro.experiments.runner import PairedRunResult, load_simulator, run_pair, run_pairs
 from repro.experiments.store import (
     BaseResultStore,
     pair_fingerprint,
@@ -220,9 +220,9 @@ def run_size_sweep(
             return from_json(SizeSweepResult, stored["sweep"])
 
     def execute(pending: List[int]) -> Iterator[PairedRunResult]:
-        import repro.streaming.session  # noqa: F401 - forked workers inherit the simulator
         from repro.dist.pool import WorkerPool
 
+        load_simulator()  # before the pool forks
         return WorkerPool(workers).map(run_pair, [configs[i] for i in pending])
 
     # Each pair is persisted as soon as it completes: an interrupted long

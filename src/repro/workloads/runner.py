@@ -415,6 +415,9 @@ def run_workload(
 
     def execute(pending: List[int]) -> Iterator[WorkloadRepResult]:
         from repro.dist.pool import WorkerPool
+        from repro.experiments.runner import load_simulator
+
+        load_simulator()  # before the pool forks
 
         payloads = [(spec.to_dict(), rep_seeds[i], engine) for i in pending]
         return WorkerPool(workers).map(_execute_rep, payloads)

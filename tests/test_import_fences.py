@@ -155,6 +155,44 @@ def test_fan_out_forks_workers_from_a_parent_that_imported_the_simulator(argv, t
     assert set(starts) == {"@@ start True True"}
 
 
+#: Runs ``main(argv)`` and prints, from every forked child, each module the
+#: child imports (the ``import`` audit event fires only for a module that is
+#: not loaded yet).
+_CHILD_IMPORTS_PROGRAM = """
+import os, sys
+forked = []
+def child_started():
+    forked.append(True)
+    print("@@ forked", flush=True)
+def report_import(event, args):
+    if event == "import" and forked:
+        print("@@ import", args[0], flush=True)
+sys.addaudithook(report_import)
+os.register_at_fork(after_in_child=child_started)
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--sizes", "30", "36", "--repetitions", "1", "--max-time", "60", "--workers", "2"],
+    ["universe", "run", "lineup-mini", "--channels", "3", "--viewers", "36", "--repetitions", "2",
+     "--shards", "4", "--workers", "2", "--store-backend", "sqlite"],
+    ["workload", "run", "paper-baseline", "--n-nodes", "30", "--repetitions", "2",
+     "--workers", "2"],
+], ids=["sweep", "universe-run-sharded", "workload-run"])
+def test_forked_workers_import_nothing(argv, tmp_path):
+    """Every fan-out imports what a run imports before it forks, NumPy's
+    lazily loaded ``random`` and ``ma`` and the default engine included."""
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD_IMPORTS_PROGRAM, *argv, "--results-dir", str(tmp_path)],
+        env=fresh_python_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stdout.splitlines() if line.startswith("@@")]
+    assert lines.count("@@ forked") >= 2
+    assert [line for line in lines if line != "@@ forked"] == []
+
+
 def _min_wall_s(code: str, repeats: int = 5) -> float:
     best = float("inf")
     for _ in range(repeats):
