@@ -671,16 +671,20 @@ def _greedy_masks(
             bits = masks[index] & live_mask
             if not bits:
                 continue
-            best_time = _INF
-            best_slot = -1
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                slot = low.bit_length() - 1
-                completion = comp[slot]
-                if completion < best_time:
-                    best_time = completion
-                    best_slot = slot
+            if bits & (bits - 1):
+                best_time = _INF
+                best_slot = -1
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    slot = low.bit_length() - 1
+                    completion = comp[slot]
+                    if completion < best_time:
+                        best_time = completion
+                        best_slot = slot
+            else:  # one live supplier (half the candidates): it is the minimum
+                best_slot = bits.bit_length() - 1
+                best_time = comp[best_slot]
             supplier_id = ids[best_slot]
             queue[supplier_id] = best_time
             row = (rank, candidates[index], supplier_id, best_time)

@@ -56,7 +56,7 @@ class LinkModel:
         self.topology = topology
         self._rng = rng
         self._block: List[float] = []
-        self._cursor = 0
+        self._cursor = _BLOCK  # the (empty) block is used up: the first draw refills
         n = topology.n_regions
         last_mile = [region.last_mile_ms for region in topology.regions]
         jitter = [region.jitter_ms for region in topology.regions]
@@ -88,7 +88,7 @@ class LinkModel:
     def _next(self) -> float:
         """The next variate in ``[0, 1)`` of the stream."""
         block, cursor = self._block, self._cursor
-        if cursor == len(block):
+        if cursor == _BLOCK:
             block, cursor = self._refill(), 0
         self._cursor = cursor + 1
         return block[cursor]
@@ -119,7 +119,7 @@ class LinkModel:
         # What ``_next`` does, on a local cursor: this runs once per message.
         block, cursor = self._block, self._cursor
         if loss > 0.0:
-            if cursor == len(block):
+            if cursor == _BLOCK:
                 block, cursor = self._refill(), 0
             cursor += 1
             if block[cursor - 1] < loss:
@@ -127,7 +127,7 @@ class LinkModel:
                 self.dropped += 1
                 return None
         if jitter > 0.0:
-            if cursor == len(block):
+            if cursor == _BLOCK:
                 block, cursor = self._refill(), 0
             # ``Generator.uniform(-1.0, 1.0)`` is ``-1.0 + 2.0 * next_double``.
             delay += jitter * (-1.0 + 2.0 * block[cursor])

@@ -163,10 +163,12 @@ class SegmentBuffer:
     def _append(self, seg_id: int) -> Optional[int]:
         """:meth:`insert` of an id known to be absent (the caller tested it)."""
         self._bits |= 1 << seg_id
-        self._counter += 1
-        if seg_id >= len(self._index):
+        counter = self._counter = self._counter + 1
+        try:
+            self._index[seg_id] = counter
+        except IndexError:
             self._grow_index(seg_id + 1)
-        self._index[seg_id] = self._counter
+            self._index[seg_id] = counter
         queue = self._queue
         queue.append(seg_id)
         head = self._head
