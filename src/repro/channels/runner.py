@@ -36,6 +36,7 @@ from repro.channels.universe import (
     UniverseSpec,
     run_universe_rep,
 )
+from repro.experiments.runner import load_simulator
 from repro.experiments.store import BaseResultStore, _fingerprint, replay_or_execute
 from repro.metrics.report import mean_of, reduction_ratio
 from repro.metrics.universe import weighted_mean
@@ -264,7 +265,6 @@ def run_universe(
         # repetitions already persisted.  Without an explicit count every
         # (repetition, channel) unit is a shard.
         from repro.dist import ProgressReporter, ShardedExecutor, ShardPlan
-        from repro.experiments.runner import load_simulator
 
         load_simulator()  # before the pool forks
 

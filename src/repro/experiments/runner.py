@@ -42,13 +42,9 @@ def run_single(config: SessionConfig) -> SessionResult:
 
 
 def load_simulator() -> None:
-    """Import everything running a session imports, before a fan-out forks.
-
-    Forked workers then inherit the modules instead of each importing them
-    again: the default engine's decider, and the NumPy submodules NumPy
-    loads on first use (``random`` for the seeded streams, ``ma`` under the
-    switch-time percentiles).
-    """
+    """Import what running a session imports, so that workers a fan-out forks
+    next inherit it: the default engine, and the NumPy packages NumPy loads
+    on first use (``random``, and ``ma`` under ``np.percentile``)."""
     import numpy.ma  # noqa: F401
     import numpy.random  # noqa: F401
 

@@ -87,7 +87,8 @@ def probe_swarm_health(
             rows.append(row)
             sessions.setdefault(sample.get("session"), []).append(sample)
         for session, points in sessions.items():
-            tags = ([run] if multiple else []) + ([f"session {session}"] if session is not None else [])
+            tags = [run] if multiple else []
+            tags += [] if session is None else [f"session {session}"]
             suffix = f" ({', '.join(tags)})" if tags else ""
             for column in ("fill_p50", "pending", "utilisation"):
                 series[f"{column}{suffix}"] = [

@@ -113,11 +113,10 @@ class IdealFabric(NetworkFabric):
     def region_index_of(self, node_id: int) -> Optional[int]:
         return None
 
-    def control_transfer(self, src: int, dst: int) -> Optional[float]:
-        return 0.0
-
     def data_transfer(self, src: int, dst: int) -> Optional[float]:
         return 0.0
+
+    control_transfer = data_transfer
 
 
 class LatencyFabric(NetworkFabric):

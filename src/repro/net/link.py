@@ -56,7 +56,7 @@ class LinkModel:
         self.topology = topology
         self._rng = rng
         self._block: List[float] = []
-        self._cursor = _BLOCK  # the (empty) block is used up: the first draw refills
+        self._cursor = 0
         n = topology.n_regions
         last_mile = [region.last_mile_ms for region in topology.regions]
         jitter = [region.jitter_ms for region in topology.regions]
@@ -80,18 +80,14 @@ class LinkModel:
         self.total_delay = 0.0
 
     # ------------------------------------------------------------------ #
-    def _refill(self) -> List[float]:
-        """Draw the next block of the stream (the previous one is used up)."""
-        self._block = self._rng.random(_BLOCK).tolist()
-        return self._block
-
     def _next(self) -> float:
         """The next variate in ``[0, 1)`` of the stream."""
-        block, cursor = self._block, self._cursor
-        if cursor == _BLOCK:
-            block, cursor = self._refill(), 0
+        cursor = self._cursor
+        if cursor == len(self._block):
+            self._block = self._rng.random(_BLOCK).tolist()
+            cursor = 0
         self._cursor = cursor + 1
-        return block[cursor]
+        return self._block[cursor]
 
     def uniforms(self, count: int) -> List[float]:
         """The next ``count`` variates of the stream, in order."""
@@ -116,19 +112,18 @@ class LinkModel:
         """
         self.messages += 1
         loss, delay, jitter = self._paths[src_region][dst_region]
-        # What ``_next`` does, on a local cursor: this runs once per message.
+        # ``_next`` inline; a block with fewer than two variates left is topped up.
         block, cursor = self._block, self._cursor
+        if cursor > len(block) - 2:
+            block = self._block = block[cursor:] + self._rng.random(_BLOCK).tolist()
+            cursor = 0
         if loss > 0.0:
-            if cursor == _BLOCK:
-                block, cursor = self._refill(), 0
             cursor += 1
             if block[cursor - 1] < loss:
                 self._cursor = cursor
                 self.dropped += 1
                 return None
         if jitter > 0.0:
-            if cursor == _BLOCK:
-                block, cursor = self._refill(), 0
             # ``Generator.uniform(-1.0, 1.0)`` is ``-1.0 + 2.0 * next_double``.
             delay += jitter * (-1.0 + 2.0 * block[cursor])
             cursor += 1

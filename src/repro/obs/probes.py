@@ -187,17 +187,22 @@ class SegmentLifecycleProbe:
         }
 
 
+#: The columns of a swarm-health row, in row order.
+_HEALTH_COLUMNS: Tuple[str, ...] = (
+    "time", "session", "label", "peers", "fill_p10", "fill_p50", "fill_p90", "fill_mean",
+    "pending", "utilisation", "requests", "failed", "delivered",
+)
+
+
 class SwarmHealthProbe:
-    """One struct-of-arrays row per scheduling period.
+    """One row per scheduling period, a tuple of :data:`_HEALTH_COLUMNS`.
 
     ``sample`` computes the buffer-fill percentiles through an exact
     (below-capacity) :class:`QuantileSketch` and appends one row.  Bounded
     like the lifecycle buffer.
     """
 
-    __slots__ = ("capacity", "sketch_capacity", "times", "sessions", "labels", "peers",
-                 "fill_p10", "fill_p50", "fill_p90", "fill_mean", "pending",
-                 "utilisation", "requests", "failed", "delivered", "dropped")
+    __slots__ = ("capacity", "sketch_capacity", "_rows", "dropped")
 
     def __init__(self, capacity: int = 100_000, *,
                  sketch_capacity: int = DEFAULT_SKETCH_CAPACITY) -> None:
@@ -205,79 +210,44 @@ class SwarmHealthProbe:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.sketch_capacity = sketch_capacity
-        self.times: List[float] = []
-        self.sessions: List[int] = []
-        self.labels: List[str] = []
-        self.peers: List[int] = []
-        self.fill_p10: List[float] = []
-        self.fill_p50: List[float] = []
-        self.fill_p90: List[float] = []
-        self.fill_mean: List[float] = []
-        self.pending: List[int] = []
-        self.utilisation: List[float] = []
-        self.requests: List[int] = []
-        self.failed: List[int] = []
-        self.delivered: List[int] = []
+        self._rows: List[Tuple[Any, ...]] = []
         self.dropped = 0
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self._rows)
 
     def sample(self, time: float, label: str, buffer_fills: Sequence[int],
                *, pending: int, utilisation: float, requests: int,
                failed: int, delivered: int, session: int = 0) -> None:
         """Record one period's swarm-health row."""
-        if len(self.times) >= self.capacity:
+        if len(self._rows) >= self.capacity:
             self.dropped += 1
             return
         sketch = QuantileSketch(capacity=self.sketch_capacity)
         sketch.extend(float(fill) for fill in buffer_fills)
-        self.times.append(float(time))
-        self.sessions.append(int(session))
-        self.labels.append(str(label))
-        self.peers.append(len(buffer_fills))
+        p10 = p50 = p90 = mean = 0.0
         if sketch.count:
             p10, p50, p90 = sketch.percentiles((10.0, 50.0, 90.0))
             mean = sketch.mean
-        else:
-            p10 = p50 = p90 = mean = 0.0
-        self.fill_p10.append(p10)
-        self.fill_p50.append(p50)
-        self.fill_p90.append(p90)
-        self.fill_mean.append(mean)
-        self.pending.append(int(pending))
-        self.utilisation.append(float(utilisation))
-        self.requests.append(int(requests))
-        self.failed.append(int(failed))
-        self.delivered.append(int(delivered))
+        self._rows.append((
+            float(time), int(session), str(label), len(buffer_fills), p10, p50, p90,
+            round(mean, 4), int(pending), round(float(utilisation), 4), int(requests),
+            int(failed), int(delivered),
+        ))
 
     def rows(self, *, label: Optional[str] = None) -> List[Dict[str, Any]]:
-        """Health rows as dicts (optionally one session label only)."""
-        several = len(set(self.sessions)) > 1
-        out = []
-        for i in range(len(self.times)):
-            if label is not None and self.labels[i] != label:
-                continue
-            out.append({
-                "time": self.times[i],
-                **({"session": self.sessions[i]} if several else {}),
-                "label": self.labels[i],
-                "peers": self.peers[i],
-                "fill_p10": self.fill_p10[i],
-                "fill_p50": self.fill_p50[i],
-                "fill_p90": self.fill_p90[i],
-                "fill_mean": round(self.fill_mean[i], 4),
-                "pending": self.pending[i],
-                "utilisation": round(self.utilisation[i], 4),
-                "requests": self.requests[i],
-                "failed": self.failed[i],
-                "delivered": self.delivered[i],
-            })
-        return out
+        """Health rows as dicts (optionally one session label only); the
+        ``session`` column only once the probe has seen several sessions."""
+        several = len({row[1] for row in self._rows}) > 1
+        return [
+            {column: value for column, value in zip(_HEALTH_COLUMNS, row)
+             if several or column != "session"}
+            for row in self._rows if label is None or row[2] == label
+        ]
 
     def snapshot(self) -> Dict[str, Any]:
         """The health series embedded in the telemetry document."""
-        return {"periods": len(self.times), "dropped": self.dropped, "series": self.rows()}
+        return {"periods": len(self._rows), "dropped": self.dropped, "series": self.rows()}
 
 
 class StartupFunnelProbe:

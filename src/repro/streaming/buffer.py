@@ -163,12 +163,10 @@ class SegmentBuffer:
     def _append(self, seg_id: int) -> Optional[int]:
         """:meth:`insert` of an id known to be absent (the caller tested it)."""
         self._bits |= 1 << seg_id
-        counter = self._counter = self._counter + 1
-        try:
-            self._index[seg_id] = counter
-        except IndexError:
+        self._counter += 1
+        if seg_id >= len(self._index):
             self._grow_index(seg_id + 1)
-            self._index[seg_id] = counter
+        self._index[seg_id] = self._counter
         queue = self._queue
         queue.append(seg_id)
         head = self._head

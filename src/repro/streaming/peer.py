@@ -117,9 +117,8 @@ class PeerNode:
         self.has_new_data = False
         self.highest_known_old: Optional[int] = None
         self.highest_known_new: Optional[int] = None
-        #: inclusive id ranges ``(old lo, old hi, new lo, new hi)`` the two
-        #: undelivered-segment sets were last drawn from: a set is the
-        #: buffer's holes in its range (:attr:`wanted_old`, :attr:`wanted_new`)
+        #: inclusive id ranges ``(old lo, old hi, new lo, new hi)`` the wanted
+        #: sets were last drawn from; a set is the buffer's holes in its range
         self._wanted_at: Tuple[int, int, int, int] = _EMPTY_RANGE + _EMPTY_RANGE
         #: the bitmap of the start-up window, fixed with it
         self._startup_mask = 0
@@ -247,41 +246,30 @@ class PeerNode:
             position=id_begin,
             last_id=None,
         )
-        self._refresh_wanted_new()
+        self.refresh_wanted(old=False)
         self._check_prepared(now)
 
-    def _wanted_old_range(self) -> Tuple[int, int]:
-        """Inclusive id range the undelivered old-stream set is drawn from."""
-        assert self.playback_old is not None
-        if self.playback_old.finished or self.highest_known_old is None:
-            return _EMPTY_RANGE
-        return (self.playback_old.position, self.highest_known_old)
-
-    def _wanted_new_range(self) -> Tuple[int, int]:
-        """Inclusive id range the undelivered new-stream set is drawn from."""
-        if self.switch_plan is None:
-            return _EMPTY_RANGE
+    def refresh_wanted(self, *, old: bool = True) -> Tuple[int, int, int, int]:
+        """Redraw the wanted sets (unless ``old``, the new stream's only) from
+        current knowledge: record and return the ranges of :attr:`_wanted_at`."""
+        old_range = self._wanted_at[:2]
+        if old:
+            playback = self.playback_old
+            assert playback is not None
+            old_range = (
+                _EMPTY_RANGE if playback.finished or self.highest_known_old is None
+                else (playback.position, self.highest_known_old)
+            )
+        new_range = self._startup  # _EMPTY_RANGE until the switch is known
         if self.playback_new is not None and self.playback_new.started:
             # Post-switch streaming of the new source: a sliding window ahead
             # of the playback position, bounded by what is known to exist.
-            if self.highest_known_new is None:
-                return _EMPTY_RANGE
-            lo = self.playback_new.position
-            return (lo, min(self.highest_known_new, lo + self.lookahead))
-        return self._startup
-
-    def refresh_wanted(self) -> Tuple[int, int, int, int]:
-        """Redraw both undelivered-segment sets from current knowledge.
-
-        Only their ranges are recorded; returns ``(old lo, old hi, new lo,
-        new hi)``.
-        """
-        self._wanted_at = self._wanted_old_range() + self._wanted_new_range()
+            new_range = _EMPTY_RANGE
+            if self.highest_known_new is not None:
+                lo = self.playback_new.position
+                new_range = (lo, min(self.highest_known_new, lo + self.lookahead))
+        self._wanted_at = old_range + new_range
         return self._wanted_at
-
-    def _refresh_wanted_new(self) -> None:
-        """Redraw the undelivered new-stream set from current knowledge."""
-        self._wanted_at = self._wanted_at[:2] + self._wanted_new_range()
 
     @property
     def wanted_old(self) -> Set[int]:
@@ -412,7 +400,7 @@ class PeerNode:
                 # the start of the period; a stream that starts at the end of
                 # this period begins consuming next period.
                 self.playback_new.advance(self.buffer, now, duration)
-                self._refresh_wanted_new()
+                self.refresh_wanted(old=False)
 
     # ------------------------------------------------------------------ #
     # serving others

@@ -303,6 +303,8 @@ class SwitchSession:
         )
         self.peers: Dict[int, PeerNode] = {}
         self.sources: Dict[int, SourceNode] = {}
+        #: peers and sources by id: one lookup per message
+        self._nodes: Dict[int, "PeerNode | SourceNode"] = {}
         self._departed: List[PeerNode] = []
         self._departed_stalls = 0
         self._outbound: Dict[int, float] = {}
@@ -449,6 +451,7 @@ class SwitchSession:
     def _admit(self, node: "PeerNode | SourceNode", outbound: float) -> None:
         """The one door every node enters by: upload rate, decider adoption."""
         self._outbound[node.node_id] = outbound
+        self._nodes[node.node_id] = node
         self._decider.adopt(node)
 
     def _create_sources(self) -> None:
@@ -599,27 +602,19 @@ class SwitchSession:
                                      STAGE_SCHEDULED, supplier_id, completion)
 
     def _exchange_phase(self, state: PeriodState) -> None:
-        """Execute the requests against the suppliers' budgets and the fabric.
-
-        One fabric call per message; the payload bits are charged once, at
-        the end (nothing reads the totals mid-period).
-        """
+        """Execute the requests against the suppliers' budgets and the fabric."""
         now, period = state.now, state.index
         probes = get_telemetry().probes
-        requests = failed = delayed = sent = 0
+        requests = failed = delayed = sent = 0  # sent: payload bits are charged once
         deliveries, calendar, rows = state.deliveries, self._calendar, state.request_rows
-        peers, sources = self.peers, self.sources
+        peers, nodes = self.peers, self._nodes
         consume, data_transfer = self.ledger.consume, self.fabric.data_transfer
         for node_id in state.order:
-            peer_rows = rows[node_id]
-            if not peer_rows:
-                continue
             peer = peers[node_id]
+            peer_rows = rows[node_id]
             requests += len(peer_rows)
             for _, seg_id, supplier_id, _ in peer_rows:
-                supplier = peers.get(supplier_id)
-                if supplier is None:
-                    supplier = sources.get(supplier_id)
+                supplier = nodes.get(supplier_id)
                 if supplier is None or not supplier.buffer._bits >> seg_id & 1:
                     dropped = DROP_SUPPLIER_GONE
                 elif not consume(supplier_id):
@@ -746,16 +741,12 @@ class SwitchSession:
         dropped = bits = 0
         peer_bits, source_bits = self._map_bits
         send_rates = state.send_rates
-        peers, sources = self.peers, self.sources
+        all_nodes, sources = self._nodes, self.sources
         control_transfer = self.fabric.control_transfer
         for neighbour_id in self.overlay.neighbours(node_id):
-            node = peers.get(neighbour_id)
-            wire_bits = peer_bits
+            node = all_nodes.get(neighbour_id)
             if node is None:
-                node = sources.get(neighbour_id)
-                if node is None:
-                    continue
-                wire_bits = source_bits
+                continue
             if control_transfer(neighbour_id, node_id) is None:
                 dropped += 1
                 continue
@@ -764,7 +755,7 @@ class SwitchSession:
                 rate = send_rates[neighbour_id] = self._estimate_send_rate(neighbour_id)
             nodes.append(node)
             rates.append(rate)
-            bits += wire_bits
+            bits += source_bits if neighbour_id in sources else peer_bits
         state.control_pulls += len(nodes)
         state.control_dropped += dropped
         state.control_bits += bits
@@ -823,6 +814,7 @@ class SwitchSession:
         """Remove one peer from every session structure; return its ex-neighbours."""
         affected = self.membership.leave(leaver)
         departed = self.peers.pop(leaver)
+        del self._nodes[leaver]
         if departed.tracked:
             self._departed.append(departed)
             self._departed_stalls += departed.total_stalls

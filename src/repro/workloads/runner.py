@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import make_session_config
+from repro.experiments.runner import load_simulator
 from repro.experiments.store import BaseResultStore, _fingerprint, replay_or_execute
 from repro.churn.model import ChurnConfig
 from repro.metrics.collectors import RoundSample
@@ -415,7 +416,6 @@ def run_workload(
 
     def execute(pending: List[int]) -> Iterator[WorkloadRepResult]:
         from repro.dist.pool import WorkerPool
-        from repro.experiments.runner import load_simulator
 
         load_simulator()  # before the pool forks
 
