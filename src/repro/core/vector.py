@@ -52,12 +52,12 @@ import numpy as np
 
 from repro.core.allocation import allocate_for_model
 from repro.core.priority import URGENCY_CAP
-from repro.net.fabric import IdealFabric
 from repro.obs.telemetry import get_telemetry
 from repro.streaming.buffer import SegmentBuffer, range_mask
 from repro.streaming.buffermap import UNBOUNDED_CAPACITY
 from repro.streaming.peer import _EMPTY_RANGE, PeerNode
-from repro.streaming.session import PeriodState, RequestRow, SwitchSession
+from repro.streaming.segment import SwitchPlan
+from repro.streaming.session import PeriodState, RequestRow, SessionConfig, SwitchSession
 from repro.streaming.source import SourceNode
 
 __all__ = [
@@ -128,21 +128,6 @@ class MirroredBuffer(SegmentBuffer):
         self.row = int(row)
         arrays.bind(self)
 
-    @classmethod
-    def adopt(
-        cls, buffer: SegmentBuffer, arrays: SegmentArrays, row: int
-    ) -> "MirroredBuffer":
-        """Take over an existing buffer's state, copying its index into the row."""
-        mirrored = cls(buffer.capacity, arrays, row)
-        arrays.ensure_segments(len(buffer._index))
-        mirrored._index[: len(buffer._index)] = buffer._index
-        mirrored._queue = buffer._queue
-        mirrored._head = buffer._head
-        mirrored._bits = buffer._bits
-        mirrored._counter = buffer._counter
-        mirrored.evicted_total = buffer.evicted_total
-        return mirrored
-
     def _grow_index(self, n: int) -> None:
         self.arrays.ensure_segments(n)
 
@@ -201,47 +186,51 @@ _Job = Tuple[PeerNode, _Survivors, List[Tuple[int, int]]]
 class VectorDecider:
     """The array-native decider (``SessionConfig.engine == "vector"``).
 
-    The array form of :class:`~repro.streaming.session.OracleDecider`'s two
-    calls.  :meth:`adopt` notes a node the session created; before the next
-    decide pass its buffer is swapped for a :class:`MirroredBuffer` bound to
-    a row of the shared :class:`SegmentArrays` (in one bulk copy, so the
-    warm-up's seeding stays the scalar fast path).  :meth:`decide` is the
-    batched pass described in the module docstring.  Every other phase of a
-    period is the session's own code, and RNG consumption is draw-for-draw
-    that of the reference: the pulls go through the session's one neighbour
-    walk.  The decider keeps no reference to the session.
+    The array form of :class:`~repro.streaming.session.OracleDecider`'s
+    three calls.  :meth:`adopt` binds a node the session admits: its still
+    empty buffer becomes a :class:`MirroredBuffer` on the next row of the
+    shared :class:`SegmentArrays`, so the warm-up writes straight into the
+    matrix.  :meth:`forget` drops what the decider keeps for a leaver.
+    :meth:`decide` is the batched pass described in the module docstring.
+    Every other phase of a period is the session's own code, and RNG
+    consumption is draw-for-draw that of the reference: the pulls go through
+    the session's one neighbour walk.  The decider keeps no reference to the
+    session.
+
+    ``ideal`` says the session's fabric is the
+    :class:`~repro.net.fabric.IdealFabric`, which draws nothing and drops
+    nothing: there a neighbourhood is reused until membership changes.
     """
 
-    def __init__(self) -> None:
-        self._arrays: Optional[SegmentArrays] = None
-        #: adopted nodes whose buffer is not mirrored yet
-        self._unmirrored: List["PeerNode | SourceNode"] = []
+    def __init__(self, config: SessionConfig, plan: SwitchPlan, *, ideal: bool) -> None:
+        # Size the segment axis for everything the run can generate or
+        # advertise interest in; a buffer still grows it on demand.
+        horizon_ids = plan.id_begin + int(config.play_rate * (config.max_time + 2.0 * config.tau))
+        startup_ids = plan.id_begin + config.startup_quota_new + config.lookahead // 4
+        n_segments = max(horizon_ids, startup_ids, config.old_stream_segments) + 64
+        self._arrays = SegmentArrays(config.n_nodes + 8, n_segments)
         self._next_row = 0
+        self._ideal = ideal
+        self._fast = config.algorithm == "fast"
+        self._switch_info = (plan.id_end, plan.id_begin)
         self._survivor_cache: Dict[int, _Survivors] = {}
-        self._cached_alive: Optional[set] = None
-        self._capacity_cache: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
-    # array construction
+    # membership
     # ------------------------------------------------------------------ #
     def adopt(self, node: "PeerNode | SourceNode") -> None:
-        """Queue ``node`` for mirroring at the start of the next decide pass."""
-        self._unmirrored.append(node)
+        """Bind ``node``'s (still empty) buffer to the next row of the matrix."""
+        node.buffer = MirroredBuffer(node.buffer.capacity, self._arrays, self._next_row)
+        self._next_row += 1
+        if self._ideal:  # a joiner changes its neighbours' neighbourhoods
+            self._survivor_cache.clear()
 
-    def _mirror_adopted(self, session: SwitchSession) -> None:
-        if self._arrays is None:
-            cfg = session.config
-            plan = session.switch_plan
-            # Size the segment axis for everything the run can generate or
-            # advertise interest in; a buffer still grows it on demand.
-            horizon_ids = plan.id_begin + int(cfg.play_rate * (cfg.max_time + 2.0 * cfg.tau))
-            startup_ids = plan.id_begin + cfg.startup_quota_new + cfg.lookahead // 4
-            n_segments = max(horizon_ids, startup_ids, cfg.old_stream_segments) + 64
-            self._arrays = SegmentArrays(len(self._unmirrored) + 8, n_segments)
-        for node in self._unmirrored:
-            node.buffer = MirroredBuffer.adopt(node.buffer, self._arrays, self._next_row)
-            self._next_row += 1
-        self._unmirrored.clear()
+    def forget(self, node_id: int) -> None:
+        """Keep nothing for a node that left."""
+        if self._ideal:
+            self._survivor_cache.clear()
+        else:
+            self._survivor_cache.pop(node_id, None)
 
     # ------------------------------------------------------------------ #
     # the vector decide phase
@@ -257,17 +246,7 @@ class VectorDecider:
         the priority order and the supplier bitmasks of *all* peers then come
         from one batched kernel, fast or normal as the session's config says.
         """
-        self._mirror_adopted(session)
         peers, sources = session.peers, session.sources
-        ideal = type(session.fabric) is IdealFabric
-        alive = peers.keys() | sources.keys()
-        if alive != self._cached_alive:  # keep nothing for a node that left
-            self._cached_alive = alive
-            if ideal:
-                self._survivor_cache.clear()
-            for cache in (self._survivor_cache, self._capacity_cache):
-                for node_id in cache.keys() - alive:
-                    del cache[node_id]
         # Announcers are fixed for the whole phase: deciding never delivers
         # data, so ``has_new_data`` cannot flip mid-loop.
         announcers = {
@@ -280,17 +259,16 @@ class VectorDecider:
             for node_id, peer in peers.items()
             if peer.switch_plan is not None and peer.has_new_data
         )
-        switch_info = (session.switch_plan.id_end, session.switch_plan.id_begin)
         now = state.now
         rows = state.request_rows
         jobs: List[_Job] = []
         for node_id in state.order:
             peer = peers[node_id]
             windows = peer.interest_windows()
-            survivors = self._survivors_of(session, node_id, state, ideal)
+            survivors = self._survivors_of(session, node_id, state)
             # Switch adoption comes before the horizon update, as in the oracle.
             if peer.switch_plan is None and not announcers.isdisjoint(survivors.ids):
-                peer._adopt_switch(switch_info, now)
+                peer._adopt_switch(self._switch_info, now)
             # Maps advertise buffer ∩ interest windows, and the windows were
             # computed *before* any mid-round switch adoption -- a just-adopted
             # peer cannot see suppliers for ids outside its pre-adoption windows.
@@ -303,13 +281,13 @@ class VectorDecider:
             jobs.append((peer, survivors, windows))
         if jobs:
             with np.errstate(divide="ignore"):
-                self._decide_batch(jobs, session.config.algorithm == "fast", rows)
+                self._decide_batch(jobs, self._fast, rows)
         obs = get_telemetry()
         if obs.enabled:
             obs.count("engine.dispatch.vector", len(jobs))
 
     def _survivors_of(
-        self, session: SwitchSession, node_id: int, state: PeriodState, ideal: bool
+        self, session: SwitchSession, node_id: int, state: PeriodState
     ) -> _Survivors:
         """``node_id``'s answering neighbourhood, from the session's walk.
 
@@ -319,7 +297,7 @@ class VectorDecider:
         the same rates.
         """
         entry = self._survivor_cache.get(node_id)
-        if ideal and entry is not None:
+        if self._ideal and entry is not None:
             state.control_pulls += len(entry.ids)
             state.control_bits += entry.wire_bits
             return entry
@@ -388,13 +366,13 @@ class VectorDecider:
         for (peer, survivors, _), stop, split, (middle, end) in zip(
             jobs, stops.tolist(), splits.tolist(), offered
         ):
-            capacity = self._capacity_of(peer)
+            capacity = max(0, int(round(peer.bandwidth.inbound * peer.tau)))
             if capacity <= 0 or end == first:
                 # No capacity or nothing wanted that anybody advertises:
                 # every algorithm branch requests nothing.
                 rows[peer.node_id] = ()
             elif not fast:
-                rows[peer.node_id] = self._normal_finish(
+                rows[peer.node_id] = _normal_finish(
                     peer, capacity, survivors, offered_ids[first:end], masks[first:end],
                     middle - first, split - start,
                 )
@@ -406,87 +384,80 @@ class VectorDecider:
                     order[first:end], offered_ids[first:end], masks[first:end],
                     middle - first, survivors, peer.tau,
                 )
-                rows[peer.node_id] = self._fast_finish(
+                rows[peer.node_id] = _fast_finish(
                     peer, capacity, assigned_old, assigned_new, split - start, stop - split
                 )
             start, first = stop, end
 
-    def _capacity_of(self, peer: PeerNode) -> int:
-        capacity = self._capacity_cache.get(peer.node_id)
-        if capacity is None:
-            capacity = max(0, int(round(peer.bandwidth.inbound * peer.tau)))
-            self._capacity_cache[peer.node_id] = capacity
-        return capacity
 
-    # ------------------------------------------------------------------ #
-    # fast switch algorithm (Algorithm 1): after the greedy
-    # ------------------------------------------------------------------ #
-    def _fast_finish(
-        self,
-        peer: PeerNode,
-        capacity: int,
-        assigned_old: List[RequestRow],
-        assigned_new: List[RequestRow],
-        n_wanted_old: int,
-        n_wanted_new: int,
-    ) -> List[RequestRow]:
-        tau = peer.tau
-        allocation = allocate_for_model(
-            peer.bandwidth.inbound, n_wanted_old, n_wanted_new,
-            peer.startup_quota_old, peer.play_rate,
-            len(assigned_old) / tau, len(assigned_new) / tau,
+# --------------------------------------------------------------------------- #
+# fast switch algorithm (Algorithm 1): after the greedy
+# --------------------------------------------------------------------------- #
+def _fast_finish(
+    peer: PeerNode,
+    capacity: int,
+    assigned_old: List[RequestRow],
+    assigned_new: List[RequestRow],
+    n_wanted_old: int,
+    n_wanted_new: int,
+) -> List[RequestRow]:
+    tau = peer.tau
+    allocation = allocate_for_model(
+        peer.bandwidth.inbound, n_wanted_old, n_wanted_new,
+        peer.startup_quota_old, peer.play_rate,
+        len(assigned_old) / tau, len(assigned_new) / tau,
+    )
+    take_old = min(len(assigned_old), int(round(allocation.i1 * tau)))
+    take_new = min(len(assigned_new), int(round(allocation.i2 * tau)))
+    while take_old + take_new > capacity:
+        if take_new >= take_old and take_new > 0:
+            take_new -= 1
+        elif take_old > 0:
+            take_old -= 1
+        else:  # pragma: no cover - both zero cannot exceed capacity
+            break
+
+    chosen = assigned_old[:take_old] + assigned_new[:take_new]
+    leftover = capacity - len(chosen)  # the algorithm is work-conserving
+    if leftover > 0:
+        extras = assigned_old[take_old:] + assigned_new[take_new:]
+        extras.sort()
+        chosen += extras[:leftover]
+    # Ranks are unique within a peer: a bare sort is the priority order.
+    chosen.sort()
+    peer.requests_issued += len(chosen)
+    return chosen
+
+
+# --------------------------------------------------------------------------- #
+# normal switch algorithm (baseline): two greedy passes in playback order
+# --------------------------------------------------------------------------- #
+def _normal_finish(
+    peer: PeerNode,
+    capacity: int,
+    survivors: _Survivors,
+    candidates: List[int],
+    masks: List[int],
+    n_old: int,
+    n_wanted_old: int,
+) -> List[RequestRow]:
+    """Both passes walk the supplied ids of their stream in playback order,
+    as the scalar ``_sequential_candidates`` enumerates them, and stop once
+    they hold what they may keep: pass 2 only runs when pass 1 kept fewer
+    than ``capacity``, so it gets pass 1's whole queue."""
+    tau = peer.tau
+    chosen, _, queue = _greedy_masks(
+        range(n_old), candidates, masks, n_old, survivors, tau, limit=capacity
+    )
+    remaining = capacity - min(capacity, n_wanted_old)
+    if remaining > 0 and len(candidates) > n_old:
+        _, new_assigned, _ = _greedy_masks(
+            range(n_old, len(candidates)), candidates, masks, n_old, survivors, tau, queue,
+            limit=remaining,
         )
-        take_old = min(len(assigned_old), int(round(allocation.i1 * tau)))
-        take_new = min(len(assigned_new), int(round(allocation.i2 * tau)))
-        while take_old + take_new > capacity:
-            if take_new >= take_old and take_new > 0:
-                take_new -= 1
-            elif take_old > 0:
-                take_old -= 1
-            else:  # pragma: no cover - both zero cannot exceed capacity
-                break
-
-        chosen = assigned_old[:take_old] + assigned_new[:take_new]
-        leftover = capacity - len(chosen)  # the algorithm is work-conserving
-        if leftover > 0:
-            extras = assigned_old[take_old:] + assigned_new[take_new:]
-            extras.sort()
-            chosen += extras[:leftover]
-        # Ranks are unique within a peer: a bare sort is the priority order.
-        chosen.sort()
-        peer.requests_issued += len(chosen)
-        return chosen
-
-    # ------------------------------------------------------------------ #
-    # normal switch algorithm (baseline): two greedy passes in playback order
-    # ------------------------------------------------------------------ #
-    def _normal_finish(
-        self,
-        peer: PeerNode,
-        capacity: int,
-        survivors: _Survivors,
-        candidates: List[int],
-        masks: List[int],
-        n_old: int,
-        n_wanted_old: int,
-    ) -> List[RequestRow]:
-        """Both passes walk the supplied ids of their stream in playback
-        order, as the scalar ``_sequential_candidates`` enumerates them, and
-        stop once they hold what they may keep: pass 2 only runs when pass 1
-        kept fewer than ``capacity``, so it gets pass 1's whole queue."""
-        tau = peer.tau
-        chosen, _, queue = _greedy_masks(
-            range(n_old), candidates, masks, n_old, survivors, tau, limit=capacity
-        )
-        remaining = capacity - min(capacity, n_wanted_old)
-        if remaining > 0 and len(candidates) > n_old:
-            _, new_assigned, _ = _greedy_masks(
-                range(n_old, len(candidates)), candidates, masks, n_old, survivors, tau, queue,
-                limit=remaining,
-            )
-            chosen += new_assigned
-        peer.requests_issued += len(chosen)
-        return chosen
+        chosen += new_assigned
+    peer.requests_issued += len(chosen)
+    return chosen
 
 
 # --------------------------------------------------------------------------- #

@@ -106,6 +106,9 @@ def sample_rates(
 class OutboundLedger:
     """Per-period upload budgets, consumed as transfers are executed.
 
+    The session's one table of upload rates: every node it admits is
+    registered here (:meth:`add_node`) and every leaver removed.
+
     Parameters
     ----------
     rates:
@@ -155,7 +158,7 @@ class OutboundLedger:
             self._credit[node_id] = min(max(remaining, 0.0), 1.0)
 
     def add_node(self, node_id: int, outbound_rate: float) -> None:
-        """Register a node that joined mid-simulation."""
+        """Register a node, with this period's refill as its first budget."""
         node_id = int(node_id)
         self._rates[node_id] = float(outbound_rate)
         self._credit[node_id] = 0.0
@@ -168,6 +171,10 @@ class OutboundLedger:
         self._budget.pop(node_id, None)
 
     # ------------------------------------------------------------------ #
+    def rate(self, node_id: int) -> float:
+        """Outbound rate of ``node_id`` (segments/second; 0 if unknown)."""
+        return self._rates.get(node_id, 0.0)
+
     def remaining(self, node_id: int) -> float:
         """Remaining upload budget of ``node_id`` this period (segments)."""
         return self._budget.get(node_id, 0.0)

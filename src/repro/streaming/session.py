@@ -48,7 +48,7 @@ from repro.churn.model import ChurnModel
 from repro.core.base import Stream
 from repro.metrics.collectors import MetricsCollector
 from repro.metrics.overhead import OverheadAccountant
-from repro.net.fabric import NetworkFabric, build_fabric
+from repro.net.fabric import IdealFabric, NetworkFabric, build_fabric
 from repro.obs.probes import (
     DROP_NET_LOSS,
     DROP_NO_BUDGET,
@@ -190,13 +190,17 @@ class OracleDecider:
 
     A *decider* is what ``SessionConfig.engine`` selects, and the only part
     of a period the two engines do differently.  The session calls
-    :meth:`adopt` for every node that enters it and :meth:`decide` once per
-    period; :class:`repro.core.vector.VectorDecider` is the array form of
-    the same two calls.
+    :meth:`adopt` for every node it admits, :meth:`forget` for every node
+    that leaves and :meth:`decide` once per period;
+    :class:`repro.core.vector.VectorDecider` is the array form of the same
+    three calls.
     """
 
     def adopt(self, node: "PeerNode | SourceNode") -> None:
         """Nothing to prepare: the reference reads the node objects as they are."""
+
+    def forget(self, node_id: int) -> None:
+        """Nothing to drop: the reference keeps no per-node state."""
 
     def decide(self, session: "SwitchSession", state: PeriodState) -> None:
         """File every peer's request rows in ``state.request_rows``.
@@ -266,12 +270,6 @@ class SwitchSession:
         self._probe_session = probes.register_session() if probes.enabled else 0
         self._membership_factory = membership_factory
         self._directives: Dict[int, PeriodDirective] = dict(directives or {})
-        if config.engine == "vector":
-            from repro.core.vector import VectorDecider
-
-            self._decider: "OracleDecider | VectorDecider" = VectorDecider()
-        else:
-            self._decider = OracleDecider()
         self.streams = RandomStreams(config.seed)
         if fabric is not None:
             self.fabric = fabric
@@ -280,6 +278,24 @@ class SwitchSession:
             self.fabric = build_fabric(
                 topology, self.streams.get("net") if topology else None
             )
+        # The switch follows from the config alone: the old stream's
+        # segments are ids 0 .. id_end, so there are id_begin of them.
+        old_segments = (
+            int(config.warmup_duration * config.play_rate)
+            if config.warmup == "simulated"
+            else config.old_stream_segments
+        )
+        self.switch_plan = SwitchPlan.from_old_stream(
+            old_segments - 1, startup_quota=config.startup_quota_new
+        )
+        if config.engine == "vector":
+            from repro.core.vector import VectorDecider
+
+            self._decider: "OracleDecider | VectorDecider" = VectorDecider(
+                config, self.switch_plan, ideal=type(self.fabric) is IdealFabric
+            )
+        else:
+            self._decider = OracleDecider()
         #: the start time, then the time of the last period run
         self.now = float(-config.warmup_duration if config.warmup == "simulated" else 0.0)
         #: region pin per bandwidth-class name (classes without a pin
@@ -307,7 +323,8 @@ class SwitchSession:
         self._nodes: Dict[int, "PeerNode | SourceNode"] = {}
         self._departed: List[PeerNode] = []
         self._departed_stalls = 0
-        self._outbound: Dict[int, float] = {}
+        #: upload rates and budgets of every admitted node
+        self.ledger = OutboundLedger({}, config.tau)
         self.overhead = OverheadAccountant()
         self.collector = MetricsCollector(config.startup_quota_new)
         self.rounds_run = 0
@@ -361,7 +378,6 @@ class SwitchSession:
                 self.fabric.region_index_of, self.fabric.locality_bias
             )
         self.churn = ChurnModel(cfg.churn, self.streams.get("churn"))
-        self.ledger = OutboundLedger(self._outbound, cfg.tau)
 
         if cfg.warmup == "analytic":
             self._analytic_warmup()
@@ -450,7 +466,7 @@ class SwitchSession:
 
     def _admit(self, node: "PeerNode | SourceNode", outbound: float) -> None:
         """The one door every node enters by: upload rate, decider adoption."""
-        self._outbound[node.node_id] = outbound
+        self.ledger.add_node(node.node_id, outbound)
         self._nodes[node.node_id] = node
         self._decider.adopt(node)
 
@@ -458,14 +474,6 @@ class SwitchSession:
         """The old source (stops at the switch, time 0) and the new one (starts there)."""
         cfg = self.config
         warmup_simulated = cfg.warmup == "simulated"
-        old_segments = (
-            int(cfg.warmup_duration * cfg.play_rate)
-            if warmup_simulated
-            else cfg.old_stream_segments
-        )
-        self.switch_plan = SwitchPlan.from_old_stream(
-            old_segments - 1, startup_quota=cfg.startup_quota_new
-        )
         old_start = -cfg.warmup_duration if warmup_simulated else -1.0
         for source_id, stream, first_id, start_time, stop_time in (
             (self.old_source_id, Stream.OLD, 0, old_start, 0.0),
@@ -482,7 +490,7 @@ class SwitchSession:
             )
             self._admit(source, cfg.source_outbound)
         if not warmup_simulated:
-            self.sources[self.old_source_id].preload(old_segments)
+            self.sources[self.old_source_id].preload(self.switch_plan.id_begin)
 
     # ------------------------------------------------------------------ #
     # warm-up
@@ -762,7 +770,7 @@ class SwitchSession:
         return nodes, rates, bits
 
     def _estimate_send_rate(self, supplier_id: int) -> float:
-        outbound = self._outbound.get(supplier_id, 0.0)
+        outbound = self.ledger.rate(supplier_id)
         if self.config.supplier_rate_estimate == "full":
             return outbound
         degree = max(1, self.overlay.degree(supplier_id))
@@ -819,7 +827,7 @@ class SwitchSession:
             self._departed.append(departed)
             self._departed_stalls += departed.total_stalls
         self.ledger.remove_node(leaver)
-        self._outbound.pop(leaver, None)
+        self._decider.forget(leaver)
         return affected
 
     def _failure_cluster(self, fraction: float) -> List[int]:
@@ -869,7 +877,6 @@ class SwitchSession:
             node_id, region=self._class_region_pin.get(profile[0], "")
         )
         peer = self._add_peer(node_id, profile, tracked=False, now=now)
-        self.ledger.add_node(node_id, peer.bandwidth.outbound)
         # A joiner follows its neighbours' current playback point rather than
         # back-filling history (paper, Section 5.4).
         peer.init_fresh_playback(position=self._neighbour_playback_position(node_id))

@@ -91,16 +91,15 @@ def test_the_matrix_and_its_buffers_are_freed_without_a_collection(monkeypatch):
 
 
 def test_the_decider_keeps_nothing_for_departed_peers():
-    """The decider's capacity and neighbourhood caches are bounded by the
-    alive nodes under churn, on the ideal fabric and on a lossy one."""
+    """The decider's neighbourhood cache is bounded by the alive nodes under
+    churn, on the ideal fabric and on a lossy one."""
     for topology in (None, "transcontinental"):
         session = SwitchSession(make_session_config(
             40, seed=5, engine="vector", dynamic=True, max_time=60.0, topology=topology
         ))
         session.run()
         decider, alive = session._decider, session.peers.keys() | session.sources.keys()
-        assert session.membership.leaves > 0 and decider._capacity_cache
-        assert decider._capacity_cache.keys() <= alive
+        assert session.membership.leaves > 0 and decider._survivor_cache
         assert decider._survivor_cache.keys() <= alive
 
 

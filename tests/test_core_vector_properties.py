@@ -40,8 +40,8 @@ from repro.core.scheduler import CandidateSegment, greedy_supplier_assignment
 from repro.core.vector import (
     MirroredBuffer,
     SegmentArrays,
-    VectorDecider,
     _greedy_masks,
+    _normal_finish,
     _Survivors,
     batched_kernel,
     vectorized_priorities,
@@ -225,31 +225,6 @@ def test_fifo_positions_recoverable_from_insert_index(seg_ids, capacity):
     for seg_id in np.flatnonzero(arrays.index[0]).tolist():
         derived = int(mirrored._counter + 1 - arrays.index[0, seg_id])
         assert derived == mirrored.position_from_tail(seg_id)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    seg_ids=st.lists(st.integers(0, 200), max_size=40),
-    extra_ops=buffer_ops,
-    capacity=capacities,
-)
-def test_adopted_buffer_mirrors_existing_state(seg_ids, extra_ops, capacity):
-    """``MirroredBuffer.adopt`` copies a live buffer's index into its row and
-    the row stays the index under subsequent mutations."""
-    original = SegmentBuffer(capacity=capacity)
-    reference = SegmentBuffer(capacity=capacity)
-    inserted = []
-    _apply_alike([original, reference], seg_ids, inserted)
-
-    arrays = SegmentArrays(2, 8)
-    MirroredBuffer(capacity, arrays, 0)  # a neighbour row the adoption must not touch
-    mirrored = MirroredBuffer.adopt(original, arrays, 1)
-    _assert_row_is_the_index(arrays, 1, reference, inserted)
-
-    _apply_alike([mirrored, reference], extra_ops, inserted)
-    _assert_row_is_the_index(arrays, 1, reference, inserted)
-    assert not arrays.index[0].any()
-    assert list(mirrored) == list(reference)
 
 
 # --------------------------------------------------------------------------- #
@@ -459,7 +434,7 @@ def test_capped_normal_passes_keep_the_uncapped_rows(case, data, capacity):
         expected += new[:remaining]
 
     peer = SimpleNamespace(tau=period, requests_issued=0)
-    capped = VectorDecider()._normal_finish(
+    capped = _normal_finish(
         peer, capacity, survivors, seg_ids, masks, n_old, n_wanted_old
     )
     assert capped == expected

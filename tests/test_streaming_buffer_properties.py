@@ -124,24 +124,6 @@ def test_bitmap_equals_the_key_set_of_the_insertion_index(script, capacity):
     assert set_bits(buffer.bits) == sorted(buffer.as_set())
 
 
-@settings(max_examples=100, deadline=None)
-@given(before=mutations, after=mutations, capacity=any_capacity)
-def test_mirrored_adopt_preserves_the_bitmap(before, after, capacity):
-    plain = SegmentBuffer(capacity=capacity)
-    _apply(plain, before)
-    reference = SegmentBuffer(capacity=capacity)
-    _apply(reference, before)
-
-    mirrored = MirroredBuffer.adopt(plain, SegmentArrays(1, 256), 0)
-    assert mirrored.bits == reference.bits
-    # ... and keeps maintaining it through the mirror's own mutation paths
-    _apply(mirrored, after)
-    _apply(reference, after)
-    assert mirrored.bits == reference.bits
-    assert set_bits(mirrored.bits) == _indexed(mirrored)
-    assert list(mirrored) == list(reference)
-
-
 def _indexed(buffer):
     """Ids the index marks as held (insertion number + 1 != 0), ascending."""
     return [seg for seg, number in enumerate(buffer._index) if number]

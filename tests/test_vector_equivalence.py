@@ -274,6 +274,26 @@ def test_vector_session_class_dispatch():
     assert DEFAULT_ENGINE in ENGINE_NAMES
 
 
+def test_a_vector_session_binds_every_node_at_admission():
+    """Admission binds a node to the decider's matrix: before any period has
+    run, every peer's and source's buffer is a row of it (one row each) and
+    the warm-up's seeding is already there."""
+    import numpy as np
+
+    from repro.core.vector import MirroredBuffer
+
+    session = SwitchSession(_tiny(engine="vector"))
+    matrix = session._decider._arrays.index
+    nodes = [*session.peers.values(), *session.sources.values()]
+    for node in nodes:
+        buffer = node.buffer
+        assert type(buffer) is MirroredBuffer
+        assert np.array_equal(matrix[buffer.row], np.asarray(buffer._index))
+        assert np.flatnonzero(matrix[buffer.row]).tolist() == sorted(buffer)
+    assert len({node.buffer.row for node in nodes}) == len(nodes)
+    assert all(len(node.buffer) for node in nodes if node.node_id != session.new_source_id)
+
+
 def test_documents_exercise_round_payloads():
     """record_rounds payloads flow through normalisation (sanity of helper)."""
     config = _tiny(seed=19, max_time=90.0, record_rounds=True)
