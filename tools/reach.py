@@ -7,7 +7,9 @@
 
 Standard library only.  An injected ``sitecustomize`` traces every Python process the
 suite starts, and forked pool workers write their lines from a ``multiprocessing``
-after-fork finaliser, to ``DATA/<suite>/<pid>-*.json``.  A function stops being traced
+after-fork finaliser, to ``DATA/<suite>/<pid>-*.json``.  Only a forked child arms that
+finaliser, so a traced process that never forks loads no ``multiprocessing`` (the import
+fences check exactly that).  A function stops being traced
 once all its lines ran; still, a traced run takes tens of minutes: a one-off tool, not CI.
 """
 
@@ -20,7 +22,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-from multiprocessing import util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,7 +62,14 @@ def start() -> None:
         with os.fdopen(tempfile.mkstemp(".json", f"{os.getpid()}-", out)[0], "w") as file:
             json.dump({name: sorted(lines) for name, lines in ran.items()}, file)
 
-    util.register_after_fork(start, lambda _: util.Finalize(None, dump, exitpriority=100))
+    def forked():
+        # Runs in the child inside ``os.fork``: ahead of ``Process._bootstrap``, which
+        # clears the finaliser registry and then runs the after-fork hooks.
+        from multiprocessing import util
+
+        util.register_after_fork(start, lambda _: util.Finalize(None, dump, exitpriority=100))
+
+    os.register_at_fork(after_in_child=forked)
     atexit.register(dump)
     threading.settrace(call)
     sys.settrace(call)
