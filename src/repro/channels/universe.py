@@ -421,14 +421,6 @@ class UniverseRepResult:
     fast: Tuple[ChannelOutcome, ...]
     aggregates: Optional[Dict[str, Any]] = None
 
-    def outcomes(self, algorithm: str) -> Tuple[ChannelOutcome, ...]:
-        """The per-channel outcomes of one algorithm."""
-        if algorithm == "normal":
-            return self.normal
-        if algorithm == "fast":
-            return self.fast
-        raise KeyError(f"unknown algorithm {algorithm!r}")
-
 
 def _channel_outcome(
     plan: UniversePlan,

@@ -28,9 +28,9 @@ _HOT_MODULES = tuple(
     for module in ("core/vector.py", "net/fabric.py", "net/link.py", "streaming/peer.py")
 )
 _DEFERRED_IMPORT = r"^\s+(from \S+ import|import \S+)"
-#: The 13 modules that simulate (tier 2) and so import NumPy at module level.
+#: The 12 modules that simulate (tier 2) and so import NumPy at module level.
 _NUMPY_MODULES = (
-    "analysis/stats.py", "channels/directory.py", "channels/lineup.py", "channels/universe.py",
+    "channels/directory.py", "channels/lineup.py", "channels/universe.py",
     "channels/zapping.py", "core/vector.py", "net/fabric.py", "net/link.py",
     "overlay/augment.py", "overlay/generator.py", "overlay/membership.py", "sim/rng.py",
     "streaming/session.py",
