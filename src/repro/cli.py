@@ -1,102 +1,9 @@
 """Command-line interface.
 
 Installed as ``repro-gossip`` (and the shorter alias ``repro``; see
-``pyproject.toml``), also usable as ``python -m repro.cli``.  Sub-commands:
-
-``figure N``
-    Regenerate the data behind paper figure ``N`` and print it as a table
-    (optionally as JSON).  ``--paper-scale`` switches to the paper's full
-    overlay sizes (slow); the default uses the reduced benchmark sizes.
-    With ``--results-dir`` results are read from / written to the
-    persistent store; ``--from-store`` forbids simulation entirely (pure
-    replay).
-
-``sweep``
-    Run a paired fast-vs-normal size sweep -- the workload behind Figures
-    6--8 and 10--12 -- optionally in parallel (``--workers N``) and through
-    the persistent result store (``--results-dir PATH``), and print one row
-    per overlay size.
-
-``store ls`` / ``store clear`` / ``store migrate``
-    Inspect (``ls`` takes ``--kind``/``--limit`` filters), empty, or
-    losslessly migrate a results directory between backends.  Every
-    store-backed command accepts ``--store-backend {json,sqlite}``: one
-    JSON file per document (the default) or a single ``store.sqlite``
-    database in the same directory.  A command that cannot write -- these
-    three on their source, and any command under ``--from-store`` -- never
-    creates a store: a path that is not there is an error (``store``,
-    ``report``) or a miss (the rest), and stays not there.
-
-``run``
-    Run a single simulation (choose algorithm, size, seed, churn) and print
-    its summary metrics.
-
-``compare``
-    Run a paired fast-vs-normal comparison and print the reduction ratio.
-
-``workload ls`` / ``workload run NAME`` / ``workload compare NAME``
-    The time-scripted workload engine: list the named workloads, run one
-    (paired fast-vs-normal, store-backed, parallel over ``--repetitions``
-    with ``--workers``), or print the paired switch-time comparison.
-    ``--from-store`` forbids simulation (pure replay).  ``--json`` emits a
-    machine-readable payload (``compare --json`` a focused comparison one).
-
-``universe ls`` / ``universe run NAME`` / ``universe compare NAME``
-    The multi-channel universe: list the named universes, run one (a Zipf
-    channel lineup with surfing/loyal zapping; every channel's paired
-    fast-vs-normal switch, store-backed), or print only the
-    per-popularity-decile zap-time comparison.  ``--channels`` /
-    ``--viewers`` rescale the lineup.  ``--workers N`` runs the channels
-    on the sharded runtime (:mod:`repro.dist`): a long-lived
-    crash-tolerant worker pool with a checkpoint journal, so an
-    interrupted run resumes without recomputing finished shards -- still
-    bit-identical to the serial path.  ``--shards N`` sets how many shards
-    the ``repetitions x channels`` units are dealt into (default: one unit
-    per shard).
-
-``net ls`` / ``net show NAME``
-    The latency-aware network layer: list the library topologies or print
-    one topology's regions and latency matrix.
-
-``report``
-    Render every figure of the one figure table
-    (:mod:`repro.figures`) from a results store into one self-contained
-    HTML report (``report.html`` plus per-figure ``data/<name>.json``):
-    the nine paper figures and the universe-scale sketch-backed figures,
-    the telemetry of instrumented runs and a store inventory.
-    ``--from-store`` forbids simulation -- figures without stored results
-    are listed as skipped instead of simulated.
-
-``explain [KEY ...]``
-    Print what instrumented runs stored: per ``telemetry-*`` document (all
-    of them, in key order, when no key is named) the probe tables, the
-    span table and the counters.  Read-only: it never simulates and never
-    writes.
-
-``run``, ``compare``, ``workload run|compare`` and ``universe run|compare``
-share the simulation flags.  ``--topology NAME`` runs over that
-topology's latency fabric instead of the paper's ideal zero-latency
-network (``run`` and ``compare`` then also print the per-region
-switch-time breakdown).  ``--engine {oracle,vector}`` picks the
-simulation core; without it they run on
-:data:`~repro.streaming.config.DEFAULT_ENGINE`: the NumPy array engine
-(``vector``) is the production path, and the per-peer object engine
-(``oracle``) is the readable reference and the debugging path -- the two
-are bit-identical (see docs/architecture.md), so store keys and
-documents do not depend on the choice.  ``--telemetry`` collects metrics
-and spans, persisted beside the results as a ``telemetry-*`` store
-document when a results directory is configured; ``--trace-out PATH``
-also writes the Chrome trace-event file and ``--probes`` also records
-the sim-time protocol probes.  Telemetry never changes simulation
-results: documents and fingerprints are byte-identical with it on or off.
-
-``--log-level {debug,info,warning,error}`` (global) configures the
-stdlib logging of the ``repro.*`` loggers on stderr -- worker respawn
-and retry warnings from the sharded runtime land there, never in the
-JSON output on stdout.
-
-The results directory may also be set via the ``REPRO_RESULTS_DIR``
-environment variable (the ``--results-dir`` flag wins).
+``pyproject.toml``), also usable as ``python -m repro.cli``.  ``--help``
+lists the sub-commands and ``repro COMMAND --help`` their flags; this
+docstring keeps what ``--help`` cannot say.
 
 Start-up follows use: this module imports the standard library only.  One
 table (``_COMMANDS``) gives every sub-command its help line, its
@@ -112,6 +19,15 @@ handler skeleton (``_named_run``) and the four ``ls`` commands one emitter
 (``ValueError``, ``MissingResultError``) is caught once, in :func:`_run`:
 one ``error:`` line on stderr and status 1 (the traceback at
 ``--log-level debug``).
+
+``--log-level {debug,info,warning,error}`` (global) configures the
+stdlib logging of the ``repro.*`` loggers on stderr -- worker respawn
+and retry warnings from the sharded runtime land there, never in the
+JSON output on stdout.  The results directory may also be set via the
+``REPRO_RESULTS_DIR`` environment variable (the ``--results-dir`` flag
+wins).  A command that cannot write (``store`` on its source, any command
+under ``--from-store``) never creates a store: a path that is not there is
+an error (``store``, ``report``) or a miss (the rest).
 """
 
 from __future__ import annotations
